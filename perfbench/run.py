@@ -4,13 +4,18 @@
                              --seed N --seconds S --trace {0,1}
                              [--requests K]
 
-``--trace 0`` times cold imports (``setup_s``) and then runs the workload
-untraced in a fresh interpreter, printing the end-to-end metrics.
-``--trace 1`` runs the workload untraced at S/2 seconds, replays the same
-requests in a second fresh interpreter with every svtkit public function
-wrapped, and prints the per-layer metrics and ``trace.overhead_ratio``.
-S sets the amount of work (whole blocks, see ``workloads.blocks_for``),
-the same on every machine and commit.
+``--trace 0`` runs the workload's seeded request sequence untraced three
+times, each replay in a fresh interpreter, and prints the end-to-end
+metrics.  Each request's latency is the median of its three replays: the
+host is shared, and its speed shifts by up to ~40% for seconds at a time,
+so one replay of a request caught in such a shift does not move the
+result.  A cold import (``setup_s``, the median of three) is timed before
+each replay.  ``--trace 1`` runs one replay untraced and the same requests
+again in a fresh interpreter with every svtkit public function wrapped,
+and prints the per-layer metrics and ``trace.overhead_ratio``.
+S sets the amount of work: each replay is the whole number of blocks that
+``workloads.blocks_for`` gives for S/3 seconds, the same on every machine
+and commit.
 
 Human-readable lines come first; the last line is one JSON object with
 the keys ``correct``, ``attempted``, ``failed`` and ``metrics``.  The
@@ -32,7 +37,7 @@ SRC = os.path.join(ROOT, "src")
 WORKER = os.path.join(HERE, "worker.py")
 WORKLOADS = ("synth", "transform", "apps")
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-SETUP_STARTS = 7
+REPLAYS = 3
 CHILD_LIMIT_S = 170  # a run must end within 180 s
 IMPORT_TIMER = ("import time; t = time.perf_counter(); "
                 "import svtkit, svtkit.apps, svtkit.cli; "
@@ -65,10 +70,9 @@ def _child(argv) -> str:
     return proc.stdout.strip().splitlines()[-1]
 
 
-def setup_seconds() -> float:
-    """Median cold import of svtkit, svtkit.apps and svtkit.cli."""
-    return statistics.median(float(_child(["-c", IMPORT_TIMER]))
-                             for _ in range(SETUP_STARTS))
+def cold_import_seconds() -> float:
+    """One cold import of svtkit, svtkit.apps and svtkit.cli."""
+    return float(_child(["-c", IMPORT_TIMER]))
 
 
 def run_worker(workload, seed, seconds, requests=None, trace=False) -> dict:
@@ -95,11 +99,28 @@ def percentile(values, p: int) -> float:
     return statistics.quantiles(values, n=100, method="inclusive")[p - 1]
 
 
+def median_of(recs: list) -> dict:
+    """One record from replays of the same requests: each request's
+    latency is the median of its replays, and it succeeded only if every
+    replay succeeded."""
+    first = recs[0]
+    for rec in recs[1:]:
+        if rec["kinds"] != first["kinds"]:
+            raise BenchError("replays of one seed ran different requests")
+    return {
+        "requests": first["requests"],
+        "latencies": [statistics.median(lat)
+                      for lat in zip(*(r["latencies"] for r in recs))],
+        "ok": [all(ok) for ok in zip(*(r["ok"] for r in recs))],
+        "uses": first["uses"],
+        "peak_rss_mb": statistics.median(r["peak_rss_mb"] for r in recs),
+    }
+
+
 def end_to_end(rec: dict, setup_s: float) -> dict:
     lat = rec["latencies"]
-    done = rec["requests"] - rec["failed"]
     return {
-        "ops_per_s": (done / rec["wall_s"], "1/s"),
+        "ops_per_s": (sum(rec["ok"]) / sum(lat), "1/s"),
         "latency_p50_s": (statistics.median(lat), "s"),
         "latency_tail_s": (percentile(lat, tail_percentile(len(lat))), "s"),
         "queries_per_op": (statistics.fmean(rec["uses"])
@@ -135,32 +156,44 @@ def print_requests(rec: dict) -> None:
     print(f"  inputs: {json.dumps(rec['inputs'])}")
 
 
-def untraced(workload, seed, seconds, setup_s, requests=None):
-    rec = run_worker(workload, seed, seconds, requests)
-    metrics = end_to_end(rec, setup_s)
-    n = rec["requests"]
-    print(f"workload {workload}, seed {seed}, untraced")
-    print_requests(rec)
+def untraced(workload, seed, seconds, requests=None):
+    starts, recs = [], []
+    for _ in range(REPLAYS):
+        starts.append(cold_import_seconds())
+        recs.append(run_worker(workload, seed, seconds / REPLAYS, requests))
+    setup_s = statistics.median(starts)
+    merged = median_of(recs)
+    metrics = end_to_end(merged, setup_s)
+    n = merged["requests"]
+    print(f"workload {workload}, seed {seed}, untraced, {REPLAYS} replays "
+          f"in fresh interpreters; latency = median replay of each request")
+    for i, rec in enumerate(recs):
+        print(f"  replay {i + 1}:")
+        print_requests(rec)
     for name, (value, unit) in metrics.items():
         note = ""
         if name == "latency_tail_s":
             note = f"  (p{tail_percentile(n)} of {n} requests)"
         elif name == "setup_s":
-            note = f"  (median of {SETUP_STARTS} cold imports)"
+            note = f"  (median of {len(starts)} cold imports)"
         print(f"  {name:<16} {_fmt(value)} {unit}{note}")
         if name == "latency_tail_s":
-            print(f"  {'fail_rate':<16} {_fmt(rec['failed'] / n)} ratio")
-    return rec, [rec], metrics
+            failed = sum(r["failed"] for r in recs)
+            attempted = sum(r["requests"] for r in recs)
+            print(f"  {'fail_rate':<16} {_fmt(failed / attempted)} ratio"
+                  f"  ({failed} of {attempted})")
+    return recs[0], recs, metrics
 
 
 def traced(workload, seed, seconds, requests=None):
-    plain = run_worker(workload, seed, seconds / 2.0, requests)
-    rec = run_worker(workload, seed, seconds / 2.0, requests, trace=True)
+    plain = run_worker(workload, seed, seconds / REPLAYS, requests)
+    rec = run_worker(workload, seed, seconds / REPLAYS, requests, trace=True)
     metrics = {name: tuple(v) for name, v in rec["layers"].items()}
     metrics["trace.overhead_ratio"] = (rec["wall_s"] / plain["wall_s"],
                                        "ratio")
-    print(f"workload {workload}, seed {seed}, traced replay of the first "
-          f"{plain['requests']} requests ({rec['spans']} spans)")
+    print(f"workload {workload}, seed {seed}, traced replay of the "
+          f"{plain['requests']} requests of one untraced replay "
+          f"({rec['spans']} spans)")
     print_requests(rec)
     self_s = {k: v for k, (v, _) in metrics.items()
               if k.endswith(".self_s") and k.count(".") == 1}
@@ -196,7 +229,6 @@ def main(argv=None) -> int:
 
     names = WORKLOADS if args.workload == "all" else (args.workload,)
     try:
-        setup_s = None if args.trace else setup_seconds()
         results = []
         for i, name in enumerate(names):
             if args.trace:
@@ -204,7 +236,7 @@ def main(argv=None) -> int:
                                             args.requests)
             else:
                 rec, runs, metrics = untraced(name, args.seed, args.seconds,
-                                              setup_s, args.requests)
+                                              args.requests)
             if i == 0:
                 print_machine(rec)
             results.append((name, runs, metrics))

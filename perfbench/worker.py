@@ -6,7 +6,9 @@
 A closed loop with one client: each request is sent when the previous one
 has returned and been checked.  The run is the number of whole blocks that
 ``workloads.blocks_for`` gives for ``--seconds`` (cut short after
-``--requests`` requests).  Only the request itself is timed; input
+``--requests`` requests).  The record lists every request's kind, latency
+and outcome in order, so that replays of one seed can be matched request
+by request.  Only the request itself is timed; input
 generation and the output checks run between requests.  The last line of
 output is the run's record.
 """
@@ -77,6 +79,7 @@ def run(name, seed, seconds, max_requests, tracer):
     tmp_dir = os.path.join(tmp_root, str(os.getpid()))
     os.makedirs(tmp_dir)
     latencies, uses, failures, samples = [], [], collections.Counter(), []
+    kinds, ok = [], []
     wrong, check_s = 0, 0.0
     keys, repeats = set(), 0
     dims, degrees = collections.Counter(), collections.Counter()
@@ -86,6 +89,7 @@ def run(name, seed, seconds, max_requests, tracer):
         for _ in range(workloads.blocks_for(name, seconds)):
             for req in next(blocks)[:max_requests - len(latencies)]:
                 repeats += req.key in keys
+                kinds.append(f"{req.kind}:{req.dim}")
                 keys.add(req.key)
                 if req.dim:
                     dims[req.dim] += 1
@@ -101,6 +105,7 @@ def run(name, seed, seconds, max_requests, tracer):
                 finally:
                     latencies.append(time.perf_counter() - start)
                     signal.alarm(0)
+                ok.append(False)
                 if error is None:
                     start = time.perf_counter()
                     try:
@@ -112,6 +117,7 @@ def run(name, seed, seconds, max_requests, tracer):
                         wrong += 1
                         kind = "wrong_output"
                     else:
+                        ok[-1] = True
                         uses.append(req.uses(out))
                         degrees[_bucket(uses[-1])] += 1
                         continue
@@ -129,7 +135,7 @@ def run(name, seed, seconds, max_requests, tracer):
         "workload": name, "seed": seed,
         "requests": len(latencies), "failed": sum(failures.values()),
         "wrong": wrong, "wall_s": sum(latencies), "check_s": check_s,
-        "latencies": latencies,
+        "latencies": latencies, "kinds": kinds, "ok": ok,
         "uses": uses, "failures": dict(failures), "failure_samples": samples,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
         / 1024.0,

@@ -2,9 +2,9 @@
 
 A stream is a sequence of blocks.  Every block of a workload holds the same
 mix of request kinds in a seed-shuffled order, and only the parameters and
-matrices inside a kind are drawn from the seed.  A run is a whole number of
-blocks set by ``blocks_for``, so two seeds differ in their draws but never
-in their mix or amount.
+matrices inside a kind are drawn from the seed.  A replay is a whole number
+of blocks set by ``blocks_for``, so two seeds differ in their draws but
+never in their mix or amount.
 
 Each request carries the call that is timed, a check that runs afterwards
 through ``oracles`` (never through svtkit), its count of U/U^dag uses, and
@@ -52,17 +52,18 @@ class CliFailure(Exception):
         super().__init__(f"{command} exited {code}: {stderr.strip()[:200]}")
 
 
-# Block times measured on a 2-core x86 VM (for apps: the cold first block,
-# then each warm one).  A run is the fewest blocks whose times add up to
-# --seconds, so every run of a workload does the same work, whatever the
-# machine's speed of the moment and whichever commit runs it.
-NOMINAL_BLOCK_S = {"synth": (3.8,), "transform": (10.5,), "apps": (21.0, 6.0)}
+# Block times measured on a 2-core x86 VM (for apps: the cold first round,
+# then each warm one).  A replay is the whole number of blocks whose times
+# come nearest to its share of --seconds, so every run of a workload does
+# the same work, whatever the machine's speed of the moment and whichever
+# commit runs it.
+NOMINAL_BLOCK_S = {"synth": (3.1,), "transform": (7.5,), "apps": (6.6, 2.1)}
 
 
 def blocks_for(name: str, seconds: float) -> int:
     costs = NOMINAL_BLOCK_S[name]
-    n, total = 0, 0.0
-    while n == 0 or total < seconds:
+    n, total = 1, costs[0]
+    while total + costs[min(n, len(costs) - 1)] / 2.0 <= seconds:
         total += costs[min(n, len(costs) - 1)]
         n += 1
     return n
@@ -100,27 +101,34 @@ def _unit_norm(m, norm=0.95):
 # synth: CLI phase synthesis, all parameters distinct
 
 # One block: the families the apps consume, each in a narrow parameter
-# window, on a ladder of degrees from ~5 to ~450, plus one random
+# window, on a ladder of degrees from ~5 to ~400, plus one random
 # extended-precision target.  Windows keep each slot's cost about the same
 # from block to block; within a window every draw is distinct.  The costs
-# fall in groups: four slots under 0.1 s, three at about 0.15 s, four from
-# 0.2 s up (the random target never costs less).  With 11 slots the median
-# latency is the middle of the 0.15 s group, and the tail sits among the
-# two ~1 s slots.
-SYNTH_SLOTS = {
-    "sin": dict(t=(0.2, 1.4), eps=(1e-9, 1e-4)),
-    "cos": dict(t=(0.2, 1.4), eps=(1e-9, 1e-4)),
+# fall in groups: four cheap slots (under 0.08 s), six middle ones of one
+# window (about 0.14 s), three sign-d ones (about 0.2 s), the random target
+# (0.3-1 s) and one top slot (about 0.85 s).  In a replay of three blocks
+# (45 requests) the median latency lies in the middle of the middle group,
+# and the 11th-largest latency (the tail) among the sign-d requests, never
+# on the edge between two groups.  The windows that hold the median and the
+# tail are the narrowest, so that a seed moves their costs little.
+SYNTH_WINDOWS = {
+    # below eps ~1e-8 sin/cos phases can fail the tail-mass budget
+    "sin": dict(t=(0.2, 1.4), eps=(1e-7, 1e-4)),
+    "cos": dict(t=(0.2, 1.4), eps=(1e-7, 1e-4)),
     "sign-a": dict(delta=(0.55, 0.65), eps=(5e-3, 1e-2)),
     "sign-b": dict(delta=(0.30, 0.33), eps=(5e-4, 1e-3)),
-    "sign-c": dict(delta=(0.24, 0.26), eps=(5e-5, 1e-4)),
-    "rect-a": dict(t=(0.45, 0.55), delta=(0.20, 0.22), eps=(1e-3, 2e-3)),
-    "rect-b": dict(t=(0.30, 0.35), delta=(0.20, 0.22), eps=(1e-3, 2e-3)),
+    "rect-a": dict(t=(0.45, 0.55), delta=(0.205, 0.21), eps=(1.4e-3, 1.6e-3)),
     # below eps ~5e-6 phases escalates to mpmath for 15-60 s per request
     # (NOTES.md), which would decide a whole run's throughput
-    "sign-d": dict(delta=(0.15, 0.16), eps=(1e-5, 2e-5)),
+    "sign-d": dict(delta=(0.184, 0.186), eps=(1.4e-5, 1.6e-5)),
     "rect-c": dict(t=(0.45, 0.55), delta=(0.075, 0.08), eps=(1e-4, 2e-4)),
     "inverse": dict(kappa=(2.6, 2.8), eps=(2e-4, 4e-4)),
 }
+SYNTH_BLOCK = ("sin", "cos", "sign-a", "sign-b",
+               "rect-a", "rect-a", "rect-a", "rect-a", "rect-a", "rect-a",
+               "sign-d", "sign-d", "sign-d", "random", "top")
+# the top slot alternates between the two degree-~370 families
+SYNTH_TOP = ("rect-c", "inverse")
 # The random extended-precision targets are the same in every run: their
 # degrees walk this cycle through 16-32, one per block, and their
 # coefficients come from a generator of their own, not from --seed.  A few
@@ -142,7 +150,7 @@ def _call_cli(command, argv):
 
 def _synth_family(rng, slot, path):
     fam = slot.split("-")[0]
-    window = SYNTH_SLOTS[slot]
+    window = SYNTH_WINDOWS[slot]
     eps = _log_uniform(rng, *window["eps"])
     if fam in ("sin", "cos"):
         t = rng.uniform(*window["t"])
@@ -214,8 +222,9 @@ def _synth_random(rng, degree, path):
 def _synth(rng, tmp_dir):
     path = os.path.join(tmp_dir, "poly.json")
     targets_rng = np.random.default_rng(RANDOM_TARGETS_SEED)
-    slots = list(SYNTH_SLOTS) + ["random"]
     for n in itertools.count():
+        slots = [SYNTH_TOP[n % len(SYNTH_TOP)] if s == "top" else s
+                 for s in SYNTH_BLOCK]
         block = []
         for i in rng.permutation(len(slots)):
             slot = slots[i]
@@ -232,17 +241,32 @@ def _synth(rng, tmp_dir):
 # ----------------------------------------------------------------------
 # transform: library SVT on random matrices, four fixed targets
 
-TRANSFORM_SIZES = (8, 16, 32, 64, 128)
 TRANSFORM_DEGREES = (21, 51, 101, 201)
-# One (size, degree) cell per size runs as a Hermitian eigenvalue
-# transformation with the target halved: 5 of the 22 requests of a block.
-TRANSFORM_EIG = {(8, 201), (16, 101), (32, 51), (64, 21), (128, 21)}
-# (32, 101) runs three times: its cost sits mid-way in the block, so the
-# median latency falls in the middle of that cell rather than between two.
-TRANSFORM_EXTRA = ((32, 101), (32, 101))
-# The first block opens with the largest svt_apply cell of each degree, so
-# every run pays the first-touch phase synthesis on the same requests.
-TRANSFORM_FIRST = ((128, 51), (128, 101), (128, 201), (32, 21))
+# One block: (n, degree, kind) cells of an n x n matrix, encoding dimension
+# 2n, 12 of 54 as Hermitian eigenvalue transformations with the target
+# halved.  Counts are set so that the median latency falls in the middle of
+# the (32, 101) cell and the 11th-largest latency (the tail) in the middle
+# of the sixteen ~0.25 s (64, 101) cells, never between two groups of
+# different cost.  Most of the time goes to svt_apply at dimension 128 and
+# 256, as in a user's SVT of a large matrix; eigenvalue transformations,
+# whose time goes mostly to blockenc's norm and unitarity checks, stay at
+# n <= 32.
+TRANSFORM_BLOCK = (
+    [(8, d, "svt") for d in TRANSFORM_DEGREES]
+    + [(8, d, "eig") for d in TRANSFORM_DEGREES]
+    + [(16, d, "svt") for d in TRANSFORM_DEGREES]
+    + [(16, d, "eig") for d in TRANSFORM_DEGREES]
+    + [(32, 21, "svt")] * 2 + [(32, 51, "svt")] * 2
+    + [(32, 101, "svt")] * 10 + [(32, 201, "svt")] * 2
+    + [(32, 21, "eig")] * 2 + [(32, 51, "eig")] * 2
+    + [(64, 101, "svt")] * 16
+    + [(128, 21, "svt"), (128, 51, "svt")]
+)
+# Every replay opens with one cell of each (degree, kind) target, so the
+# first-touch phase syntheses land on the same requests in every run.
+TRANSFORM_FIRST = ((128, 21, "svt"), (128, 51, "svt"), (64, 101, "svt"),
+                   (32, 201, "svt"), (32, 21, "eig"), (32, 51, "eig"),
+                   (16, 101, "eig"), (16, 201, "eig"))
 TRANSFORM_DELTA = 1e-8
 
 
@@ -250,16 +274,16 @@ def _transform(rng):
     targets = {d: random_parity_target(rng, d) for d in TRANSFORM_DEGREES}
     series = {d: ChebSeries(c, "odd") for d, c in targets.items()}
     halves = {d: ChebSeries(c * 0.5, "odd") for d, c in targets.items()}
-    cells = [(n, d) for n in TRANSFORM_SIZES for d in TRANSFORM_DEGREES]
-    cells += TRANSFORM_EXTRA
+    cells = list(TRANSFORM_BLOCK)
     for b in itertools.count():
-        order = rng.permutation(len(cells))
+        order = list(rng.permutation(len(cells)))
         if b == 0:
-            order = sorted(order, key=lambda i: cells[i] not in TRANSFORM_FIRST)
+            first = [cells.index(c) for c in TRANSFORM_FIRST]
+            order = first + [i for i in order if i not in first]
         block = []
         for i in order:
-            n, d = cells[i]
-            if (n, d) in TRANSFORM_EIG:
+            n, d, kind = cells[i]
+            if kind == "eig":
                 block.append(_eig_request(rng, n, d, targets[d], halves[d]))
             else:
                 block.append(_svt_request(rng, n, d, targets[d], series[d]))
@@ -305,26 +329,27 @@ def _eig_request(rng, n, degree, coeffs, target):
 # apps: derived algorithms on small systems, parameters from small sets
 
 HAMSIM_EPS = 1e-6
-FRACQ_EPS = 1e-5
-FAST_OR = dict(eta=0.1, nu=0.01, eps=0.01)
+FRACQ_EPS = 1e-3
+FAST_OR = dict(eta=0.2, nu=0.02, eps=0.05)
 THRESH_DELTA, THRESH_EPS = 0.1, 1e-2
 EMPTY_K, MARKED_K = 4.0, 16.0  # hitting-time bounds given to markov_detect
 MARKED_CLAIM = 2.0 / 3.0  # detection probability the CLI report claims
 
-# The mix.  The counts keep every app below half of the wall time
-# (fast_or took two thirds of an unweighted mix).
+# The mix, one round per block.  The first round of a replay pays every
+# cold polynomial build (about 6.6 s), each later one is warm (about 2.1 s).
+# The counts keep every app below half of the wall time, and place the
+# median latency inside the ~0.09 s group (marked chains, warm threshold
+# projectors) and the 11th-largest latency inside the ~0.27 s group (warm
+# fast_or and fractional_query) of a three-round replay.
 APPS_MIX = (
-    [("markov_detect", "empty")] * 3 + [("markov_detect", "marked")] * 3
+    [("markov_detect", "empty")] * 2 + [("markov_detect", "marked")] * 4
     + [("hamiltonian_simulate", (t, robust))
        for t in (1.0, 5.0, 10.0) for robust in (False, True)]
-    + [("fractional_query", t) for t in (0.25, 0.5, 0.75)]
-    + [("fast_or", (2, "i")), ("fast_or", (3, "ii"))]
+    + [("fractional_query", t) for t in (0.25, 0.5)]
+    + [("fast_or", (2, "i")), ("fast_or", (2, "ii"))]
     + [("threshold_projector", t) for t in (0.4, 0.6)]
-    + [("pseudoinverse", (0.3, 1e-3)), ("pseudoinverse", (0.2, 1e-4))]
+    + [("pseudoinverse", (0.4, 1e-3))] * 2
 )
-# One block is two rounds of the mix: the first pays every cold polynomial
-# build, and a 25 s run adds one warm block.
-APPS_SLOTS = APPS_MIX * 2
 
 
 def _apps(rng):
@@ -335,8 +360,8 @@ def _apps(rng):
              "threshold_projector": _thresh_request,
              "pseudoinverse": _pinv_request}
     while True:
-        yield [build[APPS_SLOTS[i][0]](rng, APPS_SLOTS[i][1])
-               for i in rng.permutation(len(APPS_SLOTS))]
+        yield [build[APPS_MIX[i][0]](rng, APPS_MIX[i][1])
+               for i in rng.permutation(len(APPS_MIX))]
 
 
 def _reversible_chain(rng, n):
