@@ -15,14 +15,13 @@ from ..config import Precision, STANDARD
 from ..errors import NotHermitian, SpectrumTooWide
 from ..poly import ChebSeries
 from ..qsp import phases_for_target
-from ..svt import alternating_sequence, svt_apply
+from ..svt import _hadamard_wrap, alternating_sequence, svt_apply
 
 
 def _four_branch_circuit(pu: ProjectedUnitary, cos_coeffs, sin_coeffs,
                          precision: Precision):
     """sum_{c,b} |cb><cb| (x) i^c U_{(-1)^b Phi^(c)} wrapped in Hadamards:
     the |00> block realizes (cos^(SV) + i sin^(SV)) / 2."""
-    dim = pu.dim
     branches = []
     uses = 0
     for idx, coeffs in enumerate((cos_coeffs, sin_coeffs)):
@@ -34,14 +33,8 @@ def _four_branch_circuit(pu: ProjectedUnitary, cos_coeffs, sin_coeffs,
         up, _ = alternating_sequence(pu, refl)
         um, _ = alternating_sequence(pu, refl.negated())
         phase = 1j if idx == 1 else 1.0
-        branches.append((phase * up, phase * um))
-    big = np.zeros((4 * dim, 4 * dim), complex)
-    order = [branches[0][0], branches[0][1], branches[1][0], branches[1][1]]
-    for i, u in enumerate(order):
-        big[i * dim:(i + 1) * dim, i * dim:(i + 1) * dim] = u
-    h = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
-    hh = np.kron(np.kron(h, h), np.eye(dim))
-    return hh @ big @ hh, uses
+        branches.extend((phase * up, phase * um))
+    return _hadamard_wrap(branches), uses
 
 
 def _amplify_half(unitary_matrix, sys_dim, precision: Precision):

@@ -24,8 +24,15 @@ def operator_norm(m) -> float:
 
 
 def is_unitary(u, tol=UNITARY_TOL) -> bool:
+    """||U^dag U - I||_2 <= tol.
+
+    G = U^dag U - I is formed once.  Since ||G||_2 <= ||G||_F, a Frobenius
+    norm within tol accepts at once; only otherwise is the exact 2-norm
+    (an SVD) taken, so every decision is that of the 2-norm test.
+    """
     u = np.asarray(u)
-    return operator_norm(u.conj().T @ u - np.eye(u.shape[1])) <= tol
+    g = u.conj().T @ u - np.eye(u.shape[1])
+    return float(np.linalg.norm(g)) <= tol or operator_norm(g) <= tol
 
 
 def matrix_to_json(m) -> dict:
@@ -108,9 +115,6 @@ class Projector:
             return Projector(self.dim, indices=other)
         return Projector(self.dim, matrix=np.eye(self.dim) - self._dense)
 
-    def apply(self, m: np.ndarray) -> np.ndarray:
-        return self.matrix() @ m
-
     def tensor_left(self, dim_left: int) -> "Projector":
         """I_{dim_left} (x) Pi as a projector on the enlarged space."""
         if self.indices is not None:
@@ -119,6 +123,17 @@ class Projector:
             return Projector(dim_left * self.dim, indices=idx)
         return Projector(dim_left * self.dim,
                          matrix=np.kron(np.eye(dim_left), self._dense))
+
+
+def sandwich(left: Projector, m, right: Projector) -> np.ndarray:
+    """left @ m @ right; two index projectors select rows and columns of m
+    instead of multiplying."""
+    if left.indices is None or right.indices is None:
+        return left.matrix() @ m @ right.matrix()
+    out = np.zeros_like(m)
+    rows, cols = np.ix_(left.indices, right.indices)
+    out[rows, cols] = m[rows, cols]
+    return out
 
 
 class ProjectedUnitary:
@@ -140,7 +155,7 @@ class ProjectedUnitary:
 
     def encoded(self) -> np.ndarray:
         """The full-space matrix A = Pi~ U Pi."""
-        return self.pi_tilde.matrix() @ self.u @ self.pi.matrix()
+        return sandwich(self.pi_tilde, self.u, self.pi)
 
     def block(self) -> np.ndarray:
         """A compressed to bases of img(Pi~) x img(Pi)."""
@@ -422,20 +437,6 @@ def encode_gram(u_left, u_right, anc_qubits: int,
     gram = u[:ds, :ds].copy()
     return BlockEncoding(u, alpha=1.0, ancillas=anc_qubits, eps=1e-12,
                          target=gram, system_dim=ds)
-
-
-def encode_structured(source: str, **kwargs) -> BlockEncoding:
-    if source == "density":
-        return encode_density(kwargs["g"], kwargs["anc_qubits"],
-                              kwargs["sys_qubits"])
-    if source == "povm":
-        return encode_povm(kwargs["u"], kwargs["anc_qubits"],
-                           kwargs["sys_qubits"], kwargs.get("target_m"),
-                           kwargs.get("eps", 0.0))
-    if source == "gram":
-        return encode_gram(kwargs["u_left"], kwargs["u_right"],
-                           kwargs["anc_qubits"], kwargs["sys_qubits"])
-    raise ValueError(f"unknown source {source!r}")
 
 
 def _completion_permutation(partial: dict, size: int) -> np.ndarray:

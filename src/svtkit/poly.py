@@ -68,7 +68,6 @@ class ParityPoly:
         degree = int(nz[-1]) if len(nz) else 0
         c = c[: degree + 1]
         c.setflags(write=False)
-        object.__setattr__ if False else None
         self.coeffs = c
         self.parity = parity
         self.degree = degree

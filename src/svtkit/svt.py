@@ -2,7 +2,8 @@
 
 `reference_svt` is the SVD-based brute-force oracle everything else is
 checked against.  `alternating_sequence` builds the phased product U_Phi
-exactly as a dense matrix together with its use-count ledger, and
+exactly as a dense matrix together with its use-count ledger, at one
+matmul per use of U, and
 `svt_apply` drives the three flavors (complex polynomial, real polynomial
 with the |+> ancilla doubling, Hermitian eigenvalue transformation with
 the two-qubit parity wrapper).
@@ -16,14 +17,14 @@ import numpy as np
 from numpy.polynomial import chebyshev as npcheb
 
 from . import _chebops as cheb
-from .blockenc import BlockEncoding, Projector, ProjectedUnitary, operator_norm
+from .blockenc import (BlockEncoding, Projector, ProjectedUnitary,
+                       is_unitary, operator_norm, sandwich)
 from .config import Precision, STANDARD
 from .errors import (ConventionMismatch, Inadmissible, NumericalFailure,
                      ParityMismatch)
 from .poly import ChebSeries, ParityPoly
 from .qsp import (PhaseSequence, SignalPair, check_admissible,
-                  phases_for_target, phases_from_pq, qsp_eval,
-                  to_reflection)
+                  phases_for_target, phases_from_pq, to_reflection)
 
 SATURATION_TOL = 1e-10  # sigma >= 1 - tol counts as the saturated block
 RANK_TOL = 1e-11
@@ -238,47 +239,67 @@ def invariant_decomposition(pu: ProjectedUnitary) -> InvariantDecomposition:
 # the alternating phase modulation sequence
 
 
-def _phase_op(projector_matrix: np.ndarray, phi: float) -> np.ndarray:
-    """e^{i phi (2 Pi - I)} = e^{i phi} Pi + e^{-i phi} (I - Pi)."""
-    dim = projector_matrix.shape[0]
-    return (np.exp(1j * phi) * projector_matrix
-            + np.exp(-1j * phi) * (np.eye(dim) - projector_matrix))
+def _phase_layer(out: np.ndarray, proj: Projector, phi: float) -> np.ndarray:
+    """out @ e^{i phi (2 Pi - I)} without building the operator.
+
+    e^{i phi (2 Pi - I)} = e^{-i phi} I + 2i sin(phi) Pi: a column scaling
+    when Pi is a coordinate projector, a rank-r update through an
+    orthonormal basis B of img(Pi) (Pi = B B^dag) otherwise.
+    """
+    if proj.indices is not None:
+        d = np.full(proj.dim, np.exp(-1j * phi))
+        d[proj.indices] = np.exp(1j * phi)
+        return out * d
+    b = proj.basis()
+    return (np.exp(-1j * phi) * out
+            + 2j * math.sin(phi) * ((out @ b) @ b.conj().T))
 
 
 def alternating_sequence(pu: ProjectedUnitary, phi: PhaseSequence):
     """U_Phi per the alternating phase modulation definition (reflection
     convention), plus the gate ledger: n uses of U/U^dag, n of each
-    projector-controlled NOT, n single-qubit phases."""
+    projector-controlled NOT, n single-qubit phases.
+
+    Odd n: e^{i phi_1 (2Pi~-I)} U e^{i phi_2 (2Pi-I)} U^dag ... U; even n:
+    e^{i phi_1 (2Pi-I)} U^dag e^{i phi_2 (2Pi~-I)} U ... U.  Each phase
+    layer is applied to the running product by `_phase_layer`, so the
+    only matmul per layer is the one by U or U^dag.
+    """
     if phi.convention != "reflection":
         raise ConventionMismatch("alternating_sequence wants reflection phases")
     n = len(phi.phis)
     u = pu.u
     udag = u.conj().T
-    pi_m = pu.pi.matrix()
-    pit_m = pu.pi_tilde.matrix()
-    angles = phi.phis
     out = np.eye(pu.dim, dtype=complex)
-    if n % 2 == 1:
-        out = _phase_op(pit_m, angles[0]) @ u
-        j = 1
-        while j < n:
-            out = out @ _phase_op(pi_m, angles[j]) @ udag
-            out = out @ _phase_op(pit_m, angles[j + 1]) @ u
-            j += 2
-    else:
-        j = 0
-        while j < n:
-            out = out @ _phase_op(pi_m, angles[j]) @ udag
-            out = out @ _phase_op(pit_m, angles[j + 1]) @ u
-            j += 2
+    for j, angle in enumerate(phi.phis):
+        if (n - j) % 2:
+            out = _phase_layer(out, pu.pi_tilde, angle) @ u
+        else:
+            out = _phase_layer(out, pu.pi, angle) @ udag
     ledger = {"u_uses": n, "cpi_not": n, "cpi_tilde_not": n,
               "single_qubit_phases": n}
     return out, ledger
 
 
+def _hadamard_wrap(branches) -> np.ndarray:
+    """(H^{(x)m} (x) I) diag(U_0, ..., U_{k-1}) (H^{(x)m} (x) I), k = 2^m,
+    by block arithmetic: block (a, b) is
+    (1/k) sum_c (-1)^{popcount(c & (a ^ b))} U_c, so k = 2 gives
+    1/2 [[U_0 + U_1, U_0 - U_1], [U_0 - U_1, U_0 + U_1]]."""
+    k = len(branches)
+    dim = branches[0].shape[0]
+    mixes = [sum((-1) ** bin(c & s).count("1") * u
+                 for c, u in enumerate(branches)) / k for s in range(k)]
+    out = np.empty((k * dim, k * dim), complex)
+    for a in range(k):
+        for b in range(k):
+            out[a * dim:(a + 1) * dim, b * dim:(b + 1) * dim] = mixes[a ^ b]
+    return out
+
+
 def _assert_unitary(m, tol=1e-11):
-    defect = operator_norm(m.conj().T @ m - np.eye(m.shape[0]))
-    if defect > tol:
+    if not is_unitary(m, tol):
+        defect = operator_norm(m.conj().T @ m - np.eye(m.shape[0]))
         raise NumericalFailure(f"result not unitary: defect {defect:.2e}")
 
 
@@ -309,20 +330,6 @@ class SvtOutcome:
         return self.measured_error if math.isfinite(self.measured_error) else 0.0
 
 
-def _doubled_real_circuit(pu: ProjectedUnitary, refl: PhaseSequence):
-    """|0><0| (x) U_Phi + |1><1| (x) U_{-Phi}: the physical circuit when
-    the projector phases run through the shared ancilla of the
-    C-Pi-NOT construction; sandwiching the ancilla with |+> realizes the
-    real part of the polynomial."""
-    up, ledger = alternating_sequence(pu, refl)
-    um, _ = alternating_sequence(pu, refl.negated())
-    dim = pu.dim
-    big = np.zeros((2 * dim, 2 * dim), complex)
-    big[:dim, :dim] = up
-    big[dim:, dim:] = um
-    return big, up, um, ledger
-
-
 def svt_apply(pu: ProjectedUnitary, target, kind: str = "real_poly",
               delta: float = 1e-8, precision: Precision = STANDARD,
               method: str = "auto") -> SvtOutcome:
@@ -348,12 +355,9 @@ def svt_apply(pu: ProjectedUnitary, target, kind: str = "real_poly",
         n = len(refl.phis)
         u_phi, ledger = alternating_sequence(pu, refl)
         _assert_unitary(u_phi)
-        if n % 2 == 1:
-            result = pu.pi_tilde.matrix() @ u_phi @ pu.pi.matrix()
-            enc = ProjectedUnitary(u_phi, pu.pi, pu.pi_tilde)
-        else:
-            result = pu.pi.matrix() @ u_phi @ pu.pi.matrix()
-            enc = ProjectedUnitary(u_phi, pu.pi, pu.pi)
+        enc = ProjectedUnitary(u_phi, pu.pi,
+                               pu.pi_tilde if n % 2 == 1 else pu.pi)
+        result = enc.encoded()
         oracle = reference_svt(
             pu.encoded(), ChebSeries(pair.p_cheb),
             "odd" if n % 2 else "even", pi=pu.pi, pi_tilde=pu.pi_tilde)
@@ -372,17 +376,20 @@ def svt_apply(pu: ProjectedUnitary, target, kind: str = "real_poly",
     pair, refl, phase_rep = phases_for_target(
         c, tol=delta / 2.0, precision=precision, method=method)
     n = len(refl.phis)
-    big, up, um, ledger = _doubled_real_circuit(pu, refl)
-    _assert_unitary(big)
+    # |0><0| (x) U_Phi + |1><1| (x) U_{-Phi}: the physical circuit when the
+    # projector phases run through the shared ancilla of the C-Pi-NOT
+    # construction; Hadamards on that ancilla put the average of the two
+    # branches, the real part of the polynomial, at ancilla |0>
+    up, ledger = alternating_sequence(pu, refl)
+    um, _ = alternating_sequence(pu, refl.negated())
+    for branch in (up, um):
+        _assert_unitary(branch)
+    wrapped = _hadamard_wrap([up, um])
     proj_in = pu.pi
     proj_out = pu.pi_tilde if n % 2 == 1 else pu.pi
-    # (<+| x Pi') big (|+> x Pi) = (Pi' U_Phi Pi + Pi' U_{-Phi} Pi) / 2
     dim = pu.dim
-    result = (proj_out.matrix() @ up @ proj_in.matrix()
-              + proj_out.matrix() @ um @ proj_in.matrix()) / 2.0
-    # Hadamard-rotate the ancilla so the block sits at ancilla |0>
-    h = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
-    wrapped = np.kron(h, np.eye(dim)) @ big @ np.kron(h, np.eye(dim))
+    # (<+| x Pi') diag(U_Phi, U_-Phi) (|+> x Pi) = Pi' (U_Phi + U_-Phi) / 2 Pi
+    result = sandwich(proj_out, wrapped[:dim, :dim], proj_in)
     enc = ProjectedUnitary(wrapped,
                            _lift_projector(proj_in, dim),
                            _lift_projector(proj_out, dim))
@@ -403,13 +410,6 @@ def _lift_projector(p: Projector, dim: int) -> Projector:
     m = np.zeros((2 * dim, 2 * dim), complex)
     m[:dim, :dim] = p.matrix()
     return Projector(2 * dim, matrix=m)
-
-
-def _reconstruction_tol(pair, refl, c) -> float:
-    xs = np.cos(np.linspace(0.001, math.pi - 0.001, 400))
-    rec = qsp_eval(refl, xs)[:, 0, 0].real
-    want = npcheb.chebval(xs, np.asarray(c).real)
-    return float(np.abs(rec - want).max())
 
 
 def eigenvalue_transform(be: BlockEncoding, target, delta: float = 1e-8,
@@ -450,26 +450,21 @@ def eigenvalue_transform(be: BlockEncoding, target, delta: float = 1e-8,
         if np.abs(cc).max() < 1e-14:
             # vanishing parity component: +-identity averages to zero
             eye = np.eye(dim, dtype=complex)
-            parts.append((eye, -eye))
+            parts.extend((eye, -eye))
             continue
         pair, refl, _ = phases_for_target(cc, tol=delta / 2.0,
                                           precision=precision, method=method)
         degree_used = max(degree_used, len(refl.phis))
         up, _ = alternating_sequence(be.pu, refl)
         um, _ = alternating_sequence(be.pu, refl.negated())
-        parts.append((up, um))
-    big = np.zeros((4 * dim, 4 * dim), complex)
-    order = [parts[0][0], parts[0][1], parts[1][0], parts[1][1]]
-    for i, u in enumerate(order):
-        big[i * dim:(i + 1) * dim, i * dim:(i + 1) * dim] = u
-    h = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
-    hh = np.kron(np.kron(h, h), np.eye(dim))
-    wrapped = hh @ big @ hh
-    _assert_unitary(wrapped)
+        parts.extend((up, um))
+    # the wrapped circuit is unitary iff every diagonal branch is
+    for branch in parts:
+        _assert_unitary(branch)
+    wrapped = _hadamard_wrap(parts)
     d_sys = be.system_dim
     result = wrapped[:d_sys, :d_sys]
-    oracle = reference_svt(np.diag(np.linalg.eigvalsh(a_mat)), None, "odd") \
-        if False else _poly_of_hermitian(a_mat, c)
+    oracle = _poly_of_hermitian(a_mat, c)
     err = operator_norm(result - oracle)
     claimed = 4 * degree_used * math.sqrt(be.eps / be.alpha) + delta
     out = BlockEncoding(wrapped, alpha=1.0, ancillas=be.ancillas + 2,
@@ -503,12 +498,7 @@ def _eigenvalue_transform_complex(be, target, delta, precision, method):
                                   method)
     out_im = eigenvalue_transform(be, ChebSeries(c.imag), delta, precision,
                                   method)
-    dim = out_re.u_phi.shape[0]
-    big = np.zeros((2 * dim, 2 * dim), complex)
-    big[:dim, :dim] = out_re.u_phi
-    big[dim:, dim:] = 1j * out_im.u_phi
-    h = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
-    wrapped = np.kron(h, np.eye(dim)) @ big @ np.kron(h, np.eye(dim))
+    wrapped = _hadamard_wrap([out_re.u_phi, 1j * out_im.u_phi])
     d_sys = be.system_dim
     result = wrapped[:d_sys, :d_sys] * 2.0  # the |+> average halves again
     oracle = _poly_of_hermitian(a_mat, c)

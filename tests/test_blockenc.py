@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from svtkit.blockenc import (BlockEncoding, ControlledNotByProjector,
-                             Projector, StatePrepPair, cpi_not, embed,
-                             encode_density, encode_gram, encode_povm,
-                             encode_sparse, extract, lcu, operator_norm,
+from svtkit.blockenc import (UNITARY_TOL, BlockEncoding,
+                             ControlledNotByProjector, Projector,
+                             StatePrepPair, cpi_not, embed, encode_density,
+                             encode_gram, encode_povm, encode_sparse,
+                             extract, is_unitary, lcu, operator_norm,
                              product)
 from svtkit.errors import (ModePreconditionViolated, NormExceeded,
                            NotAProjector, SparsityViolated)
@@ -259,6 +260,48 @@ class TestProjector:
             return out
         np.testing.assert_allclose(emb(a) + emb(b), emb(a + b), atol=1e-15)
         np.testing.assert_allclose(emb(a) @ emb(c), emb(a @ c), atol=1e-13)
+
+
+def _with_defect(defects, gen):
+    """Q diag(sqrt(1 + e)): U^dag U - I = diag(e) up to rounding."""
+    q = scipy.stats.unitary_group.rvs(len(defects), random_state=gen)
+    return q * np.sqrt(1.0 + np.asarray(defects))
+
+
+def _two_norm_verdict(u, tol):
+    return operator_norm(u.conj().T @ u - np.eye(u.shape[1])) <= tol
+
+
+class TestIsUnitary:
+    @pytest.mark.parametrize("tol", [UNITARY_TOL, 1e-11])
+    def test_spread_defect_accepted(self, tol):
+        # ||G||_F = 3.2 tol > tol >= ||G||_2 = 0.8 tol: the Frobenius norm
+        # alone would refuse, the exact 2-norm accepts
+        u = _with_defect(np.full(16, 0.8 * tol), np.random.default_rng(3))
+        g = u.conj().T @ u - np.eye(16)
+        assert np.linalg.norm(g) > tol >= operator_norm(g)
+        assert is_unitary(u, tol) is True
+
+    @pytest.mark.parametrize("tol", [UNITARY_TOL, 1e-11])
+    def test_defect_just_above_tol_refused(self, tol):
+        defects = np.zeros(16)
+        defects[5] = 1.05 * tol
+        u = _with_defect(defects, np.random.default_rng(4))
+        assert is_unitary(u, tol) is False
+
+    def test_same_verdict_as_two_norm(self):
+        gen = np.random.default_rng(5)
+        verdicts = set()
+        for _ in range(200):
+            dim = int(gen.integers(2, 40))
+            tol = float(gen.choice([UNITARY_TOL, 1e-11]))
+            e = gen.uniform(-1, 1, dim) * gen.uniform(0, 1, dim) ** 4
+            e *= tol * gen.uniform(0.3, 2.0) / np.abs(e).max()
+            u = _with_defect(e, gen)
+            want = _two_norm_verdict(u, tol)
+            assert is_unitary(u, tol) is want
+            verdicts.add(want)
+        assert verdicts == {True, False}
 
 
 class TestLedgerSoundness:

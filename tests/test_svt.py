@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings, strategies as st
 
 from svtkit import ChebSeries, ParityPoly
 from svtkit.blockenc import (BlockEncoding, Projector, ProjectedUnitary,
                              embed, operator_norm)
 from svtkit.errors import Inadmissible, ParityMismatch
-from svtkit.qsp import chebyshev_phases, complete, complete_complex
+from svtkit.qsp import (PhaseSequence, chebyshev_phases, complete,
+                        complete_complex)
 from svtkit.svt import (alternating_sequence, eigenvalue_transform,
                         invariant_decomposition, reference_svt,
                         robustness_bound, svd_bundle, svt_apply)
@@ -143,6 +145,51 @@ class TestAlternatingSequence:
         u_phi, _ = alternating_sequence(pu, seq)
         got = pu.pi.matrix() @ u_phi @ pu.pi.matrix()
         np.testing.assert_allclose(got, pu.pi.matrix(), atol=1e-10)
+
+
+def _dense_phase(p, phi):
+    """e^{i phi (2 Pi - I)} as an explicit matrix."""
+    eye = np.eye(p.shape[0])
+    return np.exp(1j * phi) * p + np.exp(-1j * phi) * (eye - p)
+
+
+def _random_projector(gen, dim, rank, kind):
+    if kind == "indices":
+        return Projector(dim, indices=gen.choice(dim, rank, replace=False))
+    z = gen.standard_normal((dim, rank)) + 1j * gen.standard_normal((dim, rank))
+    q, _ = np.linalg.qr(z)
+    return Projector(dim, matrix=q @ q.conj().T)
+
+
+@settings(max_examples=150, deadline=None)
+@given(dim=st.integers(2, 16), n=st.integers(1, 12), data=st.data(),
+       kinds=st.tuples(st.sampled_from(["indices", "matrix"]),
+                       st.sampled_from(["indices", "matrix"])),
+       negate=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_alternating_sequence_matches_dense_product(dim, n, data, kinds,
+                                                    negate, seed):
+    gen = np.random.default_rng(seed)
+    rank_pi = data.draw(st.integers(1, dim))
+    rank_pit = data.draw(st.integers(1, dim))
+    pi = _random_projector(gen, dim, rank_pi, kinds[0])
+    pit = _random_projector(gen, dim, rank_pit, kinds[1])
+    pu = ProjectedUnitary(random_unitary(dim, gen), pi, pit)
+    seq = PhaseSequence(gen.uniform(-math.pi, math.pi, n), "reflection")
+    if negate:
+        seq = seq.negated()
+    got, ledger = alternating_sequence(pu, seq)
+    u, p, pt, phis = pu.u, pi.matrix(), pit.matrix(), seq.phis
+    # odd n: e^{i phi_1 (2 Pi~ - I)} U prod_k [e^{i phi_2k (2 Pi - I)} U^dag
+    # e^{i phi_2k+1 (2 Pi~ - I)} U]; even n: the product alone, from phi_1
+    want = np.eye(dim, dtype=complex)
+    start = n % 2
+    if start:
+        want = _dense_phase(pt, phis[0]) @ u
+    for j in range(start, n, 2):
+        want = (want @ _dense_phase(p, phis[j]) @ u.conj().T
+                @ _dense_phase(pt, phis[j + 1]) @ u)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    assert ledger["u_uses"] == n
 
 
 class TestSvtApply:
