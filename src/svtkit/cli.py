@@ -80,6 +80,8 @@ def cmd_phases(args, config):
         with open(args.poly_file) as fh:
             series = ChebSeries.from_json(json.load(fh)["poly"])
         target = series
+    elif args.family is None:
+        raise ValueError("phases needs --family or --poly")
     else:
         target = _build_poly(args, config).cheb
     tol = args.tol if args.tol is not None else max(args.eps / 10.0, 1e-10)
@@ -215,7 +217,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Singular value transformation toolkit: polynomial "
                     "construction, phase synthesis, encodings, transforms")
     ap.add_argument("--precision", default="standard",
-                    help="standard or extended[:bits]")
+                    help="standard or extended[:bits]; extended sends phase "
+                         "synthesis straight to the symmetric-phase Newton "
+                         "solver (double precision), bits applies only to "
+                         "mpmath root refinement")
     ap.add_argument("--max-degree", type=int, default=512)
     ap.add_argument("--grid", type=int, default=10_000,
                     help="certification grid density per unit")
@@ -223,8 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--out", help="write output to this file")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_family_args(p):
-        p.add_argument("--family", required=True,
+    def add_family_args(p, required=True):
+        p.add_argument("--family", required=required,
                        choices=["sign", "rect", "inverse", "cos", "sin",
                                 "exp", "arcsin", "neg_power", "monomial",
                                 "window"])
@@ -245,9 +250,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_poly.set_defaults(fn=cmd_poly)
 
     p_ph = sub.add_parser("phases", help="synthesize reflection phases")
-    add_family_args(p_ph)
+    add_family_args(p_ph, required=False)
     p_ph.add_argument("--poly", dest="poly_file",
-                      help="existing poly JSON instead of a family")
+                      help="existing poly JSON instead of --family")
     p_ph.add_argument("--tol", type=float, default=None,
                       help="phase reconstruction tolerance (default eps/10)")
     p_ph.set_defaults(fn=cmd_phases)
@@ -296,9 +301,10 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return EXIT_VALIDATION if exc.code not in (0, None) else EXIT_OK
-    config = RunConfig(precision=_precision(args), max_degree=args.max_degree,
-                       grid_density=args.grid, seed=args.seed)
     try:
+        config = RunConfig(precision=_precision(args),
+                           max_degree=args.max_degree,
+                           grid_density=args.grid, seed=args.seed)
         return args.fn(args, config)
     except (ValueError, OSError, KeyError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)

@@ -3,8 +3,6 @@ from __future__ import annotations
 
 import dataclasses
 
-import mpmath
-
 MAX_DEGREE_DEFAULT = 512
 COEFF_DROP_REL = 1e-14  # coefficients below this (relative) are treated as zero
 MAX_MATRIX_DIM = 256
@@ -14,9 +12,12 @@ MAX_MATRIX_DIM = 256
 class Precision:
     """Arithmetic precision for root finding and phase synthesis.
 
-    ``standard`` works in IEEE double throughout.  ``extended(bits)``
-    switches the refinement stages (root polishing, completion polish,
-    layer stripping) to mpmath arithmetic with at least ``bits`` bits.
+    ``standard`` works in IEEE double throughout.  ``extended`` sends
+    phase synthesis (`qsp.phases_for_target`) straight to the
+    symmetric-phase Newton solver, which runs in double precision, instead
+    of trying completion and stripping first.  ``bits`` applies only to
+    `poly.find_roots`, whose root refinement reruns in mpmath with at
+    least that many bits.
     """
 
     extended: bool = False
@@ -31,6 +32,8 @@ class Precision:
         return int(self.bits * 0.30103) + 3
 
     def workdps(self):
+        import mpmath
+
         return mpmath.workdps(self.dps)
 
 

@@ -1,16 +1,21 @@
 """Quantum signal processing over 2x2 matrices.
 
-Pipeline: a real bounded target is completed to a unitary-valued pair
-(P, Q) with |P|^2 + (1-x^2)|Q|^2 = 1, phases are peeled off one layer at
-a time (in the Chebyshev basis, which keeps the recursion conditioned
-near |x| = 1), and the sandwich-convention sequence is converted to the
-reflection convention that the higher-dimensional transformation code
-consumes.
+Two routes turn a real bounded target of definite parity into phases,
+both in double precision:
 
-Completion runs through an explicit root classification at moderate
-degree and through FFT spectral factorization at high degree; both are
-finished by a Newton polish of the sum-of-squares identity, so the
-returned pair satisfies its invariant essentially to machine precision.
+- completion + stripping: the target is completed to a unitary-valued
+  pair (P, Q) with |P|^2 + (1-x^2)|Q|^2 = 1 (root classification at
+  moderate degree, FFT spectral factorization at high degree, both
+  finished by a Newton polish of the sum-of-squares identity), and phases
+  are peeled off one layer at a time in the Chebyshev basis, which keeps
+  the recursion conditioned near |x| = 1;
+- symmetric phase finding: Newton iteration on symmetric sandwich phases
+  so that Re<0|U_Phi(x)|0> matches the target at Chebyshev nodes.
+
+`phases_for_target` runs the first and falls back to the second; the
+sandwich-convention sequence is converted to the reflection convention
+that the higher-dimensional transformation code consumes.  Complex
+targets (`complete_complex`) use completion + stripping only.
 """
 from __future__ import annotations
 
@@ -290,7 +295,7 @@ def _mul_factor(B, C, b, c):
     return newB, newC
 
 
-def _sos_factor_from_roots(A: np.ndarray, precision: Precision):
+def _sos_factor_from_roots(A: np.ndarray):
     """Root-classification route of the clever-sum-of-squares lemma."""
     mono = npcheb.cheb2poly(A)
     seeds = np.polynomial.polynomial.polyroots(mono)
@@ -466,391 +471,20 @@ def _sos_polish(A, B, C, iters=8):
     return B, C
 
 
-def _sos_factor_extended(p, q, A, precision: Precision):
-    """Full-precision factorization via mpmath-refined roots.
-
-    Root representatives come from the spectral outer factor G, whose
-    companion matrix is well conditioned at any degree; each is polished
-    by mpmath Newton iteration on A(x) = 1 - p(x)^2 - (1-x^2) q(x)^2
-    evaluated by Clenshaw from the exactly-representable coefficients,
-    and the factor product is assembled in mpmath.
-    """
-    import mpmath as mp
-
-    g = _spectral_outer_factor(A)
-    u_roots = np.polynomial.polynomial.polyroots(g)
-    z = np.sqrt(u_roots.astype(complex))
-    x_reps = (z + 1.0 / z) / 2.0
-    dA_cheb = npcheb.chebder(np.asarray(A, float))
-
-    with precision.workdps():
-        pmp = [mp.mpf(float(v)) for v in np.asarray(p, float)]
-        qmp = [mp.mpf(float(v)) for v in np.asarray(q, float)]
-        has_q = any(v != 0 for v in qmp)
-
-        def clenshaw_mp(coeffs, x):
-            b1 = mp.mpc(0)
-            b2 = mp.mpc(0)
-            for c in reversed(coeffs):
-                b1, b2 = 2 * x * b1 - b2 + c, b1
-            return b1 - x * b2
-
-        def a_value(x):
-            pv = clenshaw_mp(pmp, x)
-            out = 1 - pv * pv
-            if has_q:
-                qv = clenshaw_mp(qmp, x)
-                out -= (1 - x * x) * qv * qv
-            return out
-
-        dA = [mp.mpf(float(v)) for v in dA_cheb]
-
-        def aberth_all(seeds, iters, stop_exp):
-            """Simultaneous refinement; mirrored partners (-x) are part of
-            the root set, so the repulsion must include them too."""
-            rs = [mp.mpc(s) for s in seeds]
-            n = len(rs)
-            prev_moved = None
-            stagnant = 0
-            for _ in range(iters):
-                moved = mp.mpf(0)
-                fs = [a_value(r) for r in rs]
-                dfs = [clenshaw_mp(dA, r) for r in rs]
-                for i in range(n):
-                    if dfs[i] == 0:
-                        continue
-                    newt = fs[i] / dfs[i]
-                    repel = mp.mpc(0)
-                    for j in range(n):
-                        if j != i:
-                            d1 = rs[i] - rs[j]
-                            if d1 != 0:
-                                repel += 1 / d1
-                        d2 = rs[i] + rs[j]  # the mirrored partner -r_j
-                        if d2 != 0:
-                            repel += 1 / d2
-                    denom = 1 - newt * repel
-                    if denom == 0:
-                        continue
-                    step = newt / denom
-                    rs[i] = rs[i] - step
-                    moved = max(moved, abs(step) / (1 + abs(rs[i])))
-                if moved < mp.mpf(10) ** stop_exp:
-                    break
-                # tight clusters bounce around their limit: once the
-                # max step stops shrinking, more sweeps buy nothing
-                if prev_moved is not None and moved > prev_moved / 2:
-                    stagnant += 1
-                    if stagnant >= 6:
-                        break
-                else:
-                    stagnant = 0
-                prev_moved = moved
-            return rs
-
-        # cheap low-precision sweep first, then a short full-dps polish
-        full_dps = mp.mp.dps
-        with mp.workdps(24):
-            rough = aberth_all(x_reps, 80, -20)
-        refined = aberth_all([mp.mpc(r) for r in rough], 12,
-                             -full_dps + 4)
-        # validation: every root must sit within ~1e-25 of a true root.
-        # Clusters tighter than the achievable resolution (near-tangent
-        # pairs) are merged into a double root at their midpoint; the
-        # factor picks up only the square of the half-separation.
-        thresh = mp.mpf(10) ** -25
-        bad = []
-        for i, r in enumerate(refined):
-            fr = abs(a_value(r))
-            dr = abs(clenshaw_mp(dA, r)) * (1 + abs(r))
-            if fr > dr * thresh:
-                bad.append(i)
-        merged = set()
-        for i in bad:
-            if i in merged:
-                continue
-            best = None  # (distance, j, mirrored)
-            for j in bad:
-                if j == i or j in merged:
-                    continue
-                d_direct = abs(refined[i] - refined[j])
-                d_mirror = abs(refined[i] + refined[j])
-                if best is None or d_direct < best[0]:
-                    best = (d_direct, j, False)
-                if d_mirror < best[0]:
-                    best = (d_mirror, j, True)
-            if best is None or best[0] > 1e-5 * (1 + abs(refined[i])):
-                raise NumericalFailure(
-                    f"extended root refinement failed near "
-                    f"{complex(refined[i]):.6g}")
-            _, j, mirrored = best
-            if mirrored:
-                mid = (refined[i] - refined[j]) / 2
-                refined[i] = mid
-                refined[j] = -mid
-            else:
-                mid = (refined[i] + refined[j]) / 2
-                refined[i] = mid
-                refined[j] = mid
-            merged.add(i)
-            merged.add(j)
-        # classification mirrors the double route, with each representative
-        # standing for the pair {x, -x}
-        tol = 1e-7
-        B = [mp.mpf(1)]
-        C = [mp.mpf(0)]
-
-        def mul_mp(a, b):
-            out = [mp.mpc(0)] * (len(a) + len(b) - 1)
-            for i, ai in enumerate(a):
-                if ai == 0:
-                    continue
-                for j, bj in enumerate(b):
-                    pr = ai * bj / 2
-                    out[i + j] += pr
-                    out[abs(i - j)] += pr
-            return out
-
-        def mulx_mp(c):
-            out = [mp.mpc(0)] * (len(c) + 1)
-            for n_, cn in enumerate(c):
-                if n_ == 0:
-                    out[1] += cn
-                else:
-                    out[n_ + 1] += cn / 2
-                    out[n_ - 1] += cn / 2
-            return out
-
-        def one_minus_x2_mp(c):
-            xx = mulx_mp(mulx_mp(c))
-            out = [mp.mpc(0)] * len(xx)
-            for i, v in enumerate(c):
-                out[i] += v
-            for i, v in enumerate(xx):
-                out[i] -= v
-            return out
-
-        def mul_factor_mp(B, C, b, c):
-            t1 = mul_mp(B, b)
-            t2 = one_minus_x2_mp(mul_mp(C, c))
-            n_ = max(len(t1), len(t2))
-            newB = [mp.mpc(0)] * n_
-            for i, v in enumerate(t1):
-                newB[i] += v
-            for i, v in enumerate(t2):
-                newB[i] -= v
-            t3 = mul_mp(B, c)
-            t4 = mul_mp(C, b)
-            n2 = max(len(t3), len(t4))
-            newC = [mp.mpc(0)] * n2
-            for i, v in enumerate(t3):
-                newC[i] += v
-            for i, v in enumerate(t4):
-                newC[i] += v
-            return newB, newC
-
-        reals_01 = []
-        origin = 0
-        complex_reps = []  # conjugate halves of quadruples come in pairs
-        for s in refined:
-            scale = 1 + abs(s)
-            re, im = mp.re(s), mp.im(s)
-            if abs(im) < tol * scale:
-                im = mp.mpf(0)
-            if abs(re) < tol * scale:
-                re = mp.mpf(0)
-            re = abs(re)  # the representative stands for +-s
-            if im == 0:
-                if re == 0:
-                    origin += 1
-                    continue
-                if re < 1 - 1e-9:
-                    reals_01.append(re)
-                else:
-                    sv = re if re > 1 else mp.mpf(1)
-                    B, C = mul_factor_mp(
-                        B, C, [mp.mpf(0), mp.sqrt(sv * sv - 1)], [sv])
-            else:
-                im = abs(im)
-                if re == 0:
-                    B, C = mul_factor_mp(
-                        B, C, [mp.mpf(0), mp.sqrt(im * im + 1)], [im])
-                else:
-                    complex_reps.append((re, im))
-        complex_reps.sort(key=lambda t: (float(t[0]), float(t[1])))
-        idx = 0
-        while idx < len(complex_reps):
-            if idx + 1 >= len(complex_reps):
-                raise NumericalFailure("unpaired complex representative")
-            r1, i1 = complex_reps[idx]
-            r2, i2 = complex_reps[idx + 1]
-            if abs(float(r1 - r2)) + abs(float(i1 - i2)) > 1e-5 * (1 + float(r1)):
-                raise NumericalFailure("conjugate halves failed to pair")
-            a_ = (r1 + r2) / 2
-            b_ = (i1 + i2) / 2
-            c_ = (a_ * a_ + b_ * b_
-                  + mp.sqrt(2 * (a_ * a_ + 1) * b_ * b_
-                            + (a_ * a_ - 1) ** 2 + b_ ** 4))
-            bpoly = [c_ / 2 - (a_ * a_ + b_ * b_), mp.mpf(0), c_ / 2]
-            cpoly = [mp.mpf(0), mp.sqrt(c_ * c_ - 1)]
-            B, C = mul_factor_mp(B, C, bpoly, cpoly)
-            idx += 2
-        # each origin representative stands for a double zero of A
-        for _ in range(origin):
-            B = mulx_mp(B)
-            C = mulx_mp(C)
-        reals_01.sort()
-        i = 0
-        while i < len(reals_01):
-            if (i + 1 >= len(reals_01)
-                    or reals_01[i + 1] - reals_01[i] > 3e-5 * (1 + reals_01[i])):
-                raise NotSubunit(
-                    f"odd-multiplicity real root near x = {float(reals_01[i]):.6g}")
-            s = (reals_01[i] + reals_01[i + 1]) / 2
-            factor = [mp.mpf(1) / 2 - s * s, mp.mpf(0), mp.mpf(1) / 2]
-            B = mul_mp(B, factor)
-            C = mul_mp(C, factor)
-            i += 2
-        # the factors above pair each representative once; the full
-        # multiset is {x, -x}, so the assembled product already covers it
-        k = cheb.degree(np.asarray(p, float))
-        if has_q:
-            k = max(k, cheb.degree(np.asarray(q, float)) + 1)
-        degB = cheb.degree(np.array([float(mp.re(v)) + abs(float(mp.im(v)))
-                                     for v in B]), 1e-11)
-        if degB % 2 != k % 2:
-            B, C = mul_factor_mp(B, C, [mp.mpf(0), mp.mpf(1)], [mp.mpf(1)])
-        # scale: A / (B^2 + (1-x^2) C^2) at a safe sample point
-        best = None
-        for xs in ("0.312437", "0.71931", "-0.52384"):
-            x = mp.mpf(xs)
-            BB = clenshaw_mp(B, x)
-            CC = clenshaw_mp(C, x)
-            dv = BB * BB + (1 - x * x) * CC * CC
-            if best is None or abs(dv) > best[0]:
-                best = (abs(dv), a_value(x) / dv)
-        K = mp.sqrt(best[1])
-        Breal = [mp.re(v * K) for v in B]
-        Creal = [mp.re(v * K) for v in C]
-        return Breal, Creal
-
-
-def _sos_polish_extended(p, q, B, C, precision: Precision, iters=6):
-    """Iterative refinement with mpmath residuals and double corrections.
-
-    The target A = 1 - p^2 - (1-x^2) q^2 is rebuilt in mpmath from the
-    exactly-representable double coefficients, so the refinement is not
-    limited by double rounding in A itself.
-    """
-    import mpmath as mp
-
-    with precision.workdps():
-        Bmp = [mp.mpf(float(v)) for v in B]
-        Cmp = [mp.mpf(float(v)) for v in C]
-        pmp = [mp.mpf(float(v)) for v in p]
-        qmp = [mp.mpf(float(v)) for v in q]
-
-        def mul_mp(a, b):
-            # chebyshev multiplication over mpmath lists
-            na, nb = len(a), len(b)
-            out = [mp.mpf(0)] * (na + nb - 1)
-            for i, ai in enumerate(a):
-                if ai == 0:
-                    continue
-                for j, bj in enumerate(b):
-                    prod = ai * bj / 2
-                    out[i + j] += prod
-                    out[abs(i - j)] += prod
-            return out
-
-        def mulx_mp(c):
-            out = [mp.mpf(0)] * (len(c) + 1)
-            for n_, cn in enumerate(c):
-                if n_ == 0:
-                    out[1] += cn
-                else:
-                    out[n_ + 1] += cn / 2
-                    out[n_ - 1] += cn / 2
-            return out
-
-        def one_minus_x2_mp(c):
-            xx = mulx_mp(mulx_mp(c))
-            out = [mp.mpf(0)] * len(xx)
-            for i, v in enumerate(c):
-                out[i] += v
-            for i, v in enumerate(xx):
-                out[i] -= v
-            return out
-
-        Amp = [mp.mpf(0)] * 1
-        pp = mul_mp(pmp, pmp)
-        qq = one_minus_x2_mp(mul_mp(qmp, qmp)) if any(
-            v != 0 for v in qmp) else [mp.mpf(0)]
-        n0 = max(len(pp), len(qq), 1)
-        Amp = [mp.mpf(0)] * n0
-        Amp[0] = mp.mpf(1)
-        for i, v in enumerate(pp):
-            Amp[i] -= v
-        for i, v in enumerate(qq):
-            Amp[i] -= v
-
-        def residual():
-            BB = mul_mp(Bmp, Bmp)
-            CC = one_minus_x2_mp(mul_mp(Cmp, Cmp))
-            n = max(len(Amp), len(BB), len(CC))
-            E = [mp.mpf(0)] * n
-            for i, v in enumerate(Amp):
-                E[i] += v
-            for i, v in enumerate(BB):
-                E[i] -= v
-            for i, v in enumerate(CC):
-                E[i] -= v
-            return E
-
-        for _ in range(iters):
-            E = residual()
-            Ed = np.array([float(v) for v in E])
-            if np.abs(Ed).max() < mp.mpf(10) ** (-precision.dps + 6):
-                break
-            # correction solved in double precision against the double Jacobian
-            Bd = np.array([float(v) for v in Bmp])
-            Cd = np.array([float(v) for v in Cmp])
-            m = len(Ed)
-            colsB = [j for j in range(len(Bd)) if (j % 2) == ((len(Bd) - 1) % 2)]
-            colsC = [j for j in range(len(Cd)) if (j % 2) == ((len(Cd) - 1) % 2)]
-            M = np.zeros((m, len(colsB) + len(colsC)))
-            for idx, j in enumerate(colsB):
-                t = 2 * cheb.mul(Bd, cheb.unit(j))
-                M[: min(len(t), m), idx] = t[:m]
-            for idx, j in enumerate(colsC):
-                t = 2 * cheb.mul_one_minus_x2(cheb.mul(Cd, cheb.unit(j)))
-                M[: min(len(t), m), len(colsB) + idx] = t[:m]
-            sol, *_ = np.linalg.lstsq(M, Ed, rcond=None)
-            for idx, j in enumerate(colsB):
-                Bmp[j] += mp.mpf(float(sol[idx]))
-            for idx, j in enumerate(colsC):
-                Cmp[j] += mp.mpf(float(sol[len(colsB) + idx]))
-        return Bmp, Cmp
-
-
-def complete(p_re, q_re=None, precision: Precision = STANDARD,
-             method: str = "auto", tol: float = 1e-10,
-             tail_budget: float = 1e-9) -> SignalPair:
+def complete(p_re, q_re=None, method: str = "auto",
+             tol: float = 1e-10) -> SignalPair:
     """Complete real targets (p, q) to a unitary-valued SignalPair.
 
     Factors A = 1 - p^2 - (1-x^2) q^2 as B^2 + (1-x^2) C^2 following the
     root-classification construction (multisets S_0, S_(0,1), S_[1,inf),
     S_I, S_C, with the parity-fixing multiplication by x + i sqrt(1-x^2)
     when the degree deficit calls for it) and returns P = p + iB,
-    Q = q + iC.  Degrees above 64 switch to the spectral-factorization
+    Q = q + iC.  Degrees above 40 switch to the spectral-factorization
     route for the initial factor; both finish with a Newton polish of the
     sum-of-squares identity.
     """
     # negligible trailing coefficients are invisible to the factorization
-    # (they enter A squared); the double route re-resolves them in the
-    # coefficient-space polish, while the extended route's root seeds come
-    # from double-precision interval samples and need the harder cut, with
-    # the dropped mass accounted against the caller's budget
+    # (they enter A squared); the coefficient-space polish re-resolves them
     p = np.real_if_close(_as_cheb_array(p_re)).real.astype(float)
     p = cheb.trim(p, 1e-11)
     if q_re is None:
@@ -858,36 +492,6 @@ def complete(p_re, q_re=None, precision: Precision = STANDARD,
     else:
         q = np.real_if_close(_as_cheb_array(q_re)).real.astype(float)
         q = cheb.trim(q, 1e-11)
-    if precision.extended:
-        drop_total = 0.0
-        for name in ("p", "q"):
-            arr = p if name == "p" else q
-            res = cheb.trim(arr, 3e-8)
-            if len(res) < len(arr):
-                dropped = float(np.abs(arr[len(res):]).sum())
-                if dropped > tail_budget:
-                    raise NumericalFailure(
-                        f"{name} tail mass {dropped:.2e} below the "
-                        f"factorization resolution exceeds the budget "
-                        f"{tail_budget:.0e}")
-                drop_total += dropped
-                if name == "p":
-                    p = res
-                else:
-                    q = res
-        # the dropped tail may leave the trimmed pair marginally above 1;
-        # shrinking past the dropped mass also avoids manufacturing a
-        # tangency, and stays inside the same budget
-        xs_chk = np.cos(np.linspace(0, math.pi, 2001))
-        lvl = npcheb.chebval(xs_chk, p) ** 2
-        if np.abs(q).max() > 0:
-            lvl = lvl + (1 - xs_chk ** 2) * npcheb.chebval(xs_chk, q) ** 2
-        top = float(lvl.max())
-        cap = 1.0 - 2.0 * drop_total - 1e-12
-        if top > cap:
-            shrink = math.sqrt(cap / top)
-            p = p * shrink
-            q = q * shrink
     k = max(cheb.degree(p), cheb.degree(q) + 1)
     p_par = cheb.parity_of(p)
     q_par = cheb.parity_of(q)
@@ -921,7 +525,7 @@ def complete(p_re, q_re=None, precision: Precision = STANDARD,
 
     def build(which):
         if which == "roots":
-            return _sos_factor_from_roots(A, precision)
+            return _sos_factor_from_roots(A)
         return _sos_factor_spectral(A)
 
     def finish(which):
@@ -950,13 +554,6 @@ def complete(p_re, q_re=None, precision: Precision = STANDARD,
         B = math.sqrt(K2) * B
         C = math.sqrt(K2) * C
         B, C = _sos_polish(Af, B, C)
-        if precision.extended:
-            Bmp, Cmp = _sos_factor_extended(p, q, Af, precision)
-            B = np.array([float(v) for v in Bmp])
-            C = np.array([float(v) for v in Cmp])
-            pair = _assemble_pair(p, q, B, C, tol)
-            pair._mp_parts = (Bmp, Cmp)
-            return pair
         return _assemble_pair(p, q, B, C, tol)
 
     try:
@@ -979,8 +576,7 @@ def _assemble_pair(p, q, B, C, tol):
     return SignalPair(P, Q, tol=tol)
 
 
-def complete_complex(p, precision: Precision = STANDARD,
-                     tol: float = 1e-9) -> SignalPair:
+def complete_complex(p, tol: float = 1e-9) -> SignalPair:
     """Find Q for an admissible complex P with 1 - P P* = (1-x^2) Q Q*.
 
     Follows the root pairing of the achievability theorem.  A = 1 - P P*
@@ -1007,8 +603,7 @@ def complete_complex(p, precision: Precision = STANDARD,
     interpolated, and scaled so that (1 - x^2) Q Q* matches A in least
     squares; there is no polish.  A unitarity defect above
     ``max(tol, 1e-8)`` raises NumericalFailure.  The completion runs in
-    double precision; ``precision`` is accepted for signature
-    compatibility and not used.
+    double precision.
     """
     c = _as_cheb_array(p)
     c = cheb.trim(c, 1e-13)
@@ -1090,7 +685,7 @@ def complete_complex(p, precision: Precision = STANDARD,
 # layer stripping
 
 
-def phases_from_pq(pair: SignalPair, precision: Precision = STANDARD,
+def phases_from_pq(pair: SignalPair,
                    abort_rel: float = 1e-6) -> PhaseSequence:
     """Extract sandwich phases by peeling one layer per step.
 
@@ -1098,8 +693,6 @@ def phases_from_pq(pair: SignalPair, precision: Precision = STANDARD,
     must satisfy |p_l| = |q_{l-1}| up to ``abort_rel``, otherwise the
     completion was inconsistent and the operation aborts.
     """
-    if precision.extended and getattr(pair, "_mp_parts", None) is not None:
-        return _phases_extended(pair, precision)
     # 80-bit arithmetic keeps the accumulated recursion noise a few
     # digits below double rounding, which matters for eps^2-level targets
     ld = np.clongdouble
@@ -1178,73 +771,84 @@ def phases_from_pq(pair: SignalPair, precision: Precision = STANDARD,
     return seq
 
 
-def _phases_extended(pair: SignalPair, precision: Precision) -> PhaseSequence:
-    """mpmath layer stripping fed by the extended completion parts."""
-    import mpmath as mp
+# ----------------------------------------------------------------------
+# symmetric phase finding
 
-    Bmp, Cmp = pair._mp_parts
-    with precision.workdps():
-        pr = [mp.mpf(float(v)) for v in pair.p_cheb.real]
-        qr = [mp.mpf(float(v)) for v in pair.q_cheb.real]
-        p = [mp.mpc(a, b) for a, b in
-             zip(pr, list(Bmp) + [mp.mpf(0)] * max(0, len(pr) - len(Bmp)))]
-        if len(Bmp) > len(pr):
-            p += [mp.mpc(0, b) for b in Bmp[len(pr):]]
-        q = [mp.mpc(a, b) for a, b in
-             zip(qr, list(Cmp) + [mp.mpf(0)] * max(0, len(qr) - len(Cmp)))]
-        if len(Cmp) > len(qr):
-            q += [mp.mpc(0, b) for b in Cmp[len(qr):]]
-        if not q:
-            q = [mp.mpc(0)]
-        k = pair.k
-        phis = np.zeros(k + 1)
 
-        def mulx_mp(c):
-            out = [mp.mpc(0)] * (len(c) + 1)
-            for n_, cn in enumerate(c):
-                if n_ == 0:
-                    out[1] += cn
-                else:
-                    out[n_ + 1] += cn / 2
-                    out[n_ - 1] += cn / 2
-            return out
+NEWTON_MAX_ITER = 50
+# node residual to reach; rounding leaves about 1e-14 at degree 2000
+NEWTON_GOAL = 1e-13
 
-        def one_minus_x2_mp(c):
-            xx = mulx_mp(mulx_mp(c))
-            out = [mp.mpc(0)] * max(len(c), len(xx))
-            for i, v in enumerate(c):
-                out[i] += v
-            for i, v in enumerate(xx):
-                out[i] -= v
-            return out
 
-        for m in range(k, 0, -1):
-            pl = p[m] if m < len(p) else mp.mpc(0)
-            ql = q[m - 1] if m - 1 < len(q) else mp.mpc(0)
-            ratio = (2 * pl / ql) if m >= 2 else (pl / ql)
-            phi = mp.arg(ratio) / 2
-            phis[m] = float(phi)
-            em = mp.e ** (-1j * phi)
-            ep = mp.e ** (1j * phi)
-            xp = mulx_mp(p)
-            q2 = one_minus_x2_mp(q)
-            n_ = max(len(xp), len(q2))
-            newp = [mp.mpc(0)] * n_
-            for i, v in enumerate(xp):
-                newp[i] += em * v
-            for i, v in enumerate(q2):
-                newp[i] += ep * v
-            xq = mulx_mp(q)
-            n2 = max(len(xq), len(p))
-            newq = [mp.mpc(0)] * n2
-            for i, v in enumerate(xq):
-                newq[i] += ep * v
-            for i, v in enumerate(p):
-                newq[i] -= em * v
-            p = newp[:m]
-            q = newq[: max(m - 1, 1)]
-        phis[0] = float(mp.arg(p[0]))
-    return PhaseSequence(phis, "wx_sandwich")
+def _symmetric_phases(c: np.ndarray) -> PhaseSequence:
+    """Symmetric sandwich phases phi_j = phi_{d-j} with
+    Re<0|U_Phi(x)|0> = sum_j c_j T_j(x), for a real target of definite
+    parity d = len(c) - 1 (Dong, Meng, Whaley and Lin, arXiv:2002.11649).
+
+    Newton iteration on the n = floor(d/2) + 1 free phases from
+    (pi/4, 0, ..., 0, pi/4), matching the target at the n positive
+    Chebyshev nodes of T_2n.  Every factor lies in SU(2) and is kept as
+    the first row (a, b) of [[a, b], [-b*, a*]].  The Jacobian needs no
+    suffix products: the sequence is symmetric and W, e^{i phi Z} are
+    symmetric matrices, so the product after layer j is the transpose of
+    the product up to layer d-1-j followed by W.  Raises NumericalFailure
+    when the node residual is still above NEWTON_GOAL after
+    NEWTON_MAX_ITER steps, as for targets with |f| > 1 somewhere.
+    """
+    d = len(c) - 1
+    if d < 1:
+        raise ValueError("degree-0 targets have no reflection form")
+    n = d // 2 + 1
+    xs = np.cos(np.pi * (np.arange(n) + 0.5) / (2 * n))
+    ws = 1j * np.sqrt(1.0 - xs ** 2)  # W(x) = (x, i sqrt(1-x^2))
+    want = npcheb.chebval(xs, c)
+    fold = np.minimum(np.arange(d + 1), d - np.arange(d + 1))
+    psi = np.zeros(n)
+    psi[0] = math.pi / 4
+    # pa, pb: D_0 W D_1 ... W D_j;  qa, qb: the same followed by W
+    pa = np.empty((d + 1, n), complex)
+    pb = np.empty((d + 1, n), complex)
+    qa = np.empty((d, n), complex)
+    qb = np.empty((d, n), complex)
+    resid = math.inf
+    for _ in range(NEWTON_MAX_ITER):
+        e = np.exp(1j * psi[fold])
+        pa[0], pb[0] = e[0], 0.0
+        for j in range(d):
+            qa[j] = pa[j] * xs + pb[j] * ws
+            qb[j] = pa[j] * ws + pb[j] * xs
+            pa[j + 1] = qa[j] * e[j + 1]
+            pb[j + 1] = qb[j] / e[j + 1]
+        r = pa[d].real - want
+        resid = float(np.abs(r).max())
+        if not math.isfinite(resid):
+            break
+        if resid <= NEWTON_GOAL:
+            return PhaseSequence(psi[fold], "wx_sandwich")
+        # dU_00/dphi_j = i [P_j Z S_j]_00 with S_j = (P_{d-1-j} W)^T;
+        # phi_k and phi_{d-k} share a column
+        jac = -2.0 * (pa[:n] * qa[::-1][:n] - pb[:n] * qb[::-1][:n]).imag.T
+        if d % 2 == 0:
+            jac[:, -1] /= 2.0
+        try:
+            psi = psi - np.linalg.solve(jac, r)
+        except np.linalg.LinAlgError:
+            break
+    raise NumericalFailure(
+        f"symmetric phase Newton stopped at node residual {resid:.2e} "
+        f"(goal {NEWTON_GOAL:.0e}, degree {d})")
+
+
+def _pair_from_phases(seq: PhaseSequence) -> SignalPair:
+    """P = U_00 and Q = U_01 / (i sqrt(1-x^2)), interpolated at d + 1
+    Chebyshev nodes (Q has degree d - 1, so its top coefficient is
+    dropped)."""
+    d = seq.degree
+    xs = cheb.cheb_nodes(d + 1)
+    u = qsp_eval(seq, xs)
+    p = cheb.fit(u[:, 0, 0], d)
+    q = cheb.fit(u[:, 0, 1] / (1j * np.sqrt(1.0 - xs ** 2)), d)[:d]
+    return SignalPair(p, q)
 
 
 # ----------------------------------------------------------------------
@@ -1257,58 +861,53 @@ _PHASE_CACHE_MAX = 128
 
 def phases_for_target(p_re, tol: float = 1e-8,
                       precision: Precision = STANDARD, method: str = "auto"):
-    """Complete + strip + convert, certifying the reconstruction.
+    """Real target -> reflection phases, certifying the reconstruction.
 
-    Runs at the requested precision first; if the realized Re[P] misses
-    ``tol`` on the grid (deep strips amplify completion residuals), the
-    pipeline reruns in mpmath with a working precision scaled to the
-    strip depth.  Returns (SignalPair, reflection PhaseSequence, report).
-    Results are memoized on (coefficients, tol, precision, method).
+    Standard precision runs completion and layer stripping first (fast at
+    high degree).  If that misses ``tol`` on the grid or fails, and for
+    every ``extended`` request, the symmetric-phase Newton solver takes
+    over.  Either way the realized Re<0|U_Phi|0> must meet ``tol`` on a
+    700-point grid, else NumericalFailure.  Returns (SignalPair,
+    reflection PhaseSequence, report); the report holds
+    ``reconstruction_error`` and ``escalated`` (True when the Newton
+    solver produced the phases).  Results are memoized on (coefficients,
+    tol, precision.extended, method).
     """
-    from .config import extended as _extended
-
     c = _as_cheb_array(p_re)
-    key = (c.tobytes(), float(tol), precision.extended, precision.bits,
-           method)
+    key = (c.tobytes(), float(tol), precision.extended, method)
     cached = _PHASE_CACHE.get(key)
     if cached is not None:
         return cached
-    want = npcheb.chebval(np.cos(np.linspace(0.0005, math.pi - 0.0005, 700)),
-                          c.real)
     xs = np.cos(np.linspace(0.0005, math.pi - 0.0005, 700))
+    want = npcheb.chebval(xs, c.real)
 
-    def run(prec):
-        pair = complete(c, precision=prec, method=method,
-                        tail_budget=max(tol / 2.0, 1e-13))
-        refl = to_reflection(phases_from_pq(pair, precision=prec))
-        rec = qsp_eval(refl, xs)[:, 0, 0].real
-        err = float(np.abs(rec - want).max())
-        return pair, refl, err
+    def certify(refl):
+        return float(np.abs(qsp_eval(refl, xs)[:, 0, 0].real - want).max())
 
-    first_error = None
+    out = None
+    first_error = "not run"
     if not precision.extended:
         try:
-            pair, refl, err = run(precision)
+            pair = complete(c, method=method)
+            refl = to_reflection(phases_from_pq(pair))
+            err = certify(refl)
             if err <= tol:
                 out = (pair, refl, {"reconstruction_error": err,
                                     "escalated": False})
-                if len(_PHASE_CACHE) >= _PHASE_CACHE_MAX:
-                    _PHASE_CACHE.pop(next(iter(_PHASE_CACHE)))
-                _PHASE_CACHE[key] = out
-                return out
-            first_error = err
+            else:
+                first_error = f"{err:.2e}"
         except NumericalFailure as exc:
             first_error = str(exc)
-    k = cheb.degree(c, 1e-11)
-    bits = max(precision.bits if precision.extended else 0,
-               96 + int(0.3 * k))
-    pair, refl, err = run(_extended(bits))
-    if err > tol:
-        raise NumericalFailure(
-            f"reconstruction error {err:.2e} above requested {tol:.0e} "
-            f"even at {bits} bits (standard precision gave {first_error})")
-    out = (pair, refl, {"reconstruction_error": err, "escalated": True,
-                        "bits": bits})
+    if out is None:
+        sandwich = _symmetric_phases(cheb.trim(c.real, 1e-14))
+        refl = to_reflection(sandwich)
+        err = certify(refl)
+        if err > tol:
+            raise NumericalFailure(
+                f"reconstruction error {err:.2e} above requested {tol:.0e} "
+                f"from the Newton phases (completion gave {first_error})")
+        out = (_pair_from_phases(sandwich), refl,
+               {"reconstruction_error": err, "escalated": True})
     if len(_PHASE_CACHE) >= _PHASE_CACHE_MAX:
         _PHASE_CACHE.pop(next(iter(_PHASE_CACHE)))
     _PHASE_CACHE[key] = out
@@ -1317,23 +916,13 @@ def phases_for_target(p_re, tol: float = 1e-8,
 
 def real_qsp(p_re, delta: float = 1e-8, precision: Precision = STANDARD,
              method: str = "auto"):
-    """Target -> completion -> stripping -> reflection phases.
-
-    Certifies |Re[P_reconstructed] - p_re| <= delta on a 10^3-point grid
-    and returns (SignalPair, reflection PhaseSequence).
-    """
+    """`phases_for_target` with ``tol=delta`` for a target that passes
+    the ``real_target`` admissibility check (Inadmissible otherwise).
+    Returns (SignalPair, reflection PhaseSequence)."""
     c = _as_cheb_array(p_re)
     rep = check_admissible(c, "real_target")
     if not rep["admissible"]:
         raise Inadmissible(f"target fails real_target admissibility: {rep}")
-    pair = complete(c, precision=precision, method=method)
-    sandwich = phases_from_pq(pair, precision=precision)
-    refl = to_reflection(sandwich)
-    xs = np.cos(np.linspace(0.0005, math.pi - 0.0005, 1000))
-    rec = qsp_eval(refl, xs)[:, 0, 0]
-    want = npcheb.chebval(xs, c.real)
-    err = float(np.abs(rec.real - want).max())
-    if err > delta:
-        raise NumericalFailure(
-            f"reconstruction error {err:.2e} above requested {delta:.0e}")
+    pair, refl, _ = phases_for_target(c, tol=delta, precision=precision,
+                                      method=method)
     return pair, refl

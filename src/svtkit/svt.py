@@ -337,7 +337,8 @@ def svt_apply(pu: ProjectedUnitary, target, kind: str = "real_poly",
 
     kind = "complex_poly": target is a SignalPair (or an admissible
         complex polynomial); the block Pi~ U_Phi Pi (odd) or Pi U_Phi Pi
-        (even) realizes P^(SV).
+        (even) realizes P^(SV).  Complex completion and stripping run in
+        double precision whatever ``precision`` says.
     kind = "real_poly": target is a real bounded polynomial with definite
         parity; the doubled +-Phi circuit with a |+> ancilla realizes
         P_Re^(SV).
@@ -350,8 +351,8 @@ def svt_apply(pu: ProjectedUnitary, target, kind: str = "real_poly",
             pair = target
         else:
             from .qsp import complete_complex
-            pair = complete_complex(target, precision=precision)
-        refl = to_reflection(phases_from_pq(pair, precision=precision))
+            pair = complete_complex(target)
+        refl = to_reflection(phases_from_pq(pair))
         n = len(refl.phis)
         u_phi, ledger = alternating_sequence(pu, refl)
         _assert_unitary(u_phi)

@@ -41,6 +41,20 @@ class TestPhasesCommand:
         assert obj["convention"] == "reflection"
         assert obj["reconstruction_residual"] <= 1e-5
 
+    def test_poly_file_without_family(self, tmp_path, capsys):
+        pfile = tmp_path / "p.json"
+        code, _ = run_cli(["--out", str(pfile), "poly", "--family", "sign",
+                           "--delta", "0.3", "--eps", "1e-3"], capsys)
+        assert code == 0
+        code, out = run_cli(["phases", "--poly", str(pfile), "--tol", "1e-6"],
+                            capsys)
+        assert code == 0
+        assert json.loads(out)["reconstruction_residual"] <= 1e-6
+
+    def test_needs_family_or_poly(self, capsys):
+        code, _ = run_cli(["phases"], capsys)
+        assert code == 2
+
 
 class TestEncodeAndSvt:
     def test_encode_dilation(self, tmp_path, capsys):
@@ -101,6 +115,13 @@ class TestSweep:
         code, _ = run_cli(["sweep", "--family", "nosuch", "--range", "1..2"],
                           capsys)
         assert code == 2
+
+
+@pytest.mark.parametrize("flags", [["--max-degree", "9999"],
+                                   ["--precision", "extended:abc"]])
+def test_bad_global_flag_exit_code(flags, capsys):
+    code, _ = run_cli(flags + ["poly", "--family", "sign"], capsys)
+    assert code == 2
 
 
 def test_installed_entry_point():

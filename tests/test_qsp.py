@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from svtkit import ParityPoly, ChebSeries, extended
-from svtkit.approx import approx_rect, approx_sign
-from svtkit.errors import Inadmissible, NotSubunit, NumericalFailure
+from svtkit.approx import approx_rect, approx_sign, approx_trig
+from svtkit.errors import Inadmissible, NotSubunit, NumericalFailure, SvtError
 from svtkit.qsp import (PhaseSequence, SignalPair, check_admissible,
-                        chebyshev_phases, complete, phases_from_pq, qsp_eval,
-                        real_qsp, signal_matrix, to_reflection)
+                        chebyshev_phases, complete, phases_for_target,
+                        phases_from_pq, qsp_eval, real_qsp, signal_matrix,
+                        to_reflection)
 
 rng = np.random.default_rng(42)
 GRID = np.cos(np.linspace(0.001, math.pi - 0.001, 500))
@@ -20,8 +22,8 @@ def cheb_unit(d):
     return ChebSeries(c)
 
 
-def random_target(deg, supnorm=0.9):
-    c = rng.standard_normal(deg + 1)
+def random_target(deg, supnorm=0.9, gen=None):
+    c = (rng if gen is None else gen).standard_normal(deg + 1)
     c[(deg % 2) ^ 1::2] = 0.0
     xs = np.cos(np.linspace(0, np.pi, 2001))
     c *= supnorm / np.abs(np.polynomial.chebyshev.chebval(xs, c)).max()
@@ -224,6 +226,64 @@ class TestRealQsp:
     def test_inadmissible_rejected(self):
         with pytest.raises(Inadmissible):
             real_qsp(ParityPoly([0, 1.5]))
+
+
+# Chebyshev-Lobatto points: neither the certificate grid nor the Newton
+# solver's nodes cos((j + 1/2) pi / 2n), since 1001 is odd
+LOBATTO = np.cos(np.pi * np.arange(1002) / 1001)
+
+
+def lobatto_error(refl, c):
+    got = qsp_eval(refl, LOBATTO)[:, 0, 0].real
+    want = np.polynomial.chebyshev.chebval(LOBATTO, c)
+    return float(np.abs(got - want).max())
+
+
+@settings(max_examples=200, deadline=None)
+@given(deg=st.integers(1, 100), seed=st.integers(0, 2 ** 32 - 1))
+def test_extended_roundtrip_by_degree_and_parity(deg, seed):
+    c = random_target(deg, 0.99, np.random.default_rng(seed)).cheb_coeffs
+    _, refl = real_qsp(c, delta=1e-12, precision=extended(256))
+    assert len(refl.phis) == deg
+    assert lobatto_error(refl, c) <= 1e-12
+
+
+def peaked_target(peak, deg=30, seed=1):
+    """Random parity target scaled so that max |f| = peak, reached at an
+    interior critical point."""
+    c = random_target(deg, 1.0, np.random.default_rng(seed)).cheb_coeffs
+    crit = np.polynomial.chebyshev.chebroots(
+        np.polynomial.chebyshev.chebder(c))
+    crit = crit[(np.abs(crit.imag) < 1e-12) & (np.abs(crit.real) < 1)].real
+    pts = np.concatenate([crit, [-1.0, 1.0]])
+    vals = np.abs(np.polynomial.chebyshev.chebval(pts, c))
+    assert abs(pts[np.argmax(vals)]) < 1
+    return c * peak / vals.max()
+
+
+class TestPhasesForTarget:
+    @pytest.mark.parametrize("target", [
+        pytest.param(lambda: approx_trig(1.0, 1e-9)[1].cheb, id="sin"),
+        pytest.param(lambda: approx_sign(0.6, 1e-9).cheb, id="sign"),
+    ])
+    def test_newton_takes_over_from_completion(self, target):
+        # completion + stripping misses 1e-10 on both
+        tgt = target()
+        pair, refl, rep = phases_for_target(tgt, tol=1e-10)
+        assert rep["escalated"]
+        assert rep["reconstruction_error"] <= 1e-10
+        assert lobatto_error(refl, tgt.cheb_coeffs.real) <= 1e-10
+        assert pair.unitarity_defect() <= 1e-10
+
+    def test_interior_peak_near_one(self):
+        c = peaked_target(1 - 1e-9)
+        _, refl, _ = phases_for_target(c, tol=1e-10, precision=extended())
+        assert lobatto_error(refl, c) <= 1e-10
+
+    def test_interior_peak_above_one_stops(self):
+        with pytest.raises(SvtError):
+            phases_for_target(peaked_target(1 + 1e-9), tol=1e-10,
+                              precision=extended())
 
 
 class TestCompletionIdentityProperty:
