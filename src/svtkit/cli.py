@@ -18,7 +18,7 @@ from .blockenc import (embed, encode_sparse, matrix_from_json, matrix_to_json,
 from .config import MAX_MATRIX_DIM, Precision, RunConfig, STANDARD, extended
 from .errors import SvtError
 from .poly import ChebSeries
-from .qsp import phases_for_target, qsp_eval
+from .qsp import phases_for_target
 from .svt import svt_apply
 
 EXIT_OK = 0
@@ -37,10 +37,7 @@ def _emit(obj, args) -> None:
 
 
 def _precision(args) -> Precision:
-    if args.precision == "standard":
-        return STANDARD
-    bits = int(args.precision.split(":")[1]) if ":" in args.precision else 256
-    return extended(bits)
+    return STANDARD if args.precision == "standard" else extended()
 
 
 def _build_poly(args, config):
@@ -87,12 +84,8 @@ def cmd_phases(args, config):
     tol = args.tol if args.tol is not None else max(args.eps / 10.0, 1e-10)
     pair, refl, rep = phases_for_target(target, tol=tol,
                                         precision=config.precision)
-    xs = np.cos(np.linspace(0.001, np.pi - 0.001, 1000))
-    rec = qsp_eval(refl, xs)[:, 0, 0].real
-    want = np.polynomial.chebyshev.chebval(xs, target.cheb_coeffs).real
     out = refl.to_json()
-    out["reconstruction_residual"] = float(np.abs(rec - want).max())
-    out["escalated"] = rep["escalated"]
+    out["reconstruction_residual"] = rep["reconstruction_error"]
     _emit(out, args)
     return EXIT_OK
 
@@ -217,10 +210,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Singular value transformation toolkit: polynomial "
                     "construction, phase synthesis, encodings, transforms")
     ap.add_argument("--precision", default="standard",
-                    help="standard or extended[:bits]; extended sends phase "
-                         "synthesis straight to the symmetric-phase Newton "
-                         "solver (double precision), bits applies only to "
-                         "mpmath root refinement")
+                    choices=["standard", "extended"],
+                    help="accepted for compatibility: every command "
+                         "computes in double precision either way")
     ap.add_argument("--max-degree", type=int, default=512)
     ap.add_argument("--grid", type=int, default=10_000,
                     help="certification grid density per unit")

@@ -10,14 +10,11 @@ MAX_MATRIX_DIM = 256
 
 @dataclasses.dataclass(frozen=True)
 class Precision:
-    """Arithmetic precision for root finding and phase synthesis.
+    """Arithmetic precision for root finding.
 
-    ``standard`` works in IEEE double throughout.  ``extended`` sends
-    phase synthesis (`qsp.phases_for_target`) straight to the
-    symmetric-phase Newton solver, which runs in double precision, instead
-    of trying completion and stripping first.  ``bits`` applies only to
-    `poly.find_roots`, whose root refinement reruns in mpmath with at
-    least that many bits.
+    Only `poly.find_roots` reads it: with ``extended`` its root refinement
+    reruns in mpmath with at least ``bits`` bits.  Phase synthesis and
+    the transformations run in IEEE double whatever it says.
     """
 
     extended: bool = False

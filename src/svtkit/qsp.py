@@ -1,21 +1,18 @@
 """Quantum signal processing over 2x2 matrices.
 
-Two routes turn a real bounded target of definite parity into phases,
-both in double precision:
+Two routes turn a target into phases, both in double precision:
 
-- completion + stripping: the target is completed to a unitary-valued
-  pair (P, Q) with |P|^2 + (1-x^2)|Q|^2 = 1 (root classification at
-  moderate degree, FFT spectral factorization at high degree, both
-  finished by a Newton polish of the sum-of-squares identity), and phases
-  are peeled off one layer at a time in the Chebyshev basis, which keeps
-  the recursion conditioned near |x| = 1;
-- symmetric phase finding: Newton iteration on symmetric sandwich phases
-  so that Re<0|U_Phi(x)|0> matches the target at Chebyshev nodes.
+- symmetric phase finding (`phases_for_target`, for real targets of
+  definite parity): Newton iteration on symmetric sandwich phases so that
+  Re<0|U_Phi(x)|0> matches the target at Chebyshev nodes;
+- completion + stripping (`complete`, `complete_complex`,
+  `phases_from_pq`): the target is completed to a unitary-valued pair
+  (P, Q) with |P|^2 + (1-x^2)|Q|^2 = 1, and phases are peeled off one
+  layer at a time in the Chebyshev basis, which keeps the recursion
+  conditioned near |x| = 1.  Complex targets take this route.
 
-`phases_for_target` runs the first and falls back to the second; the
-sandwich-convention sequence is converted to the reflection convention
-that the higher-dimensional transformation code consumes.  Complex
-targets (`complete_complex`) use completion + stripping only.
+The sandwich-convention sequence is converted to the reflection
+convention that the higher-dimensional transformation code consumes.
 """
 from __future__ import annotations
 
@@ -471,6 +468,42 @@ def _sos_polish(A, B, C, iters=8):
     return B, C
 
 
+def _completion_gap(p, q):
+    """A = 1 - p^2 - (1-x^2) q^2 for real Chebyshev targets p, q.
+
+    Refuses a target without definite parity (Inadmissible) and one whose
+    A dips below -1e-12 (NotSubunit), on a 2001-point grid and at the
+    minima between its points.
+    """
+    for name, c in (("p", p), ("q", q)):
+        if np.abs(c).max() > 1e-13 and cheb.parity_of(c) == "none":
+            raise Inadmissible(f"target {name} must have definite parity")
+    A = cheb.add(np.array([1.0]), -cheb.mul(p, p))
+    if np.abs(q).max() > 0:
+        A = cheb.add(A, -cheb.mul_one_minus_x2(cheb.mul(q, q)))
+    A = cheb.trim(A, 1e-16)
+    xs = np.cos(np.linspace(0, math.pi, 2001))
+    Avals = npcheb.chebval(xs, A)
+    # a dip below zero hides between grid points near a small grid
+    # minimum; Newton steps on A' from there find it
+    mid = Avals[1:-1]
+    x = xs[1:-1][(mid <= Avals[:-2]) & (mid <= Avals[2:]) & (mid < 1e-3)]
+    dA = npcheb.chebder(A)
+    d2A = npcheb.chebder(dA)
+    with np.errstate(all="ignore"):
+        for _ in range(4):
+            x = np.clip(x - npcheb.chebval(x, dA) / npcheb.chebval(x, d2A),
+                        -1.0, 1.0)
+    xs = np.concatenate([xs, x])
+    Avals = np.concatenate([Avals, npcheb.chebval(x, A)])
+    worst = int(np.nanargmin(Avals))
+    if Avals[worst] < -1e-12:
+        raise NotSubunit(
+            f"p^2 + (1-x^2) q^2 exceeds 1 by {-Avals[worst]:.2e} "
+            f"near x = {xs[worst]:.6g}")
+    return A
+
+
 def complete(p_re, q_re=None, method: str = "auto",
              tol: float = 1e-10) -> SignalPair:
     """Complete real targets (p, q) to a unitary-valued SignalPair.
@@ -493,23 +526,7 @@ def complete(p_re, q_re=None, method: str = "auto",
         q = np.real_if_close(_as_cheb_array(q_re)).real.astype(float)
         q = cheb.trim(q, 1e-11)
     k = max(cheb.degree(p), cheb.degree(q) + 1)
-    p_par = cheb.parity_of(p)
-    q_par = cheb.parity_of(q)
-    if np.abs(p).max() > 1e-13 and p_par == "none":
-        raise Inadmissible("target p must have definite parity")
-    if np.abs(q).max() > 1e-13 and q_par == "none":
-        raise Inadmissible("target q must have definite parity")
-
-    A = cheb.add(np.array([1.0]), -cheb.mul(p, p))
-    if np.abs(q).max() > 0:
-        A = cheb.add(A, -cheb.mul_one_minus_x2(cheb.mul(q, q)))
-    A = cheb.trim(A, 1e-16)
-    xs = np.cos(np.linspace(0, math.pi, 2001))
-    Avals = npcheb.chebval(xs, A)
-    if Avals.min() < -1e-12:
-        raise NotSubunit(
-            f"p^2 + (1-x^2) q^2 exceeds 1 by {-Avals.min():.2e} "
-            f"near x = {xs[np.argmin(Avals)]:.6g}")
+    A = _completion_gap(p, q)
 
     if cheb.degree(A, 1e-14) == 0 and abs(npcheb.chebval(0.3, A)) < 1e-14:
         # already unitary-valued: A == 0
@@ -776,11 +793,47 @@ def phases_from_pq(pair: SignalPair,
 
 
 NEWTON_MAX_ITER = 50
-# node residual to reach; rounding leaves about 1e-14 at degree 2000
+# node residual that ends the iteration whatever the tolerance; rounding
+# leaves about 1e-14 at degree 500
 NEWTON_GOAL = 1e-13
+# below this node residual a step that does not lower it has met rounding
+NEWTON_FLOOR = 1e-10
 
 
-def _symmetric_phases(c: np.ndarray) -> PhaseSequence:
+def _su2_mul(a1, b1, a2, b2):
+    """First row of the product of two SU(2) matrices given by theirs."""
+    return a1 * a2 - b1 * np.conj(b2), a1 * b2 + b1 * np.conj(a2)
+
+
+def _su2_prefixes(la, lb):
+    """Running products of the SU(2) rows (la[j], lb[j]) along axis 0.
+
+    Works in blocks of k ~ sqrt(m/3) rows: the block products and the
+    products within blocks are formed for all blocks at once, so the
+    Python loops run about 2k + m/k times instead of m.
+    """
+    m, width = la.shape
+    k = max(1, math.isqrt(m // 3))
+    nb = -(-m // k)
+    pad = nb * k - m  # identity rows
+    la = np.concatenate([la, np.ones((pad, width))]).reshape(nb, k, width)
+    lb = np.concatenate([lb, np.zeros((pad, width))]).reshape(nb, k, width)
+    ta, tb = la[:, 0], lb[:, 0]
+    for i in range(1, k):
+        ta, tb = _su2_mul(ta, tb, la[:, i], lb[:, i])
+    ra = np.ones((nb, width), complex)  # product of the blocks before
+    rb = np.zeros((nb, width), complex)
+    for j in range(1, nb):
+        ra[j], rb[j] = _su2_mul(ra[j - 1], rb[j - 1], ta[j - 1], tb[j - 1])
+    pa = np.empty((nb, k, width), complex)
+    pb = np.empty((nb, k, width), complex)
+    for i in range(k):
+        ra, rb = _su2_mul(ra, rb, la[:, i], lb[:, i])
+        pa[:, i], pb[:, i] = ra, rb
+    return pa.reshape(-1, width)[:m], pb.reshape(-1, width)[:m]
+
+
+def _symmetric_phases(c: np.ndarray, goal: float):
     """Symmetric sandwich phases phi_j = phi_{d-j} with
     Re<0|U_Phi(x)|0> = sum_j c_j T_j(x), for a real target of definite
     parity d = len(c) - 1 (Dong, Meng, Whaley and Lin, arXiv:2002.11649).
@@ -791,9 +844,14 @@ def _symmetric_phases(c: np.ndarray) -> PhaseSequence:
     the first row (a, b) of [[a, b], [-b*, a*]].  The Jacobian needs no
     suffix products: the sequence is symmetric and W, e^{i phi Z} are
     symmetric matrices, so the product after layer j is the transpose of
-    the product up to layer d-1-j followed by W.  Raises NumericalFailure
-    when the node residual is still above NEWTON_GOAL after
-    NEWTON_MAX_ITER steps, as for targets with |f| > 1 somewhere.
+    the product up to layer d-1-j followed by W.
+
+    Stops when the node residual reaches ``goal``, when it stops falling
+    below NEWTON_FLOOR, or after NEWTON_MAX_ITER steps, and returns the
+    iterate of least residual as (wx_sandwich PhaseSequence, SignalPair,
+    node residual); the caller's certificate judges it.  The SignalPair is
+    read off that iterate's products: P = U_00 and Q = U_01 / (i s) at the
+    n nodes, extended by parity to all 2n nodes of T_2n and interpolated.
     """
     d = len(c) - 1
     if d < 1:
@@ -805,26 +863,25 @@ def _symmetric_phases(c: np.ndarray) -> PhaseSequence:
     fold = np.minimum(np.arange(d + 1), d - np.arange(d + 1))
     psi = np.zeros(n)
     psi[0] = math.pi / 4
-    # pa, pb: D_0 W D_1 ... W D_j;  qa, qb: the same followed by W
-    pa = np.empty((d + 1, n), complex)
-    pb = np.empty((d + 1, n), complex)
-    qa = np.empty((d, n), complex)
-    qb = np.empty((d, n), complex)
-    resid = math.inf
+    best = None  # (node residual, phases, U_00 and U_01 at the nodes)
     for _ in range(NEWTON_MAX_ITER):
-        e = np.exp(1j * psi[fold])
-        pa[0], pb[0] = e[0], 0.0
-        for j in range(d):
-            qa[j] = pa[j] * xs + pb[j] * ws
-            qb[j] = pa[j] * ws + pb[j] * xs
-            pa[j + 1] = qa[j] * e[j + 1]
-            pb[j + 1] = qb[j] / e[j + 1]
+        e = np.exp(1j * psi[fold])[:, None]
+        # first rows of D_0 and of W D_j;  pa, pb: D_0 W D_1 ... W D_j;
+        # qa, qb: the same followed by W
+        la, lb = xs * e, ws / e
+        la[0], lb[0] = e[0], 0.0
+        pa, pb = _su2_prefixes(la, lb)
+        qa, qb = pa[1:] / e[1:], pb[1:] * e[1:]
         r = pa[d].real - want
         resid = float(np.abs(r).max())
         if not math.isfinite(resid):
             break
-        if resid <= NEWTON_GOAL:
-            return PhaseSequence(psi[fold], "wx_sandwich")
+        if best is not None and resid >= best[0] and best[0] <= NEWTON_FLOOR:
+            break
+        if best is None or resid < best[0]:
+            best = (resid, psi, pa[d].copy(), pb[d].copy())
+        if resid <= goal:
+            break
         # dU_00/dphi_j = i [P_j Z S_j]_00 with S_j = (P_{d-1-j} W)^T;
         # phi_k and phi_{d-k} share a column
         jac = -2.0 * (pa[:n] * qa[::-1][:n] - pb[:n] * qb[::-1][:n]).imag.T
@@ -834,21 +891,18 @@ def _symmetric_phases(c: np.ndarray) -> PhaseSequence:
             psi = psi - np.linalg.solve(jac, r)
         except np.linalg.LinAlgError:
             break
-    raise NumericalFailure(
-        f"symmetric phase Newton stopped at node residual {resid:.2e} "
-        f"(goal {NEWTON_GOAL:.0e}, degree {d})")
-
-
-def _pair_from_phases(seq: PhaseSequence) -> SignalPair:
-    """P = U_00 and Q = U_01 / (i sqrt(1-x^2)), interpolated at d + 1
-    Chebyshev nodes (Q has degree d - 1, so its top coefficient is
-    dropped)."""
-    d = seq.degree
-    xs = cheb.cheb_nodes(d + 1)
-    u = qsp_eval(seq, xs)
-    p = cheb.fit(u[:, 0, 0], d)
-    q = cheb.fit(u[:, 0, 1] / (1j * np.sqrt(1.0 - xs ** 2)), d)[:d]
-    return SignalPair(p, q)
+    if best is None:
+        raise NumericalFailure(
+            f"symmetric phase Newton diverged at the start (degree {d})")
+    resid, psi, u00, u01 = best
+    # P(-x) = (-1)^d P(x) and Q(-x) = -(-1)^d Q(x); the nodes of T_2n run
+    # from the n positive ones to their mirror images in reverse order
+    sign = (-1) ** d
+    p = cheb.fit(np.concatenate([u00, sign * u00[::-1]]), 2 * n - 1)
+    qv = u01 / ws
+    q = cheb.fit(np.concatenate([qv, -sign * qv[::-1]]), 2 * n - 1)
+    return (PhaseSequence(psi[fold], "wx_sandwich"),
+            SignalPair(p[: d + 1], q[:d]), resid)
 
 
 # ----------------------------------------------------------------------
@@ -859,63 +913,62 @@ _PHASE_CACHE: dict = {}
 _PHASE_CACHE_MAX = 128
 
 
+def _degree_cut(c: np.ndarray, tol: float) -> np.ndarray:
+    """Drop the trailing coefficients below 1e-11 max(1, max|c|) while
+    their summed magnitude, a bound on what they move, stays within
+    tol / 10.  The threshold is where `complete`'s pair stops resolving
+    coefficients, so the degree, and with it the phase count, is the one
+    completion gives."""
+    a = np.abs(c)
+    thr = 1e-11 * max(1.0, float(a.max()))
+    small = np.maximum.accumulate(a[::-1]) <= thr
+    light = np.cumsum(a[::-1]) <= tol / 10
+    drop = int(np.count_nonzero(small & light))
+    return c[: max(1, len(c) - drop)]
+
+
 def phases_for_target(p_re, tol: float = 1e-8,
-                      precision: Precision = STANDARD, method: str = "auto"):
+                      precision: Precision = STANDARD):
     """Real target -> reflection phases, certifying the reconstruction.
 
-    Standard precision runs completion and layer stripping first (fast at
-    high degree).  If that misses ``tol`` on the grid or fails, and for
-    every ``extended`` request, the symmetric-phase Newton solver takes
-    over.  Either way the realized Re<0|U_Phi|0> must meet ``tol`` on a
-    700-point grid, else NumericalFailure.  Returns (SignalPair,
-    reflection PhaseSequence, report); the report holds
-    ``reconstruction_error`` and ``escalated`` (True when the Newton
-    solver produced the phases).  Results are memoized on (coefficients,
-    tol, precision.extended, method).
+    A target without definite parity is refused (Inadmissible), and so is
+    one that exceeds 1 in magnitude (NotSubunit).  The symmetric-phase
+    Newton solver finds the phases, stopping at a node residual of
+    max(NEWTON_GOAL, tol / 10); the realized Re<0|U_Phi|0> must then meet
+    ``tol`` on a 1000-point grid, else NumericalFailure.  Phase synthesis
+    runs in double precision; ``precision`` is not read.
+
+    Returns (SignalPair, reflection PhaseSequence, report); the report
+    holds ``reconstruction_error`` and ``node_residual``.  Results are
+    memoized on (coefficients, tol).
     """
     c = _as_cheb_array(p_re)
-    key = (c.tobytes(), float(tol), precision.extended, method)
+    key = (c.tobytes(), float(tol))
     cached = _PHASE_CACHE.get(key)
     if cached is not None:
         return cached
-    xs = np.cos(np.linspace(0.0005, math.pi - 0.0005, 700))
-    want = npcheb.chebval(xs, c.real)
-
-    def certify(refl):
-        return float(np.abs(qsp_eval(refl, xs)[:, 0, 0].real - want).max())
-
-    out = None
-    first_error = "not run"
-    if not precision.extended:
-        try:
-            pair = complete(c, method=method)
-            refl = to_reflection(phases_from_pq(pair))
-            err = certify(refl)
-            if err <= tol:
-                out = (pair, refl, {"reconstruction_error": err,
-                                    "escalated": False})
-            else:
-                first_error = f"{err:.2e}"
-        except NumericalFailure as exc:
-            first_error = str(exc)
-    if out is None:
-        sandwich = _symmetric_phases(cheb.trim(c.real, 1e-14))
-        refl = to_reflection(sandwich)
-        err = certify(refl)
-        if err > tol:
-            raise NumericalFailure(
-                f"reconstruction error {err:.2e} above requested {tol:.0e} "
-                f"from the Newton phases (completion gave {first_error})")
-        out = (_pair_from_phases(sandwich), refl,
-               {"reconstruction_error": err, "escalated": True})
+    coeffs = _degree_cut(c.real, tol)
+    if not coeffs.any():
+        coeffs = np.zeros(2)  # zero is realized by one layer, as odd
+    _completion_gap(coeffs, np.zeros(1))
+    sandwich, pair, resid = _symmetric_phases(
+        coeffs, max(NEWTON_GOAL, tol / 10))
+    refl = to_reflection(sandwich)
+    xs = np.cos(np.linspace(0.0005, math.pi - 0.0005, 1000))
+    err = float(np.abs(qsp_eval(refl, xs)[:, 0, 0].real
+                       - npcheb.chebval(xs, c.real)).max())
+    if err > tol:
+        raise NumericalFailure(
+            f"reconstruction error {err:.2e} above requested {tol:.0e} "
+            f"(Newton node residual {resid:.1e}, degree {refl.degree})")
+    out = (pair, refl, {"reconstruction_error": err, "node_residual": resid})
     if len(_PHASE_CACHE) >= _PHASE_CACHE_MAX:
         _PHASE_CACHE.pop(next(iter(_PHASE_CACHE)))
     _PHASE_CACHE[key] = out
     return out
 
 
-def real_qsp(p_re, delta: float = 1e-8, precision: Precision = STANDARD,
-             method: str = "auto"):
+def real_qsp(p_re, delta: float = 1e-8, precision: Precision = STANDARD):
     """`phases_for_target` with ``tol=delta`` for a target that passes
     the ``real_target`` admissibility check (Inadmissible otherwise).
     Returns (SignalPair, reflection PhaseSequence)."""
@@ -923,6 +976,5 @@ def real_qsp(p_re, delta: float = 1e-8, precision: Precision = STANDARD,
     rep = check_admissible(c, "real_target")
     if not rep["admissible"]:
         raise Inadmissible(f"target fails real_target admissibility: {rep}")
-    pair, refl, _ = phases_for_target(c, tol=delta, precision=precision,
-                                      method=method)
+    pair, refl, _ = phases_for_target(c, tol=delta, precision=precision)
     return pair, refl

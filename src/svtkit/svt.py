@@ -331,18 +331,19 @@ class SvtOutcome:
 
 
 def svt_apply(pu: ProjectedUnitary, target, kind: str = "real_poly",
-              delta: float = 1e-8, precision: Precision = STANDARD,
-              method: str = "auto") -> SvtOutcome:
+              delta: float = 1e-8,
+              precision: Precision = STANDARD) -> SvtOutcome:
     """Apply polynomial singular value transformation to an encoding.
 
     kind = "complex_poly": target is a SignalPair (or an admissible
         complex polynomial); the block Pi~ U_Phi Pi (odd) or Pi U_Phi Pi
-        (even) realizes P^(SV).  Complex completion and stripping run in
-        double precision whatever ``precision`` says.
+        (even) realizes P^(SV).
     kind = "real_poly": target is a real bounded polynomial with definite
         parity; the doubled +-Phi circuit with a |+> ancilla realizes
         P_Re^(SV).
     kind = "hermitian_eig": see `eigenvalue_transform`.
+
+    Phase synthesis runs in double precision whatever ``precision`` says.
     """
     if kind == "hermitian_eig":
         raise ValueError("use eigenvalue_transform for hermitian_eig")
@@ -375,7 +376,7 @@ def svt_apply(pu: ProjectedUnitary, target, kind: str = "real_poly",
     if not rep["admissible"]:
         raise Inadmissible(f"real target inadmissible: {rep}")
     pair, refl, phase_rep = phases_for_target(
-        c, tol=delta / 2.0, precision=precision, method=method)
+        c, tol=delta / 2.0, precision=precision)
     n = len(refl.phis)
     # |0><0| (x) U_Phi + |1><1| (x) U_{-Phi}: the physical circuit when the
     # projector phases run through the shared ancilla of the C-Pi-NOT
@@ -415,7 +416,6 @@ def _lift_projector(p: Projector, dim: int) -> Projector:
 
 def eigenvalue_transform(be: BlockEncoding, target, delta: float = 1e-8,
                          precision: Precision = STANDARD,
-                         method: str = "auto",
                          complex_target: bool = False) -> SvtOutcome:
     """Polynomial eigenvalue transformation of arbitrary parity.
 
@@ -432,8 +432,7 @@ def eigenvalue_transform(be: BlockEncoding, target, delta: float = 1e-8,
     from .qsp import _as_cheb_array
 
     if complex_target:
-        return _eigenvalue_transform_complex(be, target, delta, precision,
-                                             method)
+        return _eigenvalue_transform_complex(be, target, delta, precision)
     a_mat = be.extract() / be.alpha
     if operator_norm(a_mat - a_mat.conj().T) > 1e-9:
         raise Inadmissible("encoded operator is not Hermitian")
@@ -454,7 +453,7 @@ def eigenvalue_transform(be: BlockEncoding, target, delta: float = 1e-8,
             parts.extend((eye, -eye))
             continue
         pair, refl, _ = phases_for_target(cc, tol=delta / 2.0,
-                                          precision=precision, method=method)
+                                          precision=precision)
         degree_used = max(degree_used, len(refl.phis))
         up, _ = alternating_sequence(be.pu, refl)
         um, _ = alternating_sequence(be.pu, refl.negated())
@@ -481,7 +480,7 @@ def _poly_of_hermitian(a: np.ndarray, cheb_coeffs) -> np.ndarray:
     return v @ np.diag(vals) @ v.conj().T
 
 
-def _eigenvalue_transform_complex(be, target, delta, precision, method):
+def _eigenvalue_transform_complex(be, target, delta, precision):
     """Four-parity-term route for complex P with |P| <= 1/4: real and
     imaginary parts transform separately and one selection qubit adds
     the i-weighted imaginary branch."""
@@ -495,10 +494,8 @@ def _eigenvalue_transform_complex(be, target, delta, precision, method):
     a_mat = be.extract() / be.alpha
     if operator_norm(a_mat - a_mat.conj().T) > 1e-9:
         raise Inadmissible("encoded operator is not Hermitian")
-    out_re = eigenvalue_transform(be, ChebSeries(c.real), delta, precision,
-                                  method)
-    out_im = eigenvalue_transform(be, ChebSeries(c.imag), delta, precision,
-                                  method)
+    out_re = eigenvalue_transform(be, ChebSeries(c.real), delta, precision)
+    out_im = eigenvalue_transform(be, ChebSeries(c.imag), delta, precision)
     wrapped = _hadamard_wrap([out_re.u_phi, 1j * out_im.u_phi])
     d_sys = be.system_dim
     result = wrapped[:d_sys, :d_sys] * 2.0  # the |+> average halves again

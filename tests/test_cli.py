@@ -51,6 +51,13 @@ class TestPhasesCommand:
         assert code == 0
         assert json.loads(out)["reconstruction_residual"] <= 1e-6
 
+    def test_extended_flag_accepted(self, capsys):
+        code, out = run_cli(["--precision", "extended", "phases", "--family",
+                             "sign", "--delta", "0.3", "--eps", "1e-3"],
+                            capsys)
+        assert code == 0
+        assert json.loads(out)["reconstruction_residual"] <= 1e-4
+
     def test_needs_family_or_poly(self, capsys):
         code, _ = run_cli(["phases"], capsys)
         assert code == 2
@@ -118,7 +125,8 @@ class TestSweep:
 
 
 @pytest.mark.parametrize("flags", [["--max-degree", "9999"],
-                                   ["--precision", "extended:abc"]])
+                                   ["--precision", "extended:abc"],
+                                   ["--precision", "extended:128"]])
 def test_bad_global_flag_exit_code(flags, capsys):
     code, _ = run_cli(flags + ["poly", "--family", "sign"], capsys)
     assert code == 2

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from svtkit import ParityPoly, ChebSeries, extended
-from svtkit.approx import approx_rect, approx_sign, approx_trig
-from svtkit.errors import Inadmissible, NotSubunit, NumericalFailure, SvtError
+from svtkit import qsp
+from svtkit.approx import (approx_inverse, approx_rect, approx_sign,
+                           approx_trig)
+from svtkit.errors import Inadmissible, NotSubunit, NumericalFailure
 from svtkit.qsp import (PhaseSequence, SignalPair, check_admissible,
                         chebyshev_phases, complete, phases_for_target,
                         phases_from_pq, qsp_eval, real_qsp, signal_matrix,
@@ -261,28 +263,76 @@ def peaked_target(peak, deg=30, seed=1):
     return c * peak / vals.max()
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 7, 50, 101])
+def test_su2_prefixes_match_running_products(m):
+    gen = np.random.default_rng(m)
+    ang = gen.uniform(0, 2 * np.pi, (3, m, 4))
+    la = np.cos(ang[0]) * np.exp(1j * ang[1])
+    lb = np.sin(ang[0]) * np.exp(1j * ang[2])
+    pa, pb = qsp._su2_prefixes(la, lb)
+    run = np.broadcast_to(np.eye(2, dtype=complex), (4, 2, 2))
+    for j in range(m):
+        layer = np.array([[la[j], lb[j]], [-np.conj(lb[j]), np.conj(la[j])]])
+        run = run @ np.moveaxis(layer, -1, 0)
+        np.testing.assert_allclose(pa[j], run[:, 0, 0], atol=1e-13)
+        np.testing.assert_allclose(pb[j], run[:, 0, 1], atol=1e-13)
+
+
 class TestPhasesForTarget:
     @pytest.mark.parametrize("target", [
         pytest.param(lambda: approx_trig(1.0, 1e-9)[1].cheb, id="sin"),
         pytest.param(lambda: approx_sign(0.6, 1e-9).cheb, id="sign"),
     ])
-    def test_newton_takes_over_from_completion(self, target):
+    def test_tight_tolerance(self, target):
         # completion + stripping misses 1e-10 on both
         tgt = target()
         pair, refl, rep = phases_for_target(tgt, tol=1e-10)
-        assert rep["escalated"]
         assert rep["reconstruction_error"] <= 1e-10
         assert lobatto_error(refl, tgt.cheb_coeffs.real) <= 1e-10
         assert pair.unitarity_defect() <= 1e-10
+
+    def test_high_degree_sign(self):
+        # degree 523 before the cut; completion reaches only 3.6e-7 here
+        tgt = approx_sign(0.185, 1e-6).cheb
+        _, refl, rep = phases_for_target(tgt, tol=1e-7)
+        assert rep["reconstruction_error"] <= 1e-7
+        assert lobatto_error(refl, tgt.cheb_coeffs.real) <= 1e-7
+
+    def test_phase_count_matches_completion(self):
+        # the circuit is no longer than the one completion + stripping gives
+        tgt = approx_inverse(2.0, 1e-2, bounded=True).cheb
+        _, refl, _ = phases_for_target(tgt, tol=1e-3)
+        assert len(refl.phis) == len(phases_from_pq(complete(tgt)).phis) - 1
+
+    def test_stops_at_the_rounding_floor(self, monkeypatch):
+        # an unreachable goal: the iteration must stop once the residual
+        # stops falling, and the certificate accepts that iterate
+        steps = []
+        solve = np.linalg.solve
+
+        def counted(a, b):
+            steps.append(1)
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        c = random_target(40, 0.9, np.random.default_rng(3)).cheb_coeffs.real
+        _, _, resid = qsp._symmetric_phases(c, goal=0.0)
+        assert resid <= qsp.NEWTON_GOAL
+        assert len(steps) < qsp.NEWTON_MAX_ITER
 
     def test_interior_peak_near_one(self):
         c = peaked_target(1 - 1e-9)
         _, refl, _ = phases_for_target(c, tol=1e-10, precision=extended())
         assert lobatto_error(refl, c) <= 1e-10
 
-    def test_interior_peak_above_one_stops(self):
-        with pytest.raises(SvtError):
+    def test_interior_peak_above_one_refused(self):
+        with pytest.raises(NotSubunit):
             phases_for_target(peaked_target(1 + 1e-9), tol=1e-10,
+                              precision=extended())
+
+    def test_mixed_parity_refused(self):
+        with pytest.raises(Inadmissible):
+            phases_for_target(np.array([0.0, 0.5, 0.3]), tol=1e-10,
                               precision=extended())
 
 
