@@ -176,9 +176,13 @@ def approx_sign(delta: float, eps: float,
     (-delta, delta), bounded by 1 on [-2, 2]."""
     if not (delta > 0 and 0 < eps < 0.5):
         raise ValueError("need delta > 0 and eps in (0, 1/2)")
-    wide = _erf_sign_wide(delta, eps, max_degree)
-    unit = _wide_to_unit(wide)
-    series = ChebSeries(unit, "odd")
+    # the cap applies to the returned degree, which the rebase to [-1, 1]
+    # can leave well below the degree of the series on [-2, 2]
+    wide = _erf_sign_wide(delta, eps, max(max_degree, LIB_MAX_DEGREE))
+    series = ChebSeries(_wide_to_unit(wide), "odd")
+    if series.degree > max_degree:
+        raise DegreeOverflow(f"sign approximation needs degree "
+                             f"{series.degree} > cap {max_degree}")
     res = ApproxResult(
         cheb=series, degree=series.degree, claimed_sup_bound=1.0,
         claimed_error=eps,
@@ -886,24 +890,6 @@ def approx_window(n: int, eps: float,
     return _certify(res, lambda x: np.zeros_like(np.asarray(x, float)))
 
 
-def approx_named(name: str, eps: float, max_degree: int = LIB_MAX_DEGREE,
-                 **params) -> ApproxResult:
-    """Dispatch by family name: monomial(s,d), exp(beta), arcsin(delta),
-    neg_power(c, delta), window(n)."""
-    if name == "monomial":
-        return approx_monomial(params["s"], params["d"], max_degree)
-    if name == "exp":
-        return approx_exp(params["beta"], eps, max_degree)
-    if name == "arcsin":
-        return approx_arcsin(params["delta"], eps, max_degree)
-    if name == "neg_power":
-        return approx_neg_power(params["c"], params["delta"], eps,
-                                params.get("parity", "odd"), max_degree)
-    if name == "window":
-        return approx_window(params["n"], eps, max_degree)
-    raise ValueError(f"unknown family {name!r}")
-
-
 @dataclasses.dataclass(frozen=True)
 class ApproxSpec:
     """Named target plus parameters, buildable via `build`.
@@ -935,27 +921,31 @@ class ApproxSpec:
             raise ValueError("beta must be nonnegative")
 
 
+# family name -> constructor of (spec, max_degree); the one dispatch table
+FAMILIES = {
+    "sign": lambda s, m: approx_sign(s.delta, s.eps, m),
+    "rect": lambda s, m: approx_rect(s.t, s.delta, s.eps, m),
+    "inverse": lambda s, m: approx_inverse(s.kappa, s.eps, s.bounded, m),
+    "cos": lambda s, m: approx_trig(s.t, s.eps, m)[0],
+    "sin": lambda s, m: approx_trig(s.t, s.eps, m)[1],
+    "exp": lambda s, m: approx_exp(s.beta, s.eps, m),
+    "arcsin": lambda s, m: approx_arcsin(s.delta, s.eps, m),
+    "neg_power": lambda s, m: approx_neg_power(s.c, s.delta, s.eps,
+                                               s.parity, m),
+    "monomial": lambda s, m: approx_monomial(s.s, s.d, m),
+    "window": lambda s, m: approx_window(s.n, s.eps, m),
+}
+
+
 def build(spec: ApproxSpec, max_degree: int = LIB_MAX_DEGREE) -> ApproxResult:
-    """Construct the approximation described by an ApproxSpec."""
-    t = spec.target
-    if t == "sign":
-        return approx_sign(spec.delta, spec.eps, max_degree)
-    if t == "rect":
-        return approx_rect(spec.t, spec.delta, spec.eps, max_degree)
-    if t == "inverse":
-        return approx_inverse(spec.kappa, spec.eps, spec.bounded, max_degree)
-    if t in ("cos", "sin"):
-        pair = approx_trig(spec.t, spec.eps, max_degree)
-        return pair[0] if t == "cos" else pair[1]
-    if t == "exp":
-        return approx_exp(spec.beta, spec.eps, max_degree)
-    if t == "arcsin":
-        return approx_arcsin(spec.delta, spec.eps, max_degree)
-    if t == "neg_power":
-        return approx_neg_power(spec.c, spec.delta, spec.eps, spec.parity,
-                                max_degree)
-    if t == "monomial":
-        return approx_monomial(spec.s, spec.d, max_degree)
-    if t == "window":
-        return approx_window(spec.n, spec.eps, max_degree)
-    raise ValueError(f"unknown target {t!r}")
+    """Construct the approximation described by an ApproxSpec; a result
+    above ``max_degree`` raises DegreeOverflow."""
+    if spec.target not in FAMILIES:
+        raise ValueError(f"unknown target {spec.target!r}")
+    return FAMILIES[spec.target](spec, max_degree)
+
+
+def approx_named(name: str, eps: float, max_degree: int = LIB_MAX_DEGREE,
+                 **params) -> ApproxResult:
+    """`build` by family name, the family's parameters as keywords."""
+    return build(ApproxSpec(target=name, eps=eps, **params), max_degree)

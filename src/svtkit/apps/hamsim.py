@@ -15,26 +15,22 @@ from ..config import Precision, STANDARD
 from ..errors import NotHermitian, SpectrumTooWide
 from ..poly import ChebSeries
 from ..qsp import phases_for_target
-from ..svt import _hadamard_wrap, alternating_sequence, svt_apply
+from ..svt import alternating_sequence, branch_lcu, svt_apply
 
 
 def _four_branch_circuit(pu: ProjectedUnitary, cos_coeffs, sin_coeffs,
                          precision: Precision):
     """sum_{c,b} |cb><cb| (x) i^c U_{(-1)^b Phi^(c)} wrapped in Hadamards:
     the |00> block realizes (cos^(SV) + i sin^(SV)) / 2."""
-    branches = []
-    uses = 0
-    for idx, coeffs in enumerate((cos_coeffs, sin_coeffs)):
+    refls = []
+    for coeffs in (cos_coeffs, sin_coeffs):
         arr = np.asarray(coeffs, float)
         scale = float(np.abs(arr).max())
-        pair, refl, _ = phases_for_target(
+        _, refl, _ = phases_for_target(
             arr, tol=max(1e-9, 1e-7 * scale), precision=precision)
-        uses = max(uses, len(refl.phis))
-        up, _ = alternating_sequence(pu, refl)
-        um, _ = alternating_sequence(pu, refl.negated())
-        phase = 1j if idx == 1 else 1.0
-        branches.extend((phase * up, phase * um))
-    return _hadamard_wrap(branches), uses
+        refls.append(refl)
+    circuit, ledger = branch_lcu(pu, [(1, refls[0]), (1j, refls[1])])
+    return circuit, ledger["u_uses"]
 
 
 def _amplify_half(unitary_matrix, sys_dim, precision: Precision):

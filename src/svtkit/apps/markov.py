@@ -11,7 +11,7 @@ from ..blockenc import Projector, ProjectedUnitary, embed, operator_norm
 from ..config import Precision, STANDARD
 from ..errors import (EmptyMarkedSet, GapTooSmall, NotReversible)
 from ..qsp import phases_for_target
-from ..svt import alternating_sequence
+from ..svt import alternating_sequence, branch_lcu
 
 
 class MarkovChain:
@@ -158,29 +158,24 @@ def markov_find(chain: MarkovChain, delta: float, eps: float,
     win = approx_window(n_win, eps_w)
     pair_w, refl_w, _ = phases_for_target(win.cheb, tol=eps_w / 2.0,
                                           precision=precision)
-    up, ledger_w = alternating_sequence(be.pu, refl_w)
-    um, _ = alternating_sequence(be.pu, refl_w.negated())
-    v1 = np.zeros((2 * dim, 2 * dim), complex)
-    v1[:dim, :dim] = up
-    v1[dim:, dim:] = um
-    # second stage encoding: left = marked coordinates & |+> ancilla,
-    # right = the |+> (x) |pi> direction
-    pi_vec = _embedded_state(chain.sqrt_pi(), dim)
-    plus_pi = np.concatenate([pi_vec, pi_vec]) / math.sqrt(2)
-    right = Projector(2 * dim, matrix=np.outer(plus_pi, plus_pi.conj()))
-    marked_proj = np.zeros((dim, dim))
-    for x in chain.marked:
-        marked_proj[x, x] = 1.0
-    plus = np.full((2, 2), 0.5)
-    left = Projector(2 * dim, matrix=np.kron(plus, marked_proj))
+    # the Hadamard-wrapped +-Phi pair: its |0>-ancilla block is the
+    # windowed discriminant
+    v1, _ = branch_lcu(be.pu, [(1, refl_w)])
+    # second stage encoding: left = marked coordinates & |0> ancilla,
+    # right = the |0> (x) |pi> direction
+    zero_pi = np.zeros(2 * dim, complex)
+    zero_pi[:dim] = _embedded_state(chain.sqrt_pi(), dim)
+    right = Projector(2 * dim, matrix=np.outer(zero_pi, zero_pi.conj()))
+    left = Projector(2 * dim, indices=sorted(chain.marked))
     pu2 = ProjectedUnitary(v1, right, left)
     amp = operator_norm(pu2.encoded())
     sign = approx_sign(max(0.5 * math.sqrt(eps), 0.5 * amp), 0.02)
     pair2, refl2, _ = phases_for_target(sign.cheb, tol=0.01,
                                         precision=precision)
-    u2, ledger2 = alternating_sequence(pu2, refl2)
-    final = u2 @ plus_pi
-    # marginal distribution over chain states
+    u2, _ = alternating_sequence(pu2, refl2)
+    final = u2 @ zero_pi
+    # marginal distribution over chain states (H on the ancilla leaves it
+    # unchanged)
     probs = np.zeros(n)
     for x in range(n):
         probs[x] = abs(final[x]) ** 2 + abs(final[dim + x]) ** 2

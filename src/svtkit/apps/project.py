@@ -11,7 +11,7 @@ from ..blockenc import ProjectedUnitary, embed, operator_norm
 from ..config import Precision, STANDARD
 from ..errors import PromiseViolated
 from ..qsp import phases_for_target
-from ..svt import alternating_sequence, svd_bundle
+from ..svt import alternating_sequence, branch_lcu, svd_bundle
 
 
 def threshold_projectors_exact(pu: ProjectedUnitary, interval):
@@ -53,13 +53,15 @@ def threshold_projector(pu: ProjectedUnitary, t: float, delta: float,
     pair, refl, _ = phases_for_target(
         cheb_ops.enforce_parity(high, "even"), tol=eps / 10.0,
         precision=precision)
-    u_phi, ledger = alternating_sequence(pu, refl)
+    wrapped, ledger = branch_lcu(pu, [(1, refl)])
+    dim = pu.dim
+    # the wrapped circuit's top blocks are (U_Phi +- U_-Phi) / 2
+    avg = wrapped[:dim, :dim]
+    u_phi = avg + wrapped[:dim, dim:]
     above, _ = threshold_projectors_exact(pu, (t + delta, 2.0))
     below, _ = threshold_projectors_exact(pu, (-1.0, t - delta))
     cond1 = operator_norm(above @ u_phi @ above - above)
     # the |+> averaged version for the complementary condition
-    um, _ = alternating_sequence(pu, refl.negated())
-    avg = (u_phi + um) / 2.0
     cond2 = operator_norm(below @ avg @ below)
     report = {"above_identity_error": cond1, "below_suppression": cond2,
               "claimed": eps, "degree": len(refl.phis), "ledger": ledger}
@@ -143,9 +145,8 @@ def discriminate(pu: ProjectedUnitary, a: float, b: float, eps: float,
         rect = approx_rect(t, dl, eps_poly)
         pair, refl, _ = phases_for_target(rect.cheb, tol=eps / 10.0,
                                           precision=precision)
-        up, ledger = alternating_sequence(pu_run, refl)
-        um, _ = alternating_sequence(pu_run, refl.negated())
-        avg = (up + um) / 2.0
+        wrapped, _ = branch_lcu(pu_run, [(1, refl)])
+        avg = wrapped[:pu_run.dim, :pu_run.dim]
         proj = pu_run.pi.matrix()
         out = proj @ (avg @ state)
         # rectangle plateau sits BELOW t: accepting means small sigma
@@ -204,12 +205,11 @@ def fast_or(projectors, rho, eta: float, nu: float, eps: float,
         cheb_ops.add(np.array([1.0]), -rect.cheb.cheb_coeffs.real), "even")
     pair, refl, _ = phases_for_target(high, tol=eps / 10.0,
                                       precision=precision)
-    up, ledger = alternating_sequence(pu_c, refl)
-    um, _ = alternating_sequence(pu_c, refl.negated())
+    wrapped, ledger = branch_lcu(pu_c, [(1, refl)])
     # accept = the |+>-averaged high-pass block keeps the state: for an
     # eigenvector with A-eigenvalue s the probability is P(sqrt(1-s^2))^2,
     # which is ~1 exactly when s <= 1 - lambda
-    block = (up + um)[:dim, :dim] / 2.0
+    block = wrapped[:dim, :dim]
     rho = np.asarray(rho, complex)
     p_accept = float(np.real(np.trace(block @ rho @ block.conj().T)))
     # numerical check of the threshold-projector mass inequality

@@ -15,7 +15,8 @@ import numpy as np
 from . import approx
 from .blockenc import (embed, encode_sparse, matrix_from_json, matrix_to_json,
                        operator_norm)
-from .config import MAX_MATRIX_DIM, Precision, RunConfig, STANDARD, extended
+from .config import (MAX_DEGREE_DEFAULT, MAX_MATRIX_DIM, Precision,
+                     RunConfig, STANDARD, extended)
 from .errors import SvtError
 from .poly import ChebSeries
 from .qsp import phases_for_target
@@ -41,29 +42,11 @@ def _precision(args) -> Precision:
 
 
 def _build_poly(args, config):
-    name = args.family
-    if name == "sign":
-        return approx.approx_sign(args.delta, args.eps)
-    if name == "rect":
-        return approx.approx_rect(args.t, args.delta, args.eps)
-    if name == "inverse":
-        return approx.approx_inverse(args.kappa, args.eps,
-                                     bounded=args.bounded)
-    if name == "cos" or name == "sin":
-        pair = approx.approx_trig(args.t, args.eps)
-        return pair[0] if name == "cos" else pair[1]
-    if name == "exp":
-        return approx.approx_exp(args.beta, args.eps)
-    if name == "arcsin":
-        return approx.approx_arcsin(args.delta, args.eps)
-    if name == "neg_power":
-        return approx.approx_neg_power(args.c, args.delta, args.eps,
-                                       parity=args.parity)
-    if name == "monomial":
-        return approx.approx_monomial(args.s, args.d)
-    if name == "window":
-        return approx.approx_window(args.n, args.eps)
-    raise ValueError(f"unknown family {name!r}")
+    spec = approx.ApproxSpec(
+        target=args.family, eps=args.eps, delta=args.delta, t=args.t,
+        kappa=args.kappa, beta=args.beta, c=args.c, s=args.s, d=args.d,
+        n=args.n, parity=args.parity, bounded=args.bounded)
+    return approx.build(spec, config.max_degree)
 
 
 def cmd_poly(args, config):
@@ -179,21 +162,21 @@ def cmd_apps(args, config):
     raise ValueError(f"unknown app {args.app!r}")
 
 
+# sweepable family -> the ApproxSpec field the range runs over
+SWEPT_FIELD = {"inverse": "kappa", "sign": "delta", "exp": "beta", "cos": "t"}
+
+
 def cmd_sweep(args, config):
     lo, hi = (float(v) for v in args.range.split(".."))
     values = np.linspace(lo, hi, args.steps)
+    field = SWEPT_FIELD.get(args.family)
+    if field is None:
+        raise ValueError(f"family {args.family!r} not sweepable")
     rows = ["param,degree,claimed_error"]
     for v in values:
-        if args.family == "inverse":
-            res = approx.approx_inverse(v, args.eps)
-        elif args.family == "sign":
-            res = approx.approx_sign(v, args.eps)
-        elif args.family == "exp":
-            res = approx.approx_exp(v, args.eps)
-        elif args.family == "cos":
-            res = approx.approx_trig(v, args.eps)[0]
-        else:
-            raise ValueError(f"family {args.family!r} not sweepable")
+        spec = approx.ApproxSpec(target=args.family, eps=args.eps,
+                                 **{field: float(v)})
+        res = approx.build(spec, config.max_degree)
         rows.append(f"{v:.6g},{res.degree},{res.claimed_error:.6g}")
     text = "\n".join(rows) + "\n"
     if getattr(args, "out", None):
@@ -213,18 +196,16 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=["standard", "extended"],
                     help="accepted for compatibility: every command "
                          "computes in double precision either way")
-    ap.add_argument("--max-degree", type=int, default=512)
-    ap.add_argument("--grid", type=int, default=10_000,
-                    help="certification grid density per unit")
+    ap.add_argument("--max-degree", type=int, default=MAX_DEGREE_DEFAULT,
+                    help="refuse polynomials above this degree "
+                         f"(at most {MAX_DEGREE_DEFAULT})")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--out", help="write output to this file")
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add_family_args(p, required=True):
         p.add_argument("--family", required=required,
-                       choices=["sign", "rect", "inverse", "cos", "sin",
-                                "exp", "arcsin", "neg_power", "monomial",
-                                "window"])
+                       choices=list(approx.FAMILIES))
         p.add_argument("--delta", type=float, default=0.1)
         p.add_argument("--eps", type=float, default=1e-4)
         p.add_argument("--t", type=float, default=1.0)
@@ -295,8 +276,7 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION if exc.code not in (0, None) else EXIT_OK
     try:
         config = RunConfig(precision=_precision(args),
-                           max_degree=args.max_degree,
-                           grid_density=args.grid, seed=args.seed)
+                           max_degree=args.max_degree, seed=args.seed)
         return args.fn(args, config)
     except (ValueError, OSError, KeyError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)

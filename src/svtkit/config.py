@@ -1,4 +1,4 @@
-"""Run configuration: precision selection, degree caps, grid densities."""
+"""Run configuration: precision selection and degree caps."""
 from __future__ import annotations
 
 import dataclasses
@@ -47,12 +47,8 @@ class RunConfig:
 
     precision: Precision = STANDARD
     max_degree: int = MAX_DEGREE_DEFAULT
-    grid_density: int = 10_000
     seed: int = 0
-    output: str = "json"  # json | csv
 
     def __post_init__(self):
         if self.max_degree > MAX_DEGREE_DEFAULT:
             raise ValueError(f"max_degree capped at {MAX_DEGREE_DEFAULT}")
-        if self.output not in ("json", "csv"):
-            raise ValueError("output must be json or csv")

@@ -702,13 +702,13 @@ def complete_complex(p, tol: float = 1e-9) -> SignalPair:
 # layer stripping
 
 
-def phases_from_pq(pair: SignalPair,
-                   abort_rel: float = 1e-6) -> PhaseSequence:
+def phases_from_pq(pair: SignalPair) -> PhaseSequence:
     """Extract sandwich phases by peeling one layer per step.
 
-    Works on Chebyshev coefficients; per step the leading coefficients
-    must satisfy |p_l| = |q_{l-1}| up to ``abort_rel``, otherwise the
-    completion was inconsistent and the operation aborts.
+    Works on Chebyshev coefficients; per step the monomial leading
+    coefficients of p_l and q_{l-1} must agree in magnitude to a relative
+    2e-3 on every layer with |p_l| above 1e-4 of the largest coefficient,
+    otherwise the completion was inconsistent and the operation aborts.
     """
     # 80-bit arithmetic keeps the accumulated recursion noise a few
     # digits below double rounding, which matters for eps^2-level targets

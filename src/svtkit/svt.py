@@ -3,7 +3,8 @@
 `reference_svt` is the SVD-based brute-force oracle everything else is
 checked against.  `alternating_sequence` builds the phased product U_Phi
 exactly as a dense matrix together with its use-count ledger, at one
-matmul per use of U, and
+matmul per use of U; `branch_lcu` runs the +-Phi pairs of the real
+polynomial construction on an ancilla and wraps them in Hadamards, and
 `svt_apply` drives the three flavors (complex polynomial, real polynomial
 with the |+> ancilla doubling, Hermitian eigenvalue transformation with
 the two-qubit parity wrapper).
@@ -303,6 +304,42 @@ def _assert_unitary(m, tol=1e-11):
         raise NumericalFailure(f"result not unitary: defect {defect:.2e}")
 
 
+def branch_lcu(pu: ProjectedUnitary, terms):
+    """The +-Phi branch construction: for each term (w, Phi) the branches
+    w U_Phi and w U_{-Phi} on a shared ancilla register, wrapped in
+    Hadamards.  With k terms, the |0..0> block is
+    (1/2k) sum_j w_j (U_{Phi_j} + U_{-Phi_j}), the w-weighted real parts
+    of the polynomials over k.
+
+    ``terms`` is [(weight, refl), ...] with |weight| = 1 and len(terms) a
+    power of two; refl None stands for the pair (I, -I), whose average
+    vanishes.  Every phased branch is checked unitary to 1e-11, since the
+    wrapped circuit is unitary iff its branches are.  Returns the wrapped circuit
+    and the ledger of the longest phase sequence (None if there is none).
+    """
+    k = len(terms)
+    if k == 0 or k & (k - 1):
+        raise ValueError(f"need a power-of-two number of terms, got {k}")
+    branches = []
+    ledger, longest = None, -1
+    for weight, refl in terms:
+        if abs(abs(weight) - 1.0) > 1e-12:
+            raise ValueError(f"branch weight {weight} is not unimodular")
+        if refl is None:
+            eye = np.eye(pu.dim, dtype=complex)
+            pair = (eye, -eye)
+        else:
+            up, led = alternating_sequence(pu, refl)
+            um, _ = alternating_sequence(pu, refl.negated())
+            pair = (up, um)
+            for branch in pair:
+                _assert_unitary(branch)
+            if len(refl.phis) > longest:
+                ledger, longest = led, len(refl.phis)
+        branches += [weight * branch for branch in pair]
+    return _hadamard_wrap(branches), ledger
+
+
 @dataclasses.dataclass
 class SvtOutcome:
     """Everything a caller needs to verify one transformation run."""
@@ -382,11 +419,7 @@ def svt_apply(pu: ProjectedUnitary, target, kind: str = "real_poly",
     # projector phases run through the shared ancilla of the C-Pi-NOT
     # construction; Hadamards on that ancilla put the average of the two
     # branches, the real part of the polynomial, at ancilla |0>
-    up, ledger = alternating_sequence(pu, refl)
-    um, _ = alternating_sequence(pu, refl.negated())
-    for branch in (up, um):
-        _assert_unitary(branch)
-    wrapped = _hadamard_wrap([up, um])
+    wrapped, ledger = branch_lcu(pu, [(1, refl)])
     proj_in = pu.pi
     proj_out = pu.pi_tilde if n % 2 == 1 else pu.pi
     dim = pu.dim
@@ -443,25 +476,15 @@ def eigenvalue_transform(be: BlockEncoding, target, delta: float = 1e-8,
         raise Inadmissible("eigenvalue transform needs |P| <= 1/2")
     c_even = cheb.enforce_parity(2 * c, "even")  # P(x) + P(-x)
     c_odd = cheb.enforce_parity(2 * c, "odd")    # P(x) - P(-x)
-    dim = be.dim
-    parts = []
-    degree_used = 0
+    terms = []
     for cc in (c_even, c_odd):
-        if np.abs(cc).max() < 1e-14:
-            # vanishing parity component: +-identity averages to zero
-            eye = np.eye(dim, dtype=complex)
-            parts.extend((eye, -eye))
-            continue
-        pair, refl, _ = phases_for_target(cc, tol=delta / 2.0,
-                                          precision=precision)
-        degree_used = max(degree_used, len(refl.phis))
-        up, _ = alternating_sequence(be.pu, refl)
-        um, _ = alternating_sequence(be.pu, refl.negated())
-        parts.extend((up, um))
-    # the wrapped circuit is unitary iff every diagonal branch is
-    for branch in parts:
-        _assert_unitary(branch)
-    wrapped = _hadamard_wrap(parts)
+        refl = None  # a vanishing parity component: the +-identity pair
+        if np.abs(cc).max() >= 1e-14:
+            _, refl, _ = phases_for_target(cc, tol=delta / 2.0,
+                                           precision=precision)
+        terms.append((1, refl))
+    wrapped, ledger = branch_lcu(be.pu, terms)
+    degree_used = ledger["u_uses"] if ledger else 0
     d_sys = be.system_dim
     result = wrapped[:d_sys, :d_sys]
     oracle = _poly_of_hermitian(a_mat, c)

@@ -248,3 +248,24 @@ def test_approx_spec_dispatch():
     assert res.degree == 6
     with pytest.raises(ValueError):
         ApproxSpec(target="inverse", kappa=0.5)
+
+
+def test_named_forwards_to_registry():
+    from svtkit.approx import FAMILIES, ApproxSpec, build
+    np.testing.assert_array_equal(
+        approx_named("sign", 0.1, delta=0.3).cheb.cheb_coeffs,
+        build(ApproxSpec(target="sign", delta=0.3, eps=0.1)).cheb.cheb_coeffs)
+    assert set(FAMILIES) == {"sign", "rect", "inverse", "cos", "sin", "exp",
+                             "arcsin", "neg_power", "monomial", "window"}
+    with pytest.raises(ValueError):
+        approx_named("nosuch", 1e-3)
+
+
+def test_sign_cap_applies_to_returned_degree():
+    # sign(0.13, 1e-4) is a degree-505 series on [-1, 1] although its
+    # construction on [-2, 2] runs to degree 547
+    from svtkit.errors import DegreeOverflow
+    deg = approx_sign(0.13, 1e-4).degree
+    assert approx_sign(0.13, 1e-4, max_degree=deg).degree == deg
+    with pytest.raises(DegreeOverflow):
+        approx_sign(0.13, 1e-4, max_degree=deg - 1)

@@ -178,3 +178,38 @@ class TestSchemas:
                           "--eps", "1e-3"], capsys)
         jsonschema.validate(json.loads(out),
                             self._schema("report.schema.json"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["poly", "--family", "sign", "--delta", "0.1", "--eps", "1e-4"],
+    ["phases", "--family", "sign", "--delta", "0.1", "--eps", "1e-4"],
+    ["sweep", "--family", "sign", "--range", "0.1..0.2", "--steps", "2"],
+])
+def test_max_degree_honoured(argv, capsys):
+    code = main(["--max-degree", "10"] + argv)
+    assert code == 3
+    assert "DegreeOverflow" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("family,lo,hi", [("inverse", 2, 4),
+                                          ("sign", 0.2, 0.4),
+                                          ("exp", 1, 4), ("cos", 1, 4)])
+def test_sweep_runs_each_family_parameter(family, lo, hi, capsys):
+    # the swept value lands in the family's own parameter: a harder
+    # target (larger kappa, beta, t; smaller delta) needs more degree
+    code, out = run_cli(["sweep", "--family", family, "--range",
+                         f"{lo}..{hi}", "--steps", "2", "--eps", "1e-3"],
+                        capsys)
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert [float(r[0]) for r in rows] == [lo, hi]
+    degrees = [int(r[1]) for r in rows]
+    if family == "sign":
+        assert degrees[0] > degrees[1]
+    else:
+        assert degrees[0] < degrees[1]
+
+
+def test_grid_flag_removed(capsys):
+    code, _ = run_cli(["--grid", "100", "poly", "--family", "sign"], capsys)
+    assert code == 2

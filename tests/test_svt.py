@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.stats
 from hypothesis import given, settings, strategies as st
 
@@ -11,8 +12,8 @@ from svtkit.blockenc import (BlockEncoding, Projector, ProjectedUnitary,
 from svtkit.errors import Inadmissible, ParityMismatch
 from svtkit.qsp import (PhaseSequence, chebyshev_phases, complete,
                         complete_complex)
-from svtkit.svt import (alternating_sequence, eigenvalue_transform,
-                        invariant_decomposition, reference_svt,
+from svtkit.svt import (alternating_sequence, branch_lcu,
+                        eigenvalue_transform, invariant_decomposition, reference_svt,
                         robustness_bound, svd_bundle, svt_apply)
 
 rng = np.random.default_rng(11)
@@ -388,3 +389,96 @@ class TestParityNecessity:
                             pi=pu.pi, pi_tilde=pu.pi_tilde)
         cross = pit.matrix() @ ref @ pi.matrix()
         assert operator_norm(cross) <= 1e-12
+
+
+def _dense_u_phi(pu, phis):
+    """U_Phi as a product of dense phase operators (reflection convention)."""
+    n = len(phis)
+    u, p, pt = pu.u, pu.pi.matrix(), pu.pi_tilde.matrix()
+    want = np.eye(pu.dim, dtype=complex)
+    for j, phi in enumerate(phis):
+        if (n - j) % 2:
+            want = want @ _dense_phase(pt, phi) @ u
+        else:
+            want = want @ _dense_phase(p, phi) @ u.conj().T
+    return want
+
+
+def _dense_lcu(pu, terms):
+    """(H^{(x)m} (x) I) diag(w_j U_{Phi_j}, w_j U_{-Phi_j}, ...) (H^{(x)m} (x) I),
+    a None term standing for the branches (w I, -w I)."""
+    blocks = []
+    for w, refl in terms:
+        if refl is None:
+            blocks += [w * np.eye(pu.dim), -w * np.eye(pu.dim)]
+        else:
+            blocks += [w * _dense_u_phi(pu, refl.phis),
+                       w * _dense_u_phi(pu, -refl.phis)]
+    h = scipy.linalg.hadamard(len(blocks)) / math.sqrt(len(blocks))
+    hh = np.kron(h, np.eye(pu.dim))
+    return hh @ scipy.linalg.block_diag(*blocks) @ hh
+
+
+class TestBranchLcu:
+    @pytest.mark.parametrize("kind", ["indices", "matrix"])
+    @pytest.mark.parametrize("layout", [
+        [(1, 5)], [(1j, 4)],                       # k = 2 branches
+        [(1, 7), (1j, 6)], [(1, 3), (1, 3)],       # k = 4 branches
+        [(1, None), (1j, 5)], [(1j, 6), (1, None)],  # with a +-I term
+    ])
+    def test_matches_dense_circuit(self, kind, layout):
+        gen = np.random.default_rng(23)
+        dim = 6
+        pu = ProjectedUnitary(random_unitary(dim, gen),
+                              _random_projector(gen, dim, 2, kind),
+                              _random_projector(gen, dim, 3, kind))
+        terms = [(w, None if n is None else PhaseSequence(
+            gen.uniform(-math.pi, math.pi, n), "reflection"))
+            for w, n in layout]
+        got, ledger = branch_lcu(pu, terms)
+        np.testing.assert_allclose(got, _dense_lcu(pu, terms),
+                                   rtol=0, atol=1e-12)
+        assert ledger["u_uses"] == max(n for _, n in layout if n is not None)
+
+    def test_real_part_at_zero_block(self):
+        # |0> block of one term: (U_Phi + U_-Phi) / 2, the circuit of P_Re
+        pu = random_pu(6, 2, 2, gen=np.random.default_rng(5))
+        seq = PhaseSequence(np.random.default_rng(6).uniform(-1, 1, 5),
+                            "reflection")
+        got, _ = branch_lcu(pu, [(1, seq)])
+        up, _ = alternating_sequence(pu, seq)
+        um, _ = alternating_sequence(pu, seq.negated())
+        np.testing.assert_allclose(got[:6, :6], (up + um) / 2, atol=1e-14)
+
+    def test_only_identity_terms(self):
+        pu = random_pu(4, 2, 2, gen=np.random.default_rng(7))
+        got, ledger = branch_lcu(pu, [(1, None)])
+        assert ledger is None
+        np.testing.assert_allclose(got[:4, :4], 0, atol=1e-15)
+
+    @pytest.mark.parametrize("terms", [[(0.5, None)], [(1, None)] * 3, []])
+    def test_refuses_bad_terms(self, terms):
+        pu = random_pu(4, 2, 2, gen=np.random.default_rng(8))
+        with pytest.raises(ValueError):
+            branch_lcu(pu, terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.integers(2, 10), deg=st.integers(1, 12), data=st.data(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_svt_apply_matrix_projectors_match_oracle(dim, deg, data, seed):
+    gen = np.random.default_rng(seed)
+    pi = _random_projector(gen, dim, data.draw(st.integers(1, dim)), "matrix")
+    pit = _random_projector(gen, dim, data.draw(st.integers(1, dim)), "matrix")
+    pu = ProjectedUnitary(random_unitary(dim, gen), pi, pit)
+    tgt = random_target(deg, supnorm=0.95, gen=gen)
+    outcome = svt_apply(pu, tgt, kind="real_poly", delta=1e-8)
+    want = reference_svt(pu.encoded(), tgt, "odd" if deg % 2 else "even",
+                         pi=pi, pi_tilde=pit)
+    assert operator_norm(outcome.result - want) <= 1e-8
+    # the lifted projectors |0><0| (x) Pi select the same block of the
+    # doubled circuit
+    lifted = np.zeros((2 * dim, 2 * dim), complex)
+    lifted[:dim, :dim] = outcome.result
+    np.testing.assert_allclose(outcome.encoding.encoded(), lifted,
+                               rtol=0, atol=1e-12)
