@@ -112,13 +112,34 @@ def cheb_nodes(n):
 
 
 def fit(fn_vals_at_nodes, deg):
-    """Interpolate values taken at cheb_nodes(deg+1) -> coefficients."""
+    """Interpolate values taken at cheb_nodes(deg+1) -> coefficients.
+
+    A DCT-II by one length-n FFT after Makhoul's even/odd reordering:
+    c_k = (2/n) Re(e^{-i pi k / 2n} W_k), W = FFT(v_0, v_2, ..., v_3, v_1).
+    """
     n = deg + 1
     v = np.asarray(fn_vals_at_nodes)
-    k = np.arange(n)
-    theta = np.pi * (k + 0.5) / n
-    # discrete cosine transform, direct form (n is small at desk scale)
-    T = np.cos(np.outer(k, theta))
-    c = (2.0 / n) * (T @ v)
+    if np.iscomplexobj(v):
+        return fit(v.real, deg) + 1j * fit(v.imag, deg)
+    w = np.fft.fft(np.concatenate([v[0::2], v[1::2][::-1]]))
+    c = (2.0 / n) * (np.exp(-0.5j * np.pi * np.arange(n) / n) * w).real
     c[0] /= 2
     return c
+
+
+def dct1_values(c, n):
+    """sum_k c_k T_k(cos(pi j / n)) for j = 0..n (needs len(c) <= n + 1).
+
+    A DCT-I by one real inverse FFT of length 2n; complex series take one
+    pass for each part.
+    """
+    c = np.asarray(c)
+    if np.iscomplexobj(c):
+        return dct1_values(c.real, n) + 1j * dct1_values(c.imag, n)
+    full = np.zeros(n + 1)
+    full[: len(c)] = c
+    vals = n * np.fft.irfft(full, 2 * n)[: n + 1]
+    vals += 0.5 * full[0]
+    vals[0::2] += 0.5 * full[n]
+    vals[1::2] -= 0.5 * full[n]
+    return vals

@@ -4,11 +4,14 @@ Every constructor returns an `ApproxResult` whose certificate (sup-norm
 bound on [-1, 1] and max error over the valid domain) is re-measured on a
 dense grid at construction time; a constructor that cannot meet its own
 claim raises NumericalFailure instead of returning silently degraded
-output.
+output.  The constructors that take parameters only are memoized: a
+repeated request returns the same read-only result.
 """
 from __future__ import annotations
 
 import dataclasses
+import functools
+import inspect
 import math
 from typing import Callable, Sequence
 
@@ -75,29 +78,118 @@ class ApproxResult:
         }
 
 
-def _grid(lo, hi):
-    n = max(int(math.ceil((hi - lo) * GRID_PER_UNIT)), 32) + 1
-    return np.linspace(lo, hi, n)
+# ----------------------------------------------------------------------
+# certificate grid
+
+
+def _angle_grid(coeffs, scale=1.0):
+    """(x, p(x)) for p = sum_k c_k T_k(x/scale) on the angle grid
+    x_j = scale*cos(pi j/N), j = 0..N, by one DCT-I.  N is the smallest
+    power of two >= deg p with scale*pi/N <= 1/GRID_PER_UNIT, so no gap
+    is wider than that."""
+    need = max(math.ceil(scale * math.pi * GRID_PER_UNIT), len(coeffs) - 1)
+    n = 1 << (need - 1).bit_length()
+    xs = scale * np.cos(np.pi * np.arange(n + 1) / n)
+    return xs, cheb.dct1_values(coeffs, n)
+
+
+def _on_grid(coeffs, intervals, scale=1.0):
+    """For each [lo, hi] in ``intervals``, the points a certificate checks
+    there and p's values at them (p as in `_angle_grid`): the grid points
+    inside, plus both endpoints evaluated directly, plus, when the grid
+    puts fewer points inside than GRID_PER_UNIT asks for (at least 33),
+    that many evenly spaced points."""
+    xs, vals = _angle_grid(coeffs, scale)
+    out = []
+    for lo, hi in intervals:
+        inside = (xs >= lo) & (xs <= hi)
+        n_even = max(math.ceil((hi - lo) * GRID_PER_UNIT), 32) + 1
+        extra = (np.linspace(lo, hi, n_even)
+                 if np.count_nonzero(inside) < n_even
+                 else np.array([lo, hi], float))
+        out.append((np.concatenate([xs[inside], extra]),
+                    np.concatenate([vals[inside],
+                                    npcheb.chebval(extra / scale, coeffs)])))
+    return out
+
+
+def _grid_sup(coeffs, lo=-1.0, hi=1.0) -> float:
+    """max |sum_k c_k T_k| over the points of [lo, hi] a certificate
+    checks."""
+    return float(np.abs(_on_grid(coeffs, [(lo, hi)])[0][1]).max())
+
+
+def _target_sup(target: Callable, intervals) -> float:
+    """max |target| over the points of the intervals a certificate
+    checks."""
+    return max(float(np.abs(target(pts)).max())
+               for pts, _ in _on_grid(np.zeros(1), intervals))
 
 
 def _certify(result: ApproxResult, target: Callable, sup_domain=(-1.0, 1.0),
              sup_slack=1e-9, err_slack=1e-9):
-    xs = _grid(*sup_domain)
-    sup = np.abs(result.evaluate(xs)).max()
+    """Measure the sup over ``sup_domain`` and the error on each valid
+    piece from one angle-grid evaluation (for the sign family, of its
+    series on [-2, 2])."""
+    wide = result._wide_eval
+    coeffs, scale = ((wide.scaled_coeffs, wide.scale) if wide is not None
+                     else (result.cheb.cheb_coeffs, 1.0))
+    (_, on_sup), *pieces = _on_grid(
+        coeffs, [sup_domain, *result.valid_domain], scale)
+    sup = np.abs(on_sup).max()
     if sup > result.claimed_sup_bound + sup_slack:
         raise NumericalFailure(
             f"{result.label}: sup {sup:.3e} exceeds claimed "
             f"{result.claimed_sup_bound:.3e}")
     worst = 0.0
-    for lo, hi in result.valid_domain:
-        xs = _grid(lo, hi)
-        err = np.abs(result.evaluate(xs) - target(xs)).max()
+    for pts, vals in pieces:
+        err = np.abs(vals - target(pts)).max()
         worst = max(worst, float(err))
     if worst > result.claimed_error + err_slack:
         raise NumericalFailure(
             f"{result.label}: measured error {worst:.3e} exceeds claimed "
             f"{result.claimed_error:.3e}")
     return result
+
+
+# ----------------------------------------------------------------------
+# constructor memo
+
+_MEMO: dict = {}
+_MEMO_MAX = 128
+
+
+def _read_only(value):
+    if isinstance(value, np.ndarray):
+        value.setflags(write=False)
+    elif isinstance(value, tuple):
+        for v in value:
+            _read_only(v)
+    return value
+
+
+def _memo(fn):
+    """Memoize a constructor on its bound arguments, defaults applied, in
+    the one bounded dict ``_MEMO`` (oldest entry out first).  Results are
+    read-only and shared; an exception is never stored."""
+    signature = inspect.signature(fn)
+
+    @functools.wraps(fn)
+    def memoized(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        key = (fn.__module__, fn.__qualname__) + tuple(
+            (type(v), v) for v in bound.arguments.values())
+        hit = _MEMO.get(key)
+        if hit is not None:
+            return hit
+        out = _read_only(fn(*args, **kwargs))
+        if len(_MEMO) >= _MEMO_MAX:
+            _MEMO.pop(next(iter(_MEMO)))
+        _MEMO[key] = out
+        return out
+
+    return memoized
 
 
 def _fit_unit_interval(values_fn, degree):
@@ -118,7 +210,8 @@ class _WidePoly:
     [-scale, scale]."""
 
     def __init__(self, scaled_coeffs, scale=2.0):
-        self.scaled_coeffs = np.asarray(scaled_coeffs)
+        self.scaled_coeffs = np.array(scaled_coeffs)
+        self.scaled_coeffs.setflags(write=False)
         self.scale = float(scale)
 
     def __call__(self, x):
@@ -170,6 +263,7 @@ def _wide_to_unit(wide: _WidePoly) -> np.ndarray:
     return cheb.trim(_fit_unit_interval(wide, deg), 1e-15)
 
 
+@_memo
 def approx_sign(delta: float, eps: float,
                 max_degree: int = LIB_MAX_DEGREE) -> ApproxResult:
     """Odd real polynomial within ``eps`` of sign(x) on [-2,2] outside
@@ -219,6 +313,7 @@ def _window_from_signs(lo, hi, band, eps, max_degree):
     return coeffs, raw
 
 
+@_memo
 def approx_rect(t: float, delta_p: float, eps_p: float,
                 max_degree: int = LIB_MAX_DEGREE) -> ApproxResult:
     """Even rectangle approximation by sign-polynomial symmetrization,
@@ -278,6 +373,7 @@ def _inverse_cheb_coeffs(kappa: float, eps: float):
     return coeffs, b, J
 
 
+@_memo
 def approx_inverse(kappa: float, eps: float, bounded: bool = False,
                    max_degree: int = LIB_MAX_DEGREE) -> ApproxResult:
     """Odd approximation of 1/x away from the origin.
@@ -295,7 +391,7 @@ def approx_inverse(kappa: float, eps: float, bounded: bool = False,
         if len(coeffs) - 1 > max_degree:
             raise DegreeOverflow(f"degree {len(coeffs)-1} > cap {max_degree}")
         series = ChebSeries(coeffs, "odd")
-        sup = float(np.abs(npcheb.chebval(_grid(-1, 1), coeffs)).max())
+        sup = _grid_sup(coeffs)
         res = ApproxResult(
             cheb=series, degree=series.degree,
             claimed_sup_bound=sup, claimed_error=eps,
@@ -307,7 +403,7 @@ def approx_inverse(kappa: float, eps: float, bounded: bool = False,
     eps_g = min(eps / 3.0, 0.4)
     coeffs, b, J = _inverse_cheb_coeffs(2.0 * kappa, eps_g)
     coeffs = coeffs * (delta / 2.0)
-    pmax = float(np.abs(npcheb.chebval(_grid(-1, 1), coeffs)).max())
+    pmax = _grid_sup(coeffs)
     eps_r = min(eps / 3.0, 1.0 / max(pmax, 1.0)) / 2.0
     rect = approx_rect(0.75 * delta, delta / 4.0, eps_r, max_degree)
     one_minus_rect = cheb.add(np.array([1.0]), -rect.cheb.cheb_coeffs.real)
@@ -315,7 +411,7 @@ def approx_inverse(kappa: float, eps: float, bounded: bool = False,
     prod = cheb.enforce_parity(cheb.trim(prod, 1e-15), "odd")
     if len(prod) - 1 > max_degree:
         raise DegreeOverflow(f"degree {len(prod)-1} > cap {max_degree}")
-    sup = float(np.abs(npcheb.chebval(_grid(-1, 1), prod)).max())
+    sup = _grid_sup(prod)
     if sup > 1.0:
         prod = prod / sup
     prod = prod * _SAFETY
@@ -361,78 +457,74 @@ def solve_r(t: float, eps: float) -> float:
     return r
 
 
+def _bessel_table(orders: int, ts) -> np.ndarray:
+    """J_k(t) for k = 0..orders (rows) and each t > 0 in ``ts`` (columns):
+    one downward Miller pass for all columns, each normalized with
+    J_0 + 2*sum_k J_2k = 1."""
+    ts = np.asarray(ts, float)
+    t_max = float(ts.max())
+    m_start = int(orders + 2 + math.ceil(1.5 * t_max
+                                         + 20 * math.sqrt(max(orders, t_max))))
+    m_start += m_start % 2
+    table = np.zeros((orders + 1, len(ts)))
+    fp1, f = np.zeros(len(ts)), np.full(len(ts), 1e-300)
+    norm = np.zeros(len(ts))
+    for m in range(m_start, 0, -1):
+        fp1, f = f, (2.0 * m / ts) * f - fp1
+        big = np.abs(f) > 1e250
+        if big.any():  # rescale to dodge overflow
+            f[big] *= 1e-250
+            fp1[big] *= 1e-250
+            norm[big] *= 1e-250
+            table[:, big] *= 1e-250
+        idx = m - 1
+        if idx <= orders:
+            table[idx] = f
+        if idx % 2 == 0:
+            norm += f if idx == 0 else 2.0 * f
+    return table / norm
+
+
 def bessel_j(orders: int, t: float) -> np.ndarray:
-    """J_0(t) .. J_orders(t) by downward Miller recurrence, normalized
-    with J_0 + 2*sum_k J_2k = 1."""
+    """J_0(t) .. J_orders(t): one column of the Miller table."""
     if t == 0:
         out = np.zeros(orders + 1)
         out[0] = 1.0
         return out
-    m_start = int(orders + 2 + math.ceil(1.5 * abs(t) + 20 * math.sqrt(max(orders, abs(t)))))
-    if m_start % 2:
-        m_start += 1
-    fp1, f = 0.0, 1e-300
-    out = np.zeros(orders + 1)
-    even_sum = 0.0
-    for m in range(m_start, 0, -1):
-        fm1 = (2.0 * m / t) * f - fp1
-        fp1, f = f, fm1
-        # rescale to dodge overflow
-        if abs(f) > 1e250:
-            scale = 1e-250
-            f *= scale
-            fp1 *= scale
-            out *= scale
-            even_sum *= scale
-        idx = m - 1
-        if idx <= orders:
-            out[idx] = f
-        if idx != 0 and idx % 2 == 0:
-            even_sum += f if idx <= orders else 0.0
-    # full normalization needs all even orders up to m_start
-    # redo the pass accumulating the true normalizer
-    fp1, f = 0.0, 1e-300
-    norm = 0.0
-    vals = {}
-    for m in range(m_start, 0, -1):
-        fm1 = (2.0 * m / t) * f - fp1
-        fp1, f = f, fm1
-        if abs(f) > 1e250:
-            scale = 1e-250
-            f *= scale
-            fp1 *= scale
-            norm *= scale
-            for kk in vals:
-                vals[kk] *= scale
-        idx = m - 1
-        if idx <= orders:
-            vals[idx] = f
-        if idx % 2 == 0:
-            norm += f if idx == 0 else 2.0 * f
-    out = np.zeros(orders + 1)
-    for idx, v in vals.items():
-        out[idx] = v / norm
-    return out
+    return _bessel_table(orders, [t])[:, 0]
+
+
+def _trig_order(t: float, eps: float, max_degree: int) -> int:
+    """Jacobi-Anger truncation R: cos(t x) keeps T_0..T_2R, sin(t x)
+    T_1..T_2R+1."""
+    R = max(int(math.floor(solve_r(math.e * abs(t) / 2.0, 1.25 * eps) / 2.0)),
+            1)
+    if 2 * R + 1 > max_degree:
+        raise DegreeOverflow(f"degree {2*R+1} > cap {max_degree}")
+    return R
+
+
+def _jacobi_anger(js: np.ndarray, R: int, sign: float):
+    """cos(t x), sin(t x) coefficients from J_0(|t|)..J_2R+1(|t|), with
+    sign = sign(t)."""
+    alt = 2.0 * (-1.0) ** np.arange(R + 1)
+    cos_c = np.zeros(2 * R + 1)
+    cos_c[0::2] = alt * js[0: 2 * R + 1: 2]
+    cos_c[0] = js[0]
+    sin_c = np.zeros(2 * R + 2)
+    sin_c[1::2] = sign * alt * js[1: 2 * R + 2: 2]
+    return cos_c, sin_c
 
 
 def _trig_cheb(t: float, eps: float, max_degree: int):
     """Raw Jacobi-Anger coefficient pair for cos(t x), sin(t x)."""
-    R = int(math.floor(solve_r(math.e * abs(t) / 2.0, 1.25 * eps) / 2.0))
-    R = max(R, 1)
-    if 2 * R + 1 > max_degree:
-        raise DegreeOverflow(f"degree {2*R+1} > cap {max_degree}")
-    js = bessel_j(2 * R + 1, abs(t))
-    sgn = 1.0 if t > 0 else -1.0
-    cos_c = np.zeros(2 * R + 1)
-    cos_c[0] = js[0]
-    for k in range(1, R + 1):
-        cos_c[2 * k] = 2.0 * (-1) ** k * js[2 * k]
-    sin_c = np.zeros(2 * R + 2)
-    for k in range(0, R + 1):
-        sin_c[2 * k + 1] = sgn * 2.0 * (-1) ** k * js[2 * k + 1]
+    R = _trig_order(t, eps, max_degree)
+    cos_c, sin_c = _jacobi_anger(bessel_j(2 * R + 1, abs(t)), R,
+                                 1.0 if t > 0 else -1.0)
     return cos_c, sin_c, R
 
 
+@_memo
 def approx_trig(t: float, eps: float,
                 max_degree: int = LIB_MAX_DEGREE):
     """(cos, sin) pair of truncated Jacobi-Anger Chebyshev series for
@@ -521,21 +613,26 @@ def fourier_from_power_series(b: Sequence[complex], delta: float,
 
 def _fourier_to_cheb(coeffs: dict, scale: float, eps_term: float,
                      max_degree: int) -> np.ndarray:
-    """Replace e^{i pi m x / (2 scale)} terms by Jacobi-Anger polynomials."""
+    """Replace e^{i pi m x / (2 scale)} terms by Jacobi-Anger polynomials,
+    each truncated at its own order; one Bessel table serves every
+    frequency."""
     out = np.zeros(1, complex)
-    ms = sorted(coeffs)
-    for m in ms:
-        c = coeffs[m]
+    # largest frequency first: a DegreeOverflow names the largest degree
+    cols = sorted({abs(m) for m in coeffs if m != 0}, reverse=True)
+    ws = [math.pi * a / (2.0 * scale) for a in cols]
+    orders = [_trig_order(w, eps_term, max_degree) for w in ws]
+    table = _bessel_table(2 * max(orders) + 1, ws) if cols else None
+    col_of = {a: j for j, a in enumerate(cols)}
+    for m in sorted(coeffs):
         if m == 0:
-            z = np.zeros(1, complex)
-            z[0] = c
-            out = cheb.add(out, z)
+            out = cheb.add(out, np.array([coeffs[m]], complex))
             continue
-        w = math.pi * m / (2.0 * scale)
-        cos_c, sin_c, _ = _trig_cheb(w, eps_term, max_degree)
+        j = col_of[abs(m)]
+        cos_c, sin_c = _jacobi_anger(table[:, j], orders[j],
+                                     1.0 if m > 0 else -1.0)
         term = cheb.add(cos_c / (1.0 + eps_term),
                         1j * sin_c / (1.0 + eps_term))
-        out = cheb.add(out, c * term)
+        out = cheb.add(out, coeffs[m] * term)
     return out
 
 
@@ -585,8 +682,8 @@ def approx_taylor(f_coeffs: Sequence[complex], x0: float, r: float,
         def target(x):
             u = np.asarray(x, float) - x0
             return np.polynomial.polynomial.polyval(u, a)
-    sup_f = float(np.abs(target(_grid(max(lo - delta / 2, -1.0),
-                                      min(hi + delta / 2, 1.0)))).max())
+    sup_f = _target_sup(target, [(max(lo - delta / 2, -1.0),
+                                  min(hi + delta / 2, 1.0))])
     res = ApproxResult(
         cheb=series, degree=series.degree,
         claimed_sup_bound=sup_f + eps, claimed_error=eps,
@@ -600,7 +697,7 @@ def approx_taylor(f_coeffs: Sequence[complex], x0: float, r: float,
     if hi + delta / 2 < 1.0:
         outside.append((hi + delta / 2, 1.0))
     for seg in outside:
-        vals = np.abs(npcheb.chebval(_grid(*seg), prod)).max()
+        vals = _grid_sup(prod, *seg)
         if vals > eps + 1e-9:
             raise NumericalFailure(
                 f"{label}: leakage {vals:.3e} outside fattened window")
@@ -674,7 +771,7 @@ def approx_taylor_multi(patches, B: float, eps: float,
     fat = delta_all / 2.0
     fattened = [(max(xj - rj - fat, -1.0), min(xj + rj + fat, 1.0))
                 for xj, rj, dj, _ in patches]
-    sup_f = max(float(np.abs(target(_grid(*iv))).max()) for iv in fattened)
+    sup_f = _target_sup(target, fattened)
     res = ApproxResult(
         cheb=series, degree=series.degree,
         claimed_sup_bound=sup_f + 2 * eps, claimed_error=eps,
@@ -700,6 +797,7 @@ def _monomial_cheb(s: int, d: int) -> np.ndarray:
     return out
 
 
+@_memo
 def approx_monomial(s: int, d: int,
                     max_degree: int = LIB_MAX_DEGREE) -> ApproxResult:
     """Degree-d approximation of x^s with error <= 2 e^{-d^2/(2s)}."""
@@ -715,6 +813,7 @@ def approx_monomial(s: int, d: int,
     return _certify(res, lambda x: np.asarray(x, float) ** s)
 
 
+@_memo
 def approx_exp(beta: float, eps: float,
                max_degree: int = LIB_MAX_DEGREE) -> ApproxResult:
     """Approximation of exp(-beta (1 - x)) on [-1, 1], degree
@@ -762,6 +861,7 @@ def arcsin_series_coeffs(n_terms: int) -> np.ndarray:
     return _arcsin_series(n_terms)
 
 
+@_memo
 def approx_arcsin(delta: float, eps: float,
                   max_degree: int = LIB_MAX_DEGREE) -> ApproxResult:
     """Odd polynomial within eps of (2/pi) arcsin(x) on [-1+delta, 1-delta],
@@ -775,7 +875,7 @@ def approx_arcsin(delta: float, eps: float,
         target=lambda x: 2.0 / math.pi * np.arcsin(np.clip(x, -1, 1)),
         label=f"arcsin(delta={delta:g}, eps={eps:g})")
     coeffs = cheb.enforce_parity(res.cheb.cheb_coeffs.real, "odd")
-    sup = float(np.abs(npcheb.chebval(_grid(-1, 1), coeffs)).max())
+    sup = _grid_sup(coeffs)
     if sup > 1.0:
         coeffs = coeffs / sup
     coeffs = coeffs * _SAFETY
@@ -788,6 +888,7 @@ def approx_arcsin(delta: float, eps: float,
     return _certify(out, lambda x: 2.0 / math.pi * np.arcsin(np.clip(x, -1, 1)))
 
 
+@_memo
 def approx_neg_power(c: float, delta: float, eps: float, parity: str = "odd",
                      max_degree: int = LIB_MAX_DEGREE) -> ApproxResult:
     """Polynomial of chosen parity within eps of (delta^c / 2) x^{-c} on
@@ -848,7 +949,7 @@ def approx_neg_power(c: float, delta: float, eps: float, parity: str = "odd",
         coeffs = cheb.enforce_parity(res.cheb.cheb_coeffs.real, parity)
     if len(coeffs) - 1 > max_degree:
         raise DegreeOverflow(f"degree {len(coeffs)-1} > cap {max_degree}")
-    sup = float(np.abs(npcheb.chebval(_grid(-1, 1), coeffs)).max())
+    sup = _grid_sup(coeffs)
     if sup > 1.0:
         coeffs = coeffs / sup
     coeffs = coeffs * _SAFETY
@@ -859,6 +960,7 @@ def approx_neg_power(c: float, delta: float, eps: float, parity: str = "odd",
     return _certify(out, target)
 
 
+@_memo
 def approx_window(n: int, eps: float,
                   max_degree: int = LIB_MAX_DEGREE) -> ApproxResult:
     """Normalized windowing polynomial eps * T_n(x T_{1/n}(1/eps)):

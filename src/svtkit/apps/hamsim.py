@@ -8,7 +8,8 @@ import numpy as np
 import scipy.linalg
 
 from .. import _chebops as cheb
-from ..approx import (approx_arcsin, approx_exp, approx_trig, solve_r)
+from ..approx import (LIB_MAX_DEGREE, _memo, approx_arcsin, approx_exp,
+                      approx_taylor, approx_trig, solve_r)
 from ..blockenc import (BlockEncoding, Projector, ProjectedUnitary,
                         operator_norm)
 from ..config import Precision, STANDARD
@@ -48,14 +49,16 @@ def _amplify_half(unitary_matrix, sys_dim, precision: Precision):
 
 def hamiltonian_simulate(be: BlockEncoding, t: float, eps: float,
                          robust: bool = False,
-                         precision: Precision = STANDARD):
+                         precision: Precision = STANDARD,
+                         max_degree: int = LIB_MAX_DEGREE):
     """(1, a+2, eps)-encoding of e^{itH} from a block-encoding of H.
 
     Jacobi-Anger polynomials at precision eps/6 (eps/12 in robust mode)
     produce e^{itH}/2 through the two-qubit parity wrapper; a length-3
     Chebyshev amplification removes the factor 2.  Robust mode tolerates
     input encoding error up to eps/|2t| and budgets for it via the
-    |t|-Lipschitz bound on the exponential.
+    |t|-Lipschitz bound on the exponential.  A polynomial above
+    ``max_degree`` raises DegreeOverflow.
     """
     h_block = be.extract() / be.alpha
     if operator_norm(h_block - h_block.conj().T) > 1e-9:
@@ -77,7 +80,7 @@ def hamiltonian_simulate(be: BlockEncoding, t: float, eps: float,
                             system_dim=be.system_dim)
         return out, {"uses": 0, "measured": 0.0, "claimed": eps}
     eps_poly = eps / 12.0 if robust else eps / 6.0
-    cos_r, sin_r = approx_trig(tau, eps_poly)
+    cos_r, sin_r = approx_trig(tau, eps_poly, max_degree)
     # cos(t x) touches +-1 inside the interval; a saturating polynomial
     # leaves the phase factorization with interior tangencies, so the
     # sequences run on slightly shrunk coefficients
@@ -208,21 +211,7 @@ def fractional_query(u, t: float, eps: float,
                   "degree": rep_half["degree"]}
         return enc, report
     pu = _sine_encoding(u)
-    n_terms = max(24, int(8 * math.log(8.0 / eps)))
-    series = _exp_arcsin_series(t, n_terms)
-    r, dl = 0.5, 0.5
-    b_cert = float(np.sum(np.abs(series) * (r + dl) ** np.arange(len(series))))
-    from ..approx import approx_taylor
-    eps_taylor = min(eps / 8.0, 1.0 / (2 * b_cert))
-    res = approx_taylor(
-        series, 0.0, r, dl, b_cert * (1 + 1e-9), eps_taylor,
-        target=lambda x: np.exp(1j * t * np.arcsin(np.clip(x, -1, 1))),
-        label=f"exp(i t arcsin), t={t:g}")
-    cos_c = cheb.enforce_parity(res.cheb.cheb_coeffs.real, "even")
-    sin_c = cheb.enforce_parity(res.cheb.cheb_coeffs.imag, "odd")
-    # cos(t arcsin(x)) saturates at x = 0: shrink to dodge tangency
-    margin = 1.0 - eps / 4.0
-    cos_c, sin_c = _clip_submit(cos_c * margin), _clip_submit(sin_c * margin)
+    cos_c, sin_c = _fracq_poly(t, eps)
     half_circ, layer_uses = _four_branch_circuit(pu, cos_c, sin_c, precision)
     amplified = _amplify_half(half_circ, u.shape[0], precision)
     want = _matrix_fractional_power(u, t)
@@ -234,6 +223,26 @@ def fractional_query(u, t: float, eps: float,
     report = {"measured": measured, "claimed": eps, "split": False,
               "degree": 3 * layer_uses}
     return enc, report
+
+
+@_memo
+def _fracq_poly(t: float, eps: float):
+    """(cos, sin) coefficient pair of e^{i t arcsin(x)} for
+    `fractional_query`, shrunk off the tangency and clipped below 1."""
+    n_terms = max(24, int(8 * math.log(8.0 / eps)))
+    series = _exp_arcsin_series(t, n_terms)
+    r, dl = 0.5, 0.5
+    b_cert = float(np.sum(np.abs(series) * (r + dl) ** np.arange(len(series))))
+    eps_taylor = min(eps / 8.0, 1.0 / (2 * b_cert))
+    res = approx_taylor(
+        series, 0.0, r, dl, b_cert * (1 + 1e-9), eps_taylor,
+        target=lambda x: np.exp(1j * t * np.arcsin(np.clip(x, -1, 1))),
+        label=f"exp(i t arcsin), t={t:g}")
+    cos_c = cheb.enforce_parity(res.cheb.cheb_coeffs.real, "even")
+    sin_c = cheb.enforce_parity(res.cheb.cheb_coeffs.imag, "odd")
+    # cos(t arcsin(x)) saturates at x = 0: shrink to dodge tangency
+    margin = 1.0 - eps / 4.0
+    return _clip_submit(cos_c * margin), _clip_submit(sin_c * margin)
 
 
 def _clip_submit(coeffs):

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from ..approx import approx_sign, approx_window
+from ..approx import LIB_MAX_DEGREE, approx_sign, approx_window
 from ..blockenc import Projector, ProjectedUnitary, embed, operator_norm
 from ..config import Precision, STANDARD
 from ..errors import (EmptyMarkedSet, GapTooSmall, NotReversible)
@@ -96,12 +96,14 @@ def _embedded_state(vec, dim):
 
 
 def markov_detect(chain: MarkovChain, k_bound: float,
-                  precision: Precision = STANDARD):
+                  precision: Precision = STANDARD,
+                  max_degree: int = LIB_MAX_DEGREE):
     """One-sided test separating HT <= K from M = empty.
 
     Works on the complementary block of an exact dilation of D_M, where
     the stationary state has singular value exactly 0 when nothing is
-    marked; degree O(sqrt(K+1)).
+    marked; degree O(sqrt(K+1)).  A sign polynomial above ``max_degree``
+    raises DegreeOverflow.
     """
     if not chain.reversible:
         raise NotReversible("detection assumes a reversible chain")
@@ -111,7 +113,7 @@ def markov_detect(chain: MarkovChain, k_bound: float,
     pu = ProjectedUnitary(be.pu.u, be.pu.pi, be.pu.pi_tilde.complement())
     lam_thr = 1.0 - 1.0 / (12.0 * (k_bound + 1.0))
     b_comp = math.sqrt(max(1.0 - lam_thr ** 2, 1e-300))
-    sign = approx_sign(0.9 * b_comp, 0.02)
+    sign = approx_sign(0.9 * b_comp, 0.02, max_degree)
     pair, refl, _ = phases_for_target(sign.cheb, tol=0.01,
                                       precision=precision)
     u_phi, ledger = alternating_sequence(pu, refl)

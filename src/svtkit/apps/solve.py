@@ -6,7 +6,7 @@ import math
 import numpy as np
 
 from .. import _chebops as cheb
-from ..approx import approx_inverse, approx_rect
+from ..approx import LIB_MAX_DEGREE, approx_inverse, approx_rect
 from ..blockenc import ProjectedUnitary, operator_norm
 from ..config import Precision, STANDARD
 from ..errors import SpectrumBelowDelta
@@ -17,11 +17,13 @@ from .project import threshold_projectors_exact
 
 def pseudoinverse(pu: ProjectedUnitary, delta: float, eps: float,
                   threshold_mode: float = None,
-                  precision: Precision = STANDARD):
+                  precision: Precision = STANDARD,
+                  max_degree: int = LIB_MAX_DEGREE):
     """Encode (delta/2) A^+ within eps (plain), or the threshold variant
     Pi_{>=sigma} (sigma/2) A^+ Pi~_{>=sigma} when ``threshold_mode`` is a
     cutoff sigma; the transition band [sigma-delta, sigma+delta] carries
-    no accuracy claim.
+    no accuracy claim.  A polynomial above ``max_degree`` raises
+    DegreeOverflow.
     """
     bundle = svd_bundle(pu)
     if threshold_mode is None:
@@ -29,15 +31,17 @@ def pseudoinverse(pu: ProjectedUnitary, delta: float, eps: float,
         if len(nonzero) and nonzero.min() < delta - 1e-12:
             raise SpectrumBelowDelta(
                 f"nonzero singular value {nonzero.min():.4g} below delta")
-        inv = approx_inverse(1.0 / delta, min(eps, 0.4), bounded=True)
+        inv = approx_inverse(1.0 / delta, min(eps, 0.4), bounded=True,
+                             max_degree=max_degree)
         coeffs = inv.cheb.cheb_coeffs.real
         scale = delta / 2.0
     else:
         sigma = float(threshold_mode)
-        inv = approx_inverse(1.0 / sigma, min(eps / 2.0, 0.4), bounded=True)
+        inv = approx_inverse(1.0 / sigma, min(eps / 2.0, 0.4), bounded=True,
+                             max_degree=max_degree)
         # multiply by a high-pass complement whose plateau sits inside the
         # transition band
-        rect = approx_rect(sigma, delta, min(eps / 2.0, 0.4))
+        rect = approx_rect(sigma, delta, min(eps / 2.0, 0.4), max_degree)
         high = cheb.add(np.array([1.0]), -rect.cheb.cheb_coeffs.real)
         coeffs = cheb.trim(cheb.mul(inv.cheb.cheb_coeffs.real, high), 1e-15)
         sup = float(np.abs(np.polynomial.chebyshev.chebval(

@@ -124,7 +124,8 @@ def cmd_apps(args, config):
                                target=h)
         enc, rep = hamiltonian_simulate(be, args.t, args.eps,
                                         robust=args.robust,
-                                        precision=config.precision)
+                                        precision=config.precision,
+                                        max_degree=config.max_degree)
         out = {"result": "ok", "claimed_bound": rep["claimed_uses"],
                "measured": rep["measured"],
                "ledger": {"uses": rep["uses"]}}
@@ -139,7 +140,8 @@ def cmd_apps(args, config):
         a = u @ np.diag(s) @ vh
         pu = embed(a, 1.0).pu
         outcome, rep = pseudoinverse(pu, args.delta, args.eps,
-                                     precision=config.precision)
+                                     precision=config.precision,
+                                     max_degree=config.max_degree)
         out = {"result": "ok", "claimed_bound": rep["claimed"],
                "measured": rep["measured"],
                "ledger": {"degree": rep["degree"]}}
@@ -152,7 +154,8 @@ def cmd_apps(args, config):
         p = w / w.sum(axis=1, keepdims=True)
         chain = MarkovChain(p, marked=[0])
         ht, rep = markov_hitting(chain)
-        det = markov_detect(chain, max(ht, 1.0), precision=config.precision)
+        det = markov_detect(chain, max(ht, 1.0), precision=config.precision,
+                            max_degree=config.max_degree)
         out = {"result": {"hitting_time": ht},
                "claimed_bound": 2.0 / 3.0,
                "measured": det["marked_probability"],

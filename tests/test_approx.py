@@ -2,12 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from numpy.polynomial import chebyshev as npcheb
 
-from svtkit.approx import (approx_arcsin, approx_exp, approx_inverse,
+from svtkit import _chebops
+from svtkit import approx as approx_mod
+from svtkit.apps import hamsim
+from svtkit.approx import (GRID_PER_UNIT, ApproxResult, _certify,
+                           approx_arcsin, approx_exp, approx_inverse,
                            approx_monomial, approx_named, approx_rect,
                            approx_sign, approx_taylor, approx_taylor_multi,
                            approx_trig, approx_window, arcsin_series_coeffs,
                            bessel_j, fourier_from_power_series, solve_r)
+from svtkit.errors import NumericalFailure
+from svtkit.poly import ChebSeries
 
 DENSE = np.linspace(-1, 1, 20001)
 
@@ -262,10 +270,182 @@ def test_named_forwards_to_registry():
 
 
 def test_sign_cap_applies_to_returned_degree():
-    # sign(0.13, 1e-4) is a degree-505 series on [-1, 1] although its
+    # sign(0.13, 1e-4) is a degree-311 series on [-1, 1] although its
     # construction on [-2, 2] runs to degree 547
     from svtkit.errors import DegreeOverflow
     deg = approx_sign(0.13, 1e-4).degree
     assert approx_sign(0.13, 1e-4, max_degree=deg).degree == deg
     with pytest.raises(DegreeOverflow):
         approx_sign(0.13, 1e-4, max_degree=deg - 1)
+
+
+# ----------------------------------------------------------------------
+# kernels: FFT fit, DCT-I grid, one Miller table
+
+
+@settings(max_examples=40, deadline=None)
+@given(degree=st.integers(0, 600), scale=st.sampled_from([1.0, 2.0]),
+       is_complex=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_angle_grid_matches_chebval(degree, scale, is_complex, seed):
+    gen = np.random.default_rng(seed)
+    c = gen.uniform(-1, 1, degree + 1)
+    if is_complex:
+        c = c + 1j * gen.uniform(-1, 1, degree + 1)
+    xs, vals = approx_mod._angle_grid(c, scale)
+    assert xs[0] == scale and xs[-1] == -scale
+    assert np.diff(xs).min() >= -1.0 / approx_mod.GRID_PER_UNIT
+    n = len(xs)
+    idx = np.concatenate([gen.integers(0, n, 1024), np.arange(16),
+                          n - 1 - np.arange(16)])
+    y = xs[idx] / scale
+    want = npcheb.chebval(y, c)
+    # the grid values are taken at the exact angles; the rounding of each
+    # x_j to a double moves chebval's value by up to |p'(x_j)| ulp(x_j)
+    moved = np.abs(npcheb.chebval(y, npcheb.chebder(c))) * np.spacing(np.abs(y))
+    assert np.all(np.abs(vals[idx] - want)
+                  <= 1e-13 * np.abs(c).sum() + moved)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 65, 512, 1001, 4096])
+@pytest.mark.parametrize("is_complex", [False, True])
+def test_fit_matches_direct_cosine_sum(n, is_complex):
+    gen = np.random.default_rng(n)
+    v = gen.uniform(-1, 1, n)
+    if is_complex:
+        v = v + 1j * gen.uniform(-1, 1, n)
+    k = np.arange(n)
+    theta = np.pi * (k + 0.5) / n
+    direct = np.concatenate([(2.0 / n) * (np.cos(np.outer(rows, theta)) @ v)
+                             for rows in np.array_split(k, max(n // 256, 1))])
+    direct[0] /= 2
+    np.testing.assert_allclose(_chebops.fit(v, n - 1), direct, rtol=0,
+                               atol=1e-13)
+
+
+def test_bessel_j_is_a_column_of_the_table():
+    from scipy.special import jv
+    ts = [0.01, 0.7, 7.3, 40.0]
+    table = approx_mod._bessel_table(60, ts)
+    np.testing.assert_allclose(table, jv(np.arange(61)[:, None], ts),
+                               atol=1e-13)
+    for j, t in enumerate(ts):
+        np.testing.assert_allclose(bessel_j(60, t), table[:, j], atol=1e-15)
+
+
+# ----------------------------------------------------------------------
+# the angle-grid certificate
+
+
+def _line(domain):
+    """p(x) = x/2 claiming error 1e-3 on ``domain``."""
+    series = ChebSeries(np.array([0.0, 0.5]), "odd")
+    return ApproxResult(cheb=series, degree=1, claimed_sup_bound=1.0,
+                        claimed_error=1e-3, valid_domain=domain,
+                        label="line")
+
+
+def _spike(center, width):
+    """x/2 plus a spike of height 2e-3 and half-width ``width``."""
+    def target(x):
+        x = np.asarray(x, float)
+        return 0.5 * x + 2e-3 * np.maximum(0.0, 1 - np.abs(x - center) / width)
+    return target
+
+
+def _grid_gap(points):
+    """Distance from each point to the nearest angle-grid point on [-1, 1]."""
+    xs = np.sort(approx_mod._angle_grid(np.zeros(1))[0])
+    pos = np.clip(np.searchsorted(xs, points), 1, len(xs) - 1)
+    return np.minimum(np.abs(points - xs[pos - 1]), np.abs(points - xs[pos]))
+
+
+def test_certificate_checks_piece_endpoints():
+    lo, width = 0.123456789, 1e-9
+    assert _grid_gap(np.array([lo]))[0] > width
+    _certify(_line(((lo, 0.9),)), _spike(0.0, width))  # control: accepted
+    with pytest.raises(NumericalFailure, match="measured error"):
+        _certify(_line(((lo, 0.9),)), _spike(lo, width))
+
+
+def test_certificate_checks_narrow_pieces_evenly():
+    lo = 0.3
+    hi = lo + 16.0 / GRID_PER_UNIT
+    # the grid puts fewer points inside than the 33 evenly spaced ones
+    even = np.linspace(lo, hi, 33)[1:-1]
+    gaps = _grid_gap(even)
+    center, width = even[np.argmax(gaps)], 1e-6
+    assert gaps.max() > 2 * width
+    _certify(_line(((lo, hi),)), _spike(-0.5, width))  # control: accepted
+    with pytest.raises(NumericalFailure, match="measured error"):
+        _certify(_line(((lo, hi),)), _spike(center, width))
+
+
+def test_claimed_sup_is_the_grid_sup():
+    res = approx_inverse(3.0, 1e-3)
+    assert res.claimed_sup_bound == approx_mod._grid_sup(
+        res.cheb.cheb_coeffs.real)
+
+
+# ----------------------------------------------------------------------
+# the constructor memo
+
+
+class TestMemo:
+    def test_repeat_returns_identical_object(self):
+        assert approx_sign(0.3, 0.1) is approx_sign(0.3, 0.1)
+        assert approx_trig(1.3, 1e-6) is approx_trig(1.3, 1e-6)
+
+    def test_positional_and_keyword_calls_share_an_entry(self, monkeypatch):
+        monkeypatch.setattr(approx_mod, "_MEMO", {})
+        a = approx_rect(0.5, 0.1, 0.05)
+        assert approx_rect(eps_p=0.05, t=0.5, delta_p=0.1,
+                           max_degree=approx_mod.LIB_MAX_DEGREE) is a
+        assert approx_inverse(4.0, 0.01, True) is approx_inverse(
+            4.0, 0.01, bounded=True)
+        assert approx_rect(0.5, 0.1, 0.05, max_degree=600) is not a
+        assert len(approx_mod._MEMO) == 4  # the two rects, inverse, its rect
+
+    def test_returned_arrays_refuse_writes(self):
+        results = [approx_sign(0.3, 0.1), approx_rect(0.5, 0.1, 0.05),
+                   approx_inverse(4.0, 0.01), *approx_trig(1.3, 1e-6),
+                   approx_exp(2.0, 1e-4), approx_arcsin(0.3, 1e-3),
+                   approx_named("neg_power", 1e-3, c=1.0, delta=0.3),
+                   approx_window(6, 1e-3), approx_monomial(10, 5)]
+        arrays = [r.cheb.cheb_coeffs for r in results]
+        arrays.append(results[0]._wide_eval.scaled_coeffs)
+        arrays.extend(hamsim._fracq_poly(0.25, 1e-3))
+        for arr in arrays:
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
+    def test_degree_overflow_is_raised_every_time(self, monkeypatch):
+        from svtkit.errors import DegreeOverflow
+        builds = []
+        real = approx_mod._erf_sign_wide
+        monkeypatch.setattr(approx_mod, "_erf_sign_wide",
+                            lambda *a, **k: builds.append(a) or real(*a, **k))
+        for _ in range(2):
+            with pytest.raises(DegreeOverflow):
+                approx_sign(0.05, 1e-6, max_degree=10)
+        assert len(builds) == 2
+
+    def test_memo_stays_bounded(self, monkeypatch):
+        monkeypatch.setattr(approx_mod, "_MEMO", {})
+        monkeypatch.setattr(approx_mod, "_MEMO_MAX", 4)
+        built = [approx_monomial(8, d) for d in range(1, 9)]
+        assert len(approx_mod._MEMO) == 4
+        assert approx_monomial(8, 8) is built[-1]
+        assert approx_monomial(8, 1) is not built[0]
+
+    def test_fractional_query_builds_its_polynomial_once(self, monkeypatch):
+        import scipy.linalg
+        from svtkit.apps import fractional_query
+        monkeypatch.setattr(approx_mod, "_MEMO", {})
+        calls = []
+        real = hamsim.approx_taylor
+        monkeypatch.setattr(hamsim, "approx_taylor",
+                            lambda *a, **k: calls.append(a) or real(*a, **k))
+        u = scipy.linalg.expm(1j * np.diag([0.3, -0.2]))
+        for _ in range(2):
+            fractional_query(u, 0.25, 1e-3)
+        assert len(calls) == 1

@@ -191,6 +191,27 @@ def test_max_degree_honoured(argv, capsys):
     assert "DegreeOverflow" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["apps", "pinv", "--dim", "3", "--delta", "0.3", "--eps", "1e-3"],
+    ["apps", "hamsim", "--dim", "3", "--t", "3"],
+    ["apps", "markov", "--dim", "3"],
+])
+def test_apps_max_degree_honoured(argv, capsys):
+    code = main(["--max-degree", "10"] + argv)
+    assert code == 3
+    assert "DegreeOverflow" in capsys.readouterr().err
+
+
+def test_import_loads_no_scipy_fft_or_mpmath():
+    # both cost cold-import time that every CLI call pays
+    code = ("import sys, svtkit, svtkit.apps, svtkit.cli; "
+            "print([m for m in ('scipy.fft', 'mpmath') if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 @pytest.mark.parametrize("family,lo,hi", [("inverse", 2, 4),
                                           ("sign", 0.2, 0.4),
                                           ("exp", 1, 4), ("cos", 1, 4)])
