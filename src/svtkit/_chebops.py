@@ -46,11 +46,6 @@ def mul_one_minus_x2(c):
     return add(c, -mulx(mulx(c)))
 
 
-def clenshaw(c, x):
-    """Evaluate sum_j c_j T_j(x); stable for |x| <~ 1, fine slightly outside."""
-    return npcheb.chebval(x, c)
-
-
 def aberth(c, roots):
     """Simultaneous (Aberth) refinement of all roots of sum_j c_j T_j.
 
@@ -74,12 +69,6 @@ def aberth(c, roots):
         if np.abs(step).max(initial=0.0) < 1e-15:
             break
     return roots
-
-
-def unit(j, dtype=float):
-    e = np.zeros(j + 1, dtype)
-    e[j] = 1
-    return e
 
 
 def parity_of(c, rel=1e-14) -> str:

@@ -818,11 +818,17 @@ def approx_exp(beta: float, eps: float,
                max_degree: int = LIB_MAX_DEGREE) -> ApproxResult:
     """Approximation of exp(-beta (1 - x)) on [-1, 1], degree
     O(sqrt(max[beta, log(1/eps)] log(1/eps)))."""
-    if beta < 0 or not 0 < eps <= 0.5:
-        raise ValueError("need beta >= 0 and eps in (0, 1/2]")
+    if not (0 <= beta < math.inf and 0 < eps <= 0.5):
+        raise ValueError("need finite beta >= 0 and eps in (0, 1/2]")
     if beta == 0:
         series = ChebSeries(np.array([1.0]), "even")
         return ApproxResult(series, 0, 1.0, eps, ((-1.0, 1.0),), "exp(beta=0)")
+    # the weight loop below runs past beta terms, so the degree it leads
+    # to is at least this
+    low = int(math.ceil(math.sqrt(2.0 * max(beta, 1.0)
+                                  * math.log(8.0 / eps)))) + 1
+    if low > max_degree:
+        raise DegreeOverflow(f"degree at least {low} > cap {max_degree}")
     # weights w_j = e^-beta beta^j / j!, truncated so the tail is < eps/4
     ws = []
     logw = -beta
@@ -946,7 +952,9 @@ def approx_neg_power(c: float, delta: float, eps: float, parity: str = "odd",
             coef[k] = coef[k - 1] * (-(c + k - 1)) / k
         res = approx_taylor(coef, 1.0, r, delta_t, 1.0, eps / 2.0,
                             max_degree=max_degree, target=target, label=label)
-        coeffs = cheb.enforce_parity(res.cheb.cheb_coeffs.real, parity)
+        # P is below eps on [-1, delta/2], so its parity part P(x) +- P(-x)
+        # keeps P's value on [delta, 1]; enforce_parity gives half of that
+        coeffs = 2.0 * cheb.enforce_parity(res.cheb.cheb_coeffs.real, parity)
     if len(coeffs) - 1 > max_degree:
         raise DegreeOverflow(f"degree {len(coeffs)-1} > cap {max_degree}")
     sup = _grid_sup(coeffs)

@@ -9,7 +9,6 @@ import numpy as np
 from .. import _chebops as cheb
 from ..approx import approx_rect, approx_sign
 from ..blockenc import Projector, ProjectedUnitary, operator_norm
-from ..config import Precision, STANDARD
 from ..errors import (NotAnIsometryWithinTolerance, OverlapBelowThreshold,
                       SpectrumOutOfRange)
 from ..poly import ChebSeries
@@ -17,8 +16,7 @@ from ..qsp import chebyshev_phases, phases_for_target
 from ..svt import alternating_sequence, svd_bundle, svt_apply
 
 
-def fixed_point_amplify(u, pi: Projector, psi0, delta: float, eps: float,
-                        precision: Precision = STANDARD):
+def fixed_point_amplify(u, pi: Projector, psi0, delta: float, eps: float):
     """Map |psi0> to the normalized target Pi U |psi0> / a, given a > delta.
 
     Builds the odd sign-polynomial sequence on the rank-one encoding
@@ -41,8 +39,7 @@ def fixed_point_amplify(u, pi: Projector, psi0, delta: float, eps: float,
     pu = ProjectedUnitary(u, proj0, pi)
     eps_sign = eps * eps / 4.0
     sign = approx_sign(delta, eps_sign)
-    pair, refl, _ = phases_for_target(sign.cheb, tol=eps * eps / 2.0,
-                                      precision=precision)
+    pair, refl, _ = phases_for_target(sign.cheb, tol=eps * eps / 2.0)
     u_tilde, ledger = alternating_sequence(pu, refl)
     out_vec = u_tilde @ psi0
     deviation = float(np.linalg.norm(psi_g - out_vec))
@@ -83,7 +80,7 @@ def oblivious_amplify(pu: ProjectedUnitary, n: int, isometry_eps: float = 0.0):
 
 
 def amplify_singular_values(pu: ProjectedUnitary, gamma: float, delta: float,
-                            eps: float, precision: Precision = STANDARD):
+                            eps: float):
     """Multiply every singular value by gamma with relative error eps,
     assuming they all sit below (1 - delta) / gamma."""
     if gamma <= 1:
@@ -102,7 +99,7 @@ def amplify_singular_values(pu: ProjectedUnitary, gamma: float, delta: float,
     if sup > 1.0:
         p_re = p_re / sup * (1 - 1e-12)
     outcome = svt_apply(pu, ChebSeries(p_re, "odd"), kind="real_poly",
-                        delta=max(eps, 1e-8), precision=precision)
+                        delta=max(eps, 1e-8))
     block_out = pu.pi_tilde.basis().conj().T @ outcome.result @ pu.pi.basis()
     wo, so, vho = np.linalg.svd(block_out)
     rel = []

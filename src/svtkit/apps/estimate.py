@@ -13,7 +13,6 @@ import numpy as np
 
 from ..approx import approx_sign
 from ..blockenc import Projector, ProjectedUnitary
-from ..config import Precision, STANDARD
 from ..qsp import chebyshev_phases, phases_for_target
 from ..svt import alternating_sequence
 
@@ -33,7 +32,7 @@ def _controlled_walk(pu: ProjectedUnitary, n_bits: int) -> np.ndarray:
 
 
 def singular_value_estimate(pu: ProjectedUnitary, state, n_bits: int,
-                            eps: float, precision: Precision = STANDARD):
+                            eps: float):
     """Estimate cos(theta) for the singular values carried by ``state``.
 
     Returns the exact outcome distribution over the folded n-bit grid
@@ -59,8 +58,7 @@ def singular_value_estimate(pu: ProjectedUnitary, state, n_bits: int,
     # normalization constants are bounded below by ~ sqrt(1/2)
     eps_poly = min(eps / 4.0, 0.1)
     sign = approx_sign(0.35, eps_poly)
-    pair, refl, _ = phases_for_target(sign.cheb, tol=eps / 10.0,
-                                      precision=precision)
+    pair, refl, _ = phases_for_target(sign.cheb, tol=eps / 10.0)
     u_tilde, ledger = alternating_sequence(pu_sve, refl)
     init = np.kron(zero_time, state)
     vec = u_tilde @ init

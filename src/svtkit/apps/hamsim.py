@@ -12,29 +12,26 @@ from ..approx import (LIB_MAX_DEGREE, _memo, approx_arcsin, approx_exp,
                       approx_taylor, approx_trig, solve_r)
 from ..blockenc import (BlockEncoding, Projector, ProjectedUnitary,
                         operator_norm)
-from ..config import Precision, STANDARD
 from ..errors import NotHermitian, SpectrumTooWide
 from ..poly import ChebSeries
 from ..qsp import phases_for_target
 from ..svt import alternating_sequence, branch_lcu, svt_apply
 
 
-def _four_branch_circuit(pu: ProjectedUnitary, cos_coeffs, sin_coeffs,
-                         precision: Precision):
+def _four_branch_circuit(pu: ProjectedUnitary, cos_coeffs, sin_coeffs):
     """sum_{c,b} |cb><cb| (x) i^c U_{(-1)^b Phi^(c)} wrapped in Hadamards:
     the |00> block realizes (cos^(SV) + i sin^(SV)) / 2."""
     refls = []
     for coeffs in (cos_coeffs, sin_coeffs):
         arr = np.asarray(coeffs, float)
         scale = float(np.abs(arr).max())
-        _, refl, _ = phases_for_target(
-            arr, tol=max(1e-9, 1e-7 * scale), precision=precision)
+        _, refl, _ = phases_for_target(arr, tol=max(1e-9, 1e-7 * scale))
         refls.append(refl)
     circuit, ledger = branch_lcu(pu, [(1, refls[0]), (1j, refls[1])])
     return circuit, ledger["u_uses"]
 
 
-def _amplify_half(unitary_matrix, sys_dim, precision: Precision):
+def _amplify_half(unitary_matrix, sys_dim):
     """Triple-length Chebyshev amplification turning an exact encoding of
     W/2 into an encoding of W (T_3(1/2) = -1)."""
     from ..qsp import chebyshev_phases
@@ -49,7 +46,6 @@ def _amplify_half(unitary_matrix, sys_dim, precision: Precision):
 
 def hamiltonian_simulate(be: BlockEncoding, t: float, eps: float,
                          robust: bool = False,
-                         precision: Precision = STANDARD,
                          max_degree: int = LIB_MAX_DEGREE):
     """(1, a+2, eps)-encoding of e^{itH} from a block-encoding of H.
 
@@ -87,8 +83,8 @@ def hamiltonian_simulate(be: BlockEncoding, t: float, eps: float,
     margin = 1.0 - eps_poly / 2.0
     half_circ, layer_uses = _four_branch_circuit(
         be.pu, cos_r.cheb.cheb_coeffs.real * margin,
-        sin_r.cheb.cheb_coeffs.real * margin, precision)
-    amplified = _amplify_half(half_circ, be.system_dim, precision)
+        sin_r.cheb.cheb_coeffs.real * margin)
+    amplified = _amplify_half(half_circ, be.system_dim)
     want = scipy.linalg.expm(1j * t * be.alpha * h_true)
     got = amplified[: be.system_dim, : be.system_dim]
     measured = operator_norm(got - want)
@@ -128,7 +124,7 @@ def _sine_encoding(u: np.ndarray):
     return ProjectedUnitary(v, proj, proj)
 
 
-def unitary_log(u, eps: float, precision: Precision = STANDARD):
+def unitary_log(u, eps: float):
     """Encoding whose extracted block is (2/pi) H for u = e^{iH} with
     ||H|| <= 1/2, via the sine extraction and the arcsin polynomial."""
     u = np.asarray(u, complex)
@@ -140,8 +136,7 @@ def unitary_log(u, eps: float, precision: Precision = STANDARD):
     n = u.shape[0]
     sin_block = pu.u[:n, :n]
     arc = approx_arcsin(0.5, min(eps * 2.0 / math.pi, 0.4))
-    outcome = svt_apply(pu, arc.cheb, kind="real_poly",
-                        delta=max(eps, 1e-7), precision=precision)
+    outcome = svt_apply(pu, arc.cheb, kind="real_poly", delta=max(eps, 1e-7))
     block = outcome.result[:n, :n]
     h_rec = math.pi / 2.0 * block
     measured = operator_norm(h_rec - h_true)
@@ -179,8 +174,7 @@ def _exp_arcsin_series(t: float, n_terms: int):
     return out
 
 
-def fractional_query(u, t: float, eps: float,
-                     precision: Precision = STANDARD):
+def fractional_query(u, t: float, eps: float):
     """eps-approximation of u^t = e^{itH} for t in [-1, 1], ||H|| <= 1/2.
 
     For |t| <= 2/pi the Taylor series of e^{i t arcsin(x)} has coefficient
@@ -195,7 +189,7 @@ def fractional_query(u, t: float, eps: float,
     if operator_norm(h_true) > 0.5 + 1e-9:
         raise SpectrumTooWide("need ||H|| <= 1/2 on the principal branch")
     if abs(t) > 2.0 / math.pi:
-        half, rep_half = fractional_query(u, t / 2.0, eps / 4.0, precision)
+        half, rep_half = fractional_query(u, t / 2.0, eps / 4.0)
         prod = half.pu.u @ half.pu.u
         # composed circuits accumulate rounding just past the unitarity
         # invariant; polar projection moves entries by at most the defect
@@ -212,8 +206,8 @@ def fractional_query(u, t: float, eps: float,
         return enc, report
     pu = _sine_encoding(u)
     cos_c, sin_c = _fracq_poly(t, eps)
-    half_circ, layer_uses = _four_branch_circuit(pu, cos_c, sin_c, precision)
-    amplified = _amplify_half(half_circ, u.shape[0], precision)
+    half_circ, layer_uses = _four_branch_circuit(pu, cos_c, sin_c)
+    amplified = _amplify_half(half_circ, u.shape[0])
     want = _matrix_fractional_power(u, t)
     got = amplified[: u.shape[0], : u.shape[0]]
     measured = operator_norm(got - want)
@@ -260,7 +254,7 @@ def _matrix_fractional_power(u: np.ndarray, t: float) -> np.ndarray:
 
 
 def gibbs_prep(be: BlockEncoding, beta: float, eps: float,
-               sqrt_mode: bool = False, precision: Precision = STANDARD):
+               sqrt_mode: bool = False):
     """Subnormalized Gibbs state by applying exp(-(beta/2)(H+I)) (or
     exp(-(beta/2) H) via the square-root trick) to half of a maximally
     entangled pair; returns the exact normalized state plus the
@@ -305,7 +299,7 @@ def gibbs_prep(be: BlockEncoding, beta: float, eps: float,
         shift = 1.0
     from ..svt import eigenvalue_transform
     out = eigenvalue_transform(be, ChebSeries(f_coeffs / 2.0),
-                               delta=max(eps / 4, 1e-8), precision=precision)
+                               delta=max(eps / 4, 1e-8))
     f_half = out.result  # f(H)/2
     omega = np.eye(n).reshape(n * n) / math.sqrt(n)
     applied = np.kron(f_half, np.eye(n)) @ omega

@@ -8,7 +8,6 @@ import numpy as np
 
 from ..approx import LIB_MAX_DEGREE, approx_sign, approx_window
 from ..blockenc import Projector, ProjectedUnitary, embed, operator_norm
-from ..config import Precision, STANDARD
 from ..errors import (EmptyMarkedSet, GapTooSmall, NotReversible)
 from ..qsp import phases_for_target
 from ..svt import alternating_sequence, branch_lcu
@@ -96,7 +95,6 @@ def _embedded_state(vec, dim):
 
 
 def markov_detect(chain: MarkovChain, k_bound: float,
-                  precision: Precision = STANDARD,
                   max_degree: int = LIB_MAX_DEGREE):
     """One-sided test separating HT <= K from M = empty.
 
@@ -114,8 +112,7 @@ def markov_detect(chain: MarkovChain, k_bound: float,
     lam_thr = 1.0 - 1.0 / (12.0 * (k_bound + 1.0))
     b_comp = math.sqrt(max(1.0 - lam_thr ** 2, 1e-300))
     sign = approx_sign(0.9 * b_comp, 0.02, max_degree)
-    pair, refl, _ = phases_for_target(sign.cheb, tol=0.01,
-                                      precision=precision)
+    pair, refl, _ = phases_for_target(sign.cheb, tol=0.01)
     u_phi, ledger = alternating_sequence(pu, refl)
     state = _embedded_state(chain.sqrt_pi(), dim)
     out = pu.pi_tilde.matrix() @ (u_phi @ state)
@@ -130,8 +127,7 @@ def markov_detect(chain: MarkovChain, k_bound: float,
     return report
 
 
-def markov_find(chain: MarkovChain, delta: float, eps: float,
-                precision: Precision = STANDARD):
+def markov_find(chain: MarkovChain, delta: float, eps: float):
     """Prepare (approximately) the marked-restricted stationary state and
     return the exact sampling distribution over states.
 
@@ -158,8 +154,7 @@ def markov_find(chain: MarkovChain, delta: float, eps: float,
     n_win = max(2, int(math.ceil(math.acosh(1.0 / eps_w)
                                  / math.acosh(1.0 / (1.0 - 0.9 * delta)))))
     win = approx_window(n_win, eps_w)
-    pair_w, refl_w, _ = phases_for_target(win.cheb, tol=eps_w / 2.0,
-                                          precision=precision)
+    pair_w, refl_w, _ = phases_for_target(win.cheb, tol=eps_w / 2.0)
     # the Hadamard-wrapped +-Phi pair: its |0>-ancilla block is the
     # windowed discriminant
     v1, _ = branch_lcu(be.pu, [(1, refl_w)])
@@ -172,8 +167,7 @@ def markov_find(chain: MarkovChain, delta: float, eps: float,
     pu2 = ProjectedUnitary(v1, right, left)
     amp = operator_norm(pu2.encoded())
     sign = approx_sign(max(0.5 * math.sqrt(eps), 0.5 * amp), 0.02)
-    pair2, refl2, _ = phases_for_target(sign.cheb, tol=0.01,
-                                        precision=precision)
+    pair2, refl2, _ = phases_for_target(sign.cheb, tol=0.01)
     u2, _ = alternating_sequence(pu2, refl2)
     final = u2 @ zero_pi
     # marginal distribution over chain states (H on the ancilla leaves it
@@ -200,16 +194,15 @@ def markov_find(chain: MarkovChain, delta: float, eps: float,
 
 
 def markov_search(chain: MarkovChain, mode: str, *, k_bound: float = None,
-                  delta: float = None, eps: float = None,
-                  precision: Precision = STANDARD):
+                  delta: float = None, eps: float = None):
     """Dispatch: mode "detect" needs k_bound (the hitting-time cap),
     mode "find" needs (delta, eps) per the gap and marked-mass promises."""
     if mode == "detect":
         if k_bound is None:
             raise ValueError("detect mode needs k_bound")
-        return markov_detect(chain, k_bound, precision=precision)
+        return markov_detect(chain, k_bound)
     if mode == "find":
         if delta is None or eps is None:
             raise ValueError("find mode needs delta and eps")
-        return markov_find(chain, delta, eps, precision=precision)
+        return markov_find(chain, delta, eps)
     raise ValueError(f"unknown mode {mode!r}")

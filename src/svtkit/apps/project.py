@@ -8,7 +8,6 @@ import numpy as np
 
 from ..approx import approx_rect, approx_sign
 from ..blockenc import ProjectedUnitary, embed, operator_norm
-from ..config import Precision, STANDARD
 from ..errors import PromiseViolated
 from ..qsp import phases_for_target
 from ..svt import alternating_sequence, branch_lcu, svd_bundle
@@ -37,7 +36,7 @@ def threshold_projectors_exact(pu: ProjectedUnitary, interval):
 
 
 def threshold_projector(pu: ProjectedUnitary, t: float, delta: float,
-                        eps: float, precision: Precision = STANDARD):
+                        eps: float):
     """Even rectangle transformation acting as identity above t + delta
     and annihilating below t - delta, verified against the exact
     threshold projectors."""
@@ -51,8 +50,7 @@ def threshold_projector(pu: ProjectedUnitary, t: float, delta: float,
     from .. import _chebops as cheb_ops
     high = cheb_ops.add(np.array([1.0]), -rect.cheb.cheb_coeffs.real)
     pair, refl, _ = phases_for_target(
-        cheb_ops.enforce_parity(high, "even"), tol=eps / 10.0,
-        precision=precision)
+        cheb_ops.enforce_parity(high, "even"), tol=eps / 10.0)
     wrapped, ledger = branch_lcu(pu, [(1, refl)])
     dim = pu.dim
     # the wrapped circuit's top blocks are (U_Phi +- U_-Phi) / 2
@@ -68,14 +66,12 @@ def threshold_projector(pu: ProjectedUnitary, t: float, delta: float,
     return u_phi, report
 
 
-def singular_vector_transform(pu: ProjectedUnitary, delta: float, eps: float,
-                              precision: Precision = STANDARD):
+def singular_vector_transform(pu: ProjectedUnitary, delta: float, eps: float):
     """Map right singular vectors with singular value >= delta to the
     corresponding left singular vectors: the odd sign transformation."""
     eps_poly = min(eps * eps / 2.0, 0.4)
     sign = approx_sign(delta, eps_poly)
-    pair, refl, _ = phases_for_target(sign.cheb, tol=eps / 10.0,
-                                      precision=precision)
+    pair, refl, _ = phases_for_target(sign.cheb, tol=eps / 10.0)
     u_phi, ledger = alternating_sequence(pu, refl)
     bundle = svd_bundle(pu)
     bv = pu.pi.basis()
@@ -103,7 +99,7 @@ def _band_mass(pu, state, a, b):
 
 
 def discriminate(pu: ProjectedUnitary, a: float, b: float, eps: float,
-                 input_state, precision: Precision = STANDARD):
+                 input_state):
     """Decide singular value <= a versus >= b with error at most eps,
     switching to the complementary encoding when that side's gap
     sqrt(1-a^2) - sqrt(1-b^2) is wider; one-sided at a = 0 or b = 1.
@@ -132,8 +128,7 @@ def discriminate(pu: ProjectedUnitary, a: float, b: float, eps: float,
         # odd sign transformation preserves zero singular values exactly
         eps_poly = min(eps / 2.0, 0.4)
         sign = approx_sign(b_run, eps_poly)
-        pair, refl, _ = phases_for_target(sign.cheb, tol=eps / 10.0,
-                                          precision=precision)
+        pair, refl, _ = phases_for_target(sign.cheb, tol=eps / 10.0)
         u_phi, ledger = alternating_sequence(pu_run, refl)
         out = pu_run.pi_tilde.matrix() @ (u_phi @ state)
         p_accept = float(np.linalg.norm(out) ** 2)
@@ -143,8 +138,7 @@ def discriminate(pu: ProjectedUnitary, a: float, b: float, eps: float,
         dl = (b_run - a_run) / 2.0
         eps_poly = min(eps / 2.0, 0.4)
         rect = approx_rect(t, dl, eps_poly)
-        pair, refl, _ = phases_for_target(rect.cheb, tol=eps / 10.0,
-                                          precision=precision)
+        pair, refl, _ = phases_for_target(rect.cheb, tol=eps / 10.0)
         wrapped, _ = branch_lcu(pu_run, [(1, refl)])
         avg = wrapped[:pu_run.dim, :pu_run.dim]
         proj = pu_run.pi.matrix()
@@ -171,8 +165,7 @@ def discriminate(pu: ProjectedUnitary, a: float, b: float, eps: float,
     }
 
 
-def fast_or(projectors, rho, eta: float, nu: float, eps: float,
-            precision: Precision = STANDARD):
+def fast_or(projectors, rho, eta: float, nu: float, eps: float):
     """Accept with probability >= (1-eta)^2/4 - eps when some Tr[rho Pi_i]
     >= 1 - eta, and with probability <= 5 m nu + eps when the average
     acceptance is below nu.  Probabilities are exact density-matrix
@@ -203,8 +196,7 @@ def fast_or(projectors, rho, eta: float, nu: float, eps: float,
     from .. import _chebops as cheb_ops
     high = cheb_ops.enforce_parity(
         cheb_ops.add(np.array([1.0]), -rect.cheb.cheb_coeffs.real), "even")
-    pair, refl, _ = phases_for_target(high, tol=eps / 10.0,
-                                      precision=precision)
+    pair, refl, _ = phases_for_target(high, tol=eps / 10.0)
     wrapped, ledger = branch_lcu(pu_c, [(1, refl)])
     # accept = the |+>-averaged high-pass block keeps the state: for an
     # eigenvector with A-eigenvalue s the probability is P(sqrt(1-s^2))^2,

@@ -8,7 +8,6 @@ import numpy as np
 from .. import _chebops as cheb
 from ..approx import LIB_MAX_DEGREE, approx_inverse, approx_rect
 from ..blockenc import ProjectedUnitary, operator_norm
-from ..config import Precision, STANDARD
 from ..errors import SpectrumBelowDelta
 from ..poly import ChebSeries
 from ..svt import svd_bundle, svt_apply
@@ -17,7 +16,6 @@ from .project import threshold_projectors_exact
 
 def pseudoinverse(pu: ProjectedUnitary, delta: float, eps: float,
                   threshold_mode: float = None,
-                  precision: Precision = STANDARD,
                   max_degree: int = LIB_MAX_DEGREE):
     """Encode (delta/2) A^+ within eps (plain), or the threshold variant
     Pi_{>=sigma} (sigma/2) A^+ Pi~_{>=sigma} when ``threshold_mode`` is a
@@ -51,7 +49,7 @@ def pseudoinverse(pu: ProjectedUnitary, delta: float, eps: float,
         scale = sigma / 2.0
     p_re = ChebSeries(cheb.enforce_parity(coeffs, "odd"), "odd")
     outcome = svt_apply(pu.dagger(), p_re, kind="real_poly",
-                        delta=max(eps, 1e-7), precision=precision)
+                        delta=max(eps, 1e-7))
     pinv_exact = np.linalg.pinv(pu.encoded(), rcond=1e-10)
     if threshold_mode is None:
         target = scale * pinv_exact
@@ -73,12 +71,11 @@ def pseudoinverse(pu: ProjectedUnitary, delta: float, eps: float,
 
 
 def pcr_solve(pu: ProjectedUnitary, b_vec, sigma: float, delta: float,
-              eps: float, precision: Precision = STANDARD):
+              eps: float):
     """Principal component regression: x = A^+ Pi~_{>=sigma} b via the
     threshold pseudoinverse, with the residual checked against the
     normal-equations least squares on the projected operator."""
-    outcome, rep = pseudoinverse(pu, delta, eps, threshold_mode=sigma,
-                                 precision=precision)
+    outcome, rep = pseudoinverse(pu, delta, eps, threshold_mode=sigma)
     b_vec = np.asarray(b_vec, complex)
     scale = rep["scale"]
     x_hat = (outcome.result @ b_vec) / scale

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -39,6 +40,22 @@ def _emit(obj, args) -> None:
 
 def _precision(args) -> Precision:
     return STANDARD if args.precision == "standard" else extended()
+
+
+def finite_float(text: str) -> float:
+    """argparse type of every float flag: inf and nan are refused."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not finite")
+    return value
+
+
+def positive_float(text: str) -> float:
+    """argparse type of tolerance flags: finite and above zero."""
+    value = finite_float(text)
+    if value <= 0:
+        raise ValueError(f"{text!r} is not above zero")
+    return value
 
 
 def _build_poly(args, config):
@@ -96,8 +113,7 @@ def cmd_svt(args, config):
     with open(args.poly_file) as fh:
         series = ChebSeries.from_json(json.load(fh)["poly"])
     be = embed(a, args.alpha)
-    outcome = svt_apply(be.pu, series, kind="real_poly", delta=args.tol,
-                        precision=config.precision)
+    outcome = svt_apply(be.pu, series, kind="real_poly", delta=args.tol)
     out = {
         "result": matrix_to_json(outcome.result),
         "measured_error_vs_oracle": float(outcome.measured_error),
@@ -111,6 +127,8 @@ def cmd_apps(args, config):
     from .apps import (hamiltonian_simulate, markov_detect, markov_hitting,
                        MarkovChain, pseudoinverse)
 
+    if not 1 <= args.dim <= MAX_MATRIX_DIM:
+        raise ValueError(f"--dim must lie in [1, {MAX_MATRIX_DIM}]")
     rng = np.random.default_rng(config.seed)
     if args.app == "hamsim":
         dim = args.dim
@@ -124,7 +142,6 @@ def cmd_apps(args, config):
                                target=h)
         enc, rep = hamiltonian_simulate(be, args.t, args.eps,
                                         robust=args.robust,
-                                        precision=config.precision,
                                         max_degree=config.max_degree)
         out = {"result": "ok", "claimed_bound": rep["claimed_uses"],
                "measured": rep["measured"],
@@ -140,7 +157,6 @@ def cmd_apps(args, config):
         a = u @ np.diag(s) @ vh
         pu = embed(a, 1.0).pu
         outcome, rep = pseudoinverse(pu, args.delta, args.eps,
-                                     precision=config.precision,
                                      max_degree=config.max_degree)
         out = {"result": "ok", "claimed_bound": rep["claimed"],
                "measured": rep["measured"],
@@ -154,8 +170,7 @@ def cmd_apps(args, config):
         p = w / w.sum(axis=1, keepdims=True)
         chain = MarkovChain(p, marked=[0])
         ht, rep = markov_hitting(chain)
-        det = markov_detect(chain, max(ht, 1.0), precision=config.precision,
-                            max_degree=config.max_degree)
+        det = markov_detect(chain, max(ht, 1.0), max_degree=config.max_degree)
         out = {"result": {"hitting_time": ht},
                "claimed_bound": 2.0 / 3.0,
                "measured": det["marked_probability"],
@@ -170,7 +185,7 @@ SWEPT_FIELD = {"inverse": "kappa", "sign": "delta", "exp": "beta", "cos": "t"}
 
 
 def cmd_sweep(args, config):
-    lo, hi = (float(v) for v in args.range.split(".."))
+    lo, hi = (finite_float(v) for v in args.range.split(".."))
     values = np.linspace(lo, hi, args.steps)
     field = SWEPT_FIELD.get(args.family)
     if field is None:
@@ -209,12 +224,12 @@ def build_parser() -> argparse.ArgumentParser:
     def add_family_args(p, required=True):
         p.add_argument("--family", required=required,
                        choices=list(approx.FAMILIES))
-        p.add_argument("--delta", type=float, default=0.1)
-        p.add_argument("--eps", type=float, default=1e-4)
-        p.add_argument("--t", type=float, default=1.0)
-        p.add_argument("--kappa", type=float, default=2.0)
-        p.add_argument("--beta", type=float, default=1.0)
-        p.add_argument("--c", type=float, default=1.0)
+        p.add_argument("--delta", type=finite_float, default=0.1)
+        p.add_argument("--eps", type=finite_float, default=1e-4)
+        p.add_argument("--t", type=finite_float, default=1.0)
+        p.add_argument("--kappa", type=finite_float, default=2.0)
+        p.add_argument("--beta", type=finite_float, default=1.0)
+        p.add_argument("--c", type=finite_float, default=1.0)
         p.add_argument("--s", type=int, default=10)
         p.add_argument("--d", type=int, default=5)
         p.add_argument("--n", type=int, default=8)
@@ -229,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_family_args(p_ph, required=False)
     p_ph.add_argument("--poly", dest="poly_file",
                       help="existing poly JSON instead of --family")
-    p_ph.add_argument("--tol", type=float, default=None,
+    p_ph.add_argument("--tol", type=positive_float, default=None,
                       help="phase reconstruction tolerance (default eps/10)")
     p_ph.set_defaults(fn=cmd_phases)
 
@@ -237,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_enc.add_argument("--matrix", required=True, help="matrix JSON file")
     p_enc.add_argument("--mode", default="dilation",
                        choices=["dilation", "sparse"])
-    p_enc.add_argument("--alpha", type=float, default=1.0)
+    p_enc.add_argument("--alpha", type=finite_float, default=1.0)
     p_enc.add_argument("--row-sparsity", type=int, default=1)
     p_enc.add_argument("--col-sparsity", type=int, default=1)
     p_enc.set_defaults(fn=cmd_encode)
@@ -245,16 +260,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_svt = sub.add_parser("svt", help="run a transformation and verify")
     p_svt.add_argument("--matrix", required=True)
     p_svt.add_argument("--poly", dest="poly_file", required=True)
-    p_svt.add_argument("--alpha", type=float, default=1.0)
-    p_svt.add_argument("--tol", type=float, default=1e-7)
+    p_svt.add_argument("--alpha", type=finite_float, default=1.0)
+    p_svt.add_argument("--tol", type=positive_float, default=1e-7)
     p_svt.set_defaults(fn=cmd_svt)
 
     p_apps = sub.add_parser("apps", help="run a derived algorithm")
     p_apps.add_argument("app", choices=["hamsim", "pinv", "markov"])
     p_apps.add_argument("--dim", type=int, default=4)
-    p_apps.add_argument("--t", type=float, default=1.0)
-    p_apps.add_argument("--eps", type=float, default=1e-6)
-    p_apps.add_argument("--delta", type=float, default=0.2)
+    p_apps.add_argument("--t", type=finite_float, default=1.0)
+    p_apps.add_argument("--eps", type=finite_float, default=1e-6)
+    p_apps.add_argument("--delta", type=finite_float, default=0.2)
     p_apps.add_argument("--robust", action="store_true")
     p_apps.set_defaults(fn=cmd_apps)
 
@@ -266,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--family", required=True)
     p_sw.add_argument("--range", required=True, help="lo..hi")
     p_sw.add_argument("--steps", type=int, default=8)
-    p_sw.add_argument("--eps", type=float, default=1e-4)
+    p_sw.add_argument("--eps", type=finite_float, default=1e-4)
     p_sw.set_defaults(fn=cmd_sweep)
     return ap
 
@@ -281,7 +296,8 @@ def main(argv=None) -> int:
         config = RunConfig(precision=_precision(args),
                            max_degree=args.max_degree, seed=args.seed)
         return args.fn(args, config)
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OverflowError, OSError, KeyError) as exc:
+        # OverflowError: a finite parameter too large to compute with
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except SvtError as exc:

@@ -2,14 +2,15 @@
 
 Two routes turn a target into phases, both in double precision:
 
-- symmetric phase finding (`phases_for_target`, for real targets of
-  definite parity): Newton iteration on symmetric sandwich phases so that
-  Re<0|U_Phi(x)|0> matches the target at Chebyshev nodes;
-- completion + stripping (`complete`, `complete_complex`,
-  `phases_from_pq`): the target is completed to a unitary-valued pair
-  (P, Q) with |P|^2 + (1-x^2)|Q|^2 = 1, and phases are peeled off one
-  layer at a time in the Chebyshev basis, which keeps the recursion
-  conditioned near |x| = 1.  Complex targets take this route.
+- real targets of definite parity (`phases_for_target`, `real_qsp`,
+  `complete`) go through the symmetric-phase solver: Newton iteration
+  on symmetric sandwich phases so that Re<0|U_Phi(x)|0> matches the
+  target at Chebyshev nodes.  `complete` returns the unitary-valued pair
+  (P, Q), |P|^2 + (1-x^2)|Q|^2 = 1, that those phases realize;
+- complex targets go through `complete_complex`, which finds Q by root
+  pairing, and `phases_from_pq`, which peels the phases off one layer
+  at a time in the Chebyshev basis, keeping the recursion conditioned
+  near |x| = 1.
 
 The sandwich-convention sequence is converted to the reflection
 convention that the higher-dimensional transformation code consumes.
@@ -28,8 +29,6 @@ from .config import Precision, STANDARD
 from .errors import (ConventionMismatch, Inadmissible, NotSubunit,
                      NumericalFailure)
 from .poly import ChebSeries, ParityPoly, convert
-
-ROOT_METHOD_MAX_DEGREE = 40  # above this, completion switches to FFT factorization
 
 
 def _as_cheb_array(p) -> np.ndarray:
@@ -282,206 +281,17 @@ def check_admissible(p, convention: str = "complex_full", n_grid: int = 2000,
 
 
 # ----------------------------------------------------------------------
-# completion: factor A = 1 - p^2 - (1-x^2) q^2 as B^2 + (1-x^2) C^2
+# completion
 
 
-def _mul_factor(B, C, b, c):
-    """(B + i s C)(b + i s c) with s = sqrt(1-x^2), Chebyshev basis."""
-    newB = cheb.add(cheb.mul(B, b), -cheb.mul_one_minus_x2(cheb.mul(C, c)))
-    newC = cheb.add(cheb.mul(B, c), cheb.mul(C, b))
-    return newB, newC
-
-
-def _sos_factor_from_roots(A: np.ndarray):
-    """Root-classification route of the clever-sum-of-squares lemma."""
-    mono = npcheb.cheb2poly(A)
-    seeds = np.polynomial.polynomial.polyroots(mono)
-    roots = cheb.aberth(A, seeds)
-
-    # double-precision roots scatter by ~sqrt(eps * conditioning) around
-    # multiple roots, so near-axis structure within 3e-7 is treated as
-    # exactly on the axis (the factor differs by the square of the snap)
-    tol = 3e-7
-    B = np.array([1.0])
-    C = np.zeros(1)
-    reals_01 = []
-    zeros_at_origin = 0
-    for s in roots:
-        scale = 1 + abs(s)
-        re, im = s.real, s.imag
-        if abs(im) < tol * scale:
-            im = 0.0
-        if abs(re) < tol * scale:
-            re = 0.0
-        if im == 0.0:
-            if re < 0:
-                continue
-            if re == 0.0:
-                zeros_at_origin += 1
-                continue
-            if re < 1 - 1e-9:
-                reals_01.append(re)
-            else:
-                sv = max(re, 1.0)
-                B, C = _mul_factor(B, C,
-                                   np.array([0.0, math.sqrt(sv * sv - 1)]),
-                                   np.array([sv]))
-        else:
-            if im < 0 or re < 0:
-                continue
-            if re == 0.0:
-                m = im
-                B, C = _mul_factor(B, C,
-                                   np.array([0.0, math.sqrt(m * m + 1)]),
-                                   np.array([m]))
-            else:
-                a, b = re, im
-                c_ = (a * a + b * b
-                      + math.sqrt(2 * (a * a + 1) * b * b
-                                  + (a * a - 1) ** 2 + b ** 4))
-                bpoly = np.array([c_ / 2 - (a * a + b * b), 0.0, c_ / 2])
-                cpoly = np.array([0.0, math.sqrt(c_ * c_ - 1)])
-                B, C = _mul_factor(B, C, bpoly, cpoly)
-    # zeros at the origin and interior real roots need even multiplicity;
-    # each pair contributes a real factor multiplying both B and C
-    if zeros_at_origin % 2:
-        raise NotSubunit("odd-multiplicity root at x = 0 (tangency)")
-    for _ in range(zeros_at_origin // 2):
-        B = cheb.mulx(B)  # contributes x^{|S_0|/2} to the factor
-        C = cheb.mulx(C)
-    reals_01.sort()
-    i = 0
-    while i < len(reals_01):
-        if i + 1 >= len(reals_01) or reals_01[i + 1] - reals_01[i] > 3e-5 * (1 + reals_01[i]):
-            raise NotSubunit(
-                f"odd-multiplicity real root near x = {reals_01[i]:.6g} "
-                "(|target| touches 1 inside (-1, 1))")
-        s = 0.5 * (reals_01[i] + reals_01[i + 1])
-        factor = np.array([0.5 - s * s, 0.0, 0.5])  # x^2 - s^2
-        B = cheb.mul(B, factor)
-        C = cheb.mul(C, factor)
-        i += 2
-    return B, C
-
-
-def _spectral_outer_factor(A: np.ndarray) -> np.ndarray:
-    """Outer factor G of R(theta) = A(cos theta) = |G(e^{2 i theta})|^2
-    via the cepstrum; G has well-scaled coefficients at any degree."""
-    A = np.asarray(A, float)
-    nA = len(A) - 1
-    k = nA // 2
-    nfft = 1
-    while nfft < 64 * (k + 1):
-        nfft *= 2
-    nfft = min(nfft, 1 << 22)
-    theta = math.pi * np.arange(nfft) / nfft
-    R = npcheb.chebval(np.cos(theta), A)
-    R = np.maximum(R, 1e-290)
-    cep = np.fft.ifft(np.log(R)).real
-    h = np.zeros(nfft)
-    h[0] = cep[0] / 2
-    h[1:nfft // 2] = cep[1:nfft // 2]
-    h[nfft // 2] = cep[nfft // 2] / 2
-    return np.fft.ifft(np.exp(np.fft.fft(h))).real[: k + 1]
-
-
-def _sos_factor_spectral(A: np.ndarray):
-    """FFT (cepstral) spectral factorization: degree-robust route.
-
-    Samples R(theta) = A(cos theta) >= 0, factors |G|^2 = R on the circle
-    with G outer, and reads off B, C from the Laurent coefficients.
-    """
-    A = np.asarray(A, float)
-    nA = len(A) - 1
-    k = nA // 2
-    g = _spectral_outer_factor(A)
-    # Laurent coefficients of W(z) = z^-k G(z^2): w_{-k+2j} = g_j
-    B = np.zeros(k + 1)
-    Cs = np.zeros(k + 1)
-    for j in range(k + 1):
-        m = -k + 2 * j
-        am = abs(m)
-        wp = g[j]
-        if m == 0:
-            B[0] += wp
-        elif m > 0:
-            B[am] += wp
-            Cs[am] += wp
-        else:
-            B[am] += wp
-            Cs[am] -= wp
-    # sin(m t) = sin(t) U_{m-1}(cos t): expand U_{m-1} over T_j
-    C = np.zeros(max(k, 1))
-    for m in range(1, k + 1):
-        cm = Cs[m]
-        if cm == 0.0:
-            continue
-        j = m - 1
-        while j > 0:
-            C[j] += 2 * cm
-            j -= 2
-        if j == 0:
-            C[0] += cm
-    return cheb.trim(B, 1e-300), cheb.trim(C, 1e-300)
-
-
-def _sos_polish(A, B, C, iters=8):
-    """Newton least-squares polish of A ~ B^2 + (1-x^2) C^2, preserving
-    the parity patterns of B and C."""
-    nA = len(A)
-    best = None
-    for _ in range(iters):
-        D = cheb.add(cheb.mul(B, B), cheb.mul_one_minus_x2(cheb.mul(C, C)))
-        m = max(nA, len(D), 2 * len(B) - 1, 2 * len(C) + 1)
-        E = np.zeros(m)
-        E[:nA] += A
-        E[: len(D)] -= D
-        resid = np.abs(E).max()
-        if best is None or resid < best[0]:
-            best = (resid, B.copy(), C.copy())
-        if resid < 1e-15 * max(1.0, np.abs(A).max()):
-            break
-        colsB = [j for j in range(len(B)) if (j % 2) == ((len(B) - 1) % 2)]
-        colsC = [j for j in range(len(C)) if (j % 2) == ((len(C) - 1) % 2)]
-        M = np.zeros((m, len(colsB) + len(colsC)))
-        for idx, j in enumerate(colsB):
-            t = 2 * cheb.mul(B, cheb.unit(j))
-            M[: len(t), idx] = t
-        for idx, j in enumerate(colsC):
-            t = 2 * cheb.mul_one_minus_x2(cheb.mul(C, cheb.unit(j)))
-            M[: len(t), len(colsB) + idx] = t
-        sol, *_ = np.linalg.lstsq(M, E, rcond=None)
-        B = B.copy()
-        C = C.copy()
-        for idx, j in enumerate(colsB):
-            B[j] += sol[idx]
-        for idx, j in enumerate(colsC):
-            C[j] += sol[len(colsB) + idx]
-    # keep the best iterate in case the last step overshot
-    D = cheb.add(cheb.mul(B, B), cheb.mul_one_minus_x2(cheb.mul(C, C)))
-    m = max(nA, len(D))
-    E = np.zeros(m)
-    E[:nA] += A
-    E[: len(D)] -= D
-    if best is not None and best[0] < np.abs(E).max():
-        return best[1], best[2]
-    return B, C
-
-
-def _completion_gap(p, q):
-    """A = 1 - p^2 - (1-x^2) q^2 for real Chebyshev targets p, q.
-
-    Refuses a target without definite parity (Inadmissible) and one whose
-    A dips below -1e-12 (NotSubunit), on a 2001-point grid and at the
-    minima between its points.
-    """
-    for name, c in (("p", p), ("q", q)):
-        if np.abs(c).max() > 1e-13 and cheb.parity_of(c) == "none":
-            raise Inadmissible(f"target {name} must have definite parity")
-    A = cheb.add(np.array([1.0]), -cheb.mul(p, p))
-    if np.abs(q).max() > 0:
-        A = cheb.add(A, -cheb.mul_one_minus_x2(cheb.mul(q, q)))
-    A = cheb.trim(A, 1e-16)
+def _completion_gap(p):
+    """Refuse a real Chebyshev target p without definite parity
+    (Inadmissible) and one where A = 1 - p^2 dips below -1e-12
+    (NotSubunit), on a 2001-point grid and at the minima between its
+    points."""
+    if np.abs(p).max() > 1e-13 and cheb.parity_of(p) == "none":
+        raise Inadmissible("target p must have definite parity")
+    A = cheb.trim(cheb.add(np.array([1.0]), -cheb.mul(p, p)), 1e-16)
     xs = np.cos(np.linspace(0, math.pi, 2001))
     Avals = npcheb.chebval(xs, A)
     # a dip below zero hides between grid points near a small grid
@@ -499,98 +309,35 @@ def _completion_gap(p, q):
     worst = int(np.nanargmin(Avals))
     if Avals[worst] < -1e-12:
         raise NotSubunit(
-            f"p^2 + (1-x^2) q^2 exceeds 1 by {-Avals[worst]:.2e} "
-            f"near x = {xs[worst]:.6g}")
-    return A
+            f"p^2 exceeds 1 by {-Avals[worst]:.2e} near x = {xs[worst]:.6g}")
 
 
-def complete(p_re, q_re=None, method: str = "auto",
-             tol: float = 1e-10) -> SignalPair:
-    """Complete real targets (p, q) to a unitary-valued SignalPair.
+def complete(p_re, tol: float = 1e-10) -> SignalPair:
+    """Complete a real target p to a unitary-valued SignalPair with Re P = p.
 
-    Factors A = 1 - p^2 - (1-x^2) q^2 as B^2 + (1-x^2) C^2 following the
-    root-classification construction (multisets S_0, S_(0,1), S_[1,inf),
-    S_I, S_C, with the parity-fixing multiplication by x + i sqrt(1-x^2)
-    when the degree deficit calls for it) and returns P = p + iB,
-    Q = q + iC.  Degrees above 40 switch to the spectral-factorization
-    route for the initial factor; both finish with a Newton polish of the
-    sum-of-squares identity.
+    Trailing coefficients below 1e-11 max(1, max|c|), the threshold at
+    which SignalPair declares its degree, are cut first.  A target without
+    definite parity is refused (Inadmissible), and so is one that exceeds
+    1 in magnitude (NotSubunit).  A constant p completes in closed form to
+    P = p + i sqrt(1 - p^2), Q = 0; any other p takes the pair the
+    symmetric-phase Newton solver realizes.  |Re P - p| above ``tol``
+    against the uncut target on a 1000-point grid, or a unitarity defect
+    above ``tol``, raises NumericalFailure.
     """
-    # negligible trailing coefficients are invisible to the factorization
-    # (they enter A squared); the coefficient-space polish re-resolves them
-    p = np.real_if_close(_as_cheb_array(p_re)).real.astype(float)
-    p = cheb.trim(p, 1e-11)
-    if q_re is None:
-        q = np.zeros(1)
-    else:
-        q = np.real_if_close(_as_cheb_array(q_re)).real.astype(float)
-        q = cheb.trim(q, 1e-11)
-    k = max(cheb.degree(p), cheb.degree(q) + 1)
-    A = _completion_gap(p, q)
-
-    if cheb.degree(A, 1e-14) == 0 and abs(npcheb.chebval(0.3, A)) < 1e-14:
-        # already unitary-valued: A == 0
-        return SignalPair(p.astype(complex), q.astype(complex), tol=max(tol, 1e-9))
-
-    if method == "auto":
-        method = "roots" if k <= ROOT_METHOD_MAX_DEGREE else "spectral"
-        fallback = "spectral" if method == "roots" else "roots"
-    else:
-        fallback = None
-    if method not in ("roots", "spectral"):
-        raise ValueError(f"unknown method {method!r}")
-
-    def build(which):
-        if which == "roots":
-            return _sos_factor_from_roots(A)
-        return _sos_factor_spectral(A)
-
-    def finish(which):
-        B, C = build(which)
-        # parity fix per the lemma's closing argument
-        degB = cheb.degree(B, 1e-9)
-        if np.abs(B).max() > 0 and degB % 2 != k % 2:
-            B, C = _mul_factor(B, C, np.array([0.0, 1.0]), np.array([1.0]))
-        # pad to the structural arity so the polish can resolve top
-        # coefficients that fell below the factorization's resolution
-        if len(B) < k + 1:
-            B = np.pad(B, (0, k + 1 - len(B)))
-        if len(C) < max(k, 1):
-            C = np.pad(C, (0, max(k, 1) - len(C)))
-        # scale K^2 via least squares of A against B^2 + (1-x^2) C^2
-        D = cheb.add(cheb.mul(B, B), cheb.mul_one_minus_x2(cheb.mul(C, C)))
-        n = max(len(A), len(D))
-        Af = np.zeros(n); Af[: len(A)] = A
-        Df = np.zeros(n); Df[: len(D)] = D
-        denom = float(Df @ Df)
-        if denom <= 0:
-            raise NumericalFailure("degenerate factorization")
-        K2 = float(Af @ Df) / denom
-        if K2 < 0:
-            raise NumericalFailure("negative scale in completion")
-        B = math.sqrt(K2) * B
-        C = math.sqrt(K2) * C
-        B, C = _sos_polish(Af, B, C)
-        return _assemble_pair(p, q, B, C, tol)
-
-    try:
-        return finish(method)
-    except (NumericalFailure, NotSubunit):
-        if fallback is None:
-            raise
-        return finish(fallback)
-
-
-def _assemble_pair(p, q, B, C, tol):
-    n = max(len(p), len(B))
-    P = np.zeros(n, complex)
-    P[: len(p)] += p
-    P[: len(B)] += 1j * B
-    m = max(len(q), len(C), 1)
-    Q = np.zeros(m, complex)
-    Q[: len(q)] += q
-    Q[: len(C)] += 1j * C
-    return SignalPair(P, Q, tol=tol)
+    c = _as_cheb_array(p_re).real.astype(float)
+    p = _degree_cut(c, math.inf)
+    _completion_gap(p)
+    if len(p) == 1:
+        root = math.sqrt(max(0.0, 1.0 - p[0] * p[0]))
+        return SignalPair(np.array([complex(p[0], root)]), np.zeros(1),
+                          tol=tol)
+    _, pair, _ = _symmetric_phases(p, NEWTON_GOAL)
+    err = float(np.abs(pair.p_value(_CERT_GRID).real
+                       - npcheb.chebval(_CERT_GRID, c)).max())
+    if err > tol:
+        raise NumericalFailure(
+            f"completion misses the target by {err:.2e} (tol {tol:.0e})")
+    return pair.validate(tol)
 
 
 def complete_complex(p, tol: float = 1e-9) -> SignalPair:
@@ -911,14 +658,16 @@ def _symmetric_phases(c: np.ndarray, goal: float):
 
 _PHASE_CACHE: dict = {}
 _PHASE_CACHE_MAX = 128
+# the 1000-point grid on which realized targets are certified
+_CERT_GRID = np.cos(np.linspace(0.0005, math.pi - 0.0005, 1000))
 
 
 def _degree_cut(c: np.ndarray, tol: float) -> np.ndarray:
     """Drop the trailing coefficients below 1e-11 max(1, max|c|) while
     their summed magnitude, a bound on what they move, stays within
-    tol / 10.  The threshold is where `complete`'s pair stops resolving
-    coefficients, so the degree, and with it the phase count, is the one
-    completion gives."""
+    tol / 10.  SignalPair declares degree by the same threshold, and
+    `complete` cuts by it alone (tol = inf), so the phase count is the
+    one completion gives unless that tail is too heavy to drop."""
     a = np.abs(c)
     thr = 1e-11 * max(1.0, float(a.max()))
     small = np.maximum.accumulate(a[::-1]) <= thr
@@ -950,13 +699,12 @@ def phases_for_target(p_re, tol: float = 1e-8,
     coeffs = _degree_cut(c.real, tol)
     if not coeffs.any():
         coeffs = np.zeros(2)  # zero is realized by one layer, as odd
-    _completion_gap(coeffs, np.zeros(1))
+    _completion_gap(coeffs)
     sandwich, pair, resid = _symmetric_phases(
         coeffs, max(NEWTON_GOAL, tol / 10))
     refl = to_reflection(sandwich)
-    xs = np.cos(np.linspace(0.0005, math.pi - 0.0005, 1000))
-    err = float(np.abs(qsp_eval(refl, xs)[:, 0, 0].real
-                       - npcheb.chebval(xs, c.real)).max())
+    err = float(np.abs(qsp_eval(refl, _CERT_GRID)[:, 0, 0].real
+                       - npcheb.chebval(_CERT_GRID, c.real)).max())
     if err > tol:
         raise NumericalFailure(
             f"reconstruction error {err:.2e} above requested {tol:.0e} "

@@ -20,7 +20,6 @@ from numpy.polynomial import chebyshev as npcheb
 from . import _chebops as cheb
 from .blockenc import (BlockEncoding, Projector, ProjectedUnitary,
                        is_unitary, operator_norm, sandwich)
-from .config import Precision, STANDARD
 from .errors import (ConventionMismatch, Inadmissible, NumericalFailure,
                      ParityMismatch)
 from .poly import ChebSeries, ParityPoly
@@ -368,8 +367,7 @@ class SvtOutcome:
 
 
 def svt_apply(pu: ProjectedUnitary, target, kind: str = "real_poly",
-              delta: float = 1e-8,
-              precision: Precision = STANDARD) -> SvtOutcome:
+              delta: float = 1e-8) -> SvtOutcome:
     """Apply polynomial singular value transformation to an encoding.
 
     kind = "complex_poly": target is a SignalPair (or an admissible
@@ -379,8 +377,6 @@ def svt_apply(pu: ProjectedUnitary, target, kind: str = "real_poly",
         parity; the doubled +-Phi circuit with a |+> ancilla realizes
         P_Re^(SV).
     kind = "hermitian_eig": see `eigenvalue_transform`.
-
-    Phase synthesis runs in double precision whatever ``precision`` says.
     """
     if kind == "hermitian_eig":
         raise ValueError("use eigenvalue_transform for hermitian_eig")
@@ -412,8 +408,7 @@ def svt_apply(pu: ProjectedUnitary, target, kind: str = "real_poly",
     rep = check_admissible(c, "real_target")
     if not rep["admissible"]:
         raise Inadmissible(f"real target inadmissible: {rep}")
-    pair, refl, phase_rep = phases_for_target(
-        c, tol=delta / 2.0, precision=precision)
+    pair, refl, phase_rep = phases_for_target(c, tol=delta / 2.0)
     n = len(refl.phis)
     # |0><0| (x) U_Phi + |1><1| (x) U_{-Phi}: the physical circuit when the
     # projector phases run through the shared ancilla of the C-Pi-NOT
@@ -448,7 +443,6 @@ def _lift_projector(p: Projector, dim: int) -> Projector:
 
 
 def eigenvalue_transform(be: BlockEncoding, target, delta: float = 1e-8,
-                         precision: Precision = STANDARD,
                          complex_target: bool = False) -> SvtOutcome:
     """Polynomial eigenvalue transformation of arbitrary parity.
 
@@ -465,7 +459,7 @@ def eigenvalue_transform(be: BlockEncoding, target, delta: float = 1e-8,
     from .qsp import _as_cheb_array
 
     if complex_target:
-        return _eigenvalue_transform_complex(be, target, delta, precision)
+        return _eigenvalue_transform_complex(be, target, delta)
     a_mat = be.extract() / be.alpha
     if operator_norm(a_mat - a_mat.conj().T) > 1e-9:
         raise Inadmissible("encoded operator is not Hermitian")
@@ -480,8 +474,7 @@ def eigenvalue_transform(be: BlockEncoding, target, delta: float = 1e-8,
     for cc in (c_even, c_odd):
         refl = None  # a vanishing parity component: the +-identity pair
         if np.abs(cc).max() >= 1e-14:
-            _, refl, _ = phases_for_target(cc, tol=delta / 2.0,
-                                           precision=precision)
+            _, refl, _ = phases_for_target(cc, tol=delta / 2.0)
         terms.append((1, refl))
     wrapped, ledger = branch_lcu(be.pu, terms)
     degree_used = ledger["u_uses"] if ledger else 0
@@ -503,7 +496,7 @@ def _poly_of_hermitian(a: np.ndarray, cheb_coeffs) -> np.ndarray:
     return v @ np.diag(vals) @ v.conj().T
 
 
-def _eigenvalue_transform_complex(be, target, delta, precision):
+def _eigenvalue_transform_complex(be, target, delta):
     """Four-parity-term route for complex P with |P| <= 1/4: real and
     imaginary parts transform separately and one selection qubit adds
     the i-weighted imaginary branch."""
@@ -517,8 +510,8 @@ def _eigenvalue_transform_complex(be, target, delta, precision):
     a_mat = be.extract() / be.alpha
     if operator_norm(a_mat - a_mat.conj().T) > 1e-9:
         raise Inadmissible("encoded operator is not Hermitian")
-    out_re = eigenvalue_transform(be, ChebSeries(c.real), delta, precision)
-    out_im = eigenvalue_transform(be, ChebSeries(c.imag), delta, precision)
+    out_re = eigenvalue_transform(be, ChebSeries(c.real), delta)
+    out_im = eigenvalue_transform(be, ChebSeries(c.imag), delta)
     wrapped = _hadamard_wrap([out_re.u_phi, 1j * out_im.u_phi])
     d_sys = be.system_dim
     result = wrapped[:d_sys, :d_sys] * 2.0  # the |+> average halves again

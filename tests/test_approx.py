@@ -10,10 +10,11 @@ from svtkit import approx as approx_mod
 from svtkit.apps import hamsim
 from svtkit.approx import (GRID_PER_UNIT, ApproxResult, _certify,
                            approx_arcsin, approx_exp, approx_inverse,
-                           approx_monomial, approx_named, approx_rect,
-                           approx_sign, approx_taylor, approx_taylor_multi,
-                           approx_trig, approx_window, arcsin_series_coeffs,
-                           bessel_j, fourier_from_power_series, solve_r)
+                           approx_monomial, approx_named, approx_neg_power,
+                           approx_rect, approx_sign, approx_taylor,
+                           approx_taylor_multi, approx_trig, approx_window,
+                           arcsin_series_coeffs, bessel_j,
+                           fourier_from_power_series, solve_r)
 from svtkit.errors import NumericalFailure
 from svtkit.poly import ChebSeries
 
@@ -236,6 +237,17 @@ class TestNamed:
     def test_exp_family(self):
         res = approx_exp(3.0, 1e-5)
         assert np.abs(res.evaluate(DENSE) - np.exp(-3 * (1 - DENSE))).max() <= 1e-5
+
+    @pytest.mark.parametrize("c, delta, eps, parity", [
+        (0.5, 0.3, 1e-3, "odd"), (0.5, 0.3, 1e-3, "even"),
+        (1.5, 0.2, 1e-3, "odd"), (0.25, 0.4, 1e-4, "even")])
+    def test_neg_power_non_integer(self, c, delta, eps, parity):
+        # the Taylor route; the constructor's own certificate must pass
+        res = approx_neg_power(c, delta, eps, parity)
+        xs = np.linspace(delta, 1, 2001)
+        want = delta ** c / 2 * xs ** -c
+        assert np.abs(res.evaluate(xs) - want).max() <= eps
+        assert np.abs(res.evaluate(DENSE)).max() <= 1.0
 
 
 class TestDegreeMonotonicity:

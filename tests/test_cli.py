@@ -132,6 +132,25 @@ def test_bad_global_flag_exit_code(flags, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, want", [
+    (["poly", "--family", "exp", "--beta", "1e9"], 3),
+    (["poly", "--family", "exp", "--beta", "nan"], 2),
+    (["poly", "--family", "inverse", "--kappa", "inf"], 2),
+    (["poly", "--family", "inverse", "--kappa", "1e300"], 2),
+    (["poly", "--family", "neg_power", "--c", "inf"], 2),
+    (["poly", "--family", "neg_power", "--c", "1e300"], 2),
+    (["apps", "hamsim", "--dim", "0"], 2),
+    (["apps", "pinv", "--delta", "1e-300"], 2),
+    (["phases", "--family", "sign", "--tol", "-1"], 2),
+])
+def test_invalid_value_exit_code(argv, want):
+    # a subprocess, so that a hang ends in a timeout and not a stuck run
+    proc = subprocess.run([sys.executable, "-m", "svtkit.cli"] + argv,
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == want, proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_installed_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "svtkit.cli", "poly", "--family", "window",

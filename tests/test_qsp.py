@@ -136,11 +136,9 @@ class TestComplete:
             complete(ParityPoly([0, 1.2]))  # |p(1)| = 1.2 > 1
 
     def test_spectral_method_matches(self):
-        tgt = random_target(14)
-        a = complete(tgt, method="roots")
-        b = complete(tgt, method="spectral")
-        assert a.unitarity_defect() < 1e-11
-        assert b.unitarity_defect() < 1e-11
+        # completion has one route; its pair meets the bound both old
+        # factorization methods were held to
+        assert complete(random_target(14)).unitarity_defect() < 1e-11
 
 
 class TestPhasesFromPq:
@@ -248,6 +246,18 @@ def test_extended_roundtrip_by_degree_and_parity(deg, seed):
     _, refl = real_qsp(c, delta=1e-12, precision=extended(256))
     assert len(refl.phis) == deg
     assert lobatto_error(refl, c) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(deg=st.integers(1, 120), seed=st.integers(0, 2 ** 32 - 1))
+def test_completion_by_degree_and_parity(deg, seed):
+    c = random_target(deg, 0.9, np.random.default_rng(seed)).cheb_coeffs
+    pair = complete(c)
+    assert pair.unitarity_defect() <= 1e-11
+    real = pair.p_value(LOBATTO).real
+    assert np.abs(real - np.polynomial.chebyshev.chebval(LOBATTO, c)).max() \
+        <= 1e-12
+    assert len(phases_from_pq(pair).phis) == len(real_qsp(c)[1].phis) + 1
 
 
 def peaked_target(peak, deg=30, seed=1):
