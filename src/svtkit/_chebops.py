@@ -36,9 +36,9 @@ def mul(a, b):
     return npcheb.chebmul(a, b)
 
 
-def mulx(c):
-    """Multiply by x: x*T_0 = T_1, x*T_n = (T_{n+1} + T_{n-1})/2."""
-    return npcheb.chebmulx(c)
+# multiply by x: x*T_0 = T_1, x*T_n = (T_{n+1} + T_{n-1})/2; keeps the
+# dtype (clongdouble included) and drops trailing exact zeros
+mulx = npcheb.chebmulx
 
 
 def mul_one_minus_x2(c):

@@ -192,13 +192,14 @@ def _memo(fn):
     return memoized
 
 
-def _fit_unit_interval(values_fn, degree):
-    """Exact Chebyshev interpolation of a degree-``degree`` polynomial."""
-    nodes = cheb.cheb_nodes(degree + 1)
-    return cheb.fit(values_fn(nodes), degree)
-
-
 _SAFETY = 1.0 - 1e-12  # final rescale protecting strict |P| <= 1 preconditions
+
+
+def below_one(coeffs):
+    """``coeffs`` divided by their certificate-grid sup on [-1, 1] when
+    that exceeds 1, then by the `_SAFETY` margin, so the series stays
+    strictly below 1."""
+    return coeffs / max(_grid_sup(coeffs), 1.0) * _SAFETY
 
 
 # ----------------------------------------------------------------------
@@ -221,6 +222,12 @@ class _WidePoly:
     @property
     def degree(self):
         return len(self.scaled_coeffs) - 1
+
+    def on_unit(self, shift=0.0):
+        """T_j(x) coefficients of x -> S(x - shift), S this polynomial, by
+        exact interpolation at its degree; needs 1 + |shift| <= scale."""
+        nodes = cheb.cheb_nodes(self.degree + 1)
+        return cheb.trim(cheb.fit(self(nodes - shift), self.degree), 1e-15)
 
 
 def _erf_sign_wide(delta: float, eps: float, max_degree: int,
@@ -257,12 +264,6 @@ def _erf_sign_wide(delta: float, eps: float, max_degree: int,
     return _WidePoly(out, scale)
 
 
-def _wide_to_unit(wide: _WidePoly) -> np.ndarray:
-    """Rebase a T_j(x/scale) series to the T_j(x) basis (same polynomial)."""
-    deg = wide.degree
-    return cheb.trim(_fit_unit_interval(wide, deg), 1e-15)
-
-
 @_memo
 def approx_sign(delta: float, eps: float,
                 max_degree: int = LIB_MAX_DEGREE) -> ApproxResult:
@@ -273,7 +274,7 @@ def approx_sign(delta: float, eps: float,
     # the cap applies to the returned degree, which the rebase to [-1, 1]
     # can leave well below the degree of the series on [-2, 2]
     wide = _erf_sign_wide(delta, eps, max(max_degree, LIB_MAX_DEGREE))
-    series = ChebSeries(_wide_to_unit(wide), "odd")
+    series = ChebSeries(wide.on_unit(), "odd")
     if series.degree > max_degree:
         raise DegreeOverflow(f"sign approximation needs degree "
                              f"{series.degree} > cap {max_degree}")
@@ -287,30 +288,23 @@ def approx_sign(delta: float, eps: float,
 
 
 def _window_from_signs(lo, hi, band, eps, max_degree):
-    """Even-free rectangle on [lo, hi]: ~1 inside, ~eps-small outside.
+    """T_j(x) coefficients of a rectangle on [lo, hi]: ~1 inside,
+    ~eps-small outside, (1-eps)(S(x-l) - S(x-r))/2 + 3 eps/4 with
+    l = lo - band/2, r = hi + band/2 and S a sign polynomial.
 
-    Built from shifted sign approximations; transition bands of width
-    ``band`` sit just outside [lo, hi].  Edges outside [-1, 1] drop their
-    sign factor entirely.
+    The transition bands of width ``band`` sit just outside [lo, hi].  An
+    edge outside [-1, 1] drops its sign factor entirely (S = 1 there), so
+    the result has the degree of one shifted sign polynomial.
     """
     reach = 1.0 + max(abs(lo - band / 2), abs(hi + band / 2)) + 0.02
     sign_w = _erf_sign_wide(band / 2.0, eps / 4.0, max_degree,
                             scale=reach, tight=True)
-
-    def raw(x):
-        x = np.asarray(x, float)
-        left = sign_w(x - (lo - band / 2)) if lo - band > -1.0 else 1.0
-        right = sign_w((hi + band / 2) - x) if hi + band < 1.0 else 1.0
-        return (1 - eps) * (np.asarray(left) + np.asarray(right)) / 2 + 0.75 * eps
-
-    deg = 0
-    if lo - band > -1.0:
-        deg += sign_w.degree
-    if hi + band < 1.0:
-        deg += sign_w.degree
-    deg = max(deg, sign_w.degree)
-    coeffs = cheb.trim(_fit_unit_interval(raw, deg), 1e-15)
-    return coeffs, raw
+    one = np.array([1.0])
+    left = sign_w.on_unit(lo - band / 2) if lo - band > -1.0 else one
+    right = -sign_w.on_unit(hi + band / 2) if hi + band < 1.0 else one
+    coeffs = (1 - eps) * cheb.add(left, right) / 2
+    coeffs[0] += 0.75 * eps
+    return cheb.trim(coeffs, 1e-15)
 
 
 @_memo
@@ -327,14 +321,11 @@ def approx_rect(t: float, delta_p: float, eps_p: float,
         raise ValueError("need delta', eps' in (0,1/2) and t in [-1,1]")
     sign_w = _erf_sign_wide(delta_p, eps_p / 4.0, max_degree,
                             scale=1.0 + abs(t) + 0.02, tight=True)
-
-    def raw(x):
-        x = np.asarray(x, float)
-        return (1 - eps_p) * (sign_w(x + t) + sign_w(-x + t)) / 2 + 0.75 * eps_p
-
-    deg = sign_w.degree + (1 - sign_w.degree % 2)  # even container
-    coeffs = cheb.trim(_fit_unit_interval(raw, deg), 1e-15)
-    coeffs = cheb.enforce_parity(coeffs, "even")
+    # S odd: S(x+t) + S(-x+t) = S(x+t) - S(x-t)
+    coeffs = (1 - eps_p) * cheb.add(sign_w.on_unit(-t),
+                                    -sign_w.on_unit(t)) / 2
+    coeffs[0] += 0.75 * eps_p
+    coeffs = cheb.enforce_parity(cheb.trim(coeffs, 1e-15), "even")
     series = ChebSeries(coeffs, "even")
 
     def target(x):
@@ -411,11 +402,7 @@ def approx_inverse(kappa: float, eps: float, bounded: bool = False,
     prod = cheb.enforce_parity(cheb.trim(prod, 1e-15), "odd")
     if len(prod) - 1 > max_degree:
         raise DegreeOverflow(f"degree {len(prod)-1} > cap {max_degree}")
-    sup = _grid_sup(prod)
-    if sup > 1.0:
-        prod = prod / sup
-    prod = prod * _SAFETY
-    series = ChebSeries(prod, "odd")
+    series = ChebSeries(below_one(prod), "odd")
     res = ApproxResult(
         cheb=series, degree=series.degree, claimed_sup_bound=1.0,
         claimed_error=eps,
@@ -671,9 +658,9 @@ def approx_taylor(f_coeffs: Sequence[complex], x0: float, r: float,
     tilde = _fourier_to_cheb(shifted, scale, eps_term, max_degree)
 
     lo, hi = x0 - r, x0 + r
-    wcoeffs, wraw = _window_from_signs(lo, hi, delta / 2.0,
-                                       min(eps / (3.0 * max(B, 1.0)), 0.25),
-                                       max_degree)
+    wcoeffs = _window_from_signs(lo, hi, delta / 2.0,
+                                 min(eps / (3.0 * max(B, 1.0)), 0.25),
+                                 max_degree)
     prod = cheb.trim(cheb.mul(tilde, wcoeffs), 1e-16)
     if len(prod) - 1 > max_degree:
         raise DegreeOverflow(f"degree {len(prod)-1} > cap {max_degree}")
@@ -742,12 +729,7 @@ def approx_taylor_multi(patches, B: float, eps: float,
         band = max(min(delta_all, (xs_[j + 1] - xs_[j]) / 2.0) / 2.0, 1e-6)
         sgn = _erf_sign_wide(band, min(eps / (8.0 * B * J), 0.25), max_degree,
                              scale=1.0 + abs(mid) + 0.02, tight=True)
-
-        def sraw(x, mid=mid, sgn=sgn):
-            return sgn(np.asarray(x, float) - mid)
-
-        sdeg = sgn.degree
-        scoeff = cheb.trim(_fit_unit_interval(sraw, sdeg), 1e-15)
+        scoeff = sgn.on_unit(mid)
         one = np.array([1.0])
         low = cheb.mul(cheb.add(one, -scoeff) / 2.0, acc)
         highpart = cheb.mul(cheb.add(one, scoeff) / 2.0,
@@ -880,11 +862,7 @@ def approx_arcsin(delta: float, eps: float,
         a, 0.0, 1.0 - delta, delta, 1.0, eps / 2.0, max_degree=max_degree,
         target=lambda x: 2.0 / math.pi * np.arcsin(np.clip(x, -1, 1)),
         label=f"arcsin(delta={delta:g}, eps={eps:g})")
-    coeffs = cheb.enforce_parity(res.cheb.cheb_coeffs.real, "odd")
-    sup = _grid_sup(coeffs)
-    if sup > 1.0:
-        coeffs = coeffs / sup
-    coeffs = coeffs * _SAFETY
+    coeffs = below_one(cheb.enforce_parity(res.cheb.cheb_coeffs.real, "odd"))
     series = ChebSeries(coeffs, "odd")
     out = ApproxResult(
         cheb=series, degree=series.degree, claimed_sup_bound=1.0,
@@ -937,9 +915,7 @@ def approx_neg_power(c: float, delta: float, eps: float, parity: str = "odd",
             # flip parity with one extra sign factor, accurate past delta/2
             sgn = _erf_sign_wide(delta / 2.0, min(eps / 4.0, 0.25),
                                  max_degree, scale=1.02, tight=True)
-            scoeff = cheb.trim(_fit_unit_interval(
-                lambda x: sgn(np.asarray(x, float)), sgn.degree), 1e-15)
-            prod = cheb.trim(cheb.mul(prod, scoeff), 1e-16)
+            prod = cheb.trim(cheb.mul(prod, sgn.on_unit()), 1e-16)
         coeffs = cheb.enforce_parity(prod, parity)
     else:
         delta_t = delta / (2.0 * max(1.0, c))
@@ -957,11 +933,7 @@ def approx_neg_power(c: float, delta: float, eps: float, parity: str = "odd",
         coeffs = 2.0 * cheb.enforce_parity(res.cheb.cheb_coeffs.real, parity)
     if len(coeffs) - 1 > max_degree:
         raise DegreeOverflow(f"degree {len(coeffs)-1} > cap {max_degree}")
-    sup = _grid_sup(coeffs)
-    if sup > 1.0:
-        coeffs = coeffs / sup
-    coeffs = coeffs * _SAFETY
-    series = ChebSeries(coeffs, parity)
+    series = ChebSeries(below_one(coeffs), parity)
     out = ApproxResult(
         cheb=series, degree=series.degree, claimed_sup_bound=1.0,
         claimed_error=eps, valid_domain=((delta, 1.0),), label=label)
@@ -989,7 +961,7 @@ def approx_window(n: int, eps: float,
         out[big] = np.sign(y[big]) ** n * np.cosh(n * np.arccosh(np.abs(y[big])))
         return eps * out
 
-    coeffs = cheb.trim(_fit_unit_interval(raw, n), 1e-16)
+    coeffs = cheb.trim(cheb.fit(raw(cheb.cheb_nodes(n + 1)), n), 1e-16)
     coeffs = cheb.enforce_parity(coeffs, "even" if n % 2 == 0 else "odd")
     lam = 1.0 / beta
     series = ChebSeries(coeffs)

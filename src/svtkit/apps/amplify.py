@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from .. import _chebops as cheb
-from ..approx import approx_rect, approx_sign
+from ..approx import approx_rect, approx_sign, below_one
 from ..blockenc import Projector, ProjectedUnitary, operator_norm
 from ..errors import (NotAnIsometryWithinTolerance, OverlapBelowThreshold,
                       SpectrumOutOfRange)
@@ -93,11 +93,7 @@ def amplify_singular_values(pu: ProjectedUnitary, gamma: float, delta: float,
             f"= {limit:.4g}")
     t = (1.0 - delta / 2.0) / gamma
     rect = approx_rect(t, delta / (2.0 * gamma), min(eps / gamma, 0.4))
-    p_re = gamma * cheb.mulx(rect.cheb.cheb_coeffs.real)
-    sup = float(np.abs(np.polynomial.chebyshev.chebval(
-        np.cos(np.linspace(0, math.pi, 4001)), p_re)).max())
-    if sup > 1.0:
-        p_re = p_re / sup * (1 - 1e-12)
+    p_re = below_one(gamma * cheb.mulx(rect.cheb.cheb_coeffs.real))
     outcome = svt_apply(pu, ChebSeries(p_re, "odd"), kind="real_poly",
                         delta=max(eps, 1e-8))
     block_out = pu.pi_tilde.basis().conj().T @ outcome.result @ pu.pi.basis()

@@ -8,11 +8,12 @@ import numpy as np
 import scipy.linalg
 
 from .. import _chebops as cheb
-from ..approx import (LIB_MAX_DEGREE, _memo, approx_arcsin, approx_exp,
-                      approx_taylor, approx_trig, solve_r)
+from ..approx import (LIB_MAX_DEGREE, _arcsin_series, _memo, approx_arcsin,
+                      approx_exp, approx_taylor, approx_trig, below_one,
+                      solve_r)
 from ..blockenc import (BlockEncoding, Projector, ProjectedUnitary,
                         operator_norm)
-from ..errors import NotHermitian, SpectrumTooWide
+from ..errors import NotHermitian, NumericalFailure, SpectrumTooWide
 from ..poly import ChebSeries
 from ..qsp import phases_for_target
 from ..svt import alternating_sequence, branch_lcu, svt_apply
@@ -42,6 +43,15 @@ def _amplify_half(unitary_matrix, sys_dim):
     seq = chebyshev_phases(3)
     u_phi, _ = alternating_sequence(pu, seq)
     return -u_phi
+
+
+def _meets(measured: float, eps: float, what: str) -> float:
+    """``measured`` when it is within the requested ``eps``; a request
+    the construction cannot meet is refused."""
+    if measured > eps:
+        raise NumericalFailure(f"{what}: measured error {measured:.3e} "
+                               f"exceeds requested eps {eps:.3e}")
+    return measured
 
 
 def hamiltonian_simulate(be: BlockEncoding, t: float, eps: float,
@@ -87,14 +97,13 @@ def hamiltonian_simulate(be: BlockEncoding, t: float, eps: float,
     amplified = _amplify_half(half_circ, be.system_dim)
     want = scipy.linalg.expm(1j * t * be.alpha * h_true)
     got = amplified[: be.system_dim, : be.system_dim]
-    measured = operator_norm(got - want)
+    measured = _meets(operator_norm(got - want), eps, "hamiltonian_simulate")
     uses = 3 * layer_uses
     claimed_uses = (6 * be.alpha * abs(t) + 9 * math.log(12.0 / eps)
                     if robust else
                     3 * solve_r(math.e * abs(tau) / 2.0, eps / 6.0))
     out = BlockEncoding(amplified, alpha=1.0, ancillas=be.ancillas + 2,
-                        eps=max(eps, measured + 1e-12), target=want,
-                        system_dim=be.system_dim)
+                        eps=eps, target=want, system_dim=be.system_dim)
     report = {"uses": uses, "claimed_uses": claimed_uses,
               "measured": measured, "claimed": eps,
               "degree_cos": cos_r.degree, "degree_sin": sin_r.degree}
@@ -139,7 +148,7 @@ def unitary_log(u, eps: float):
     outcome = svt_apply(pu, arc.cheb, kind="real_poly", delta=max(eps, 1e-7))
     block = outcome.result[:n, :n]
     h_rec = math.pi / 2.0 * block
-    measured = operator_norm(h_rec - h_true)
+    measured = _meets(operator_norm(h_rec - h_true), eps, "unitary_log")
     report = {
         "measured": measured, "claimed": eps,
         "subnormalization": 2.0 / math.pi,
@@ -147,20 +156,14 @@ def unitary_log(u, eps: float):
         "sine_block_error": operator_norm(
             sin_block - scipy.linalg.sinm(h_true)),
     }
-    enc = BlockEncoding(outcome.u_phi, alpha=1.0, ancillas=2,
-                        eps=max(eps, measured + 1e-12),
+    enc = BlockEncoding(outcome.u_phi, alpha=1.0, ancillas=2, eps=eps,
                         target=2.0 / math.pi * h_true, system_dim=n)
     return enc, report
 
 
 def _exp_arcsin_series(t: float, n_terms: int):
     """Power series of e^{i t arcsin(x)} up to degree n_terms."""
-    # arcsin series
-    arc = np.zeros(n_terms + 1)
-    beta = 1.0
-    for ell in range(0, (n_terms - 1) // 2 + 1):
-        arc[2 * ell + 1] = beta / (2 * ell + 1)
-        beta *= (2 * ell + 1) / (2 * ell + 2)
+    arc = math.pi / 2.0 * _arcsin_series(n_terms // 2)[: n_terms + 1]
     arg = 1j * t * arc
     out = np.zeros(n_terms + 1, complex)
     out[0] = 1.0
@@ -197,10 +200,9 @@ def fractional_query(u, t: float, eps: float):
         prod = w_ @ vh_
         want = _matrix_fractional_power(u, t)
         got = prod[: u.shape[0], : u.shape[0]]
-        measured = operator_norm(got - want)
+        measured = _meets(operator_norm(got - want), eps, "fractional_query")
         enc = BlockEncoding(prod, alpha=1.0, ancillas=half.ancillas,
-                            eps=max(eps, measured + 1e-12), target=want,
-                            system_dim=u.shape[0])
+                            eps=eps, target=want, system_dim=u.shape[0])
         report = {"measured": measured, "claimed": eps, "split": True,
                   "degree": rep_half["degree"]}
         return enc, report
@@ -210,10 +212,9 @@ def fractional_query(u, t: float, eps: float):
     amplified = _amplify_half(half_circ, u.shape[0])
     want = _matrix_fractional_power(u, t)
     got = amplified[: u.shape[0], : u.shape[0]]
-    measured = operator_norm(got - want)
-    enc = BlockEncoding(amplified, alpha=1.0, ancillas=3,
-                        eps=max(eps, measured + 1e-12), target=want,
-                        system_dim=u.shape[0])
+    measured = _meets(operator_norm(got - want), eps, "fractional_query")
+    enc = BlockEncoding(amplified, alpha=1.0, ancillas=3, eps=eps,
+                        target=want, system_dim=u.shape[0])
     report = {"measured": measured, "claimed": eps, "split": False,
               "degree": 3 * layer_uses}
     return enc, report
@@ -236,15 +237,7 @@ def _fracq_poly(t: float, eps: float):
     sin_c = cheb.enforce_parity(res.cheb.cheb_coeffs.imag, "odd")
     # cos(t arcsin(x)) saturates at x = 0: shrink to dodge tangency
     margin = 1.0 - eps / 4.0
-    return _clip_submit(cos_c * margin), _clip_submit(sin_c * margin)
-
-
-def _clip_submit(coeffs):
-    xs = np.cos(np.linspace(0, math.pi, 4001))
-    sup = float(np.abs(np.polynomial.chebyshev.chebval(xs, coeffs)).max())
-    if sup > 1.0:
-        return coeffs / sup * (1 - 1e-12)
-    return coeffs
+    return below_one(cos_c * margin), below_one(sin_c * margin)
 
 
 def _matrix_fractional_power(u: np.ndarray, t: float) -> np.ndarray:

@@ -1,12 +1,10 @@
 """Moore-Penrose pseudoinverse and principal component regression."""
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .. import _chebops as cheb
-from ..approx import LIB_MAX_DEGREE, approx_inverse, approx_rect
+from ..approx import LIB_MAX_DEGREE, approx_inverse, approx_rect, below_one
 from ..blockenc import ProjectedUnitary, operator_norm
 from ..errors import SpectrumBelowDelta
 from ..poly import ChebSeries
@@ -41,11 +39,8 @@ def pseudoinverse(pu: ProjectedUnitary, delta: float, eps: float,
         # transition band
         rect = approx_rect(sigma, delta, min(eps / 2.0, 0.4), max_degree)
         high = cheb.add(np.array([1.0]), -rect.cheb.cheb_coeffs.real)
-        coeffs = cheb.trim(cheb.mul(inv.cheb.cheb_coeffs.real, high), 1e-15)
-        sup = float(np.abs(np.polynomial.chebyshev.chebval(
-            np.cos(np.linspace(0, math.pi, 4001)), coeffs)).max())
-        if sup > 1.0:
-            coeffs = coeffs / sup * (1 - 1e-12)
+        coeffs = below_one(
+            cheb.trim(cheb.mul(inv.cheb.cheb_coeffs.real, high), 1e-15))
         scale = sigma / 2.0
     p_re = ChebSeries(cheb.enforce_parity(coeffs, "odd"), "odd")
     outcome = svt_apply(pu.dagger(), p_re, kind="real_poly",

@@ -273,35 +273,19 @@ class StatePrepPair:
 
 
 def _complete_to_unitary(first_column) -> np.ndarray:
+    """A unitary whose first column is the unit vector v: the Householder
+    reflection exchanging -w e_0 and v, w = v_0/|v_0| (1 if v_0 = 0), with
+    its first column multiplied by -w.  The reflection vector v + w e_0
+    has norm at least 1, so the result is unitary to rounding."""
     v = np.asarray(first_column, complex)
-    n = len(v)
-    nrm = np.linalg.norm(v)
-    if abs(nrm - 1) > 1e-9:
+    if abs(np.linalg.norm(v) - 1) > 1e-9:
         raise NormExceeded("first column must be a unit vector")
-    m = np.eye(n, dtype=complex)
-    m[:, 0] = v / nrm
-    q, r = np.linalg.qr(m)
-    # fix the phase so the first column is exactly v
-    q *= np.sign(r[0, 0].conj()) if r[0, 0] != 0 else 1.0
-    phase = (q[:, 0].conj() @ v)
-    q[:, 0] *= 0  # rebuild deterministically
-    q[:, 0] = v
-    # re-orthonormalize the rest against v
-    for j in range(1, n):
-        col = q[:, j]
-        col = col - v * (v.conj() @ col)
-        for i in range(1, j):
-            col = col - q[:, i] * (q[:, i].conj() @ col)
-        nn = np.linalg.norm(col)
-        if nn < 1e-12:
-            # fall back to a canonical basis vector
-            col = np.zeros(n, complex)
-            col[j] = 1.0
-            col = col - v * (v.conj() @ col)
-            for i in range(1, j):
-                col = col - q[:, i] * (q[:, i].conj() @ col)
-            nn = np.linalg.norm(col)
-        q[:, j] = col / nn
+    w = v[0] / abs(v[0]) if v[0] != 0 else 1.0
+    h = v.copy()
+    h[0] += w
+    q = (np.eye(len(v), dtype=complex)
+         - np.outer(h, h.conj()) * (2.0 / np.vdot(h, h).real))
+    q[:, 0] *= -w
     return q
 
 
@@ -359,13 +343,6 @@ def embed(a_matrix, alpha: float = 1.0) -> BlockEncoding:
 
 def extract(be: BlockEncoding) -> np.ndarray:
     return be.extract()
-
-
-def _kron_all(*ms):
-    out = np.array([[1.0 + 0j]])
-    for m in ms:
-        out = np.kron(out, m)
-    return out
 
 
 def _swap_matrix(d: int) -> np.ndarray:
@@ -477,27 +454,9 @@ def encode_sparse(a_matrix, s_r: int, s_c: int) -> BlockEncoding:
     big = 2 ** (w + 1)
     # D_s on a (w+1)-qubit register: |0> -> sum_{k=1..s} |k>/sqrt(s)
     def diffusion(s):
-        d = np.eye(big, dtype=complex)
         col = np.zeros(big)
         col[1: s + 1] = 1.0 / math.sqrt(s)
-        m = np.eye(big, dtype=complex)
-        m[:, 0] = col
-        q, r = np.linalg.qr(m)
-        q[:, 0] = col
-        for j in range(1, big):
-            v = q[:, j] - col * (col.conj() @ q[:, j])
-            for i in range(1, j):
-                v = v - q[:, i] * (q[:, i].conj() @ v)
-            nn = np.linalg.norm(v)
-            if nn < 1e-12:
-                v = np.zeros(big, complex)
-                v[j] = 1.0
-                v = v - col * (col.conj() @ v)
-                for i in range(1, j):
-                    v = v - q[:, i] * (q[:, i].conj() @ v)
-                nn = np.linalg.norm(v)
-            q[:, j] = v / nn
-        return q
+        return _complete_to_unitary(col)
 
     # O_r: |i>|k> -> |i>|r_ik>  (k = 1..s_r), padded with k + 2^w
     o_r = np.zeros((big * big, big * big))

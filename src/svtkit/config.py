@@ -50,5 +50,6 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_degree > MAX_DEGREE_DEFAULT:
-            raise ValueError(f"max_degree capped at {MAX_DEGREE_DEFAULT}")
+        if not 0 <= self.max_degree <= MAX_DEGREE_DEFAULT:
+            raise ValueError(
+                f"max_degree must lie in [0, {MAX_DEGREE_DEFAULT}]")

@@ -14,7 +14,6 @@ import numpy as np
 from numpy.polynomial import chebyshev as npcheb
 from numpy.polynomial import polynomial as nppoly
 
-from . import _chebops as cheb
 from .config import COEFF_DROP_REL, MAX_DEGREE_DEFAULT, Precision, STANDARD
 from .errors import DegreeTooLarge, NumericalFailure
 

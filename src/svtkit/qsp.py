@@ -462,21 +462,6 @@ def phases_from_pq(pair: SignalPair) -> PhaseSequence:
     ld = np.clongdouble
     p = pair.p_cheb.astype(ld).copy()
     q = pair.q_cheb.astype(ld).copy()
-
-    def mulx(c):
-        out = np.zeros(len(c) + 1, ld)
-        out[1] += c[0]
-        if len(c) > 1:
-            out[2:] += c[1:] / 2
-            out[: len(c) - 1] += c[1:] / 2
-        return out
-
-    def one_minus_x2(c):
-        xx = mulx(mulx(c))
-        out = np.zeros(len(xx), ld)
-        out[: len(c)] += c
-        return out - xx
-
     k = pair.k
     phis = np.zeros(k + 1)
     scale0 = float(max(np.abs(p).max(), 1e-300))
@@ -512,13 +497,13 @@ def phases_from_pq(pair: SignalPair) -> PhaseSequence:
         phis[m] = phi
         em = np.exp(ld(-1j * phi))
         ep = np.exp(ld(1j * phi))
-        xp = mulx(p)
-        q2 = one_minus_x2(q)
+        xp = cheb.mulx(p)
+        q2 = cheb.mul_one_minus_x2(q)
         n_ = max(len(xp), len(q2))
         newp = np.zeros(n_, ld)
         newp[: len(xp)] += em * xp
         newp[: len(q2)] += ep * q2
-        xq = mulx(q)
+        xq = cheb.mulx(q)
         n2 = max(len(xq), len(p))
         newq = np.zeros(n2, ld)
         newq[: len(xq)] += ep * xq

@@ -40,12 +40,6 @@ class SvdBundle:
     rank: int
     saturated: int
 
-    def reconstruct(self) -> np.ndarray:
-        m = np.zeros((self.w.shape[1], self.v.shape[1]), complex)
-        r = len(self.sigma)
-        m[:r, :r] = np.diag(self.sigma)
-        return self.w @ m[: self.w.shape[1], : self.v.shape[1]] @ self.v.conj().T
-
 
 def _canonical_svd(block: np.ndarray) -> SvdBundle:
     """SVD with a deterministic Gram-Schmidt inside degenerate clusters,
@@ -350,21 +344,6 @@ class SvtOutcome:
     phases: PhaseSequence
     measured_error: float = float("nan")
 
-    def as_block_encoding(self, alpha=1.0, eps=None, target=None):
-        idx = self.encoding.pi.indices
-        if idx is None or list(idx) != list(range(len(idx))):
-            raise Inadmissible("encoding is not in |0..0> block form")
-        return BlockEncoding(self.u_phi, alpha=alpha,
-                             ancillas=int(round(math.log2(
-                                 self.u_phi.shape[0] // len(idx)))),
-                             eps=self.eps_or(eps), target=target,
-                             system_dim=len(idx))
-
-    def eps_or(self, eps):
-        if eps is not None:
-            return eps
-        return self.measured_error if math.isfinite(self.measured_error) else 0.0
-
 
 def svt_apply(pu: ProjectedUnitary, target, kind: str = "real_poly",
               delta: float = 1e-8) -> SvtOutcome:
@@ -446,47 +425,56 @@ def eigenvalue_transform(be: BlockEncoding, target, delta: float = 1e-8,
                          complex_target: bool = False) -> SvtOutcome:
     """Polynomial eigenvalue transformation of arbitrary parity.
 
-    Input: block-encoding of a Hermitian A and a real polynomial bounded
-    by 1/2 on [-1, 1].  Splits the target into its even and odd parts,
-    runs the +-Phi doubling for both, and wraps two ancilla qubits in
-    Hadamards, returning a (1, a+2, 4 d sqrt(eps/alpha) + delta)-encoding
-    of P(A / alpha).
+    Input: block-encoding of a Hermitian A and a real polynomial P bounded
+    by 1/2 on [-1, 1].  One `branch_lcu` call combines the +-Phi pairs of
+    the even and odd parts of 2P, (1, even) and (1, odd), and wraps two
+    ancilla qubits in Hadamards, returning a
+    (1, a+2, 4 d sqrt(eps/alpha) + delta)-encoding of P(A / alpha).
 
     With ``complex_target`` an arbitrary complex polynomial bounded by
-    1/4 is accepted; the real and imaginary parts run separately and an
-    extra selection qubit combines them, for four parity terms total.
+    1/4 is accepted: the same call adds the terms (i, even) and (i, odd)
+    of 2 Im P, four parity terms on three ancilla qubits, and the result
+    is a (2, a+3, 4 d sqrt(eps/alpha) + delta)-encoding whose d adds the
+    longest real-part and the longest imaginary-part sequence.
     """
     from .qsp import _as_cheb_array
 
-    if complex_target:
-        return _eigenvalue_transform_complex(be, target, delta)
     a_mat = be.extract() / be.alpha
     if operator_norm(a_mat - a_mat.conj().T) > 1e-9:
         raise Inadmissible("encoded operator is not Hermitian")
-    c = _as_cheb_array(target).real
+    c = _as_cheb_array(target)
+    if not complex_target:
+        c = c.real
+    parts = [c.real, c.imag] if complex_target else [c]
+    bound = 0.5 / len(parts)
     sup = float(np.abs(npcheb.chebval(
         np.cos(np.linspace(0, math.pi, 4001)), c)).max())
-    if sup > 0.5 + 1e-12:
-        raise Inadmissible("eigenvalue transform needs |P| <= 1/2")
-    c_even = cheb.enforce_parity(2 * c, "even")  # P(x) + P(-x)
-    c_odd = cheb.enforce_parity(2 * c, "odd")    # P(x) - P(-x)
-    terms = []
-    for cc in (c_even, c_odd):
-        refl = None  # a vanishing parity component: the +-identity pair
-        if np.abs(cc).max() >= 1e-14:
-            _, refl, _ = phases_for_target(cc, tol=delta / 2.0)
-        terms.append((1, refl))
-    wrapped, ledger = branch_lcu(be.pu, terms)
-    degree_used = ledger["u_uses"] if ledger else 0
+    if sup > bound + 1e-12:
+        raise Inadmissible(f"eigenvalue transform needs |P| <= {bound:g}")
+    terms, u_uses = [], 0
+    for weight, part in zip((1, 1j), parts):
+        longest = 0
+        # P(x) + P(-x) and P(x) - P(-x)
+        for cc in (cheb.enforce_parity(2 * part, "even"),
+                   cheb.enforce_parity(2 * part, "odd")):
+            refl = None  # a vanishing parity component: the +-identity pair
+            if np.abs(cc).max() >= 1e-14:
+                _, refl, _ = phases_for_target(cc, tol=delta / 2.0)
+                longest = max(longest, len(refl.phis))
+            terms.append((weight, refl))
+        u_uses += longest
+    wrapped, _ = branch_lcu(be.pu, terms)
     d_sys = be.system_dim
-    result = wrapped[:d_sys, :d_sys]
+    # the |0..0> block is P(A) / len(parts)
+    result = len(parts) * wrapped[:d_sys, :d_sys]
     oracle = _poly_of_hermitian(a_mat, c)
     err = operator_norm(result - oracle)
-    claimed = 4 * degree_used * math.sqrt(be.eps / be.alpha) + delta
-    out = BlockEncoding(wrapped, alpha=1.0, ancillas=be.ancillas + 2,
+    claimed = 4 * u_uses * math.sqrt(be.eps / be.alpha) + delta
+    out = BlockEncoding(wrapped, alpha=len(parts),
+                        ancillas=be.ancillas + 1 + len(parts),
                         eps=max(claimed, err + 1e-12), target=oracle,
                         system_dim=d_sys)
-    ledger = {"u_uses": degree_used, "claimed_eps": claimed}
+    ledger = {"u_uses": u_uses, "claimed_eps": claimed}
     return SvtOutcome(result, wrapped, out.pu, ledger, None, err)
 
 
@@ -494,34 +482,6 @@ def _poly_of_hermitian(a: np.ndarray, cheb_coeffs) -> np.ndarray:
     w, v = np.linalg.eigh(a)
     vals = npcheb.chebval(w, np.asarray(cheb_coeffs))
     return v @ np.diag(vals) @ v.conj().T
-
-
-def _eigenvalue_transform_complex(be, target, delta):
-    """Four-parity-term route for complex P with |P| <= 1/4: real and
-    imaginary parts transform separately and one selection qubit adds
-    the i-weighted imaginary branch."""
-    from .qsp import _as_cheb_array
-
-    c = _as_cheb_array(target)
-    sup = float(np.abs(npcheb.chebval(
-        np.cos(np.linspace(0, math.pi, 4001)), c)).max())
-    if sup > 0.25 + 1e-12:
-        raise Inadmissible("complex eigenvalue transform needs |P| <= 1/4")
-    a_mat = be.extract() / be.alpha
-    if operator_norm(a_mat - a_mat.conj().T) > 1e-9:
-        raise Inadmissible("encoded operator is not Hermitian")
-    out_re = eigenvalue_transform(be, ChebSeries(c.real), delta)
-    out_im = eigenvalue_transform(be, ChebSeries(c.imag), delta)
-    wrapped = _hadamard_wrap([out_re.u_phi, 1j * out_im.u_phi])
-    d_sys = be.system_dim
-    result = wrapped[:d_sys, :d_sys] * 2.0  # the |+> average halves again
-    oracle = _poly_of_hermitian(a_mat, c)
-    err = operator_norm(result - oracle)
-    enc = BlockEncoding(wrapped, alpha=2.0,
-                        ancillas=be.ancillas + 3,
-                        eps=err + 1e-12, target=oracle, system_dim=d_sys)
-    ledger = {"u_uses": out_re.ledger["u_uses"] + out_im.ledger["u_uses"]}
-    return SvtOutcome(result, wrapped, enc.pu, ledger, None, err)
 
 
 # ----------------------------------------------------------------------

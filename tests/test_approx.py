@@ -43,6 +43,18 @@ class TestSign:
         d2 = approx_sign(0.2, 0.01).degree
         assert 1.5 <= d1 / d2 <= 2.5
 
+    @pytest.mark.parametrize("delta, shift, tight", [
+        (0.3, 0.0, False), (0.1, 0.0, True), (0.2, 0.4, True),
+        (0.05, -0.7, True), (0.15, 0.95, True)])
+    def test_on_unit_is_the_shifted_polynomial(self, delta, shift, tight):
+        wide = approx_mod._erf_sign_wide(delta, 1e-4, 4096,
+                                         scale=1.0 + abs(shift) + 0.02,
+                                         tight=tight)
+        xs = np.linspace(-1, 1, 4001)
+        want = npcheb.chebval((xs - shift) / wide.scale, wide.scaled_coeffs)
+        got = npcheb.chebval(xs, wide.on_unit(shift))
+        assert np.abs(got - want).max() <= 1e-13
+
 
 class TestRect:
     def test_plateau_value_at_zero(self):

@@ -8,7 +8,7 @@ import scipy.stats
 from svtkit.apps import (fractional_query, gibbs_prep, hamiltonian_simulate,
                          unitary_log)
 from svtkit.blockenc import BlockEncoding, embed, operator_norm
-from svtkit.errors import NotHermitian, SpectrumTooWide
+from svtkit.errors import NotHermitian, NumericalFailure, SpectrumTooWide
 
 rng = np.random.default_rng(37)
 
@@ -50,6 +50,12 @@ class TestHamiltonianSimulate:
         out, rep = hamiltonian_simulate(be, t, eps, robust=True)
         assert rep["measured"] <= eps
         assert rep["uses"] <= 6 * abs(t) + 9 * math.log(12 / eps)
+
+    def test_unmet_eps_refused(self):
+        # rounding in the circuit alone exceeds 1e-14
+        h = random_hermitian(2, 0.5)
+        with pytest.raises(NumericalFailure):
+            hamiltonian_simulate(embed(h, 1.0), 1.0, 1e-14)
 
     def test_not_hermitian(self):
         a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))

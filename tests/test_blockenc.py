@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings, strategies as st
 
 from svtkit.blockenc import (UNITARY_TOL, BlockEncoding,
                              ControlledNotByProjector, Projector,
                              StatePrepPair, cpi_not, embed, encode_density,
                              encode_gram, encode_povm, encode_sparse,
                              extract, is_unitary, lcu, operator_norm,
-                             product)
+                             product, _complete_to_unitary)
 from svtkit.errors import (ModePreconditionViolated, NormExceeded,
                            NotAProjector, SparsityViolated)
 
@@ -118,6 +119,27 @@ class TestSparse:
     def test_sparsity_violated(self):
         with pytest.raises(SparsityViolated):
             encode_sparse(np.full((4, 4), 0.1), 2, 4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 64),
+       kind=st.sampled_from(["random", "v0_zero", "e0", "-e0", "i_ek"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_complete_to_unitary(n, kind, seed):
+    gen = np.random.default_rng(seed)
+    v = np.zeros(n, complex)
+    if kind in ("random", "v0_zero"):
+        v = gen.standard_normal(n) + 1j * gen.standard_normal(n)
+        if kind == "v0_zero" and n > 1:
+            v[0] = 0.0
+        v /= np.linalg.norm(v)
+    elif kind == "i_ek":
+        v[int(gen.integers(n))] = 1j
+    else:
+        v[0] = 1.0 if kind == "e0" else -1.0
+    q = _complete_to_unitary(v)
+    assert operator_norm(q.conj().T @ q - np.eye(n)) <= 1e-14
+    assert np.abs(q[:, 0] - v).max() <= 1e-15
 
 
 class TestLcu:

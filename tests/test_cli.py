@@ -126,7 +126,8 @@ class TestSweep:
 
 @pytest.mark.parametrize("flags", [["--max-degree", "9999"],
                                    ["--precision", "extended:abc"],
-                                   ["--precision", "extended:128"]])
+                                   ["--precision", "extended:128"],
+                                   ["--max-degree", "-5"]])
 def test_bad_global_flag_exit_code(flags, capsys):
     code, _ = run_cli(flags + ["poly", "--family", "sign"], capsys)
     assert code == 2
@@ -142,6 +143,7 @@ def test_bad_global_flag_exit_code(flags, capsys):
     (["apps", "hamsim", "--dim", "0"], 2),
     (["apps", "pinv", "--delta", "1e-300"], 2),
     (["phases", "--family", "sign", "--tol", "-1"], 2),
+    (["apps", "hamsim", "--eps", "1e-300"], 3),
 ])
 def test_invalid_value_exit_code(argv, want):
     # a subprocess, so that a hang ends in a timeout and not a stuck run

@@ -364,6 +364,29 @@ class TestComplexEigenvalueTransform:
         want = v @ np.diag(np.polynomial.chebyshev.chebval(w, c)) @ v.conj().T
         assert operator_norm(out.result - want) <= 1e-7
 
+    def test_real_target_matches_real_route(self):
+        h = rng.standard_normal((4, 4))
+        h = (h + h.T) / 2
+        h /= 2 * operator_norm(h)
+        be = embed(h, 1.0)
+        c = np.array([0.08, 0.1, -0.05, 0.04])  # mixed parity, |P| < 1/4
+        real = eigenvalue_transform(be, ChebSeries(c), delta=1e-8)
+        both = eigenvalue_transform(be, ChebSeries(c), delta=1e-8,
+                                    complex_target=True)
+        assert operator_norm(both.result - real.result) <= 1e-12
+
+    def test_ledger_alpha_and_ancillas(self):
+        be = embed(np.diag([0.5, -0.3]), 1.0)
+        c = np.array([0.05 + 0.02j, 0.08 - 0.04j, 0.06 + 0.03j])
+        out = eigenvalue_transform(be, ChebSeries(c), delta=1e-8,
+                                   complex_target=True)
+        # longest real-part sequence (2) plus longest imaginary-part one (2)
+        assert out.ledger["u_uses"] == 4
+        assert out.ledger["claimed_eps"] == pytest.approx(1e-8)
+        # alpha 2 on a + 3 ancilla qubits: the block is P(A) / 2
+        assert out.u_phi.shape == (2 ** (be.ancillas + 3) * 2,) * 2
+        np.testing.assert_array_equal(out.result, 2 * out.u_phi[:2, :2])
+
     def test_quarter_bound_enforced(self):
         h = np.diag([0.3, -0.2])
         be = embed(h, 1.0)
