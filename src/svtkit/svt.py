@@ -23,7 +23,7 @@ from .blockenc import (BlockEncoding, Projector, ProjectedUnitary,
 from .errors import (ConventionMismatch, Inadmissible, NumericalFailure,
                      ParityMismatch)
 from .poly import ChebSeries, ParityPoly
-from .qsp import (PhaseSequence, SignalPair, check_admissible,
+from .qsp import (PhaseSequence, SignalPair, _degree_cut, check_admissible,
                   phases_for_target, phases_from_pq, to_reflection)
 
 SATURATION_TOL = 1e-10  # sigma >= 1 - tol counts as the saturated block
@@ -305,30 +305,44 @@ def branch_lcu(pu: ProjectedUnitary, terms):
     of the polynomials over k.
 
     ``terms`` is [(weight, refl), ...] with |weight| = 1 and len(terms) a
-    power of two; refl None stands for the pair (I, -I), whose average
-    vanishes.  Every phased branch is checked unitary to 1e-11, since the
-    wrapped circuit is unitary iff its branches are.  Returns the wrapped circuit
-    and the ledger of the longest phase sequence (None if there is none).
+    power of two.  refl is a reflection PhaseSequence; None, standing for
+    the pair (I, -I), whose average vanishes; or a real constant c with
+    |c| <= 1, standing for the exact pair (e^{i theta} I, e^{-i theta} I)
+    with cos theta = c, which uses U zero times.  Every phased branch is
+    checked unitary to 1e-11, since the wrapped circuit is unitary iff its
+    branches are.  When `pu.real`, U_{-Phi} is conj(U_Phi) exactly, so
+    one sequence runs per term and only it is checked.  Returns the
+    wrapped circuit and the ledger of the longest phase sequence (None if
+    there is none).
     """
     k = len(terms)
     if k == 0 or k & (k - 1):
         raise ValueError(f"need a power-of-two number of terms, got {k}")
+    eye = np.eye(pu.dim, dtype=complex)
     branches = []
     ledger, longest = None, -1
     for weight, refl in terms:
         if abs(abs(weight) - 1.0) > 1e-12:
             raise ValueError(f"branch weight {weight} is not unimodular")
         if refl is None:
-            eye = np.eye(pu.dim, dtype=complex)
             pair = (eye, -eye)
-        else:
+        elif isinstance(refl, PhaseSequence):
             up, led = alternating_sequence(pu, refl)
-            um, _ = alternating_sequence(pu, refl.negated())
+            _assert_unitary(up)
+            if pu.real:
+                um = up.conj()
+            else:
+                um, _ = alternating_sequence(pu, refl.negated())
+                _assert_unitary(um)
             pair = (up, um)
-            for branch in pair:
-                _assert_unitary(branch)
             if len(refl.phis) > longest:
                 ledger, longest = led, len(refl.phis)
+        else:
+            c = float(refl)
+            if abs(c) > 1.0:
+                raise ValueError(f"constant term {c} exceeds 1 in magnitude")
+            z = complex(c, math.sqrt(1.0 - c * c))
+            pair = (z * eye, z.conjugate() * eye)
         branches += [weight * branch for branch in pair]
     return _hadamard_wrap(branches), ledger
 
@@ -429,7 +443,9 @@ def eigenvalue_transform(be: BlockEncoding, target, delta: float = 1e-8,
     by 1/2 on [-1, 1].  One `branch_lcu` call combines the +-Phi pairs of
     the even and odd parts of 2P, (1, even) and (1, odd), and wraps two
     ancilla qubits in Hadamards, returning a
-    (1, a+2, 4 d sqrt(eps/alpha) + delta)-encoding of P(A / alpha).
+    (1, a+2, 4 d sqrt(eps/alpha) + delta)-encoding of P(A / alpha).  A
+    part that is a nonzero constant goes in as `branch_lcu`'s constant
+    term, with no phases and no use of U.
 
     With ``complex_target`` an arbitrary complex polynomial bounded by
     1/4 is accepted: the same call adds the terms (i, even) and (i, odd)
@@ -459,8 +475,12 @@ def eigenvalue_transform(be: BlockEncoding, target, delta: float = 1e-8,
                    cheb.enforce_parity(2 * part, "odd")):
             refl = None  # a vanishing parity component: the +-identity pair
             if np.abs(cc).max() >= 1e-14:
-                _, refl, _ = phases_for_target(cc, tol=delta / 2.0)
-                longest = max(longest, len(refl.phis))
+                cut = _degree_cut(cc, delta / 2.0)
+                if len(cut) == 1 and cut[0]:
+                    refl = float(cut[0])  # a constant: no phases, no U
+                else:
+                    _, refl, _ = phases_for_target(cc, tol=delta / 2.0)
+                    longest = max(longest, len(refl.phis))
             terms.append((weight, refl))
         u_uses += longest
     wrapped, _ = branch_lcu(be.pu, terms)

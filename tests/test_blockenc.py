@@ -326,6 +326,48 @@ class TestIsUnitary:
         assert verdicts == {True, False}
 
 
+class TestEmbedPolish:
+    """`embed` dilates a real matrix in float64 and polishes U with one
+    Newton-Schulz step before wrapping it."""
+
+    @pytest.mark.parametrize("n", [4, 32, 128])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_unitary_to_rounding(self, n, kind):
+        gen = np.random.default_rng(n)
+        a = gen.standard_normal((n, n))
+        if kind == "complex":
+            a = a + 1j * gen.standard_normal((n, n))
+        a *= 0.95 / operator_norm(a)
+        u = embed(a).u
+        assert np.linalg.norm(u.conj().T @ u - np.eye(2 * n)) <= 2e-14
+        if kind == "real":
+            assert not u.imag.any()
+        np.testing.assert_allclose(u[:n, :n], a, rtol=0, atol=1e-14)
+
+
+class TestRealFlag:
+    def test_projectors(self):
+        gen = np.random.default_rng(12)
+        q, _ = np.linalg.qr(gen.standard_normal((6, 2)))
+        z, _ = np.linalg.qr(gen.standard_normal((6, 2))
+                            + 1j * gen.standard_normal((6, 2)))
+        assert Projector(6, indices=[1, 4]).real
+        real_basis = Projector(6, matrix=q @ q.T)
+        assert real_basis.real and not real_basis.basis().imag.any()
+        assert real_basis.complement().real
+        assert real_basis.tensor_left(2).real
+        assert not Projector(6, matrix=z @ z.conj().T).real
+
+    def test_encodings(self):
+        gen = np.random.default_rng(13)
+        a = gen.standard_normal((3, 3))
+        a *= 0.9 / operator_norm(a)
+        real_be = embed(a)
+        assert real_be.pu.real and real_be.pu.dagger().real
+        assert not embed(a + 0.1j * np.eye(3)).pu.real
+        assert not BlockEncoding(random_unitary(4, gen), 1.0, 1).pu.real
+
+
 class TestLedgerSoundness:
     @pytest.mark.parametrize("trial", range(20))
     def test_product_measured_below_claimed(self, trial):

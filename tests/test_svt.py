@@ -303,6 +303,37 @@ class TestEigenvalueTransform:
         np.testing.assert_allclose(out.result, want, atol=1e-7)
 
 
+class TestConstantParityParts:
+    """A parity part that is a constant c enters `branch_lcu` as the exact
+    pair (e^{i theta} I, e^{-i theta} I), cos theta = c."""
+
+    def test_constant_plus_linear(self):
+        a = np.diag([0.5, -0.3])
+        out = eigenvalue_transform(embed(a), ChebSeries([0.1, 0.3]))
+        np.testing.assert_allclose(out.result, 0.1 * np.eye(2) + 0.3 * a,
+                                   rtol=0, atol=1e-12)
+        assert out.ledger["u_uses"] == 1
+
+    def test_constant_alone_uses_no_query(self):
+        out = eigenvalue_transform(embed(np.diag([0.5, -0.3])),
+                                   ChebSeries([0.2]))
+        np.testing.assert_allclose(out.result, 0.2 * np.eye(2),
+                                   rtol=0, atol=1e-12)
+        assert out.ledger["u_uses"] == 0
+
+    def test_complex_target_with_constants(self):
+        gen = np.random.default_rng(41)
+        h = gen.standard_normal((4, 4))
+        h = (h + h.T) / 2
+        h *= 0.9 / operator_norm(h)
+        c = np.array([0.05 + 0.04j, 0.1 - 0.05j, 0.0, 0.03j])
+        out = eigenvalue_transform(embed(h), ChebSeries(c),
+                                   complex_target=True)
+        w, v = np.linalg.eigh(h)
+        want = v @ np.diag(np.polynomial.chebyshev.chebval(w, c)) @ v.T
+        np.testing.assert_allclose(out.result, want, rtol=0, atol=1e-10)
+
+
 class TestRobustness:
     def test_scalar_chebyshev_footnote(self):
         d = 50
@@ -429,14 +460,19 @@ def _dense_u_phi(pu, phis):
 
 def _dense_lcu(pu, terms):
     """(H^{(x)m} (x) I) diag(w_j U_{Phi_j}, w_j U_{-Phi_j}, ...) (H^{(x)m} (x) I),
-    a None term standing for the branches (w I, -w I)."""
+    a None term standing for the branches (w I, -w I) and a constant c for
+    (w e^{i theta} I, w e^{-i theta} I) with cos theta = c."""
     blocks = []
     for w, refl in terms:
         if refl is None:
             blocks += [w * np.eye(pu.dim), -w * np.eye(pu.dim)]
-        else:
+        elif isinstance(refl, PhaseSequence):
             blocks += [w * _dense_u_phi(pu, refl.phis),
                        w * _dense_u_phi(pu, -refl.phis)]
+        else:  # a constant cos(theta)
+            theta = math.acos(refl)
+            blocks += [w * np.exp(1j * theta) * np.eye(pu.dim),
+                       w * np.exp(-1j * theta) * np.eye(pu.dim)]
     h = scipy.linalg.hadamard(len(blocks)) / math.sqrt(len(blocks))
     hh = np.kron(h, np.eye(pu.dim))
     return hh @ scipy.linalg.block_diag(*blocks) @ hh
@@ -484,6 +520,150 @@ class TestBranchLcu:
         pu = random_pu(4, 2, 2, gen=np.random.default_rng(8))
         with pytest.raises(ValueError):
             branch_lcu(pu, terms)
+
+
+class TestBranchLcuConstants:
+    @pytest.mark.parametrize("kind", ["indices", "matrix"])
+    @pytest.mark.parametrize("layout", [
+        [(1, 0.3)], [(1j, -1.0)],
+        [(1, 0.3), (1j, 5)], [(1j, -0.8), (1, None)],
+        [(1, 4), (1, 0.0), (1j, 0.5), (-1, 3)],
+    ])
+    def test_matches_dense_circuit(self, kind, layout):
+        gen = np.random.default_rng(29)
+        dim = 5
+        pu = ProjectedUnitary(random_unitary(dim, gen),
+                              _random_projector(gen, dim, 2, kind),
+                              _random_projector(gen, dim, 2, kind))
+        terms = [(w, PhaseSequence(gen.uniform(-math.pi, math.pi, n),
+                                   "reflection")
+                  if isinstance(n, int) else n) for w, n in layout]
+        got, ledger = branch_lcu(pu, terms)
+        np.testing.assert_allclose(got, _dense_lcu(pu, terms),
+                                   rtol=0, atol=1e-12)
+        lengths = [n for _, n in layout if isinstance(n, int)]
+        if lengths:
+            assert ledger["u_uses"] == max(lengths)
+        else:
+            assert ledger is None
+
+    def test_refuses_constant_above_one(self):
+        pu = random_pu(4, 2, 2, gen=np.random.default_rng(8))
+        with pytest.raises(ValueError):
+            branch_lcu(pu, [(1, 1.5)])
+
+
+def _real_projector(gen, dim, rank, kind):
+    if kind == "indices":
+        return Projector(dim, indices=gen.choice(dim, rank, replace=False))
+    q, _ = np.linalg.qr(gen.standard_normal((dim, rank)))
+    return Projector(dim, matrix=q @ q.T)
+
+
+@settings(max_examples=120, deadline=None)
+@given(dim=st.integers(2, 10), n=st.integers(1, 12), data=st.data(),
+       kinds=st.tuples(st.sampled_from(["indices", "matrix"]),
+                       st.sampled_from(["indices", "matrix"])),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_real_encoding_conjugate_branch(dim, n, data, kinds, seed):
+    # for real U and real projectors U_{-Phi} = conj(U_Phi): bit-equal with
+    # index projectors, to rounding with real-basis matrix projectors
+    gen = np.random.default_rng(seed)
+    pi = _real_projector(gen, dim, data.draw(st.integers(1, dim)), kinds[0])
+    pit = _real_projector(gen, dim, data.draw(st.integers(1, dim)), kinds[1])
+    pu = ProjectedUnitary(scipy.stats.ortho_group.rvs(dim, random_state=gen),
+                          pi, pit)
+    assert pu.real
+    seq = PhaseSequence(gen.uniform(-math.pi, math.pi, n), "reflection")
+    up, _ = alternating_sequence(pu, seq)
+    um, _ = alternating_sequence(pu, seq.negated())
+    if kinds == ("indices", "indices"):
+        np.testing.assert_array_equal(um, up.conj())
+    else:
+        np.testing.assert_allclose(um, up.conj(), rtol=0, atol=1e-13)
+    other = PhaseSequence(gen.uniform(-math.pi, math.pi,
+                                      data.draw(st.integers(1, 12))),
+                          "reflection")
+    terms = [(1, seq), (1j, other)]
+    got, _ = branch_lcu(pu, terms)
+    np.testing.assert_allclose(got, _dense_lcu(pu, terms), rtol=0, atol=1e-12)
+
+
+class TestConjugateBranch:
+    """A real encoding runs one sequence per `branch_lcu` term; any other
+    runs both."""
+
+    @staticmethod
+    def _count_sequences(monkeypatch):
+        import svtkit.svt as svt_module
+        calls = []
+        run = svt_module.alternating_sequence
+
+        def counted(pu, phi):
+            calls.append(phi)
+            return run(pu, phi)
+
+        monkeypatch.setattr(svt_module, "alternating_sequence", counted)
+        return calls
+
+    def _two_terms(self, gen):
+        return [(1, PhaseSequence(gen.uniform(-1, 1, 5), "reflection")),
+                (1j, PhaseSequence(gen.uniform(-1, 1, 4), "reflection"))]
+
+    def test_complex_unitary_runs_both(self, monkeypatch):
+        gen = np.random.default_rng(31)
+        pu = ProjectedUnitary(random_unitary(6, gen),
+                              Projector(6, indices=[0, 1]),
+                              Projector(6, indices=[0, 2]))
+        assert not pu.real
+        terms = self._two_terms(gen)
+        calls = self._count_sequences(monkeypatch)
+        got, _ = branch_lcu(pu, terms)
+        assert len(calls) == 4
+        np.testing.assert_allclose(got, _dense_lcu(pu, terms),
+                                   rtol=0, atol=1e-12)
+
+    def test_complex_basis_projector_runs_both(self, monkeypatch):
+        gen = np.random.default_rng(32)
+        pi = _random_projector(gen, 6, 2, "matrix")
+        assert pi.basis().imag.any()
+        pu = ProjectedUnitary(scipy.stats.ortho_group.rvs(6, random_state=gen),
+                              pi, Projector(6, indices=[1, 3]))
+        assert not pu.real
+        terms = self._two_terms(gen)
+        calls = self._count_sequences(monkeypatch)
+        got, _ = branch_lcu(pu, terms)
+        assert len(calls) == 4
+        np.testing.assert_allclose(got, _dense_lcu(pu, terms),
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_svt_apply_sequence_count(self, monkeypatch, kind):
+        gen = np.random.default_rng(33)
+        a = gen.standard_normal((4, 4))
+        if kind == "complex":
+            a = a + 1j * gen.standard_normal((4, 4))
+        a *= 0.9 / operator_norm(a)
+        pu = embed(a).pu
+        assert pu.real == (kind == "real")
+        tgt = random_target(7, gen=gen)
+        calls = self._count_sequences(monkeypatch)
+        out = svt_apply(pu, tgt, kind="real_poly", delta=1e-8)
+        assert len(calls) == (1 if kind == "real" else 2)
+        assert out.measured_error <= 1e-8
+
+
+def test_wrapped_circuit_on_frobenius_fast_path():
+    # the polished dilation keeps the 2d-dim circuit of a real (64, 101)
+    # cell within 1e-12 in Frobenius norm, so its unitarity check needs
+    # no SVD
+    gen = np.random.default_rng(64)
+    a = gen.standard_normal((64, 64))
+    a *= 0.95 / operator_norm(a)
+    out = svt_apply(embed(a).pu, random_target(101, supnorm=0.99, gen=gen),
+                    kind="real_poly", delta=1e-8)
+    u = out.u_phi
+    assert np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0])) <= 1e-12
 
 
 @settings(max_examples=60, deadline=None)
