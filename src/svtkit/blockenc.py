@@ -28,9 +28,13 @@ def is_unitary(u, tol=UNITARY_TOL) -> bool:
 
     G = U^dag U - I is formed once.  Since ||G||_2 <= ||G||_F, a Frobenius
     norm within tol accepts at once; only otherwise is the exact 2-norm
-    (an SVD) taken, so every decision is that of the 2-norm test.
+    (an SVD) taken, so every decision is that of the 2-norm test.  A
+    complex U with an all-zero imaginary part, such as `embed`'s, has
+    its Gram formed in float64.
     """
     u = np.asarray(u)
+    if np.iscomplexobj(u) and not u.imag.any():
+        u = np.ascontiguousarray(u.real)
     g = u.conj().T @ u - np.eye(u.shape[1])
     return float(np.linalg.norm(g)) <= tol or operator_norm(g) <= tol
 
@@ -154,6 +158,18 @@ class ProjectedUnitary:
             raise DimensionMismatch("U must be square")
         if not is_unitary(u):
             raise NormExceeded("U is not unitary to 1e-12")
+        self._hold(u, pi, pi_tilde)
+
+    @classmethod
+    def _certified(cls, u, pi: Projector,
+                   pi_tilde: Projector) -> "ProjectedUnitary":
+        """A ProjectedUnitary built without forming U^dag U: the caller
+        has shown that the square U meets UNITARY_TOL."""
+        self = cls.__new__(cls)
+        self._hold(np.asarray(u, complex), pi, pi_tilde)
+        return self
+
+    def _hold(self, u, pi: Projector, pi_tilde: Projector) -> None:
         if pi.dim != u.shape[0] or pi_tilde.dim != u.shape[0]:
             raise DimensionMismatch("projector dimension mismatch")
         u.setflags(write=False)

@@ -140,7 +140,8 @@ def cmd_apps(args, config):
             from .blockenc import BlockEncoding
             be = BlockEncoding(be.pu.u, alpha=1.0, ancillas=1, eps=0.0,
                                target=h)
-        enc, rep = hamiltonian_simulate(be, args.t, args.eps,
+        eps = 1e-6 if args.eps is None else args.eps
+        enc, rep = hamiltonian_simulate(be, args.t, eps,
                                         robust=args.robust,
                                         max_degree=config.max_degree)
         out = {"result": "ok", "claimed_bound": rep["claimed_uses"],
@@ -156,7 +157,10 @@ def cmd_apps(args, config):
         s = np.clip(s, args.delta, None)
         a = u @ np.diag(s) @ vh
         pu = embed(a, 1.0).pu
-        outcome, rep = pseudoinverse(pu, args.delta, args.eps,
+        # pinv's own eps default: at hamsim's 1e-6 its bounded 1/x
+        # polynomial needs a degree above the default cap of 512
+        eps = 1e-3 if args.eps is None else args.eps
+        outcome, rep = pseudoinverse(pu, args.delta, eps,
                                      max_degree=config.max_degree)
         out = {"result": "ok", "claimed_bound": rep["claimed"],
                "measured": rep["measured"],
@@ -268,8 +272,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_apps.add_argument("app", choices=["hamsim", "pinv", "markov"])
     p_apps.add_argument("--dim", type=int, default=4)
     p_apps.add_argument("--t", type=finite_float, default=1.0)
-    p_apps.add_argument("--eps", type=finite_float, default=1e-6)
-    p_apps.add_argument("--delta", type=finite_float, default=0.2)
+    p_apps.add_argument("--eps", type=finite_float, default=None,
+                        help="target error (default 1e-6 for hamsim, "
+                             "1e-3 for pinv)")
+    p_apps.add_argument("--delta", type=finite_float, default=0.3,
+                        help="pinv: singular value floor")
     p_apps.add_argument("--robust", action="store_true")
     p_apps.set_defaults(fn=cmd_apps)
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 
 import numpy as np
 from numpy.polynomial import chebyshev as npcheb
@@ -233,20 +234,35 @@ def invariant_decomposition(pu: ProjectedUnitary) -> InvariantDecomposition:
 # the alternating phase modulation sequence
 
 
-def _phase_layer(out: np.ndarray, proj: Projector, phi: float) -> np.ndarray:
-    """out @ e^{i phi (2 Pi - I)} without building the operator.
+def _transposed_phase_layer(proj: Projector, real: bool):
+    """The map (T, phi) -> L^T T for L = e^{i phi (2 Pi - I)}, without
+    building L; T may be overwritten.
 
-    e^{i phi (2 Pi - I)} = e^{-i phi} I + 2i sin(phi) Pi: a column scaling
-    when Pi is a coordinate projector, a rank-r update through an
-    orthonormal basis B of img(Pi) (Pi = B B^dag) otherwise.
+    L = e^{-i phi} I + 2i sin(phi) Pi: a row scaling of T, in place, when
+    Pi is a coordinate projector; through an orthonormal basis B of
+    img(Pi) (Pi = B B^dag, so Pi^T = conj(B) B^T) otherwise, two matmuls,
+    in float64 when the encoding is ``real``.
     """
     if proj.indices is not None:
-        d = np.full(proj.dim, np.exp(-1j * phi))
-        d[proj.indices] = np.exp(1j * phi)
-        return out * d
+        def row_scaling(t, phi):
+            d = np.full(proj.dim, np.exp(-1j * phi))
+            d[proj.indices] = np.exp(1j * phi)
+            t *= d[:, None]
+            return t
+        return row_scaling
     b = proj.basis()
-    return (np.exp(-1j * phi) * out
-            + 2j * math.sin(phi) * ((out @ b) @ b.conj().T))
+    mul = operator.matmul
+    if real:
+        b, mul = np.ascontiguousarray(b.real), _real_times
+    left, right = b.conj(), b.T
+    return lambda t, phi: (np.exp(-1j * phi) * t
+                           + 2j * math.sin(phi) * mul(left, mul(right, t)))
+
+
+def _real_times(a: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """a @ t for real a and C-contiguous complex t: one dgemm on the
+    float64 view of t, whose rows interleave real and imaginary parts."""
+    return (a @ t.view(np.float64)).view(complex)
 
 
 def alternating_sequence(pu: ProjectedUnitary, phi: PhaseSequence):
@@ -255,24 +271,36 @@ def alternating_sequence(pu: ProjectedUnitary, phi: PhaseSequence):
     projector-controlled NOT, n single-qubit phases.
 
     Odd n: e^{i phi_1 (2Pi~-I)} U e^{i phi_2 (2Pi-I)} U^dag ... U; even n:
-    e^{i phi_1 (2Pi-I)} U^dag e^{i phi_2 (2Pi~-I)} U ... U.  Each phase
-    layer is applied to the running product by `_phase_layer`, so the
-    only matmul per layer is the one by U or U^dag.
+    e^{i phi_1 (2Pi-I)} U^dag e^{i phi_2 (2Pi~-I)} U ... U.
+
+    The running product is kept transposed, T = U_Phi^T, stored
+    C-contiguous: each layer multiplies T from the left by L^T and then
+    by U^T (for U) or conj(U) (for U^dag), and U_Phi = T^T is returned
+    as a view.  For a real encoding (`pu.real`) every matrix is real and
+    the complex buffer of T, viewed as float64, is a dim x 2 dim real
+    matrix, so each use of U is one dgemm on that view, with no copy and
+    no real/imaginary split; only the phases are complex.  A complex
+    encoding runs the same loop with complex matmuls.
     """
     if phi.convention != "reflection":
         raise ConventionMismatch("alternating_sequence wants reflection phases")
     n = len(phi.phis)
-    u = pu.u
-    udag = u.conj().T
-    out = np.eye(pu.dim, dtype=complex)
+    if pu.real:
+        mul, u = _real_times, np.ascontiguousarray(pu.u.real)
+    else:
+        mul, u = operator.matmul, pu.u
+    by_u, by_udag = u.T, u.conj()
+    layer_pi = _transposed_phase_layer(pu.pi, pu.real)
+    layer_pi_tilde = _transposed_phase_layer(pu.pi_tilde, pu.real)
+    t = np.eye(pu.dim, dtype=complex)
     for j, angle in enumerate(phi.phis):
         if (n - j) % 2:
-            out = _phase_layer(out, pu.pi_tilde, angle) @ u
+            t = mul(by_u, layer_pi_tilde(t, angle))
         else:
-            out = _phase_layer(out, pu.pi, angle) @ udag
+            t = mul(by_udag, layer_pi(t, angle))
     ledger = {"u_uses": n, "cpi_not": n, "cpi_tilde_not": n,
               "single_qubit_phases": n}
-    return out, ledger
+    return t.T, ledger
 
 
 def _hadamard_wrap(branches) -> np.ndarray:
@@ -291,10 +319,15 @@ def _hadamard_wrap(branches) -> np.ndarray:
     return out
 
 
-def _assert_unitary(m, tol=1e-11):
+def _assert_unitary(m, tol=1e-11) -> bool:
+    """Raise NumericalFailure unless ||m^dag m - I||_2 <= tol; return
+    whether m also meets the UNITARY_TOL of `ProjectedUnitary`."""
+    if is_unitary(m):
+        return True
     if not is_unitary(m, tol):
         defect = operator_norm(m.conj().T @ m - np.eye(m.shape[0]))
         raise NumericalFailure(f"result not unitary: defect {defect:.2e}")
+    return False
 
 
 def branch_lcu(pu: ProjectedUnitary, terms):
@@ -315,12 +348,19 @@ def branch_lcu(pu: ProjectedUnitary, terms):
     wrapped circuit and the ledger of the longest phase sequence (None if
     there is none).
     """
+    wrapped, ledger, _ = _branch_lcu(pu, terms)
+    return wrapped, ledger
+
+
+def _branch_lcu(pu: ProjectedUnitary, terms):
+    """`branch_lcu`, plus whether every phased branch met UNITARY_TOL."""
     k = len(terms)
     if k == 0 or k & (k - 1):
         raise ValueError(f"need a power-of-two number of terms, got {k}")
     eye = np.eye(pu.dim, dtype=complex)
     branches = []
     ledger, longest = None, -1
+    met = True
     for weight, refl in terms:
         if abs(abs(weight) - 1.0) > 1e-12:
             raise ValueError(f"branch weight {weight} is not unimodular")
@@ -328,12 +368,12 @@ def branch_lcu(pu: ProjectedUnitary, terms):
             pair = (eye, -eye)
         elif isinstance(refl, PhaseSequence):
             up, led = alternating_sequence(pu, refl)
-            _assert_unitary(up)
+            met = _assert_unitary(up) and met
             if pu.real:
                 um = up.conj()
             else:
                 um, _ = alternating_sequence(pu, refl.negated())
-                _assert_unitary(um)
+                met = _assert_unitary(um) and met
             pair = (up, um)
             if len(refl.phis) > longest:
                 ledger, longest = led, len(refl.phis)
@@ -344,7 +384,7 @@ def branch_lcu(pu: ProjectedUnitary, terms):
             z = complex(c, math.sqrt(1.0 - c * c))
             pair = (z * eye, z.conjugate() * eye)
         branches += [weight * branch for branch in pair]
-    return _hadamard_wrap(branches), ledger
+    return _hadamard_wrap(branches), ledger, met
 
 
 @dataclasses.dataclass
@@ -382,9 +422,10 @@ def svt_apply(pu: ProjectedUnitary, target, kind: str = "real_poly",
         refl = to_reflection(phases_from_pq(pair))
         n = len(refl.phis)
         u_phi, ledger = alternating_sequence(pu, refl)
-        _assert_unitary(u_phi)
-        enc = ProjectedUnitary(u_phi, pu.pi,
-                               pu.pi_tilde if n % 2 == 1 else pu.pi)
+        # a check of u_phi at UNITARY_TOL is the wrapper's own check
+        make = (ProjectedUnitary._certified if _assert_unitary(u_phi)
+                else ProjectedUnitary)
+        enc = make(u_phi, pu.pi, pu.pi_tilde if n % 2 == 1 else pu.pi)
         result = enc.encoded()
         oracle = reference_svt(
             pu.encoded(), ChebSeries(pair.p_cheb),
@@ -407,15 +448,21 @@ def svt_apply(pu: ProjectedUnitary, target, kind: str = "real_poly",
     # projector phases run through the shared ancilla of the C-Pi-NOT
     # construction; Hadamards on that ancilla put the average of the two
     # branches, the real part of the polynomial, at ancilla |0>
-    wrapped, ledger = branch_lcu(pu, [(1, refl)])
+    wrapped, ledger, met = _branch_lcu(pu, [(1, refl)])
     proj_in = pu.pi
     proj_out = pu.pi_tilde if n % 2 == 1 else pu.pi
     dim = pu.dim
     # (<+| x Pi') diag(U_Phi, U_-Phi) (|+> x Pi) = Pi' (U_Phi + U_-Phi) / 2 Pi
     result = sandwich(proj_out, wrapped[:dim, :dim], proj_in)
-    enc = ProjectedUnitary(wrapped,
-                           _lift_projector(proj_in, dim),
-                           _lift_projector(proj_out, dim))
+    # For a real encoding U_-Phi = conj(U_Phi), so the wrapped blocks are
+    # (z + conj z)/2 = Re U_Phi and (z - conj z)/2 = i Im U_Phi, both
+    # exact in floating point: the wrap is exactly the Hadamard conjugate
+    # of diag(U_Phi, conj U_Phi), and its defect is U_Phi's.  A branch
+    # that met UNITARY_TOL certifies it; otherwise the wrap is checked.
+    make = (ProjectedUnitary._certified if pu.real and met
+            else ProjectedUnitary)
+    enc = make(wrapped, _lift_projector(proj_in, dim),
+               _lift_projector(proj_out, dim))
     oracle = reference_svt(pu.encoded(), ChebSeries(c.real),
                            "odd" if n % 2 else "even",
                            pi=pu.pi, pi_tilde=pu.pi_tilde)

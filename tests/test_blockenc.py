@@ -326,6 +326,30 @@ class TestIsUnitary:
         assert verdicts == {True, False}
 
 
+    def test_zero_imaginary_part_gram_in_float64(self):
+        # a complex U without imaginary part, as `embed` stores it, has its
+        # Gram formed in float64: the verdict of the complex Gram, and its
+        # Frobenius defect to 1e-15
+        gen = np.random.default_rng(6)
+        verdicts = set()
+        for _ in range(100):
+            dim = int(gen.integers(2, 40))
+            tol = float(gen.choice([UNITARY_TOL, 1e-11]))
+            e = gen.uniform(-1, 1, dim) * gen.uniform(0, 1, dim) ** 4
+            e *= tol * gen.uniform(0.3, 2.0) / np.abs(e).max()
+            q = scipy.stats.ortho_group.rvs(dim, random_state=gen)
+            u = (q * np.sqrt(1.0 + e)).astype(complex)
+            want = _two_norm_verdict(u, tol)
+            assert is_unitary(u, tol) is want
+            assert is_unitary(u.real, tol) is want
+            eye = np.eye(dim)
+            g_complex = np.linalg.norm(u.conj().T @ u - eye)
+            g_real = np.linalg.norm(u.real.T @ u.real - eye)
+            assert abs(g_complex - g_real) <= 1e-15
+            verdicts.add(want)
+        assert verdicts == {True, False}
+
+
 class TestEmbedPolish:
     """`embed` dilates a real matrix in float64 and polishes U with one
     Newton-Schulz step before wrapping it."""

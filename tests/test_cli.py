@@ -201,6 +201,18 @@ class TestSchemas:
                             self._schema("report.schema.json"))
 
 
+def test_flagless_pinv_runs_at_default_cap():
+    # pinv has its own --eps default: hamsim's 1e-6 needs degree 881 > 512
+    import jsonschema
+    proc = subprocess.run([sys.executable, "-m", "svtkit.cli", "apps",
+                           "pinv"], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    jsonschema.validate(report, TestSchemas._schema("report.schema.json"))
+    assert report["ledger"]["degree"] <= 512
+
+
 @pytest.mark.parametrize("argv", [
     ["poly", "--family", "sign", "--delta", "0.1", "--eps", "1e-4"],
     ["phases", "--family", "sign", "--delta", "0.1", "--eps", "1e-4"],

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from svtkit import ChebSeries, ParityPoly
 from svtkit.blockenc import (BlockEncoding, Projector, ProjectedUnitary,
-                             embed, operator_norm)
-from svtkit.errors import Inadmissible, ParityMismatch
+                             embed, is_unitary, operator_norm)
+from svtkit.errors import Inadmissible, NormExceeded, ParityMismatch
 from svtkit.qsp import (PhaseSequence, chebyshev_phases, complete,
                         complete_complex)
 from svtkit.svt import (alternating_sequence, branch_lcu,
@@ -587,6 +587,147 @@ def test_real_encoding_conjugate_branch(dim, n, data, kinds, seed):
     terms = [(1, seq), (1j, other)]
     got, _ = branch_lcu(pu, terms)
     np.testing.assert_allclose(got, _dense_lcu(pu, terms), rtol=0, atol=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(dim=st.integers(2, 32), n=st.integers(1, 12), data=st.data(),
+       kinds=st.tuples(st.sampled_from(["indices", "matrix"]),
+                       st.sampled_from(["indices", "matrix"])),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_real_sequence_matches_dense_product(dim, n, data, kinds, seed):
+    # a real encoding runs its sequence in float64 on the view of U_Phi^T
+    gen = np.random.default_rng(seed)
+    pi = _real_projector(gen, dim, data.draw(st.integers(1, dim)), kinds[0])
+    pit = _real_projector(gen, dim, data.draw(st.integers(1, dim)), kinds[1])
+    pu = ProjectedUnitary(scipy.stats.ortho_group.rvs(dim, random_state=gen),
+                          pi, pit)
+    assert pu.real
+    seq = PhaseSequence(gen.uniform(-math.pi, math.pi, n), "reflection")
+    up, ledger = alternating_sequence(pu, seq)
+    np.testing.assert_allclose(up, _dense_u_phi(pu, seq.phis),
+                               rtol=0, atol=1e-12)
+    assert ledger["u_uses"] == n
+    # the single-term wrap holds Re U_Phi and i Im U_Phi exactly
+    wrapped, _ = branch_lcu(pu, [(1, seq)])
+    for diag in (wrapped[:dim, :dim], wrapped[dim:, dim:]):
+        np.testing.assert_array_equal(diag.real, up.real)
+        assert not diag.imag.any()
+    for off in (wrapped[:dim, dim:], wrapped[dim:, :dim]):
+        np.testing.assert_array_equal(off.imag, up.imag)
+        assert not off.real.any()
+
+
+def test_real_wrap_certificate_matches_full_check():
+    # the single-term wrap of a real encoding has U_Phi's defect, so the
+    # certificate (U_Phi at UNITARY_TOL) decides as the full check would
+    gen = np.random.default_rng(71)
+    for _ in range(60):
+        n, deg = int(gen.integers(1, 17)), int(gen.integers(1, 40))
+        a = gen.standard_normal((n, n))
+        a *= gen.uniform(0.3, 0.99) / operator_norm(a)
+        out = svt_apply(embed(a).pu, random_target(deg, supnorm=0.95, gen=gen),
+                        kind="real_poly", delta=1e-8)
+        w = out.u_phi
+        dim = w.shape[0] // 2
+        up = w[:dim, :dim] + w[:dim, dim:]  # Re U_Phi + i Im U_Phi, exact
+        assert is_unitary(w) == is_unitary(up)
+        defect_w = operator_norm(w.conj().T @ w - np.eye(2 * dim))
+        defect_u = operator_norm(up.conj().T @ up - np.eye(dim))
+        assert abs(defect_w - defect_u) <= 1e-15
+
+
+class TestWrapCertificate:
+    """`svt_apply` (real_poly) builds the wrapped encoding of a real
+    encoding on its branch's certificate; a branch above UNITARY_TOL
+    sends the wrap through the full check."""
+
+    @staticmethod
+    def _cell():
+        gen = np.random.default_rng(72)
+        a = gen.standard_normal((4, 4))
+        a *= 0.9 / operator_norm(a)
+        return embed(a).pu, random_target(9, gen=gen)
+
+    @staticmethod
+    def _checked_shapes(monkeypatch):
+        import svtkit.blockenc as blockenc_module
+        shapes = []
+        check = blockenc_module.is_unitary
+
+        def counted(u, tol=blockenc_module.UNITARY_TOL):
+            shapes.append(np.shape(u))
+            return check(u, tol)
+
+        monkeypatch.setattr(blockenc_module, "is_unitary", counted)
+        return shapes
+
+    def test_certified_wrap_not_rechecked(self, monkeypatch):
+        pu, tgt = self._cell()
+        shapes = self._checked_shapes(monkeypatch)
+        out = svt_apply(pu, tgt, kind="real_poly", delta=1e-8)
+        assert (16, 16) not in shapes
+        assert out.encoding.u.shape == (16, 16)
+        assert out.measured_error <= 1e-8
+
+    def test_branch_above_unitary_tol_checks_wrap(self, monkeypatch):
+        import svtkit.svt as svt_module
+        pu, tgt = self._cell()
+        run = svt_module.alternating_sequence
+
+        def inflated(pu, phi):
+            up, ledger = run(pu, phi)
+            return up * (1 + 2.5e-12), ledger  # defect 5e-12
+
+        monkeypatch.setattr(svt_module, "alternating_sequence", inflated)
+        shapes = self._checked_shapes(monkeypatch)
+        with pytest.raises(NormExceeded):
+            svt_apply(pu, tgt, kind="real_poly", delta=1e-8)
+        assert (16, 16) in shapes
+
+
+_THREADS_CELL = """
+import sys
+import numpy as np
+from svtkit import ChebSeries
+from svtkit.blockenc import embed, operator_norm
+from svtkit.svt import svt_apply
+gen = np.random.default_rng(64)
+a = gen.standard_normal((64, 64))
+a *= 0.95 / operator_norm(a)
+c = gen.standard_normal(102)
+c[0::2] = 0.0
+xs = np.cos(np.linspace(0, np.pi, 2001))
+c *= 0.95 / np.abs(np.polynomial.chebyshev.chebval(xs, c)).max()
+out = svt_apply(embed(a).pu, ChebSeries(c), kind="real_poly", delta=1e-8)
+np.savez(sys.argv[1], result=out.result, u_phi=out.u_phi)
+print(out.ledger["u_uses"])
+"""
+
+
+def test_result_independent_of_blas_threads(tmp_path):
+    # one (64, 101) real cell with BLAS on one and on two threads
+    import os
+    import pathlib
+    import subprocess
+    import sys
+    import svtkit
+    src = str(pathlib.Path(svtkit.__file__).parents[1])
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       [src, os.environ.get("PYTHONPATH", "")]))
+        path = tmp_path / f"threads{threads}.npz"
+        proc = subprocess.run([sys.executable, "-c", _THREADS_CELL,
+                               str(path)], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        runs.append((np.load(path), int(proc.stdout)))
+    (one, uses_one), (two, uses_two) = runs
+    assert uses_one == uses_two == 101
+    for key in ("result", "u_phi"):
+        np.testing.assert_allclose(one[key], two[key], rtol=0, atol=1e-13)
 
 
 class TestConjugateBranch:
