@@ -1,13 +1,8 @@
 """svtkit: classical singular value transformation toolkit."""
 
-from .config import RunConfig, Precision, STANDARD, extended
 from .poly import ParityPoly, ChebSeries, FourierSeries
 
 __all__ = [
-    "RunConfig",
-    "Precision",
-    "STANDARD",
-    "extended",
     "ParityPoly",
     "ChebSeries",
     "FourierSeries",

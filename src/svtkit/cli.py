@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Subcommands: poly, phases, encode, svt, apps, sweep.  Everything is
-deterministic given (args, seed, precision); matrices above dimension
-256 are rejected up front.
+Subcommands: poly, phases, encode, svt, apps, sweep.  Every command
+computes in IEEE double precision and is deterministic given (args,
+seed); matrices above dimension 256 are rejected up front.
 """
 from __future__ import annotations
 
@@ -16,8 +16,7 @@ import numpy as np
 from . import approx
 from .blockenc import (embed, encode_sparse, matrix_from_json, matrix_to_json,
                        operator_norm)
-from .config import (MAX_DEGREE_DEFAULT, MAX_MATRIX_DIM, Precision,
-                     RunConfig, STANDARD, extended)
+from .config import MAX_DEGREE_DEFAULT, MAX_MATRIX_DIM
 from .errors import SvtError
 from .poly import ChebSeries
 from .qsp import phases_for_target
@@ -38,10 +37,6 @@ def _emit(obj, args) -> None:
         sys.stdout.write("\n")
 
 
-def _precision(args) -> Precision:
-    return STANDARD if args.precision == "standard" else extended()
-
-
 def finite_float(text: str) -> float:
     """argparse type of every float flag: inf and nan are refused."""
     value = float(text)
@@ -58,21 +53,30 @@ def positive_float(text: str) -> float:
     return value
 
 
-def _build_poly(args, config):
+def degree_cap(text: str) -> int:
+    """argparse type of --max-degree: an int in [0, MAX_DEGREE_DEFAULT]."""
+    value = int(text)
+    if not 0 <= value <= MAX_DEGREE_DEFAULT:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not in [0, {MAX_DEGREE_DEFAULT}]")
+    return value
+
+
+def _build_poly(args):
     spec = approx.ApproxSpec(
         target=args.family, eps=args.eps, delta=args.delta, t=args.t,
         kappa=args.kappa, beta=args.beta, c=args.c, s=args.s, d=args.d,
         n=args.n, parity=args.parity, bounded=args.bounded)
-    return approx.build(spec, config.max_degree)
+    return approx.build(spec, args.max_degree)
 
 
-def cmd_poly(args, config):
-    res = _build_poly(args, config)
+def cmd_poly(args):
+    res = _build_poly(args)
     _emit(res.to_json(), args)
     return EXIT_OK
 
 
-def cmd_phases(args, config):
+def cmd_phases(args):
     if args.poly_file:
         with open(args.poly_file) as fh:
             series = ChebSeries.from_json(json.load(fh)["poly"])
@@ -80,17 +84,16 @@ def cmd_phases(args, config):
     elif args.family is None:
         raise ValueError("phases needs --family or --poly")
     else:
-        target = _build_poly(args, config).cheb
+        target = _build_poly(args).cheb
     tol = args.tol if args.tol is not None else max(args.eps / 10.0, 1e-10)
-    pair, refl, rep = phases_for_target(target, tol=tol,
-                                        precision=config.precision)
+    pair, refl, rep = phases_for_target(target, tol=tol)
     out = refl.to_json()
     out["reconstruction_residual"] = rep["reconstruction_error"]
     _emit(out, args)
     return EXIT_OK
 
 
-def cmd_encode(args, config):
+def cmd_encode(args):
     with open(args.matrix) as fh:
         a = matrix_from_json(json.load(fh))
     if max(a.shape) > MAX_MATRIX_DIM:
@@ -105,7 +108,7 @@ def cmd_encode(args, config):
     return EXIT_OK
 
 
-def cmd_svt(args, config):
+def cmd_svt(args):
     with open(args.matrix) as fh:
         a = matrix_from_json(json.load(fh))
     if max(a.shape) > MAX_MATRIX_DIM:
@@ -123,13 +126,13 @@ def cmd_svt(args, config):
     return EXIT_OK
 
 
-def cmd_apps(args, config):
+def cmd_apps(args):
     from .apps import (hamiltonian_simulate, markov_detect, markov_hitting,
                        MarkovChain, pseudoinverse)
 
     if not 1 <= args.dim <= MAX_MATRIX_DIM:
         raise ValueError(f"--dim must lie in [1, {MAX_MATRIX_DIM}]")
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(args.seed)
     if args.app == "hamsim":
         dim = args.dim
         h = rng.standard_normal((dim, dim))
@@ -143,7 +146,7 @@ def cmd_apps(args, config):
         eps = 1e-6 if args.eps is None else args.eps
         enc, rep = hamiltonian_simulate(be, args.t, eps,
                                         robust=args.robust,
-                                        max_degree=config.max_degree)
+                                        max_degree=args.max_degree)
         out = {"result": "ok", "claimed_bound": rep["claimed_uses"],
                "measured": rep["measured"],
                "ledger": {"uses": rep["uses"]}}
@@ -161,7 +164,7 @@ def cmd_apps(args, config):
         # polynomial needs a degree above the default cap of 512
         eps = 1e-3 if args.eps is None else args.eps
         outcome, rep = pseudoinverse(pu, args.delta, eps,
-                                     max_degree=config.max_degree)
+                                     max_degree=args.max_degree)
         out = {"result": "ok", "claimed_bound": rep["claimed"],
                "measured": rep["measured"],
                "ledger": {"degree": rep["degree"]}}
@@ -174,7 +177,7 @@ def cmd_apps(args, config):
         p = w / w.sum(axis=1, keepdims=True)
         chain = MarkovChain(p, marked=[0])
         ht, rep = markov_hitting(chain)
-        det = markov_detect(chain, max(ht, 1.0), max_degree=config.max_degree)
+        det = markov_detect(chain, max(ht, 1.0), max_degree=args.max_degree)
         out = {"result": {"hitting_time": ht},
                "claimed_bound": 2.0 / 3.0,
                "measured": det["marked_probability"],
@@ -188,7 +191,7 @@ def cmd_apps(args, config):
 SWEPT_FIELD = {"inverse": "kappa", "sign": "delta", "exp": "beta", "cos": "t"}
 
 
-def cmd_sweep(args, config):
+def cmd_sweep(args):
     lo, hi = (finite_float(v) for v in args.range.split(".."))
     values = np.linspace(lo, hi, args.steps)
     field = SWEPT_FIELD.get(args.family)
@@ -198,7 +201,7 @@ def cmd_sweep(args, config):
     for v in values:
         spec = approx.ApproxSpec(target=args.family, eps=args.eps,
                                  **{field: float(v)})
-        res = approx.build(spec, config.max_degree)
+        res = approx.build(spec, args.max_degree)
         rows.append(f"{v:.6g},{res.degree},{res.claimed_error:.6g}")
     text = "\n".join(rows) + "\n"
     if getattr(args, "out", None):
@@ -214,11 +217,13 @@ def build_parser() -> argparse.ArgumentParser:
         prog="svtkit",
         description="Singular value transformation toolkit: polynomial "
                     "construction, phase synthesis, encodings, transforms")
+    # read nowhere: perfbench's synth workload still sends it
     ap.add_argument("--precision", default="standard",
                     choices=["standard", "extended"],
-                    help="accepted for compatibility: every command "
-                         "computes in double precision either way")
-    ap.add_argument("--max-degree", type=int, default=MAX_DEGREE_DEFAULT,
+                    help="accepted and ignored: every command computes "
+                         "in double precision")
+    ap.add_argument("--max-degree", type=degree_cap,
+                    default=MAX_DEGREE_DEFAULT,
                     help="refuse polynomials above this degree "
                          f"(at most {MAX_DEGREE_DEFAULT})")
     ap.add_argument("--seed", type=int, default=0)
@@ -300,9 +305,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_VALIDATION if exc.code not in (0, None) else EXIT_OK
     try:
-        config = RunConfig(precision=_precision(args),
-                           max_degree=args.max_degree, seed=args.seed)
-        return args.fn(args, config)
+        return args.fn(args)
     except (ValueError, OverflowError, OSError, KeyError) as exc:
         # OverflowError: a finite parameter too large to compute with
         print(f"validation error: {exc}", file=sys.stderr)

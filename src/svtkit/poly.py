@@ -14,7 +14,7 @@ import numpy as np
 from numpy.polynomial import chebyshev as npcheb
 from numpy.polynomial import polynomial as nppoly
 
-from .config import COEFF_DROP_REL, MAX_DEGREE_DEFAULT, Precision, STANDARD
+from .config import COEFF_DROP_REL, MAX_DEGREE_DEFAULT
 from .errors import DegreeTooLarge, NumericalFailure
 
 _PARITIES = ("even", "odd", "none")
@@ -262,90 +262,43 @@ def arithmetic(p: ParityPoly, q=None, op: str = "add"):
     raise ValueError(f"unknown op {op!r}")
 
 
-def _aberth_refine(coeffs, roots, iters=40, mp_ctx=None):
+def _aberth_refine(coeffs, roots, iters=40):
     """Simultaneous (Aberth) refinement of all roots of a monomial poly."""
-    if mp_ctx is None:
-        d = nppoly.polyder(coeffs)
-        roots = roots.astype(complex)
-        for _ in range(iters):
-            f = nppoly.polyval(roots, coeffs)
-            fp = nppoly.polyval(roots, d)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                newton = np.where(fp != 0, f / fp, 0.0)
-                diff = roots[:, None] - roots[None, :]
-                np.fill_diagonal(diff, np.inf)
-                repel = np.sum(1.0 / diff, axis=1)
-                step = newton / (1.0 - newton * repel)
-            step = np.where(np.isfinite(step), step, 0.0)
-            roots = roots - step
-            if np.abs(step).max(initial=0.0) < 1e-16 * (1 + np.abs(roots).max()):
-                break
-        return roots
-    # mpmath pass for the extended-precision toggle; keeps full precision
-    import mpmath as mp
-
-    with mp_ctx.workdps():
-        cs = [mp.mpc(z) for z in coeffs]
-        ds = [k * cs[k] for k in range(1, len(cs))]
-        rs = [mp.mpc(z) for z in roots]
-        n = len(rs)
-        for _ in range(iters):
-            moved = mp.mpf(0)
-            fs = [mp.polyval(cs[::-1], r) for r in rs]
-            fps = [mp.polyval(ds[::-1], r) for r in rs]
-            for i in range(n):
-                if fps[i] == 0:
-                    continue
-                newton = fs[i] / fps[i]
-                repel = mp.mpf(0)
-                for j in range(n):
-                    if j != i:
-                        repel += 1 / (rs[i] - rs[j])
-                denom = 1 - newton * repel
-                if denom == 0:
-                    continue
-                step = newton / denom
-                rs[i] = rs[i] - step
-                moved = max(moved, abs(step))
-            if moved < mp.mpf(10) ** (-mp.mp.dps + 2):
-                break
-        return rs
+    d = nppoly.polyder(coeffs)
+    roots = roots.astype(complex)
+    for _ in range(iters):
+        f = nppoly.polyval(roots, coeffs)
+        fp = nppoly.polyval(roots, d)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = np.where(fp != 0, f / fp, 0.0)
+            diff = roots[:, None] - roots[None, :]
+            np.fill_diagonal(diff, np.inf)
+            repel = np.sum(1.0 / diff, axis=1)
+            step = newton / (1.0 - newton * repel)
+        step = np.where(np.isfinite(step), step, 0.0)
+        roots = roots - step
+        if np.abs(step).max(initial=0.0) < 1e-16 * (1 + np.abs(roots).max()):
+            break
+    return roots
 
 
-def find_roots(p: ParityPoly, precision: Precision = STANDARD):
-    """All complex roots (with multiplicity) of p.
+def find_roots(p: ParityPoly):
+    """All complex roots (with multiplicity) of p, in double precision.
 
     Companion-matrix eigenvalues seed a simultaneous-Newton (Aberth)
-    refinement.  With the extended-precision toggle the refinement reruns
-    in mpmath and the returned roots are mpmath complex numbers, so the
-    extra digits survive.  Raises NumericalFailure if the residual stays
-    above the contract tolerance (1e-10 standard, 1e-25 extended,
-    relative to the coefficient 1-norm) at degree <= 60.
+    refinement.  At degree <= 60 the residual max |p(r)|, relative to the
+    coefficient 1-norm, must be at most 1e-10, else NumericalFailure.
     """
     if p.degree < 1:
         raise ValueError("need degree >= 1")
     coeffs = p.coeffs
-    seeds = nppoly.polyroots(coeffs)
-    roots = _aberth_refine(coeffs, seeds)
-    if precision.extended:
-        roots = _aberth_refine(coeffs, roots, mp_ctx=precision)
-        tol = 1e-25
-    else:
-        tol = 1e-10
-    scale = np.abs(coeffs).sum()
+    roots = _aberth_refine(coeffs, nppoly.polyroots(coeffs))
     if p.degree <= 60:
-        if precision.extended:
-            import mpmath as mp
-
-            with precision.workdps():
-                cs = [mp.mpc(z) for z in coeffs[::-1]]
-                resid = max(abs(mp.polyval(cs, r)) for r in roots) / scale
-                resid = float(resid)
-        else:
-            resid = float(np.abs(nppoly.polyval(roots, coeffs)).max() / scale)
-        if resid > tol:
+        resid = float(np.abs(nppoly.polyval(roots, coeffs)).max()
+                      / np.abs(coeffs).sum())
+        if resid > 1e-10:
             raise NumericalFailure(
-                f"root residual {resid:.2e} above {tol:.0e} at degree {p.degree}")
+                f"root residual {resid:.2e} above 1e-10 at degree {p.degree}")
     return roots
 
 

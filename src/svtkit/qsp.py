@@ -25,7 +25,6 @@ import numpy as np
 from numpy.polynomial import chebyshev as npcheb
 
 from . import _chebops as cheb
-from .config import Precision, STANDARD
 from .errors import (ConventionMismatch, Inadmissible, NotSubunit,
                      NumericalFailure)
 from .poly import ChebSeries, ParityPoly, convert
@@ -661,16 +660,14 @@ def _degree_cut(c: np.ndarray, tol: float) -> np.ndarray:
     return c[: max(1, len(c) - drop)]
 
 
-def phases_for_target(p_re, tol: float = 1e-8,
-                      precision: Precision = STANDARD):
+def phases_for_target(p_re, tol: float = 1e-8):
     """Real target -> reflection phases, certifying the reconstruction.
 
     A target without definite parity is refused (Inadmissible), and so is
     one that exceeds 1 in magnitude (NotSubunit).  The symmetric-phase
     Newton solver finds the phases, stopping at a node residual of
     max(NEWTON_GOAL, tol / 10); the realized Re<0|U_Phi|0> must then meet
-    ``tol`` on a 1000-point grid, else NumericalFailure.  Phase synthesis
-    runs in double precision; ``precision`` is not read.
+    ``tol`` on a 1000-point grid, else NumericalFailure.
 
     Returns (SignalPair, reflection PhaseSequence, report); the report
     holds ``reconstruction_error`` and ``node_residual``.  Results are
@@ -701,7 +698,7 @@ def phases_for_target(p_re, tol: float = 1e-8,
     return out
 
 
-def real_qsp(p_re, delta: float = 1e-8, precision: Precision = STANDARD):
+def real_qsp(p_re, delta: float = 1e-8):
     """`phases_for_target` with ``tol=delta`` for a target that passes
     the ``real_target`` admissibility check (Inadmissible otherwise).
     Returns (SignalPair, reflection PhaseSequence)."""
@@ -709,5 +706,5 @@ def real_qsp(p_re, delta: float = 1e-8, precision: Precision = STANDARD):
     rep = check_admissible(c, "real_target")
     if not rep["admissible"]:
         raise Inadmissible(f"target fails real_target admissibility: {rep}")
-    pair, refl, _ = phases_for_target(c, tol=delta, precision=precision)
+    pair, refl, _ = phases_for_target(c, tol=delta)
     return pair, refl

@@ -11,7 +11,7 @@ import pytest
 import scipy.linalg
 import scipy.stats
 
-from svtkit import ChebSeries, extended
+from svtkit import ChebSeries
 from svtkit.approx import (approx_inverse, approx_sign, approx_trig,
                            bessel_j, solve_r)
 from svtkit.apps import (MarkovChain, fast_or, fractional_query,
@@ -52,7 +52,7 @@ def test_criterion_1_qsp_roundtrip():
     worst_ext = 0.0
     for deg in (60, 85, 100):
         c = random_parity_target(rng, deg)
-        pair, refl = real_qsp(c, delta=1e-10, precision=extended(256))
+        pair, refl = real_qsp(c, delta=1e-10)
         rec = qsp_eval(refl, xs)[:, 0, 0].real
         want = np.polynomial.chebyshev.chebval(xs, c)
         worst_ext = max(worst_ext, float(np.abs(rec - want).max()))
@@ -60,7 +60,7 @@ def test_criterion_1_qsp_roundtrip():
     ok = worst <= 1e-8 and worst_ext <= 1e-10 and elapsed <= 60.0
     assert _line(1, ok,
                  f"500 targets deg<=20 max err {worst:.2e} (<=1e-8), "
-                 f"extended deg<=100 max err {worst_ext:.2e} (<=1e-10), "
+                 f"deg 60-100 max err {worst_ext:.2e} (<=1e-10), "
                  f"{elapsed:.1f}s (<=60s)")
 
 

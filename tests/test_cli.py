@@ -57,6 +57,11 @@ class TestPhasesCommand:
                             capsys)
         assert code == 0
         assert json.loads(out)["reconstruction_residual"] <= 1e-4
+        # --precision is read nowhere: both values print the same bytes
+        outs = [run_cli(["--precision", value, "phases", "--family", "sign",
+                         "--delta", "0.2", "--eps", "1e-4"], capsys)
+                for value in ("standard", "extended")]
+        assert outs[0][0] == 0 and outs[0] == outs[1]
 
     def test_needs_family_or_poly(self, capsys):
         code, _ = run_cli(["phases"], capsys)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from svtkit import ParityPoly, ChebSeries, extended
+from svtkit import ParityPoly, ChebSeries
 from svtkit.errors import DegreeTooLarge
 from svtkit.poly import (arithmetic, convert, evaluate, find_roots,
                          monic_from_roots, supnorm)
@@ -119,16 +119,6 @@ class TestRoots:
         roots = find_roots(p)
         resid = np.abs(evaluate(p, roots)).max() / np.abs(p.coeffs).sum()
         assert resid <= 1e-10
-
-    def test_extended_precision_residual(self):
-        c = rng.standard_normal(13)
-        p = ParityPoly(c)
-        roots = find_roots(p, precision=extended(256))
-        import mpmath as mp
-        with mp.workdps(80):
-            cs = [mp.mpf(float(v.real)) for v in p.coeffs[::-1]]
-            resid = max(abs(mp.polyval(cs, mp.mpc(r))) for r in roots)
-        assert float(resid) / np.abs(p.coeffs).sum() <= 1e-25
 
     def test_monic_reconstruction(self):
         c = rng.standard_normal(31)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from svtkit import ParityPoly, ChebSeries, extended
+from svtkit import ParityPoly, ChebSeries
 from svtkit import qsp
 from svtkit.approx import (approx_inverse, approx_rect, approx_sign,
                            approx_trig)
@@ -216,9 +216,9 @@ class TestRealQsp:
         want = res.evaluate(GRID)
         assert np.abs(got - want).max() < 1e-8
 
-    def test_extended_precision_degree_60(self):
+    def test_degree_60_at_1e10(self):
         tgt = random_target(60, supnorm=0.95)
-        pair, refl = real_qsp(tgt, delta=1e-10, precision=extended(200))
+        pair, refl = real_qsp(tgt, delta=1e-10)
         got = qsp_eval(refl, GRID)[:, 0, 0].real
         want = np.polynomial.chebyshev.chebval(GRID, tgt.cheb_coeffs).real
         assert np.abs(got - want).max() < 1e-10
@@ -241,9 +241,9 @@ def lobatto_error(refl, c):
 
 @settings(max_examples=200, deadline=None)
 @given(deg=st.integers(1, 100), seed=st.integers(0, 2 ** 32 - 1))
-def test_extended_roundtrip_by_degree_and_parity(deg, seed):
+def test_roundtrip_by_degree_and_parity(deg, seed):
     c = random_target(deg, 0.99, np.random.default_rng(seed)).cheb_coeffs
-    _, refl = real_qsp(c, delta=1e-12, precision=extended(256))
+    _, refl = real_qsp(c, delta=1e-12)
     assert len(refl.phis) == deg
     assert lobatto_error(refl, c) <= 1e-12
 
@@ -332,18 +332,16 @@ class TestPhasesForTarget:
 
     def test_interior_peak_near_one(self):
         c = peaked_target(1 - 1e-9)
-        _, refl, _ = phases_for_target(c, tol=1e-10, precision=extended())
+        _, refl, _ = phases_for_target(c, tol=1e-10)
         assert lobatto_error(refl, c) <= 1e-10
 
     def test_interior_peak_above_one_refused(self):
         with pytest.raises(NotSubunit):
-            phases_for_target(peaked_target(1 + 1e-9), tol=1e-10,
-                              precision=extended())
+            phases_for_target(peaked_target(1 + 1e-9), tol=1e-10)
 
     def test_mixed_parity_refused(self):
         with pytest.raises(Inadmissible):
-            phases_for_target(np.array([0.0, 0.5, 0.3]), tol=1e-10,
-                              precision=extended())
+            phases_for_target(np.array([0.0, 0.5, 0.3]), tol=1e-10)
 
 
 class TestCompletionIdentityProperty:
