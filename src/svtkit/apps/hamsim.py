@@ -15,8 +15,9 @@ from ..blockenc import (BlockEncoding, Projector, ProjectedUnitary,
                         operator_norm)
 from ..errors import NotHermitian, NumericalFailure, SpectrumTooWide
 from ..poly import ChebSeries
-from ..qsp import phases_for_target
-from ..svt import alternating_sequence, branch_lcu, svt_apply
+from ..qsp import chebyshev_phases, phases_for_target
+from ..svt import (alternating_sequence, branch_lcu, eigenvalue_transform,
+                   svt_apply)
 
 
 def _four_branch_circuit(pu: ProjectedUnitary, cos_coeffs, sin_coeffs):
@@ -35,8 +36,6 @@ def _four_branch_circuit(pu: ProjectedUnitary, cos_coeffs, sin_coeffs):
 def _amplify_half(unitary_matrix, sys_dim):
     """Triple-length Chebyshev amplification turning an exact encoding of
     W/2 into an encoding of W (T_3(1/2) = -1)."""
-    from ..qsp import chebyshev_phases
-
     dim = unitary_matrix.shape[0]
     proj = Projector(dim, indices=range(sys_dim))
     pu = ProjectedUnitary(unitary_matrix, proj, proj)
@@ -290,7 +289,6 @@ def gibbs_prep(be: BlockEncoding, beta: float, eps: float,
         herm_arg = h
         target_f = lambda x: np.exp(-beta / 2.0 * (np.clip(x, -1, 1) + 1.0))
         shift = 1.0
-    from ..svt import eigenvalue_transform
     out = eigenvalue_transform(be, ChebSeries(f_coeffs / 2.0),
                                delta=max(eps / 4, 1e-8))
     f_half = out.result  # f(H)/2

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 
+from .. import _chebops as cheb_ops
 from ..approx import approx_rect, approx_sign
 from ..blockenc import ProjectedUnitary, embed, operator_norm
 from ..errors import PromiseViolated
@@ -47,7 +48,6 @@ def threshold_projector(pu: ProjectedUnitary, t: float, delta: float,
     # the theorem's transformation is the high-pass complement: identity
     # above the threshold, suppression below.  Phase noise enters the
     # operator conditions first-order, so eps/10 suffices there.
-    from .. import _chebops as cheb_ops
     high = cheb_ops.add(np.array([1.0]), -rect.cheb.cheb_coeffs.real)
     pair, refl, _ = phases_for_target(
         cheb_ops.enforce_parity(high, "even"), tol=eps / 10.0)
@@ -193,7 +193,6 @@ def fast_or(projectors, rho, eta: float, nu: float, eps: float):
     dl = (b_c - a_c) / 2.0
     eps_poly = min(eps / 2.0, 0.4)
     rect = approx_rect(t, dl, eps_poly)
-    from .. import _chebops as cheb_ops
     high = cheb_ops.enforce_parity(
         cheb_ops.add(np.array([1.0]), -rect.cheb.cheb_coeffs.real), "even")
     pair, refl, _ = phases_for_target(high, tol=eps / 10.0)

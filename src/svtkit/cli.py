@@ -14,8 +14,8 @@ import sys
 import numpy as np
 
 from . import approx
-from .blockenc import (embed, encode_sparse, matrix_from_json, matrix_to_json,
-                       operator_norm)
+from .blockenc import (BlockEncoding, embed, encode_sparse, matrix_from_json,
+                       matrix_to_json, operator_norm)
 from .config import MAX_DEGREE_DEFAULT, MAX_MATRIX_DIM
 from .errors import SvtError
 from .poly import ChebSeries
@@ -140,7 +140,6 @@ def cmd_apps(args):
         h /= operator_norm(h)
         be = embed(h, 1.0)
         if args.robust:
-            from .blockenc import BlockEncoding
             be = BlockEncoding(be.pu.u, alpha=1.0, ancillas=1, eps=0.0,
                                target=h)
         eps = 1e-6 if args.eps is None else args.eps

@@ -286,19 +286,24 @@ def find_roots(p: ParityPoly):
     """All complex roots (with multiplicity) of p, in double precision.
 
     Companion-matrix eigenvalues seed a simultaneous-Newton (Aberth)
-    refinement.  At degree <= 60 the residual max |p(r)|, relative to the
-    coefficient 1-norm, must be at most 1e-10, else NumericalFailure.
+    refinement.  At degree <= 60 every root's componentwise backward
+    error |p(r)| / sum_k |c_k| |r|^k must be at most 1e-12, else (or when
+    it is not finite) NumericalFailure.
     """
     if p.degree < 1:
         raise ValueError("need degree >= 1")
     coeffs = p.coeffs
     roots = _aberth_refine(coeffs, nppoly.polyroots(coeffs))
     if p.degree <= 60:
-        resid = float(np.abs(nppoly.polyval(roots, coeffs)).max()
-                      / np.abs(coeffs).sum())
-        if resid > 1e-10:
+        resid = np.abs(nppoly.polyval(roots, coeffs))
+        scale = nppoly.polyval(np.abs(roots), np.abs(coeffs))
+        # an exact zero of p has no error, even at r = 0 with c_0 = 0
+        err = float(np.divide(resid, scale, out=np.zeros_like(resid),
+                              where=resid != 0).max())
+        if not err <= 1e-12:
             raise NumericalFailure(
-                f"root residual {resid:.2e} above 1e-10 at degree {p.degree}")
+                f"root backward error {err:.2e} above 1e-12 "
+                f"at degree {p.degree}")
     return roots
 
 

@@ -21,11 +21,12 @@ from numpy.polynomial import chebyshev as npcheb
 from . import _chebops as cheb
 from .blockenc import (BlockEncoding, Projector, ProjectedUnitary,
                        is_unitary, operator_norm, sandwich)
-from .errors import (ConventionMismatch, Inadmissible, NumericalFailure,
-                     ParityMismatch)
+from .errors import (ConventionMismatch, Inadmissible, NormExceeded,
+                     NumericalFailure, ParityMismatch)
 from .poly import ChebSeries, ParityPoly
-from .qsp import (PhaseSequence, SignalPair, _degree_cut, check_admissible,
-                  phases_for_target, phases_from_pq, to_reflection)
+from .qsp import (PhaseSequence, SignalPair, _as_cheb_array, _degree_cut,
+                  check_admissible, complete_complex, phases_for_target,
+                  phases_from_pq, to_reflection)
 
 SATURATION_TOL = 1e-10  # sigma >= 1 - tol counts as the saturated block
 RANK_TOL = 1e-11
@@ -151,37 +152,23 @@ class InvariantDecomposition:
     right_kernel: list     # (psi, U psi)
     left_kernel: list      # (U^dag psi~, psi~)
 
-    def gram_defect(self) -> float:
-        vecs = []
-        for psi, _ in self.saturated:
-            vecs.append(psi)
-        for _, psi, psi_perp, _, _ in self.blocks:
-            vecs.extend([psi, psi_perp])
-        for psi, _ in self.right_kernel:
-            vecs.append(psi)
-        for upsi, _ in self.left_kernel:
-            vecs.append(upsi)
+    def _gram_defect(self, side: int) -> float:
+        """||M^dag M - I||_2 for the columns M of every subspace's right
+        (side 0) or left (side 1) vectors; 0 when there are none."""
+        vecs = [pair[side] for pair in self.saturated]
+        for blk in self.blocks:
+            vecs.extend(blk[1 + 2 * side:3 + 2 * side])
+        vecs += [pair[side] for pair in self.right_kernel + self.left_kernel]
         if not vecs:
             return 0.0
         m = np.column_stack(vecs)
-        g = m.conj().T @ m
-        return operator_norm(g - np.eye(g.shape[0]))
+        return operator_norm(m.conj().T @ m - np.eye(m.shape[1]))
+
+    def gram_defect(self) -> float:
+        return self._gram_defect(0)
 
     def gram_defect_tilde(self) -> float:
-        vecs = []
-        for _, psit in self.saturated:
-            vecs.append(psit)
-        for _, _, _, psit, psit_perp in self.blocks:
-            vecs.extend([psit, psit_perp])
-        for _, upsi in self.right_kernel:
-            vecs.append(upsi)
-        for _, psit in self.left_kernel:
-            vecs.append(psit)
-        if not vecs:
-            return 0.0
-        m = np.column_stack(vecs)
-        g = m.conj().T @ m
-        return operator_norm(g - np.eye(g.shape[0]))
+        return self._gram_defect(1)
 
     def two_by_two_defect(self, u: np.ndarray) -> float:
         worst = 0.0
@@ -319,15 +306,12 @@ def _hadamard_wrap(branches) -> np.ndarray:
     return out
 
 
-def _assert_unitary(m, tol=1e-11) -> bool:
-    """Raise NumericalFailure unless ||m^dag m - I||_2 <= tol; return
-    whether m also meets the UNITARY_TOL of `ProjectedUnitary`."""
-    if is_unitary(m):
-        return True
-    if not is_unitary(m, tol):
+def _assert_unitary(m) -> None:
+    """Raise NormExceeded unless ||m^dag m - I||_2 <= UNITARY_TOL, the
+    contract of `ProjectedUnitary`."""
+    if not is_unitary(m):
         defect = operator_norm(m.conj().T @ m - np.eye(m.shape[0]))
-        raise NumericalFailure(f"result not unitary: defect {defect:.2e}")
-    return False
+        raise NormExceeded(f"circuit not unitary to 1e-12: defect {defect:.2e}")
 
 
 def branch_lcu(pu: ProjectedUnitary, terms):
@@ -342,25 +326,19 @@ def branch_lcu(pu: ProjectedUnitary, terms):
     the pair (I, -I), whose average vanishes; or a real constant c with
     |c| <= 1, standing for the exact pair (e^{i theta} I, e^{-i theta} I)
     with cos theta = c, which uses U zero times.  Every phased branch is
-    checked unitary to 1e-11, since the wrapped circuit is unitary iff its
-    branches are.  When `pu.real`, U_{-Phi} is conj(U_Phi) exactly, so
-    one sequence runs per term and only it is checked.  Returns the
-    wrapped circuit and the ledger of the longest phase sequence (None if
-    there is none).
+    checked once against the UNITARY_TOL of `ProjectedUnitary`, and one
+    above it raises NormExceeded, since the wrapped circuit is unitary
+    iff its branches are.  When `pu.real`, U_{-Phi} is conj(U_Phi)
+    exactly, so one sequence runs per term and only it is checked.
+    Returns the wrapped circuit and the ledger of the longest phase
+    sequence (None if there is none).
     """
-    wrapped, ledger, _ = _branch_lcu(pu, terms)
-    return wrapped, ledger
-
-
-def _branch_lcu(pu: ProjectedUnitary, terms):
-    """`branch_lcu`, plus whether every phased branch met UNITARY_TOL."""
     k = len(terms)
     if k == 0 or k & (k - 1):
         raise ValueError(f"need a power-of-two number of terms, got {k}")
     eye = np.eye(pu.dim, dtype=complex)
     branches = []
     ledger, longest = None, -1
-    met = True
     for weight, refl in terms:
         if abs(abs(weight) - 1.0) > 1e-12:
             raise ValueError(f"branch weight {weight} is not unimodular")
@@ -368,12 +346,12 @@ def _branch_lcu(pu: ProjectedUnitary, terms):
             pair = (eye, -eye)
         elif isinstance(refl, PhaseSequence):
             up, led = alternating_sequence(pu, refl)
-            met = _assert_unitary(up) and met
+            _assert_unitary(up)
             if pu.real:
                 um = up.conj()
             else:
                 um, _ = alternating_sequence(pu, refl.negated())
-                met = _assert_unitary(um) and met
+                _assert_unitary(um)
             pair = (up, um)
             if len(refl.phis) > longest:
                 ledger, longest = led, len(refl.phis)
@@ -384,7 +362,7 @@ def _branch_lcu(pu: ProjectedUnitary, terms):
             z = complex(c, math.sqrt(1.0 - c * c))
             pair = (z * eye, z.conjugate() * eye)
         branches += [weight * branch for branch in pair]
-    return _hadamard_wrap(branches), ledger, met
+    return _hadamard_wrap(branches), ledger
 
 
 @dataclasses.dataclass
@@ -417,15 +395,14 @@ def svt_apply(pu: ProjectedUnitary, target, kind: str = "real_poly",
         if isinstance(target, SignalPair):
             pair = target
         else:
-            from .qsp import complete_complex
             pair = complete_complex(target)
         refl = to_reflection(phases_from_pq(pair))
         n = len(refl.phis)
         u_phi, ledger = alternating_sequence(pu, refl)
-        # a check of u_phi at UNITARY_TOL is the wrapper's own check
-        make = (ProjectedUnitary._certified if _assert_unitary(u_phi)
-                else ProjectedUnitary)
-        enc = make(u_phi, pu.pi, pu.pi_tilde if n % 2 == 1 else pu.pi)
+        # the check of u_phi is the wrapper's own check
+        _assert_unitary(u_phi)
+        enc = ProjectedUnitary._certified(
+            u_phi, pu.pi, pu.pi_tilde if n % 2 == 1 else pu.pi)
         result = enc.encoded()
         oracle = reference_svt(
             pu.encoded(), ChebSeries(pair.p_cheb),
@@ -437,7 +414,6 @@ def svt_apply(pu: ProjectedUnitary, target, kind: str = "real_poly",
 
     c = target.cheb_coeffs if isinstance(target, ChebSeries) else None
     if c is None:
-        from .qsp import _as_cheb_array
         c = _as_cheb_array(target)
     rep = check_admissible(c, "real_target")
     if not rep["admissible"]:
@@ -448,7 +424,7 @@ def svt_apply(pu: ProjectedUnitary, target, kind: str = "real_poly",
     # projector phases run through the shared ancilla of the C-Pi-NOT
     # construction; Hadamards on that ancilla put the average of the two
     # branches, the real part of the polynomial, at ancilla |0>
-    wrapped, ledger, met = _branch_lcu(pu, [(1, refl)])
+    wrapped, ledger = branch_lcu(pu, [(1, refl)])
     proj_in = pu.pi
     proj_out = pu.pi_tilde if n % 2 == 1 else pu.pi
     dim = pu.dim
@@ -457,10 +433,9 @@ def svt_apply(pu: ProjectedUnitary, target, kind: str = "real_poly",
     # For a real encoding U_-Phi = conj(U_Phi), so the wrapped blocks are
     # (z + conj z)/2 = Re U_Phi and (z - conj z)/2 = i Im U_Phi, both
     # exact in floating point: the wrap is exactly the Hadamard conjugate
-    # of diag(U_Phi, conj U_Phi), and its defect is U_Phi's.  A branch
-    # that met UNITARY_TOL certifies it; otherwise the wrap is checked.
-    make = (ProjectedUnitary._certified if pu.real and met
-            else ProjectedUnitary)
+    # of diag(U_Phi, conj U_Phi), and its defect is U_Phi's, which
+    # `branch_lcu` has checked.  A complex encoding's wrap is checked.
+    make = ProjectedUnitary._certified if pu.real else ProjectedUnitary
     enc = make(wrapped, _lift_projector(proj_in, dim),
                _lift_projector(proj_out, dim))
     oracle = reference_svt(pu.encoded(), ChebSeries(c.real),
@@ -500,8 +475,6 @@ def eigenvalue_transform(be: BlockEncoding, target, delta: float = 1e-8,
     is a (2, a+3, 4 d sqrt(eps/alpha) + delta)-encoding whose d adds the
     longest real-part and the longest imaginary-part sequence.
     """
-    from .qsp import _as_cheb_array
-
     a_mat = be.extract() / be.alpha
     if operator_norm(a_mat - a_mat.conj().T) > 1e-9:
         raise Inadmissible("encoded operator is not Hermitian")

@@ -1,5 +1,5 @@
 """Every name a library module imports is used there (or re-exported
-through ``__all__``)."""
+through ``__all__``), and every import sits at module level."""
 import ast
 import pathlib
 
@@ -9,6 +9,7 @@ import svtkit
 
 SRC = pathlib.Path(svtkit.__file__).parent
 MODULES = sorted(SRC.rglob("*.py"))
+IDS = [str(p.relative_to(SRC)) for p in MODULES]
 
 
 def unused_imports(source: str) -> list:
@@ -36,7 +37,36 @@ def test_detects_an_unused_import():
     assert unused_imports(src) == [(1, "math"), (3, "path")]
 
 
-@pytest.mark.parametrize("path", MODULES,
-                         ids=[str(p.relative_to(SRC)) for p in MODULES])
+@pytest.mark.parametrize("path", MODULES, ids=IDS)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+# `svtkit poly` and `phases` do not load the apps
+DEFERRED_IMPORTS = {("cli.py", "cmd_apps", ".apps")}
+
+
+def nested_imports(source: str) -> list:
+    """(function, module) for each import inside a function body."""
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(fn):
+                if isinstance(node, ast.ImportFrom):
+                    found.append((fn.name, "." * node.level
+                                  + (node.module or "")))
+                elif isinstance(node, ast.Import):
+                    found += [(fn.name, alias.name) for alias in node.names]
+    return found
+
+
+def test_detects_a_nested_import():
+    src = "import math\ndef f():\n    from ..qsp import x\n    import os\n"
+    assert nested_imports(src) == [("f", "..qsp"), ("f", "os")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=IDS)
+def test_no_nested_imports(path):
+    where = str(path.relative_to(SRC))
+    assert [(fn, mod) for fn, mod in nested_imports(path.read_text())
+            if (where, fn, mod) not in DEFERRED_IMPORTS] == []

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from svtkit import ParityPoly, ChebSeries
-from svtkit.errors import DegreeTooLarge
+from svtkit.errors import DegreeTooLarge, NumericalFailure
 from svtkit.poly import (arithmetic, convert, evaluate, find_roots,
                          monic_from_roots, supnorm)
 
@@ -128,6 +128,37 @@ class TestRoots:
         n = p.degree + 1
         err = np.abs(rebuilt.coeffs[:n] - p.coeffs[:n]).max()
         assert err <= 1e-8 * max(1, np.abs(p.coeffs).max())
+
+    def test_gaussian_draw_not_refused(self):
+        # the gate measures each root's componentwise backward error, so
+        # roots with |r| > 1 are not refused for the rounding of r^k
+        gen = np.random.default_rng(1)
+        refused = 0
+        for deg in (4, 8, 12, 20, 30):
+            for _ in range(200):
+                try:
+                    find_roots(ParityPoly(gen.standard_normal(deg + 1)))
+                except NumericalFailure:
+                    refused += 1
+        assert refused == 0
+
+    def test_exact_zero_root_accepted(self):
+        # r = 0 with c_0 = 0 makes the backward error 0 / 0
+        roots = find_roots(ParityPoly([0.0, -0.5, 0.0, 2.0, 0.0, -1.5]))
+        assert np.abs(roots).min() == 0.0
+
+    def test_misplaced_root_refused(self, monkeypatch):
+        import svtkit.poly as poly_module
+        refine = poly_module._aberth_refine
+
+        def moved(coeffs, roots):
+            out = refine(coeffs, roots)
+            out[0] += 1e-6
+            return out
+
+        monkeypatch.setattr(poly_module, "_aberth_refine", moved)
+        with pytest.raises(NumericalFailure):
+            find_roots(ParityPoly(np.random.default_rng(5).standard_normal(13)))
 
 
 class TestSupnorm:

@@ -7,11 +7,12 @@ import scipy.stats
 from hypothesis import given, settings, strategies as st
 
 from svtkit import ChebSeries, ParityPoly
+from svtkit.apps import fast_or, threshold_projector
 from svtkit.blockenc import (BlockEncoding, Projector, ProjectedUnitary,
                              embed, is_unitary, operator_norm)
 from svtkit.errors import Inadmissible, NormExceeded, ParityMismatch
 from svtkit.qsp import (PhaseSequence, chebyshev_phases, complete,
-                        complete_complex)
+                        complete_complex, phases_for_target)
 from svtkit.svt import (alternating_sequence, branch_lcu,
                         eigenvalue_transform, invariant_decomposition, reference_svt,
                         robustness_bound, svd_bundle, svt_apply)
@@ -638,8 +639,9 @@ def test_real_wrap_certificate_matches_full_check():
 
 class TestWrapCertificate:
     """`svt_apply` (real_poly) builds the wrapped encoding of a real
-    encoding on its branch's certificate; a branch above UNITARY_TOL
-    sends the wrap through the full check."""
+    encoding on its branch's certificate; every phased branch is checked
+    once at UNITARY_TOL, and one above it is refused with NormExceeded
+    before any wrap is built."""
 
     @staticmethod
     def _cell():
@@ -661,6 +663,17 @@ class TestWrapCertificate:
         monkeypatch.setattr(blockenc_module, "is_unitary", counted)
         return shapes
 
+    @staticmethod
+    def _inflate_branches(monkeypatch):
+        import svtkit.svt as svt_module
+        run = svt_module.alternating_sequence
+
+        def inflated(pu, phi):
+            up, ledger = run(pu, phi)
+            return up * (1 + 2.5e-12), ledger  # defect 5e-12
+
+        monkeypatch.setattr(svt_module, "alternating_sequence", inflated)
+
     def test_certified_wrap_not_rechecked(self, monkeypatch):
         pu, tgt = self._cell()
         shapes = self._checked_shapes(monkeypatch)
@@ -670,19 +683,32 @@ class TestWrapCertificate:
         assert out.measured_error <= 1e-8
 
     def test_branch_above_unitary_tol_checks_wrap(self, monkeypatch):
-        import svtkit.svt as svt_module
         pu, tgt = self._cell()
-        run = svt_module.alternating_sequence
-
-        def inflated(pu, phi):
-            up, ledger = run(pu, phi)
-            return up * (1 + 2.5e-12), ledger  # defect 5e-12
-
-        monkeypatch.setattr(svt_module, "alternating_sequence", inflated)
+        self._inflate_branches(monkeypatch)
         shapes = self._checked_shapes(monkeypatch)
         with pytest.raises(NormExceeded):
             svt_apply(pu, tgt, kind="real_poly", delta=1e-8)
-        assert (16, 16) in shapes
+        # refused at the branch: no wrap is built or checked
+        assert (16, 16) not in shapes
+
+    @pytest.mark.parametrize("path", ["complex_poly", "branch_lcu",
+                                      "threshold_projector", "fast_or"])
+    def test_branch_above_unitary_tol_refused(self, monkeypatch, path):
+        pu, _ = self._cell()
+        _, refl, _ = phases_for_target(cheb_unit(5).cheb_coeffs * 0.9)
+        self._inflate_branches(monkeypatch)
+        with pytest.raises(NormExceeded):
+            if path == "complex_poly":
+                svt_apply(pu, cheb_unit(7), kind="complex_poly")
+            elif path == "branch_lcu":
+                branch_lcu(pu, [(1, refl)])
+            elif path == "threshold_projector":
+                threshold_projector(pu, 0.5, 0.2, 0.05)
+            else:
+                v = np.random.default_rng(73).standard_normal(8) + 0j
+                v /= np.linalg.norm(v)
+                rho = np.outer(v, v.conj())
+                fast_or([rho], rho, 0.01, 0.01, 0.01)
 
 
 _THREADS_CELL = """
