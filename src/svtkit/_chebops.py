@@ -9,12 +9,15 @@ import numpy as np
 from numpy.polynomial import chebyshev as npcheb
 
 
+def drop_threshold(c, rel=1e-14) -> float:
+    """``rel * max|c|``: coefficients at or below it count as zero."""
+    return rel * max(1e-300, float(np.abs(c).max()))
+
+
 def trim(c, rel=1e-14):
     """Drop trailing coefficients below ``rel * max|c|`` (keep at least one)."""
     c = np.atleast_1d(np.asarray(c))
-    a = np.abs(c)
-    thr = rel * max(1e-300, a.max())
-    nz = np.nonzero(a > thr)[0]
+    nz = np.nonzero(np.abs(c) > drop_threshold(c, rel))[0]
     if len(nz) == 0:
         return c[:1] * 0
     return c[: nz[-1] + 1]
@@ -73,9 +76,8 @@ def aberth(c, roots):
 
 def parity_of(c, rel=1e-14) -> str:
     """'even' / 'odd' / 'none' judged against the drop threshold."""
-    c = np.atleast_1d(np.asarray(c))
-    a = np.abs(c)
-    thr = rel * max(1e-300, a.max())
+    a = np.abs(np.atleast_1d(np.asarray(c)))
+    thr = drop_threshold(a, rel)
     has_even = bool(np.any(a[0::2] > thr))
     has_odd = bool(np.any(a[1::2] > thr))
     if has_even and has_odd:

@@ -40,16 +40,21 @@ class ApproxResult:
     [-1, 1]); ``poly`` converts lazily to the monomial view.  For
     constructions guaranteed on a wider interval (the sign family lives
     on [-2, 2]) ``evaluate`` switches to a numerically stable wide-domain
-    evaluator outside [-1, 1].
+    evaluator outside [-1, 1].  ``degree`` is the degree of ``cheb``.
+    Every constructor returns through `_certified`, which refuses a
+    degree above its cap and measures the claims.
     """
 
     cheb: ChebSeries
-    degree: int
     claimed_sup_bound: float
     claimed_error: float
     valid_domain: tuple
     label: str = ""
     _wide_eval: Callable | None = None
+
+    @property
+    def degree(self) -> int:
+        return self.cheb.degree
 
     @property
     def poly(self) -> ParityPoly:
@@ -150,6 +155,23 @@ def _certify(result: ApproxResult, target: Callable, sup_domain=(-1.0, 1.0),
             f"{result.label}: measured error {worst:.3e} exceeds claimed "
             f"{result.claimed_error:.3e}")
     return result
+
+
+def _certified(coeffs, parity, target: Callable, claimed_sup_bound: float,
+               claimed_error: float, valid_domain, label: str,
+               max_degree: int, wide=None,
+               sup_domain=(-1.0, 1.0)) -> ApproxResult:
+    """The one return path of every constructor: the series of
+    ``coeffs`` (``parity`` None infers it), refused with DegreeOverflow
+    when its degree is above ``max_degree``, then certified by `_certify`
+    against ``target``."""
+    series = ChebSeries(coeffs, parity)
+    if series.degree > max_degree:
+        raise DegreeOverflow(
+            f"{label}: degree {series.degree} > cap {max_degree}")
+    return _certify(ApproxResult(series, claimed_sup_bound, claimed_error,
+                                 tuple(valid_domain), label, wide),
+                    target, sup_domain)
 
 
 # ----------------------------------------------------------------------
@@ -274,17 +296,10 @@ def approx_sign(delta: float, eps: float,
     # the cap applies to the returned degree, which the rebase to [-1, 1]
     # can leave well below the degree of the series on [-2, 2]
     wide = _erf_sign_wide(delta, eps, max(max_degree, LIB_MAX_DEGREE))
-    series = ChebSeries(wide.on_unit(), "odd")
-    if series.degree > max_degree:
-        raise DegreeOverflow(f"sign approximation needs degree "
-                             f"{series.degree} > cap {max_degree}")
-    res = ApproxResult(
-        cheb=series, degree=series.degree, claimed_sup_bound=1.0,
-        claimed_error=eps,
-        valid_domain=((-2.0, -delta), (delta, 2.0)),
-        label=f"sign(delta={delta:g}, eps={eps:g})",
-        _wide_eval=wide)
-    return _certify(res, np.sign, sup_domain=(-2.0, 2.0))
+    return _certified(wide.on_unit(), "odd", np.sign, 1.0, eps,
+                      ((-2.0, -delta), (delta, 2.0)),
+                      f"sign(delta={delta:g}, eps={eps:g})", max_degree,
+                      wide=wide, sup_domain=(-2.0, 2.0))
 
 
 def _window_from_signs(lo, hi, band, eps, max_degree):
@@ -326,7 +341,6 @@ def approx_rect(t: float, delta_p: float, eps_p: float,
                                     -sign_w.on_unit(t)) / 2
     coeffs[0] += 0.75 * eps_p
     coeffs = cheb.enforce_parity(cheb.trim(coeffs, 1e-15), "even")
-    series = ChebSeries(coeffs, "even")
 
     def target(x):
         x = np.asarray(x, float)
@@ -336,11 +350,9 @@ def approx_rect(t: float, delta_p: float, eps_p: float,
     domain = [(-inner, inner)] if t - delta_p > 0 else []
     if t + delta_p < 1.0:
         domain += [(-1.0, -(t + delta_p)), (t + delta_p, 1.0)]
-    res = ApproxResult(
-        cheb=series, degree=series.degree, claimed_sup_bound=1.0,
-        claimed_error=eps_p, valid_domain=tuple(domain),
-        label=f"rect(t={t:g}, delta'={delta_p:g}, eps'={eps_p:g})")
-    return _certify(res, target)
+    return _certified(coeffs, "even", target, 1.0, eps_p, domain,
+                      f"rect(t={t:g}, delta'={delta_p:g}, eps'={eps_p:g})",
+                      max_degree)
 
 
 # ----------------------------------------------------------------------
@@ -379,16 +391,11 @@ def approx_inverse(kappa: float, eps: float, bounded: bool = False,
     delta = 1.0 / kappa
     if not bounded:
         coeffs, b, J = _inverse_cheb_coeffs(kappa, eps)
-        if len(coeffs) - 1 > max_degree:
-            raise DegreeOverflow(f"degree {len(coeffs)-1} > cap {max_degree}")
-        series = ChebSeries(coeffs, "odd")
-        sup = _grid_sup(coeffs)
-        res = ApproxResult(
-            cheb=series, degree=series.degree,
-            claimed_sup_bound=sup, claimed_error=eps,
-            valid_domain=((-1.0, -delta), (delta, 1.0)),
-            label=f"inverse(kappa={kappa:g}, eps={eps:g})")
-        return _certify(res, lambda x: 1.0 / x)
+        return _certified(coeffs, "odd", lambda x: 1.0 / x,
+                          _grid_sup(coeffs), eps,
+                          ((-1.0, -delta), (delta, 1.0)),
+                          f"inverse(kappa={kappa:g}, eps={eps:g})",
+                          max_degree)
 
     # bounded variant: delta/2 * g on |x| >= delta/2, then rectangle complement
     eps_g = min(eps / 3.0, 0.4)
@@ -400,15 +407,10 @@ def approx_inverse(kappa: float, eps: float, bounded: bool = False,
     one_minus_rect = cheb.add(np.array([1.0]), -rect.cheb.cheb_coeffs.real)
     prod = cheb.mul(coeffs, one_minus_rect)
     prod = cheb.enforce_parity(cheb.trim(prod, 1e-15), "odd")
-    if len(prod) - 1 > max_degree:
-        raise DegreeOverflow(f"degree {len(prod)-1} > cap {max_degree}")
-    series = ChebSeries(below_one(prod), "odd")
-    res = ApproxResult(
-        cheb=series, degree=series.degree, claimed_sup_bound=1.0,
-        claimed_error=eps,
-        valid_domain=((-1.0, -delta), (delta, 1.0)),
-        label=f"inverse_bounded(kappa={kappa:g}, eps={eps:g})")
-    return _certify(res, lambda x: delta / (2.0 * x))
+    return _certified(below_one(prod), "odd", lambda x: delta / (2.0 * x),
+                      1.0, eps, ((-1.0, -delta), (delta, 1.0)),
+                      f"inverse_bounded(kappa={kappa:g}, eps={eps:g})",
+                      max_degree)
 
 
 # ----------------------------------------------------------------------
@@ -503,14 +505,6 @@ def _jacobi_anger(js: np.ndarray, R: int, sign: float):
     return cos_c, sin_c
 
 
-def _trig_cheb(t: float, eps: float, max_degree: int):
-    """Raw Jacobi-Anger coefficient pair for cos(t x), sin(t x)."""
-    R = _trig_order(t, eps, max_degree)
-    cos_c, sin_c = _jacobi_anger(bessel_j(2 * R + 1, abs(t)), R,
-                                 1.0 if t > 0 else -1.0)
-    return cos_c, sin_c, R
-
-
 @_memo
 def approx_trig(t: float, eps: float,
                 max_degree: int = LIB_MAX_DEGREE):
@@ -518,18 +512,14 @@ def approx_trig(t: float, eps: float,
     cos(t x) and sin(t x), grid error <= eps on [-1, 1]."""
     if t == 0 or not (0 < eps < 1 / math.e):
         raise ValueError("need t != 0 and eps in (0, 1/e)")
-    cos_c, sin_c, R = _trig_cheb(t, eps, max_degree)
-    cos_res = ApproxResult(
-        cheb=ChebSeries(cos_c, "even"), degree=2 * R,
-        claimed_sup_bound=1.0 + eps, claimed_error=eps,
-        valid_domain=((-1.0, 1.0),), label=f"cos(t={t:g}, eps={eps:g})")
-    sin_res = ApproxResult(
-        cheb=ChebSeries(sin_c, "odd"), degree=2 * R + 1,
-        claimed_sup_bound=1.0 + eps, claimed_error=eps,
-        valid_domain=((-1.0, 1.0),), label=f"sin(t={t:g}, eps={eps:g})")
-    _certify(cos_res, lambda x: np.cos(t * x))
-    _certify(sin_res, lambda x: np.sin(t * x))
-    return cos_res, sin_res
+    R = _trig_order(t, eps, max_degree)
+    cos_c, sin_c = _jacobi_anger(bessel_j(2 * R + 1, abs(t)), R,
+                                 1.0 if t > 0 else -1.0)
+    args = f"(t={t:g}, eps={eps:g})"
+    return (_certified(cos_c, "even", lambda x: np.cos(t * x), 1.0 + eps, eps,
+                       ((-1.0, 1.0),), "cos" + args, max_degree),
+            _certified(sin_c, "odd", lambda x: np.sin(t * x), 1.0 + eps, eps,
+                       ((-1.0, 1.0),), "sin" + args, max_degree))
 
 
 # ----------------------------------------------------------------------
@@ -662,21 +652,14 @@ def approx_taylor(f_coeffs: Sequence[complex], x0: float, r: float,
                                  min(eps / (3.0 * max(B, 1.0)), 0.25),
                                  max_degree)
     prod = cheb.trim(cheb.mul(tilde, wcoeffs), 1e-16)
-    if len(prod) - 1 > max_degree:
-        raise DegreeOverflow(f"degree {len(prod)-1} > cap {max_degree}")
-    series = ChebSeries(prod)
     if target is None:
         def target(x):
             u = np.asarray(x, float) - x0
             return np.polynomial.polynomial.polyval(u, a)
     sup_f = _target_sup(target, [(max(lo - delta / 2, -1.0),
                                   min(hi + delta / 2, 1.0))])
-    res = ApproxResult(
-        cheb=series, degree=series.degree,
-        claimed_sup_bound=sup_f + eps, claimed_error=eps,
-        valid_domain=((max(lo, -1.0), min(hi, 1.0)),),
-        label=label)
-    _certify(res, target)
+    res = _certified(prod, None, target, sup_f + eps, eps,
+                     ((max(lo, -1.0), min(hi, 1.0)),), label, max_degree)
     # outside the fattened window the polynomial must be small
     outside = []
     if lo - delta / 2 > -1.0:
@@ -735,9 +718,6 @@ def approx_taylor_multi(patches, B: float, eps: float,
         highpart = cheb.mul(cheb.add(one, scoeff) / 2.0,
                             parts[j + 1].cheb.cheb_coeffs)
         acc = cheb.trim(cheb.add(low, highpart), 1e-16)
-    if len(acc) - 1 > max_degree:
-        raise DegreeOverflow(f"degree {len(acc)-1} > cap {max_degree}")
-    series = ChebSeries(acc)
     domain = tuple((max(xj - rj, -1.0), min(xj + rj, 1.0))
                    for xj, rj, dj, _ in patches)
     if target is None:
@@ -754,11 +734,8 @@ def approx_taylor_multi(patches, B: float, eps: float,
     fattened = [(max(xj - rj - fat, -1.0), min(xj + rj + fat, 1.0))
                 for xj, rj, dj, _ in patches]
     sup_f = _target_sup(target, fattened)
-    res = ApproxResult(
-        cheb=series, degree=series.degree,
-        claimed_sup_bound=sup_f + 2 * eps, claimed_error=eps,
-        valid_domain=domain, label=label)
-    return _certify(res, target)
+    return _certified(acc, None, target, sup_f + 2 * eps, eps, domain, label,
+                      max_degree)
 
 
 # ----------------------------------------------------------------------
@@ -783,16 +760,10 @@ def _monomial_cheb(s: int, d: int) -> np.ndarray:
 def approx_monomial(s: int, d: int,
                     max_degree: int = LIB_MAX_DEGREE) -> ApproxResult:
     """Degree-d approximation of x^s with error <= 2 e^{-d^2/(2s)}."""
-    if d > max_degree:
-        raise DegreeOverflow(f"degree {d} > cap {max_degree}")
-    coeffs = _monomial_cheb(s, d)
-    bound = 2.0 * math.exp(-d * d / (2.0 * s))
-    series = ChebSeries(coeffs, "even" if s % 2 == 0 else "odd")
-    res = ApproxResult(
-        cheb=series, degree=series.degree, claimed_sup_bound=1.0,
-        claimed_error=bound, valid_domain=((-1.0, 1.0),),
-        label=f"monomial(s={s}, d={d})")
-    return _certify(res, lambda x: np.asarray(x, float) ** s)
+    return _certified(_monomial_cheb(s, d), "even" if s % 2 == 0 else "odd",
+                      lambda x: np.asarray(x, float) ** s, 1.0,
+                      2.0 * math.exp(-d * d / (2.0 * s)), ((-1.0, 1.0),),
+                      f"monomial(s={s}, d={d})", max_degree)
 
 
 @_memo
@@ -802,9 +773,13 @@ def approx_exp(beta: float, eps: float,
     O(sqrt(max[beta, log(1/eps)] log(1/eps)))."""
     if not (0 <= beta < math.inf and 0 < eps <= 0.5):
         raise ValueError("need finite beta >= 0 and eps in (0, 1/2]")
+
+    def target(x):
+        return np.exp(-beta * (1.0 - np.asarray(x, float)))
+
     if beta == 0:
-        series = ChebSeries(np.array([1.0]), "even")
-        return ApproxResult(series, 0, 1.0, eps, ((-1.0, 1.0),), "exp(beta=0)")
+        return _certified(np.array([1.0]), "even", target, 1.0, eps,
+                          ((-1.0, 1.0),), "exp(beta=0)", max_degree)
     # the weight loop below runs past beta terms, so the degree it leads
     # to is at least this
     low = int(math.ceil(math.sqrt(2.0 * max(beta, 1.0)
@@ -828,20 +803,15 @@ def approx_exp(beta: float, eps: float,
             break
     T = len(ws) - 1
     d = int(math.ceil(math.sqrt(2.0 * max(T, 1) * math.log(8.0 / eps)))) + 1
-    if d > max_degree:
-        raise DegreeOverflow(f"degree {d} > cap {max_degree}")
     acc = np.zeros(d + 1)
     for j, wj in enumerate(ws):
         if wj < 1e-300:
             continue
         mono = _monomial_cheb(j, d) if j > 0 else np.array([1.0])
         acc[: len(mono)] += wj * mono
-    series = ChebSeries(cheb.trim(acc, 1e-16))
-    res = ApproxResult(
-        cheb=series, degree=series.degree, claimed_sup_bound=1.0 + eps,
-        claimed_error=eps, valid_domain=((-1.0, 1.0),),
-        label=f"exp(beta={beta:g}, eps={eps:g})")
-    return _certify(res, lambda x: np.exp(-beta * (1.0 - np.asarray(x, float))))
+    return _certified(cheb.trim(acc, 1e-16), None, target, 1.0 + eps, eps,
+                      ((-1.0, 1.0),), f"exp(beta={beta:g}, eps={eps:g})",
+                      max_degree)
 
 
 def arcsin_series_coeffs(n_terms: int) -> np.ndarray:
@@ -857,19 +827,17 @@ def approx_arcsin(delta: float, eps: float,
     if not (0 < delta <= 0.5 and 0 < eps <= 0.5):
         raise ValueError("need delta, eps in (0, 1/2]")
     n_terms = int(math.ceil(math.log(8.0 / eps) / (2.0 * delta))) + 4
-    a = _arcsin_series(n_terms)
+
+    def target(x):
+        return 2.0 / math.pi * np.arcsin(np.clip(x, -1, 1))
+
     res = approx_taylor(
-        a, 0.0, 1.0 - delta, delta, 1.0, eps / 2.0, max_degree=max_degree,
-        target=lambda x: 2.0 / math.pi * np.arcsin(np.clip(x, -1, 1)),
+        _arcsin_series(n_terms), 0.0, 1.0 - delta, delta, 1.0, eps / 2.0,
+        max_degree=max_degree, target=target,
         label=f"arcsin(delta={delta:g}, eps={eps:g})")
     coeffs = below_one(cheb.enforce_parity(res.cheb.cheb_coeffs.real, "odd"))
-    series = ChebSeries(coeffs, "odd")
-    out = ApproxResult(
-        cheb=series, degree=series.degree, claimed_sup_bound=1.0,
-        claimed_error=eps,
-        valid_domain=((-1.0 + delta, 1.0 - delta),),
-        label=res.label)
-    return _certify(out, lambda x: 2.0 / math.pi * np.arcsin(np.clip(x, -1, 1)))
+    return _certified(coeffs, "odd", target, 1.0, eps,
+                      ((-1.0 + delta, 1.0 - delta),), res.label, max_degree)
 
 
 @_memo
@@ -931,13 +899,8 @@ def approx_neg_power(c: float, delta: float, eps: float, parity: str = "odd",
         # P is below eps on [-1, delta/2], so its parity part P(x) +- P(-x)
         # keeps P's value on [delta, 1]; enforce_parity gives half of that
         coeffs = 2.0 * cheb.enforce_parity(res.cheb.cheb_coeffs.real, parity)
-    if len(coeffs) - 1 > max_degree:
-        raise DegreeOverflow(f"degree {len(coeffs)-1} > cap {max_degree}")
-    series = ChebSeries(below_one(coeffs), parity)
-    out = ApproxResult(
-        cheb=series, degree=series.degree, claimed_sup_bound=1.0,
-        claimed_error=eps, valid_domain=((delta, 1.0),), label=label)
-    return _certify(out, target)
+    return _certified(below_one(coeffs), parity, target, 1.0, eps,
+                      ((delta, 1.0),), label, max_degree)
 
 
 @_memo
@@ -964,12 +927,10 @@ def approx_window(n: int, eps: float,
     coeffs = cheb.trim(cheb.fit(raw(cheb.cheb_nodes(n + 1)), n), 1e-16)
     coeffs = cheb.enforce_parity(coeffs, "even" if n % 2 == 0 else "odd")
     lam = 1.0 / beta
-    series = ChebSeries(coeffs)
-    res = ApproxResult(
-        cheb=series, degree=series.degree, claimed_sup_bound=1.0,
-        claimed_error=eps, valid_domain=((-lam, lam),),
-        label=f"window(n={n}, eps={eps:g})")
-    return _certify(res, lambda x: np.zeros_like(np.asarray(x, float)))
+    return _certified(coeffs, None,
+                      lambda x: np.zeros_like(np.asarray(x, float)), 1.0,
+                      eps, ((-lam, lam),), f"window(n={n}, eps={eps:g})",
+                      max_degree)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -17,12 +17,13 @@ class NumericalFailure(SvtError):
     """A numerical stage missed its required tolerance."""
 
 
-class NotSubunit(SvtError):
-    """Target violates p(x)^2 + (1-x^2) q(x)^2 <= 1 on [-1, 1]."""
-
-
 class Inadmissible(SvtError):
     """Polynomial fails the admissibility conditions for phase synthesis."""
+
+
+class NotSubunit(Inadmissible):
+    """Target exceeds 1 in magnitude somewhere on [-1, 1], so
+    p(x)^2 + (1-x^2) q(x)^2 <= 1 fails for every q."""
 
 
 class SeriesNotConvergent(SvtError):

@@ -14,25 +14,11 @@ import numpy as np
 from numpy.polynomial import chebyshev as npcheb
 from numpy.polynomial import polynomial as nppoly
 
-from .config import COEFF_DROP_REL, MAX_DEGREE_DEFAULT
+from . import _chebops as cheb
+from .config import MAX_DEGREE_DEFAULT
 from .errors import DegreeTooLarge, NumericalFailure
 
 _PARITIES = ("even", "odd", "none")
-
-
-def _drop_threshold(coeffs):
-    a = np.abs(coeffs)
-    return COEFF_DROP_REL * max(1e-300, a.max())
-
-
-def _infer_parity(coeffs):
-    thr = _drop_threshold(coeffs)
-    a = np.abs(coeffs)
-    has_even = bool(np.any(a[0::2] > thr))
-    has_odd = bool(np.any(a[1::2] > thr))
-    if has_even and has_odd:
-        return "none"
-    return "odd" if has_odd else "even"
 
 
 class ParityPoly:
@@ -49,10 +35,10 @@ class ParityPoly:
         if c.ndim != 1:
             raise ValueError("coefficients must be one-dimensional")
         if parity is None:
-            parity = _infer_parity(c)
+            parity = cheb.parity_of(c)
         if parity not in _PARITIES:
             raise ValueError(f"unknown parity {parity!r}")
-        thr = _drop_threshold(c)
+        thr = cheb.drop_threshold(c)
         if parity == "even":
             bad = np.abs(c[1::2]).max(initial=0.0)
             if bad > thr:
@@ -80,7 +66,7 @@ class ParityPoly:
     @property
     def is_real(self) -> bool:
         return bool(np.abs(self.coeffs.imag).max(initial=0.0)
-                    <= _drop_threshold(self.coeffs))
+                    <= cheb.drop_threshold(self.coeffs))
 
     def real_coeffs(self):
         return self.coeffs.real.copy()
@@ -123,10 +109,10 @@ class ChebSeries:
     def __init__(self, cheb_coeffs, parity=None):
         c = np.atleast_1d(np.asarray(cheb_coeffs, complex)).copy()
         if parity is None:
-            parity = _infer_parity(c)
+            parity = cheb.parity_of(c)
         if parity not in _PARITIES:
             raise ValueError(f"unknown parity {parity!r}")
-        thr = _drop_threshold(c)
+        thr = cheb.drop_threshold(c)
         if parity == "even":
             c[1::2] = 0
         elif parity == "odd":
@@ -147,7 +133,7 @@ class ChebSeries:
     @property
     def is_real(self) -> bool:
         return bool(np.abs(self.cheb_coeffs.imag).max(initial=0.0)
-                    <= _drop_threshold(self.cheb_coeffs))
+                    <= cheb.drop_threshold(self.cheb_coeffs))
 
     def to_parity_poly(self, max_degree=MAX_DEGREE_DEFAULT) -> ParityPoly:
         return convert(self, max_degree=max_degree)
@@ -262,11 +248,12 @@ def arithmetic(p: ParityPoly, q=None, op: str = "add"):
     raise ValueError(f"unknown op {op!r}")
 
 
-def _aberth_refine(coeffs, roots, iters=40):
-    """Simultaneous (Aberth) refinement of all roots of a monomial poly."""
+def _aberth_refine(coeffs, roots):
+    """Simultaneous (Aberth) refinement of all roots of a monomial poly,
+    at most 40 steps."""
     d = nppoly.polyder(coeffs)
     roots = roots.astype(complex)
-    for _ in range(iters):
+    for _ in range(40):
         f = nppoly.polyval(roots, coeffs)
         fp = nppoly.polyval(roots, d)
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -113,8 +113,9 @@ class SignalPair:
     def q_value(self, x):
         return npcheb.chebval(x, self.q_cheb)
 
-    def unitarity_defect(self, n_grid=1000) -> float:
-        xs = np.cos(np.linspace(0, math.pi, n_grid + 1))
+    def unitarity_defect(self) -> float:
+        """max | |P|^2 + (1-x^2)|Q|^2 - 1 | on 1001 angle-grid points."""
+        xs = np.cos(np.linspace(0, math.pi, 1001))
         pv = self.p_value(xs)
         qv = self.q_value(xs)
         return float(np.abs(np.abs(pv) ** 2
@@ -231,15 +232,18 @@ def to_reflection(phi: PhaseSequence) -> PhaseSequence:
 # admissibility
 
 
-def check_admissible(p, convention: str = "complex_full", n_grid: int = 2000,
-                     tol: float = 1e-9) -> dict:
+def check_admissible(p, convention: str = "complex_full") -> dict:
     """Grid-based report of the achievability conditions.
 
     ``complex_full`` checks parity, |P| <= 1 inside, |P| >= 1 outside and
     the imaginary-axis condition for even degree; ``real_target`` checks
-    parity and boundedness only.  Violations appear as negative margins,
-    not exceptions.
+    parity and boundedness only.  Each condition is sampled on 2001 grid
+    points (1000 per ray outside [-1, 1]) and holds with a margin of at
+    least -1e-9.  Violations appear as negative margins, not exceptions.
+    This is a report: the gate that refuses a real phase target is
+    `_completion_gap`.
     """
+    n_grid, tol = 2000, 1e-9
     c = _as_cheb_array(p)
     k = cheb.degree(c, 1e-11)
     par = cheb.parity_of(c, 1e-11)
@@ -285,30 +289,51 @@ def check_admissible(p, convention: str = "complex_full", n_grid: int = 2000,
 
 def _completion_gap(p):
     """Refuse a real Chebyshev target p without definite parity
-    (Inadmissible) and one where A = 1 - p^2 dips below -1e-12
-    (NotSubunit), on a 2001-point grid and at the minima between its
-    points."""
+    (Inadmissible) and one where A = 1 - p^2 dips below -1e-12 anywhere
+    on [-1, 1] (NotSubunit).
+
+    p is taken by one DCT-I at x_j = cos(pi j / n), j = 0..n, n the
+    smallest power of two >= max(2048, 8d), d = deg p.  A peak of |p|
+    can fall between those points.  g(theta) = p(cos theta) has degree d,
+    so |g''| <= d^2 M with M = max|p| on [-1, 1] (Bernstein), and the
+    grid point nearest a peak, at most h/2 = pi/(2n) away, is below it
+    by at most d^2 M h^2 / 8 (under 2% of M, since n >= 8d).  A peak
+    M > 1 that the grid misses thus leaves A below (pi d M / n)^2 / 4
+    there, which is less than 2 (pi d / n)^2 max_j |p(x_j)|.  Every
+    grid-local minimum of A below that, or below 1e-3, is refined by
+    Newton steps on A' = -2 p p', and A is taken at each step too.
+    """
     if np.abs(p).max() > 1e-13 and cheb.parity_of(p) == "none":
         raise Inadmissible("target p must have definite parity")
-    A = cheb.trim(cheb.add(np.array([1.0]), -cheb.mul(p, p)), 1e-16)
-    xs = np.cos(np.linspace(0, math.pi, 2001))
-    Avals = npcheb.chebval(xs, A)
-    # a dip below zero hides between grid points near a small grid
-    # minimum; Newton steps on A' from there find it
-    mid = Avals[1:-1]
-    x = xs[1:-1][(mid <= Avals[:-2]) & (mid <= Avals[2:]) & (mid < 1e-3)]
-    dA = npcheb.chebder(A)
-    d2A = npcheb.chebder(dA)
+    d = len(p) - 1
+    n = 1 << (max(2048, 8 * d) - 1).bit_length()
+    xs = np.cos(np.pi * np.arange(n + 1) / n)
+    pv = cheb.dct1_values(p, n)
+    A = 1.0 - pv * pv
+    # the grid is symmetric about theta = 0 and pi, so an end point is a
+    # local minimum when its one neighbour is not lower
+    ext = np.concatenate([A[1:2], A, A[-2:-1]])
+    mid = ext[1:-1]
+    low = max(1e-3, 2.0 * (math.pi * d / n) ** 2 * float(np.abs(pv).max()))
+    x = xs[(mid <= ext[:-2]) & (mid <= ext[2:]) & (mid < low)]
+    # p, p' and p'' as columns: one Clenshaw pass evaluates all three
+    stack = np.zeros((d + 1, 3))
+    for j in range(3):
+        col = npcheb.chebder(p, j)
+        stack[: len(col), j] = col
+    points, values = [xs], [A]
     with np.errstate(all="ignore"):
-        for _ in range(4):
-            x = np.clip(x - npcheb.chebval(x, dA) / npcheb.chebval(x, d2A),
-                        -1.0, 1.0)
-    xs = np.concatenate([xs, x])
-    Avals = np.concatenate([Avals, npcheb.chebval(x, A)])
-    worst = int(np.nanargmin(Avals))
-    if Avals[worst] < -1e-12:
+        for _ in range(5):
+            v, dv, d2v = npcheb.chebval(x, stack)
+            points.append(x)
+            values.append(1.0 - v * v)
+            # Newton on A': the step A'/A'' is p p' / (p'^2 + p p'')
+            x = np.clip(x - v * dv / (dv * dv + v * d2v), -1.0, 1.0)
+    xs, A = np.concatenate(points), np.concatenate(values)
+    worst = int(np.nanargmin(A))
+    if A[worst] < -1e-12:
         raise NotSubunit(
-            f"p^2 exceeds 1 by {-Avals[worst]:.2e} near x = {xs[worst]:.6g}")
+            f"p^2 exceeds 1 by {-A[worst]:.2e} near x = {xs[worst]:.6g}")
 
 
 def complete(p_re, tol: float = 1e-10) -> SignalPair:
@@ -663,8 +688,10 @@ def _degree_cut(c: np.ndarray, tol: float) -> np.ndarray:
 def phases_for_target(p_re, tol: float = 1e-8):
     """Real target -> reflection phases, certifying the reconstruction.
 
-    A target without definite parity is refused (Inadmissible), and so is
-    one that exceeds 1 in magnitude (NotSubunit).  The symmetric-phase
+    Only the real part of the target is read.  `_completion_gap`, the one
+    admissibility gate, refuses it on a cache miss when it lacks definite
+    parity (Inadmissible) or exceeds 1 in magnitude anywhere on [-1, 1]
+    (NotSubunit, a subclass of Inadmissible).  The symmetric-phase
     Newton solver finds the phases, stopping at a node residual of
     max(NEWTON_GOAL, tol / 10); the realized Re<0|U_Phi|0> must then meet
     ``tol`` on a 1000-point grid, else NumericalFailure.
@@ -699,12 +726,8 @@ def phases_for_target(p_re, tol: float = 1e-8):
 
 
 def real_qsp(p_re, delta: float = 1e-8):
-    """`phases_for_target` with ``tol=delta`` for a target that passes
-    the ``real_target`` admissibility check (Inadmissible otherwise).
+    """`phases_for_target` with ``tol=delta``, whose gate refuses an
+    inadmissible target (Inadmissible, or its subclass NotSubunit).
     Returns (SignalPair, reflection PhaseSequence)."""
-    c = _as_cheb_array(p_re)
-    rep = check_admissible(c, "real_target")
-    if not rep["admissible"]:
-        raise Inadmissible(f"target fails real_target admissibility: {rep}")
-    pair, refl, _ = phases_for_target(c, tol=delta)
+    pair, refl, _ = phases_for_target(p_re, tol=delta)
     return pair, refl

@@ -25,8 +25,8 @@ from .errors import (ConventionMismatch, Inadmissible, NormExceeded,
                      NumericalFailure, ParityMismatch)
 from .poly import ChebSeries, ParityPoly
 from .qsp import (PhaseSequence, SignalPair, _as_cheb_array, _degree_cut,
-                  check_admissible, complete_complex, phases_for_target,
-                  phases_from_pq, to_reflection)
+                  complete_complex, phases_for_target, phases_from_pq,
+                  to_reflection)
 
 SATURATION_TOL = 1e-10  # sigma >= 1 - tol counts as the saturated block
 RANK_TOL = 1e-11
@@ -385,12 +385,14 @@ def svt_apply(pu: ProjectedUnitary, target, kind: str = "real_poly",
         complex polynomial); the block Pi~ U_Phi Pi (odd) or Pi U_Phi Pi
         (even) realizes P^(SV).
     kind = "real_poly": target is a real bounded polynomial with definite
-        parity; the doubled +-Phi circuit with a |+> ancilla realizes
-        P_Re^(SV).
-    kind = "hermitian_eig": see `eigenvalue_transform`.
+        parity (only its real part is read); the doubled +-Phi circuit
+        with a |+> ancilla realizes P_Re^(SV).  `phases_for_target` gates
+        the target (Inadmissible, or NotSubunit when |P| > 1 somewhere on
+        [-1, 1]).
+
+    Any other kind raises ValueError; the Hermitian eigenvalue
+    transformation is `eigenvalue_transform`.
     """
-    if kind == "hermitian_eig":
-        raise ValueError("use eigenvalue_transform for hermitian_eig")
     if kind == "complex_poly":
         if isinstance(target, SignalPair):
             pair = target
@@ -415,9 +417,6 @@ def svt_apply(pu: ProjectedUnitary, target, kind: str = "real_poly",
     c = target.cheb_coeffs if isinstance(target, ChebSeries) else None
     if c is None:
         c = _as_cheb_array(target)
-    rep = check_admissible(c, "real_target")
-    if not rep["admissible"]:
-        raise Inadmissible(f"real target inadmissible: {rep}")
     pair, refl, phase_rep = phases_for_target(c, tol=delta / 2.0)
     n = len(refl.phis)
     # |0><0| (x) U_Phi + |1><1| (x) U_{-Phi}: the physical circuit when the

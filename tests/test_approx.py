@@ -1,4 +1,6 @@
+import ast
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -293,6 +295,52 @@ def test_named_forwards_to_registry():
         approx_named("nosuch", 1e-3)
 
 
+def test_degree_is_the_series_degree():
+    results = [approx_mod.build(approx_mod.ApproxSpec(target=name))
+               for name in approx_mod.FAMILIES]
+    results += [approx_trig(20.0, 1e-12)[1], approx_exp(0.0, 0.1)]
+    for res in results:
+        coeffs = res.to_json()["poly"]["coeffs"]
+        assert res.degree == res.cheb.degree == len(coeffs) - 1, res.label
+
+
+def result_builders(source: str) -> list:
+    """(function, line) for each call of ApproxResult, with the name of
+    the innermost enclosing function ('' at module level)."""
+    found = []
+
+    def visit(node, fn):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                f = child.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr",
+                                                                    None)
+                if name == "ApproxResult":
+                    found.append((fn, child.lineno))
+            visit(child, fn)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_detects_a_result_built_outside_certified():
+    src = ("def _certified():\n    return ApproxResult(1)\n"
+           "def approx_x():\n    return m.ApproxResult(2)\n")
+    assert result_builders(src) == [("_certified", 2), ("approx_x", 4)]
+
+
+def test_every_result_is_built_by_certified():
+    # a constructor that built its own result could skip the degree cap
+    # or the certificate
+    for path in sorted(pathlib.Path(approx_mod.__file__).parent.rglob("*.py")):
+        for fn, line in result_builders(path.read_text()):
+            assert (path.name, fn) == ("approx.py", "_certified"), (
+                f"{path.name}:{line} builds an ApproxResult in {fn or 'module'}")
+
+
 def test_sign_cap_applies_to_returned_degree():
     # sign(0.13, 1e-4) is a degree-311 series on [-1, 1] although its
     # construction on [-2, 2] runs to degree 547
@@ -363,7 +411,7 @@ def test_bessel_j_is_a_column_of_the_table():
 def _line(domain):
     """p(x) = x/2 claiming error 1e-3 on ``domain``."""
     series = ChebSeries(np.array([0.0, 0.5]), "odd")
-    return ApproxResult(cheb=series, degree=1, claimed_sup_bound=1.0,
+    return ApproxResult(cheb=series, claimed_sup_bound=1.0,
                         claimed_error=1e-3, valid_domain=domain,
                         label="line")
 

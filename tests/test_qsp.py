@@ -344,6 +344,57 @@ class TestPhasesForTarget:
             phases_for_target(np.array([0.0, 0.5, 0.3]), tol=1e-10)
 
 
+def critical_sup(c):
+    """max |p| on [-1, 1] from its critical points (roots of p', and grid
+    maxima, polished by Newton steps on p') and the end points."""
+    dc = np.polynomial.chebyshev.chebder(c)
+    d2c = np.polynomial.chebyshev.chebder(dc)
+    roots = (np.polynomial.chebyshev.chebroots(dc) if len(dc) > 1
+             else np.zeros(0))
+    xs = np.cos(np.linspace(0, np.pi, 20001))
+    v = np.abs(np.polynomial.chebyshev.chebval(xs, c))
+    peaks = xs[1:-1][(v[1:-1] >= v[:-2]) & (v[1:-1] >= v[2:])]
+    x = np.clip(np.concatenate([roots[np.abs(roots.imag) < 1e-6].real,
+                                peaks]), -1.0, 1.0)
+    with np.errstate(all="ignore"):
+        for _ in range(6):
+            x = np.clip(x - np.polynomial.chebyshev.chebval(x, dc)
+                        / np.polynomial.chebyshev.chebval(x, d2c), -1.0, 1.0)
+    pts = np.concatenate([[-1.0, 1.0], x[np.isfinite(x)]])
+    return float(np.abs(np.polynomial.chebyshev.chebval(pts, c)).max())
+
+
+class TestOneGate:
+    """`_completion_gap` is the one admissibility gate of a real target."""
+
+    def test_accepts_exactly_the_subunit_targets(self):
+        gen = np.random.default_rng(11)
+        wrong = []
+        for _ in range(100):
+            d = int(gen.integers(1, 201))
+            c = np.zeros(d + 1)
+            c[d % 2::2] = gen.standard_normal(d // 2 + 1)
+            sup = critical_sup(c)
+            for level in (0.999, 1 - 1e-9, 1 + 1e-9, 1.001):
+                try:
+                    qsp._completion_gap(c * (level / sup))
+                    accepted = True
+                except NotSubunit:
+                    accepted = False
+                if accepted != (level <= 1):
+                    wrong.append((d, level))
+        assert wrong == []
+
+    def test_real_qsp_needs_no_admissibility_report(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("check_admissible called")
+
+        monkeypatch.setattr(qsp, "check_admissible", refuse)
+        c = random_target(9, 0.8, np.random.default_rng(8)).cheb_coeffs.real
+        _, refl = real_qsp(c, delta=1e-9)
+        assert lobatto_error(refl, c) <= 1e-9
+
+
 class TestCompletionIdentityProperty:
     def test_many_random(self):
         for deg in range(2, 24, 3):

@@ -10,7 +10,8 @@ from svtkit import ChebSeries, ParityPoly
 from svtkit.apps import fast_or, threshold_projector
 from svtkit.blockenc import (BlockEncoding, Projector, ProjectedUnitary,
                              embed, is_unitary, operator_norm)
-from svtkit.errors import Inadmissible, NormExceeded, ParityMismatch
+from svtkit.errors import (Inadmissible, NormExceeded, NotSubunit,
+                           ParityMismatch)
 from svtkit.qsp import (PhaseSequence, chebyshev_phases, complete,
                         complete_complex, phases_for_target)
 from svtkit.svt import (alternating_sequence, branch_lcu,
@@ -242,6 +243,27 @@ class TestSvtApply:
         pu = random_pu(4, 2, 2)
         with pytest.raises(Inadmissible):
             svt_apply(pu, ParityPoly([0, 1.4]), kind="real_poly")
+
+    def test_real_route_needs_no_admissibility_report(self, monkeypatch):
+        import svtkit.qsp
+        import svtkit.svt
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("check_admissible called")
+
+        monkeypatch.setattr(svtkit.qsp, "check_admissible", refuse)
+        monkeypatch.setattr(svtkit.svt, "check_admissible", refuse,
+                            raising=False)
+        outcome = svt_apply(random_pu(8, 3, 3), random_target(7),
+                            kind="real_poly", delta=1e-8)
+        assert outcome.measured_error < 1e-8
+
+    def test_above_one_refused_as_not_subunit(self):
+        pu = random_pu(4, 2, 2)
+        with pytest.raises(NotSubunit):
+            svt_apply(pu, ParityPoly([0, 1.4]))
+        with pytest.raises(Inadmissible):
+            svt_apply(pu, ParityPoly([0, 1.4]))
 
 
 class TestCompleteComplex:
