@@ -131,18 +131,18 @@ def _target_sup(target: Callable, intervals) -> float:
                for pts, _ in _on_grid(np.zeros(1), intervals))
 
 
-def _certify(result: ApproxResult, target: Callable, sup_domain=(-1.0, 1.0),
-             sup_slack=1e-9, err_slack=1e-9):
+def _certify(result: ApproxResult, target: Callable, sup_domain=(-1.0, 1.0)):
     """Measure the sup over ``sup_domain`` and the error on each valid
     piece from one angle-grid evaluation (for the sign family, of its
-    series on [-2, 2])."""
+    series on [-2, 2]); each must meet its claim within 1e-9."""
+    slack = 1e-9
     wide = result._wide_eval
     coeffs, scale = ((wide.scaled_coeffs, wide.scale) if wide is not None
                      else (result.cheb.cheb_coeffs, 1.0))
     (_, on_sup), *pieces = _on_grid(
         coeffs, [sup_domain, *result.valid_domain], scale)
     sup = np.abs(on_sup).max()
-    if sup > result.claimed_sup_bound + sup_slack:
+    if sup > result.claimed_sup_bound + slack:
         raise NumericalFailure(
             f"{result.label}: sup {sup:.3e} exceeds claimed "
             f"{result.claimed_sup_bound:.3e}")
@@ -150,7 +150,7 @@ def _certify(result: ApproxResult, target: Callable, sup_domain=(-1.0, 1.0),
     for pts, vals in pieces:
         err = np.abs(vals - target(pts)).max()
         worst = max(worst, float(err))
-    if worst > result.claimed_error + err_slack:
+    if worst > result.claimed_error + slack:
         raise NumericalFailure(
             f"{result.label}: measured error {worst:.3e} exceeds claimed "
             f"{result.claimed_error:.3e}")

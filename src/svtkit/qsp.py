@@ -232,16 +232,14 @@ def to_reflection(phi: PhaseSequence) -> PhaseSequence:
 # admissibility
 
 
-def check_admissible(p, convention: str = "complex_full") -> dict:
-    """Grid-based report of the achievability conditions.
+def check_admissible(p) -> dict:
+    """Grid-based report of the achievability conditions of a complex P.
 
-    ``complex_full`` checks parity, |P| <= 1 inside, |P| >= 1 outside and
-    the imaginary-axis condition for even degree; ``real_target`` checks
-    parity and boundedness only.  Each condition is sampled on 2001 grid
-    points (1000 per ray outside [-1, 1]) and holds with a margin of at
-    least -1e-9.  Violations appear as negative margins, not exceptions.
-    This is a report: the gate that refuses a real phase target is
-    `_completion_gap`.
+    Checks parity, |P| <= 1 inside, |P| >= 1 outside and the
+    imaginary-axis condition for even degree.  Each condition is sampled
+    on 2001 grid points (1000 per ray outside [-1, 1]) and holds with a
+    margin of at least -1e-9.  Violations appear as negative margins, not
+    exceptions.  The gate of a real phase target is `_completion_gap`.
     """
     n_grid, tol = 2000, 1e-9
     c = _as_cheb_array(p)
@@ -255,11 +253,6 @@ def check_admissible(p, convention: str = "complex_full") -> dict:
     inside = 1.0 - float(np.abs(vals).max())
     report["inside_margin"] = inside
     report["inside_ok"] = inside >= -tol
-    if convention == "real_target":
-        report["admissible"] = report["parity_ok"] and report["inside_ok"]
-        return report
-    if convention != "complex_full":
-        raise ValueError(f"unknown convention {convention!r}")
     # evaluated in the Chebyshev basis: the monomial form loses ~1e-8 near
     # |x| = 1 by degree 25, which turns admissible targets away
     ts = np.linspace(1.0, 3.0, n_grid // 2)
@@ -396,7 +389,7 @@ def complete_complex(p, tol: float = 1e-9) -> SignalPair:
     c = _as_cheb_array(p)
     c = cheb.trim(c, 1e-13)
     k = cheb.degree(c, 1e-11)
-    rep = check_admissible(c, "complex_full")
+    rep = check_admissible(c)
     if not rep["admissible"]:
         raise Inadmissible(f"complex target fails achievability: {rep}")
     # A = 1 - P P*
@@ -688,8 +681,9 @@ def _degree_cut(c: np.ndarray, tol: float) -> np.ndarray:
 def phases_for_target(p_re, tol: float = 1e-8):
     """Real target -> reflection phases, certifying the reconstruction.
 
-    Only the real part of the target is read.  `_completion_gap`, the one
-    admissibility gate, refuses it on a cache miss when it lacks definite
+    On a cache miss a target with an imaginary part above
+    `_chebops.drop_threshold` is refused (Inadmissible); `_completion_gap`,
+    the one admissibility gate, then refuses it when it lacks definite
     parity (Inadmissible) or exceeds 1 in magnitude anywhere on [-1, 1]
     (NotSubunit, a subclass of Inadmissible).  The symmetric-phase
     Newton solver finds the phases, stopping at a node residual of
@@ -705,6 +699,10 @@ def phases_for_target(p_re, tol: float = 1e-8):
     cached = _PHASE_CACHE.get(key)
     if cached is not None:
         return cached
+    imag = float(np.abs(c.imag).max())
+    if imag > cheb.drop_threshold(c):
+        raise Inadmissible(f"target has an imaginary part of {imag:.2e}; "
+                           "a real phase target must be real")
     coeffs = _degree_cut(c.real, tol)
     if not coeffs.any():
         coeffs = np.zeros(2)  # zero is realized by one layer, as odd

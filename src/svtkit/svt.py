@@ -385,7 +385,7 @@ def svt_apply(pu: ProjectedUnitary, target, kind: str = "real_poly",
         complex polynomial); the block Pi~ U_Phi Pi (odd) or Pi U_Phi Pi
         (even) realizes P^(SV).
     kind = "real_poly": target is a real bounded polynomial with definite
-        parity (only its real part is read); the doubled +-Phi circuit
+        parity (an imaginary part is refused); the doubled +-Phi circuit
         with a |+> ancilla realizes P_Re^(SV).  `phases_for_target` gates
         the target (Inadmissible, or NotSubunit when |P| > 1 somewhere on
         [-1, 1]).

@@ -96,21 +96,21 @@ class TestQspEval:
 
 class TestAdmissible:
     def test_t7_admissible(self):
-        rep = check_admissible(cheb_unit(7), "complex_full")
+        rep = check_admissible(cheb_unit(7))
         assert rep["admissible"]
 
     def test_half_x_real_but_not_complex(self):
         p = ParityPoly([0, 0.5])
-        assert check_admissible(p, "real_target")["admissible"]
-        rep = check_admissible(p, "complex_full")
+        qsp._completion_gap(np.array([0.0, 0.5]))  # a real target: accepted
+        rep = check_admissible(p)
         assert not rep["admissible"]
         assert rep["outside_margin"] < 0
 
     def test_sign_poly_real_admissible(self):
         res = approx_sign(0.3, 0.1)
-        rep = check_admissible(res.cheb, "real_target")
-        assert rep["admissible"]
-        assert rep["inside_margin"] >= 1e-9
+        qsp._completion_gap(res.cheb.cheb_coeffs.real)
+        xs = np.cos(np.linspace(0, math.pi, 2001))
+        assert np.abs(res.cheb(xs)).max() <= 1 - 1e-9
 
 
 class TestComplete:
@@ -342,6 +342,14 @@ class TestPhasesForTarget:
     def test_mixed_parity_refused(self):
         with pytest.raises(Inadmissible):
             phases_for_target(np.array([0.0, 0.5, 0.3]), tol=1e-10)
+
+    def test_imaginary_part_refused(self):
+        # Re c = 0.5 T0 alone is admissible; the odd imaginary part breaks
+        # parity and is refused, not dropped
+        with pytest.raises(Inadmissible):
+            phases_for_target(np.array([0.5, 0.5j]), tol=1e-10)
+        with pytest.raises(Inadmissible):
+            real_qsp(np.array([0.0, 0.5, 0.0, 1e-6j]))
 
 
 def critical_sup(c):

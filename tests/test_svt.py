@@ -265,6 +265,11 @@ class TestSvtApply:
         with pytest.raises(Inadmissible):
             svt_apply(pu, ParityPoly([0, 1.4]))
 
+    def test_imaginary_part_refused(self):
+        pu = random_pu(4, 2, 2)
+        with pytest.raises(Inadmissible):
+            svt_apply(pu, np.array([0.5, 0.5j]), kind="real_poly")
+
 
 class TestCompleteComplex:
     def test_t7(self):
