@@ -7,6 +7,7 @@ seed); matrices above dimension 256 are rejected up front.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -211,6 +212,7 @@ def cmd_sweep(args):
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="svtkit",

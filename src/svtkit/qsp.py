@@ -114,10 +114,18 @@ class SignalPair:
         return npcheb.chebval(x, self.q_cheb)
 
     def unitarity_defect(self) -> float:
-        """max | |P|^2 + (1-x^2)|Q|^2 - 1 | on 1001 angle-grid points."""
-        xs = np.cos(np.linspace(0, math.pi, 1001))
-        pv = self.p_value(xs)
-        qv = self.q_value(xs)
+        """max | |P|^2 + (1-x^2)|Q|^2 - 1 | at x = cos(pi j / n), j = 0..n.
+
+        n is 1000, or 1000 * 2^k once a series has more than 1001
+        coefficients; that grid holds the 1001 points of n = 1000.  P and
+        Q are taken there by `_chebops.dct1_values`.
+        """
+        n = 1000
+        while n + 1 < max(len(self.p_cheb), len(self.q_cheb)):
+            n *= 2
+        xs = np.cos(np.linspace(0, math.pi, n + 1))
+        pv = cheb.dct1_values(self.p_cheb, n)
+        qv = cheb.dct1_values(self.q_cheb, n)
         return float(np.abs(np.abs(pv) ** 2
                             + (1 - xs ** 2) * np.abs(qv) ** 2 - 1).max())
 
@@ -337,9 +345,11 @@ def complete(p_re, tol: float = 1e-10) -> SignalPair:
     definite parity is refused (Inadmissible), and so is one that exceeds
     1 in magnitude (NotSubunit).  A constant p completes in closed form to
     P = p + i sqrt(1 - p^2), Q = 0; any other p takes the pair the
-    symmetric-phase Newton solver realizes.  |Re P - p| above ``tol``
-    against the uncut target on a 1000-point grid, or a unitarity defect
-    above ``tol``, raises NumericalFailure.
+    symmetric-phase Newton solver realizes.  The pair's P is certified by
+    its coefficients, with no evaluation: `_coefficient_bound` of Re P
+    against the uncut target bounds max |Re P - p| over [-1, 1].  A bound
+    above ``tol``, or a unitarity defect above ``tol``, raises
+    NumericalFailure.
     """
     c = _as_cheb_array(p_re).real.astype(float)
     p = _degree_cut(c, math.inf)
@@ -349,8 +359,7 @@ def complete(p_re, tol: float = 1e-10) -> SignalPair:
         return SignalPair(np.array([complex(p[0], root)]), np.zeros(1),
                           tol=tol)
     _, pair, _ = _symmetric_phases(p, NEWTON_GOAL)
-    err = float(np.abs(pair.p_value(_CERT_GRID).real
-                       - npcheb.chebval(_CERT_GRID, c)).max())
+    err = _coefficient_bound(pair.p_cheb.real, c)
     if err > tol:
         raise NumericalFailure(
             f"completion misses the target by {err:.2e} (tol {tol:.0e})")
@@ -582,6 +591,49 @@ def _su2_prefixes(la, lb):
     return pa.reshape(-1, width)[:m], pb.reshape(-1, width)[:m]
 
 
+def _half_product(psi: np.ndarray, d: int, xs: np.ndarray, ws: np.ndarray):
+    """U_00 and U_01 of the symmetric sandwich product U at the points xs,
+    and the Jacobian of Re U_00 in the free phases psi.
+
+    phi_j = psi_{min(j, d-j)}; ws = i sqrt(1 - xs^2).  Only the n = len(psi)
+    = floor(d/2) + 1 free layers are multiplied out: with D_j =
+    e^{i phi_j Z}, P_k = D_0 W D_1 ... W D_k for k = 0..m, m = n - 1.
+    W and every D_j are symmetric, so reversing a product transposes it,
+    and the second half of the sequence is a transposed first half:
+
+    - odd d = 2m + 1:  U = P_m W P_m^T;
+    - even d = 2m:     U = P_m (P_{m-1} W)^T.
+
+    Both are U = P_m B^T with B = P_{d-1-m} W.  Every factor lies in SU(2)
+    and is kept as its first row (a, b) of [[a, b], [-b*, a*]], so
+    U_00 = a_m b'_a + b_m b'_b and U_01 = b_m conj(b'_a) - a_m conj(b'_b)
+    for B's first row (b'_a, b'_b).
+
+    Turning phi_k by t inserts e^{itZ} after layer k, so
+    dU/dphi_k = i P_k Z P_k^dagger U, whose (0, 0) entry is
+    i[(|a_k|^2 - |b_k|^2) U_00 + 2 a_k b_k conj(U_01)] with (a_k, b_k) the
+    first row of P_k and U_10 = -conj(U_01).  Reversing the phases
+    transposes U, so at a symmetric point the tied phase phi_{d-k} moves
+    U_00 by the same amount: column k of the Jacobian is -2 Im of that
+    bracket, and the middle column of an even d, where k = d - k, is half
+    of it.
+    """
+    n = len(psi)
+    e = np.exp(1j * psi)[:, None]
+    # first rows of D_0 and of W D_j;  pa, pb: P_0 ... P_m
+    la, lb = xs * e, ws / e
+    la[0], lb[0] = e[0], 0.0
+    pa, pb = _su2_prefixes(la, lb)
+    ba, bb = _su2_mul(pa[d - n], pb[d - n], xs, ws)
+    u00 = pa[-1] * ba + pb[-1] * bb
+    u01 = pb[-1] * np.conj(ba) - pa[-1] * np.conj(bb)
+    jac = -2.0 * ((pa.real ** 2 + pa.imag ** 2 - pb.real ** 2 - pb.imag ** 2)
+                  * u00 + 2.0 * pa * pb * np.conj(u01)).imag.T
+    if d % 2 == 0:
+        jac[:, -1] /= 2.0
+    return u00, u01, jac
+
+
 def _symmetric_phases(c: np.ndarray, goal: float):
     """Symmetric sandwich phases phi_j = phi_{d-j} with
     Re<0|U_Phi(x)|0> = sum_j c_j T_j(x), for a real target of definite
@@ -589,18 +641,16 @@ def _symmetric_phases(c: np.ndarray, goal: float):
 
     Newton iteration on the n = floor(d/2) + 1 free phases from
     (pi/4, 0, ..., 0, pi/4), matching the target at the n positive
-    Chebyshev nodes of T_2n.  Every factor lies in SU(2) and is kept as
-    the first row (a, b) of [[a, b], [-b*, a*]].  The Jacobian needs no
-    suffix products: the sequence is symmetric and W, e^{i phi Z} are
-    symmetric matrices, so the product after layer j is the transpose of
-    the product up to layer d-1-j followed by W.
+    Chebyshev nodes of T_2n; `_half_product` gives U and the Jacobian
+    from the products of the free layers alone.
 
     Stops when the node residual reaches ``goal``, when it stops falling
     below NEWTON_FLOOR, or after NEWTON_MAX_ITER steps, and returns the
     iterate of least residual as (wx_sandwich PhaseSequence, SignalPair,
-    node residual); the caller's certificate judges it.  The SignalPair is
-    read off that iterate's products: P = U_00 and Q = U_01 / (i s) at the
-    n nodes, extended by parity to all 2n nodes of T_2n and interpolated.
+    node residual).  The pair is not validated and the phases are not
+    certified: the caller does both.  The SignalPair is read off that
+    iterate's products: P = U_00 and Q = U_01 / (i s) at the n nodes,
+    extended by parity to all 2n nodes of T_2n and interpolated.
     """
     d = len(c) - 1
     if d < 1:
@@ -609,33 +659,21 @@ def _symmetric_phases(c: np.ndarray, goal: float):
     xs = np.cos(np.pi * (np.arange(n) + 0.5) / (2 * n))
     ws = 1j * np.sqrt(1.0 - xs ** 2)  # W(x) = (x, i sqrt(1-x^2))
     want = npcheb.chebval(xs, c)
-    fold = np.minimum(np.arange(d + 1), d - np.arange(d + 1))
     psi = np.zeros(n)
     psi[0] = math.pi / 4
     best = None  # (node residual, phases, U_00 and U_01 at the nodes)
     for _ in range(NEWTON_MAX_ITER):
-        e = np.exp(1j * psi[fold])[:, None]
-        # first rows of D_0 and of W D_j;  pa, pb: D_0 W D_1 ... W D_j;
-        # qa, qb: the same followed by W
-        la, lb = xs * e, ws / e
-        la[0], lb[0] = e[0], 0.0
-        pa, pb = _su2_prefixes(la, lb)
-        qa, qb = pa[1:] / e[1:], pb[1:] * e[1:]
-        r = pa[d].real - want
+        u00, u01, jac = _half_product(psi, d, xs, ws)
+        r = u00.real - want
         resid = float(np.abs(r).max())
         if not math.isfinite(resid):
             break
         if best is not None and resid >= best[0] and best[0] <= NEWTON_FLOOR:
             break
         if best is None or resid < best[0]:
-            best = (resid, psi, pa[d].copy(), pb[d].copy())
+            best = (resid, psi, u00, u01)
         if resid <= goal:
             break
-        # dU_00/dphi_j = i [P_j Z S_j]_00 with S_j = (P_{d-1-j} W)^T;
-        # phi_k and phi_{d-k} share a column
-        jac = -2.0 * (pa[:n] * qa[::-1][:n] - pb[:n] * qb[::-1][:n]).imag.T
-        if d % 2 == 0:
-            jac[:, -1] /= 2.0
         try:
             psi = psi - np.linalg.solve(jac, r)
         except np.linalg.LinAlgError:
@@ -650,8 +688,9 @@ def _symmetric_phases(c: np.ndarray, goal: float):
     p = cheb.fit(np.concatenate([u00, sign * u00[::-1]]), 2 * n - 1)
     qv = u01 / ws
     q = cheb.fit(np.concatenate([qv, -sign * qv[::-1]]), 2 * n - 1)
-    return (PhaseSequence(psi[fold], "wx_sandwich"),
-            SignalPair(p[: d + 1], q[:d]), resid)
+    phis = np.concatenate([psi, psi[: d + 1 - n][::-1]])
+    return (PhaseSequence(phis, "wx_sandwich"),
+            SignalPair(p[: d + 1], q[:d], validate=False), resid)
 
 
 # ----------------------------------------------------------------------
@@ -660,8 +699,44 @@ def _symmetric_phases(c: np.ndarray, goal: float):
 
 _PHASE_CACHE: dict = {}
 _PHASE_CACHE_MAX = 128
-# the 1000-point grid on which realized targets are certified
-_CERT_GRID = np.cos(np.linspace(0.0005, math.pi - 0.0005, 1000))
+
+
+def _coefficient_bound(f: np.ndarray, c: np.ndarray) -> float:
+    """A bound on max |sum_k (f_k - c_k) T_k(x)| over [-1, 1], where f
+    holds the d + 1 coefficients of a realized polynomial R taken by
+    `_chebops.fit` from values at the nodes, and c is the target.
+
+    As |T_k| <= 1 on [-1, 1], sum_k |f_k - c_k| bounds the distance of
+    the series f from c.  f is not R itself: with u = 2^-53,
+
+    - each node value is R(x_j) up to the rounding of a d-layer product of
+      unit-norm 2x2 factors.  A layer scales the running product's entries
+      by e^{+-i phi} (a complex product or quotient and the rounding of
+      e^{i phi}, under 7u) and combines them with the reals x and
+      sqrt(1 - x^2) (under u more), so a value is off by at most 8du;
+    - interpolation at the d + 1 Chebyshev nodes turns value errors of at
+      most e into a polynomial of sup at most Lambda e, with the Lebesgue
+      constant Lambda <= 1 + (2/pi) ln(d + 1) (Rivlin);
+    - the DCT in `fit` is one FFT of length d + 1, whose rounding is
+      below 5 log2(d+1) u in the 2-norm relative to its input: at most
+      10 sqrt(d+1) log2(2(d+1)) u in the 1-norm of the coefficients
+      (values of size <= 1).
+
+    The 1-norm sum itself rounds by (d + 1) u of its size, under the first
+    term whenever the bound is below 1.  The term takes the doubles
+    nearest the nodes for the nodes: R moves by up to |R'| u between
+    neighbouring doubles, which it leaves out, as a grid evaluated in
+    double precision does.
+    """
+    diff = np.zeros(max(len(f), len(c)))
+    diff[: len(f)] += f
+    diff[: len(c)] -= c
+    d = len(f) - 1
+    u = np.finfo(float).eps / 2
+    lebesgue = 1.0 + 2.0 / math.pi * math.log(d + 1)
+    rounding = u * (8 * d * lebesgue
+                    + 10 * math.sqrt(d + 1) * math.log2(2 * (d + 1)))
+    return float(np.abs(diff).sum()) + rounding
 
 
 def _degree_cut(c: np.ndarray, tol: float) -> np.ndarray:
@@ -687,12 +762,17 @@ def phases_for_target(p_re, tol: float = 1e-8):
     parity (Inadmissible) or exceeds 1 in magnitude anywhere on [-1, 1]
     (NotSubunit, a subclass of Inadmissible).  The symmetric-phase
     Newton solver finds the phases, stopping at a node residual of
-    max(NEWTON_GOAL, tol / 10); the realized Re<0|U_Phi|0> must then meet
-    ``tol`` on a 1000-point grid, else NumericalFailure.
+    max(NEWTON_GOAL, tol / 10), and its pair is validated once (unitarity
+    defect at most 1e-10).  The realized Re<0|U_Phi|0>, a polynomial of
+    degree d, is then taken by `qsp_eval` at the d + 1 Chebyshev nodes and
+    fitted; `_coefficient_bound` of those coefficients against the uncut
+    target (their 1-norm distance plus the rounding of evaluation and
+    fit) bounds max |Re P - p| over [-1, 1] and must meet ``tol``, else
+    NumericalFailure.
 
     Returns (SignalPair, reflection PhaseSequence, report); the report
-    holds ``reconstruction_error`` and ``node_residual``.  Results are
-    memoized on (coefficients, tol).
+    holds that bound as ``reconstruction_error`` and ``node_residual``.
+    Results are memoized on (coefficients, tol).
     """
     c = _as_cheb_array(p_re)
     key = (c.tobytes(), float(tol))
@@ -709,13 +789,15 @@ def phases_for_target(p_re, tol: float = 1e-8):
     _completion_gap(coeffs)
     sandwich, pair, resid = _symmetric_phases(
         coeffs, max(NEWTON_GOAL, tol / 10))
+    pair.validate()
     refl = to_reflection(sandwich)
-    err = float(np.abs(qsp_eval(refl, _CERT_GRID)[:, 0, 0].real
-                       - npcheb.chebval(_CERT_GRID, c.real)).max())
+    d = refl.degree
+    vals = qsp_eval(refl, cheb.cheb_nodes(d + 1))[:, 0, 0].real
+    err = _coefficient_bound(cheb.fit(vals, d), c.real)
     if err > tol:
         raise NumericalFailure(
             f"reconstruction error {err:.2e} above requested {tol:.0e} "
-            f"(Newton node residual {resid:.1e}, degree {refl.degree})")
+            f"(Newton node residual {resid:.1e}, degree {d})")
     out = (pair, refl, {"reconstruction_error": err, "node_residual": resid})
     if len(_PHASE_CACHE) >= _PHASE_CACHE_MAX:
         _PHASE_CACHE.pop(next(iter(_PHASE_CACHE)))

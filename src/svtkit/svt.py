@@ -441,7 +441,7 @@ def svt_apply(pu: ProjectedUnitary, target, kind: str = "real_poly",
                            "odd" if n % 2 else "even",
                            pi=pu.pi, pi_tilde=pu.pi_tilde)
     err = operator_norm(result - oracle)
-    if err > delta + 10 * phase_rep["reconstruction_error"] + 1e-11:
+    if err > delta + phase_rep["reconstruction_error"] + 1e-11:
         raise NumericalFailure(
             f"svt result misses oracle by {err:.2e} (requested {delta:.0e})")
     return SvtOutcome(result, wrapped, enc, ledger, refl, err)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from svtkit.blockenc import matrix_to_json
-from svtkit.cli import main
+from svtkit.cli import build_parser, main
 
 
 def run_cli(args, capsys):
@@ -136,6 +136,20 @@ class TestSweep:
 def test_bad_global_flag_exit_code(flags, capsys):
     code, _ = run_cli(flags + ["poly", "--family", "sign"], capsys)
     assert code == 2
+
+
+def test_parser_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_shared_parser_keeps_no_state_between_calls(capsys):
+    argv = ["phases", "--family", "sign", "--delta", "0.3", "--eps", "1e-3"]
+    first = run_cli(argv, capsys)
+    assert first[0] == 0
+    code, _ = run_cli(["phases", "--family", "sign", "--delta", "zero"],
+                      capsys)
+    assert code == 2
+    assert run_cli(argv, capsys) == first
 
 
 @pytest.mark.parametrize("argv, want", [

@@ -352,6 +352,160 @@ class TestPhasesForTarget:
             real_qsp(np.array([0.0, 0.5, 0.0, 1e-6j]))
 
 
+def symmetric_phis(psi, d):
+    j = np.arange(d + 1)
+    return psi[np.minimum(j, d - j)]
+
+
+def re_u00(psi, d, xs):
+    seq = PhaseSequence(symmetric_phis(psi, d), "wx_sandwich")
+    return qsp_eval(seq, xs)[:, 0, 0].real
+
+
+class TestHalfProduct:
+    """`_half_product` forms U from the free half of a symmetric sequence."""
+
+    @pytest.mark.parametrize("d", list(range(1, 81)))
+    def test_matches_the_full_product(self, d):
+        gen = np.random.default_rng(d)
+        n = d // 2 + 1
+        psi = gen.uniform(-np.pi, np.pi, n)
+        xs = np.cos(np.pi * (np.arange(n) + 0.5) / (2 * n))
+        ws = 1j * np.sqrt(1.0 - xs ** 2)
+        u00, u01, _ = qsp._half_product(psi, d, xs, ws)
+        full = qsp_eval(PhaseSequence(symmetric_phis(psi, d), "wx_sandwich"),
+                        xs)
+        assert np.abs(u00 - full[:, 0, 0]).max() <= 1e-13
+        assert np.abs(u01 - full[:, 0, 1]).max() <= 1e-13
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 9, 16, 31, 50, 79, 80])
+    def test_jacobian_matches_central_differences(self, d):
+        gen = np.random.default_rng(100 + d)
+        n = d // 2 + 1
+        psi = gen.uniform(-np.pi, np.pi, n)
+        xs = np.cos(np.pi * (np.arange(n) + 0.5) / (2 * n))
+        ws = 1j * np.sqrt(1.0 - xs ** 2)
+        _, _, jac = qsp._half_product(psi, d, xs, ws)
+        h = 1e-5
+        fd = np.empty((n, n))
+        for k in range(n):
+            step = np.zeros(n)
+            step[k] = h
+            fd[:, k] = (re_u00(psi + step, d, xs)
+                        - re_u00(psi - step, d, xs)) / (2 * h)
+        np.testing.assert_allclose(jac, fd, atol=1e-8)
+
+
+def full_prefix_phases(c, goal):
+    """The symmetric-phase Newton iteration with every one of the d + 1
+    layers multiplied out, prefix and suffix alike, as explicit 2x2
+    matrices: a slow reference for `_symmetric_phases`."""
+    d = len(c) - 1
+    n = d // 2 + 1
+    xs = np.cos(np.pi * (np.arange(n) + 0.5) / (2 * n))
+    s = np.sqrt(1.0 - xs ** 2)
+    w = np.zeros((n, 2, 2), complex)
+    w[:, 0, 0] = w[:, 1, 1] = xs
+    w[:, 0, 1] = w[:, 1, 0] = 1j * s
+    z = np.diag([1.0, -1.0])
+    want = np.polynomial.chebyshev.chebval(xs, c)
+    psi = np.zeros(n)
+    psi[0] = math.pi / 4
+    best = None
+    for _ in range(qsp.NEWTON_MAX_ITER):
+        phis = symmetric_phis(psi, d)
+        layers = [np.diag(np.exp([1j * f, -1j * f])) for f in phis]
+        # prefix[j] = D_0 W D_1 ... W D_j; suffix[j] = W D_{j+1} ... W D_d
+        prefix = [np.broadcast_to(layers[0], (n, 2, 2))]
+        for f in layers[1:]:
+            prefix.append(prefix[-1] @ w @ f)
+        suffix = [np.broadcast_to(np.eye(2), (n, 2, 2))]
+        for f in layers[:0:-1]:
+            suffix.append(w @ f @ suffix[-1])
+        suffix = suffix[::-1]
+        u = prefix[d]
+        r = u[:, 0, 0].real - want
+        resid = float(np.abs(r).max())
+        if not math.isfinite(resid):
+            break
+        if best is not None and resid >= best[0] \
+                and best[0] <= qsp.NEWTON_FLOOR:
+            break
+        if best is None or resid < best[0]:
+            best = (resid, phis)
+        if resid <= goal:
+            break
+        jac = np.zeros((n, n))
+        for j in range(d + 1):
+            dj = 1j * prefix[j] @ z @ suffix[j]
+            jac[:, min(j, d - j)] += dj[:, 0, 0].real
+        psi = psi - np.linalg.solve(jac, r)
+    return best
+
+
+@pytest.mark.parametrize("target", [
+    pytest.param(lambda: approx_sign(0.185, 1.5e-5), id="sign"),
+    pytest.param(lambda: approx_rect(0.5, 0.077, 1.5e-4), id="rect"),
+    pytest.param(lambda: approx_inverse(2.7, 1e-3, bounded=True),
+                 id="inverse"),
+])
+def test_solver_matches_full_prefix_reference(target):
+    c = qsp._degree_cut(target().cheb.cheb_coeffs.real, 1e-8)
+    seq, _, resid = qsp._symmetric_phases(c, 1e-9)
+    want_resid, want_phis = full_prefix_phases(c, 1e-9)
+    assert resid <= 1e-9 and want_resid <= 1e-9
+    assert np.abs(seq.phis - PhaseSequence(want_phis, "wx_sandwich").phis
+                  ).max() <= 1e-9
+
+
+def certificate_targets(gen):
+    """Random parity targets of degree 3-300, sign and trig, with the tol
+    each is synthesized at."""
+    for _ in range(21):
+        deg = int(gen.integers(3, 301))
+        yield random_target(deg, 0.95, gen).cheb_coeffs, 1e-10
+    for _ in range(15):
+        sign = approx_sign(gen.uniform(0.2, 0.5), 10 ** gen.uniform(-10, -3))
+        yield sign.cheb.cheb_coeffs.real, 1e-9
+    for _ in range(15):
+        pair = approx_trig(gen.uniform(0.5, 30.0), 10 ** gen.uniform(-12, -3))
+        yield 0.99 * pair[int(gen.integers(2))].cheb.cheb_coeffs.real, 1e-9
+
+
+def test_reconstruction_error_bounds_a_fine_grid():
+    """The certificate by coefficients covers the error measured on 20,001
+    points, rounding-level targets included."""
+    grid = np.linspace(-1.0, 1.0, 20001)
+    tiny = 0
+    for c, tol in certificate_targets(np.random.default_rng(14)):
+        qsp._PHASE_CACHE.clear()
+        _, refl, rep = phases_for_target(c, tol=tol)
+        got = qsp_eval(refl, grid)[:, 0, 0].real
+        measured = np.abs(got - np.polynomial.chebyshev.chebval(grid, c)).max()
+        assert rep["reconstruction_error"] >= measured
+        tiny += rep["reconstruction_error"] < 1e-11
+    assert tiny >= 10
+
+
+def test_unitarity_defect_matches_pointwise_evaluation():
+    def pointwise(pair, n):
+        xs = np.cos(np.linspace(0, np.pi, n + 1))
+        pv = np.polynomial.chebyshev.chebval(xs, pair.p_cheb)
+        qv = np.polynomial.chebyshev.chebval(xs, pair.q_cheb)
+        return np.abs(np.abs(pv) ** 2 + (1 - xs ** 2) * np.abs(qv) ** 2
+                      - 1).max()
+
+    pair = complete(random_target(41, 0.9, np.random.default_rng(4)))
+    assert abs(pair.unitarity_defect() - pointwise(pair, 1000)) <= 1e-13
+    # above degree 1000 the grid doubles and still holds the 1001 points
+    gen = np.random.default_rng(5)
+    long_pair = SignalPair(1e-3 * gen.standard_normal(1501),
+                           1e-3 * gen.standard_normal(1500), validate=False)
+    defect = long_pair.unitarity_defect()
+    assert defect == pytest.approx(pointwise(long_pair, 2000), rel=1e-12)
+    assert defect >= pointwise(long_pair, 1000)
+
+
 def critical_sup(c):
     """max |p| on [-1, 1] from its critical points (roots of p', and grid
     maxima, polished by Newton steps on p') and the end points."""
