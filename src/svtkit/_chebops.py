@@ -134,3 +134,54 @@ def dct1_values(c, n):
     vals[0::2] += 0.5 * full[n]
     vals[1::2] -= 0.5 * full[n]
     return vals
+
+
+def peak(c) -> float:
+    """max |p| over [-1, 1] for p = sum_k c_k T_k, c real or complex.
+
+    p, p' and p'' are taken by DCT-I at x_j = cos(pi j / n), j = 0..n, n
+    the smallest power of two >= max(2048, 8d), d = deg p.  A peak of |p|
+    can fall between those points.  Let M = |p| at the peak theta* and
+    h(theta) = Re(conj(u) p(cos theta)), u the unit phase of p there: a
+    real trigonometric polynomial of degree d with |h| <= M, maximal at
+    theta*, so |h''| <= d^2 M (Bernstein).  The grid point nearest the
+    peak, at most pi/(2n) away, then has |p| >= h >= M (1 - (pi d/n)^2/8),
+    and climbing the grid from it ends at a grid-local maximum above
+    (1 - 2 (pi d/n)^2) max_j |p(x_j)|.  Every such maximum is refined by
+    at most six Newton steps on |p|^2, step Re(conj p p') / (|p'|^2 +
+    Re(conj p p'')), and |p| is taken after each; the largest value seen
+    is returned.
+    """
+    c = np.atleast_1d(np.asarray(c))
+    d = len(c) - 1
+    n = 1 << (max(2048, 8 * d) - 1).bit_length()
+    # p, p' and p'' as columns: one DCT each gives them on the grid, and
+    # one Clenshaw pass evaluates all three anywhere else
+    stack = np.zeros((d + 1, 3), np.result_type(c, float))
+    for j in range(3):
+        col = npcheb.chebder(c, j)
+        stack[: len(col), j] = col
+    on_grid = [dct1_values(stack[:, j], n) for j in range(3)]
+    a = np.abs(on_grid[0])
+    # the grid is symmetric about theta = 0 and pi, so an end point is a
+    # local maximum when its one neighbour is not higher
+    ext = np.concatenate([a[1:2], a, a[-2:-1]])
+    high = (1.0 - 2.0 * (np.pi * d / n) ** 2) * a.max()
+    at = np.flatnonzero((a >= ext[:-2]) & (a >= ext[2:]) & (a >= high))
+    x = np.cos(np.pi * at / n)
+    v, dv, d2v = (vals[at] for vals in on_grid)
+    best = float(a.max())
+    with np.errstate(all="ignore"):
+        for _ in range(6):
+            slope = (v.conj() * dv).real
+            step = np.nan_to_num(
+                slope / ((dv.conj() * dv).real + (v.conj() * d2v).real))
+            moved = np.clip(x - step, -1.0, 1.0)
+            # about the rise of |p|^2 that Newton's quadratic model still
+            # expects from the move; a point pinned at an end expects none
+            x = moved[np.abs(slope * (x - moved)) > 1e-17 * best * best]
+            if not len(x):
+                break
+            v, dv, d2v = npcheb.chebval(x, stack)
+            best = max(best, float(np.abs(v).max()))
+    return best

@@ -218,10 +218,10 @@ _SAFETY = 1.0 - 1e-12  # final rescale protecting strict |P| <= 1 preconditions
 
 
 def below_one(coeffs):
-    """``coeffs`` divided by their certificate-grid sup on [-1, 1] when
-    that exceeds 1, then by the `_SAFETY` margin, so the series stays
-    strictly below 1."""
-    return coeffs / max(_grid_sup(coeffs), 1.0) * _SAFETY
+    """``coeffs`` divided by their max |p| over [-1, 1] (`_chebops.peak`,
+    not the certificate grid) when that exceeds 1, then by the `_SAFETY`
+    margin, so the series stays strictly below 1."""
+    return coeffs / max(cheb.peak(coeffs), 1.0) * _SAFETY
 
 
 # ----------------------------------------------------------------------
@@ -401,7 +401,7 @@ def approx_inverse(kappa: float, eps: float, bounded: bool = False,
     eps_g = min(eps / 3.0, 0.4)
     coeffs, b, J = _inverse_cheb_coeffs(2.0 * kappa, eps_g)
     coeffs = coeffs * (delta / 2.0)
-    pmax = _grid_sup(coeffs)
+    pmax = cheb.peak(coeffs)
     eps_r = min(eps / 3.0, 1.0 / max(pmax, 1.0)) / 2.0
     rect = approx_rect(0.75 * delta, delta / 4.0, eps_r, max_degree)
     one_minus_rect = cheb.add(np.array([1.0]), -rect.cheb.cheb_coeffs.real)
@@ -509,17 +509,19 @@ def _jacobi_anger(js: np.ndarray, R: int, sign: float):
 def approx_trig(t: float, eps: float,
                 max_degree: int = LIB_MAX_DEGREE):
     """(cos, sin) pair of truncated Jacobi-Anger Chebyshev series for
-    cos(t x) and sin(t x), grid error <= eps on [-1, 1]."""
+    cos(t x) and sin(t x), grid error <= eps on [-1, 1].  Both go through
+    `below_one`, so each stays below 1 in magnitude, as phase synthesis
+    needs."""
     if t == 0 or not (0 < eps < 1 / math.e):
         raise ValueError("need t != 0 and eps in (0, 1/e)")
     R = _trig_order(t, eps, max_degree)
     cos_c, sin_c = _jacobi_anger(bessel_j(2 * R + 1, abs(t)), R,
                                  1.0 if t > 0 else -1.0)
     args = f"(t={t:g}, eps={eps:g})"
-    return (_certified(cos_c, "even", lambda x: np.cos(t * x), 1.0 + eps, eps,
-                       ((-1.0, 1.0),), "cos" + args, max_degree),
-            _certified(sin_c, "odd", lambda x: np.sin(t * x), 1.0 + eps, eps,
-                       ((-1.0, 1.0),), "sin" + args, max_degree))
+    return (_certified(below_one(cos_c), "even", lambda x: np.cos(t * x),
+                       1.0, eps, ((-1.0, 1.0),), "cos" + args, max_degree),
+            _certified(below_one(sin_c), "odd", lambda x: np.sin(t * x),
+                       1.0, eps, ((-1.0, 1.0),), "sin" + args, max_degree))
 
 
 # ----------------------------------------------------------------------

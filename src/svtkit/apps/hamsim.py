@@ -277,8 +277,6 @@ def gibbs_prep(be: BlockEncoding, beta: float, eps: float,
             t_prev, t_cur = t_cur, t_next
             comp = cheb.add(comp, qc[k] * t_cur)
         f_coeffs = cheb.trim(comp, 1e-15)
-        herm_arg = h  # encodes sqrt(H); f applied to it gives e^{-beta/2 H}
-        target_f = lambda x: np.exp(-beta / 2.0 * np.clip(x, -1, 1) ** 2)
         shift = 0.0
     else:
         q = approx_exp(beta / 2.0, min(eps / 4.0, 0.4))
@@ -286,8 +284,6 @@ def gibbs_prep(be: BlockEncoding, beta: float, eps: float,
         # f(x) = e^{-(beta/2)(x+1)} = E(-x) with E(x) = e^{-(beta/2)(1-x)}
         qc[1::2] *= -1.0
         f_coeffs = qc
-        herm_arg = h
-        target_f = lambda x: np.exp(-beta / 2.0 * (np.clip(x, -1, 1) + 1.0))
         shift = 1.0
     out = eigenvalue_transform(be, ChebSeries(f_coeffs / 2.0),
                                delta=max(eps / 4, 1e-8))

@@ -108,7 +108,7 @@ def markov_detect(chain: MarkovChain, k_bound: float,
     dm = chain.discriminant_marked()
     be = embed((dm + dm.T) / 2, 1.0)
     dim = be.dim
-    pu = ProjectedUnitary(be.pu.u, be.pu.pi, be.pu.pi_tilde.complement())
+    pu = be.pu.with_projectors(be.pu.pi, be.pu.pi_tilde.complement())
     lam_thr = 1.0 - 1.0 / (12.0 * (k_bound + 1.0))
     b_comp = math.sqrt(max(1.0 - lam_thr ** 2, 1e-300))
     sign = approx_sign(0.9 * b_comp, 0.02, max_degree)

@@ -115,7 +115,7 @@ def discriminate(pu: ProjectedUnitary, a: float, b: float, eps: float,
     comp_gap = math.sqrt(1 - a * a) - math.sqrt(1 - b * b)
     use_complement = comp_gap > (b - a)
     if use_complement:
-        pu_run = ProjectedUnitary(pu.u, pu.pi, pu.pi_tilde.complement())
+        pu_run = pu.with_projectors(pu.pi, pu.pi_tilde.complement())
         a_run, b_run = math.sqrt(1 - b * b), math.sqrt(1 - a * a)
         flip = True
     else:
@@ -188,7 +188,7 @@ def fast_or(projectors, rho, eta: float, nu: float, eps: float):
     # complementary thresholds
     a_c = math.sqrt(max(1.0 - b_thr ** 2, 0.0))
     b_c = math.sqrt(max(1.0 - a_thr ** 2, 0.0))
-    pu_c = ProjectedUnitary(be.pu.u, be.pu.pi, be.pu.pi_tilde.complement())
+    pu_c = be.pu.with_projectors(be.pu.pi, be.pu.pi_tilde.complement())
     t = (a_c + b_c) / 2.0
     dl = (b_c - a_c) / 2.0
     eps_poly = min(eps / 2.0, 0.4)

@@ -89,14 +89,6 @@ class Projector:
             self._basis = keep
             self.real = not keep.imag.any()
 
-    @staticmethod
-    def from_indices(dim, indices) -> "Projector":
-        return Projector(dim, indices=indices)
-
-    @staticmethod
-    def top_block(dim, rank) -> "Projector":
-        return Projector(dim, indices=range(rank))
-
     @property
     def rank(self) -> int:
         if self.indices is not None:
@@ -187,8 +179,16 @@ class ProjectedUnitary:
         """A compressed to bases of img(Pi~) x img(Pi)."""
         return self.pi_tilde.basis().conj().T @ self.u @ self.pi.basis()
 
+    def with_projectors(self, pi: Projector,
+                        pi_tilde: Projector) -> "ProjectedUnitary":
+        """This U with other projectors, on U's certificate: U's defect
+        does not depend on the projectors, so no Gram is formed."""
+        return self._certified(self.u, pi, pi_tilde)
+
     def dagger(self) -> "ProjectedUnitary":
-        return ProjectedUnitary(self.u.conj().T, self.pi_tilde, self.pi)
+        """U^dag with the projectors swapped, on U's certificate: for a
+        square U, ||U^dag U - I||_2 = ||U U^dag - I||_2."""
+        return self._certified(self.u.conj().T, self.pi_tilde, self.pi)
 
 
 class BlockEncoding:

@@ -8,8 +8,6 @@ is what root finding and parity bookkeeping use.
 """
 from __future__ import annotations
 
-import math
-
 import numpy as np
 from numpy.polynomial import chebyshev as npcheb
 from numpy.polynomial import polynomial as nppoly
@@ -61,15 +59,6 @@ class ParityPoly:
         if name in self.__slots__ and hasattr(self, "degree"):
             raise AttributeError("ParityPoly is immutable")
         super().__setattr__(name, value)
-
-    # -- basic queries ------------------------------------------------
-    @property
-    def is_real(self) -> bool:
-        return bool(np.abs(self.coeffs.imag).max(initial=0.0)
-                    <= cheb.drop_threshold(self.coeffs))
-
-    def real_coeffs(self):
-        return self.coeffs.real.copy()
 
     def __call__(self, x):
         return evaluate(self, x)
@@ -130,11 +119,6 @@ class ChebSeries:
             raise AttributeError("ChebSeries is immutable")
         super().__setattr__(name, value)
 
-    @property
-    def is_real(self) -> bool:
-        return bool(np.abs(self.cheb_coeffs.imag).max(initial=0.0)
-                    <= cheb.drop_threshold(self.cheb_coeffs))
-
     def to_parity_poly(self, max_degree=MAX_DEGREE_DEFAULT) -> ParityPoly:
         return convert(self, max_degree=max_degree)
 
@@ -172,9 +156,6 @@ class FourierSeries:
 
     def one_norm(self) -> float:
         return float(sum(abs(c) for c in self.coeffs.values()))
-
-    def max_index(self) -> int:
-        return max((abs(m) for m in self.coeffs), default=0)
 
     def __call__(self, x):
         x = np.asarray(x, float)
@@ -294,49 +275,15 @@ def find_roots(p: ParityPoly):
     return roots
 
 
-_GOLDEN = (math.sqrt(5) - 1) / 2
-
-
-def _golden_max(f, lo, hi, iters=60):
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-        if b - a < 1e-14:
-            break
-    x = (a + b) / 2
-    return f(x)
-
-
 def supnorm(p, interval=(-1.0, 1.0)) -> float:
-    """max |p(x)| over [lo, hi], via a Chebyshev grid of 8*(degree+1)
-    points plus golden-section refinement around the grid argmax."""
+    """max |p(x)| over [lo, hi]: p re-expanded on [lo, hi] by
+    interpolation at its degree's Chebyshev nodes, then `_chebops.peak`."""
     lo, hi = float(interval[0]), float(interval[1])
     if not lo < hi:
         raise ValueError("need lo < hi")
-    deg = p.degree
-    n = 8 * (deg + 1)
-    t = np.cos(np.pi * (np.arange(n) + 0.5) / n)
-    xs = lo + (hi - lo) * (t + 1) / 2
-    xs = np.concatenate([[lo], xs[::-1], [hi]])
-    vals = np.abs(evaluate(p, xs))
-    i = int(np.argmax(vals))
-    best = float(vals[i])
-    a = xs[max(i - 1, 0)]
-    b = xs[min(i + 1, len(xs) - 1)]
-    if b > a:
-        refined = _golden_max(lambda x: float(np.abs(evaluate(p, x))), a, b)
-        best = max(best, refined)
-    return best
+    t = cheb.cheb_nodes(p.degree + 1)
+    vals = evaluate(p, lo + (hi - lo) * (t + 1) / 2)
+    return cheb.peak(cheb.fit(vals, p.degree))
 
 
 def monic_from_roots(roots, leading=1.0) -> ParityPoly:

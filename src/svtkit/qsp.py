@@ -87,7 +87,7 @@ class PhaseSequence:
 class SignalPair:
     """A (P, Q) pair satisfying Theorem-3-style conditions (i)-(iii).
 
-    Stored in the Chebyshev basis; the monomial views convert lazily.
+    Stored in the Chebyshev basis.
     """
 
     def __init__(self, p_cheb, q_cheb, validate=True, tol=1e-10):
@@ -98,14 +98,6 @@ class SignalPair:
             self.k = max(self.k, cheb.degree(self.q_cheb, 1e-11) + 1)
         if validate:
             self.validate(tol)
-
-    @property
-    def p(self) -> ParityPoly:
-        return convert(ChebSeries(self.p_cheb))
-
-    @property
-    def q(self) -> ParityPoly:
-        return convert(ChebSeries(self.q_cheb))
 
     def p_value(self, x):
         return npcheb.chebval(x, self.p_cheb)
@@ -241,35 +233,35 @@ def to_reflection(phi: PhaseSequence) -> PhaseSequence:
 
 
 def check_admissible(p) -> dict:
-    """Grid-based report of the achievability conditions of a complex P.
+    """Report of the achievability conditions of a complex P.
 
     Checks parity, |P| <= 1 inside, |P| >= 1 outside and the
-    imaginary-axis condition for even degree.  Each condition is sampled
-    on 2001 grid points (1000 per ray outside [-1, 1]) and holds with a
-    margin of at least -1e-9.  Violations appear as negative margins, not
+    imaginary-axis condition for even degree.  The inside margin is
+    1 - max |P| over [-1, 1], taken by `_chebops.peak`, so a peak between
+    grid points is not missed; the outside and imaginary-axis conditions
+    are sampled on 1000 grid points per ray.  Each holds with a margin of
+    at least -1e-9.  Violations appear as negative margins, not
     exceptions.  The gate of a real phase target is `_completion_gap`.
     """
-    n_grid, tol = 2000, 1e-9
+    n_ray, tol = 1000, 1e-9
     c = _as_cheb_array(p)
     k = cheb.degree(c, 1e-11)
     par = cheb.parity_of(c, 1e-11)
     want = "even" if k % 2 == 0 else "odd"
     report = {"degree": k, "parity": par,
               "parity_ok": par == want or float(np.abs(c).max()) < 1e-13}
-    xs = np.cos(np.linspace(0, math.pi, n_grid + 1))
-    vals = npcheb.chebval(xs, c)
-    inside = 1.0 - float(np.abs(vals).max())
+    inside = 1.0 - cheb.peak(c)
     report["inside_margin"] = inside
     report["inside_ok"] = inside >= -tol
     # evaluated in the Chebyshev basis: the monomial form loses ~1e-8 near
     # |x| = 1 by degree 25, which turns admissible targets away
-    ts = np.linspace(1.0, 3.0, n_grid // 2)
+    ts = np.linspace(1.0, 3.0, n_ray)
     out_vals = npcheb.chebval(np.concatenate([ts, -ts]), c)
     outside = float(np.abs(out_vals).min()) - 1.0
     report["outside_margin"] = outside
     report["outside_ok"] = outside >= -tol
     if k % 2 == 0:
-        ys = np.linspace(0.0, 3.0, n_grid // 2)
+        ys = np.linspace(0.0, 3.0, n_ray)
         pi_vals = npcheb.chebval(1j * ys, c)
         pistar = npcheb.chebval(1j * ys, np.conj(c))
         prod = (pi_vals * pistar).real
@@ -288,53 +280,16 @@ def check_admissible(p) -> dict:
 # completion
 
 
-def _completion_gap(p):
+def _completion_gap(p) -> float:
     """Refuse a real Chebyshev target p without definite parity
-    (Inadmissible) and one where A = 1 - p^2 dips below -1e-12 anywhere
-    on [-1, 1] (NotSubunit).
-
-    p is taken by one DCT-I at x_j = cos(pi j / n), j = 0..n, n the
-    smallest power of two >= max(2048, 8d), d = deg p.  A peak of |p|
-    can fall between those points.  g(theta) = p(cos theta) has degree d,
-    so |g''| <= d^2 M with M = max|p| on [-1, 1] (Bernstein), and the
-    grid point nearest a peak, at most h/2 = pi/(2n) away, is below it
-    by at most d^2 M h^2 / 8 (under 2% of M, since n >= 8d).  A peak
-    M > 1 that the grid misses thus leaves A below (pi d M / n)^2 / 4
-    there, which is less than 2 (pi d / n)^2 max_j |p(x_j)|.  Every
-    grid-local minimum of A below that, or below 1e-3, is refined by
-    Newton steps on A' = -2 p p', and A is taken at each step too.
-    """
+    (Inadmissible) and one whose peak M = max |p| over [-1, 1]
+    (`_chebops.peak`) has M^2 - 1 > 1e-12 (NotSubunit); return M."""
     if np.abs(p).max() > 1e-13 and cheb.parity_of(p) == "none":
         raise Inadmissible("target p must have definite parity")
-    d = len(p) - 1
-    n = 1 << (max(2048, 8 * d) - 1).bit_length()
-    xs = np.cos(np.pi * np.arange(n + 1) / n)
-    pv = cheb.dct1_values(p, n)
-    A = 1.0 - pv * pv
-    # the grid is symmetric about theta = 0 and pi, so an end point is a
-    # local minimum when its one neighbour is not lower
-    ext = np.concatenate([A[1:2], A, A[-2:-1]])
-    mid = ext[1:-1]
-    low = max(1e-3, 2.0 * (math.pi * d / n) ** 2 * float(np.abs(pv).max()))
-    x = xs[(mid <= ext[:-2]) & (mid <= ext[2:]) & (mid < low)]
-    # p, p' and p'' as columns: one Clenshaw pass evaluates all three
-    stack = np.zeros((d + 1, 3))
-    for j in range(3):
-        col = npcheb.chebder(p, j)
-        stack[: len(col), j] = col
-    points, values = [xs], [A]
-    with np.errstate(all="ignore"):
-        for _ in range(5):
-            v, dv, d2v = npcheb.chebval(x, stack)
-            points.append(x)
-            values.append(1.0 - v * v)
-            # Newton on A': the step A'/A'' is p p' / (p'^2 + p p'')
-            x = np.clip(x - v * dv / (dv * dv + v * d2v), -1.0, 1.0)
-    xs, A = np.concatenate(points), np.concatenate(values)
-    worst = int(np.nanargmin(A))
-    if A[worst] < -1e-12:
-        raise NotSubunit(
-            f"p^2 exceeds 1 by {-A[worst]:.2e} near x = {xs[worst]:.6g}")
+    top = cheb.peak(p)
+    if top * top - 1.0 > 1e-12:
+        raise NotSubunit(f"p^2 exceeds 1 by {top * top - 1.0:.2e}")
+    return top
 
 
 def complete(p_re, tol: float = 1e-10) -> SignalPair:
@@ -760,7 +715,10 @@ def phases_for_target(p_re, tol: float = 1e-8):
     `_chebops.drop_threshold` is refused (Inadmissible); `_completion_gap`,
     the one admissibility gate, then refuses it when it lacks definite
     parity (Inadmissible) or exceeds 1 in magnitude anywhere on [-1, 1]
-    (NotSubunit, a subclass of Inadmissible).  The symmetric-phase
+    (NotSubunit, a subclass of Inadmissible).  The gate sees the target
+    as given; `_degree_cut` then drops a tail, and when the target's peak
+    plus that tail's 1-norm exceeds 1 the cut is divided by that sum, so
+    it stays within 1 too.  The symmetric-phase
     Newton solver finds the phases, stopping at a node residual of
     max(NEWTON_GOAL, tol / 10), and its pair is validated once (unitarity
     defect at most 1e-10).  The realized Re<0|U_Phi|0>, a polynomial of
@@ -783,10 +741,15 @@ def phases_for_target(p_re, tol: float = 1e-8):
     if imag > cheb.drop_threshold(c):
         raise Inadmissible(f"target has an imaginary part of {imag:.2e}; "
                            "a real phase target must be real")
+    top = _completion_gap(c.real)
     coeffs = _degree_cut(c.real, tol)
+    # the cut moves p by at most its dropped tail's 1-norm; rescale a cut
+    # that this could lift above 1
+    lifted = top + float(np.abs(c.real[len(coeffs):]).sum())
+    if lifted > 1.0:
+        coeffs = coeffs / lifted
     if not coeffs.any():
         coeffs = np.zeros(2)  # zero is realized by one layer, as odd
-    _completion_gap(coeffs)
     sandwich, pair, resid = _symmetric_phases(
         coeffs, max(NEWTON_GOAL, tol / 10))
     pair.validate()

@@ -461,7 +461,8 @@ def eigenvalue_transform(be: BlockEncoding, target, delta: float = 1e-8,
     """Polynomial eigenvalue transformation of arbitrary parity.
 
     Input: block-encoding of a Hermitian A and a real polynomial P bounded
-    by 1/2 on [-1, 1].  One `branch_lcu` call combines the +-Phi pairs of
+    by 1/2 on [-1, 1], its max |P| taken by `_chebops.peak`; a larger P is
+    refused (Inadmissible).  One `branch_lcu` call combines the +-Phi pairs of
     the even and odd parts of 2P, (1, even) and (1, odd), and wraps two
     ancilla qubits in Hadamards, returning a
     (1, a+2, 4 d sqrt(eps/alpha) + delta)-encoding of P(A / alpha).  A
@@ -482,9 +483,7 @@ def eigenvalue_transform(be: BlockEncoding, target, delta: float = 1e-8,
         c = c.real
     parts = [c.real, c.imag] if complex_target else [c]
     bound = 0.5 / len(parts)
-    sup = float(np.abs(npcheb.chebval(
-        np.cos(np.linspace(0, math.pi, 4001)), c)).max())
-    if sup > bound + 1e-12:
+    if cheb.peak(c) > bound + 1e-12:
         raise Inadmissible(f"eigenvalue transform needs |P| <= {bound:g}")
     terms, u_uses = [], 0
     for weight, part in zip((1, 1j), parts):

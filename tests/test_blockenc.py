@@ -5,6 +5,9 @@ import pytest
 import scipy.stats
 from hypothesis import given, settings, strategies as st
 
+from svtkit import blockenc
+from svtkit.apps import (MarkovChain, discriminate, fast_or, markov_detect,
+                         pseudoinverse)
 from svtkit.blockenc import (UNITARY_TOL, BlockEncoding,
                              ControlledNotByProjector, Projector,
                              StatePrepPair, cpi_not, embed, encode_density,
@@ -435,3 +438,68 @@ class TestLedgerSoundnessDense:
             pair = StatePrepPair.for_coefficients(y)
             be = lcu(pair, [embed(a1, 1.0), embed(a2, 1.0)])
             assert be.measured_error() <= be.eps + 1e-9
+
+
+class TestCertificateReuse:
+    """An encoding on an already certified U, with other projectors or as
+    its adjoint, forms no new Gram of U."""
+
+    @pytest.fixture
+    def grams(self, monkeypatch):
+        seen = []
+        check = blockenc.is_unitary
+
+        def counting(u, *args, **kwargs):
+            seen.append(np.asarray(u))
+            return check(u, *args, **kwargs)
+
+        monkeypatch.setattr(blockenc, "is_unitary", counting)
+        return seen
+
+    @staticmethod
+    def count(seen, u):
+        return sum(m.shape == u.shape and np.array_equal(m, u) for m in seen)
+
+    def test_dagger_and_with_projectors(self, grams):
+        pu = embed(random_contraction(3, 0.8)).pu
+        assert len(grams) == 1
+        dag = pu.dagger()
+        comp = pu.with_projectors(pu.pi, pu.pi_tilde.complement())
+        assert len(grams) == 1
+        np.testing.assert_array_equal(dag.u, pu.u.conj().T)
+        assert dag.pi is pu.pi_tilde and dag.pi_tilde is pu.pi
+        assert comp.u is pu.u and comp.pi is pu.pi
+        np.testing.assert_array_equal(comp.pi_tilde.indices, [3, 4, 5])
+
+    def test_markov_detect(self, grams):
+        p = np.zeros((4, 4))
+        for i in range(4):
+            p[i, i], p[i, (i + 1) % 4], p[i, (i - 1) % 4] = 0.5, 0.25, 0.25
+        chain = MarkovChain(p, marked=[0])
+        dm = chain.discriminant_marked()
+        u = embed((dm + dm.T) / 2, 1.0).u
+        grams.clear()
+        markov_detect(chain, 4.0)
+        assert self.count(grams, u) == 1  # embed's own check
+
+    def test_fast_or(self, grams):
+        gen = np.random.default_rng(5)
+        vs = [np.linalg.qr(gen.standard_normal((4, 2)))[0] for _ in range(2)]
+        projs = [v @ v.T for v in vs]
+        u = embed(np.mean([np.eye(4) - q for q in projs], axis=0), 1.0).u
+        grams.clear()
+        fast_or(projs, np.eye(4) / 4, 0.05, 0.5, 0.01)
+        assert self.count(grams, u) == 1  # embed's own check
+
+    def test_discriminate_on_the_complement(self, grams):
+        pu = embed(np.diag([0.98, 0.5]), 1.0).pu
+        grams.clear()
+        verdict = discriminate(pu, 0.9, 0.95, 0.01, np.eye(4)[0])
+        assert verdict["used_complement"]
+        assert self.count(grams, pu.u) == 0
+
+    def test_pseudoinverse_runs_on_the_adjoint(self, grams):
+        pu = embed(np.diag([0.5, 0.25]), 1.0).pu
+        grams.clear()
+        pseudoinverse(pu, 0.25, 1e-4)
+        assert self.count(grams, pu.u.conj().T) == 0

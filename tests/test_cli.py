@@ -67,6 +67,24 @@ class TestPhasesCommand:
         code, _ = run_cli(["phases"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("eps", ["1e-4", "1e-6", "1e-8"])
+    @pytest.mark.parametrize("t", ["1", "2", "3", "5", "10"])
+    @pytest.mark.parametrize("family", ["sin", "cos"])
+    def test_trig_phases_run(self, family, t, eps, capsys):
+        # the Jacobi-Anger series of sin(2x) at eps 1e-4 exceeds 1 by
+        # 2.3e-8 near x = 0.785 until it is rescaled below 1
+        code, out = run_cli(["phases", "--family", family, "--t", t,
+                             "--eps", eps], capsys)
+        assert code == 0
+        assert json.loads(out)["convention"] == "reflection"
+
+    @pytest.mark.parametrize("delta", ["0.25", "0.3", "0.4"])
+    def test_sign_phases_run_at_eps_1e_12(self, delta, capsys):
+        # the uncut series stays below 1; its tolerance cut must too
+        code, _ = run_cli(["phases", "--family", "sign", "--delta", delta,
+                           "--eps", "1e-12"], capsys)
+        assert code == 0
+
 
 class TestEncodeAndSvt:
     def test_encode_dilation(self, tmp_path, capsys):

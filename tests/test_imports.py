@@ -1,6 +1,9 @@
 """Every name a library module imports is used there (or re-exported
-through ``__all__``), and every import sits at module level."""
+through ``__all__``), every import sits at module level, and every public
+function, class and method of the library is referenced in the library,
+its tests or the benchmark harness."""
 import ast
+import functools
 import pathlib
 
 import pytest
@@ -70,3 +73,85 @@ def test_no_nested_imports(path):
     where = str(path.relative_to(SRC))
     assert [(fn, mod) for fn, mod in nested_imports(path.read_text())
             if (where, fn, mod) not in DEFERRED_IMPORTS] == []
+
+
+# every public function, class and method is referenced somewhere
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+REFERRING = MODULES + sorted((ROOT / "tests").rglob("*.py")) + sorted(
+    (ROOT / "perfbench").rglob("*.py"))
+
+
+def public_definitions(source: str) -> list:
+    """(line, name) of each public function and class at module level and
+    of each public method of a class there."""
+    found = []
+
+    def visit(body):
+        for node in body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef))
+                    and not node.name.startswith("_")):
+                found.append((node.lineno, node.name))
+            if isinstance(node, ast.ClassDef):
+                visit(node.body)
+
+    visit(ast.parse(source).body)
+    return found
+
+
+def references(source: str) -> set:
+    """Every name, attribute, imported name and ``__all__`` string in a
+    module, except a reference inside a definition of the same name."""
+    found = set()
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            inside = inside | {node.name}
+        names = []
+        if isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.alias):
+            names = [node.name.split(".")[-1]]
+        elif (isinstance(node, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id == "__all__"
+                      for t in node.targets)):
+            names = [elt.value for elt in node.value.elts]
+        found.update(name for name in names if name not in inside)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(ast.parse(source), frozenset())
+    return found
+
+
+@functools.cache
+def references_in(path: pathlib.Path) -> set:
+    return references(path.read_text())
+
+
+def unreferenced(source: str, elsewhere=frozenset()) -> list:
+    """The public definitions of ``source`` that neither it refers to nor
+    appear among the names ``elsewhere``."""
+    used = references(source) | elsewhere
+    return [(line, name) for line, name in public_definitions(source)
+            if name not in used]
+
+
+def test_detects_an_unreferenced_definition():
+    src = ("def f():\n    return f()\n"
+           "class A:\n    def g(self):\n        return helper\n"
+           "def helper():\n    pass\n"
+           "def _private():\n    pass\n"
+           "A().g\n")
+    assert unreferenced(src) == [(1, "f")]
+    assert unreferenced(src, references("__all__ = ['f']\n")) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=IDS)
+def test_every_public_definition_is_referenced(path):
+    elsewhere = set().union(*(references_in(p) for p in REFERRING
+                              if p != path))
+    assert unreferenced(path.read_text(), elsewhere) == []

@@ -1,8 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.polynomial import chebyshev as npcheb
 
 from svtkit import ParityPoly, ChebSeries
+from svtkit import _chebops as cheb_ops
 from svtkit.errors import DegreeTooLarge, NumericalFailure
 from svtkit.poly import (arithmetic, convert, evaluate, find_roots,
                          monic_from_roots, supnorm)
@@ -234,6 +238,57 @@ def test_supnorm_matches_critical_point_oracle():
         pts += [-1.0, 1.0]
         true = max(abs(complex(evaluate(p, x))) for x in pts)
         assert abs(got - true) < 1e-8 * max(1.0, true)
+
+
+def critical_peak(c):
+    """max |p| over [-1, 1] at the ends, at the critical points of |p|^2
+    (the real roots of Re(conj p p'), from the colleague matrix, polished
+    by Newton steps) and on 20,001 points."""
+    c = np.asarray(c, complex)
+    g = npcheb.chebmul(np.conj(c), npcheb.chebder(c)).real
+    pts = [np.linspace(-1.0, 1.0, 20001)]
+    if np.abs(g).max(initial=0.0) > 0:
+        r = npcheb.chebroots(g)
+        r = r[(np.abs(r.imag) < 1e-6) & (np.abs(r.real) <= 1.0)].real
+        dg = npcheb.chebder(g)
+        for _ in range(3):
+            r = np.clip(r - npcheb.chebval(r, g) / npcheb.chebval(r, dg),
+                        -1.0, 1.0)
+        pts.append(r)
+    return float(np.abs(npcheb.chebval(np.concatenate(pts), c)).max())
+
+
+def peak_series(gen):
+    """Real and complex series of degree 1-300, then Fejer bumps of degree
+    300 centred between two points of the DCT grid that `peak` takes."""
+    for k in range(24):
+        d = int(gen.integers(1, 301))
+        c = gen.standard_normal(d + 1) / np.arange(1, d + 2) ** gen.uniform(0, 1.5)
+        if k % 2:
+            c = c + 1j * gen.standard_normal(d + 1) / (d + 1)
+        if k % 3 == 0:
+            c[(d + 1) % 2::2] = 0
+        yield c
+    d, n = 300, 4096
+    theta = math.pi * 1000.5 / n
+    k = np.arange(d + 1)
+    bump = 2 * (1 - k / (d + 1)) * np.cos(k * theta)
+    bump[0] = 1.0
+    yield bump
+    yield np.exp(0.7j) * bump
+
+
+def test_peak_matches_critical_point_reference():
+    # both sides round their evaluations; 1e-13 of the peak is far below
+    # the 1e-12 at which the completion gate decides
+    between = 0
+    for c in peak_series(np.random.default_rng(15)):
+        ref = critical_peak(c)
+        got = cheb_ops.peak(c)
+        assert abs(got - ref) <= 1e-13 * ref, (len(c) - 1, got, ref)
+        grid = np.abs(cheb_ops.dct1_values(c, 4096)).max()
+        between += len(c) == 301 and grid < ref * (1 - 1e-4)
+    assert between == 2  # both bumps peak off the grid
 
 
 def test_supnorm_of_sign_poly_bounded():

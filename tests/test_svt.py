@@ -330,6 +330,20 @@ class TestEigenvalueTransform:
         want = v @ np.diag(np.polynomial.chebyshev.chebval(w, c)) @ v.conj().T
         np.testing.assert_allclose(out.result, want, atol=1e-7)
 
+    def test_peak_between_grid_points_refused(self):
+        # (1 + delta)(1 - T_101(0.97 x)) / 4 peaks at 0.5000006, between
+        # the points of a 4001-point angle grid, which reads 0.4999994
+        d, delta = 101, 1.3e-6
+        c = -np.polynomial.chebyshev.chebinterpolate(
+            lambda x: np.cos(d * np.arccos(0.97 * x)), d)
+        c[0] += 1.0
+        c *= (1 + delta) / 4
+        grid = np.cos(np.linspace(0, math.pi, 4001))
+        assert np.abs(np.polynomial.chebyshev.chebval(grid, c)).max() < 0.5
+        be = embed(np.diag([0.5, -0.3]), 1.0)
+        with pytest.raises(Inadmissible, match=r"needs \|P\| <= 0.5"):
+            eigenvalue_transform(be, ChebSeries(c), delta=1e-8)
+
 
 class TestConstantParityParts:
     """A parity part that is a constant c enters `branch_lcu` as the exact
