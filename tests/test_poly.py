@@ -258,9 +258,18 @@ def critical_peak(c):
     return float(np.abs(npcheb.chebval(np.concatenate(pts), c)).max())
 
 
+def fejer_bump(d=300, n=4096):
+    """A Fejer bump of degree d centred between two points of the n-point
+    DCT grid that `peak` takes at that degree."""
+    k = np.arange(d + 1)
+    c = 2 * (1 - k / (d + 1)) * np.cos(k * math.pi * 1000.5 / n)
+    c[0] = 1.0
+    return c
+
+
 def peak_series(gen):
-    """Real and complex series of degree 1-300, then Fejer bumps of degree
-    300 centred between two points of the DCT grid that `peak` takes."""
+    """Real and complex series of degree 1-300, then a real and a complex
+    Fejer bump."""
     for k in range(24):
         d = int(gen.integers(1, 301))
         c = gen.standard_normal(d + 1) / np.arange(1, d + 2) ** gen.uniform(0, 1.5)
@@ -269,26 +278,19 @@ def peak_series(gen):
         if k % 3 == 0:
             c[(d + 1) % 2::2] = 0
         yield c
-    d, n = 300, 4096
-    theta = math.pi * 1000.5 / n
-    k = np.arange(d + 1)
-    bump = 2 * (1 - k / (d + 1)) * np.cos(k * theta)
-    bump[0] = 1.0
-    yield bump
-    yield np.exp(0.7j) * bump
+    yield fejer_bump()
+    yield np.exp(0.7j) * fejer_bump()
 
 
 def test_peak_matches_critical_point_reference():
     # both sides round their evaluations; 1e-13 of the peak is far below
     # the 1e-12 at which the completion gate decides
-    between = 0
     for c in peak_series(np.random.default_rng(15)):
         ref = critical_peak(c)
-        got = cheb_ops.peak(c)
-        assert abs(got - ref) <= 1e-13 * ref, (len(c) - 1, got, ref)
-        grid = np.abs(cheb_ops.dct1_values(c, 4096)).max()
-        between += len(c) == 301 and grid < ref * (1 - 1e-4)
-    assert between == 2  # both bumps peak off the grid
+        assert abs(cheb_ops.peak(c) - ref) <= 1e-13 * ref, (len(c) - 1, ref)
+    # the bump's peak lies between grid points: the grid alone misses it
+    grid = np.abs(cheb_ops.dct1_values(fejer_bump(), 4096)).max()
+    assert grid < critical_peak(fejer_bump()) * (1 - 1e-4)
 
 
 def test_supnorm_of_sign_poly_bounded():
