@@ -136,6 +136,32 @@ def dct1_values(c, n):
     return vals
 
 
+_DENSE_MAX = 1 << 16  # (point, coefficient) pairs; Clenshaw above
+
+
+def values(c, x):
+    """sum_k c_k T_k(x) at points x of [-1, 1], shaped c.shape[1:] +
+    x.shape as `chebval` gives it (c real or complex, columns allowed).
+    Up to _DENSE_MAX (point, coefficient) pairs take one matrix product
+    cos(outer(arccos x, k)) @ c, with no Python loop over the coefficients.
+    With arccos and cos rounded to within u = 2^-53, |cos(k arccos x) -
+    T_k(x)| <= (2 pi k + 1) u, so with the product's (d + 1)-term sums the
+    error is about ((2 pi + 1) d + d + 1) u ||c||_1, d = len(c) - 1.  More
+    pairs run Clenshaw (`chebval`), whose rounding grows to about
+    (d + 1)^2 u ||c||_1 near +-1.  A point outside [-1, 1] (or NaN) raises
+    ValueError.  Evaluations that may be asked for other points keep
+    `chebval`: `_WidePoly` (`ApproxResult.evaluate` beyond [-1, 1]),
+    `check_admissible`'s rays, `aberth`'s complex roots, `SignalPair.p_value`
+    and `q_value`, `poly.evaluate` and svt's oracles."""
+    c, x = np.asarray(c), np.asarray(x, float)
+    if not np.all(np.abs(x) <= 1.0):
+        raise ValueError("values needs every point in [-1, 1]")
+    if x.size * len(c) > _DENSE_MAX:
+        return npcheb.chebval(x, c)
+    t = np.cos(np.multiply.outer(np.arccos(x.ravel()), np.arange(len(c))))
+    return np.moveaxis(t @ c, 0, -1).reshape(c.shape[1:] + x.shape)
+
+
 def peak(c) -> float:
     """max |p| over [-1, 1] for p = sum_k c_k T_k, c real or complex.
 
@@ -156,7 +182,7 @@ def peak(c) -> float:
     d = len(c) - 1
     n = 1 << (max(2048, 8 * d) - 1).bit_length()
     # p, p' and p'' as columns: one DCT each gives them on the grid, and
-    # one Clenshaw pass evaluates all three anywhere else
+    # one `values` call evaluates all three anywhere else
     stack = np.zeros((d + 1, 3), np.result_type(c, float))
     for j in range(3):
         col = npcheb.chebder(c, j)
@@ -182,6 +208,6 @@ def peak(c) -> float:
             x = moved[np.abs(slope * (x - moved)) > 1e-17 * best * best]
             if not len(x):
                 break
-            v, dv, d2v = npcheb.chebval(x, stack)
+            v, dv, d2v = values(stack, x)
             best = max(best, float(np.abs(v).max()))
     return best

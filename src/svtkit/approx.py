@@ -87,15 +87,20 @@ class ApproxResult:
 # certificate grid
 
 
+@functools.lru_cache(maxsize=8)
+def _ascending_grid(n, scale):
+    """The angle grid's abscissae, ascending and read-only."""
+    return _read_only(scale * np.cos(np.pi * np.arange(n, -1, -1) / n))
+
+
 def _angle_grid(coeffs, scale=1.0):
     """(x, p(x)) for p = sum_k c_k T_k(x/scale) on the angle grid
     x_j = scale*cos(pi j/N), j = 0..N, by one DCT-I.  N is the smallest
     power of two >= deg p with scale*pi/N <= 1/GRID_PER_UNIT, so no gap
-    is wider than that."""
+    is wider than that.  The x_j are a shared read-only array."""
     need = max(math.ceil(scale * math.pi * GRID_PER_UNIT), len(coeffs) - 1)
     n = 1 << (need - 1).bit_length()
-    xs = scale * np.cos(np.pi * np.arange(n + 1) / n)
-    return xs, cheb.dct1_values(coeffs, n)
+    return _ascending_grid(n, scale)[::-1], cheb.dct1_values(coeffs, n)
 
 
 def _on_grid(coeffs, intervals, scale=1.0):
@@ -105,16 +110,17 @@ def _on_grid(coeffs, intervals, scale=1.0):
     puts fewer points inside than GRID_PER_UNIT asks for (at least 33),
     that many evenly spaced points."""
     xs, vals = _angle_grid(coeffs, scale)
+    up = xs[::-1]  # ascending: the grid points in [lo, hi] are one slice
     out = []
     for lo, hi in intervals:
-        inside = (xs >= lo) & (xs <= hi)
+        i = len(xs) - np.searchsorted(up, hi, "right")
+        j = len(xs) - np.searchsorted(up, lo, "left")
         n_even = max(math.ceil((hi - lo) * GRID_PER_UNIT), 32) + 1
-        extra = (np.linspace(lo, hi, n_even)
-                 if np.count_nonzero(inside) < n_even
+        extra = (np.linspace(lo, hi, n_even) if j - i < n_even
                  else np.array([lo, hi], float))
-        out.append((np.concatenate([xs[inside], extra]),
-                    np.concatenate([vals[inside],
-                                    npcheb.chebval(extra / scale, coeffs)])))
+        out.append((np.concatenate([xs[i:j], extra]),
+                    np.concatenate([vals[i:j],
+                                    cheb.values(coeffs, extra / scale)])))
     return out
 
 

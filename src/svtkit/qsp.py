@@ -165,41 +165,37 @@ def qsp_eval(phi: PhaseSequence, x):
     Returns a (2, 2) matrix for scalar x, else (n, 2, 2).
     """
     xs = np.atleast_1d(np.asarray(x, float))
-    s = np.sqrt(np.clip(1.0 - xs ** 2, 0.0, None))
-    n = len(xs)
-    out = np.zeros((n, 2, 2), complex)
+    out = np.zeros((len(xs), 2, 2), complex)
     if phi.convention == "wx_sandwich":
+        ws = 1j * np.sqrt(np.clip(1.0 - xs ** 2, 0.0, None))
         e0 = np.exp(1j * phi.phis[0])
-        out[:, 0, 0] = e0
-        out[:, 1, 1] = np.conj(e0)
-        for ang in phi.phis[1:]:
-            ep = cmath.exp(1j * ang)
-            a = out[:, 0, 0].copy(); b = out[:, 0, 1].copy()
-            c = out[:, 1, 0].copy(); d = out[:, 1, 1].copy()
-            # multiply by W(x) then diag(e^{i ang}, e^{-i ang})
-            na = a * xs + b * 1j * s
-            nb = a * 1j * s + b * xs
-            nc = c * xs + d * 1j * s
-            nd = c * 1j * s + d * xs
-            out[:, 0, 0] = na * ep
-            out[:, 0, 1] = nb / ep
-            out[:, 1, 0] = nc * ep
-            out[:, 1, 1] = nd / ep
+        for row, (a, b) in enumerate([(e0, 0j), (0j, np.conj(e0))]):
+            a, b = np.full(len(xs), a), np.full(len(xs), b)
+            # each row by W(x) then diag(e^{i ang}, e^{-i ang})
+            for ang in phi.phis[1:]:
+                ep = cmath.exp(1j * ang)
+                a, b = (a * xs + b * ws) * ep, (a * ws + b * xs) / ep
+            out[:, row, 0], out[:, row, 1] = a, b
     else:
-        out[:, 0, 0] = 1.0
-        out[:, 1, 1] = 1.0
-        # running product M <- M @ e^{i phi Z} @ R(x), phi_1 leftmost
-        for ang in phi.phis:
-            ep = cmath.exp(1j * ang)
-            a = out[:, 0, 0] * ep; b = out[:, 0, 1] / ep
-            c = out[:, 1, 0] * ep; d = out[:, 1, 1] / ep
-            out[:, 0, 0] = a * xs + b * s
-            out[:, 0, 1] = a * s - b * xs
-            out[:, 1, 0] = c * xs + d * s
-            out[:, 1, 1] = c * s - d * xs
+        for row in (0, 1):
+            out[:, row, 0], out[:, row, 1] = _reflection_row(phi.phis, xs, row)
     if np.isscalar(x) or np.asarray(x).ndim == 0:
         return out[0]
     return out
+
+
+def _reflection_row(phis, xs, row=0):
+    """Row ``row`` of prod_j e^{i phi_j Z} R(x) at the points xs, carried
+    alone through M <- M e^{i phi Z} R(x): the rows never mix, so these
+    are `qsp_eval`'s reflection values, operation for operation."""
+    a = np.full(len(xs), 1.0 - row, complex)
+    b = np.full(len(xs), float(row), complex)
+    s = np.sqrt(np.clip(1.0 - xs ** 2, 0.0, None))
+    for ang in phis:
+        ep = cmath.exp(1j * ang)
+        a = a * ep; b = b / ep
+        a, b = a * xs + b * s, a * s - b * xs
+    return a, b
 
 
 def chebyshev_phases(d: int) -> PhaseSequence:
@@ -221,10 +217,8 @@ def to_reflection(phi: PhaseSequence) -> PhaseSequence:
     if d < 1:
         raise ValueError("degree-0 sequences have no reflection form")
     old = phi.phis
-    out = np.empty(d)
+    out = old[:d] - math.pi / 2
     out[0] = old[0] + old[d] + (d - 1) * math.pi / 2
-    for j in range(2, d + 1):
-        out[j - 1] = old[j - 1] - math.pi / 2
     return PhaseSequence(out, "reflection")
 
 
@@ -582,8 +576,12 @@ def _half_product(psi: np.ndarray, d: int, xs: np.ndarray, ws: np.ndarray):
     ba, bb = _su2_mul(pa[d - n], pb[d - n], xs, ws)
     u00 = pa[-1] * ba + pb[-1] * bb
     u01 = pb[-1] * np.conj(ba) - pa[-1] * np.conj(bb)
-    jac = -2.0 * ((pa.real ** 2 + pa.imag ** 2 - pb.real ** 2 - pb.imag ** 2)
-                  * u00 + 2.0 * pa * pb * np.conj(u01)).imag.T
+    # Im of the bracket: |a_k|^2 - |b_k|^2 is real, so its term is that
+    # times Im U_00, summed in place with no complex temporary
+    jac = pa.real ** 2 + pa.imag ** 2 - pb.real ** 2 - pb.imag ** 2
+    jac *= u00.imag
+    jac += (2.0 * pa * pb * np.conj(u01)).imag
+    jac = np.multiply(jac, -2.0, out=jac).T
     if d % 2 == 0:
         jac[:, -1] /= 2.0
     return u00, u01, jac
@@ -613,7 +611,7 @@ def _symmetric_phases(c: np.ndarray, goal: float):
     n = d // 2 + 1
     xs = np.cos(np.pi * (np.arange(n) + 0.5) / (2 * n))
     ws = 1j * np.sqrt(1.0 - xs ** 2)  # W(x) = (x, i sqrt(1-x^2))
-    want = npcheb.chebval(xs, c)
+    want = cheb.values(c, xs)
     psi = np.zeros(n)
     psi[0] = math.pi / 4
     best = None  # (node residual, phases, U_00 and U_01 at the nodes)
@@ -668,7 +666,8 @@ def _coefficient_bound(f: np.ndarray, c: np.ndarray) -> float:
       unit-norm 2x2 factors.  A layer scales the running product's entries
       by e^{+-i phi} (a complex product or quotient and the rounding of
       e^{i phi}, under 7u) and combines them with the reals x and
-      sqrt(1 - x^2) (under u more), so a value is off by at most 8du;
+      sqrt(1 - x^2) (under u more), so a value is off by at most 8du
+      (`_reflection_row` does the same operations on each entry);
     - interpolation at the d + 1 Chebyshev nodes turns value errors of at
       most e into a polynomial of sup at most Lambda e, with the Lebesgue
       constant Lambda <= 1 + (2/pi) ln(d + 1) (Rivlin);
@@ -722,7 +721,8 @@ def phases_for_target(p_re, tol: float = 1e-8):
     Newton solver finds the phases, stopping at a node residual of
     max(NEWTON_GOAL, tol / 10), and its pair is validated once (unitarity
     defect at most 1e-10).  The realized Re<0|U_Phi|0>, a polynomial of
-    degree d, is then taken by `qsp_eval` at the d + 1 Chebyshev nodes and
+    degree d, is then taken at the d + 1 Chebyshev nodes by the top-row
+    kernel `_reflection_row` (`qsp_eval`'s values, bit for bit) and
     fitted; `_coefficient_bound` of those coefficients against the uncut
     target (their 1-norm distance plus the rounding of evaluation and
     fit) bounds max |Re P - p| over [-1, 1] and must meet ``tol``, else
@@ -755,7 +755,7 @@ def phases_for_target(p_re, tol: float = 1e-8):
     pair.validate()
     refl = to_reflection(sandwich)
     d = refl.degree
-    vals = qsp_eval(refl, cheb.cheb_nodes(d + 1))[:, 0, 0].real
+    vals = _reflection_row(refl.phis, cheb.cheb_nodes(d + 1))[0].real
     err = _coefficient_bound(cheb.fit(vals, d), c.real)
     if err > tol:
         raise NumericalFailure(

@@ -378,6 +378,50 @@ def test_angle_grid_matches_chebval(degree, scale, is_complex, seed):
                   <= 1e-13 * np.abs(c).sum() + moved)
 
 
+@settings(max_examples=60, deadline=None)
+@given(degree=st.integers(0, 1000), points=st.integers(1, 300),
+       kind=st.sampled_from(["real", "complex", "columns"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_values_matches_chebval(degree, points, kind, seed):
+    gen = np.random.default_rng(seed)
+    shape = (degree + 1, 3) if kind == "columns" else (degree + 1,)
+    c = gen.standard_normal(shape) * 10.0 ** gen.uniform(-3, 3)
+    if kind == "complex":
+        c = c + 1j * gen.standard_normal(shape)
+    ends = [1.0, -1.0, 0.0, 1.0 - 1e-12 * gen.uniform(),
+            -1.0 + 1e-12 * gen.uniform(), 1.0 - 1e-16, -1.0 + 1e-16]
+    x = gen.uniform(-1.0, 1.0, points)
+    x[: len(ends)] = ends[:points]
+    got = _chebops.values(c, x)
+    assert got.shape == npcheb.chebval(x, c).shape
+    # the docstring's bounds: the product's, or Clenshaw's above the
+    # crossover.  The reference is chebval in long double: in double, its
+    # own rounding near +-1 can exceed the product's bound (1.06 times it
+    # at degree 257, x = 1 - 2^-53), so Clenshaw's bound is also allowed
+    # in the reference's precision
+    wide = np.clongdouble if kind == "complex" else np.longdouble
+    want = npcheb.chebval(x.astype(np.longdouble), c.astype(wide))
+    u, u_ref = np.finfo(float).eps / 2, np.finfo(np.longdouble).eps / 2
+    dense = points * (degree + 1) <= _chebops._DENSE_MAX
+    own = ((2 * math.pi + 1) * degree + degree + 1 if dense
+           else (degree + 1) ** 2) * u
+    bound = (own + (degree + 1) ** 2 * u_ref) * np.abs(c).sum(axis=0)
+    assert np.all(np.abs(got - want) <= np.expand_dims(bound, -1))
+
+
+def test_values_runs_clenshaw_above_the_crossover():
+    c = np.random.default_rng(3).standard_normal(701)
+    x = np.linspace(-1.0, 1.0, _chebops._DENSE_MAX // 701 + 1)
+    assert np.array_equal(_chebops.values(c, x), npcheb.chebval(x, c))
+    assert np.ndim(_chebops.values(c, 0.5)) == 0
+
+
+@pytest.mark.parametrize("bad", [1.0 + 2e-16, -1.5, np.inf, np.nan])
+def test_values_refuses_points_off_the_interval(bad):
+    with pytest.raises(ValueError):
+        _chebops.values(np.ones(4), np.array([0.0, bad]))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 65, 512, 1001, 4096])
 @pytest.mark.parametrize("is_complex", [False, True])
 def test_fit_matches_direct_cosine_sum(n, is_complex):
@@ -450,6 +494,28 @@ def test_certificate_checks_narrow_pieces_evenly():
     _certify(_line(((lo, hi),)), _spike(-0.5, width))  # control: accepted
     with pytest.raises(NumericalFailure, match="measured error"):
         _certify(_line(((lo, hi),)), _spike(center, width))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1.02, 1.37, 2.0, 2.5])
+def test_grid_cut_is_the_masked_grid(scale):
+    """`_on_grid` cuts each interval out of the monotone grid by binary
+    search: the same points, in the same order, as masking it."""
+    xs, vals = approx_mod._angle_grid(np.ones(3), scale)
+    assert not xs.flags.writeable
+    assert approx_mod._angle_grid(np.ones(5), scale)[0].base is xs.base
+    assert np.all(np.diff(xs) < 0)
+    gen = np.random.default_rng(int(scale * 100))
+    ends = np.sort(gen.uniform(-scale, scale, (40, 2)), axis=1)
+    pieces = [(-scale, scale), (xs[7], xs[3]), (xs[9], xs[9]),
+              *map(tuple, ends)]
+    for (lo, hi), (pts, got) in zip(
+            pieces, approx_mod._on_grid(np.ones(3), pieces, scale)):
+        inside = (xs >= lo) & (xs <= hi)
+        m = np.count_nonzero(inside)
+        n_even = max(math.ceil((hi - lo) * GRID_PER_UNIT), 32) + 1
+        assert len(pts) == m + (n_even if m < n_even else 2)
+        assert np.array_equal(pts[:m], xs[inside])
+        assert np.array_equal(got[:m], vals[inside])
 
 
 def test_claimed_sup_is_the_grid_sup():

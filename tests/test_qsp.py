@@ -396,6 +396,62 @@ class TestHalfProduct:
         np.testing.assert_allclose(jac, fd, atol=1e-8)
 
 
+def bracket_jacobian(psi, d, xs, ws):
+    """`_half_product`'s Jacobian as the complex bracket it was first
+    written as, kept verbatim."""
+    n = len(psi)
+    e = np.exp(1j * psi)[:, None]
+    la, lb = xs * e, ws / e
+    la[0], lb[0] = e[0], 0.0
+    pa, pb = qsp._su2_prefixes(la, lb)
+    ba, bb = qsp._su2_mul(pa[d - n], pb[d - n], xs, ws)
+    u00 = pa[-1] * ba + pb[-1] * bb
+    u01 = pb[-1] * np.conj(ba) - pa[-1] * np.conj(bb)
+    jac = -2.0 * ((pa.real ** 2 + pa.imag ** 2 - pb.real ** 2 - pb.imag ** 2)
+                  * u00 + 2.0 * pa * pb * np.conj(u01)).imag.T
+    if d % 2 == 0:
+        jac[:, -1] /= 2.0
+    return jac
+
+
+@pytest.mark.parametrize("d", [*range(1, 41), 51, 100, 199, 200, 381])
+def test_jacobian_is_the_complex_bracket_bit_for_bit(d):
+    gen = np.random.default_rng(300 + d)
+    n = d // 2 + 1
+    psi = gen.uniform(-np.pi, np.pi, n)
+    xs = np.cos(np.pi * (np.arange(n) + 0.5) / (2 * n))
+    ws = 1j * np.sqrt(1.0 - xs ** 2)
+    _, _, jac = qsp._half_product(psi, d, xs, ws)
+    assert np.array_equal(jac, bracket_jacobian(psi, d, xs, ws))
+
+
+@pytest.mark.parametrize("d", [20, 21])
+def test_jacobian_is_the_derivative(d):
+    gen = np.random.default_rng(d)
+    n = d // 2 + 1
+    psi = gen.uniform(-np.pi, np.pi, n)
+    xs = np.cos(np.pi * (np.arange(n) + 0.5) / (2 * n))
+    _, _, jac = qsp._half_product(psi, d, xs, 1j * np.sqrt(1.0 - xs ** 2))
+    h = 1e-4
+    for k in range(n):
+        step = np.zeros(n)
+        step[k] = h
+        fd = (re_u00(psi + step, d, xs) - re_u00(psi - step, d, xs)) / (2 * h)
+        assert np.abs(jac[:, k] - fd).max() <= 1e-6
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 7, 30, 51, 128, 255, 256, 400])
+def test_reflection_row_is_the_top_row_bit_for_bit(d):
+    """The certificate's top-row kernel gives `qsp_eval`'s Re U_00, value
+    for value, at the Chebyshev nodes and at the ends."""
+    gen = np.random.default_rng(d)
+    seq = PhaseSequence(gen.uniform(-np.pi, np.pi, d), "reflection")
+    xs = np.concatenate([np.cos(np.pi * (np.arange(d + 1) + 0.5) / (d + 1)),
+                         [1.0, -1.0, 0.0], gen.uniform(-1, 1, 5)])
+    a, _ = qsp._reflection_row(seq.phis, xs)
+    assert np.array_equal(a.real, qsp_eval(seq, xs)[:, 0, 0].real)
+
+
 def full_prefix_phases(c, goal):
     """The symmetric-phase Newton iteration with every one of the d + 1
     layers multiplied out, prefix and suffix alike, as explicit 2x2
