@@ -768,6 +768,8 @@ def _monomial_cheb(s: int, d: int) -> np.ndarray:
 def approx_monomial(s: int, d: int,
                     max_degree: int = LIB_MAX_DEGREE) -> ApproxResult:
     """Degree-d approximation of x^s with error <= 2 e^{-d^2/(2s)}."""
+    if not (s >= 1 and d >= 0):
+        raise ValueError("need s >= 1 and d >= 0")
     return _certified(_monomial_cheb(s, d), "even" if s % 2 == 0 else "odd",
                       lambda x: np.asarray(x, float) ** s, 1.0,
                       2.0 * math.exp(-d * d / (2.0 * s)), ((-1.0, 1.0),),

@@ -83,7 +83,8 @@ def hamiltonian_simulate(be: BlockEncoding, t: float, eps: float,
                             ancillas=be.ancillas,
                             eps=0.0, target=np.eye(be.system_dim),
                             system_dim=be.system_dim)
-        return out, {"uses": 0, "measured": 0.0, "claimed": eps}
+        return out, {"uses": 0, "claimed_uses": 0, "measured": 0.0,
+                     "claimed": eps, "degree_cos": 0, "degree_sin": 0}
     eps_poly = eps / 12.0 if robust else eps / 6.0
     cos_r, sin_r = approx_trig(tau, eps_poly, max_degree)
     # cos(t x) touches +-1 inside the interval; a saturating polynomial

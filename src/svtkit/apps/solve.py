@@ -19,8 +19,10 @@ def pseudoinverse(pu: ProjectedUnitary, delta: float, eps: float,
     Pi_{>=sigma} (sigma/2) A^+ Pi~_{>=sigma} when ``threshold_mode`` is a
     cutoff sigma; the transition band [sigma-delta, sigma+delta] carries
     no accuracy claim.  A polynomial above ``max_degree`` raises
-    DegreeOverflow.
+    DegreeOverflow; a delta outside (0, 1] raises ValueError.
     """
+    if not 0 < delta <= 1:
+        raise ValueError("need delta in (0, 1]")
     bundle = svd_bundle(pu)
     if threshold_mode is None:
         nonzero = bundle.sigma[bundle.sigma > 1e-11]

@@ -229,39 +229,19 @@ def arithmetic(p: ParityPoly, q=None, op: str = "add"):
     raise ValueError(f"unknown op {op!r}")
 
 
-def _aberth_refine(coeffs, roots):
-    """Simultaneous (Aberth) refinement of all roots of a monomial poly,
-    at most 40 steps."""
-    d = nppoly.polyder(coeffs)
-    roots = roots.astype(complex)
-    for _ in range(40):
-        f = nppoly.polyval(roots, coeffs)
-        fp = nppoly.polyval(roots, d)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            newton = np.where(fp != 0, f / fp, 0.0)
-            diff = roots[:, None] - roots[None, :]
-            np.fill_diagonal(diff, np.inf)
-            repel = np.sum(1.0 / diff, axis=1)
-            step = newton / (1.0 - newton * repel)
-        step = np.where(np.isfinite(step), step, 0.0)
-        roots = roots - step
-        if np.abs(step).max(initial=0.0) < 1e-16 * (1 + np.abs(roots).max()):
-            break
-    return roots
-
-
 def find_roots(p: ParityPoly):
     """All complex roots (with multiplicity) of p, in double precision.
 
-    Companion-matrix eigenvalues seed a simultaneous-Newton (Aberth)
-    refinement.  At degree <= 60 every root's componentwise backward
+    Companion-matrix eigenvalues seed `_chebops.aberth`, the
+    simultaneous-Newton (Aberth) refinement, run on p's Chebyshev
+    coefficients.  At degree <= 60 every root's componentwise backward
     error |p(r)| / sum_k |c_k| |r|^k must be at most 1e-12, else (or when
     it is not finite) NumericalFailure.
     """
     if p.degree < 1:
         raise ValueError("need degree >= 1")
     coeffs = p.coeffs
-    roots = _aberth_refine(coeffs, nppoly.polyroots(coeffs))
+    roots = cheb.aberth(npcheb.poly2cheb(coeffs), nppoly.polyroots(coeffs))
     if p.degree <= 60:
         resid = np.abs(nppoly.polyval(roots, coeffs))
         scale = nppoly.polyval(np.abs(roots), np.abs(coeffs))

@@ -274,10 +274,17 @@ def check_admissible(p) -> dict:
 # completion
 
 
-def _completion_gap(p) -> float:
-    """Refuse a real Chebyshev target p without definite parity
-    (Inadmissible) and one whose peak M = max |p| over [-1, 1]
-    (`_chebops.peak`) has M^2 - 1 > 1e-12 (NotSubunit); return M."""
+def _completion_gap(c) -> float:
+    """The one gate of a real phase target: refuse Chebyshev coefficients
+    c with an imaginary part above `_chebops.drop_threshold`
+    (Inadmissible), a real part p without definite parity (Inadmissible),
+    and a p whose peak M = max |p| over [-1, 1] (`_chebops.peak`) has
+    M^2 - 1 > 1e-12 (NotSubunit); return M."""
+    imag = float(np.abs(np.imag(c)).max())
+    if imag > cheb.drop_threshold(c):
+        raise Inadmissible(f"target has an imaginary part of {imag:.2e}; "
+                           "a real phase target must be real")
+    p = np.real(c)
     if np.abs(p).max() > 1e-13 and cheb.parity_of(p) == "none":
         raise Inadmissible("target p must have definite parity")
     top = cheb.peak(p)
@@ -290,9 +297,10 @@ def complete(p_re, tol: float = 1e-10) -> SignalPair:
     """Complete a real target p to a unitary-valued SignalPair with Re P = p.
 
     Trailing coefficients below 1e-11 max(1, max|c|), the threshold at
-    which SignalPair declares its degree, are cut first.  A target without
-    definite parity is refused (Inadmissible), and so is one that exceeds
-    1 in magnitude (NotSubunit).  A constant p completes in closed form to
+    which SignalPair declares its degree, are cut first.  `_completion_gap`
+    refuses a target with an imaginary part or without definite parity
+    (Inadmissible), and one that exceeds 1 in magnitude (NotSubunit).  A
+    constant p completes in closed form to
     P = p + i sqrt(1 - p^2), Q = 0; any other p takes the pair the
     symmetric-phase Newton solver realizes.  The pair's P is certified by
     its coefficients, with no evaluation: `_coefficient_bound` of Re P
@@ -300,9 +308,10 @@ def complete(p_re, tol: float = 1e-10) -> SignalPair:
     above ``tol``, or a unitarity defect above ``tol``, raises
     NumericalFailure.
     """
-    c = _as_cheb_array(p_re).real.astype(float)
+    c = _as_cheb_array(p_re)
     p = _degree_cut(c, math.inf)
     _completion_gap(p)
+    c, p = c.real, p.real
     if len(p) == 1:
         root = math.sqrt(max(0.0, 1.0 - p[0] * p[0]))
         return SignalPair(np.array([complex(p[0], root)]), np.zeros(1),
@@ -710,18 +719,18 @@ def _degree_cut(c: np.ndarray, tol: float) -> np.ndarray:
 def phases_for_target(p_re, tol: float = 1e-8):
     """Real target -> reflection phases, certifying the reconstruction.
 
-    On a cache miss a target with an imaginary part above
-    `_chebops.drop_threshold` is refused (Inadmissible); `_completion_gap`,
-    the one admissibility gate, then refuses it when it lacks definite
-    parity (Inadmissible) or exceeds 1 in magnitude anywhere on [-1, 1]
-    (NotSubunit, a subclass of Inadmissible).  The gate sees the target
-    as given; `_degree_cut` then drops a tail, and when the target's peak
-    plus that tail's 1-norm exceeds 1 the cut is divided by that sum, so
-    it stays within 1 too.  The symmetric-phase
-    Newton solver finds the phases, stopping at a node residual of
-    max(NEWTON_GOAL, tol / 10), and its pair is validated once (unitarity
-    defect at most 1e-10).  The realized Re<0|U_Phi|0>, a polynomial of
-    degree d, is then taken at the d + 1 Chebyshev nodes by the top-row
+    On a cache miss `_completion_gap`, the one admissibility gate, refuses
+    a target with an imaginary part above `_chebops.drop_threshold` or
+    without definite parity (Inadmissible), and one that exceeds 1 in
+    magnitude anywhere on [-1, 1] (NotSubunit, a subclass of
+    Inadmissible).  The gate sees the target as given; `_degree_cut` then
+    drops a tail, and when the target's peak plus that tail's 1-norm
+    exceeds 1 the cut is divided by that sum, so it stays within 1 too.
+    A nonzero constant a takes the reflection phases (arccos a, 0) in
+    closed form; any other cut goes to the symmetric-phase Newton solver,
+    which stops at a node residual of max(NEWTON_GOAL, tol / 10), and its
+    pair is validated once (unitarity defect at most 1e-10).  The realized
+    Re<0|U_Phi|0>, a polynomial of degree d, is then taken at the d + 1 Chebyshev nodes by the top-row
     kernel `_reflection_row` (`qsp_eval`'s values, bit for bit) and
     fitted; `_coefficient_bound` of those coefficients against the uncut
     target (their 1-norm distance plus the rounding of evaluation and
@@ -737,26 +746,33 @@ def phases_for_target(p_re, tol: float = 1e-8):
     cached = _PHASE_CACHE.get(key)
     if cached is not None:
         return cached
-    imag = float(np.abs(c.imag).max())
-    if imag > cheb.drop_threshold(c):
-        raise Inadmissible(f"target has an imaginary part of {imag:.2e}; "
-                           "a real phase target must be real")
-    top = _completion_gap(c.real)
-    coeffs = _degree_cut(c.real, tol)
+    top = _completion_gap(c)
+    c = c.real
+    coeffs = _degree_cut(c, tol)
     # the cut moves p by at most its dropped tail's 1-norm; rescale a cut
     # that this could lift above 1
-    lifted = top + float(np.abs(c.real[len(coeffs):]).sum())
+    lifted = top + float(np.abs(c[len(coeffs):]).sum())
     if lifted > 1.0:
         coeffs = coeffs / lifted
-    if not coeffs.any():
-        coeffs = np.zeros(2)  # zero is realized by one layer, as odd
-    sandwich, pair, resid = _symmetric_phases(
-        coeffs, max(NEWTON_GOAL, tol / 10))
-    pair.validate()
-    refl = to_reflection(sandwich)
+    if len(coeffs) == 1 and coeffs[0]:
+        # a constant a is `complete`'s pair P = a + i sqrt(1 - a^2), Q = 0,
+        # which e^{i arccos(a) Z} R(x) R(x) realizes, as R(x)^2 = I: the
+        # reflection form of the sandwich (-asin(a)/2, pi/2, -asin(a)/2)
+        a = float(coeffs[0])
+        pair = SignalPair(np.array([complex(a, math.sqrt(1.0 - a * a))]),
+                          np.zeros(1))
+        refl = PhaseSequence(np.array([math.acos(a), 0.0]), "reflection")
+        resid = 0.0
+    else:
+        if not coeffs.any():
+            coeffs = np.zeros(2)  # zero is realized by one layer, as odd
+        sandwich, pair, resid = _symmetric_phases(
+            coeffs, max(NEWTON_GOAL, tol / 10))
+        pair.validate()
+        refl = to_reflection(sandwich)
     d = refl.degree
     vals = _reflection_row(refl.phis, cheb.cheb_nodes(d + 1))[0].real
-    err = _coefficient_bound(cheb.fit(vals, d), c.real)
+    err = _coefficient_bound(cheb.fit(vals, d), c)
     if err > tol:
         raise NumericalFailure(
             f"reconstruction error {err:.2e} above requested {tol:.0e} "

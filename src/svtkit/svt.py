@@ -34,111 +34,57 @@ RANK_TOL = 1e-11
 
 @dataclasses.dataclass
 class SvdBundle:
-    """Deterministic SVD of the compressed block of a projected unitary."""
+    """SVD of the compressed block A of a projected unitary: one
+    `np.linalg.svd`, so A V = W Sigma.  Inside a cluster of equal singular
+    values the vectors are LAPACK's choice; every consumer sums over the
+    cluster or pairs w_i with v_i, and neither depends on that choice."""
 
     w: np.ndarray          # left singular vectors (columns), full basis of img(Pi~)
     sigma: np.ndarray      # singular values, non-increasing, length min(d~, d)
     v: np.ndarray          # right singular vectors (columns), full basis of img(Pi)
     rank: int
-    saturated: int
-
-
-def _canonical_svd(block: np.ndarray) -> SvdBundle:
-    """SVD with a deterministic Gram-Schmidt inside degenerate clusters,
-    so projectors computed from clusters are reproducible."""
-    w, s, vh = np.linalg.svd(block)
-    v = vh.conj().T
-    dmin = len(s)
-    # cluster singular values within 1e-9
-    clusters = []
-    start = 0
-    for i in range(1, dmin + 1):
-        if i == dmin or s[start] - s[i] > 1e-9:
-            clusters.append((start, i))
-            start = i
-    for lo, hi in clusters:
-        if hi - lo <= 1 :
-            continue
-        for mat in (v, w):
-            if mat.shape[1] < hi:
-                continue
-            cols = mat[:, lo:hi]
-            proj = cols @ cols.conj().T
-            # deterministically re-span from canonical basis vectors
-            picked = []
-            for e in range(proj.shape[0]):
-                cand = proj[:, e].copy()
-                for pvec in picked:
-                    cand -= pvec * (pvec.conj() @ cand)
-                nn = np.linalg.norm(cand)
-                if nn > 1e-7:
-                    picked.append(cand / nn)
-                if len(picked) == hi - lo:
-                    break
-            if len(picked) == hi - lo:
-                mat[:, lo:hi] = np.column_stack(picked)
-        # keep W consistent with A V = W Sigma on non-null clusters
-        if s[lo] > RANK_TOL and w.shape[1] >= hi and v.shape[1] >= hi:
-            w[:, lo:hi] = (block @ v[:, lo:hi]) / s[lo:hi]
-    rank = int(np.sum(s > RANK_TOL))
-    sat = int(np.sum(s >= 1.0 - SATURATION_TOL))
-    return SvdBundle(w=w, sigma=s, v=v, rank=rank, saturated=sat)
 
 
 def svd_bundle(pu: ProjectedUnitary) -> SvdBundle:
-    return _canonical_svd(pu.block())
+    w, s, vh = np.linalg.svd(pu.block())
+    return SvdBundle(w=w, sigma=s, v=vh.conj().T,
+                     rank=int(np.sum(s > RANK_TOL)))
 
 
 def reference_svt(a, f, parity: str, pi: Projector = None,
                   pi_tilde: Projector = None) -> np.ndarray:
-    """Brute-force singular value transformation oracle.
+    """Brute-force singular value transformation oracle, from one
+    `np.linalg.svd` A = W Sigma V^dag.
 
     odd:  sum f(s_i) |psi~_i><psi_i|;
     even: sum over a right-basis of img(Pi), f(s_i) |psi_i><psi_i| with
     zero singular values mapped through f(0).
 
-    Accepts a plain matrix (treated as the compressed block), or a
-    ProjectedUnitary, or a matrix plus explicit projectors.
+    ``a`` is the compressed block itself, or, with both projectors, the
+    full-space matrix they compress.  ``f`` is a callable: a ParityPoly or
+    ChebSeries, evaluated by its call (`poly.evaluate`), or any function.
     """
     if parity not in ("even", "odd"):
         raise ParityMismatch("parity must be even or odd")
-    if isinstance(f, (ParityPoly, ChebSeries)):
-        poly = f
-        if poly.parity != parity and poly.degree > 0:
-            raise ParityMismatch(f"f has parity {poly.parity}, asked {parity}")
-        fn = (lambda x: npcheb.chebval(x, poly.cheb_coeffs)
-              if isinstance(poly, ChebSeries)
-              else np.polynomial.polynomial.polyval(x, poly.coeffs))
-    else:
-        fn = f
-    if isinstance(a, ProjectedUnitary):
-        pu = a
-        block = pu.block()
-        bw = pu.pi_tilde.basis()
-        bv = pu.pi.basis()
-    else:
-        a = np.atleast_2d(np.asarray(a, complex))
-        if pi is not None:
-            bw = pi_tilde.basis()
-            bv = pi.basis()
-            block = bw.conj().T @ a @ bv
-        else:
-            bw = np.eye(a.shape[0], dtype=complex)
-            bv = np.eye(a.shape[1], dtype=complex)
-            block = a
-    bundle = _canonical_svd(block)
-    dmin = len(bundle.sigma)
+    if (isinstance(f, (ParityPoly, ChebSeries)) and f.parity != parity
+            and f.degree > 0):
+        raise ParityMismatch(f"f has parity {f.parity}, asked {parity}")
+    a = np.atleast_2d(np.asarray(a, complex))
+    if pi is not None:
+        bw, bv = pi_tilde.basis(), pi.basis()
+        a = bw.conj().T @ a @ bv
+    w, s, vh = np.linalg.svd(a)
+    dmin = len(s)
     if parity == "odd":
-        vals = np.asarray(fn(bundle.sigma), complex)
-        core = bundle.w[:, :dmin] @ np.diag(vals) @ bundle.v[:, :dmin].conj().T
-        return bw @ core @ bv.conj().T
-    # even: sum over all right singular vectors of img(Pi)
-    d = bundle.v.shape[1]
-    sig = np.zeros(d)
-    sig[:dmin] = bundle.sigma
-    vals = np.asarray(fn(sig), complex)
-    core = bundle.v @ np.diag(vals) @ bundle.v.conj().T
-    return bv @ core @ bv.conj().T
+        core = (w[:, :dmin] * np.asarray(f(s), complex)) @ vh[:dmin]
+    else:
+        # every right singular vector of img(Pi), zero ones through f(0)
+        sig = np.zeros(vh.shape[0])
+        sig[:dmin] = s
+        core = (vh.conj().T * np.asarray(f(sig), complex)) @ vh
+    if pi is None:
+        return core
+    return (bw if parity == "odd" else bv) @ core @ bv.conj().T
 
 
 # ----------------------------------------------------------------------

@@ -153,14 +153,14 @@ class TestRoots:
 
     def test_misplaced_root_refused(self, monkeypatch):
         import svtkit.poly as poly_module
-        refine = poly_module._aberth_refine
+        refine = poly_module.cheb.aberth
 
-        def moved(coeffs, roots):
-            out = refine(coeffs, roots)
+        def moved(c, roots):
+            out = refine(c, roots)
             out[0] += 1e-6
             return out
 
-        monkeypatch.setattr(poly_module, "_aberth_refine", moved)
+        monkeypatch.setattr(poly_module.cheb, "aberth", moved)
         with pytest.raises(NumericalFailure):
             find_roots(ParityPoly(np.random.default_rng(5).standard_normal(13)))
 

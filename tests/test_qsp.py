@@ -135,6 +135,11 @@ class TestComplete:
         with pytest.raises((NotSubunit, Inadmissible, NumericalFailure)):
             complete(ParityPoly([0, 1.2]))  # |p(1)| = 1.2 > 1
 
+    def test_imaginary_part_refused(self):
+        # the gate refuses it as phases_for_target does, not completing 0.5x
+        with pytest.raises(Inadmissible):
+            complete([0, 0.5 + 0.3j])
+
     def test_spectral_method_matches(self):
         # completion has one route; its pair meets the bound both old
         # factorization methods were held to
@@ -300,6 +305,17 @@ class TestPhasesForTarget:
         assert rep["reconstruction_error"] <= 1e-10
         assert lobatto_error(refl, tgt.cheb_coeffs.real) <= 1e-10
         assert pair.unitarity_defect() <= 1e-10
+
+    @pytest.mark.parametrize("c", [1.0, 0.5, -0.3, 0.0, -1.0])
+    def test_constant_target(self, c):
+        # a nonzero constant takes (arccos c, 0); zero keeps its one layer
+        pair, refl, rep = phases_for_target([c], tol=1e-12)
+        assert len(refl.phis) == (1 if c == 0 else 2)
+        if c:
+            np.testing.assert_allclose(refl.phis, [math.acos(c), 0.0])
+        assert rep["reconstruction_error"] <= 1e-13
+        assert lobatto_error(refl, np.array([c])) <= 1e-15
+        assert pair.unitarity_defect() <= 1e-14
 
     def test_high_degree_sign(self):
         # degree 523 before the cut; completion reaches only 3.6e-7 here

@@ -73,6 +73,17 @@ class TestReferenceSvt:
         got = reference_svt(a, cheb_unit(3), "odd")
         assert operator_norm(got[:, 1:]) < 1e-12
 
+    def test_near_repeated_singular_values(self):
+        # the sum does not depend on the vectors chosen inside the cluster
+        # 0.5 + 5e-10, 0.5, so the oracle is exact on it too
+        gen = np.random.default_rng(3)
+        a = (random_unitary(4, gen) @ np.diag([0.9, 0.5 + 5e-10, 0.5, 0.2])
+             @ random_unitary(4, gen))
+        odd = reference_svt(a, cheb_unit(3), "odd")
+        assert np.abs(odd - (4 * a @ a.conj().T @ a - 3 * a)).max() <= 1e-13
+        even = reference_svt(a, cheb_unit(2), "even")
+        assert np.abs(even - (2 * a.conj().T @ a - np.eye(4))).max() <= 1e-13
+
 
 class TestInvariantDecomposition:
     def test_rank_one_rotation(self):
