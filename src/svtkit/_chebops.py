@@ -136,18 +136,22 @@ def dct1_values(c, n):
     return vals
 
 
-_DENSE_MAX = 1 << 16  # (point, coefficient) pairs; Clenshaw above
+# Up to this many points take the product, more run Clenshaw: the product
+# costs ~25 ns a (point, coefficient) pair and Clenshaw ~3.5 us a
+# coefficient whatever the point count, so they break even near 150
+# points at every degree (one BLAS thread)
+_DENSE_POINTS = 150
 
 
 def values(c, x):
     """sum_k c_k T_k(x) at points x of [-1, 1], shaped c.shape[1:] +
     x.shape as `chebval` gives it (c real or complex, columns allowed).
-    Up to _DENSE_MAX (point, coefficient) pairs take one matrix product
+    Up to _DENSE_POINTS points take one matrix product
     cos(outer(arccos x, k)) @ c, with no Python loop over the coefficients.
     With arccos and cos rounded to within u = 2^-53, |cos(k arccos x) -
     T_k(x)| <= (2 pi k + 1) u, so with the product's (d + 1)-term sums the
     error is about ((2 pi + 1) d + d + 1) u ||c||_1, d = len(c) - 1.  More
-    pairs run Clenshaw (`chebval`), whose rounding grows to about
+    points run Clenshaw (`chebval`), whose rounding grows to about
     (d + 1)^2 u ||c||_1 near +-1.  A point outside [-1, 1] (or NaN) raises
     ValueError.  Evaluations that may be asked for other points keep
     `chebval`: `_WidePoly` (`ApproxResult.evaluate` beyond [-1, 1]),
@@ -156,7 +160,7 @@ def values(c, x):
     c, x = np.asarray(c), np.asarray(x, float)
     if not np.all(np.abs(x) <= 1.0):
         raise ValueError("values needs every point in [-1, 1]")
-    if x.size * len(c) > _DENSE_MAX:
+    if x.size > _DENSE_POINTS:
         return npcheb.chebval(x, c)
     t = np.cos(np.multiply.outer(np.arccos(x.ravel()), np.arange(len(c))))
     return np.moveaxis(t @ c, 0, -1).reshape(c.shape[1:] + x.shape)

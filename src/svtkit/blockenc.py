@@ -137,6 +137,15 @@ def sandwich(left: Projector, m, right: Projector) -> np.ndarray:
     return out
 
 
+def compress(left: Projector, m, right: Projector) -> np.ndarray:
+    """B~^dag m B for orthonormal bases B~ of img(left) and B of
+    img(right); two index projectors select entries of m instead of
+    multiplying."""
+    if left.indices is None or right.indices is None:
+        return left.basis().conj().T @ m @ right.basis()
+    return m[np.ix_(left.indices, right.indices)]
+
+
 class ProjectedUnitary:
     """U together with (Pi, Pi_tilde) selecting the block A = Pi~ U Pi.
 
@@ -177,7 +186,7 @@ class ProjectedUnitary:
 
     def block(self) -> np.ndarray:
         """A compressed to bases of img(Pi~) x img(Pi)."""
-        return self.pi_tilde.basis().conj().T @ self.u @ self.pi.basis()
+        return compress(self.pi_tilde, self.u, self.pi)
 
     def with_projectors(self, pi: Projector,
                         pi_tilde: Projector) -> "ProjectedUnitary":

@@ -153,6 +153,10 @@ def cmd_apps(args):
         _emit(out, args)
         return EXIT_OK
     if args.app == "pinv":
+        # before the matrix is clipped up to delta and embedded, where a
+        # delta above 1 would fail as NormExceeded
+        if not 0 < args.delta <= 1:
+            raise ValueError("--delta must lie in (0, 1]")
         dim = args.dim
         a = rng.standard_normal((dim, dim))
         a = a / operator_norm(a) * 0.9

@@ -402,7 +402,7 @@ def test_values_matches_chebval(degree, points, kind, seed):
     wide = np.clongdouble if kind == "complex" else np.longdouble
     want = npcheb.chebval(x.astype(np.longdouble), c.astype(wide))
     u, u_ref = np.finfo(float).eps / 2, np.finfo(np.longdouble).eps / 2
-    dense = points * (degree + 1) <= _chebops._DENSE_MAX
+    dense = points <= _chebops._DENSE_POINTS
     own = ((2 * math.pi + 1) * degree + degree + 1 if dense
            else (degree + 1) ** 2) * u
     bound = (own + (degree + 1) ** 2 * u_ref) * np.abs(c).sum(axis=0)
@@ -411,9 +411,28 @@ def test_values_matches_chebval(degree, points, kind, seed):
 
 def test_values_runs_clenshaw_above_the_crossover():
     c = np.random.default_rng(3).standard_normal(701)
-    x = np.linspace(-1.0, 1.0, _chebops._DENSE_MAX // 701 + 1)
+    x = np.linspace(-1.0, 1.0, _chebops._DENSE_POINTS + 1)
     assert np.array_equal(_chebops.values(c, x), npcheb.chebval(x, c))
     assert np.ndim(_chebops.values(c, 0.5)) == 0
+
+
+@pytest.mark.parametrize("degree", [3, 30, 300, 1000])
+def test_values_routes_agree_across_the_crossover(degree):
+    # one point above the crossover runs Clenshaw; the same points in two
+    # calls at or below it run the product, and the two agree within the
+    # sum of the docstring's bounds
+    gen = np.random.default_rng(degree)
+    c = gen.standard_normal(degree + 1)
+    x = gen.uniform(-1.0, 1.0, _chebops._DENSE_POINTS + 1)
+    x[:2] = 1.0, -1.0
+    clenshaw = _chebops.values(c, x)
+    assert np.array_equal(clenshaw, npcheb.chebval(x, c))
+    product = np.concatenate([_chebops.values(c, x[:-1]),
+                              _chebops.values(c, x[-1:])])
+    u = np.finfo(float).eps / 2
+    bound = (((2 * math.pi + 1) * degree + degree + 1 + (degree + 1) ** 2)
+             * u * np.abs(c).sum())
+    assert np.abs(product - clenshaw).max() <= bound
 
 
 @pytest.mark.parametrize("bad", [1.0 + 2e-16, -1.5, np.inf, np.nan])

@@ -183,6 +183,7 @@ def test_shared_parser_keeps_no_state_between_calls(capsys):
     (["apps", "hamsim", "--eps", "1e-300"], 3),
     (["poly", "--family", "monomial", "--s", "0"], 2),
     (["apps", "pinv", "--delta", "0"], 2),
+    (["apps", "pinv", "--delta", "1.5"], 2),
     (["apps", "hamsim", "--t", "0"], 0),
     (["phases", "--family", "exp", "--beta", "0"], 0),
 ])

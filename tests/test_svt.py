@@ -206,6 +206,101 @@ def test_alternating_sequence_matches_dense_product(dim, n, data, kinds,
     assert ledger["u_uses"] == n
 
 
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("ranks", [(0, 0), (0, 5), (5, 0), (5, 5), (2, 3)])
+@pytest.mark.parametrize("kind", ["indices", "matrix"])
+@pytest.mark.parametrize("real", [False, True])
+def test_reflection_layers_match_literal_product(n, ranks, kind, real):
+    # the rank-r layers, including rank-0 and full-rank projectors, against
+    # e^{i phi_1 (2Pi~-I)} U and e^{i phi_1 (2Pi-I)} U^dag e^{i phi_2 (2Pi~-I)} U
+    gen = np.random.default_rng(97 + 10 * n + ranks[0] + 3 * ranks[1])
+    dim = 5
+    if real:
+        u = scipy.stats.ortho_group.rvs(dim, random_state=gen)
+        pi, pit = (_real_projector(gen, dim, r, kind) for r in ranks)
+    else:
+        u = random_unitary(dim, gen)
+        pi, pit = (_random_projector(gen, dim, r, kind) for r in ranks)
+    pu = ProjectedUnitary(u, pi, pit)
+    assert pu.real == real
+    phis = gen.uniform(-math.pi, math.pi, n)
+    got, ledger = alternating_sequence(pu, PhaseSequence(phis, "reflection"))
+    p, pt = pi.matrix(), pit.matrix()
+    if n == 1:
+        want = _dense_phase(pt, phis[0]) @ u
+    else:
+        want = (_dense_phase(p, phis[0]) @ u.conj().T
+                @ _dense_phase(pt, phis[1]) @ u)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+    assert ledger["u_uses"] == n
+
+
+def test_sequences_share_no_buffer():
+    # the layer buffers are per call: two results in a row are distinct
+    # arrays, and neither aliases U
+    for pu in (random_pu(8, 3, 5, gen=np.random.default_rng(41)),
+               embed(np.diag([0.3, 0.6, 0.9])).pu):
+        seq = PhaseSequence(np.random.default_rng(42).uniform(-1, 1, 7),
+                            "reflection")
+        first, _ = alternating_sequence(pu, seq)
+        kept = first.copy()
+        second, _ = alternating_sequence(pu, seq)
+        assert not np.shares_memory(first, second)
+        assert not np.shares_memory(first, pu.u)
+        np.testing.assert_array_equal(first, kept)
+        np.testing.assert_array_equal(first, second)
+
+
+def test_fractional_query_circuits_stay_unitary(monkeypatch):
+    # criterion 10's 50 draws: every ProjectedUnitary built on the way,
+    # checked or certified, stays within the 6.1e-13 worst 2-norm defect
+    # of the product-with-U construction
+    from svtkit import blockenc
+    from svtkit.apps import fractional_query
+    worst = []
+    hold = blockenc.ProjectedUnitary._hold
+
+    def measured(self, u, pi, pi_tilde):
+        worst.append(operator_norm(u.conj().T @ u - np.eye(u.shape[0])))
+        hold(self, u, pi, pi_tilde)
+
+    monkeypatch.setattr(blockenc.ProjectedUnitary, "_hold", measured)
+    gen = np.random.default_rng(606)
+    for i in range(50):
+        h = gen.standard_normal((4, 4)) + 1j * gen.standard_normal((4, 4))
+        h = (h + h.conj().T) / 2
+        h *= 0.5 / operator_norm(h) * gen.uniform(0.5, 1.0)
+        fractional_query(scipy.linalg.expm(1j * h), (0.25, 0.5, 0.75)[i % 3],
+                         1e-5)
+    assert worst and max(worst) <= 6.1e-13
+
+
+@pytest.mark.parametrize("kind", ["real_poly", "complex_poly"])
+@pytest.mark.parametrize("proj", ["indices", "matrix"])
+@pytest.mark.parametrize("degree", [7, 8])
+def test_block_error_matches_full_space_error(kind, proj, degree):
+    # svt_apply measures its error on the compressed block; by the
+    # orthonormal bases it is the full-space error up to rounding
+    gen = np.random.default_rng(131 + degree)
+    dim = 8
+    pu = ProjectedUnitary(random_unitary(dim, gen),
+                          _random_projector(gen, dim, 3, proj),
+                          _random_projector(gen, dim, 4, proj))
+    tgt = random_target(degree, gen=gen)
+    if kind == "complex_poly":
+        pair = complete(tgt.cheb_coeffs)
+        outcome = svt_apply(pu, pair, kind=kind)
+        f = ChebSeries(pair.p_cheb)
+    else:
+        outcome = svt_apply(pu, tgt, kind=kind, delta=1e-8)
+        f = tgt
+    full = operator_norm(outcome.result - reference_svt(
+        pu.encoded(), f, "odd" if degree % 2 else "even",
+        pi=pu.pi, pi_tilde=pu.pi_tilde))
+    assert abs(outcome.measured_error - full) <= 1e-14
+    assert outcome.result.shape == (dim, dim)
+
+
 class TestSvtApply:
     def test_real_sign_rank_one(self):
         # rank-1 A = a |psi_G><psi_0|: sign transform amplifies to ~1
