@@ -183,9 +183,9 @@ def test_shared_parser_keeps_no_state_between_calls(capsys):
     (["apps", "hamsim", "--eps", "1e-300"], 3),
     (["poly", "--family", "monomial", "--s", "0"], 2),
     (["apps", "pinv", "--delta", "0"], 2),
-    (["apps", "pinv", "--delta", "1.5"], 2),
     (["apps", "hamsim", "--t", "0"], 0),
     (["phases", "--family", "exp", "--beta", "0"], 0),
+    (["apps", "pinv", "--delta", "1.5"], 2),
 ])
 def test_invalid_value_exit_code(argv, want):
     # a subprocess, so that a hang ends in a timeout and not a stuck run
