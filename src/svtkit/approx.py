@@ -17,7 +17,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 from numpy.polynomial import chebyshev as npcheb
-from scipy.special import erf, gammaln
 
 from . import _chebops as cheb
 LIB_MAX_DEGREE = 4096  # library-internal cap; the CLI enforces the 512 contract
@@ -258,6 +257,17 @@ class _WidePoly:
         return cheb.trim(cheb.fit(self(nodes - shift), self.degree), 1e-15)
 
 
+def _odd_erf(x):
+    """erf at an even number of points in descending order, symmetric
+    about 0 (scaled Chebyshev nodes): math.erf on the nonnegative half,
+    the other half by oddness."""
+    top = np.ones(len(x) // 2)
+    # in double precision erf(x) rounds to 1 from x = 5.922 on
+    live = np.nonzero(x[: len(top)] < 6.0)[0]
+    top[live] = np.fromiter(map(math.erf, x[live]), float, len(live))
+    return np.concatenate([top, -top[::-1]])
+
+
 def _erf_sign_wide(delta: float, eps: float, max_degree: int,
                    scale: float = 2.0, tight: bool = False) -> _WidePoly:
     """Odd approximation of sign(x) on [-scale, scale] \\ (-delta, delta).
@@ -275,7 +285,7 @@ def _erf_sign_wide(delta: float, eps: float, max_degree: int,
     while True:
         n_nodes = max(n_nodes * 2, 256)
         nodes = cheb.cheb_nodes(n_nodes)
-        coeffs = cheb.fit(erf(scale * k * nodes), n_nodes - 1)
+        coeffs = cheb.fit(_odd_erf(scale * k * nodes), n_nodes - 1)
         coeffs[0::2] = 0.0  # odd function
         mags = np.abs(coeffs)
         # truncate where the remaining tail is negligible
@@ -372,7 +382,8 @@ def _inverse_cheb_coeffs(kappa: float, eps: float):
     J = int(math.ceil(math.sqrt(b * math.log(4.0 * b / eps))))
     # r_i = binom(2b, b+i) / 4^b via normalized recurrence
     r = np.zeros(b + 1)
-    r[0] = math.exp(gammaln(2 * b + 1) - 2 * gammaln(b + 1) - 2 * b * math.log(2))
+    r[0] = math.exp(math.lgamma(2 * b + 1) - 2 * math.lgamma(b + 1)
+                    - 2 * b * math.log(2))
     for i in range(1, b + 1):
         r[i] = r[i - 1] * (b - i + 1) / (b + i)
     suffix = np.concatenate([np.cumsum(r[::-1])[::-1], [0.0]])  # suffix[i] = sum_{j>=i} r_j
@@ -545,6 +556,11 @@ def _arcsin_series(n_terms: int) -> np.ndarray:
     return out
 
 
+def _log_factorials(n: int) -> np.ndarray:
+    """log k! for k = 0..n."""
+    return np.array([math.lgamma(k + 1) for k in range(n + 1)])
+
+
 def fourier_from_power_series(b: Sequence[complex], delta: float,
                               eps: float) -> FourierSeries:
     """Low-weight Fourier surrogate on [-1+delta, 1-delta].
@@ -577,6 +593,7 @@ def fourier_from_power_series(b: Sequence[complex], delta: float,
     # z^j -> ((e^{i pi y/2} - e^{-i pi y/2}) / 2i)^j
     M = len(comp) - 1
     dense = np.zeros(2 * M + 1, complex)  # index m + M
+    log_fact = _log_factorials(M)
     for j in range(len(comp)):
         cj = comp[j]
         if cj == 0:
@@ -585,7 +602,7 @@ def fourier_from_power_series(b: Sequence[complex], delta: float,
             dense[M] += cj
             continue
         tt = np.arange(j + 1)
-        logw = gammaln(j + 1) - gammaln(tt + 1) - gammaln(j - tt + 1) - j * math.log(2)
+        logw = log_fact[j] - log_fact[tt] - log_fact[j - tt] - j * math.log(2)
         w = np.exp(logw)
         signs = np.where((j - tt) % 2 == 0, 1.0, -1.0)
         phase = (1.0 / 1j) ** j
@@ -755,7 +772,8 @@ def _monomial_cheb(s: int, d: int) -> np.ndarray:
     out = np.zeros(min(d, s) + 1)
     # x^s = 2^-s sum_k C(s,k) T_{s-2k}, T_{-m} = T_m
     ks = np.arange(s + 1)
-    logw = gammaln(s + 1) - gammaln(ks + 1) - gammaln(s - ks + 1) - s * math.log(2)
+    log_fact = _log_factorials(s)
+    logw = log_fact[s] - log_fact[ks] - log_fact[s - ks] - s * math.log(2)
     w = np.exp(logw)
     for k in range(s + 1):
         m = abs(s - 2 * k)

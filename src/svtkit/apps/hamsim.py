@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.linalg
 
 from .. import _chebops as cheb
 from ..approx import (LIB_MAX_DEGREE, _arcsin_series, _memo, approx_arcsin,
@@ -16,8 +15,8 @@ from ..blockenc import (BlockEncoding, Projector, ProjectedUnitary,
 from ..errors import NotHermitian, NumericalFailure, SpectrumTooWide
 from ..poly import ChebSeries
 from ..qsp import chebyshev_phases, phases_for_target
-from ..svt import (alternating_sequence, branch_lcu, eigenvalue_transform,
-                   svt_apply)
+from ..svt import (_fn_of_hermitian, alternating_sequence, branch_lcu,
+                   eigenvalue_transform, svt_apply)
 
 
 def _four_branch_circuit(pu: ProjectedUnitary, cos_coeffs, sin_coeffs):
@@ -53,6 +52,11 @@ def _meets(measured: float, eps: float, what: str) -> float:
     return measured
 
 
+def _check_hermitian(h: np.ndarray, what: str):
+    if operator_norm(h - h.conj().T) > 1e-9:
+        raise NotHermitian(f"{what} is not Hermitian")
+
+
 def hamiltonian_simulate(be: BlockEncoding, t: float, eps: float,
                          robust: bool = False,
                          max_degree: int = LIB_MAX_DEGREE):
@@ -66,12 +70,12 @@ def hamiltonian_simulate(be: BlockEncoding, t: float, eps: float,
     ``max_degree`` raises DegreeOverflow.
     """
     h_block = be.extract() / be.alpha
-    if operator_norm(h_block - h_block.conj().T) > 1e-9:
-        raise NotHermitian("encoded operator is not Hermitian")
+    _check_hermitian(h_block, "encoded operator")
     if robust:
         if be.target is None:
             raise ValueError("robust mode verifies against be.target")
         h_true = np.asarray(be.target, complex) / be.alpha
+        _check_hermitian(h_true, "be.target")
         if be.eps > eps / abs(2 * t) + 1e-12:
             raise ValueError("input encoding error above eps/|2t|")
     else:
@@ -95,7 +99,7 @@ def hamiltonian_simulate(be: BlockEncoding, t: float, eps: float,
         be.pu, cos_r.cheb.cheb_coeffs.real * margin,
         sin_r.cheb.cheb_coeffs.real * margin)
     amplified = _amplify_half(half_circ, be.system_dim)
-    want = scipy.linalg.expm(1j * t * be.alpha * h_true)
+    want = _fn_of_hermitian(h_true, lambda w: np.exp(1j * tau * w))
     got = amplified[: be.system_dim, : be.system_dim]
     measured = _meets(operator_norm(got - want), eps, "hamiltonian_simulate")
     uses = 3 * layer_uses
@@ -154,7 +158,7 @@ def unitary_log(u, eps: float):
         "subnormalization": 2.0 / math.pi,
         "degree": len(outcome.phases.phis),
         "sine_block_error": operator_norm(
-            sin_block - scipy.linalg.sinm(h_true)),
+            sin_block - _fn_of_hermitian(h_true, np.sin)),
     }
     enc = BlockEncoding(outcome.u_phi, alpha=1.0, ancillas=2, eps=eps,
                         target=2.0 / math.pi * h_true, system_dim=n)
@@ -253,8 +257,7 @@ def gibbs_prep(be: BlockEncoding, beta: float, eps: float,
     entangled pair; returns the exact normalized state plus the
     subnormalization/amplification ledger."""
     h = be.extract() / be.alpha
-    if operator_norm(h - h.conj().T) > 1e-9:
-        raise NotHermitian("encoded operator is not Hermitian")
+    _check_hermitian(h, "encoded operator")
     n = be.system_dim
     if beta == 0:
         rho = np.eye(n) / n
@@ -278,14 +281,12 @@ def gibbs_prep(be: BlockEncoding, beta: float, eps: float,
             t_prev, t_cur = t_cur, t_next
             comp = cheb.add(comp, qc[k] * t_cur)
         f_coeffs = cheb.trim(comp, 1e-15)
-        shift = 0.0
     else:
         q = approx_exp(beta / 2.0, min(eps / 4.0, 0.4))
         qc = q.cheb.cheb_coeffs.real.copy()
         # f(x) = e^{-(beta/2)(x+1)} = E(-x) with E(x) = e^{-(beta/2)(1-x)}
         qc[1::2] *= -1.0
         f_coeffs = qc
-        shift = 1.0
     out = eigenvalue_transform(be, ChebSeries(f_coeffs / 2.0),
                                delta=max(eps / 4, 1e-8))
     f_half = out.result  # f(H)/2
@@ -295,10 +296,13 @@ def gibbs_prep(be: BlockEncoding, beta: float, eps: float,
     state = applied / math.sqrt(norm2)
     psi = state.reshape(n, n)
     reduced = psi @ psi.conj().T
-    gibbs = scipy.linalg.expm(-beta * (h + shift * np.eye(n)))
-    gibbs = gibbs / np.trace(gibbs)
+    # the reduced state is f(h)^2 / Z = e^{-beta E} / Z with energies
+    # E = h^2 in sqrt mode (h encodes sqrt(H)) and E = h + 1 otherwise
+    boltzmann = _fn_of_hermitian(
+        h, lambda w: np.exp(-beta * (w * w if sqrt_mode else w + 1.0)))
+    z = float(np.trace(boltzmann).real)
+    gibbs = boltzmann / z
     tdist = 0.5 * float(np.abs(np.linalg.eigvalsh(reduced - gibbs)).sum())
-    z = float(np.trace(scipy.linalg.expm(-beta * (h + shift * np.eye(n)))).real)
     rounds = int(math.ceil(math.sqrt(n / max(z, 1e-300))))
     report = {
         "reduced_state": reduced,

@@ -475,7 +475,7 @@ def eigenvalue_transform(be: BlockEncoding, target, delta: float = 1e-8,
     d_sys = be.system_dim
     # the |0..0> block is P(A) / len(parts)
     result = len(parts) * wrapped[:d_sys, :d_sys]
-    oracle = _poly_of_hermitian(a_mat, c)
+    oracle = _fn_of_hermitian(a_mat, lambda w: npcheb.chebval(w, c))
     err = operator_norm(result - oracle)
     claimed = 4 * u_uses * math.sqrt(be.eps / be.alpha) + delta
     out = BlockEncoding(wrapped, alpha=len(parts),
@@ -486,10 +486,11 @@ def eigenvalue_transform(be: BlockEncoding, target, delta: float = 1e-8,
     return SvtOutcome(result, wrapped, out.pu, ledger, None, err)
 
 
-def _poly_of_hermitian(a: np.ndarray, cheb_coeffs) -> np.ndarray:
+def _fn_of_hermitian(a: np.ndarray, fn) -> np.ndarray:
+    """fn(A) for Hermitian A by one eigendecomposition; ``fn`` maps the
+    array of eigenvalues to the array of their images."""
     w, v = np.linalg.eigh(a)
-    vals = npcheb.chebval(w, np.asarray(cheb_coeffs))
-    return v @ np.diag(vals) @ v.conj().T
+    return (v * fn(w)) @ v.conj().T
 
 
 # ----------------------------------------------------------------------

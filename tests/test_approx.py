@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.polynomial import chebyshev as npcheb
+from scipy.special import erf, gammaln
 
 from svtkit import _chebops
 from svtkit import approx as approx_mod
@@ -606,3 +607,52 @@ class TestMemo:
         for _ in range(2):
             fractional_query(u, 0.25, 1e-3)
         assert len(calls) == 1
+
+
+# the scipy functions the library replaced, as oracles
+
+@pytest.mark.parametrize("delta,eps,tight", [
+    (0.185, 1.5e-5, False), (0.05, 1e-10, False), (0.5, 0.2, False),
+    (0.3, 1e-3, True), (0.02, 1e-9, True)])
+def test_erf_sign_matches_the_scipy_erf_fit(delta, eps, tight, monkeypatch):
+    got = approx_mod._erf_sign_wide(delta, eps, 1 << 16, tight=tight)
+    monkeypatch.setattr(approx_mod, "_odd_erf", erf)
+    want = approx_mod._erf_sign_wide(delta, eps, 1 << 16, tight=tight)
+    assert got.degree == want.degree
+    assert np.abs(got.scaled_coeffs - want.scaled_coeffs).max() <= 1e-15
+
+
+def _gammaln_log_factorials(n):
+    return gammaln(np.arange(n + 1) + 1.0)
+
+
+def test_log_factorials_match_gammaln():
+    np.testing.assert_allclose(approx_mod._log_factorials(3000),
+                               _gammaln_log_factorials(3000),
+                               rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("s", [1, 2, 7, 24, 60, 200, 800])
+def test_monomial_weights_match_gammaln(s, monkeypatch):
+    got = approx_mod._monomial_cheb(s, s)
+    monkeypatch.setattr(approx_mod, "_log_factorials",
+                        _gammaln_log_factorials)
+    want = approx_mod._monomial_cheb(s, s)
+    # each log-weight is log s! - log k! - log (s-k)!: in double precision
+    # either table is off by about one spacing of log s!, and exp turns
+    # that absolute error into a relative one
+    rtol = 1e-14 + 8 * np.spacing(gammaln(s + 1.0))
+    np.testing.assert_allclose(got, want, rtol=rtol, atol=0)
+
+
+@pytest.mark.parametrize("b,delta,eps", [
+    ([0.0, 1.0, 0.5], 0.2, 1e-6), ([1.0, -0.3, 0.2, 0.1], 0.1, 1e-8),
+    ([0.5] * 6, 0.3, 1e-10)])
+def test_fourier_weights_match_gammaln(b, delta, eps, monkeypatch):
+    got = fourier_from_power_series(b, delta, eps).coeffs
+    monkeypatch.setattr(approx_mod, "_log_factorials",
+                        _gammaln_log_factorials)
+    want = fourier_from_power_series(b, delta, eps).coeffs
+    assert got.keys() == want.keys()
+    err = max(abs(got[m] - want[m]) for m in want)
+    assert err <= 1e-14 * max(abs(c) for c in want.values())

@@ -9,6 +9,7 @@ from svtkit.apps import (fractional_query, gibbs_prep, hamiltonian_simulate,
                          unitary_log)
 from svtkit.blockenc import BlockEncoding, embed, operator_norm
 from svtkit.errors import NotHermitian, NumericalFailure, SpectrumTooWide
+from svtkit.svt import _fn_of_hermitian
 
 rng = np.random.default_rng(37)
 
@@ -63,6 +64,15 @@ class TestHamiltonianSimulate:
         be = embed(a, 1.0)
         with pytest.raises(NotHermitian):
             hamiltonian_simulate(be, 1.0, 1e-4)
+
+    def test_robust_mode_refuses_a_non_hermitian_target(self):
+        h = random_hermitian(2, 0.5)
+        # within the claimed encoding error of the block, not Hermitian
+        target = h + np.array([[0, 1e-6], [0, 0]])
+        be = BlockEncoding(embed(h, 1.0).pu.u, alpha=1.0, ancillas=1,
+                           eps=2e-6, target=target)
+        with pytest.raises(NotHermitian, match="be.target"):
+            hamiltonian_simulate(be, 1.0, 1e-4, robust=True)
 
 
 class TestUnitaryLog:
@@ -158,3 +168,23 @@ class TestGibbs:
         gibbs /= np.trace(gibbs)
         diff = rep1["reduced_state"] - gibbs
         assert 0.5 * np.abs(np.linalg.eigvalsh(diff)).sum() <= 1e-4
+        assert rep1["trace_distance"] <= 1e-4
+        assert rep1["partition_function"] == pytest.approx(
+            np.trace(scipy.linalg.expm(-4.0 * h)).real, rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_hermitian_functions_match_scipy(seed):
+    # the references hamsim takes from one eigendecomposition
+    gen = np.random.default_rng(seed)
+    n = int(gen.integers(2, 17))
+    h = gen.standard_normal((n, n)) + 1j * gen.standard_normal((n, n))
+    h = (h + h.conj().T) / 2
+    h /= operator_norm(h)
+    t, beta = gen.uniform(0.5, 5.0, 2)
+    for fn, want in ((lambda w: np.exp(1j * t * w),
+                      scipy.linalg.expm(1j * t * h)),
+                     (np.sin, scipy.linalg.sinm(h)),
+                     (lambda w: np.exp(-beta * (w + 1.0)),
+                      scipy.linalg.expm(-beta * (h + np.eye(n))))):
+        assert operator_norm(_fn_of_hermitian(h, fn) - want) <= 1e-13

@@ -1,10 +1,14 @@
 """Every name a library module imports is used there (or re-exported
 through ``__all__``), every import sits at module level, and every public
 function, class and method of the library is referenced in the library,
-its tests or the benchmark harness."""
+its tests or the benchmark harness.  Importing the library loads numpy
+and no scipy."""
 import ast
 import functools
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -155,3 +159,18 @@ def test_every_public_definition_is_referenced(path):
     elsewhere = set().union(*(references_in(p) for p in REFERRING
                               if p != path))
     assert unreferenced(path.read_text(), elsewhere) == []
+
+
+def test_import_loads_no_scipy():
+    # numpy is the only runtime dependency; scipy alone would add ~0.3 s
+    # to the cold start of every CLI call
+    code = ("import sys, svtkit, svtkit.apps, svtkit.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC.parent), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
