@@ -20,9 +20,8 @@ from numpy.polynomial import chebyshev as npcheb
 
 from . import _chebops as cheb
 LIB_MAX_DEGREE = 4096  # library-internal cap; the CLI enforces the 512 contract
-from .errors import (DegreeOverflow, NumericalFailure, PatchOverlapViolation,
-                     SeriesNotConvergent)
-from .poly import ChebSeries, FourierSeries, ParityPoly, convert
+from .errors import DegreeOverflow, NumericalFailure, SeriesNotConvergent
+from .poly import ChebSeries, FourierSeries
 
 GRID_PER_UNIT = 10_000  # certification grid density per unit length
 
@@ -35,11 +34,11 @@ GRID_PER_UNIT = 10_000  # certification grid density per unit length
 class ApproxResult:
     """A certified polynomial approximation.
 
-    ``cheb`` is the canonical Chebyshev view (valid for evaluation on
-    [-1, 1]); ``poly`` converts lazily to the monomial view.  For
-    constructions guaranteed on a wider interval (the sign family lives
-    on [-2, 2]) ``evaluate`` switches to a numerically stable wide-domain
-    evaluator outside [-1, 1].  ``degree`` is the degree of ``cheb``.
+    ``cheb`` is the polynomial, a Chebyshev series valid for evaluation
+    on [-1, 1].  For constructions guaranteed on a wider interval (the
+    sign family lives on [-2, 2]) ``evaluate`` switches to a numerically
+    stable wide-domain evaluator outside [-1, 1].  ``degree`` is the
+    degree of ``cheb``.
     Every constructor returns through `_certified`, which refuses a
     degree above its cap and measures the claims.
     """
@@ -54,10 +53,6 @@ class ApproxResult:
     @property
     def degree(self) -> int:
         return self.cheb.degree
-
-    @property
-    def poly(self) -> ParityPoly:
-        return convert(self.cheb)
 
     @property
     def parity(self) -> str:
@@ -281,7 +276,6 @@ def _erf_sign_wide(delta: float, eps: float, max_degree: int,
     root = math.sqrt(max(math.log(2.0 / eps), 1.0))
     k = (1.15 / delta if tight else 2.0 / delta) * root
     n_nodes = 64
-    target_deg = None
     while True:
         n_nodes = max(n_nodes * 2, 256)
         nodes = cheb.cheb_nodes(n_nodes)
@@ -292,13 +286,20 @@ def _erf_sign_wide(delta: float, eps: float, max_degree: int,
         tail = np.cumsum(mags[::-1])[::-1]
         keep = np.nonzero(tail > eps / 8.0)[0]
         deg = int(keep[-1]) if len(keep) else 1
-        if deg < n_nodes // 2 or n_nodes > 1 << 17:
-            target_deg = deg
+        if deg < n_nodes // 2:
             break
-    if target_deg > max_degree:
+        if n_nodes // 2 > max_degree:
+            # still unresolved at this size, so the fit needs more than
+            # the cap; a larger fit would only pay to be refused
+            raise DegreeOverflow(
+                f"sign approximation needs degree more than "
+                f"{n_nodes // 2 - 1} > cap {max_degree}")
+        if n_nodes > 1 << 17:
+            break
+    if deg > max_degree:
         raise DegreeOverflow(
-            f"sign approximation needs degree {target_deg} > cap {max_degree}")
-    out = coeffs[: target_deg + 1] * (1.0 - eps / 2.0) * _SAFETY
+            f"sign approximation needs degree {deg} > cap {max_degree}")
+    out = coeffs[: deg + 1] * (1.0 - eps / 2.0) * _SAFETY
     return _WidePoly(out, scale)
 
 
@@ -699,70 +700,6 @@ def approx_taylor(f_coeffs: Sequence[complex], x0: float, r: float,
     return res
 
 
-def approx_taylor_multi(patches, B: float, eps: float,
-                        max_degree: int = LIB_MAX_DEGREE,
-                        target: Callable | None = None,
-                        label: str = "taylor_multi") -> ApproxResult:
-    """Stitch several local Taylor approximations with shifted sign
-    polynomials: f_[1,j+1] = (1-S)/2 f_[1,j] + (1+S)/2 f_{j+1}."""
-    J = len(patches)
-    if J == 0:
-        raise ValueError("need at least one patch")
-    xs_ = [p[0] for p in patches]
-    rs_ = [p[1] for p in patches]
-    ds_ = [p[2] for p in patches]
-    if any(xs_[i] >= xs_[i + 1] for i in range(J - 1)):
-        raise ValueError("patch centers must be strictly increasing")
-    for i in range(J):
-        for j in range(i + 2, J):
-            if rs_[i] + rs_[j] >= xs_[j] - xs_[i]:
-                raise PatchOverlapViolation(
-                    f"non-adjacent patches {i} and {j} overlap")
-    if not (0 < eps <= 1.0 / (2 * B * J)):
-        raise ValueError("need eps <= 1/(2BJ)")
-    gaps = [abs(xs_[j + 1] - xs_[j] - (rs_[j + 1] + rs_[j])) for j in range(J - 1)]
-    delta_all = min(ds_ + ([g for g in gaps if g > 0] or ds_))
-
-    parts = []
-    for j, (xj, rj, dj, series_j) in enumerate(patches):
-        parts.append(approx_taylor(
-            series_j, xj, rj, dj, B, eps / (4.0 * J), max_degree=max_degree,
-            target=(lambda u, xj=xj, s=np.asarray(series_j, complex):
-                    np.polynomial.polynomial.polyval(np.asarray(u) - xj, s)),
-            label=f"{label}[patch {j}]"))
-
-    acc = parts[0].cheb.cheb_coeffs
-    for j in range(J - 1):
-        mid = 0.5 * (xs_[j] + xs_[j + 1])
-        band = max(min(delta_all, (xs_[j + 1] - xs_[j]) / 2.0) / 2.0, 1e-6)
-        sgn = _erf_sign_wide(band, min(eps / (8.0 * B * J), 0.25), max_degree,
-                             scale=1.0 + abs(mid) + 0.02, tight=True)
-        scoeff = sgn.on_unit(mid)
-        one = np.array([1.0])
-        low = cheb.mul(cheb.add(one, -scoeff) / 2.0, acc)
-        highpart = cheb.mul(cheb.add(one, scoeff) / 2.0,
-                            parts[j + 1].cheb.cheb_coeffs)
-        acc = cheb.trim(cheb.add(low, highpart), 1e-16)
-    domain = tuple((max(xj - rj, -1.0), min(xj + rj, 1.0))
-                   for xj, rj, dj, _ in patches)
-    if target is None:
-        def target(x):
-            x = np.asarray(x, float)
-            out = np.zeros(x.shape, complex)
-            for (xj, rj, dj, series_j) in patches:
-                mask = np.abs(x - xj) <= rj + dj / 2.0
-                out[mask] = np.polynomial.polynomial.polyval(
-                    x[mask] - xj, np.asarray(series_j, complex))
-            return out
-    # the sup-norm guarantee is over the delta/2-fattened patch union
-    fat = delta_all / 2.0
-    fattened = [(max(xj - rj - fat, -1.0), min(xj + rj + fat, 1.0))
-                for xj, rj, dj, _ in patches]
-    sup_f = _target_sup(target, fattened)
-    return _certified(acc, None, target, sup_f + 2 * eps, eps, domain, label,
-                      max_degree)
-
-
 # ----------------------------------------------------------------------
 # named constructions
 
@@ -840,11 +777,6 @@ def approx_exp(beta: float, eps: float,
     return _certified(cheb.trim(acc, 1e-16), None, target, 1.0 + eps, eps,
                       ((-1.0, 1.0),), f"exp(beta={beta:g}, eps={eps:g})",
                       max_degree)
-
-
-def arcsin_series_coeffs(n_terms: int) -> np.ndarray:
-    """Power-series coefficients of (2/pi) arcsin(u) up to u^{2n+1}."""
-    return _arcsin_series(n_terms)
 
 
 @_memo
@@ -1014,9 +946,3 @@ def build(spec: ApproxSpec, max_degree: int = LIB_MAX_DEGREE) -> ApproxResult:
     if spec.target not in FAMILIES:
         raise ValueError(f"unknown target {spec.target!r}")
     return FAMILIES[spec.target](spec, max_degree)
-
-
-def approx_named(name: str, eps: float, max_degree: int = LIB_MAX_DEGREE,
-                 **params) -> ApproxResult:
-    """`build` by family name, the family's parameters as keywords."""
-    return build(ApproxSpec(target=name, eps=eps, **params), max_degree)

@@ -10,8 +10,7 @@ from .bounds import query_lower_bound
 from .estimate import singular_value_estimate
 from .hamsim import (fractional_query, gibbs_prep, hamiltonian_simulate,
                      unitary_log)
-from .markov import (MarkovChain, markov_detect, markov_find,
-                     markov_hitting, markov_search)
+from .markov import MarkovChain, markov_detect, markov_find, markov_hitting
 from .project import (discriminate, fast_or, singular_vector_transform,
                       threshold_projector, threshold_projectors_exact)
 from .solve import pcr_solve, pseudoinverse
@@ -23,6 +22,5 @@ __all__ = [
     "pseudoinverse", "pcr_solve",
     "hamiltonian_simulate", "unitary_log", "fractional_query", "gibbs_prep",
     "MarkovChain", "markov_hitting", "markov_detect", "markov_find",
-    "markov_search",
     "singular_value_estimate", "query_lower_bound",
 ]

@@ -202,7 +202,7 @@ def fractional_query(u, t: float, eps: float):
         # invariant; polar projection moves entries by at most the defect
         w_, _, vh_ = np.linalg.svd(prod)
         prod = w_ @ vh_
-        want = _matrix_fractional_power(u, t)
+        want = _fn_of_hermitian(h_true, lambda w: np.exp(1j * t * w))
         got = prod[: u.shape[0], : u.shape[0]]
         measured = _meets(operator_norm(got - want), eps, "fractional_query")
         enc = BlockEncoding(prod, alpha=1.0, ancillas=half.ancillas,
@@ -214,7 +214,7 @@ def fractional_query(u, t: float, eps: float):
     cos_c, sin_c = _fracq_poly(t, eps)
     half_circ, layer_uses = _four_branch_circuit(pu, cos_c, sin_c)
     amplified = _amplify_half(half_circ, u.shape[0])
-    want = _matrix_fractional_power(u, t)
+    want = _fn_of_hermitian(h_true, lambda w: np.exp(1j * t * w))
     got = amplified[: u.shape[0], : u.shape[0]]
     measured = _meets(operator_norm(got - want), eps, "fractional_query")
     enc = BlockEncoding(amplified, alpha=1.0, ancillas=3, eps=eps,
@@ -242,12 +242,6 @@ def _fracq_poly(t: float, eps: float):
     # cos(t arcsin(x)) saturates at x = 0: shrink to dodge tangency
     margin = 1.0 - eps / 4.0
     return below_one(cos_c * margin), below_one(sin_c * margin)
-
-
-def _matrix_fractional_power(u: np.ndarray, t: float) -> np.ndarray:
-    w, v = np.linalg.eig(u)
-    powered = np.exp(1j * t * np.angle(w))
-    return v @ np.diag(powered) @ np.linalg.inv(v)
 
 
 def gibbs_prep(be: BlockEncoding, beta: float, eps: float,

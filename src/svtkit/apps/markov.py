@@ -191,18 +191,3 @@ def markov_find(chain: MarkovChain, delta: float, eps: float):
         "stage_one_amplitude": amp,
     }
     return probs_renorm, report
-
-
-def markov_search(chain: MarkovChain, mode: str, *, k_bound: float = None,
-                  delta: float = None, eps: float = None):
-    """Dispatch: mode "detect" needs k_bound (the hitting-time cap),
-    mode "find" needs (delta, eps) per the gap and marked-mass promises."""
-    if mode == "detect":
-        if k_bound is None:
-            raise ValueError("detect mode needs k_bound")
-        return markov_detect(chain, k_bound)
-    if mode == "find":
-        if delta is None or eps is None:
-            raise ValueError("find mode needs delta and eps")
-        return markov_find(chain, delta, eps)
-    raise ValueError(f"unknown mode {mode!r}")

@@ -11,7 +11,8 @@ from ..approx import approx_rect, approx_sign
 from ..blockenc import ProjectedUnitary, embed, operator_norm
 from ..errors import PromiseViolated
 from ..qsp import phases_for_target
-from ..svt import alternating_sequence, branch_lcu, svd_bundle
+from ..svt import (alternating_sequence, branch_lcu, reference_svt,
+                   svd_bundle)
 
 
 def threshold_projectors_exact(pu: ProjectedUnitary, interval):
@@ -73,29 +74,12 @@ def singular_vector_transform(pu: ProjectedUnitary, delta: float, eps: float):
     sign = approx_sign(delta, eps_poly)
     pair, refl, _ = phases_for_target(sign.cheb, tol=eps / 10.0)
     u_phi, ledger = alternating_sequence(pu, refl)
-    bundle = svd_bundle(pu)
-    bv = pu.pi.basis()
-    bw = pu.pi_tilde.basis()
-    dmin = len(bundle.sigma)
-    wv = bw @ bundle.w[:, :dmin] @ bundle.v[:, :dmin].conj().T @ bv.conj().T
+    wv = reference_svt(pu.u, np.ones_like, "odd", pu.pi, pu.pi_tilde)
     right, left = threshold_projectors_exact(pu, (delta, 2.0))
     measured = operator_norm(left @ u_phi @ right - left @ wv @ right)
     report = {"measured": measured, "claimed": eps,
               "degree": len(refl.phis), "ledger": ledger}
     return u_phi, report
-
-
-def _band_mass(pu, state, a, b):
-    """Input-state mass on right singular vectors with sigma in [a, b]."""
-    bundle = svd_bundle(pu)
-    bv = pu.pi.basis()
-    coords = bv.conj().T @ state
-    d = bv.shape[1]
-    sig = np.zeros(d)
-    sig[: len(bundle.sigma)] = bundle.sigma
-    amps = bundle.v.conj().T @ coords
-    inside = (sig >= a - 1e-12) & (sig <= b + 1e-12)
-    return float(np.sum(np.abs(amps[inside]) ** 2))
 
 
 def discriminate(pu: ProjectedUnitary, a: float, b: float, eps: float,
@@ -108,7 +92,11 @@ def discriminate(pu: ProjectedUnitary, a: float, b: float, eps: float,
         raise ValueError("need 0 <= a < b <= 1")
     state = np.asarray(input_state, complex)
     state = state / np.linalg.norm(state)
-    mass = (_band_mass(pu, state, 0.0, a) + _band_mass(pu, state, b, 1.0))
+    # input-state mass on right singular vectors with sigma in [0, a] or
+    # [b, 1]
+    bands = reference_svt(pu.u, lambda s: (s <= a + 1e-12) | (s >= b - 1e-12),
+                          "even", pu.pi, pu.pi_tilde)
+    mass = float(np.vdot(state, bands @ state).real)
     if mass < 1.0 - 1e-9:
         raise PromiseViolated(
             f"input has mass {1.0 - mass:.3e} outside the promised bands")

@@ -344,10 +344,6 @@ class ControlledNotByProjector:
         return {"unitary": uni, "hermitian": herm, "involution": invol}
 
 
-def cpi_not(pi: Projector) -> ControlledNotByProjector:
-    return ControlledNotByProjector(pi)
-
-
 # ----------------------------------------------------------------------
 # constructors
 
@@ -379,10 +375,6 @@ def embed(a_matrix, alpha: float = 1.0) -> BlockEncoding:
     dil = dil @ (3.0 * np.eye(2 * d) - dil.conj().T @ dil) / 2.0
     return BlockEncoding(dil, alpha=alpha, ancillas=1, eps=0.0,
                          target=square, system_dim=d)
-
-
-def extract(be: BlockEncoding) -> np.ndarray:
-    return be.extract()
 
 
 def _swap_matrix(d: int) -> np.ndarray:

@@ -30,10 +30,6 @@ class SeriesNotConvergent(SvtError):
     """Power-series 1-norm certificate violated numerically."""
 
 
-class PatchOverlapViolation(SvtError):
-    """Non-adjacent Taylor patches overlap."""
-
-
 class NormExceeded(SvtError):
     """Matrix norm exceeds the requested encoding scale."""
 

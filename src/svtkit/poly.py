@@ -192,43 +192,6 @@ def convert(p, max_degree=MAX_DEGREE_DEFAULT):
     raise TypeError(f"cannot convert {type(p).__name__}")
 
 
-def _combined_parity(a: str, b: str, op: str) -> str:
-    if op == "multiply":
-        if "none" in (a, b):
-            return "none"
-        return "even" if a == b else "odd"
-    # add
-    if a == b:
-        return a
-    return "none"
-
-
-def arithmetic(p: ParityPoly, q=None, op: str = "add"):
-    """Coefficient arithmetic with parity propagation.
-
-    ``op`` is one of add, multiply, conjugate_coeffs, real_part,
-    parity_split.  parity_split returns the pair
-    (P(x) + P(-x), P(x) - P(-x)), i.e. twice the even and odd parts.
-    """
-    if op == "add":
-        c = nppoly.polyadd(p.coeffs, q.coeffs)
-        return ParityPoly(c, _combined_parity(p.parity, q.parity, "add"))
-    if op == "multiply":
-        c = nppoly.polymul(p.coeffs, q.coeffs)
-        return ParityPoly(c, _combined_parity(p.parity, q.parity, "multiply"))
-    if op == "conjugate_coeffs":
-        return ParityPoly(np.conj(p.coeffs), p.parity)
-    if op == "real_part":
-        return ParityPoly(p.coeffs.real.astype(complex), p.parity)
-    if op == "parity_split":
-        even = p.coeffs.copy()
-        even[1::2] = 0
-        odd = p.coeffs.copy()
-        odd[0::2] = 0
-        return (ParityPoly(2 * even, "even"), ParityPoly(2 * odd, "odd"))
-    raise ValueError(f"unknown op {op!r}")
-
-
 def find_roots(p: ParityPoly):
     """All complex roots (with multiplicity) of p, in double precision.
 
@@ -264,11 +227,3 @@ def supnorm(p, interval=(-1.0, 1.0)) -> float:
     t = cheb.cheb_nodes(p.degree + 1)
     vals = evaluate(p, lo + (hi - lo) * (t + 1) / 2)
     return cheb.peak(cheb.fit(vals, p.degree))
-
-
-def monic_from_roots(roots, leading=1.0) -> ParityPoly:
-    """Reconstruct leading * prod (x - r) as a ParityPoly."""
-    c = np.array([1.0 + 0j])
-    for r in roots:
-        c = nppoly.polymul(c, np.array([-r, 1.0]))
-    return ParityPoly(leading * c, "none")

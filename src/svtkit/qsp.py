@@ -2,10 +2,10 @@
 
 Two routes turn a target into phases, both in double precision:
 
-- real targets of definite parity (`phases_for_target`, `real_qsp`,
-  `complete`) go through the symmetric-phase solver: Newton iteration
-  on symmetric sandwich phases so that Re<0|U_Phi(x)|0> matches the
-  target at Chebyshev nodes.  `complete` returns the unitary-valued pair
+- real targets of definite parity (`phases_for_target`, `complete`) go
+  through the symmetric-phase solver: Newton iteration on symmetric
+  sandwich phases so that Re<0|U_Phi(x)|0> matches the target at
+  Chebyshev nodes.  `complete` returns the unitary-valued pair
   (P, Q), |P|^2 + (1-x^2)|Q|^2 = 1, that those phases realize;
 - complex targets go through `complete_complex`, which finds Q by root
   pairing, and `phases_from_pq`, which peels the phases off one layer
@@ -142,19 +142,6 @@ class SignalPair:
 
 # ----------------------------------------------------------------------
 # elementary 2x2 blocks
-
-
-def signal_matrix(x: float, kind: str = "W") -> np.ndarray:
-    """W(x) = [[x, i s],[i s, x]] or the reflection R(x) = [[x, s],[s, -x]]
-    with s = sqrt(1 - x^2)."""
-    if not -1.0 <= x <= 1.0:
-        raise ValueError("need |x| <= 1")
-    s = math.sqrt(max(0.0, 1.0 - x * x))
-    if kind == "W":
-        return np.array([[x, 1j * s], [1j * s, x]])
-    if kind == "R":
-        return np.array([[x, s], [s, -x]], complex)
-    raise ValueError(f"unknown kind {kind!r}")
 
 
 def qsp_eval(phi: PhaseSequence, x):
@@ -453,7 +440,6 @@ def phases_from_pq(pair: SignalPair) -> PhaseSequence:
     # only move the realized polynomial at the noise level, so any phase
     # serves there
     noise = max(1e-7, 3e-10 * k) * scale0
-    worst_mismatch = 0.0
     for m in range(k, 0, -1):
         pl = complex(p[m]) if m < len(p) else 0.0
         ql = complex(q[m - 1]) if m - 1 < len(q) else 0.0
@@ -476,7 +462,6 @@ def phases_from_pq(pair: SignalPair) -> PhaseSequence:
                 raise NumericalFailure(
                     f"leading coefficients differ in magnitude by "
                     f"{abs(mag-1):.2e} at layer {m}; completion inconsistent")
-            worst_mismatch = max(worst_mismatch, abs(mag - 1))
             phi = 0.5 * cmath.phase(ratio)
         phis[m] = phi
         em = np.exp(ld(-1j * phi))
@@ -499,9 +484,7 @@ def phases_from_pq(pair: SignalPair) -> PhaseSequence:
         p = newp[:m]
         q = newq[: max(m - 1, 1)]
     phis[0] = cmath.phase(complex(p[0]))
-    seq = PhaseSequence(phis, "wx_sandwich")
-    object.__setattr__(seq, "worst_mismatch", worst_mismatch)
-    return seq
+    return PhaseSequence(phis, "wx_sandwich")
 
 
 # ----------------------------------------------------------------------
@@ -782,11 +765,3 @@ def phases_for_target(p_re, tol: float = 1e-8):
         _PHASE_CACHE.pop(next(iter(_PHASE_CACHE)))
     _PHASE_CACHE[key] = out
     return out
-
-
-def real_qsp(p_re, delta: float = 1e-8):
-    """`phases_for_target` with ``tol=delta``, whose gate refuses an
-    inadmissible target (Inadmissible, or its subclass NotSubunit).
-    Returns (SignalPair, reflection PhaseSequence)."""
-    pair, refl, _ = phases_for_target(p_re, tol=delta)
-    return pair, refl

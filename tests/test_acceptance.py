@@ -19,7 +19,7 @@ from svtkit.apps import (MarkovChain, fast_or, fractional_query,
                          pcr_solve, pseudoinverse, query_lower_bound)
 from svtkit.blockenc import (BlockEncoding, Projector, ProjectedUnitary,
                              embed, operator_norm)
-from svtkit.qsp import chebyshev_phases, phases_for_target, qsp_eval, real_qsp
+from svtkit.qsp import chebyshev_phases, phases_for_target, qsp_eval
 from svtkit.svt import reference_svt, robustness_bound, svt_apply
 
 
@@ -45,14 +45,14 @@ def test_criterion_1_qsp_roundtrip():
     for _ in range(500):
         deg = int(rng.integers(1, 21))
         c = random_parity_target(rng, deg)
-        pair, refl = real_qsp(c, delta=1e-8)
+        pair, refl, _ = phases_for_target(c, tol=1e-8)
         rec = qsp_eval(refl, xs)[:, 0, 0].real
         want = np.polynomial.chebyshev.chebval(xs, c)
         worst = max(worst, float(np.abs(rec - want).max()))
     worst_ext = 0.0
     for deg in (60, 85, 100):
         c = random_parity_target(rng, deg)
-        pair, refl = real_qsp(c, delta=1e-10)
+        pair, refl, _ = phases_for_target(c, tol=1e-10)
         rec = qsp_eval(refl, xs)[:, 0, 0].real
         want = np.polynomial.chebyshev.chebval(xs, c)
         worst_ext = max(worst_ext, float(np.abs(rec - want).max()))

@@ -11,14 +11,13 @@ from scipy.special import erf, gammaln
 from svtkit import _chebops
 from svtkit import approx as approx_mod
 from svtkit.apps import hamsim
-from svtkit.approx import (GRID_PER_UNIT, ApproxResult, _certify,
-                           approx_arcsin, approx_exp, approx_inverse,
-                           approx_monomial, approx_named, approx_neg_power,
+from svtkit.approx import (GRID_PER_UNIT, ApproxResult, ApproxSpec,
+                           _certify, approx_arcsin, approx_exp,
+                           approx_inverse, approx_monomial, approx_neg_power,
                            approx_rect, approx_sign, approx_taylor,
-                           approx_taylor_multi, approx_trig, approx_window,
-                           arcsin_series_coeffs, bessel_j,
+                           approx_trig, approx_window, bessel_j, build,
                            fourier_from_power_series, solve_r)
-from svtkit.errors import NumericalFailure
+from svtkit.errors import DegreeOverflow, NumericalFailure
 from svtkit.poly import ChebSeries
 
 DENSE = np.linspace(-1, 1, 20001)
@@ -185,38 +184,6 @@ class TestTaylor:
         assert np.abs(got - want).max() <= 1e-6
 
 
-class TestTaylorMulti:
-    def test_two_patch_inverse(self):
-        delta = 0.25
-        eps = 1e-3
-        n = 60
-        # f(x) = (3/4) delta / x; around +-1: f(1+u) = (3 delta/4) sum (-u)^k
-        # f(1+u) = (3d/4)/(1+u) = (3d/4) sum (-u)^k;
-        # f(-1+u) = (3d/4)/(u-1) = -(3d/4) sum u^k
-        a_right = np.array([(3 * delta / 4) * (-1.0) ** k for k in range(n)])
-        a_left = np.array([-(3 * delta / 4) for _ in range(n)])
-        r = 1 - delta
-        dd = delta / 2
-        B = float(np.sum((r + dd) ** np.arange(n) * np.abs(a_right)))
-        res = approx_taylor_multi(
-            [(-1.0, r, dd, a_left), (1.0, r, dd, a_right)], B, min(eps, 1 / (4 * B)),
-            target=lambda x: 0.75 * delta / np.asarray(x, float))
-        for seg in [np.linspace(-1, -delta, 2001), np.linspace(delta, 1, 2001)]:
-            err = np.abs(res.evaluate(seg) - 0.75 * delta / seg).max()
-            assert err <= eps + 1e-9
-
-    def test_single_patch_degenerates(self):
-        a = np.array([1.0, 0.5, 0.25])
-        B = float(np.sum(0.75 ** np.arange(3) * np.abs(a)))
-        eps = min(1e-4, 1 / (2 * B))
-        multi = approx_taylor_multi([(0.0, 0.5, 0.25, a)], B, eps,
-                                    target=lambda x: np.polynomial.polynomial.polyval(np.asarray(x), a))
-        single = approx_taylor(a, 0.0, 0.5, 0.25, B, eps,
-                               target=lambda x: np.polynomial.polynomial.polyval(np.asarray(x), a))
-        xs = np.linspace(-0.5, 0.5, 501)
-        assert np.abs(multi.evaluate(xs) - single.evaluate(xs)).max() <= 2 * eps
-
-
 class TestNamed:
     def test_monomial_bound(self):
         res = approx_monomial(100, 30)
@@ -243,7 +210,8 @@ class TestNamed:
         assert np.abs(res.evaluate(xs) - 2 / math.pi * np.arcsin(xs)).max() <= 1e-3
 
     def test_neg_power(self):
-        res = approx_named("neg_power", 1e-3, c=2.0, delta=0.25, parity="even")
+        res = build(ApproxSpec(target="neg_power", eps=1e-3, c=2.0,
+                               delta=0.25, parity="even"))
         xs = np.linspace(0.25, 1, 2001)
         want = 0.25 ** 2 / 2 * xs ** -2.0
         assert np.abs(res.evaluate(xs) - want).max() <= 1e-3
@@ -286,14 +254,14 @@ def test_approx_spec_dispatch():
 
 
 def test_named_forwards_to_registry():
-    from svtkit.approx import FAMILIES, ApproxSpec, build
+    from svtkit.approx import FAMILIES
     np.testing.assert_array_equal(
-        approx_named("sign", 0.1, delta=0.3).cheb.cheb_coeffs,
+        approx_sign(0.3, 0.1).cheb.cheb_coeffs,
         build(ApproxSpec(target="sign", delta=0.3, eps=0.1)).cheb.cheb_coeffs)
     assert set(FAMILIES) == {"sign", "rect", "inverse", "cos", "sin", "exp",
                              "arcsin", "neg_power", "monomial", "window"}
     with pytest.raises(ValueError):
-        approx_named("nosuch", 1e-3)
+        build(ApproxSpec(target="nosuch", eps=1e-3))
 
 
 def test_degree_is_the_series_degree():
@@ -345,11 +313,24 @@ def test_every_result_is_built_by_certified():
 def test_sign_cap_applies_to_returned_degree():
     # sign(0.13, 1e-4) is a degree-311 series on [-1, 1] although its
     # construction on [-2, 2] runs to degree 547
-    from svtkit.errors import DegreeOverflow
     deg = approx_sign(0.13, 1e-4).degree
     assert approx_sign(0.13, 1e-4, max_degree=deg).degree == deg
     with pytest.raises(DegreeOverflow):
         approx_sign(0.13, 1e-4, max_degree=deg - 1)
+
+
+
+def test_over_cap_sign_fit_refused_without_larger_fits(monkeypatch):
+    # a fit still unresolved at n nodes needs degree n/2 or more, so once
+    # n/2 is past the cap the refusal needs no larger fit
+    sizes = []
+    real = _chebops.fit
+    monkeypatch.setattr(_chebops, "fit",
+                        lambda vals, deg: sizes.append(deg + 1)
+                        or real(vals, deg))
+    with pytest.raises(DegreeOverflow, match="more than 1023 > cap 512"):
+        approx_mod._erf_sign_wide(0.001, 1e-12, 512, tight=True)
+    assert max(sizes) <= 2048
 
 
 # ----------------------------------------------------------------------
@@ -567,7 +548,8 @@ class TestMemo:
         results = [approx_sign(0.3, 0.1), approx_rect(0.5, 0.1, 0.05),
                    approx_inverse(4.0, 0.01), *approx_trig(1.3, 1e-6),
                    approx_exp(2.0, 1e-4), approx_arcsin(0.3, 1e-3),
-                   approx_named("neg_power", 1e-3, c=1.0, delta=0.3),
+                   build(ApproxSpec(target="neg_power", eps=1e-3, c=1.0,
+                                    delta=0.3)),
                    approx_window(6, 1e-3), approx_monomial(10, 5)]
         arrays = [r.cheb.cheb_coeffs for r in results]
         arrays.append(results[0]._wide_eval.scaled_coeffs)
@@ -577,7 +559,6 @@ class TestMemo:
                 arr[0] = 1.0
 
     def test_degree_overflow_is_raised_every_time(self, monkeypatch):
-        from svtkit.errors import DegreeOverflow
         builds = []
         real = approx_mod._erf_sign_wide
         monkeypatch.setattr(approx_mod, "_erf_sign_wide",

@@ -153,25 +153,3 @@ class TestFind:
         _, rep = markov_find(c, delta=0.9 * gap, eps=0.9 * c.p_m)
         assert set(rep["costs"]) == {"S", "U", "C"}
         assert rep["costs"]["U"] > 0
-
-
-class TestSearchDispatch:
-    def test_detect_mode(self):
-        from svtkit.apps import markov_search
-        c = cycle_chain(6, [0])
-        rep = markov_search(c, "detect", k_bound=4.0)
-        assert rep["decision"] == "marked"
-
-    def test_find_mode(self):
-        from svtkit.apps import markov_search
-        c = cycle_chain(6, [2])
-        gap = c.singular_gap()
-        probs, rep = markov_search(c, "find", delta=0.9 * gap,
-                                   eps=0.9 * c.p_m)
-        assert rep["marked_mass"] >= 2.0 / 3.0
-
-    def test_unknown_mode(self):
-        from svtkit.apps import markov_search
-        c = cycle_chain(4, [0])
-        with pytest.raises(ValueError):
-            markov_search(c, "walkabout")

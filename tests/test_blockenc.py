@@ -10,10 +10,10 @@ from svtkit.apps import (MarkovChain, discriminate, fast_or, markov_detect,
                          pseudoinverse)
 from svtkit.blockenc import (UNITARY_TOL, BlockEncoding,
                              ControlledNotByProjector, Projector,
-                             StatePrepPair, cpi_not, embed, encode_density,
+                             StatePrepPair, embed, encode_density,
                              encode_gram, encode_povm, encode_sparse,
-                             extract, is_unitary, lcu, operator_norm,
-                             product, _complete_to_unitary)
+                             is_unitary, lcu, operator_norm, product,
+                             _complete_to_unitary)
 from svtkit.errors import (ModePreconditionViolated, NormExceeded,
                            NotAProjector, SparsityViolated)
 
@@ -39,7 +39,7 @@ class TestEmbed:
     def test_extract_roundtrip(self):
         a = random_contraction(4, 0.7)
         be = embed(a, alpha=1.0)
-        np.testing.assert_allclose(extract(be), a, atol=1e-12)
+        np.testing.assert_allclose(be.extract(), a, atol=1e-12)
 
     def test_scaling(self):
         a = random_contraction(3, 0.5)
@@ -67,18 +67,18 @@ class TestStructured:
         g[:, 2] = np.array([1, 0, 0, -1]) / math.sqrt(2)
         g[:, 3] = np.array([0, 1, -1, 0]) / math.sqrt(2)
         be = encode_density(g, anc_qubits=1, sys_qubits=1)
-        np.testing.assert_allclose(extract(be), np.eye(2) / 2, atol=1e-12)
+        np.testing.assert_allclose(be.extract(), np.eye(2) / 2, atol=1e-12)
 
     def test_povm_identity(self):
         # U = I on 1 + 1 qubits: flag always 0 -> M = I
         be = encode_povm(np.eye(4), anc_qubits=1, sys_qubits=1,
                          target_m=np.eye(2))
-        np.testing.assert_allclose(extract(be), np.eye(2), atol=1e-12)
+        np.testing.assert_allclose(be.extract(), np.eye(2), atol=1e-12)
 
     def test_povm_random_consistency(self):
         u = random_unitary(8)
         be = encode_povm(u, anc_qubits=1, sys_qubits=2)
-        got = extract(be)
+        got = be.extract()
         # oracle: M = (<0_a| x I) U^dag (|0><0|_first x I) U (|0_a> x I)
         blk = u @ np.kron(np.array([[1], [0]]), np.eye(4))  # |0_a> x I
         proj = np.kron(np.diag([1.0, 0.0]), np.eye(4))
@@ -89,7 +89,7 @@ class TestStructured:
     def test_gram_hermitian_unit_diagonal(self):
         u = random_unitary(8)
         be = encode_gram(u, u, anc_qubits=1, sys_qubits=2)
-        g = extract(be)
+        g = be.extract()
         np.testing.assert_allclose(g, g.conj().T, atol=1e-12)
         np.testing.assert_allclose(np.diag(g).real, np.ones(4), atol=1e-12)
         w = np.linalg.eigvalsh(g)
@@ -101,7 +101,7 @@ class TestSparse:
         d = np.diag([0.3, -0.5, 0.7 + 0.1j, 0.2])
         be = encode_sparse(d, 1, 1)
         assert be.alpha == pytest.approx(1.0)
-        np.testing.assert_allclose(extract(be), d, atol=1e-10)
+        np.testing.assert_allclose(be.extract(), d, atol=1e-10)
 
     def test_tridiagonal(self):
         a = np.zeros((4, 4), complex)
@@ -113,11 +113,11 @@ class TestSparse:
                 a[i, i + 1] = 0.25
         be = encode_sparse(a, 3, 3)
         assert be.alpha == pytest.approx(3.0)
-        np.testing.assert_allclose(extract(be), a, atol=1e-10)
+        np.testing.assert_allclose(be.extract(), a, atol=1e-10)
 
     def test_zero_matrix(self):
         be = encode_sparse(np.zeros((2, 2)), 1, 1)
-        np.testing.assert_allclose(extract(be), np.zeros((2, 2)), atol=1e-12)
+        np.testing.assert_allclose(be.extract(), np.zeros((2, 2)), atol=1e-12)
 
     def test_sparsity_violated(self):
         with pytest.raises(SparsityViolated):
@@ -152,21 +152,21 @@ class TestLcu:
         e2 = embed(-a, 1.0)
         pair = StatePrepPair.for_coefficients([0.5, 0.5])
         be = lcu(pair, [e1, e2])
-        assert operator_norm(extract(be)) < 1e-12
+        assert operator_norm(be.extract()) < 1e-12
 
     def test_single_term(self):
         a = random_contraction(4, 0.6)
         e1 = embed(a, 1.0)
         pair = StatePrepPair.for_coefficients([1.0])
         be = lcu(pair, [e1])
-        np.testing.assert_allclose(extract(be), a, atol=1e-10)
+        np.testing.assert_allclose(be.extract(), a, atol=1e-10)
 
     def test_weighted_combination(self):
         a1 = random_contraction(4, 0.8)
         a2 = random_contraction(4, 0.8)
         pair = StatePrepPair.for_coefficients([0.3, 0.7])
         be = lcu(pair, [embed(a1, 1.0), embed(a2, 1.0)])
-        np.testing.assert_allclose(extract(be), 0.3 * a1 + 0.7 * a2,
+        np.testing.assert_allclose(be.extract(), 0.3 * a1 + 0.7 * a2,
                                    atol=1e-10)
         assert be.alpha == pytest.approx(1.0)
 
@@ -176,7 +176,7 @@ class TestLcu:
         y = np.array([0.4 * np.exp(0.3j), 0.6 * np.exp(-1.1j)])
         pair = StatePrepPair.for_coefficients(y)
         be = lcu(pair, [embed(a1, 1.0), embed(a2, 1.0)])
-        np.testing.assert_allclose(extract(be), y[0] * a1 + y[1] * a2,
+        np.testing.assert_allclose(be.extract(), y[0] * a1 + y[1] * a2,
                                    atol=1e-10)
 
 
@@ -185,20 +185,20 @@ class TestProduct:
         a = random_contraction(4, 0.7)
         b = random_contraction(4, 0.6)
         be = product(embed(a, 1.0), embed(b, 1.0))
-        np.testing.assert_allclose(extract(be), a @ b, atol=1e-10)
+        np.testing.assert_allclose(be.extract(), a @ b, atol=1e-10)
         assert be.ancillas == 2
 
     def test_identity_factor(self):
         a = random_contraction(4, 0.7)
         be = product(embed(a, 1.0), embed(np.eye(4), 1.0))
-        np.testing.assert_allclose(extract(be), a, atol=1e-10)
+        np.testing.assert_allclose(be.extract(), a, atol=1e-10)
 
     def test_disjoint_alpha_ledger(self):
         a = random_contraction(4, 1.5)
         b = random_contraction(4, 2.5)
         be = product(embed(a, 2.0), embed(b, 3.0))
         assert be.alpha == pytest.approx(6.0)
-        np.testing.assert_allclose(extract(be), a @ b, atol=1e-9)
+        np.testing.assert_allclose(be.extract(), a @ b, atol=1e-9)
 
     def test_chain_error_ledger(self):
         # K perturbed encodings of unitaries: measured error <= 4 K^2 eps
@@ -236,7 +236,7 @@ class TestProduct:
 class TestCpiNot:
     def test_second_qubit_control_is_cnot(self):
         pi = Projector(2, indices=[1])  # |1><1|
-        gate = cpi_not(pi)
+        gate = ControlledNotByProjector(pi)
         want = np.zeros((4, 4))
         # flag qubit first: |f, c> -> |f ^ c, c>
         for f in range(2):
@@ -245,11 +245,11 @@ class TestCpiNot:
         np.testing.assert_allclose(gate.matrix, want, atol=1e-15)
 
     def test_zero_projector(self):
-        gate = cpi_not(Projector(3, indices=[]))
+        gate = ControlledNotByProjector(Projector(3, indices=[]))
         np.testing.assert_allclose(gate.matrix, np.eye(6), atol=1e-15)
 
     def test_full_projector(self):
-        gate = cpi_not(Projector(2, indices=[0, 1]))
+        gate = ControlledNotByProjector(Projector(2, indices=[0, 1]))
         x = np.array([[0, 1], [1, 0]])
         np.testing.assert_allclose(gate.matrix, np.kron(x, np.eye(2)),
                                    atol=1e-15)
@@ -258,7 +258,7 @@ class TestCpiNot:
         v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         v /= np.linalg.norm(v)
         pi = Projector(4, matrix=np.outer(v, v.conj()))
-        rep = cpi_not(pi).verify()
+        rep = ControlledNotByProjector(pi).verify()
         assert max(rep.values()) < 1e-10
 
 

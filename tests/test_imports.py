@@ -104,8 +104,9 @@ def public_definitions(source: str) -> list:
 
 
 def references(source: str) -> set:
-    """Every name, attribute, imported name and ``__all__`` string in a
-    module, except a reference inside a definition of the same name."""
+    """Every name, attribute and ``__all__`` string in a module, except a
+    reference inside a definition of the same name.  Importing a name is
+    not a use of it."""
     found = set()
 
     def visit(node, inside):
@@ -117,8 +118,6 @@ def references(source: str) -> set:
             names = [node.id]
         elif isinstance(node, ast.Attribute):
             names = [node.attr]
-        elif isinstance(node, ast.alias):
-            names = [node.name.split(".")[-1]]
         elif (isinstance(node, ast.Assign)
               and any(isinstance(t, ast.Name) and t.id == "__all__"
                       for t in node.targets)):
@@ -152,6 +151,8 @@ def test_detects_an_unreferenced_definition():
            "A().g\n")
     assert unreferenced(src) == [(1, "f")]
     assert unreferenced(src, references("__all__ = ['f']\n")) == []
+    assert unreferenced(src, references("from m import f\n")) == [(1, "f")]
+    assert unreferenced(src, references("from m import f\nf()\n")) == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=IDS)

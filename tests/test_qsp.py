@@ -11,8 +11,7 @@ from svtkit.approx import (approx_inverse, approx_rect, approx_sign,
 from svtkit.errors import Inadmissible, NotSubunit, NumericalFailure
 from svtkit.qsp import (PhaseSequence, SignalPair, check_admissible,
                         chebyshev_phases, complete, phases_for_target,
-                        phases_from_pq, qsp_eval, real_qsp, signal_matrix,
-                        to_reflection)
+                        phases_from_pq, qsp_eval, to_reflection)
 
 rng = np.random.default_rng(42)
 GRID = np.cos(np.linspace(0.001, math.pi - 0.001, 500))
@@ -30,28 +29,6 @@ def random_target(deg, supnorm=0.9, gen=None):
     xs = np.cos(np.linspace(0, np.pi, 2001))
     c *= supnorm / np.abs(np.polynomial.chebyshev.chebval(xs, c)).max()
     return ChebSeries(c)
-
-
-class TestSignalMatrix:
-    def test_w_at_one(self):
-        np.testing.assert_allclose(signal_matrix(1.0, "W"), np.eye(2), atol=1e-15)
-
-    def test_r_at_one(self):
-        np.testing.assert_allclose(signal_matrix(1.0, "R"), np.diag([1, -1]),
-                                   atol=1e-15)
-
-    def test_w_r_conjugation(self):
-        # W(x) = i e^{-i pi/4 Z} R(x) e^{-i pi/4 Z}; the printed form with
-        # opposite signs on the two phases does not hold numerically.
-        for x in (-0.8, -0.2, 0.33, 0.97):
-            z = np.diag([np.exp(-1j * np.pi / 4), np.exp(1j * np.pi / 4)])
-            want = 1j * z @ signal_matrix(x, "R") @ z
-            np.testing.assert_allclose(signal_matrix(x, "W"), want, atol=1e-14)
-
-    def test_unitarity(self):
-        for kind in ("W", "R"):
-            m = signal_matrix(0.37, kind)
-            np.testing.assert_allclose(m.conj().T @ m, np.eye(2), atol=1e-14)
 
 
 class TestQspEval:
@@ -203,19 +180,19 @@ class TestToReflection:
 
 class TestRealQsp:
     def test_t5_gauge_equivalence(self):
-        pair, refl = real_qsp(cheb_unit(5), delta=1e-9)
+        pair, refl, _ = phases_for_target(cheb_unit(5), tol=1e-9)
         got = qsp_eval(refl, GRID)[:, 0, 0].real
         want = np.cos(5 * np.arccos(GRID))
         assert np.abs(got - want).max() < 1e-9
 
     def test_linear_target(self):
-        pair, refl = real_qsp(ParityPoly([0, 0.9]), delta=1e-8)
+        pair, refl, _ = phases_for_target(ParityPoly([0, 0.9]), tol=1e-8)
         got = qsp_eval(refl, GRID)[:, 0, 0].real
         assert np.abs(got - 0.9 * GRID).max() < 1e-8
 
     def test_rect_target(self):
         res = approx_rect(0.5, 0.1, 0.05)
-        pair, refl = real_qsp(res.cheb, delta=1e-8)
+        pair, refl, _ = phases_for_target(res.cheb, tol=1e-8)
         assert len(refl.phis) % 2 == 0  # even-degree sequence
         got = qsp_eval(refl, GRID)[:, 0, 0].real
         want = res.evaluate(GRID)
@@ -223,14 +200,14 @@ class TestRealQsp:
 
     def test_degree_60_at_1e10(self):
         tgt = random_target(60, supnorm=0.95)
-        pair, refl = real_qsp(tgt, delta=1e-10)
+        pair, refl, _ = phases_for_target(tgt, tol=1e-10)
         got = qsp_eval(refl, GRID)[:, 0, 0].real
         want = np.polynomial.chebyshev.chebval(GRID, tgt.cheb_coeffs).real
         assert np.abs(got - want).max() < 1e-10
 
     def test_inadmissible_rejected(self):
         with pytest.raises(Inadmissible):
-            real_qsp(ParityPoly([0, 1.5]))
+            phases_for_target(ParityPoly([0, 1.5]))
 
 
 # Chebyshev-Lobatto points: neither the certificate grid nor the Newton
@@ -248,7 +225,7 @@ def lobatto_error(refl, c):
 @given(deg=st.integers(1, 100), seed=st.integers(0, 2 ** 32 - 1))
 def test_roundtrip_by_degree_and_parity(deg, seed):
     c = random_target(deg, 0.99, np.random.default_rng(seed)).cheb_coeffs
-    _, refl = real_qsp(c, delta=1e-12)
+    _, refl, _ = phases_for_target(c, tol=1e-12)
     assert len(refl.phis) == deg
     assert lobatto_error(refl, c) <= 1e-12
 
@@ -262,7 +239,8 @@ def test_completion_by_degree_and_parity(deg, seed):
     real = pair.p_value(LOBATTO).real
     assert np.abs(real - np.polynomial.chebyshev.chebval(LOBATTO, c)).max() \
         <= 1e-12
-    assert len(phases_from_pq(pair).phis) == len(real_qsp(c)[1].phis) + 1
+    assert (len(phases_from_pq(pair).phis)
+            == len(phases_for_target(c)[1].phis) + 1)
 
 
 def peaked_target(peak, deg=30, seed=1):
@@ -365,7 +343,7 @@ class TestPhasesForTarget:
         with pytest.raises(Inadmissible):
             phases_for_target(np.array([0.5, 0.5j]), tol=1e-10)
         with pytest.raises(Inadmissible):
-            real_qsp(np.array([0.0, 0.5, 0.0, 1e-6j]))
+            phases_for_target(np.array([0.0, 0.5, 0.0, 1e-6j]))
 
 
 def symmetric_phis(psi, d):
@@ -625,7 +603,7 @@ class TestOneGate:
 
         monkeypatch.setattr(qsp, "check_admissible", refuse)
         c = random_target(9, 0.8, np.random.default_rng(8)).cheb_coeffs.real
-        _, refl = real_qsp(c, delta=1e-9)
+        _, refl, _ = phases_for_target(c, tol=1e-9)
         assert lobatto_error(refl, c) <= 1e-9
 
 
