@@ -1,11 +1,10 @@
 """svtkit: classical singular value transformation toolkit."""
 
-from .poly import ParityPoly, ChebSeries, FourierSeries
+from .poly import ParityPoly, ChebSeries
 
 __all__ = [
     "ParityPoly",
     "ChebSeries",
-    "FourierSeries",
 ]
 
 __version__ = "0.1.0"

@@ -5,7 +5,10 @@ bound on [-1, 1] and max error over the valid domain) is re-measured on a
 dense grid at construction time; a constructor that cannot meet its own
 claim raises NumericalFailure instead of returning silently degraded
 output.  The constructors that take parameters only are memoized: a
-repeated request returns the same read-only result.
+repeated request returns the same read-only result.  Arcsin and the
+negative powers are plain truncations of power series whose terms have
+one sign (`_one_sign_series`), as is the polynomial pair of fractional
+queries.
 """
 from __future__ import annotations
 
@@ -13,15 +16,15 @@ import dataclasses
 import functools
 import inspect
 import math
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from numpy.polynomial import chebyshev as npcheb
 
 from . import _chebops as cheb
 LIB_MAX_DEGREE = 4096  # library-internal cap; the CLI enforces the 512 contract
-from .errors import DegreeOverflow, NumericalFailure, SeriesNotConvergent
-from .poly import ChebSeries, FourierSeries
+from .errors import DegreeOverflow, NumericalFailure
+from .poly import ChebSeries
 
 GRID_PER_UNIT = 10_000  # certification grid density per unit length
 
@@ -122,13 +125,6 @@ def _grid_sup(coeffs, lo=-1.0, hi=1.0) -> float:
     """max |sum_k c_k T_k| over the points of [lo, hi] a certificate
     checks."""
     return float(np.abs(_on_grid(coeffs, [(lo, hi)])[0][1]).max())
-
-
-def _target_sup(target: Callable, intervals) -> float:
-    """max |target| over the points of the intervals a certificate
-    checks."""
-    return max(float(np.abs(target(pts)).max())
-               for pts, _ in _on_grid(np.zeros(1), intervals))
 
 
 def _certify(result: ApproxResult, target: Callable, sup_domain=(-1.0, 1.0)):
@@ -319,26 +315,6 @@ def approx_sign(delta: float, eps: float,
                       wide=wide, sup_domain=(-2.0, 2.0))
 
 
-def _window_from_signs(lo, hi, band, eps, max_degree):
-    """T_j(x) coefficients of a rectangle on [lo, hi]: ~1 inside,
-    ~eps-small outside, (1-eps)(S(x-l) - S(x-r))/2 + 3 eps/4 with
-    l = lo - band/2, r = hi + band/2 and S a sign polynomial.
-
-    The transition bands of width ``band`` sit just outside [lo, hi].  An
-    edge outside [-1, 1] drops its sign factor entirely (S = 1 there), so
-    the result has the degree of one shifted sign polynomial.
-    """
-    reach = 1.0 + max(abs(lo - band / 2), abs(hi + band / 2)) + 0.02
-    sign_w = _erf_sign_wide(band / 2.0, eps / 4.0, max_degree,
-                            scale=reach, tight=True)
-    one = np.array([1.0])
-    left = sign_w.on_unit(lo - band / 2) if lo - band > -1.0 else one
-    right = -sign_w.on_unit(hi + band / 2) if hi + band < 1.0 else one
-    coeffs = (1 - eps) * cheb.add(left, right) / 2
-    coeffs[0] += 0.75 * eps
-    return cheb.trim(coeffs, 1e-15)
-
-
 @_memo
 def approx_rect(t: float, delta_p: float, eps_p: float,
                 max_degree: int = LIB_MAX_DEGREE) -> ApproxResult:
@@ -464,63 +440,30 @@ def solve_r(t: float, eps: float) -> float:
     return r
 
 
-def _bessel_table(orders: int, ts) -> np.ndarray:
-    """J_k(t) for k = 0..orders (rows) and each t > 0 in ``ts`` (columns):
-    one downward Miller pass for all columns, each normalized with
-    J_0 + 2*sum_k J_2k = 1."""
-    ts = np.asarray(ts, float)
-    t_max = float(ts.max())
-    m_start = int(orders + 2 + math.ceil(1.5 * t_max
-                                         + 20 * math.sqrt(max(orders, t_max))))
-    m_start += m_start % 2
-    table = np.zeros((orders + 1, len(ts)))
-    fp1, f = np.zeros(len(ts)), np.full(len(ts), 1e-300)
-    norm = np.zeros(len(ts))
-    for m in range(m_start, 0, -1):
-        fp1, f = f, (2.0 * m / ts) * f - fp1
-        big = np.abs(f) > 1e250
-        if big.any():  # rescale to dodge overflow
-            f[big] *= 1e-250
-            fp1[big] *= 1e-250
-            norm[big] *= 1e-250
-            table[:, big] *= 1e-250
-        idx = m - 1
-        if idx <= orders:
-            table[idx] = f
-        if idx % 2 == 0:
-            norm += f if idx == 0 else 2.0 * f
-    return table / norm
-
-
 def bessel_j(orders: int, t: float) -> np.ndarray:
-    """J_0(t) .. J_orders(t): one column of the Miller table."""
+    """J_0(t) .. J_orders(t) by one downward Miller pass, normalized with
+    J_0 + 2*sum_k J_2k = 1."""
+    out = np.zeros(orders + 1)
     if t == 0:
-        out = np.zeros(orders + 1)
         out[0] = 1.0
         return out
-    return _bessel_table(orders, [t])[:, 0]
-
-
-def _trig_order(t: float, eps: float, max_degree: int) -> int:
-    """Jacobi-Anger truncation R: cos(t x) keeps T_0..T_2R, sin(t x)
-    T_1..T_2R+1."""
-    R = max(int(math.floor(solve_r(math.e * abs(t) / 2.0, 1.25 * eps) / 2.0)),
-            1)
-    if 2 * R + 1 > max_degree:
-        raise DegreeOverflow(f"degree {2*R+1} > cap {max_degree}")
-    return R
-
-
-def _jacobi_anger(js: np.ndarray, R: int, sign: float):
-    """cos(t x), sin(t x) coefficients from J_0(|t|)..J_2R+1(|t|), with
-    sign = sign(t)."""
-    alt = 2.0 * (-1.0) ** np.arange(R + 1)
-    cos_c = np.zeros(2 * R + 1)
-    cos_c[0::2] = alt * js[0: 2 * R + 1: 2]
-    cos_c[0] = js[0]
-    sin_c = np.zeros(2 * R + 2)
-    sin_c[1::2] = sign * alt * js[1: 2 * R + 2: 2]
-    return cos_c, sin_c
+    m_start = int(orders + 2 + math.ceil(1.5 * t
+                                         + 20 * math.sqrt(max(orders, t))))
+    m_start += m_start % 2
+    fp1, f, norm = 0.0, 1e-300, 0.0
+    for m in range(m_start, 0, -1):
+        fp1, f = f, (2.0 * m / t) * f - fp1
+        if abs(f) > 1e250:  # rescale to dodge overflow
+            f *= 1e-250
+            fp1 *= 1e-250
+            norm *= 1e-250
+            out *= 1e-250
+        idx = m - 1
+        if idx <= orders:
+            out[idx] = f
+        if idx % 2 == 0:
+            norm += f if idx == 0 else 2.0 * f
+    return out / norm
 
 
 @_memo
@@ -532,9 +475,18 @@ def approx_trig(t: float, eps: float,
     needs."""
     if t == 0 or not (0 < eps < 1 / math.e):
         raise ValueError("need t != 0 and eps in (0, 1/e)")
-    R = _trig_order(t, eps, max_degree)
-    cos_c, sin_c = _jacobi_anger(bessel_j(2 * R + 1, abs(t)), R,
-                                 1.0 if t > 0 else -1.0)
+    # cos(t x) keeps T_0..T_2R, sin(t x) T_1..T_2R+1
+    R = max(int(math.floor(solve_r(math.e * abs(t) / 2.0, 1.25 * eps) / 2.0)),
+            1)
+    if 2 * R + 1 > max_degree:
+        raise DegreeOverflow(f"degree {2*R+1} > cap {max_degree}")
+    js = bessel_j(2 * R + 1, abs(t))
+    alt = 2.0 * (-1.0) ** np.arange(R + 1)
+    cos_c = np.zeros(2 * R + 1)
+    cos_c[0::2] = alt * js[0: 2 * R + 1: 2]
+    cos_c[0] = js[0]
+    sin_c = np.zeros(2 * R + 2)
+    sin_c[1::2] = (1.0 if t > 0 else -1.0) * alt * js[1: 2 * R + 2: 2]
     args = f"(t={t:g}, eps={eps:g})"
     return (_certified(below_one(cos_c), "even", lambda x: np.cos(t * x),
                        1.0, eps, ((-1.0, 1.0),), "cos" + args, max_degree),
@@ -543,165 +495,12 @@ def approx_trig(t: float, eps: float,
 
 
 # ----------------------------------------------------------------------
-# local Taylor machinery
-
-
-def _arcsin_series(n_terms: int) -> np.ndarray:
-    """Power series of (2/pi) arcsin(z), z-coefficients up to degree
-    2*n_terms+1 (odd entries only)."""
-    out = np.zeros(2 * n_terms + 2)
-    beta = 2.0 / math.pi
-    for ell in range(n_terms + 1):
-        out[2 * ell + 1] = beta / (2 * ell + 1)
-        beta *= (2 * ell + 1) / (2 * ell + 2)
-    return out
+# named constructions
 
 
 def _log_factorials(n: int) -> np.ndarray:
     """log k! for k = 0..n."""
     return np.array([math.lgamma(k + 1) for k in range(n + 1)])
-
-
-def fourier_from_power_series(b: Sequence[complex], delta: float,
-                              eps: float) -> FourierSeries:
-    """Low-weight Fourier surrogate on [-1+delta, 1-delta].
-
-    Given g(y) = sum b_k y^k accurate there, returns a series
-    sum c_m e^{i pi m y / 2} with one-norm at most ||b||_1 and error at
-    most eps on the restricted interval.  Composes g with the truncated
-    arcsin series in z = sin(pi y / 2) so the one-norm certificate is
-    structural, then expands powers of z into exponentials.
-    """
-    b = np.asarray(b, complex)
-    B1 = float(np.abs(b).sum())
-    if B1 == 0:
-        return FourierSeries({0: 0.0 + 0.0j}, 1.0)
-    J = len(b)
-    z0 = math.cos(math.pi * delta / 2.0)
-    log_z0 = math.log(z0) if z0 < 1 else -1e-18
-    eta = eps / (6.0 * B1 * max(J, 1))
-    L = int(math.ceil(math.log(1.0 / eta) / (2.0 * -log_z0))) + 1
-    A = _arcsin_series(L)
-    mz = int(math.ceil(math.log(3.0 * B1 / eps) / (-log_z0))) + 1
-    # Horner composition in the z-power algebra, truncated at degree mz
-    comp = np.zeros(1, complex)
-    for k in range(J - 1, -1, -1):
-        comp = np.convolve(comp, A)[: mz + 1]
-        if len(comp) == 0:
-            comp = np.zeros(1, complex)
-        comp = comp.copy()
-        comp[0] += b[k]
-    # z^j -> ((e^{i pi y/2} - e^{-i pi y/2}) / 2i)^j
-    M = len(comp) - 1
-    dense = np.zeros(2 * M + 1, complex)  # index m + M
-    log_fact = _log_factorials(M)
-    for j in range(len(comp)):
-        cj = comp[j]
-        if cj == 0:
-            continue
-        if j == 0:
-            dense[M] += cj
-            continue
-        tt = np.arange(j + 1)
-        logw = log_fact[j] - log_fact[tt] - log_fact[j - tt] - j * math.log(2)
-        w = np.exp(logw)
-        signs = np.where((j - tt) % 2 == 0, 1.0, -1.0)
-        phase = (1.0 / 1j) ** j
-        ms = 2 * tt - j
-        np.add.at(dense, ms + M, cj * phase * signs * w)
-    coeffs = {int(m - M): dense[m] for m in range(2 * M + 1)
-              if abs(dense[m]) > 1e-18 * B1}
-    return FourierSeries(coeffs, 1.0)
-
-
-def _fourier_to_cheb(coeffs: dict, scale: float, eps_term: float,
-                     max_degree: int) -> np.ndarray:
-    """Replace e^{i pi m x / (2 scale)} terms by Jacobi-Anger polynomials,
-    each truncated at its own order; one Bessel table serves every
-    frequency."""
-    out = np.zeros(1, complex)
-    # largest frequency first: a DegreeOverflow names the largest degree
-    cols = sorted({abs(m) for m in coeffs if m != 0}, reverse=True)
-    ws = [math.pi * a / (2.0 * scale) for a in cols]
-    orders = [_trig_order(w, eps_term, max_degree) for w in ws]
-    table = _bessel_table(2 * max(orders) + 1, ws) if cols else None
-    col_of = {a: j for j, a in enumerate(cols)}
-    for m in sorted(coeffs):
-        if m == 0:
-            out = cheb.add(out, np.array([coeffs[m]], complex))
-            continue
-        j = col_of[abs(m)]
-        cos_c, sin_c = _jacobi_anger(table[:, j], orders[j],
-                                     1.0 if m > 0 else -1.0)
-        term = cheb.add(cos_c / (1.0 + eps_term),
-                        1j * sin_c / (1.0 + eps_term))
-        out = cheb.add(out, coeffs[m] * term)
-    return out
-
-
-def approx_taylor(f_coeffs: Sequence[complex], x0: float, r: float,
-                  delta: float, B: float, eps: float,
-                  max_degree: int = LIB_MAX_DEGREE,
-                  target: Callable | None = None,
-                  label: str = "taylor") -> ApproxResult:
-    """Bounded approximation from one local power series.
-
-    ``f_coeffs`` are the series coefficients of f(x0 + u); accuracy eps is
-    delivered on [x0-r, x0+r], the polynomial stays below sup|f| + eps on
-    [-1, 1] and below eps outside the delta/2-fattened window.  ``B`` is
-    the caller's certificate for sum (r+delta)^l |a_l|.
-    """
-    if not (-1 <= x0 <= 1 and 0 < r <= 2 and 0 < delta <= r):
-        raise ValueError("need x0 in [-1,1], r in (0,2], delta in (0,r]")
-    if not (0 < eps <= 1.0 / (2 * B)):
-        raise ValueError("need eps in (0, 1/(2B)]")
-    a = np.asarray(f_coeffs, complex)
-    w = (r + delta) ** np.arange(len(a))
-    b_full = a * w
-    if np.abs(b_full).sum() > B * (1 + 1e-9):
-        raise SeriesNotConvergent(
-            f"series one-norm {np.abs(b_full).sum():.3e} exceeds certificate {B:g}")
-    delta_p = delta / (2.0 * (r + delta))
-    J = int(math.ceil(math.log(12.0 * B / eps) / delta_p)) + 1
-    b = b_full[: min(J, len(b_full))]
-
-    four = fourier_from_power_series(b, delta_p, eps / 3.0)
-    # rebase from y to x: half-period scale r + delta plus a phase
-    scale = r + delta
-    shifted = {m: c * np.exp(-1j * math.pi * m * x0 / (2.0 * scale))
-               for m, c in four.coeffs.items()}
-    eps_term = eps / (3.0 * max(B, 1.0))
-    tilde = _fourier_to_cheb(shifted, scale, eps_term, max_degree)
-
-    lo, hi = x0 - r, x0 + r
-    wcoeffs = _window_from_signs(lo, hi, delta / 2.0,
-                                 min(eps / (3.0 * max(B, 1.0)), 0.25),
-                                 max_degree)
-    prod = cheb.trim(cheb.mul(tilde, wcoeffs), 1e-16)
-    if target is None:
-        def target(x):
-            u = np.asarray(x, float) - x0
-            return np.polynomial.polynomial.polyval(u, a)
-    sup_f = _target_sup(target, [(max(lo - delta / 2, -1.0),
-                                  min(hi + delta / 2, 1.0))])
-    res = _certified(prod, None, target, sup_f + eps, eps,
-                     ((max(lo, -1.0), min(hi, 1.0)),), label, max_degree)
-    # outside the fattened window the polynomial must be small
-    outside = []
-    if lo - delta / 2 > -1.0:
-        outside.append((-1.0, lo - delta / 2))
-    if hi + delta / 2 < 1.0:
-        outside.append((hi + delta / 2, 1.0))
-    for seg in outside:
-        vals = _grid_sup(prod, *seg)
-        if vals > eps + 1e-9:
-            raise NumericalFailure(
-                f"{label}: leakage {vals:.3e} outside fattened window")
-    return res
-
-
-# ----------------------------------------------------------------------
-# named constructions
 
 
 def _monomial_cheb(s: int, d: int) -> np.ndarray:
@@ -779,25 +578,74 @@ def approx_exp(beta: float, eps: float,
                       max_degree)
 
 
+def _one_sign_series(a0: float, ratio: Callable, y: Callable, odd: int,
+                     y_max: float, budget: float,
+                     max_degree: int) -> np.ndarray:
+    """T_j(x) coefficients of x^odd * sum_{k<=L} a_k y(x)^k, where
+    a_{k+1} = ratio(k) a_k and ``y`` maps x to x^2 or 1 - x^2.
+
+    L is the first count at which the geometric bound on the dropped
+    tail where y <= y_max, |a_{L+1}| y_max^(L+1) / (1 - rho y_max) with
+    rho = max(1, |ratio(L+1)|), is within budget/2.  The bound needs
+    |ratio(j)| <= max(1, |ratio(k)|) for every j >= k: ratios at most 1
+    in magnitude, or nonincreasing.  The sum is interpolated at the
+    Chebyshev nodes of its degree and its trailing coefficients of
+    1-norm within budget/2 are cut, so the result is within ``budget`` of
+    the series where y <= y_max.  The cut can leave far fewer than the
+    2L + odd degrees the sum has, so only more than 8 max_degree terms
+    raise DegreeOverflow.
+    """
+    terms = [a0]
+    while True:
+        k = len(terms) - 1
+        nxt = ratio(k) * terms[-1]
+        rho_y = max(1.0, abs(ratio(k + 1))) * y_max
+        bound = abs(nxt) * y_max ** (k + 1)
+        if rho_y < 1 and bound <= budget / 2 * (1 - rho_y):
+            break
+        if k >= 8 * max_degree:
+            raise DegreeOverflow(f"series needs more than {k} terms "
+                                 f"> 8 times the cap {max_degree}")
+        terms.append(nxt)
+    deg = 2 * k + odd
+    nodes = cheb.cheb_nodes(deg + 1)
+    ys = y(nodes)
+    acc = np.full(deg + 1, terms[-1])
+    for a in terms[-2::-1]:
+        acc = acc * ys + a
+    coeffs = cheb.fit(nodes ** odd * acc, deg)
+    coeffs[1 - odd::2] = 0.0
+    tail = np.cumsum(np.abs(coeffs[::-1]))[::-1]
+    keep = np.nonzero(tail > budget / 2)[0]
+    return coeffs[: int(keep[-1]) + 1 if len(keep) else 1]
+
+
 @_memo
 def approx_arcsin(delta: float, eps: float,
                   max_degree: int = LIB_MAX_DEGREE) -> ApproxResult:
     """Odd polynomial within eps of (2/pi) arcsin(x) on [-1+delta, 1-delta],
-    bounded by 1 on [-1, 1]."""
+    bounded by 1 on [-1, 1].
+
+    `_one_sign_series` truncates (2/pi) x sum_k binom(2k, k) x^{2k} /
+    (4^k (2k + 1)) within eps/2 for x^2 <= (1 - delta)^2.  Its ratios
+    (2k + 1)^2 / ((2k + 2)(2k + 3)) are below 1, as the tail bound
+    needs; its terms are positive and sum to 1 at x = 1, so only the
+    coefficient cut (at most eps/4) can lift it above 1, which
+    `below_one` takes back.
+    """
     if not (0 < delta <= 0.5 and 0 < eps <= 0.5):
         raise ValueError("need delta, eps in (0, 1/2]")
-    n_terms = int(math.ceil(math.log(8.0 / eps) / (2.0 * delta))) + 4
 
     def target(x):
         return 2.0 / math.pi * np.arcsin(np.clip(x, -1, 1))
 
-    res = approx_taylor(
-        _arcsin_series(n_terms), 0.0, 1.0 - delta, delta, 1.0, eps / 2.0,
-        max_degree=max_degree, target=target,
-        label=f"arcsin(delta={delta:g}, eps={eps:g})")
-    coeffs = below_one(cheb.enforce_parity(res.cheb.cheb_coeffs.real, "odd"))
-    return _certified(coeffs, "odd", target, 1.0, eps,
-                      ((-1.0 + delta, 1.0 - delta),), res.label, max_degree)
+    coeffs = _one_sign_series(
+        2.0 / math.pi,
+        lambda k: (2 * k + 1) ** 2 / ((2 * k + 2) * (2 * k + 3)),
+        np.square, 1, (1.0 - delta) ** 2, eps / 2.0, max_degree)
+    return _certified(below_one(coeffs), "odd", target, 1.0, eps,
+                      ((-1.0 + delta, 1.0 - delta),),
+                      f"arcsin(delta={delta:g}, eps={eps:g})", max_degree)
 
 
 @_memo
@@ -806,61 +654,41 @@ def approx_neg_power(c: float, delta: float, eps: float, parity: str = "odd",
     """Polynomial of chosen parity within eps of (delta^c / 2) x^{-c} on
     [delta, 1], bounded by 1 on [-1, 1].
 
-    Integer c uses the c-th power of the bounded 1/x polynomial times a
-    rectangle complement: with the plateau ending at delta * 2^(-1/c) the
-    product 2^{c-1} P^c (1 - R) stays below 1 through the transition band
-    because |P|^c <= 2^{1-c} there.  Non-integer c falls back to the local
-    Taylor route (larger degree).
+    The target is (delta^c / 2) x^odd (1 - w)^{-a} with w = 1 - x^2 and
+    a = c/2 (even) or (c + 1)/2 (odd).  `_one_sign_series` truncates its
+    power series in w within eps/2 for w <= 1 - delta^2; the ratios
+    (a + k)/(k + 1) are below 1 (a < 1) or nonincreasing (a >= 1), as the
+    tail bound needs.  Every term is positive, so the truncation S stays
+    below the target, which is at most 1 on |x| >= delta 2^{-1/c}.  A
+    rectangle R with its transition in [delta 2^{-1/c}, delta] and error
+    at most min(eps/2, 0.5/max|S|) then gives S (1 - R): at most 1/2
+    where R is near 1, below the target (plus the cut) elsewhere.
     """
     if not (c > 0 and 0 < delta <= 0.5 and 0 < eps <= 0.5):
         raise ValueError("need c > 0 and delta, eps in (0, 1/2]")
     if parity not in ("even", "odd"):
         raise ValueError("parity must be even or odd")
+    scale = delta ** c / 2.0
+    if scale == 0:
+        raise ValueError("delta^c underflows to 0")
 
     def target(x):
-        return delta ** c / 2.0 * np.asarray(x, float) ** (-c)
+        return scale * np.asarray(x, float) ** (-c)
 
-    label = f"neg_power(c={c:g}, delta={delta:g}, eps={eps:g})[{parity}]"
-    ci = int(round(c))
-    if abs(c - ci) < 1e-12 and ci >= 1:
-        # P ~ delta/(2x), |P| <= 1; relative error per factor eps/(3c)
-        inv = approx_inverse(1.0 / delta, min(eps / (3.0 * ci), 0.4),
-                             bounded=True, max_degree=max_degree)
-        pc = inv.cheb.cheb_coeffs.real
-        acc = np.array([1.0])
-        for _ in range(ci):
-            acc = cheb.mul(acc, pc)
-        acc = cheb.trim(2.0 ** (ci - 1) * acc, 1e-16)
-        cut = delta * 2.0 ** (-1.0 / ci)
-        band = (delta - cut) * 0.9
-        rect = approx_rect(cut - band / 2, band / 2,
-                           min(eps / 2.0, 2.0 ** (1 - ci) / 4, 0.4),
-                           max_degree)
-        one_minus = cheb.add(np.array([1.0]), -rect.cheb.cheb_coeffs.real)
-        prod = cheb.trim(cheb.mul(acc, one_minus), 1e-16)
-        natural = "even" if ci % 2 == 0 else "odd"
-        if parity != natural:
-            # flip parity with one extra sign factor, accurate past delta/2
-            sgn = _erf_sign_wide(delta / 2.0, min(eps / 4.0, 0.25),
-                                 max_degree, scale=1.02, tight=True)
-            prod = cheb.trim(cheb.mul(prod, sgn.on_unit()), 1e-16)
-        coeffs = cheb.enforce_parity(prod, parity)
-    else:
-        delta_t = delta / (2.0 * max(1.0, c))
-        r = 1.0 - delta
-        dp = delta_t / (2 * (r + delta_t))
-        n_terms = int(math.ceil(math.log(12.0 / eps) / dp)) + 8
-        coef = np.zeros(n_terms + 1)
-        coef[0] = delta ** c / 2.0
-        for k in range(1, n_terms + 1):
-            coef[k] = coef[k - 1] * (-(c + k - 1)) / k
-        res = approx_taylor(coef, 1.0, r, delta_t, 1.0, eps / 2.0,
-                            max_degree=max_degree, target=target, label=label)
-        # P is below eps on [-1, delta/2], so its parity part P(x) +- P(-x)
-        # keeps P's value on [delta, 1]; enforce_parity gives half of that
-        coeffs = 2.0 * cheb.enforce_parity(res.cheb.cheb_coeffs.real, parity)
-    return _certified(below_one(coeffs), parity, target, 1.0, eps,
-                      ((delta, 1.0),), label, max_degree)
+    odd = int(parity == "odd")
+    a = (c + odd) / 2.0
+    series = _one_sign_series(scale, lambda k: (a + k) / (k + 1),
+                              lambda x: 1.0 - x * x, odd, 1.0 - delta ** 2,
+                              eps / 2.0, max_degree)
+    cut = delta * 2.0 ** (-1.0 / c)
+    rect = approx_rect((delta + cut) / 2.0, (delta - cut) / 2.0,
+                       min(eps / 2.0, 0.5 / cheb.peak(series)), max_degree)
+    one_minus = cheb.add(np.array([1.0]), -rect.cheb.cheb_coeffs.real)
+    prod = cheb.trim(cheb.mul(series, one_minus), 1e-16)
+    return _certified(below_one(prod), parity, target, 1.0, eps,
+                      ((delta, 1.0),),
+                      f"neg_power(c={c:g}, delta={delta:g}, eps={eps:g})"
+                      f"[{parity}]", max_degree)
 
 
 @_memo

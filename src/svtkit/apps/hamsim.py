@@ -7,9 +7,8 @@ import math
 import numpy as np
 
 from .. import _chebops as cheb
-from ..approx import (LIB_MAX_DEGREE, _arcsin_series, _memo, approx_arcsin,
-                      approx_exp, approx_taylor, approx_trig, below_one,
-                      solve_r)
+from ..approx import (LIB_MAX_DEGREE, _memo, _one_sign_series, approx_arcsin,
+                      approx_exp, approx_trig, below_one, solve_r)
 from ..blockenc import (BlockEncoding, Projector, ProjectedUnitary,
                         operator_norm)
 from ..errors import NotHermitian, NumericalFailure, SpectrumTooWide
@@ -165,28 +164,13 @@ def unitary_log(u, eps: float):
     return enc, report
 
 
-def _exp_arcsin_series(t: float, n_terms: int):
-    """Power series of e^{i t arcsin(x)} up to degree n_terms."""
-    arc = math.pi / 2.0 * _arcsin_series(n_terms // 2)[: n_terms + 1]
-    arg = 1j * t * arc
-    out = np.zeros(n_terms + 1, complex)
-    out[0] = 1.0
-    term = np.zeros(n_terms + 1, complex)
-    term[0] = 1.0
-    for k in range(1, n_terms + 1):
-        term = np.convolve(term, arg)[: n_terms + 1] / k
-        out = out + term
-        if np.abs(term).sum() < 1e-18:
-            break
-    return out
-
-
 def fractional_query(u, t: float, eps: float):
     """eps-approximation of u^t = e^{itH} for t in [-1, 1], ||H|| <= 1/2.
 
-    For |t| <= 2/pi the Taylor series of e^{i t arcsin(x)} has coefficient
-    one-norm at most e and converts directly; larger t splits as
-    u^{t/2} u^{t/2}.
+    The sine encoding carries sin(H), whose spectrum lies in [-1/2, 1/2];
+    the polynomial pair of `_fracq_poly` maps it to cos(tH) and sin(tH),
+    and the two-branch circuit plus its Chebyshev amplification give
+    e^{itH} in one shot for every such t.
     """
     u = np.asarray(u, complex)
     if not -1.0 <= t <= 1.0:
@@ -195,21 +179,6 @@ def fractional_query(u, t: float, eps: float):
     h_true = (h_true + h_true.conj().T) / 2
     if operator_norm(h_true) > 0.5 + 1e-9:
         raise SpectrumTooWide("need ||H|| <= 1/2 on the principal branch")
-    if abs(t) > 2.0 / math.pi:
-        half, rep_half = fractional_query(u, t / 2.0, eps / 4.0)
-        prod = half.pu.u @ half.pu.u
-        # composed circuits accumulate rounding just past the unitarity
-        # invariant; polar projection moves entries by at most the defect
-        w_, _, vh_ = np.linalg.svd(prod)
-        prod = w_ @ vh_
-        want = _fn_of_hermitian(h_true, lambda w: np.exp(1j * t * w))
-        got = prod[: u.shape[0], : u.shape[0]]
-        measured = _meets(operator_norm(got - want), eps, "fractional_query")
-        enc = BlockEncoding(prod, alpha=1.0, ancillas=half.ancillas,
-                            eps=eps, target=want, system_dim=u.shape[0])
-        report = {"measured": measured, "claimed": eps, "split": True,
-                  "degree": rep_half["degree"]}
-        return enc, report
     pu = _sine_encoding(u)
     cos_c, sin_c = _fracq_poly(t, eps)
     half_circ, layer_uses = _four_branch_circuit(pu, cos_c, sin_c)
@@ -219,7 +188,7 @@ def fractional_query(u, t: float, eps: float):
     measured = _meets(operator_norm(got - want), eps, "fractional_query")
     enc = BlockEncoding(amplified, alpha=1.0, ancillas=3, eps=eps,
                         target=want, system_dim=u.shape[0])
-    report = {"measured": measured, "claimed": eps, "split": False,
+    report = {"measured": measured, "claimed": eps,
               "degree": 3 * layer_uses}
     return enc, report
 
@@ -227,18 +196,23 @@ def fractional_query(u, t: float, eps: float):
 @_memo
 def _fracq_poly(t: float, eps: float):
     """(cos, sin) coefficient pair of e^{i t arcsin(x)} for
-    `fractional_query`, shrunk off the tangency and clipped below 1."""
-    n_terms = max(24, int(8 * math.log(8.0 / eps)))
-    series = _exp_arcsin_series(t, n_terms)
-    r, dl = 0.5, 0.5
-    b_cert = float(np.sum(np.abs(series) * (r + dl) ** np.arange(len(series))))
-    eps_taylor = min(eps / 8.0, 1.0 / (2 * b_cert))
-    res = approx_taylor(
-        series, 0.0, r, dl, b_cert * (1 + 1e-9), eps_taylor,
-        target=lambda x: np.exp(1j * t * np.arcsin(np.clip(x, -1, 1))),
-        label=f"exp(i t arcsin), t={t:g}")
-    cos_c = cheb.enforce_parity(res.cheb.cheb_coeffs.real, "even")
-    sin_c = cheb.enforce_parity(res.cheb.cheb_coeffs.imag, "odd")
+    `fractional_query`, each within eps/8 on |x| <= 1/2, shrunk off the
+    tangency and clipped below 1.
+
+    `_one_sign_series` truncates cos(t arcsin x) =
+    2F1(-t/2, t/2; 1/2; x^2) and sin(t arcsin x) =
+    t x 2F1((1+t)/2, (1-t)/2; 3/2; x^2) at y_max = 1/4.  For |t| <= 1
+    every ratio of either series is at most 1 in magnitude, as the tail
+    bound needs, and after the first cosine term all terms of a series
+    have one sign.
+    """
+    h = t / 2.0
+    cos_c = _one_sign_series(
+        1.0, lambda k: (k - h) * (k + h) / ((k + 0.5) * (k + 1)),
+        np.square, 0, 0.25, eps / 8.0, LIB_MAX_DEGREE)
+    sin_c = _one_sign_series(
+        t, lambda k: (k + 0.5 + h) * (k + 0.5 - h) / ((k + 1.5) * (k + 1)),
+        np.square, 1, 0.25, eps / 8.0, LIB_MAX_DEGREE)
     # cos(t arcsin(x)) saturates at x = 0: shrink to dodge tangency
     margin = 1.0 - eps / 4.0
     return below_one(cos_c * margin), below_one(sin_c * margin)

@@ -26,10 +26,6 @@ class NotSubunit(Inadmissible):
     p(x)^2 + (1-x^2) q(x)^2 <= 1 fails for every q."""
 
 
-class SeriesNotConvergent(SvtError):
-    """Power-series 1-norm certificate violated numerically."""
-
-
 class NormExceeded(SvtError):
     """Matrix norm exceeds the requested encoding scale."""
 

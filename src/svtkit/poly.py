@@ -143,29 +143,6 @@ class ChebSeries:
         return ChebSeries(c, obj.get("parity"))
 
 
-class FourierSeries:
-    """Finite series sum_m c_m exp(i pi m x / (2 * half_period_scale))."""
-
-    __slots__ = ("coeffs", "half_period_scale")
-
-    def __init__(self, coeffs: dict, half_period_scale: float):
-        if half_period_scale <= 0:
-            raise ValueError("half_period_scale must be positive")
-        self.coeffs = {int(m): complex(c) for m, c in coeffs.items()}
-        self.half_period_scale = float(half_period_scale)
-
-    def one_norm(self) -> float:
-        return float(sum(abs(c) for c in self.coeffs.values()))
-
-    def __call__(self, x):
-        x = np.asarray(x, float)
-        out = np.zeros(x.shape, complex)
-        w = np.pi / (2 * self.half_period_scale)
-        for m, c in self.coeffs.items():
-            out = out + c * np.exp(1j * w * m * x)
-        return out
-
-
 # ----------------------------------------------------------------------
 # operations
 

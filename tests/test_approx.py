@@ -14,9 +14,8 @@ from svtkit.apps import hamsim
 from svtkit.approx import (GRID_PER_UNIT, ApproxResult, ApproxSpec,
                            _certify, approx_arcsin, approx_exp,
                            approx_inverse, approx_monomial, approx_neg_power,
-                           approx_rect, approx_sign, approx_taylor,
-                           approx_trig, approx_window, bessel_j, build,
-                           fourier_from_power_series, solve_r)
+                           approx_rect, approx_sign, approx_trig,
+                           approx_window, bessel_j, build, solve_r)
 from svtkit.errors import DegreeOverflow, NumericalFailure
 from svtkit.poly import ChebSeries
 
@@ -143,47 +142,6 @@ class TestSolveR:
         assert r <= math.exp(q) * 2.0 + math.log(1e6) / q
 
 
-class TestTaylor:
-    def test_exponential_window(self):
-        beta = 2.0
-        n = 40
-        coef = np.array([math.exp(-beta * 0) * (beta) ** k / math.factorial(k)
-                         for k in range(n)])
-        # f(x) = e^{-beta(1-x)} = e^-beta * e^{beta x}; expand around x0=1:
-        # f(1+u) = e^{beta u} -> a_k = beta^k / k!
-        a = np.array([beta ** k / math.factorial(k) for k in range(n)])
-        B = float(np.sum((0.5 + 0.25) ** np.arange(n) * np.abs(a)))
-        eps = min(1e-4, 1 / (2 * B))
-        res = approx_taylor(a, 1.0, 0.5, 0.25, B, eps,
-                            target=lambda x: np.exp(-beta * (1 - np.asarray(x))),
-                            label="exp-window")
-        xs = np.linspace(0.5, 1.0, 2001)
-        assert np.abs(res.evaluate(xs) - np.exp(-beta * (1 - xs))).max() <= eps
-
-    def test_constant_series(self):
-        a = np.zeros(3)
-        a[0] = 1.0
-        res = approx_taylor(a, 0.0, 0.5, 0.25, 1.0, 1e-4,
-                            target=lambda x: np.ones_like(np.asarray(x, float)),
-                            label="const")
-        xs = np.linspace(-0.5, 0.5, 1001)
-        assert np.abs(res.evaluate(xs) - 1.0).max() <= 1e-4
-
-    def test_fourier_one_norm(self):
-        a = np.array([0.0, 0.9, 0.0, -0.3, 0.0, 0.05])
-        series = fourier_from_power_series(a, 0.05, 1e-5)
-        assert series.one_norm() <= np.abs(a).sum() + 1e-12
-
-    def test_fourier_accuracy(self):
-        a = np.array([0.2, 0.5, -0.1, 0.3])
-        delta = 0.1
-        series = fourier_from_power_series(a, delta, 1e-6)
-        xs = np.linspace(-1 + delta, 1 - delta, 1001)
-        want = np.polynomial.polynomial.polyval(xs, a)
-        got = series(xs)
-        assert np.abs(got - want).max() <= 1e-6
-
-
 class TestNamed:
     def test_monomial_bound(self):
         res = approx_monomial(100, 30)
@@ -225,7 +183,7 @@ class TestNamed:
         (0.5, 0.3, 1e-3, "odd"), (0.5, 0.3, 1e-3, "even"),
         (1.5, 0.2, 1e-3, "odd"), (0.25, 0.4, 1e-4, "even")])
     def test_neg_power_non_integer(self, c, delta, eps, parity):
-        # the Taylor route; the constructor's own certificate must pass
+        # the constructor's own certificate must pass
         res = approx_neg_power(c, delta, eps, parity)
         xs = np.linspace(delta, 1, 2001)
         want = delta ** c / 2 * xs ** -c
@@ -262,6 +220,50 @@ def test_named_forwards_to_registry():
                              "arcsin", "neg_power", "monomial", "window"}
     with pytest.raises(ValueError):
         build(ApproxSpec(target="nosuch", eps=1e-3))
+
+
+@pytest.mark.parametrize("kind, args", [
+    ("arcsin", (0.5, 1e-3)), ("arcsin", (0.1, 1e-6)),
+    ("arcsin", (0.02, 1e-10)),
+    ("fracq", (0.5, 1e-3)), ("fracq", (-1.0, 1e-5)), ("fracq", (0.75, 1e-8)),
+    ("neg_power", (2.0, 0.1, 1e-6, "odd")),
+    ("neg_power", (3.0, 0.1, 1e-3, "even")),
+    ("neg_power", (0.5, 0.25, 1e-3, "even")),
+    ("neg_power", (1.0, 0.5, 1e-6, "odd"))])
+def test_one_sign_series_bounded_and_accurate(kind, args):
+    # max |p| on [-1, 1] by the peak kernel, the error against a
+    # 20,001-point reference on the domain each construction promises
+    if kind == "arcsin":
+        delta, eps = args
+        xs = np.linspace(-1 + delta, 1 - delta, 20001)
+        pairs = [(approx_arcsin(*args).cheb.cheb_coeffs.real,
+                  2 / math.pi * np.arcsin(xs))]
+    elif kind == "fracq":
+        t, eps = args
+        xs = np.linspace(-0.5, 0.5, 20001)
+        pairs = zip(hamsim._fracq_poly(*args),
+                    (np.cos(t * np.arcsin(xs)), np.sin(t * np.arcsin(xs))))
+    else:
+        c, delta, eps, _ = args
+        xs = np.linspace(delta, 1, 20001)
+        pairs = [(approx_neg_power(*args).cheb.cheb_coeffs.real,
+                  delta ** c / 2 * xs ** -c)]
+    for coeffs, want in pairs:
+        assert _chebops.peak(coeffs) <= 1.0
+        assert np.abs(npcheb.chebval(xs, coeffs) - want).max() <= eps
+
+
+def test_one_sign_series_degrees():
+    # a fractional query's pair and unitary_log's arcsin at eps 1e-3
+    assert max(len(c) - 1 for c in hamsim._fracq_poly(0.5, 1e-3)) <= 16
+    assert approx_arcsin(0.5, 2e-3 / math.pi).degree <= 16
+
+
+def test_one_sign_series_refuses_a_tail_that_never_shrinks():
+    # ratio * y_max = 2 keeps the geometric tail bound infinite
+    with pytest.raises(DegreeOverflow, match="8 times the cap 16"):
+        approx_mod._one_sign_series(1.0, lambda k: 4.0, np.square, 0, 0.5,
+                                    1e-3, 16)
 
 
 def test_degree_is_the_series_degree():
@@ -334,7 +336,7 @@ def test_over_cap_sign_fit_refused_without_larger_fits(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# kernels: FFT fit, DCT-I grid, one Miller table
+# kernels: FFT fit, DCT-I grid, Miller recurrence
 
 
 @settings(max_examples=40, deadline=None)
@@ -441,12 +443,9 @@ def test_fit_matches_direct_cosine_sum(n, is_complex):
 
 def test_bessel_j_is_a_column_of_the_table():
     from scipy.special import jv
-    ts = [0.01, 0.7, 7.3, 40.0]
-    table = approx_mod._bessel_table(60, ts)
-    np.testing.assert_allclose(table, jv(np.arange(61)[:, None], ts),
-                               atol=1e-13)
-    for j, t in enumerate(ts):
-        np.testing.assert_allclose(bessel_j(60, t), table[:, j], atol=1e-15)
+    for t in [0.01, 0.7, 7.3, 40.0]:
+        np.testing.assert_allclose(bessel_j(60, t), jv(np.arange(61), t),
+                                   atol=1e-13)
 
 
 # ----------------------------------------------------------------------
@@ -581,13 +580,13 @@ class TestMemo:
         from svtkit.apps import fractional_query
         monkeypatch.setattr(approx_mod, "_MEMO", {})
         calls = []
-        real = hamsim.approx_taylor
-        monkeypatch.setattr(hamsim, "approx_taylor",
+        real = hamsim._one_sign_series
+        monkeypatch.setattr(hamsim, "_one_sign_series",
                             lambda *a, **k: calls.append(a) or real(*a, **k))
         u = scipy.linalg.expm(1j * np.diag([0.3, -0.2]))
         for _ in range(2):
             fractional_query(u, 0.25, 1e-3)
-        assert len(calls) == 1
+        assert len(calls) == 2
 
 
 # the scipy functions the library replaced, as oracles
@@ -624,16 +623,3 @@ def test_monomial_weights_match_gammaln(s, monkeypatch):
     # that absolute error into a relative one
     rtol = 1e-14 + 8 * np.spacing(gammaln(s + 1.0))
     np.testing.assert_allclose(got, want, rtol=rtol, atol=0)
-
-
-@pytest.mark.parametrize("b,delta,eps", [
-    ([0.0, 1.0, 0.5], 0.2, 1e-6), ([1.0, -0.3, 0.2, 0.1], 0.1, 1e-8),
-    ([0.5] * 6, 0.3, 1e-10)])
-def test_fourier_weights_match_gammaln(b, delta, eps, monkeypatch):
-    got = fourier_from_power_series(b, delta, eps).coeffs
-    monkeypatch.setattr(approx_mod, "_log_factorials",
-                        _gammaln_log_factorials)
-    want = fourier_from_power_series(b, delta, eps).coeffs
-    assert got.keys() == want.keys()
-    err = max(abs(got[m] - want[m]) for m in want)
-    assert err <= 1e-14 * max(abs(c) for c in want.values())

@@ -104,11 +104,9 @@ class TestFractionalQuery:
     def test_t_one_small(self):
         h = random_hermitian(2, 0.4)
         u = scipy.linalg.expm(1j * h)
-        # |t| = 0.6 <= 2/pi: single-shot branch
         enc, rep = fractional_query(u, 0.6, 1e-5)
         want = scipy.linalg.expm(0.6j * h)
         assert operator_norm(enc.extract() - want) <= 1e-5
-        assert not rep["split"]
 
     def test_half_power(self):
         sz = np.diag([1.0, -1.0])
@@ -121,8 +119,22 @@ class TestFractionalQuery:
         h = random_hermitian(2, 0.45)
         u = scipy.linalg.expm(1j * h)
         enc, rep = fractional_query(u, 1.0, 1e-5)
-        assert rep["split"]
         assert operator_norm(enc.extract() - u) <= 1e-5
+
+    def test_t_minus_one_in_one_shot(self, monkeypatch):
+        from svtkit.apps import hamsim
+        calls = []
+        real = hamsim.fractional_query
+        monkeypatch.setattr(hamsim, "fractional_query",
+                            lambda *a: calls.append(a) or real(*a))
+        gen = np.random.default_rng(41)
+        h = gen.standard_normal((3, 3)) + 1j * gen.standard_normal((3, 3))
+        h = (h + h.conj().T) / 2
+        u = scipy.linalg.expm(0.45j * h / operator_norm(h))
+        enc, rep = hamsim.fractional_query(u, -1.0, 1e-5)
+        assert len(calls) == 1
+        assert rep["measured"] <= 1e-5
+        assert operator_norm(enc.extract() - u.conj().T) <= 1e-5
 
     def test_t_zero(self):
         h = random_hermitian(2, 0.3)
