@@ -5,10 +5,11 @@ bound on [-1, 1] and max error over the valid domain) is re-measured on a
 dense grid at construction time; a constructor that cannot meet its own
 claim raises NumericalFailure instead of returning silently degraded
 output.  The constructors that take parameters only are memoized: a
-repeated request returns the same read-only result.  Arcsin and the
-negative powers are plain truncations of power series whose terms have
-one sign (`_one_sign_series`), as is the polynomial pair of fractional
-queries.
+repeated request returns the same read-only result.  Sign, rectangle and
+bounded 1/x are near-best fits of least degree by one Remez exchange
+(`_minimax`).  Arcsin and the negative powers are plain truncations of
+power series whose terms have one sign (`_one_sign_series`), as is the
+polynomial pair of fractional queries.
 """
 from __future__ import annotations
 
@@ -221,7 +222,7 @@ def below_one(coeffs):
 
 
 # ----------------------------------------------------------------------
-# sign / rectangle family
+# minimax fits: sign, rectangle and bounded 1/x
 
 
 class _WidePoly:
@@ -241,104 +242,365 @@ class _WidePoly:
     def degree(self):
         return len(self.scaled_coeffs) - 1
 
-    def on_unit(self, shift=0.0):
-        """T_j(x) coefficients of x -> S(x - shift), S this polynomial, by
-        exact interpolation at its degree; needs 1 + |shift| <= scale."""
+    def on_unit(self):
+        """T_j(x) coefficients of this polynomial on [-1, 1], by exact
+        interpolation at its degree."""
         nodes = cheb.cheb_nodes(self.degree + 1)
-        return cheb.trim(cheb.fit(self(nodes - shift), self.degree), 1e-15)
+        vals = cheb.values(self.scaled_coeffs, nodes / self.scale)
+        return cheb.trim(cheb.fit(vals, self.degree), 1e-15)
 
 
-def _odd_erf(x):
-    """erf at an even number of points in descending order, symmetric
-    about 0 (scaled Chebyshev nodes): math.erf on the nonnegative half,
-    the other half by oddness."""
-    top = np.ones(len(x) // 2)
-    # in double precision erf(x) rounds to 1 from x = 5.922 on
-    live = np.nonzero(x[: len(top)] < 6.0)[0]
-    top[live] = np.fromiter(map(math.erf, x[live]), float, len(live))
-    return np.concatenate([top, -top[::-1]])
+_EXCHANGE_STEPS = 30  # exchanges a degree gets before it counts as failed
+_GRID_PER_DEGREE = 16  # angle-grid points per degree an exchange works on
 
 
-def _erf_sign_wide(delta: float, eps: float, max_degree: int,
-                   scale: float = 2.0, tight: bool = False) -> _WidePoly:
-    """Odd approximation of sign(x) on [-scale, scale] \\ (-delta, delta).
+def _equilibrium(bands):
+    """(cumulative mass, s) on a fine grid of the disjoint ascending
+    intervals ``bands``, for the equilibrium measure of their union, which
+    the extrema of best fits approach (Ransford, Potential Theory in the
+    Complex Plane, 1995).  Its density is |P(s)| / (pi sqrt|Q(s)|), Q the
+    product of the s - e over all ends e and P monic with one root in each
+    gap, fixed by a zero integral over every gap.  On each interval
+    s = mid - half cos(phi) takes the ends' square roots out; gap
+    integrals by the 32-point midpoint rule in phi, the measure by
+    trapezoids on 257 points of each interval."""
+    ends = np.ravel(bands)
 
-    Scaled error function erf(k x) expanded over [-scale, scale] and
-    truncated by the coefficient tail bound, then rescaled to keep
-    |P| <= 1.  The default slope finishes the transition by delta/2; the
-    ``tight`` slope finishes it at delta, halving the degree, and is used
-    by the internal rectangle/window builders.
+    def on(lo, hi, phi):
+        # s(phi) and 1/sqrt|Q(s)| without the factors of lo and hi
+        s = (lo + hi) / 2 - (hi - lo) / 2 * np.cos(phi)
+        rest = ends[(ends != lo) & (ends != hi)]
+        return s, 1.0 / np.sqrt(np.abs(np.subtract.outer(s, rest)).prod(1))
+
+    mid = (np.arange(32) + 0.5) * np.pi / 32
+    gaps = [on(lo, hi, mid) for lo, hi in zip(ends[1:-1:2], ends[2::2])]
+    g = len(gaps)
+    lower = np.zeros(0)
+    if g:
+        lower = np.linalg.solve(
+            [[np.mean(s ** i * w) for i in range(g)] for s, w in gaps],
+            [-np.mean(s ** g * w) for s, w in gaps])
+    points, mass, total = [], [], 0.0
+    for lo, hi in bands:
+        s, w = on(lo, hi, np.linspace(0.0, np.pi, 257))
+        density = np.abs(np.polynomial.polynomial.polyval(
+            s, np.append(lower, 1.0))) * w
+        mass.append(total + np.concatenate(
+            [[0.0], np.cumsum(density[1:] + density[:-1])]))
+        total = mass[-1][-1]
+        points.append(s)
+    return np.concatenate(mass), np.concatenate(points)
+
+
+@dataclasses.dataclass
+class _FitPoints:
+    """The points an exchange checks at angle-grid size n, ascending:
+    x_j = cos(pi j / n) inside the pieces, and the piece ends."""
+
+    x: np.ndarray
+    theta: np.ndarray       # arccos x
+    f: np.ndarray           # target(x)
+    w: np.ndarray           # weight(x)
+    n: int
+    grid_j: np.ndarray      # grid index of each grid point ...
+    grid_at: np.ndarray     # ... and its position in x
+    end_at: np.ndarray      # positions of the piece ends in x
+
+    def values(self, coeffs, odd):
+        """p = sum_k c_k T_k at x: one DCT-I for the grid points, the
+        cosine sums for the ends.  An even p is sum_k c_2k cos(2 k theta),
+        whose DCT-I of size n/2 lands on the grid of x >= 0."""
+        out = np.empty(len(self.x))
+        out[self.grid_at] = (cheb.dct1_values(coeffs, self.n) if odd else
+                             cheb.dct1_values(coeffs[::2], self.n // 2)
+                             )[self.grid_j]
+        # the ends' angles are known: cos(k theta) needs no arccos
+        out[self.end_at] = np.cos(np.multiply.outer(
+            self.theta[self.end_at], np.arange(len(coeffs)))) @ coeffs
+        return out
+
+    def nearest(self, want):
+        """Indices of the points nearest to the ascending ``want``, or, when
+        two share one, as many spread evenly over all points."""
+        at = np.searchsorted(self.x[1:-1], want) + 1  # in [1, len - 1]
+        at -= want - self.x[at - 1] < self.x[at] - want
+        if np.any(np.diff(at) <= 0):
+            at = np.linspace(0, len(self.x) - 1, len(want)).round()
+        return at.astype(int)
+
+
+def _fit_points(pieces, target, weight, odd, n):
+    """`_FitPoints` of angle-grid size n on the pieces (ascending, each
+    inside [0, 1]).  An odd error vanishes at 0, so odd fits leave x = 0
+    out."""
+    theta, grid_j = [], []
+    for lo, hi in pieces:
+        # the grid angles strictly inside (acos hi, acos lo), then the ends
+        top, bottom = math.acos(lo), math.acos(hi)
+        j = np.arange(math.floor(n * top / math.pi),
+                      math.ceil(n * bottom / math.pi) - 1, -1)
+        j = j[(np.pi * j / n < top) & (np.pi * j / n > bottom)]
+        theta += [[top], np.pi * j / n, [bottom]]
+        grid_j += [[-1], j, [-1]]
+    theta, grid_j = np.concatenate(theta), np.concatenate(grid_j)
+    # one point where two pieces meet, none at x = 0 when odd
+    keep = np.concatenate([[True], theta[1:] != theta[:-1]])
+    if odd:
+        keep &= theta < math.pi / 2
+    theta, grid_j = theta[keep], grid_j[keep].astype(int)
+    x = np.cos(theta)
+    return _FitPoints(x, theta, np.asarray(target(x), float),
+                      np.asarray(weight(x), float), n, grid_j[grid_j >= 0],
+                      np.flatnonzero(grid_j >= 0), np.flatnonzero(grid_j < 0))
+
+
+def _alternant(e, level, ref, k):
+    """The next reference: of the points with |e| >= level (the old
+    reference always among them), the largest |e| in each run of one sign;
+    then, down to k points, the smallest dropped, at an end alone and
+    inside with the smaller of its neighbours, which it left of one sign
+    side by side.  None when fewer than k runs remain."""
+    ae = np.abs(e)
+    keep = ae >= level
+    keep[ref] = True
+    idx = np.flatnonzero(keep)
+    pos = e[idx] >= 0
+    new_run = np.concatenate([[True], pos[1:] != pos[:-1]])
+    run = np.cumsum(new_run) - 1
+    top = np.maximum.reduceat(ae[idx], np.flatnonzero(new_run))
+    hit = np.flatnonzero(ae[idx] == top[run])
+    best = idx[hit[np.concatenate([[True], np.diff(run[hit]) > 0])]]
+    if len(best) < k:
+        return None
+    best = list(best)
+    while len(best) > k:
+        j = min(range(len(best)), key=lambda i: ae[best[i]])
+        if 0 < j < len(best) - 1:
+            if len(best) - k == 1:
+                j = 0 if ae[best[0]] < ae[best[-1]] else -1
+            else:
+                del best[j]
+                j = j if ae[best[j]] < ae[best[j - 1]] else j - 1
+        del best[j]
+    return np.array(best)
+
+
+def _exchange(m, grid, start, odd, aim):
+    """Remez exchange for the best p = sum_{k<m} c_k T_{2k+odd} in the
+    weighted error w (f - p) on ``grid(n)``, the `_FitPoints` of angle-grid
+    size n >= max(512, 16 degree) (doubled while the pieces
+    hold fewer than 2 (m + 1) points), from the points nearest to
+    the m + 1 ascending x of ``start``.  Each step solves the m + 1
+    reference equations w (f - p) = +-h by one dense solve; |h| bounds the
+    best error from below (de la Vallee Poussin), and max |w (f - p)| over
+    the points from above.  A max within ``aim`` is taken again on the
+    grid of size 2n, where a peak between the points of n shows, and the
+    exchange goes on there if it is not.  Returns (coefficients or None,
+    |h|, max, the last reference's x): the coefficients once that max is
+    within ``aim``, None once |h| exceeds it, the two agree within 0.1%,
+    or the steps run out."""
+    orders = 2 * np.arange(m) + odd
+    alternate = (-1.0) ** np.arange(m + 1)
+    n = 1 << (max(512, _GRID_PER_DEGREE * int(orders[-1])) - 1).bit_length()
+    while len(grid(n).x) < 2 * (m + 1) and n < 1 << 20:
+        n *= 2  # pieces too short in angle for this degree's grid
+    pts = grid(n)
+    ref = pts.nearest(start)
+    full = np.zeros(orders[-1] + 1)
+    worst = math.inf
+    for _ in range(_EXCHANGE_STEPS):
+        rows = np.empty((m + 1, m + 1))
+        rows[:, :m] = np.cos(np.multiply.outer(pts.theta[ref], orders))
+        rows[:, m] = alternate / pts.w[ref]
+        sol = np.linalg.solve(rows, pts.f[ref])
+        level = abs(sol[m])
+        if level > aim:
+            break
+        full[orders] = sol[:m]
+        e = pts.w * (pts.f - pts.values(full, odd))
+        worst = float(np.abs(e).max())
+        if worst <= aim and pts.n == n:
+            x = pts.x[ref]
+            pts = grid(2 * n)
+            ref = pts.nearest(x)
+            e = pts.w * (pts.f - pts.values(full, odd))
+            worst = float(np.abs(e).max())
+        if worst <= aim:
+            return full, level, worst, pts.x[ref]
+        if worst - level <= 1e-3 * worst:
+            break
+        nxt = _alternant(e, level, ref, m + 1)
+        if nxt is None:
+            break
+        ref = nxt
+    return None, level, worst, pts.x[ref]
+
+
+def _minimax(pieces, target, parity, aim, max_degree, weight=None):
+    """Chebyshev coefficients of the polynomial of least degree, of the
+    given parity, whose weighted error weight(x) (target(x) - p(x)) is
+    within ``aim`` on each piece [lo, hi] of [0, 1] (and so, by parity, on
+    its mirror image); ``weight`` defaults to 1.
+
+    Each degree is tried by `_exchange`, whose points are the angle grid
+    x_j = cos(pi j / n), n >= 16 degree, on the pieces plus their ends,
+    with p evaluated by DCT-I: no matrix of grid by basis, so memory is
+    O(n) plus the (m + 1)^2 reference system of basis size m.  The search
+    starts from the asymptotic estimate of the degree for sign with the
+    narrowest gap between pieces (a piece of weight below 1 counts as
+    one), steps by its rate from each tried degree's error estimate until
+    one degree fails and one meets ``aim``, then bisects between them.
+    A degree fails as soon as its level |h| is above ``aim``, and one just
+    below a tried degree starts from that degree's reference, so it often
+    fails on its first solve.  The search never tries a degree above
+    ``max_degree``, and raises DegreeOverflow when that degree fails.
+
+    Sign, rectangle and bounded 1/x call it with aim eps/3 and then scale
+    the fit toward a peak of 1 - eps/4 (the rectangle's p - 1/2 toward
+    1/2 - eps/4), which moves it by at most 7 eps/12: their errors stay
+    within 11 eps/12 of the eps they claim.
     """
-    root = math.sqrt(max(math.log(2.0 / eps), 1.0))
-    k = (1.15 / delta if tight else 2.0 / delta) * root
-    n_nodes = 64
+    odd = int(parity == "odd")
+    pieces = sorted((float(lo), float(hi)) for lo, hi in pieces if lo < hi)
+    if not pieces:
+        return np.zeros(1 + odd)
+    weight = weight or np.ones_like
+    m_cap = (max_degree - odd) // 2 + 1  # basis size at the cap
+    if m_cap < 1:
+        raise DegreeOverflow(f"no {parity} polynomial within cap {max_degree}")
+    spans, bands = [], []  # merged where they touch: all, of weight >= 1
+    for lo, hi in pieces:
+        heavy = weight(np.array([(lo + hi) / 2]))[0] >= 1.0
+        for merged in (spans, bands) if heavy else (spans,):
+            if merged and lo <= merged[-1][1]:
+                merged[-1] = (merged[-1][0], max(hi, merged[-1][1]))
+            else:
+                merged.append((lo, hi))
+    # the estimate counts the pieces of weight below 1 as gaps
+    bands = bands or spans
+    # half-widths in angle of the gaps, the one around 0 included
+    gaps = [(math.acos(hi) - math.acos(lo)) / 2
+            for (_, hi), (lo, _) in zip(bands, bands[1:])]
+    if bands[0][0] > 0:
+        gaps.append(math.asin(bands[0][0]))
+    # the best error for sign with gap half-width w behaves like
+    # e^{-2 w m} / sqrt(pi w m), m the basis size (Eremenko and Yuditskii)
+    w = min(gaps) if gaps else 0.125
+    rate, m = 2.0 * w, 1.0
+    for _ in range(3):
+        m = max((math.log(1.0 / aim) - math.log(math.pi * w * m) / 2) / rate,
+                1.0)
+    m = min(math.ceil(m), m_cap)
+    measure = _equilibrium(np.square(spans))
+    points, tried = {}, {}
+
+    def grid(n):
+        if n not in points:
+            points[n] = _fit_points(pieces, target, weight, odd, n)
+        return points[n]
+
+    lo, hi = 0, m_cap + 1  # largest failed, smallest met basis size
     while True:
-        n_nodes = max(n_nodes * 2, 256)
-        nodes = cheb.cheb_nodes(n_nodes)
-        coeffs = cheb.fit(_odd_erf(scale * k * nodes), n_nodes - 1)
-        coeffs[0::2] = 0.0  # odd function
-        mags = np.abs(coeffs)
-        # truncate where the remaining tail is negligible
-        tail = np.cumsum(mags[::-1])[::-1]
-        keep = np.nonzero(tail > eps / 8.0)[0]
-        deg = int(keep[-1]) if len(keep) else 1
-        if deg < n_nodes // 2:
-            break
-        if n_nodes // 2 > max_degree:
-            # still unresolved at this size, so the fit needs more than
-            # the cap; a larger fit would only pay to be refused
-            raise DegreeOverflow(
-                f"sign approximation needs degree more than "
-                f"{n_nodes // 2 - 1} > cap {max_degree}")
-        if n_nodes > 1 << 17:
-            break
-    if deg > max_degree:
-        raise DegreeOverflow(
-            f"sign approximation needs degree {deg} > cap {max_degree}")
-    out = coeffs[: deg + 1] * (1.0 - eps / 2.0) * _SAFETY
-    return _WidePoly(out, scale)
+        degree = 2 * m - 2 + odd
+        # one or two sizes below a tried one, start from the lowest m + 1
+        # points of its last reference: by de la Vallee Poussin their level
+        # often shows at once that this degree cannot reach aim.  Else
+        # start from the i/m quantiles of the equilibrium measure, both
+        # ends of the union among them, as in a best fit's reference.
+        above = [k for k in (m + 1, m + 2) if k in tried]
+        if above:
+            start = tried[above[0]][3][: m + 1]
+        else:
+            start = np.sqrt(np.interp(np.arange(m + 1) / m * measure[0][-1],
+                                      *measure))
+        coeffs, level, worst, _ = tried[m] = _exchange(m, grid, start, odd,
+                                                       aim)
+        if coeffs is None:
+            lo = m
+            if m == m_cap:
+                raise DegreeOverflow(
+                    f"needs degree more than {degree} > cap {max_degree} "
+                    f"(error at least {level:.3e} above {aim:.3e} there)")
+        else:
+            hi = m
+        if hi - lo == 1:
+            return tried[hi][0]
+        if lo and hi <= m_cap:
+            m = (lo + hi) // 2
+            continue
+        # no bracket yet: step by the rate from the best error's estimate,
+        # the geometric mean of the level and the max (the level alone when
+        # no max was taken), rounded up (the rate is a lower estimate)
+        best = level if worst == math.inf else math.sqrt(level * worst)
+        m += math.ceil(math.log(max(best, 1e-300) / aim) / rate)
+        m = min(max(m, lo + 1), hi - 1)
 
 
 @_memo
 def approx_sign(delta: float, eps: float,
                 max_degree: int = LIB_MAX_DEGREE) -> ApproxResult:
     """Odd real polynomial within ``eps`` of sign(x) on [-2,2] outside
-    (-delta, delta), bounded by 1 on [-2, 2]."""
+    (-delta, delta), bounded by 1 on [-2, 2].
+
+    `_minimax` fits 1 on [delta/2, 1] in u = x/2 within eps/3, and the fit
+    is scaled so that its `_chebops.peak` over u in [-1, 1] reads
+    1 - eps/4.  A best fit's extrema lie on [delta/2, 1], so its peak is
+    within eps/3 of 1 and the scale moves it by at most 7 eps/12: the
+    error is at most eps/3 + 7 eps/12 = 11 eps/12.  The wide evaluator
+    keeps the series in u; ``cheb`` is the same polynomial in x on
+    [-1, 1], whose trailing coefficients below 1e-15 are cut (about a
+    fifth to two fifths of them), and the cap applies to its degree.  So
+    the fit in u may run to degree 2 max_degree - 1.
+    """
     if not (delta > 0 and 0 < eps < 0.5):
         raise ValueError("need delta > 0 and eps in (0, 1/2)")
-    # the cap applies to the returned degree, which the rebase to [-1, 1]
-    # can leave well below the degree of the series on [-2, 2]
-    wide = _erf_sign_wide(delta, eps, max(max_degree, LIB_MAX_DEGREE))
+    label = f"sign(delta={delta:g}, eps={eps:g})"
+    try:
+        fit = _minimax([(delta / 2.0, 1.0)], np.ones_like, "odd",
+                       eps / 3.0, 2 * max_degree - 1)
+    except DegreeOverflow:
+        raise DegreeOverflow(f"{label}: the fit in x/2 needs degree more "
+                             f"than {2 * max_degree - 1} > cap "
+                             f"{max_degree}") from None
+    wide = _WidePoly(_to_peak(fit, 1.0 - eps / 4.0), 2.0)
     return _certified(wide.on_unit(), "odd", np.sign, 1.0, eps,
-                      ((-2.0, -delta), (delta, 2.0)),
-                      f"sign(delta={delta:g}, eps={eps:g})", max_degree,
+                      ((-2.0, -delta), (delta, 2.0)), label, max_degree,
                       wide=wide, sup_domain=(-2.0, 2.0))
+
+
+def _to_peak(coeffs, top):
+    """``coeffs`` scaled so that their `_chebops.peak` reads ``top``
+    (zero stays zero)."""
+    peak = cheb.peak(coeffs)
+    return coeffs * (top / peak) if peak else coeffs
 
 
 @_memo
 def approx_rect(t: float, delta_p: float, eps_p: float,
                 max_degree: int = LIB_MAX_DEGREE) -> ApproxResult:
-    """Even rectangle approximation by sign-polynomial symmetrization,
-    P'(x) = (1-eps')*(P(x+t) + P(-x+t))/2 + shift.
+    """Even polynomial within eps' of the rectangle, 1 on |x| <= t - delta'
+    and 0 on t + delta' <= |x| <= 1, and inside [eps'/4, 1 - eps'/4] on
+    all of [-1, 1].
 
-    The additive shift is 3 eps'/4 rather than eps': with the eps'/4-sign
-    polynomial this keeps P' provably inside [0, eps'] outside the window
-    and above 1 - eps' on the plateau, wiggle included.
+    `_minimax` fits the rectangle on [0, t - delta'] and [t + delta', 1]
+    (either left out when empty) within eps'/3 as p; the result is
+    1/2 + (p - 1/2) (1/2 - eps'/4) / peak(p - 1/2).  The peak of p - 1/2
+    is within eps'/3 of 1/2, so the map moves p by at most 7 eps'/12: the
+    error is at most 11 eps'/12, and 1 - rect is a high-pass target
+    within [eps'/4, 1 - eps'/4] as well.
     """
     if not (0 < delta_p < 0.5 and 0 < eps_p < 0.5 and -1 <= t <= 1):
         raise ValueError("need delta', eps' in (0,1/2) and t in [-1,1]")
-    sign_w = _erf_sign_wide(delta_p, eps_p / 4.0, max_degree,
-                            scale=1.0 + abs(t) + 0.02, tight=True)
-    # S odd: S(x+t) + S(-x+t) = S(x+t) - S(x-t)
-    coeffs = (1 - eps_p) * cheb.add(sign_w.on_unit(-t),
-                                    -sign_w.on_unit(t)) / 2
-    coeffs[0] += 0.75 * eps_p
-    coeffs = cheb.enforce_parity(cheb.trim(coeffs, 1e-15), "even")
 
     def target(x):
         x = np.asarray(x, float)
         return np.where(np.abs(x) <= t, 1.0, 0.0)
 
+    pieces = [(0.0, t - delta_p), (max(t + delta_p, 0.0), 1.0)]
+    fit = cheb.add(_minimax(pieces, target, "even", eps_p / 3.0, max_degree),
+                   np.array([-0.5]))
+    coeffs = _to_peak(fit, 0.5 - eps_p / 4.0)
+    coeffs[0] += 0.5
     inner = max(t - delta_p, 0.0)
     domain = [(-inner, inner)] if t - delta_p > 0 else []
     if t + delta_p < 1.0:
@@ -376,9 +638,13 @@ def approx_inverse(kappa: float, eps: float, bounded: bool = False,
     """Odd approximation of 1/x away from the origin.
 
     Plain mode returns the truncated-series polynomial close to 1/x on
-    [-1,1] \\ (-1/kappa, 1/kappa).  With ``bounded`` the output is
-    rescaled to approximate delta/(2x) (delta = 1/kappa) and multiplied
-    by a rectangle complement so |P| <= 1 holds on all of [-1, 1].
+    [-1,1] \\ (-1/kappa, 1/kappa).  With ``bounded`` it is within ``eps``
+    of delta/(2x) (delta = 1/kappa) on the same set and bounded by 1 on
+    [-1, 1]: `_minimax` fits delta/(2x) on [delta, 1] within eps/3, and
+    the bridge x/delta - x^3/(2 delta^3) (value 1/2 and slope -1/(2 delta)
+    at delta, peak 0.544) on [0, delta] at weight eps/0.3, so within 0.1
+    there.  A fit whose peak is above 1 - eps/4 would be scaled down to
+    it; at these weights its peak stays near 0.6.
     """
     if not (kappa > 1 and 0 < eps < 0.5):
         raise ValueError("need kappa > 1 and eps in (0, 1/2)")
@@ -391,17 +657,22 @@ def approx_inverse(kappa: float, eps: float, bounded: bool = False,
                           f"inverse(kappa={kappa:g}, eps={eps:g})",
                           max_degree)
 
-    # bounded variant: delta/2 * g on |x| >= delta/2, then rectangle complement
-    eps_g = min(eps / 3.0, 0.4)
-    coeffs, b, J = _inverse_cheb_coeffs(2.0 * kappa, eps_g)
-    coeffs = coeffs * (delta / 2.0)
-    pmax = cheb.peak(coeffs)
-    eps_r = min(eps / 3.0, 1.0 / max(pmax, 1.0)) / 2.0
-    rect = approx_rect(0.75 * delta, delta / 4.0, eps_r, max_degree)
-    one_minus_rect = cheb.add(np.array([1.0]), -rect.cheb.cheb_coeffs.real)
-    prod = cheb.mul(coeffs, one_minus_rect)
-    prod = cheb.enforce_parity(cheb.trim(prod, 1e-15), "odd")
-    return _certified(below_one(prod), "odd", lambda x: delta / (2.0 * x),
+    if delta ** 3 == 0:
+        raise ValueError("the bridge's 1/kappa^3 underflows to 0")
+
+    def target(x):
+        bridge = x / delta - x ** 3 / (2.0 * delta ** 3)
+        return np.where(x < delta, bridge,
+                        delta / (2.0 * np.maximum(x, delta)))
+
+    def weight(x):
+        return np.where(x < delta, eps / 0.3, 1.0)
+
+    fit = _minimax([(0.0, delta), (delta, 1.0)], target, "odd", eps / 3.0,
+                   max_degree, weight)
+    top = 1.0 - eps / 4.0
+    coeffs = fit * min(1.0, top / cheb.peak(fit))
+    return _certified(coeffs, "odd", lambda x: delta / (2.0 * x),
                       1.0, eps, ((-1.0, -delta), (delta, 1.0)),
                       f"inverse_bounded(kappa={kappa:g}, eps={eps:g})",
                       max_degree)

@@ -174,20 +174,32 @@ def find_roots(p: ParityPoly):
 
     Companion-matrix eigenvalues seed `_chebops.aberth`, the
     simultaneous-Newton (Aberth) refinement, run on p's Chebyshev
-    coefficients.  At degree <= 60 every root's componentwise backward
-    error |p(r)| / sum_k |c_k| |r|^k must be at most 1e-12, else (or when
-    it is not finite) NumericalFailure.
+    coefficients.  Off [-1, 1] that basis can lose accuracy, so each root
+    keeps whichever of its seed and its refinement has the smaller
+    componentwise backward error |p(r)| / sum_k |c_k| |r|^k.  At degree
+    <= 60 every root's must be at most 1e-12, else (or when it is not
+    finite) NumericalFailure.
     """
     if p.degree < 1:
         raise ValueError("need degree >= 1")
     coeffs = p.coeffs
-    roots = cheb.aberth(npcheb.poly2cheb(coeffs), nppoly.polyroots(coeffs))
-    if p.degree <= 60:
-        resid = np.abs(nppoly.polyval(roots, coeffs))
-        scale = nppoly.polyval(np.abs(roots), np.abs(coeffs))
+
+    def backward(r):
+        resid = np.abs(nppoly.polyval(r, coeffs))
+        scale = nppoly.polyval(np.abs(r), np.abs(coeffs))
         # an exact zero of p has no error, even at r = 0 with c_0 = 0
-        err = float(np.divide(resid, scale, out=np.zeros_like(resid),
-                              where=resid != 0).max())
+        return np.divide(resid, scale, out=np.zeros_like(resid),
+                         where=resid != 0)
+
+    seeds = nppoly.polyroots(coeffs)
+    roots = cheb.aberth(npcheb.poly2cheb(coeffs), seeds)
+    errs = backward(roots)
+    seed_errs = backward(seeds)
+    better = seed_errs < errs  # False where either is NaN
+    roots = np.where(better, seeds, roots)
+    errs = np.where(better, seed_errs, errs)
+    if p.degree <= 60:
+        err = float(errs.max())
         if not err <= 1e-12:
             raise NumericalFailure(
                 f"root backward error {err:.2e} above 1e-12 "

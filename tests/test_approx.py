@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.polynomial import chebyshev as npcheb
-from scipy.special import erf, gammaln
+from scipy.special import gammaln
 
 from svtkit import _chebops
 from svtkit import approx as approx_mod
@@ -43,18 +43,6 @@ class TestSign:
         d1 = approx_sign(0.1, 0.01).degree
         d2 = approx_sign(0.2, 0.01).degree
         assert 1.5 <= d1 / d2 <= 2.5
-
-    @pytest.mark.parametrize("delta, shift, tight", [
-        (0.3, 0.0, False), (0.1, 0.0, True), (0.2, 0.4, True),
-        (0.05, -0.7, True), (0.15, 0.95, True)])
-    def test_on_unit_is_the_shifted_polynomial(self, delta, shift, tight):
-        wide = approx_mod._erf_sign_wide(delta, 1e-4, 4096,
-                                         scale=1.0 + abs(shift) + 0.02,
-                                         tight=tight)
-        xs = np.linspace(-1, 1, 4001)
-        want = npcheb.chebval((xs - shift) / wide.scale, wide.scaled_coeffs)
-        got = npcheb.chebval(xs, wide.on_unit(shift))
-        assert np.abs(got - want).max() <= 1e-13
 
 
 class TestRect:
@@ -313,8 +301,9 @@ def test_every_result_is_built_by_certified():
 
 
 def test_sign_cap_applies_to_returned_degree():
-    # sign(0.13, 1e-4) is a degree-311 series on [-1, 1] although its
-    # construction on [-2, 2] runs to degree 547
+    # sign(0.13, 1e-4) is a degree-97 series on [-1, 1] although its fit
+    # on [-2, 2] (in x/2) runs to degree 139; the erf series it replaced
+    # ran to 311 and 547
     deg = approx_sign(0.13, 1e-4).degree
     assert approx_sign(0.13, 1e-4, max_degree=deg).degree == deg
     with pytest.raises(DegreeOverflow):
@@ -323,16 +312,102 @@ def test_sign_cap_applies_to_returned_degree():
 
 
 def test_over_cap_sign_fit_refused_without_larger_fits(monkeypatch):
-    # a fit still unresolved at n nodes needs degree n/2 or more, so once
-    # n/2 is past the cap the refusal needs no larger fit
+    # the degree search tries no fit above its cap, 2 * 512 - 1 in x/2,
+    # and refuses once the level at that cap is above the aim
     sizes = []
-    real = _chebops.fit
-    monkeypatch.setattr(_chebops, "fit",
-                        lambda vals, deg: sizes.append(deg + 1)
-                        or real(vals, deg))
+    real = approx_mod._exchange
+    monkeypatch.setattr(approx_mod, "_exchange",
+                        lambda m, *a: sizes.append(2 * m) or real(m, *a))
     with pytest.raises(DegreeOverflow, match="more than 1023 > cap 512"):
-        approx_mod._erf_sign_wide(0.001, 1e-12, 512, tight=True)
+        approx_mod.approx_sign(0.001, 1e-12, 512)
     assert max(sizes) <= 2048
+
+
+# ----------------------------------------------------------------------
+# the minimax builder
+
+
+@pytest.mark.parametrize("family, args, bound", [
+    ("sign", (0.089, 0.02), 100),
+    ("rect", (0.5713, 0.0287, 0.025), 110),
+    ("inverse", (2.5, 1e-3, True), 40)])
+def test_minimax_degrees(family, args, bound):
+    # the erf-series constructions they replaced: 217, 518 and 353
+    build_ = {"sign": approx_sign, "rect": approx_rect,
+              "inverse": approx_inverse}[family]
+    assert build_(*args).degree <= bound
+
+
+@pytest.mark.parametrize("eps", [0.1, 1e-3])
+@pytest.mark.parametrize("delta", [0.1, 0.3, 0.45])
+@pytest.mark.parametrize("t", [0.05, 0.3, 0.5, 0.9])
+def test_rect_keeps_its_margin(t, delta, eps):
+    # t - delta <= 0 leaves the plateau out, t + delta >= 1 the floor;
+    # either way 1 - rect stays a high-pass target inside [eps/4, 1 - eps/4]
+    c = np.array(approx_rect(t, delta, eps).cheb.cheb_coeffs.real)
+    c[0] -= 0.5
+    assert _chebops.peak(c) <= 0.5 - eps / 4 + 1e-15
+
+
+@pytest.mark.parametrize("kappa, eps", [
+    (1.5, 1e-2), (2.5, 1e-3), (3.0, 1e-6), (10.0, 1e-3), (10.0, 0.4)])
+def test_bounded_inverse_is_subunit(kappa, eps):
+    res = approx_inverse(kappa, eps, bounded=True)
+    assert _chebops.peak(res.cheb.cheb_coeffs.real) <= 1.0
+
+
+REFERENCE = 200_001
+
+
+@pytest.mark.parametrize("family, args", [
+    ("sign", (0.089, 0.02)), ("sign", (0.1, 1e-6)), ("sign", (0.05, 1e-4)),
+    ("sign", (0.6, 7e-3)), ("sign", (1.9, 0.1)),
+    ("rect", (0.5713, 0.0287, 0.025)), ("rect", (0.4, 0.1, 5e-5)),
+    ("rect", (0.5, 0.207, 1.5e-3)), ("rect", (0.1, 0.3, 1e-3)),
+    ("rect", (0.8, 0.3, 1e-2)),
+    ("inverse", (2.5, 1e-3)), ("inverse", (10.0, 1e-3)),
+    ("inverse", (3.0, 1e-6))])
+def test_minimax_families_meet_eps_on_a_reference(family, args):
+    # sign on all of [-2, 2], the others on [-1, 1]; the error only where
+    # each promises it, the bound everywhere
+    if family == "sign":
+        delta, eps = args
+        res = approx_sign(*args)
+        xs = np.linspace(-2.0, 2.0, REFERENCE)
+        want, on = np.sign(xs), np.abs(xs) >= delta
+    elif family == "rect":
+        t, delta, eps = args
+        res = approx_rect(*args)
+        xs = np.linspace(-1.0, 1.0, REFERENCE)
+        want = (np.abs(xs) <= t).astype(float)
+        on = (np.abs(xs) <= t - delta) | (np.abs(xs) >= t + delta)
+    else:
+        kappa, eps = args
+        res = approx_inverse(kappa, eps, bounded=True)
+        xs = np.linspace(-1.0, 1.0, REFERENCE)
+        on = np.abs(xs) >= 1.0 / kappa
+        want = np.where(on, 1.0 / (2.0 * kappa * np.where(on, xs, 1.0)), 0.0)
+    got = res.evaluate(xs)
+    assert np.abs(got).max() <= 1.0
+    assert np.abs(got - want)[on].max() <= eps
+
+
+def test_minimax_degree_is_least():
+    # one basis function fewer, an exchange on a grid eight times as fine
+    # finds a level above the aim, so no polynomial of that degree meets
+    # it (de la Vallee Poussin)
+    aim, pieces = 1e-4, [(0.1, 1.0)]
+    fit = approx_mod._minimax(pieces, np.ones_like, "odd", aim, 512)
+    m = (len(fit) - 1) // 2
+
+    def grid(n):
+        return approx_mod._fit_points(pieces, np.ones_like, np.ones_like, 1,
+                                      8 * n)
+
+    start = np.sqrt(0.01 + 0.99 * (1 - np.cos(
+        np.pi * (np.arange(m + 1) + 0.5) / (m + 1))) / 2)
+    coeffs, level, _, _ = approx_mod._exchange(m, grid, start, 1, aim)
+    assert coeffs is None and level > aim
 
 
 # ----------------------------------------------------------------------
@@ -541,7 +616,7 @@ class TestMemo:
         assert approx_inverse(4.0, 0.01, True) is approx_inverse(
             4.0, 0.01, bounded=True)
         assert approx_rect(0.5, 0.1, 0.05, max_degree=600) is not a
-        assert len(approx_mod._MEMO) == 4  # the two rects, inverse, its rect
+        assert len(approx_mod._MEMO) == 3  # the two rects and the inverse
 
     def test_returned_arrays_refuse_writes(self):
         results = [approx_sign(0.3, 0.1), approx_rect(0.5, 0.1, 0.05),
@@ -559,8 +634,8 @@ class TestMemo:
 
     def test_degree_overflow_is_raised_every_time(self, monkeypatch):
         builds = []
-        real = approx_mod._erf_sign_wide
-        monkeypatch.setattr(approx_mod, "_erf_sign_wide",
+        real = approx_mod._minimax
+        monkeypatch.setattr(approx_mod, "_minimax",
                             lambda *a, **k: builds.append(a) or real(*a, **k))
         for _ in range(2):
             with pytest.raises(DegreeOverflow):
@@ -590,17 +665,6 @@ class TestMemo:
 
 
 # the scipy functions the library replaced, as oracles
-
-@pytest.mark.parametrize("delta,eps,tight", [
-    (0.185, 1.5e-5, False), (0.05, 1e-10, False), (0.5, 0.2, False),
-    (0.3, 1e-3, True), (0.02, 1e-9, True)])
-def test_erf_sign_matches_the_scipy_erf_fit(delta, eps, tight, monkeypatch):
-    got = approx_mod._erf_sign_wide(delta, eps, 1 << 16, tight=tight)
-    monkeypatch.setattr(approx_mod, "_odd_erf", erf)
-    want = approx_mod._erf_sign_wide(delta, eps, 1 << 16, tight=tight)
-    assert got.degree == want.degree
-    assert np.abs(got.scaled_coeffs - want.scaled_coeffs).max() <= 1e-15
-
 
 def _gammaln_log_factorials(n):
     return gammaln(np.arange(n + 1) + 1.0)

@@ -17,15 +17,19 @@ from svtkit.blockenc import (UNITARY_TOL, BlockEncoding,
 from svtkit.errors import (ModePreconditionViolated, NormExceeded,
                            NotAProjector, SparsityViolated)
 
-rng = np.random.default_rng(7)
+@pytest.fixture
+def rng():
+    """This module's generator, seeded anew for each test, so that no
+    test's draws depend on which tests ran before it."""
+    return np.random.default_rng(7)
 
 
-def random_unitary(n, seed=None):
-    return scipy.stats.unitary_group.rvs(n, random_state=seed or rng)
+def random_unitary(n, gen):
+    return scipy.stats.unitary_group.rvs(n, random_state=gen)
 
 
-def random_contraction(n, norm):
-    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+def random_contraction(n, norm, gen):
+    a = gen.standard_normal((n, n)) + 1j * gen.standard_normal((n, n))
     return a * (norm / operator_norm(a))
 
 
@@ -36,13 +40,13 @@ class TestEmbed:
         np.testing.assert_allclose(u[:2, :2], np.eye(2), atol=1e-12)
         np.testing.assert_allclose(u[2:, 2:], -np.eye(2), atol=1e-12)
 
-    def test_extract_roundtrip(self):
-        a = random_contraction(4, 0.7)
+    def test_extract_roundtrip(self, rng):
+        a = random_contraction(4, 0.7, rng)
         be = embed(a, alpha=1.0)
         np.testing.assert_allclose(be.extract(), a, atol=1e-12)
 
-    def test_scaling(self):
-        a = random_contraction(3, 0.5)
+    def test_scaling(self, rng):
+        a = random_contraction(3, 0.5, rng)
         alpha = 2 * operator_norm(a)
         be = embed(a, alpha=alpha)
         np.testing.assert_allclose(be.pu.u[:3, :3], a / alpha, atol=1e-12)
@@ -51,8 +55,8 @@ class TestEmbed:
         with pytest.raises(NormExceeded):
             embed(2.0 * np.eye(2), alpha=1.0)
 
-    def test_unitarity_of_dilation(self):
-        a = random_contraction(5, 0.9)
+    def test_unitarity_of_dilation(self, rng):
+        a = random_contraction(5, 0.9, rng)
         be = embed(a, alpha=1.0)
         u = be.pu.u
         assert operator_norm(u.conj().T @ u - np.eye(u.shape[0])) < 1e-12
@@ -75,8 +79,8 @@ class TestStructured:
                          target_m=np.eye(2))
         np.testing.assert_allclose(be.extract(), np.eye(2), atol=1e-12)
 
-    def test_povm_random_consistency(self):
-        u = random_unitary(8)
+    def test_povm_random_consistency(self, rng):
+        u = random_unitary(8, rng)
         be = encode_povm(u, anc_qubits=1, sys_qubits=2)
         got = be.extract()
         # oracle: M = (<0_a| x I) U^dag (|0><0|_first x I) U (|0_a> x I)
@@ -86,8 +90,8 @@ class TestStructured:
         np.testing.assert_allclose(got, want, atol=1e-12)
         assert operator_norm(got - got.conj().T) < 1e-12  # Hermitian PSD
 
-    def test_gram_hermitian_unit_diagonal(self):
-        u = random_unitary(8)
+    def test_gram_hermitian_unit_diagonal(self, rng):
+        u = random_unitary(8, rng)
         be = encode_gram(u, u, anc_qubits=1, sys_qubits=2)
         g = be.extract()
         np.testing.assert_allclose(g, g.conj().T, atol=1e-12)
@@ -146,33 +150,33 @@ def test_complete_to_unitary(n, kind, seed):
 
 
 class TestLcu:
-    def test_cancellation(self):
-        a = random_contraction(4, 0.6)
+    def test_cancellation(self, rng):
+        a = random_contraction(4, 0.6, rng)
         e1 = embed(a, 1.0)
         e2 = embed(-a, 1.0)
         pair = StatePrepPair.for_coefficients([0.5, 0.5])
         be = lcu(pair, [e1, e2])
         assert operator_norm(be.extract()) < 1e-12
 
-    def test_single_term(self):
-        a = random_contraction(4, 0.6)
+    def test_single_term(self, rng):
+        a = random_contraction(4, 0.6, rng)
         e1 = embed(a, 1.0)
         pair = StatePrepPair.for_coefficients([1.0])
         be = lcu(pair, [e1])
         np.testing.assert_allclose(be.extract(), a, atol=1e-10)
 
-    def test_weighted_combination(self):
-        a1 = random_contraction(4, 0.8)
-        a2 = random_contraction(4, 0.8)
+    def test_weighted_combination(self, rng):
+        a1 = random_contraction(4, 0.8, rng)
+        a2 = random_contraction(4, 0.8, rng)
         pair = StatePrepPair.for_coefficients([0.3, 0.7])
         be = lcu(pair, [embed(a1, 1.0), embed(a2, 1.0)])
         np.testing.assert_allclose(be.extract(), 0.3 * a1 + 0.7 * a2,
                                    atol=1e-10)
         assert be.alpha == pytest.approx(1.0)
 
-    def test_complex_coefficients(self):
-        a1 = random_contraction(2, 0.5)
-        a2 = random_contraction(2, 0.5)
+    def test_complex_coefficients(self, rng):
+        a1 = random_contraction(2, 0.5, rng)
+        a2 = random_contraction(2, 0.5, rng)
         y = np.array([0.4 * np.exp(0.3j), 0.6 * np.exp(-1.1j)])
         pair = StatePrepPair.for_coefficients(y)
         be = lcu(pair, [embed(a1, 1.0), embed(a2, 1.0)])
@@ -181,33 +185,33 @@ class TestLcu:
 
 
 class TestProduct:
-    def test_disjoint(self):
-        a = random_contraction(4, 0.7)
-        b = random_contraction(4, 0.6)
+    def test_disjoint(self, rng):
+        a = random_contraction(4, 0.7, rng)
+        b = random_contraction(4, 0.6, rng)
         be = product(embed(a, 1.0), embed(b, 1.0))
         np.testing.assert_allclose(be.extract(), a @ b, atol=1e-10)
         assert be.ancillas == 2
 
-    def test_identity_factor(self):
-        a = random_contraction(4, 0.7)
+    def test_identity_factor(self, rng):
+        a = random_contraction(4, 0.7, rng)
         be = product(embed(a, 1.0), embed(np.eye(4), 1.0))
         np.testing.assert_allclose(be.extract(), a, atol=1e-10)
 
-    def test_disjoint_alpha_ledger(self):
-        a = random_contraction(4, 1.5)
-        b = random_contraction(4, 2.5)
+    def test_disjoint_alpha_ledger(self, rng):
+        a = random_contraction(4, 1.5, rng)
+        b = random_contraction(4, 2.5, rng)
         be = product(embed(a, 2.0), embed(b, 3.0))
         assert be.alpha == pytest.approx(6.0)
         np.testing.assert_allclose(be.extract(), a @ b, atol=1e-9)
 
-    def test_chain_error_ledger(self):
+    def test_chain_error_ledger(self, rng):
         # K perturbed encodings of unitaries: measured error <= 4 K^2 eps
         k, eps = 4, 1e-3
         encs = []
         target = []
         for i in range(k):
-            w = random_unitary(2)
-            pert = random_unitary(4)
+            w = random_unitary(2, rng)
+            pert = random_unitary(4, rng)
             u = np.block([[w * math.sqrt(1 - eps ** 2), np.zeros((2, 2))],
                           [np.zeros((2, 2)), np.eye(2)]])
             # make unitary: rotate the leaked amplitude into the ancilla block
@@ -227,8 +231,8 @@ class TestProduct:
         measured = operator_norm(chained.extract() - want)
         assert measured <= 4 * k * k * (2 * eps)
 
-    def test_shared_mode_precondition(self):
-        a = random_contraction(4, 0.5)
+    def test_shared_mode_precondition(self, rng):
+        a = random_contraction(4, 0.5, rng)
         with pytest.raises(ModePreconditionViolated):
             product(embed(a, 2.0), embed(a, 2.0), mode="shared_ancilla")
 
@@ -254,7 +258,7 @@ class TestCpiNot:
         np.testing.assert_allclose(gate.matrix, np.kron(x, np.eye(2)),
                                    atol=1e-15)
 
-    def test_involution(self):
+    def test_involution(self, rng):
         v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         v /= np.linalg.norm(v)
         pi = Projector(4, matrix=np.outer(v, v.conj()))
@@ -263,7 +267,7 @@ class TestCpiNot:
 
 
 class TestProjector:
-    def test_dense_canonicalization(self):
+    def test_dense_canonicalization(self, rng):
         v = rng.standard_normal(4)
         v /= np.linalg.norm(v)
         p = Projector(4, matrix=np.outer(v, v))
@@ -274,7 +278,7 @@ class TestProjector:
         with pytest.raises(NotAProjector):
             Projector(2, matrix=np.array([[0.5, 0], [0, 0.3]]))
 
-    def test_embedding_faithfulness(self):
+    def test_embedding_faithfulness(self, rng):
         # top-left embedding commutes with + and @
         a = rng.standard_normal((2, 3))
         b = rng.standard_normal((2, 3))
@@ -397,18 +401,18 @@ class TestRealFlag:
 
 class TestLedgerSoundness:
     @pytest.mark.parametrize("trial", range(20))
-    def test_product_measured_below_claimed(self, trial):
+    def test_product_measured_below_claimed(self, trial, rng):
         n = 4
-        a = random_contraction(n, 0.8)
-        b = random_contraction(n, 0.9)
+        a = random_contraction(n, 0.8, rng)
+        b = random_contraction(n, 0.9, rng)
         be = product(embed(a, 1.0), embed(b, 1.0))
         assert be.measured_error() <= be.eps + 1e-9
 
     @pytest.mark.parametrize("trial", range(20))
-    def test_lcu_measured_below_claimed(self, trial):
+    def test_lcu_measured_below_claimed(self, trial, rng):
         n = 4
-        a1 = random_contraction(n, 0.9)
-        a2 = random_contraction(n, 0.9)
+        a1 = random_contraction(n, 0.9, rng)
+        a2 = random_contraction(n, 0.9, rng)
         y = rng.random(2) + 0.1
         pair = StatePrepPair.for_coefficients(y)
         be = lcu(pair, [embed(a1, 1.0), embed(a2, 1.0)])
@@ -460,8 +464,8 @@ class TestCertificateReuse:
     def count(seen, u):
         return sum(m.shape == u.shape and np.array_equal(m, u) for m in seen)
 
-    def test_dagger_and_with_projectors(self, grams):
-        pu = embed(random_contraction(3, 0.8)).pu
+    def test_dagger_and_with_projectors(self, grams, rng):
+        pu = embed(random_contraction(3, 0.8, rng)).pu
         assert len(grams) == 1
         dag = pu.dagger()
         comp = pu.with_projectors(pu.pi, pu.pi_tilde.complement())

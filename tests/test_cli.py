@@ -309,3 +309,56 @@ def test_sweep_runs_each_family_parameter(family, lo, hi, capsys):
 def test_grid_flag_removed(capsys):
     code, _ = run_cli(["--grid", "100", "poly", "--family", "sign"], capsys)
     assert code == 2
+
+
+def test_sign_at_eps_1e_6_fits_under_the_cap(capsys):
+    # the erf series needed degree 569 > 512 here and exited 3
+    code, out = run_cli(["poly", "--family", "sign", "--delta", "0.1",
+                         "--eps", "1e-6"], capsys)
+    assert code == 0
+    assert json.loads(out)["certificate"]["degree"] <= 512
+
+
+def _poly_verdict(proc, target):
+    """(exit code, degree, whether the polynomial meets its certificate's
+    claims on 20,001-point grids)."""
+    if proc.returncode != 0:
+        return proc.returncode, None, False
+    obj = json.loads(proc.stdout)
+    cert = obj["certificate"]
+    coeffs = np.array([re for re, _ in obj["poly"]["coeffs"]])
+
+    def top(lo, hi, want):
+        xs = np.linspace(max(lo, -1.0), min(hi, 1.0), 20001)
+        return np.abs(np.polynomial.chebyshev.chebval(xs, coeffs)
+                      - want(xs)).max()
+
+    ok = top(-1.0, 1.0, np.zeros_like) <= cert["claimed_sup_bound"]
+    for lo, hi in cert["valid_domain"]:
+        ok &= top(lo, hi, target) <= cert["claimed_error"]
+    return 0, cert["degree"], bool(ok)
+
+
+@pytest.mark.parametrize("argv, target", [
+    (["--family", "sign", "--delta", "0.1", "--eps", "1e-6"], np.sign),
+    (["--family", "rect", "--t", "0.5", "--delta", "0.08", "--eps", "1e-4"],
+     lambda x: (np.abs(x) <= 0.5).astype(float)),
+    (["--family", "inverse", "--kappa", "2.5", "--eps", "1e-3",
+      "--bounded"], lambda x: 1.0 / (5.0 * x)),
+], ids=["sign", "rect", "inverse"])
+def test_poly_verdict_independent_of_blas_threads(argv, target):
+    import os
+    import pathlib
+    import svtkit
+    src = str(pathlib.Path(svtkit.__file__).parents[1])
+    verdicts = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       [src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-m", "svtkit.cli", "poly"]
+                              + argv, env=env, capture_output=True,
+                              text=True, timeout=120)
+        verdicts.append(_poly_verdict(proc, target))
+    assert verdicts[0] == verdicts[1] == (0, verdicts[0][1], True)

@@ -13,7 +13,11 @@ from svtkit.qsp import (PhaseSequence, SignalPair, check_admissible,
                         chebyshev_phases, complete, phases_for_target,
                         phases_from_pq, qsp_eval, to_reflection)
 
-rng = np.random.default_rng(42)
+@pytest.fixture
+def rng():
+    """This module's generator, seeded anew for each test, so that no
+    test's draws depend on which tests ran before it."""
+    return np.random.default_rng(42)
 GRID = np.cos(np.linspace(0.001, math.pi - 0.001, 500))
 
 
@@ -23,8 +27,8 @@ def cheb_unit(d):
     return ChebSeries(c)
 
 
-def random_target(deg, supnorm=0.9, gen=None):
-    c = (rng if gen is None else gen).standard_normal(deg + 1)
+def random_target(deg, supnorm, gen):
+    c = gen.standard_normal(deg + 1)
     c[(deg % 2) ^ 1::2] = 0.0
     xs = np.cos(np.linspace(0, np.pi, 2001))
     c *= supnorm / np.abs(np.polynomial.chebyshev.chebval(xs, c)).max()
@@ -39,7 +43,7 @@ class TestQspEval:
             want = np.diag([np.exp(0.7j), np.exp(-0.7j)])
             np.testing.assert_allclose(m, want, atol=1e-14)
 
-    def test_reflection_at_endpoints(self):
+    def test_reflection_at_endpoints(self, rng):
         phis = rng.uniform(-np.pi, np.pi, 5)
         seq = PhaseSequence(phis, "reflection")
         for x in (-1.0, 1.0):
@@ -54,14 +58,14 @@ class TestQspEval:
             want = np.cos(d * np.arccos(GRID))
             assert np.abs(vals - want).max() < 1e-11
 
-    def test_unitarity_property(self):
+    def test_unitarity_property(self, rng):
         phis = rng.uniform(-np.pi, np.pi, 9)
         seq = PhaseSequence(phis, "reflection")
         ms = qsp_eval(seq, GRID[:50])
         for m in ms:
             assert np.abs(m.conj().T @ m - np.eye(2)).max() < 1e-12
 
-    def test_gauge_pair_appending(self):
+    def test_gauge_pair_appending(self, rng):
         phis = rng.uniform(-np.pi, np.pi, 4)
         seq = PhaseSequence(phis, "wx_sandwich")
         padded = PhaseSequence(np.concatenate([phis, [np.pi / 2, -np.pi / 2]]),
@@ -117,10 +121,10 @@ class TestComplete:
         with pytest.raises(Inadmissible):
             complete([0, 0.5 + 0.3j])
 
-    def test_spectral_method_matches(self):
+    def test_spectral_method_matches(self, rng):
         # completion has one route; its pair meets the bound both old
         # factorization methods were held to
-        assert complete(random_target(14)).unitarity_defect() < 1e-11
+        assert complete(random_target(14, 0.9, rng)).unitarity_defect() < 1e-11
 
 
 class TestPhasesFromPq:
@@ -136,15 +140,15 @@ class TestPhasesFromPq:
         rec = qsp_eval(seq, GRID)[:, 0, 0]
         assert np.abs(rec - pair.p_value(GRID)).max() < 1e-11
 
-    def test_degree_drop_instrumented(self):
-        tgt = random_target(9)
+    def test_degree_drop_instrumented(self, rng):
+        tgt = random_target(9, 0.9, rng)
         pair = complete(tgt)
         seq = phases_from_pq(pair)
         assert len(seq.phis) == pair.k + 1
 
-    def test_random_roundtrip_degrees(self):
+    def test_random_roundtrip_degrees(self, rng):
         for deg in (4, 7, 12, 19):
-            tgt = random_target(deg)
+            tgt = random_target(deg, 0.9, rng)
             pair = complete(tgt)
             seq = phases_from_pq(pair)
             rec = qsp_eval(seq, GRID)
@@ -160,7 +164,7 @@ class TestToReflection:
         vals = qsp_eval(seq, GRID)[:, 0, 0]
         assert np.abs(vals - GRID).max() < 1e-13
 
-    def test_topleft_preserved_random(self):
+    def test_topleft_preserved_random(self, rng):
         phis = rng.uniform(-np.pi, np.pi, 9)
         sandwich = PhaseSequence(phis, "wx_sandwich")
         refl = to_reflection(sandwich)
@@ -198,8 +202,8 @@ class TestRealQsp:
         want = res.evaluate(GRID)
         assert np.abs(got - want).max() < 1e-8
 
-    def test_degree_60_at_1e10(self):
-        tgt = random_target(60, supnorm=0.95)
+    def test_degree_60_at_1e10(self, rng):
+        tgt = random_target(60, 0.95, rng)
         pair, refl, _ = phases_for_target(tgt, tol=1e-10)
         got = qsp_eval(refl, GRID)[:, 0, 0].real
         want = np.polynomial.chebyshev.chebval(GRID, tgt.cheb_coeffs).real
@@ -608,15 +612,15 @@ class TestOneGate:
 
 
 class TestCompletionIdentityProperty:
-    def test_many_random(self):
+    def test_many_random(self, rng):
         for deg in range(2, 24, 3):
-            tgt = random_target(deg, supnorm=0.97)
+            tgt = random_target(deg, 0.97, rng)
             pair = complete(tgt)
             assert pair.unitarity_defect() <= 1e-10
 
 
 class TestStructureInvariants:
-    def test_top_right_entry_is_polynomial(self):
+    def test_top_right_entry_is_polynomial(self, rng):
         # top-right / (i sqrt(1-x^2)) extends to a polynomial of degree k-1:
         # interpolate at k chebyshev nodes, then check the residual off-grid
         phis = rng.uniform(-np.pi, np.pi, 7)
@@ -632,10 +636,10 @@ class TestStructureInvariants:
             * 1j * np.sqrt(1 - probe ** 2)
         assert np.abs(tr2 - want).max() < 1e-10
 
-    def test_completion_real_roots_pair_up(self):
+    def test_completion_real_roots_pair_up(self, rng):
         # 1 - P P* for a completed pair: real roots inside (-1, 1) come in
         # even multiplicity (here: none at all for strictly subunit targets)
-        tgt = random_target(5, supnorm=0.9)
+        tgt = random_target(5, 0.9, rng)
         pair = complete(tgt)
         from svtkit import _chebops as cheb_ops
         pc = pair.p_cheb
