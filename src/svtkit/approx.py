@@ -320,13 +320,11 @@ class _FitPoints:
         return out
 
     def nearest(self, want):
-        """Indices of the points nearest to the ascending ``want``, or, when
-        two share one, as many spread evenly over all points."""
+        """Indices of the points nearest to the ascending ``want``, or None
+        when two share one."""
         at = np.searchsorted(self.x[1:-1], want) + 1  # in [1, len - 1]
         at -= want - self.x[at - 1] < self.x[at] - want
-        if np.any(np.diff(at) <= 0):
-            at = np.linspace(0, len(self.x) - 1, len(want)).round()
-        return at.astype(int)
+        return None if np.any(np.diff(at) <= 0) else at
 
 
 def _fit_points(pieces, target, weight, odd, n):
@@ -388,9 +386,8 @@ def _alternant(e, level, ref, k):
 def _exchange(m, grid, start, odd, aim):
     """Remez exchange for the best p = sum_{k<m} c_k T_{2k+odd} in the
     weighted error w (f - p) on ``grid(n)``, the `_FitPoints` of angle-grid
-    size n >= max(512, 16 degree) (doubled while the pieces
-    hold fewer than 2 (m + 1) points), from the points nearest to
-    the m + 1 ascending x of ``start``.  Each step solves the m + 1
+    size n >= max(512, 16 degree), from the points nearest to the m + 1
+    ascending x of ``start``.  Each step solves the m + 1
     reference equations w (f - p) = +-h by one dense solve; |h| bounds the
     best error from below (de la Vallee Poussin), and max |w (f - p)| over
     the points from above.  A max within ``aim`` is taken again on the
@@ -402,10 +399,15 @@ def _exchange(m, grid, start, odd, aim):
     orders = 2 * np.arange(m) + odd
     alternate = (-1.0) ** np.arange(m + 1)
     n = 1 << (max(512, _GRID_PER_DEGREE * int(orders[-1])) - 1).bit_length()
-    while len(grid(n).x) < 2 * (m + 1) and n < 1 << 20:
-        n *= 2  # pieces too short in angle for this degree's grid
+    # a piece short in angle can hold fewer grid points than the start
+    # puts in it: refine until each start point has one of its own
+    ref = grid(n).nearest(start)
+    while ref is None and n < 1 << 18:
+        n *= 2
+        ref = grid(n).nearest(start)
     pts = grid(n)
-    ref = pts.nearest(start)
+    if ref is None:
+        ref = np.linspace(0, len(pts.x) - 1, m + 1).round().astype(int)
     full = np.zeros(orders[-1] + 1)
     worst = math.inf
     for _ in range(_EXCHANGE_STEPS):
@@ -422,7 +424,7 @@ def _exchange(m, grid, start, odd, aim):
         if worst <= aim and pts.n == n:
             x = pts.x[ref]
             pts = grid(2 * n)
-            ref = pts.nearest(x)
+            ref = pts.nearest(x)  # the points of n are points of 2n
             e = pts.w * (pts.f - pts.values(full, odd))
             worst = float(np.abs(e).max())
         if worst <= aim:

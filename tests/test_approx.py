@@ -364,7 +364,7 @@ REFERENCE = 200_001
     ("sign", (0.6, 7e-3)), ("sign", (1.9, 0.1)),
     ("rect", (0.5713, 0.0287, 0.025)), ("rect", (0.4, 0.1, 5e-5)),
     ("rect", (0.5, 0.207, 1.5e-3)), ("rect", (0.1, 0.3, 1e-3)),
-    ("rect", (0.8, 0.3, 1e-2)),
+    ("rect", (0.8, 0.3, 1e-2)), ("rect", (0.456, 0.452, 1e-11)),
     ("inverse", (2.5, 1e-3)), ("inverse", (10.0, 1e-3)),
     ("inverse", (3.0, 1e-6))])
 def test_minimax_families_meet_eps_on_a_reference(family, args):
