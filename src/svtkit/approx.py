@@ -5,11 +5,12 @@ bound on [-1, 1] and max error over the valid domain) is re-measured on a
 dense grid at construction time; a constructor that cannot meet its own
 claim raises NumericalFailure instead of returning silently degraded
 output.  The constructors that take parameters only are memoized: a
-repeated request returns the same read-only result.  Sign, rectangle and
-bounded 1/x are near-best fits of least degree by one Remez exchange
-(`_minimax`).  Arcsin and the negative powers are plain truncations of
-power series whose terms have one sign (`_one_sign_series`), as is the
-polynomial pair of fractional queries.
+repeated request returns the same read-only result.  Sign, rectangle,
+bounded 1/x and the negative powers are near-best fits of least degree by
+one Remez exchange (`_minimax`).  exp and trig are truncated Chebyshev
+series with Bessel coefficients (`_miller`).  Arcsin is a plain truncation
+of a power series whose terms have one sign (`_one_sign_series`), as is
+the polynomial pair of fractional queries.
 """
 from __future__ import annotations
 
@@ -139,15 +140,14 @@ def _certify(result: ApproxResult, target: Callable, sup_domain=(-1.0, 1.0)):
     (_, on_sup), *pieces = _on_grid(
         coeffs, [sup_domain, *result.valid_domain], scale)
     sup = np.abs(on_sup).max()
-    if sup > result.claimed_sup_bound + slack:
+    if not sup <= result.claimed_sup_bound + slack:
         raise NumericalFailure(
             f"{result.label}: sup {sup:.3e} exceeds claimed "
             f"{result.claimed_sup_bound:.3e}")
-    worst = 0.0
-    for pts, vals in pieces:
-        err = np.abs(vals - target(pts)).max()
-        worst = max(worst, float(err))
-    if worst > result.claimed_error + slack:
+    # NaN fails both checks
+    worst = float(np.max([np.abs(vals - target(pts)).max()
+                          for pts, vals in pieces] or [0.0]))
+    if not worst <= result.claimed_error + slack:
         raise NumericalFailure(
             f"{result.label}: measured error {worst:.3e} exceeds claimed "
             f"{result.claimed_error:.3e}")
@@ -542,7 +542,7 @@ def _minimax(pieces, target, parity, aim, max_degree, weight=None):
 def approx_sign(delta: float, eps: float,
                 max_degree: int = LIB_MAX_DEGREE) -> ApproxResult:
     """Odd real polynomial within ``eps`` of sign(x) on [-2,2] outside
-    (-delta, delta), bounded by 1 on [-2, 2].
+    (-delta, delta), bounded by 1 on [-2, 2]; delta >= 2 is refused.
 
     `_minimax` fits 1 on [delta/2, 1] in u = x/2 within eps/3, and the fit
     is scaled so that its `_chebops.peak` over u in [-1, 1] reads
@@ -556,6 +556,9 @@ def approx_sign(delta: float, eps: float,
     """
     if not (delta > 0 and 0 < eps < 0.5):
         raise ValueError("need delta > 0 and eps in (0, 1/2)")
+    if delta >= 2:
+        raise ValueError(f"delta {delta:g} >= 2 leaves the valid domain "
+                         "[-2, -delta] U [delta, 2] empty")
     label = f"sign(delta={delta:g}, eps={eps:g})"
     try:
         fit = _minimax([(delta / 2.0, 1.0)], np.ones_like, "odd",
@@ -634,19 +637,53 @@ def _inverse_cheb_coeffs(kappa: float, eps: float):
     return coeffs, b, J
 
 
+def _power_fit(c: float, delta: float, eps: float, parity: str,
+               max_degree: int) -> np.ndarray:
+    """Coefficients of a fit of the given parity within eps/3 of
+    (delta^c / 2) x^-c on [delta, 1], bounded by 1 - eps/4 on [-1, 1].
+
+    `_minimax` fits the target on [delta, 1] and, at weight eps/0.3, so
+    within 0.1, a bridge on [0, delta]: with y = x/delta and k = min(c, 3),
+    (k + 3)/4 y - (k + 1)/4 y^3 (odd) or a + b y^2 + e y^4 with
+    a = min(1/2 + k/8, 3/4) (even), of value 1/2 and slope -k/2 in y at
+    y = 1 (the target's for c <= 3) and peak below 0.8.  A fit peaking
+    above 1 - eps/4 is scaled down to it; at these weights the peak
+    stays below about 0.9.
+    """
+    if delta ** 3 == 0:
+        raise ValueError("the bridge's delta^3 underflows to 0")
+    scale, k = delta ** c / 2.0, min(c, 3.0)
+    if parity == "odd":
+        def bridge(x):
+            return (k + 3) / 4 * x / delta - (k + 1) / 4 * x ** 3 / delta ** 3
+    else:
+        a = min(0.5 + k / 8, 0.75)
+        e = a - 0.5 - k / 4
+        b = 0.5 - a - e
+
+        def bridge(x):
+            y2 = (x / delta) ** 2
+            return a + (b + e * y2) * y2
+
+    def target(x):
+        return np.where(x < delta, bridge(x),
+                        scale / np.maximum(x, delta) ** c)
+
+    fit = _minimax([(0.0, delta), (delta, 1.0)], target, parity, eps / 3.0,
+                   max_degree, lambda x: np.where(x < delta, eps / 0.3, 1.0))
+    return fit * min(1.0, (1.0 - eps / 4.0) / cheb.peak(fit))
+
+
 @_memo
 def approx_inverse(kappa: float, eps: float, bounded: bool = False,
                    max_degree: int = LIB_MAX_DEGREE) -> ApproxResult:
     """Odd approximation of 1/x away from the origin.
 
     Plain mode returns the truncated-series polynomial close to 1/x on
-    [-1,1] \\ (-1/kappa, 1/kappa).  With ``bounded`` it is within ``eps``
-    of delta/(2x) (delta = 1/kappa) on the same set and bounded by 1 on
-    [-1, 1]: `_minimax` fits delta/(2x) on [delta, 1] within eps/3, and
-    the bridge x/delta - x^3/(2 delta^3) (value 1/2 and slope -1/(2 delta)
-    at delta, peak 0.544) on [0, delta] at weight eps/0.3, so within 0.1
-    there.  A fit whose peak is above 1 - eps/4 would be scaled down to
-    it; at these weights its peak stays near 0.6.
+    [-1,1] \\ (-1/kappa, 1/kappa).  With ``bounded`` it is `_power_fit`
+    at c = 1: within ``eps`` of delta/(2x) (delta = 1/kappa) on the same
+    set and bounded by 1 - eps/4 on [-1, 1], its bridge
+    x/delta - x^3/(2 delta^3) of peak 0.544.
     """
     if not (kappa > 1 and 0 < eps < 0.5):
         raise ValueError("need kappa > 1 and eps in (0, 1/2)")
@@ -658,24 +695,9 @@ def approx_inverse(kappa: float, eps: float, bounded: bool = False,
                           ((-1.0, -delta), (delta, 1.0)),
                           f"inverse(kappa={kappa:g}, eps={eps:g})",
                           max_degree)
-
-    if delta ** 3 == 0:
-        raise ValueError("the bridge's 1/kappa^3 underflows to 0")
-
-    def target(x):
-        bridge = x / delta - x ** 3 / (2.0 * delta ** 3)
-        return np.where(x < delta, bridge,
-                        delta / (2.0 * np.maximum(x, delta)))
-
-    def weight(x):
-        return np.where(x < delta, eps / 0.3, 1.0)
-
-    fit = _minimax([(0.0, delta), (delta, 1.0)], target, "odd", eps / 3.0,
-                   max_degree, weight)
-    top = 1.0 - eps / 4.0
-    coeffs = fit * min(1.0, top / cheb.peak(fit))
-    return _certified(coeffs, "odd", lambda x: delta / (2.0 * x),
-                      1.0, eps, ((-1.0, -delta), (delta, 1.0)),
+    return _certified(_power_fit(1.0, delta, eps, "odd", max_degree), "odd",
+                      lambda x: delta / (2.0 * x), 1.0, eps,
+                      ((-1.0, -delta), (delta, 1.0)),
                       f"inverse_bounded(kappa={kappa:g}, eps={eps:g})",
                       max_degree)
 
@@ -713,19 +735,17 @@ def solve_r(t: float, eps: float) -> float:
     return r
 
 
-def bessel_j(orders: int, t: float) -> np.ndarray:
-    """J_0(t) .. J_orders(t) by one downward Miller pass, normalized with
-    J_0 + 2*sum_k J_2k = 1."""
+def _miller(orders: int, t: float, start: int, sign: float,
+            step: int) -> np.ndarray:
+    """f_0 .. f_orders, f_k proportional to J_k(t) (sign -1, step 2) or
+    I_k(t) (sign 1, step 1), by one downward Miller pass of
+    f_{m-1} = (2m/t) f_m + sign f_{m+1} from m = start, divided by f_0 plus
+    twice the f_k whose order is a positive multiple of step:
+    J_0 + 2 sum_k J_2k = 1 and I_0 + 2 sum_k I_k = e^t."""
     out = np.zeros(orders + 1)
-    if t == 0:
-        out[0] = 1.0
-        return out
-    m_start = int(orders + 2 + math.ceil(1.5 * t
-                                         + 20 * math.sqrt(max(orders, t))))
-    m_start += m_start % 2
     fp1, f, norm = 0.0, 1e-300, 0.0
-    for m in range(m_start, 0, -1):
-        fp1, f = f, (2.0 * m / t) * f - fp1
+    for m in range(start, 0, -1):
+        fp1, f = f, (2.0 * m / t) * f + sign * fp1
         if abs(f) > 1e250:  # rescale to dodge overflow
             f *= 1e-250
             fp1 *= 1e-250
@@ -734,9 +754,20 @@ def bessel_j(orders: int, t: float) -> np.ndarray:
         idx = m - 1
         if idx <= orders:
             out[idx] = f
-        if idx % 2 == 0:
+        if idx % step == 0:
             norm += f if idx == 0 else 2.0 * f
     return out / norm
+
+
+def bessel_j(orders: int, t: float) -> np.ndarray:
+    """J_0(t) .. J_orders(t) by one downward Miller pass (`_miller`)."""
+    if t == 0:
+        out = np.zeros(orders + 1)
+        out[0] = 1.0
+        return out
+    m_start = int(orders + 2 + math.ceil(1.5 * t
+                                         + 20 * math.sqrt(max(orders, t))))
+    return _miller(orders, t, m_start + m_start % 2, -1.0, 2)
 
 
 @_memo
@@ -806,49 +837,44 @@ def approx_monomial(s: int, d: int,
 @_memo
 def approx_exp(beta: float, eps: float,
                max_degree: int = LIB_MAX_DEGREE) -> ApproxResult:
-    """Approximation of exp(-beta (1 - x)) on [-1, 1], degree
-    O(sqrt(max[beta, log(1/eps)] log(1/eps)))."""
-    if not (0 <= beta < math.inf and 0 < eps <= 0.5):
-        raise ValueError("need finite beta >= 0 and eps in (0, 1/2]")
+    """Polynomial within eps of exp(-beta (1 - x)) on [-1, 1], below 1 in
+    magnitude: the series e^-beta (I_0(beta) + 2 sum_k I_k(beta) T_k(x)),
+    whose coefficients are positive and sum to 1, cut at the least degree
+    whose dropped ones sum to at most eps/2, the error at x = 1.
+
+    The coefficients are the law of |X - Y|, X and Y Poisson(beta/2). Its
+    mass past m is at most beta^m / m! (that of X + Y), and below e^-44
+    from m = sqrt(90 beta) + 45 on (Chernoff): one `_miller` pass starts
+    at the lesser m.  Its point masses are at most
+    e^-beta I_0(beta) <= sqrt(pi / (8 beta)), so keeping 3/4 of it needs
+    degree (3/4 sqrt(8 beta / pi) - 1)/2: a beta that needs more than the
+    cap is refused at once, as is one in (0, 1e-300), where 2/beta
+    overflows."""
+    if not ((beta == 0 or 1e-300 <= beta < math.inf) and 0 < eps <= 0.5):
+        raise ValueError("need beta 0 or in [1e-300, inf), and eps in "
+                         "(0, 1/2]")
 
     def target(x):
         return np.exp(-beta * (1.0 - np.asarray(x, float)))
 
+    label = f"exp(beta={beta:g}, eps={eps:g})"
     if beta == 0:
         return _certified(np.array([1.0]), "even", target, 1.0, eps,
                           ((-1.0, 1.0),), "exp(beta=0)", max_degree)
-    # the weight loop below runs past beta terms, so the degree it leads
-    # to is at least this
-    low = int(math.ceil(math.sqrt(2.0 * max(beta, 1.0)
-                                  * math.log(8.0 / eps)))) + 1
+    low = math.ceil((0.75 * math.sqrt(8.0 * beta / math.pi) - 1.0) / 2.0)
     if low > max_degree:
-        raise DegreeOverflow(f"degree at least {low} > cap {max_degree}")
-    # weights w_j = e^-beta beta^j / j!, truncated so the tail is < eps/4
-    ws = []
-    logw = -beta
-    j = 0
-    total = 0.0
-    while True:
-        wj = math.exp(logw)
-        ws.append(wj)
-        total += wj
-        if 1.0 - total < eps / 4.0 and j > beta:
-            break
-        j += 1
-        logw += math.log(beta) - math.log(j)
-        if j > 100 * (beta + math.log(1 / eps) + 10):
-            break
-    T = len(ws) - 1
-    d = int(math.ceil(math.sqrt(2.0 * max(T, 1) * math.log(8.0 / eps)))) + 1
-    acc = np.zeros(d + 1)
-    for j, wj in enumerate(ws):
-        if wj < 1e-300:
-            continue
-        mono = _monomial_cheb(j, d) if j > 0 else np.array([1.0])
-        acc[: len(mono)] += wj * mono
-    return _certified(cheb.trim(acc, 1e-16), None, target, 1.0 + eps, eps,
-                      ((-1.0, 1.0),), f"exp(beta={beta:g}, eps={eps:g})",
-                      max_degree)
+        raise DegreeOverflow(f"{label}: degree at least {low} > cap "
+                             f"{max_degree}")
+    start = math.ceil(math.sqrt(90.0 * beta) + 45.0)
+    while start > 1 and ((start - 1) * math.log(beta)
+                         - math.lgamma(start) < -44.0):
+        start -= 1
+    coeffs = _miller(start - 1, beta, start, 1.0, 1)
+    coeffs[1:] *= 2.0
+    dropped = np.append(np.cumsum(coeffs[::-1])[::-1][1:], 0.0)
+    degree = int(np.argmax(dropped <= eps / 2.0))
+    return _certified(coeffs[: degree + 1], None, target, 1.0, eps,
+                      ((-1.0, 1.0),), label, max_degree)
 
 
 def _one_sign_series(a0: float, ratio: Callable, y: Callable, odd: int,
@@ -925,18 +951,8 @@ def approx_arcsin(delta: float, eps: float,
 def approx_neg_power(c: float, delta: float, eps: float, parity: str = "odd",
                      max_degree: int = LIB_MAX_DEGREE) -> ApproxResult:
     """Polynomial of chosen parity within eps of (delta^c / 2) x^{-c} on
-    [delta, 1], bounded by 1 on [-1, 1].
-
-    The target is (delta^c / 2) x^odd (1 - w)^{-a} with w = 1 - x^2 and
-    a = c/2 (even) or (c + 1)/2 (odd).  `_one_sign_series` truncates its
-    power series in w within eps/2 for w <= 1 - delta^2; the ratios
-    (a + k)/(k + 1) are below 1 (a < 1) or nonincreasing (a >= 1), as the
-    tail bound needs.  Every term is positive, so the truncation S stays
-    below the target, which is at most 1 on |x| >= delta 2^{-1/c}.  A
-    rectangle R with its transition in [delta 2^{-1/c}, delta] and error
-    at most min(eps/2, 0.5/max|S|) then gives S (1 - R): at most 1/2
-    where R is near 1, below the target (plus the cut) elsewhere.
-    """
+    [delta, 1], bounded by 1 - eps/4 on [-1, 1]: one weighted fit,
+    `_power_fit`, as bounded 1/x is."""
     if not (c > 0 and 0 < delta <= 0.5 and 0 < eps <= 0.5):
         raise ValueError("need c > 0 and delta, eps in (0, 1/2]")
     if parity not in ("even", "odd"):
@@ -944,22 +960,9 @@ def approx_neg_power(c: float, delta: float, eps: float, parity: str = "odd",
     scale = delta ** c / 2.0
     if scale == 0:
         raise ValueError("delta^c underflows to 0")
-
-    def target(x):
-        return scale * np.asarray(x, float) ** (-c)
-
-    odd = int(parity == "odd")
-    a = (c + odd) / 2.0
-    series = _one_sign_series(scale, lambda k: (a + k) / (k + 1),
-                              lambda x: 1.0 - x * x, odd, 1.0 - delta ** 2,
-                              eps / 2.0, max_degree)
-    cut = delta * 2.0 ** (-1.0 / c)
-    rect = approx_rect((delta + cut) / 2.0, (delta - cut) / 2.0,
-                       min(eps / 2.0, 0.5 / cheb.peak(series)), max_degree)
-    one_minus = cheb.add(np.array([1.0]), -rect.cheb.cheb_coeffs.real)
-    prod = cheb.trim(cheb.mul(series, one_minus), 1e-16)
-    return _certified(below_one(prod), parity, target, 1.0, eps,
-                      ((delta, 1.0),),
+    return _certified(_power_fit(c, delta, eps, parity, max_degree), parity,
+                      lambda x: scale * np.asarray(x, float) ** (-c), 1.0,
+                      eps, ((delta, 1.0),),
                       f"neg_power(c={c:g}, delta={delta:g}, eps={eps:g})"
                       f"[{parity}]", max_degree)
 

@@ -6,7 +6,6 @@ import math
 
 import numpy as np
 
-from .. import _chebops as cheb
 from ..approx import (LIB_MAX_DEGREE, _memo, _one_sign_series, approx_arcsin,
                       approx_exp, approx_trig, below_one, solve_r)
 from ..blockenc import (BlockEncoding, Projector, ProjectedUnitary,
@@ -223,7 +222,9 @@ def gibbs_prep(be: BlockEncoding, beta: float, eps: float,
     """Subnormalized Gibbs state by applying exp(-(beta/2)(H+I)) (or
     exp(-(beta/2) H) via the square-root trick) to half of a maximally
     entangled pair; returns the exact normalized state plus the
-    subnormalization/amplification ledger."""
+    subnormalization/amplification ledger.  The polynomial is
+    `approx_exp`'s series E with x -> -x, or in sqrt mode E at beta/4 with
+    T_k -> (-1)^k T_2k, which is E(-T_2(x)) = exp(-(beta/2) x^2)."""
     h = be.extract() / be.alpha
     _check_hermitian(h, "encoded operator")
     n = be.system_dim
@@ -232,29 +233,12 @@ def gibbs_prep(be: BlockEncoding, beta: float, eps: float,
         state = np.eye(n).reshape(-1) / math.sqrt(n)
         return state, {"reduced_state": rho, "trace_distance": 0.0,
                        "degree": 0, "rounds": 1, "subnormalization": 1.0}
-    if sqrt_mode:
-        # be encodes sqrt(H): f(x) = exp(-(beta/2) x^2) = Q(1 - x^2)
-        q = approx_exp(beta / 2.0, min(eps / 4.0, 0.4))
-        qc = q.cheb.cheb_coeffs.real
-        # compose T_k(u) with u = 1 - x^2 via the Chebyshev recurrence
-        # T_k(u) = 2 u T_{k-1}(u) - T_{k-2}(u), carried in the x-algebra
-        base = cheb.add(np.array([1.0]), -cheb.mulx(cheb.mulx(np.array([1.0]))))
-        t_prev = np.array([1.0])
-        t_cur = base.copy()
-        comp = qc[0] * t_prev
-        if len(qc) > 1:
-            comp = cheb.add(comp, qc[1] * t_cur)
-        for k in range(2, len(qc)):
-            t_next = cheb.add(2.0 * cheb.mul(base, t_cur), -t_prev)
-            t_prev, t_cur = t_cur, t_next
-            comp = cheb.add(comp, qc[k] * t_cur)
-        f_coeffs = cheb.trim(comp, 1e-15)
-    else:
-        q = approx_exp(beta / 2.0, min(eps / 4.0, 0.4))
-        qc = q.cheb.cheb_coeffs.real.copy()
-        # f(x) = e^{-(beta/2)(x+1)} = E(-x) with E(x) = e^{-(beta/2)(1-x)}
-        qc[1::2] *= -1.0
-        f_coeffs = qc
+    # be encodes sqrt(H) in sqrt mode; T_k(-u) = (-1)^k T_k(u), T_k(T_2) = T_2k
+    step = 2 if sqrt_mode else 1
+    q = approx_exp(beta / (2.0 * step), min(eps / 4.0, 0.4))
+    f_coeffs = np.zeros(step * q.degree + 1)
+    f_coeffs[::step] = (q.cheb.cheb_coeffs.real
+                        * (-1.0) ** np.arange(q.degree + 1))
     out = eigenvalue_transform(be, ChebSeries(f_coeffs / 2.0),
                                delta=max(eps / 4, 1e-8))
     f_half = out.result  # f(H)/2
@@ -276,7 +260,7 @@ def gibbs_prep(be: BlockEncoding, beta: float, eps: float,
         "reduced_state": reduced,
         "trace_distance": tdist,
         "claimed": eps,
-        "degree": q.degree * (2 if sqrt_mode else 1),
+        "degree": step * q.degree,
         "subnormalization": norm2,
         "rounds": rounds,
         "partition_function": z,

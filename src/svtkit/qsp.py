@@ -495,7 +495,8 @@ NEWTON_MAX_ITER = 50
 # node residual that ends the iteration whatever the tolerance; rounding
 # leaves about 1e-14 at degree 500
 NEWTON_GOAL = 1e-13
-# below this node residual a step that does not lower it has met rounding
+# below this node residual a step that does not lower it may have met
+# rounding: the iteration stops at the third such step
 NEWTON_FLOOR = 1e-10
 
 
@@ -589,8 +590,9 @@ def _symmetric_phases(c: np.ndarray, goal: float):
     Chebyshev nodes of T_2n; `_half_product` gives U and the Jacobian
     from the products of the free layers alone.
 
-    Stops when the node residual reaches ``goal``, when it stops falling
-    below NEWTON_FLOOR, or after NEWTON_MAX_ITER steps, and returns the
+    Stops when the node residual reaches ``goal``, at the third step that
+    does not lower a least residual below NEWTON_FLOOR, or after
+    NEWTON_MAX_ITER steps, and returns the
     iterate of least residual as (wx_sandwich PhaseSequence, SignalPair,
     node residual).  The pair is not validated and the phases are not
     certified: the caller does both.  The SignalPair is read off that
@@ -607,6 +609,7 @@ def _symmetric_phases(c: np.ndarray, goal: float):
     psi = np.zeros(n)
     psi[0] = math.pi / 4
     best = None  # (node residual, phases, U_00 and U_01 at the nodes)
+    stalls = 0
     for _ in range(NEWTON_MAX_ITER):
         u00, u01, jac = _half_product(psi, d, xs, ws)
         r = u00.real - want
@@ -614,7 +617,9 @@ def _symmetric_phases(c: np.ndarray, goal: float):
         if not math.isfinite(resid):
             break
         if best is not None and resid >= best[0] and best[0] <= NEWTON_FLOOR:
-            break
+            stalls += 1
+            if stalls == 3:
+                break
         if best is None or resid < best[0]:
             best = (resid, psi, u00, u01)
         if resid <= goal:

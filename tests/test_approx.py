@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import math
 import pathlib
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.polynomial import chebyshev as npcheb
-from scipy.special import gammaln
+from scipy.special import gammaln, ive
 
 from svtkit import _chebops
 from svtkit import approx as approx_mod
@@ -43,6 +44,11 @@ class TestSign:
         d1 = approx_sign(0.1, 0.01).degree
         d2 = approx_sign(0.2, 0.01).degree
         assert 1.5 <= d1 / d2 <= 2.5
+
+    @pytest.mark.parametrize("delta", [2.0, 2.5])
+    def test_refuses_an_empty_valid_domain(self, delta):
+        with pytest.raises(ValueError, match="valid domain .* empty"):
+            approx_sign(delta, 0.1)
 
 
 class TestRect:
@@ -366,7 +372,12 @@ REFERENCE = 200_001
     ("rect", (0.5, 0.207, 1.5e-3)), ("rect", (0.1, 0.3, 1e-3)),
     ("rect", (0.8, 0.3, 1e-2)), ("rect", (0.456, 0.452, 1e-11)),
     ("inverse", (2.5, 1e-3)), ("inverse", (10.0, 1e-3)),
-    ("inverse", (3.0, 1e-6))])
+    ("inverse", (3.0, 1e-6)),
+    *[("neg_power", (c, delta, eps, parity))
+      for c, delta, eps in [(0.5, 0.2, 1e-3), (2.0, 0.1, 1e-6),
+                            (5.0, 0.3, 1e-4), (8.0, 0.3, 1e-3),
+                            (12.0, 0.5, 1e-3)]
+      for parity in ("odd", "even")]])
 def test_minimax_families_meet_eps_on_a_reference(family, args):
     # sign on all of [-2, 2], the others on [-1, 1]; the error only where
     # each promises it, the bound everywhere
@@ -381,15 +392,57 @@ def test_minimax_families_meet_eps_on_a_reference(family, args):
         xs = np.linspace(-1.0, 1.0, REFERENCE)
         want = (np.abs(xs) <= t).astype(float)
         on = (np.abs(xs) <= t - delta) | (np.abs(xs) >= t + delta)
-    else:
+    elif family == "inverse":
         kappa, eps = args
         res = approx_inverse(kappa, eps, bounded=True)
         xs = np.linspace(-1.0, 1.0, REFERENCE)
         on = np.abs(xs) >= 1.0 / kappa
         want = np.where(on, 1.0 / (2.0 * kappa * np.where(on, xs, 1.0)), 0.0)
+    else:
+        # both sides of the gap, the negative one by parity
+        c, delta, eps, parity = args
+        res = approx_neg_power(*args)
+        xs = np.linspace(-1.0, 1.0, REFERENCE)
+        on = np.abs(xs) >= delta
+        mag = delta ** c / 2 * np.abs(np.where(on, xs, 1.0)) ** -c
+        want = np.where(on, mag * np.sign(xs) ** (parity == "odd"), 0.0)
     got = res.evaluate(xs)
     assert np.abs(got).max() <= 1.0
     assert np.abs(got - want)[on].max() <= eps
+
+
+@pytest.mark.parametrize("args, degree", [
+    ((1.0, 0.1, 1e-4, "odd"), 149), ((2.0, 0.1, 1e-6, "even"), 300),
+    ((3.0, 0.1, 1e-6, "odd"), 417), ((8.0, 0.3, 1e-3, "odd"), 161)])
+def test_neg_power_degrees(args, degree):
+    # series times (1 - rectangle): 561, 1,178, 1,649 and 615
+    assert approx_neg_power(*args).degree <= degree
+
+
+@pytest.mark.parametrize("beta, eps, degree", [
+    (1.0, 1e-4, 5), (2.0, 1e-6, 9), (5.0, 1e-8, 15), (10.0, 1e-6, 17)])
+def test_exp_error_is_the_dropped_tail(beta, eps, degree):
+    # the monomial sums needed 7, 12, 22 and 28; every dropped Chebyshev
+    # coefficient 2 e^-beta I_k(beta) is positive, so the error is largest
+    # at x = 1, where it is their sum, and one degree less drops more
+    # than eps/2
+    res = approx_exp(beta, eps)
+    assert res.degree == degree
+    dropped = 2 * ive(np.arange(degree + 1, degree + 400), beta).sum()
+    assert 1.0 - res.evaluate(1.0) == pytest.approx(dropped, rel=1e-6,
+                                                    abs=1e-15)
+    assert dropped <= eps / 2 < dropped + 2 * ive(degree, beta)
+    err = np.abs(res.evaluate(DENSE) - np.exp(-beta * (1 - DENSE))).max()
+    assert err <= dropped + 1e-15
+    assert _chebops.peak(res.cheb.cheb_coeffs.real) < 1.0
+
+
+def test_exp_refuses_a_beta_that_needs_more_than_the_cap():
+    # the largest Chebyshev coefficient bounds the degree from below
+    with pytest.raises(DegreeOverflow, match="degree at least"):
+        approx_exp(1e6, 1e-3, max_degree=512)
+    with pytest.raises(ValueError):
+        approx_exp(1e-310, 1e-3)
 
 
 def test_minimax_degree_is_least():
@@ -556,6 +609,19 @@ def test_certificate_checks_piece_endpoints():
     _certify(_line(((lo, 0.9),)), _spike(0.0, width))  # control: accepted
     with pytest.raises(NumericalFailure, match="measured error"):
         _certify(_line(((lo, 0.9),)), _spike(lo, width))
+
+
+@pytest.mark.parametrize("bad", ["series", "target"])
+def test_certificate_refuses_nan(bad):
+    # a NaN compares false with any bound, so it must fail the check
+    res = _line(((0.1, 0.9),))
+    if bad == "series":
+        res = dataclasses.replace(
+            res, cheb=ChebSeries(np.array([0.0, np.nan]), "odd"))
+    target = (lambda x: np.full_like(x, np.nan)) if bad == "target" \
+        else _spike(0.0, 1e-9)
+    with pytest.raises(NumericalFailure):
+        _certify(res, target)
 
 
 def test_certificate_checks_narrow_pieces_evenly():

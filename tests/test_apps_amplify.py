@@ -10,10 +10,15 @@ from svtkit.blockenc import Projector, ProjectedUnitary, embed, operator_norm
 from svtkit.errors import (NotAnIsometryWithinTolerance,
                            OverlapBelowThreshold, SpectrumOutOfRange)
 
-rng = np.random.default_rng(23)
+
+@pytest.fixture
+def rng():
+    """This module's generator, seeded anew for each test, so that no
+    test's draws depend on which tests ran before it."""
+    return np.random.default_rng(23)
 
 
-def haar(n):
+def haar(n, rng):
     return scipy.stats.unitary_group.rvs(n, random_state=rng)
 
 
@@ -44,9 +49,9 @@ def amplification_instance(dim=8, a=0.3, seed_vec=0):
 
 
 class TestFixedPoint:
-    def test_full_overlap_short_circuit(self):
+    def test_full_overlap_short_circuit(self, rng):
         dim = 4
-        u = haar(dim)
+        u = haar(dim, rng)
         psi0 = np.zeros(dim, complex)
         psi0[0] = 1.0
         pi = Projector(dim, indices=range(dim))
@@ -70,10 +75,10 @@ class TestFixedPoint:
 
 
 class TestOblivious:
-    def make_scaled_isometry_pu(self, n, eps=0.0):
+    def make_scaled_isometry_pu(self, rng, n, eps=0.0):
         dim = 8
-        w_small = haar(dim)[:, :3][:3, :]  # 3x3 unitary block
-        w_small = haar(3)
+        w_small = haar(dim, rng)[:, :3][:3, :]  # 3x3 unitary block
+        w_small = haar(3, rng)
         amp = math.sin(math.pi / (2 * n))
         a_small = amp * w_small
         if eps:
@@ -87,20 +92,20 @@ class TestOblivious:
         be = embed(a_small, 1.0)
         return be.pu, w_small
 
-    def test_exact_recovery_n3(self):
-        pu, w = self.make_scaled_isometry_pu(3)
+    def test_exact_recovery_n3(self, rng):
+        pu, w = self.make_scaled_isometry_pu(rng, 3)
         u_tilde, rep = oblivious_amplify(pu, 3)
         got = pu.pi_tilde.basis().conj().T @ u_tilde @ pu.pi.basis()
         assert operator_norm(got - w) < 1e-10
 
-    def test_n1_returns_u(self):
-        pu, w = self.make_scaled_isometry_pu(1)
+    def test_n1_returns_u(self, rng):
+        pu, w = self.make_scaled_isometry_pu(rng, 1)
         u_tilde, _ = oblivious_amplify(pu, 1)
         np.testing.assert_allclose(u_tilde, pu.u, atol=1e-14)
 
-    def test_robust_bound(self):
+    def test_robust_bound(self, rng):
         eps = 0.01
-        pu, w = self.make_scaled_isometry_pu(3, eps=eps)
+        pu, w = self.make_scaled_isometry_pu(rng, 3, eps=eps)
         u_tilde, rep = oblivious_amplify(pu, 3, isometry_eps=2 * eps)
         assert rep["measured"] <= 2 * 3 * (2 * eps)
 
@@ -126,7 +131,7 @@ class TestUniformAmplification:
             @ be.pu.pi.basis()
         assert operator_norm(block - a) <= 2e-3
 
-    def test_full_magnification(self):
+    def test_full_magnification(self, rng):
         gamma, delta, eps = 2.0, 0.2, 1e-4
         a = rng.standard_normal((3, 3))
         a *= (1 - delta) / gamma / operator_norm(a)
@@ -140,8 +145,8 @@ class TestUniformAmplification:
         with pytest.raises(SpectrumOutOfRange):
             amplify_singular_values(be.pu, 2.0, 0.2, 1e-4)
 
-    def test_vectors_unchanged(self):
-        a = haar(3) @ np.diag([0.1, 0.25, 0.3]) @ haar(3).conj().T
+    def test_vectors_unchanged(self, rng):
+        a = haar(3, rng) @ np.diag([0.1, 0.25, 0.3]) @ haar(3, rng).conj().T
         be = embed(a, 1.0)
         outcome, rep = amplify_singular_values(be.pu, 2.0, 0.3, 1e-5)
         assert rep["subspace_angle"] <= 1e-4

@@ -7,10 +7,15 @@ import scipy.stats
 from svtkit.apps import query_lower_bound, singular_value_estimate
 from svtkit.blockenc import embed
 
-rng = np.random.default_rng(43)
+
+@pytest.fixture
+def rng():
+    """This module's generator, seeded anew for each test, so that no
+    test's draws depend on which tests ran before it."""
+    return np.random.default_rng(43)
 
 
-def pu_with_singular_values(sigmas):
+def pu_with_singular_values(sigmas, rng):
     sigmas = np.asarray(sigmas, float)
     n = len(sigmas)
     w = scipy.stats.unitary_group.rvs(n, random_state=rng)
@@ -20,19 +25,19 @@ def pu_with_singular_values(sigmas):
 
 
 class TestSingularValueEstimate:
-    def test_saturated_value(self):
-        pu, a = pu_with_singular_values([1.0, 0.5])
+    def test_saturated_value(self, rng):
+        pu, a = pu_with_singular_values([1.0, 0.5], rng)
         w, s, vh = np.linalg.svd(a)
         state = np.zeros(pu.dim, complex)
         state[:2] = vh.conj().T[:, 0]
         est, rep = singular_value_estimate(pu, state, n_bits=4, eps=0.01)
         assert est.get(1.0, 0.0) >= 1 - 0.01
 
-    def test_grid_value_concentration(self):
+    def test_grid_value_concentration(self, rng):
         n_bits = 6
         n = 2 ** n_bits
         theta = math.pi / 4
-        pu, a = pu_with_singular_values([math.cos(theta), 0.3])
+        pu, a = pu_with_singular_values([math.cos(theta), 0.3], rng)
         w, s, vh = np.linalg.svd(a)
         state = np.zeros(pu.dim, complex)
         state[:2] = vh.conj().T[:, 0]
@@ -43,10 +48,10 @@ class TestSingularValueEstimate:
         assert mode == pytest.approx(target, abs=1e-12)
         assert est[mode] >= 8 / math.pi ** 2 - 0.01
 
-    def test_superposition_bimodal(self):
+    def test_superposition_bimodal(self, rng):
         n_bits = 5
         pu, a = pu_with_singular_values([math.cos(math.pi * 4 / 32),
-                                         math.cos(math.pi * 12 / 32)])
+                                         math.cos(math.pi * 12 / 32)], rng)
         w, s, vh = np.linalg.svd(a)
         c1, c2 = math.sqrt(0.3), math.sqrt(0.7)
         state = np.zeros(pu.dim, complex)

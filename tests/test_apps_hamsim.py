@@ -5,24 +5,31 @@ import pytest
 import scipy.linalg
 import scipy.stats
 
+from svtkit import _chebops as cheb
 from svtkit.apps import (fractional_query, gibbs_prep, hamiltonian_simulate,
-                         unitary_log)
+                         hamsim, unitary_log)
+from svtkit.approx import approx_exp
 from svtkit.blockenc import BlockEncoding, embed, operator_norm
 from svtkit.errors import NotHermitian, NumericalFailure, SpectrumTooWide
 from svtkit.svt import _fn_of_hermitian
 
-rng = np.random.default_rng(37)
+
+@pytest.fixture
+def rng():
+    """This module's generator, seeded anew for each test, so that no
+    test's draws depend on which tests ran before it."""
+    return np.random.default_rng(37)
 
 
-def random_hermitian(n, norm=1.0):
+def random_hermitian(n, norm, rng):
     h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     h = (h + h.conj().T) / 2
     return h * (norm / operator_norm(h))
 
 
 class TestHamiltonianSimulate:
-    def test_zero_time(self):
-        h = random_hermitian(2, 0.5)
+    def test_zero_time(self, rng):
+        h = random_hermitian(2, 0.5, rng)
         be = embed(h, 1.0)
         out, rep = hamiltonian_simulate(be, 0.0, 1e-6)
         np.testing.assert_allclose(out.extract(), np.eye(2), atol=1e-12)
@@ -34,8 +41,8 @@ class TestHamiltonianSimulate:
         want = np.diag([np.exp(1.5j), np.exp(-1.5j)])
         assert operator_norm(out.extract() - want) <= 1e-6
 
-    def test_random_h_multiple_times(self):
-        h = random_hermitian(4, 0.9)
+    def test_random_h_multiple_times(self, rng):
+        h = random_hermitian(4, 0.9, rng)
         be = embed(h, 1.0)
         for t in (1.0, 5.0):
             out, rep = hamiltonian_simulate(be, t, 1e-6)
@@ -43,8 +50,8 @@ class TestHamiltonianSimulate:
             assert rep["measured"] <= 1e-6
             assert operator_norm(out.extract() - want) <= 1e-6
 
-    def test_robust_mode_ledger(self):
-        h = random_hermitian(4, 0.8)
+    def test_robust_mode_ledger(self, rng):
+        h = random_hermitian(4, 0.8, rng)
         be = BlockEncoding(embed(h, 1.0).pu.u, alpha=1.0, ancillas=1,
                            eps=0.0, target=h)
         t, eps = 3.0, 1e-6
@@ -52,21 +59,21 @@ class TestHamiltonianSimulate:
         assert rep["measured"] <= eps
         assert rep["uses"] <= 6 * abs(t) + 9 * math.log(12 / eps)
 
-    def test_unmet_eps_refused(self):
+    def test_unmet_eps_refused(self, rng):
         # rounding in the circuit alone exceeds 1e-14
-        h = random_hermitian(2, 0.5)
+        h = random_hermitian(2, 0.5, rng)
         with pytest.raises(NumericalFailure):
             hamiltonian_simulate(embed(h, 1.0), 1.0, 1e-14)
 
-    def test_not_hermitian(self):
+    def test_not_hermitian(self, rng):
         a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         a *= 0.5 / operator_norm(a)
         be = embed(a, 1.0)
         with pytest.raises(NotHermitian):
             hamiltonian_simulate(be, 1.0, 1e-4)
 
-    def test_robust_mode_refuses_a_non_hermitian_target(self):
-        h = random_hermitian(2, 0.5)
+    def test_robust_mode_refuses_a_non_hermitian_target(self, rng):
+        h = random_hermitian(2, 0.5, rng)
         # within the claimed encoding error of the block, not Hermitian
         target = h + np.array([[0, 1e-6], [0, 0]])
         be = BlockEncoding(embed(h, 1.0).pu.u, alpha=1.0, ancillas=1,
@@ -88,8 +95,8 @@ class TestUnitaryLog:
         h_rec = math.pi / 2 * enc.extract()
         assert operator_norm(h_rec - sx / 4) <= 1e-5
 
-    def test_sine_stage(self):
-        h = random_hermitian(2, 0.45)
+    def test_sine_stage(self, rng):
+        h = random_hermitian(2, 0.45, rng)
         u = scipy.linalg.expm(1j * h)
         enc, rep = unitary_log(u, 1e-4)
         assert rep["sine_block_error"] <= 1e-10
@@ -101,8 +108,8 @@ class TestUnitaryLog:
 
 
 class TestFractionalQuery:
-    def test_t_one_small(self):
-        h = random_hermitian(2, 0.4)
+    def test_t_one_small(self, rng):
+        h = random_hermitian(2, 0.4, rng)
         u = scipy.linalg.expm(1j * h)
         enc, rep = fractional_query(u, 0.6, 1e-5)
         want = scipy.linalg.expm(0.6j * h)
@@ -115,8 +122,8 @@ class TestFractionalQuery:
         want = scipy.linalg.expm(1j * sz / 6)
         assert operator_norm(enc.extract() - want) <= 1e-5
 
-    def test_t_one_split(self):
-        h = random_hermitian(2, 0.45)
+    def test_t_one_split(self, rng):
+        h = random_hermitian(2, 0.45, rng)
         u = scipy.linalg.expm(1j * h)
         enc, rep = fractional_query(u, 1.0, 1e-5)
         assert operator_norm(enc.extract() - u) <= 1e-5
@@ -136,16 +143,16 @@ class TestFractionalQuery:
         assert rep["measured"] <= 1e-5
         assert operator_norm(enc.extract() - u.conj().T) <= 1e-5
 
-    def test_t_zero(self):
-        h = random_hermitian(2, 0.3)
+    def test_t_zero(self, rng):
+        h = random_hermitian(2, 0.3, rng)
         u = scipy.linalg.expm(1j * h)
         enc, rep = fractional_query(u, 0.0, 1e-5)
         assert operator_norm(enc.extract() - np.eye(2)) <= 1e-5
 
 
 class TestGibbs:
-    def test_beta_zero(self):
-        h = random_hermitian(2, 0.8)
+    def test_beta_zero(self, rng):
+        h = random_hermitian(2, 0.8, rng)
         be = embed(h, 1.0)
         state, rep = gibbs_prep(be, 0.0, 1e-4)
         np.testing.assert_allclose(rep["reduced_state"], np.eye(2) / 2,
@@ -161,8 +168,8 @@ class TestGibbs:
                                    atol=1e-4)
         assert rep["trace_distance"] <= 1e-4
 
-    def test_random_instance(self):
-        h = random_hermitian(4, 0.9)
+    def test_random_instance(self, rng):
+        h = random_hermitian(4, 0.9, rng)
         be = embed(h, 1.0)
         state, rep = gibbs_prep(be, 2.0, 1e-5)
         assert rep["trace_distance"] <= 1e-4
@@ -183,6 +190,43 @@ class TestGibbs:
         assert rep1["trace_distance"] <= 1e-4
         assert rep1["partition_function"] == pytest.approx(
             np.trace(scipy.linalg.expm(-4.0 * h)).real, rel=1e-12)
+
+
+def _compose_by_recurrence(qc, base):
+    """sum_k qc_k T_k(u(x)) for u = sum_j base_j T_j(x), by the loop
+    sqrt-mode Gibbs used before it substituted T_k(-T_2) = (-1)^k T_2k;
+    that loop composed exp(-(beta/2)(1 - u)) with u = 1 - x^2."""
+    t_prev = np.array([1.0])
+    t_cur = base.copy()
+    comp = qc[0] * t_prev
+    if len(qc) > 1:
+        comp = cheb.add(comp, qc[1] * t_cur)
+    for k in range(2, len(qc)):
+        t_next = cheb.add(2.0 * cheb.mul(base, t_cur), -t_prev)
+        t_prev, t_cur = t_cur, t_next
+        comp = cheb.add(comp, qc[k] * t_cur)
+    return cheb.trim(comp, 1e-15)
+
+
+@pytest.mark.parametrize("beta, degree", [(4.0, 14), (16.0, 22)])
+def test_sqrt_mode_substitution_matches_the_recurrence(beta, degree,
+                                                        monkeypatch):
+    # the recurrence on E = approx_exp(beta/4) with u = -T_2(x) = 1 - 2x^2
+    seen = []
+    real = hamsim.eigenvalue_transform
+    monkeypatch.setattr(hamsim, "eigenvalue_transform",
+                        lambda be, f, **kw: seen.append(f) or real(be, f,
+                                                                   **kw))
+    h = np.diag([0.0, 0.36, 0.64, 1.0])
+    eps = 1e-5
+    _, rep = gibbs_prep(embed(np.sqrt(h), 1.0), beta, eps, sqrt_mode=True)
+    assert rep["degree"] <= degree
+    assert rep["trace_distance"] <= 1e-7  # 7.9e-8 and 5.6e-8 measured
+    got = 2.0 * seen[0].cheb_coeffs.real
+    qc = approx_exp(beta / 4.0, min(eps / 4.0, 0.4)).cheb.cheb_coeffs.real
+    want = _compose_by_recurrence(qc, np.array([0.0, 0.0, -1.0]))
+    assert len(got) == len(want)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("seed", range(20))

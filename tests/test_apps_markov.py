@@ -6,8 +6,6 @@ import pytest
 from svtkit.apps import MarkovChain, markov_detect, markov_find, markov_hitting
 from svtkit.errors import EmptyMarkedSet, GapTooSmall, NotReversible
 
-rng = np.random.default_rng(41)
-
 
 def two_state_symmetric():
     p = np.array([[0.5, 0.5], [0.5, 0.5]])

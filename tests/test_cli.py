@@ -186,6 +186,7 @@ def test_shared_parser_keeps_no_state_between_calls(capsys):
     (["apps", "hamsim", "--t", "0"], 0),
     (["phases", "--family", "exp", "--beta", "0"], 0),
     (["apps", "pinv", "--delta", "1.5"], 2),
+    (["poly", "--family", "sign", "--delta", "2.5"], 2),
 ])
 def test_invalid_value_exit_code(argv, want):
     # a subprocess, so that a hang ends in a timeout and not a stuck run
@@ -319,6 +320,13 @@ def test_sign_at_eps_1e_6_fits_under_the_cap(capsys):
     assert json.loads(out)["certificate"]["degree"] <= 512
 
 
+def test_neg_power_default_fits_under_the_cap(capsys):
+    # series times (1 - rectangle) needed degree 561 > 512 here and exited 3
+    code, out = run_cli(["poly", "--family", "neg_power"], capsys)
+    assert code == 0
+    assert json.loads(out)["certificate"]["degree"] <= 160
+
+
 def _poly_verdict(proc, target):
     """(exit code, degree, whether the polynomial meets its certificate's
     claims on 20,001-point grids)."""
@@ -345,7 +353,11 @@ def _poly_verdict(proc, target):
      lambda x: (np.abs(x) <= 0.5).astype(float)),
     (["--family", "inverse", "--kappa", "2.5", "--eps", "1e-3",
       "--bounded"], lambda x: 1.0 / (5.0 * x)),
-], ids=["sign", "rect", "inverse"])
+    (["--family", "neg_power", "--c", "2", "--delta", "0.25", "--eps",
+      "1e-3", "--parity", "even"], lambda x: 0.25 ** 2 / 2 * x ** -2.0),
+    (["--family", "exp", "--beta", "5", "--eps", "1e-8"],
+     lambda x: np.exp(-5.0 * (1.0 - x))),
+], ids=["sign", "rect", "inverse", "neg_power", "exp"])
 def test_poly_verdict_independent_of_blas_threads(argv, target):
     import os
     import pathlib

@@ -18,14 +18,19 @@ from svtkit.svt import (alternating_sequence, branch_lcu,
                         eigenvalue_transform, invariant_decomposition, reference_svt,
                         robustness_bound, svd_bundle, svt_apply)
 
-rng = np.random.default_rng(11)
+
+@pytest.fixture
+def rng():
+    """This module's generator, seeded anew for each test, so that no
+    test's draws depend on which tests ran before it."""
+    return np.random.default_rng(11)
 
 
-def random_unitary(n, gen=None):
-    return scipy.stats.unitary_group.rvs(n, random_state=gen or rng)
+def random_unitary(n, gen):
+    return scipy.stats.unitary_group.rvs(n, random_state=gen)
 
 
-def random_pu(dim=8, rank_pi=3, rank_pit=3, gen=None):
+def random_pu(dim, rank_pi, rank_pit, gen):
     u = random_unitary(dim, gen)
     pi = Projector(dim, indices=range(rank_pi))
     pit = Projector(dim, indices=range(rank_pit))
@@ -38,8 +43,8 @@ def cheb_unit(d):
     return ChebSeries(c)
 
 
-def random_target(deg, supnorm=0.9, gen=None):
-    c = (gen or rng).standard_normal(deg + 1)
+def random_target(deg, supnorm=0.9, *, gen):
+    c = gen.standard_normal(deg + 1)
     c[(deg % 2) ^ 1::2] = 0.0
     xs = np.cos(np.linspace(0, np.pi, 2001))
     c *= supnorm / np.abs(np.polynomial.chebyshev.chebval(xs, c)).max()
@@ -47,12 +52,12 @@ def random_target(deg, supnorm=0.9, gen=None):
 
 
 class TestReferenceSvt:
-    def test_identity_function(self):
+    def test_identity_function(self, rng):
         a = rng.standard_normal((4, 4)) * 0.3
         got = reference_svt(a, lambda x: x, "odd")
         np.testing.assert_allclose(got, a, atol=1e-12)
 
-    def test_even_square(self):
+    def test_even_square(self, rng):
         a = rng.standard_normal((4, 4)) * 0.3 + 1j * rng.standard_normal((4, 4)) * 0.2
         got = reference_svt(a, lambda x: x ** 2, "even")
         np.testing.assert_allclose(got, a.conj().T @ a, atol=1e-12)
@@ -99,17 +104,17 @@ class TestInvariantDecomposition:
         assert dec.blocks[0][0] == pytest.approx(x, abs=1e-12)
         assert dec.two_by_two_defect(u) < 1e-12
 
-    def test_random_orthonormality(self):
-        pu = random_pu(8, 3, 4)
+    def test_random_orthonormality(self, rng):
+        pu = random_pu(8, 3, 4, gen=rng)
         dec = invariant_decomposition(pu)
         assert dec.gram_defect() < 1e-10
         assert dec.gram_defect_tilde() < 1e-10
         assert dec.two_by_two_defect(pu.u) < 1e-10
 
-    def test_saturated_direction(self):
+    def test_saturated_direction(self, rng):
         # U with an exact invariant direction inside both projectors
         u = np.eye(4, dtype=complex)
-        u[2:, 2:] = random_unitary(2)
+        u[2:, 2:] = random_unitary(2, gen=rng)
         pu = ProjectedUnitary(u, Projector(4, indices=[0, 1]),
                               Projector(4, indices=[0, 1]))
         dec = invariant_decomposition(pu)
@@ -119,16 +124,16 @@ class TestInvariantDecomposition:
 
 
 class TestAlternatingSequence:
-    def test_single_phase_identity_poly(self):
-        pu = random_pu(8, 3, 3)
+    def test_single_phase_identity_poly(self, rng):
+        pu = random_pu(8, 3, 3, gen=rng)
         seq = chebyshev_phases(1)
         u_phi, ledger = alternating_sequence(pu, seq)
         got = pu.pi_tilde.matrix() @ u_phi @ pu.pi.matrix()
         np.testing.assert_allclose(got, pu.encoded(), atol=1e-12)
         assert ledger["u_uses"] == 1
 
-    def test_chebyshev_t2(self):
-        pu = random_pu(8, 3, 3)
+    def test_chebyshev_t2(self, rng):
+        pu = random_pu(8, 3, 3, gen=rng)
         seq = chebyshev_phases(2)
         u_phi, _ = alternating_sequence(pu, seq)
         got = pu.pi.matrix() @ u_phi @ pu.pi.matrix()
@@ -136,8 +141,8 @@ class TestAlternatingSequence:
                              pi=pu.pi, pi_tilde=pu.pi_tilde)
         assert operator_norm(got - want) < 1e-10
 
-    def test_chebyshev_t5_odd(self):
-        pu = random_pu(10, 4, 4)
+    def test_chebyshev_t5_odd(self, rng):
+        pu = random_pu(10, 4, 4, gen=rng)
         seq = chebyshev_phases(5)
         u_phi, ledger = alternating_sequence(pu, seq)
         got = pu.pi_tilde.matrix() @ u_phi @ pu.pi.matrix()
@@ -146,12 +151,12 @@ class TestAlternatingSequence:
         assert operator_norm(got - want) < 1e-10
         assert ledger["u_uses"] == 5
 
-    def test_pi_half_pair_on_projection(self):
+    def test_pi_half_pair_on_projection(self, rng):
         # degree-2 sequence (pi/2, -pi/2) realizes T_2: equals 1 on the
         # saturated directions of a Hermitian-unitary block
         u = np.zeros((4, 4), complex)
         u[:2, :2] = np.array([[0, 1], [1, 0]])  # sigma_x on img(Pi)
-        u[2:, 2:] = random_unitary(2)
+        u[2:, 2:] = random_unitary(2, gen=rng)
         pu = ProjectedUnitary(u, Projector(4, indices=[0, 1]),
                               Projector(4, indices=[0, 1]))
         from svtkit.qsp import PhaseSequence
@@ -302,11 +307,11 @@ def test_block_error_matches_full_space_error(kind, proj, degree):
 
 
 class TestSvtApply:
-    def test_real_sign_rank_one(self):
+    def test_real_sign_rank_one(self, rng):
         # rank-1 A = a |psi_G><psi_0|: sign transform amplifies to ~1
         from svtkit.approx import approx_sign
         dim = 8
-        u = random_unitary(dim)
+        u = random_unitary(dim, gen=rng)
         psi0 = np.zeros(dim); psi0[0] = 1.0
         pi = Projector(dim, matrix=np.outer(psi0, psi0))
         out_vec = u @ psi0
@@ -324,33 +329,34 @@ class TestSvtApply:
                                pi=pu.pi, pi_tilde=pu.pi_tilde)
         assert operator_norm(outcome.result - oracle) < 1e-7
 
-    def test_real_random_poly(self):
-        pu = random_pu(8, 3, 3)
-        tgt = random_target(7)
+    def test_real_random_poly(self, rng):
+        pu = random_pu(8, 3, 3, gen=rng)
+        tgt = random_target(7, gen=rng)
         outcome = svt_apply(pu, tgt, kind="real_poly", delta=1e-8)
         assert outcome.measured_error < 1e-8
 
-    def test_complex_from_completion(self):
-        pu = random_pu(8, 3, 3)
-        pair = complete(random_target(5).cheb_coeffs.real)
+    def test_complex_from_completion(self, rng):
+        pu = random_pu(8, 3, 3, gen=rng)
+        pair = complete(random_target(5, gen=rng).cheb_coeffs.real)
         outcome = svt_apply(pu, pair, kind="complex_poly")
         assert outcome.measured_error < 1e-8
         assert outcome.ledger["u_uses"] == 5
 
-    def test_even_degree_routes_through_pi(self):
-        pu = random_pu(8, 3, 5)
-        tgt = random_target(6)
+    def test_even_degree_routes_through_pi(self, rng):
+        pu = random_pu(8, 3, 5, gen=rng)
+        tgt = random_target(6, gen=rng)
         outcome = svt_apply(pu, tgt, kind="real_poly", delta=1e-8)
         want = reference_svt(pu.encoded(), tgt, "even",
                              pi=pu.pi, pi_tilde=pu.pi_tilde)
         assert operator_norm(outcome.result - want) < 1e-8
 
-    def test_inadmissible_rejected(self):
-        pu = random_pu(4, 2, 2)
+    def test_inadmissible_rejected(self, rng):
+        pu = random_pu(4, 2, 2, gen=rng)
         with pytest.raises(Inadmissible):
             svt_apply(pu, ParityPoly([0, 1.4]), kind="real_poly")
 
-    def test_real_route_needs_no_admissibility_report(self, monkeypatch):
+    def test_real_route_needs_no_admissibility_report(self, monkeypatch,
+                                                     rng):
         import svtkit.qsp
         import svtkit.svt
 
@@ -360,19 +366,20 @@ class TestSvtApply:
         monkeypatch.setattr(svtkit.qsp, "check_admissible", refuse)
         monkeypatch.setattr(svtkit.svt, "check_admissible", refuse,
                             raising=False)
-        outcome = svt_apply(random_pu(8, 3, 3), random_target(7),
-                            kind="real_poly", delta=1e-8)
+        outcome = svt_apply(random_pu(8, 3, 3, gen=rng),
+                            random_target(7, gen=rng), kind="real_poly",
+                            delta=1e-8)
         assert outcome.measured_error < 1e-8
 
-    def test_above_one_refused_as_not_subunit(self):
-        pu = random_pu(4, 2, 2)
+    def test_above_one_refused_as_not_subunit(self, rng):
+        pu = random_pu(4, 2, 2, gen=rng)
         with pytest.raises(NotSubunit):
             svt_apply(pu, ParityPoly([0, 1.4]))
         with pytest.raises(Inadmissible):
             svt_apply(pu, ParityPoly([0, 1.4]))
 
-    def test_imaginary_part_refused(self):
-        pu = random_pu(4, 2, 2)
+    def test_imaginary_part_refused(self, rng):
+        pu = random_pu(4, 2, 2, gen=rng)
         with pytest.raises(Inadmissible):
             svt_apply(pu, np.array([0.5, 0.5j]), kind="real_poly")
 
@@ -416,7 +423,7 @@ class TestCompleteComplex:
 
 
 class TestEigenvalueTransform:
-    def test_linear_map(self):
+    def test_linear_map(self, rng):
         h = rng.standard_normal((4, 4))
         h = (h + h.T) / 2
         h /= 2 * operator_norm(h)
@@ -425,7 +432,7 @@ class TestEigenvalueTransform:
         out = eigenvalue_transform(be, tgt, delta=1e-8)
         np.testing.assert_allclose(out.result, h / 2, atol=1e-8)
 
-    def test_mixed_parity_polynomial(self):
+    def test_mixed_parity_polynomial(self, rng):
         h = rng.standard_normal((4, 4))
         h = (h + h.T) / 2
         h /= 2.5 * operator_norm(h)
@@ -494,17 +501,17 @@ class TestRobustness:
         assert 0.44 <= measured <= 0.48
         assert bound >= 2 * math.sqrt(2) - 1e-9
 
-    def test_zero_distance(self):
+    def test_zero_distance(self, rng):
         a = rng.standard_normal((3, 3)) * 0.3
         assert robustness_bound(a, a, "modulus", omega=lambda t: t) == 0.0
         assert robustness_bound(a, a, "poly_sqrt", degree=5) == 0.0
 
-    def test_poly_linear_dominates_measured(self):
+    def test_poly_linear_dominates_measured(self, rng):
         n = 9
         a = rng.standard_normal((4, 4)); a *= 0.5 / operator_norm(a)
         e = rng.standard_normal((4, 4)); e *= 1e-3 / operator_norm(e)
         at = a + e
-        tgt = random_target(n, supnorm=0.9)
+        tgt = random_target(n, supnorm=0.9, gen=rng)
         pa = reference_svt(a, tgt, "odd")
         pat = reference_svt(at, tgt, "odd")
         measured = operator_norm(pa - pat)
@@ -520,18 +527,19 @@ class TestRobustness:
 class TestCircuitOracleAgreement:
     @pytest.mark.parametrize("trial", range(10))
     def test_randomized(self, trial):
+        rng = np.random.default_rng((11, trial))
         dim = int(rng.integers(4, 12))
         rk = int(rng.integers(1, dim // 2 + 1))
         rkt = int(rng.integers(1, dim // 2 + 1))
-        pu = random_pu(dim, rk, rkt)
+        pu = random_pu(dim, rk, rkt, gen=rng)
         deg = int(rng.integers(1, 14))
-        tgt = random_target(deg, supnorm=0.95)
+        tgt = random_target(deg, supnorm=0.95, gen=rng)
         outcome = svt_apply(pu, tgt, kind="real_poly", delta=1e-8)
         assert outcome.measured_error <= 1e-8
 
 
 class TestComplexEigenvalueTransform:
-    def test_quarter_bounded_complex(self):
+    def test_quarter_bounded_complex(self, rng):
         h = rng.standard_normal((3, 3))
         h = (h + h.T) / 2
         h /= 2 * operator_norm(h)
@@ -543,7 +551,7 @@ class TestComplexEigenvalueTransform:
         want = v @ np.diag(np.polynomial.chebyshev.chebval(w, c)) @ v.conj().T
         assert operator_norm(out.result - want) <= 1e-7
 
-    def test_real_target_matches_real_route(self):
+    def test_real_target_matches_real_route(self, rng):
         h = rng.standard_normal((4, 4))
         h = (h + h.T) / 2
         h /= 2 * operator_norm(h)
@@ -575,11 +583,11 @@ class TestComplexEigenvalueTransform:
 
 
 class TestParityNecessity:
-    def test_even_transform_stays_right_sided(self):
+    def test_even_transform_stays_right_sided(self, rng):
         # with disjoint projectors the even transform has no left-right
         # component: the reference lives in Pi..Pi and its Pi~-sandwich
         # vanishes, while the raw circuit cross-block is junk
-        u = random_unitary(8)
+        u = random_unitary(8, gen=rng)
         pi = Projector(8, indices=[0, 1, 2])
         pit = Projector(8, indices=[4, 5, 6])
         pu = ProjectedUnitary(u, pi, pit)
