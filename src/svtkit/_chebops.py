@@ -154,9 +154,9 @@ def values(c, x):
     points run Clenshaw (`chebval`), whose rounding grows to about
     (d + 1)^2 u ||c||_1 near +-1.  A point outside [-1, 1] (or NaN) raises
     ValueError.  Evaluations that may be asked for other points keep
-    `chebval`: `_WidePoly` (`ApproxResult.evaluate` beyond [-1, 1]),
-    `check_admissible`'s rays, `aberth`'s complex roots, `SignalPair.p_value`
-    and `q_value`, `poly.evaluate` and svt's oracles."""
+    `chebval`: `ApproxResult.evaluate`, `check_admissible`'s rays,
+    `aberth`'s complex roots, `SignalPair.p_value` and `q_value`,
+    `poly.evaluate` and svt's oracles."""
     c, x = np.asarray(c), np.asarray(x, float)
     if not np.all(np.abs(x) <= 1.0):
         raise ValueError("values needs every point in [-1, 1]")

@@ -1,16 +1,16 @@
 """Bounded polynomial approximations with certified error and degree.
 
 Every constructor returns an `ApproxResult` whose certificate (sup-norm
-bound on [-1, 1] and max error over the valid domain) is re-measured on a
-dense grid at construction time; a constructor that cannot meet its own
-claim raises NumericalFailure instead of returning silently degraded
-output.  The constructors that take parameters only are memoized: a
-repeated request returns the same read-only result.  Sign, rectangle,
-bounded 1/x and the negative powers are near-best fits of least degree by
-one Remez exchange (`_minimax`).  exp and trig are truncated Chebyshev
-series with Bessel coefficients (`_miller`).  Arcsin is a plain truncation
-of a power series whose terms have one sign (`_one_sign_series`), as is
-the polynomial pair of fractional queries.
+bound on [-1, 1] and max error over a valid domain inside it) is
+re-measured on a dense grid at construction time; a constructor that
+cannot meet its own claim raises NumericalFailure instead of returning
+silently degraded output.  The constructors that take parameters only are
+memoized: a repeated request returns the same read-only result.  Sign,
+rectangle, bounded 1/x and the negative powers are near-best fits of
+least degree by one Remez exchange (`_minimax`).  exp and trig are
+truncated Chebyshev series with Bessel coefficients (`_miller`).  Arcsin
+is a plain truncation of a power series whose terms have one sign
+(`_one_sign_series`), as is the polynomial pair of fractional queries.
 """
 from __future__ import annotations
 
@@ -39,13 +39,9 @@ GRID_PER_UNIT = 10_000  # certification grid density per unit length
 class ApproxResult:
     """A certified polynomial approximation.
 
-    ``cheb`` is the polynomial, a Chebyshev series valid for evaluation
-    on [-1, 1].  For constructions guaranteed on a wider interval (the
-    sign family lives on [-2, 2]) ``evaluate`` switches to a numerically
-    stable wide-domain evaluator outside [-1, 1].  ``degree`` is the
-    degree of ``cheb``.
-    Every constructor returns through `_certified`, which refuses a
-    degree above its cap and measures the claims.
+    ``cheb`` is the series on [-1, 1], where every family states its claims,
+    and ``degree`` its degree.  Every constructor returns through
+    `_certified`, which refuses a degree above its cap and measures them.
     """
 
     cheb: ChebSeries
@@ -53,7 +49,6 @@ class ApproxResult:
     claimed_error: float
     valid_domain: tuple
     label: str = ""
-    _wide_eval: Callable | None = None
 
     @property
     def degree(self) -> int:
@@ -64,10 +59,7 @@ class ApproxResult:
         return self.cheb.parity
 
     def evaluate(self, x):
-        x = np.asarray(x, float)
-        if self._wide_eval is not None and np.any(np.abs(x) > 1.0):
-            return self._wide_eval(x)
-        return npcheb.chebval(x, self.cheb.cheb_coeffs)
+        return npcheb.chebval(np.asarray(x, float), self.cheb.cheb_coeffs)
 
     def to_json(self) -> dict:
         return {
@@ -87,28 +79,28 @@ class ApproxResult:
 
 
 @functools.lru_cache(maxsize=8)
-def _ascending_grid(n, scale):
+def _ascending_grid(n):
     """The angle grid's abscissae, ascending and read-only."""
-    return _read_only(scale * np.cos(np.pi * np.arange(n, -1, -1) / n))
+    return _read_only(np.cos(np.pi * np.arange(n, -1, -1) / n))
 
 
-def _angle_grid(coeffs, scale=1.0):
-    """(x, p(x)) for p = sum_k c_k T_k(x/scale) on the angle grid
-    x_j = scale*cos(pi j/N), j = 0..N, by one DCT-I.  N is the smallest
-    power of two >= deg p with scale*pi/N <= 1/GRID_PER_UNIT, so no gap
-    is wider than that.  The x_j are a shared read-only array."""
-    need = max(math.ceil(scale * math.pi * GRID_PER_UNIT), len(coeffs) - 1)
+def _angle_grid(coeffs):
+    """(x, p(x)) for p = sum_k c_k T_k on the angle grid x_j = cos(pi j/N),
+    j = 0..N, by one DCT-I.  N is the smallest power of two >= deg p with
+    pi/N <= 1/GRID_PER_UNIT, so no gap is wider than that.  The x_j are a
+    shared read-only array."""
+    need = max(math.ceil(math.pi * GRID_PER_UNIT), len(coeffs) - 1)
     n = 1 << (need - 1).bit_length()
-    return _ascending_grid(n, scale)[::-1], cheb.dct1_values(coeffs, n)
+    return _ascending_grid(n)[::-1], cheb.dct1_values(coeffs, n)
 
 
-def _on_grid(coeffs, intervals, scale=1.0):
+def _on_grid(coeffs, intervals):
     """For each [lo, hi] in ``intervals``, the points a certificate checks
     there and p's values at them (p as in `_angle_grid`): the grid points
     inside, plus both endpoints evaluated directly, plus, when the grid
     puts fewer points inside than GRID_PER_UNIT asks for (at least 33),
     that many evenly spaced points."""
-    xs, vals = _angle_grid(coeffs, scale)
+    xs, vals = _angle_grid(coeffs)
     up = xs[::-1]  # ascending: the grid points in [lo, hi] are one slice
     out = []
     for lo, hi in intervals:
@@ -118,8 +110,7 @@ def _on_grid(coeffs, intervals, scale=1.0):
         extra = (np.linspace(lo, hi, n_even) if j - i < n_even
                  else np.array([lo, hi], float))
         out.append((np.concatenate([xs[i:j], extra]),
-                    np.concatenate([vals[i:j],
-                                    cheb.values(coeffs, extra / scale)])))
+                    np.concatenate([vals[i:j], cheb.values(coeffs, extra)])))
     return out
 
 
@@ -129,16 +120,12 @@ def _grid_sup(coeffs, lo=-1.0, hi=1.0) -> float:
     return float(np.abs(_on_grid(coeffs, [(lo, hi)])[0][1]).max())
 
 
-def _certify(result: ApproxResult, target: Callable, sup_domain=(-1.0, 1.0)):
-    """Measure the sup over ``sup_domain`` and the error on each valid
-    piece from one angle-grid evaluation (for the sign family, of its
-    series on [-2, 2]); each must meet its claim within 1e-9."""
+def _certify(result: ApproxResult, target: Callable):
+    """Measure the sup over [-1, 1] and the error on each valid piece from
+    one angle-grid evaluation; each must meet its claim within 1e-9."""
     slack = 1e-9
-    wide = result._wide_eval
-    coeffs, scale = ((wide.scaled_coeffs, wide.scale) if wide is not None
-                     else (result.cheb.cheb_coeffs, 1.0))
-    (_, on_sup), *pieces = _on_grid(
-        coeffs, [sup_domain, *result.valid_domain], scale)
+    (_, on_sup), *pieces = _on_grid(result.cheb.cheb_coeffs,
+                                    [(-1.0, 1.0), *result.valid_domain])
     sup = np.abs(on_sup).max()
     if not sup <= result.claimed_sup_bound + slack:
         raise NumericalFailure(
@@ -156,19 +143,19 @@ def _certify(result: ApproxResult, target: Callable, sup_domain=(-1.0, 1.0)):
 
 def _certified(coeffs, parity, target: Callable, claimed_sup_bound: float,
                claimed_error: float, valid_domain, label: str,
-               max_degree: int, wide=None,
-               sup_domain=(-1.0, 1.0)) -> ApproxResult:
-    """The one return path of every constructor: the series of
-    ``coeffs`` (``parity`` None infers it), refused with DegreeOverflow
-    when its degree is above ``max_degree``, then certified by `_certify`
-    against ``target``."""
+               max_degree: int) -> ApproxResult:
+    """The one return path of every constructor: the series of ``coeffs``
+    (``parity`` None infers it; NumericalFailure if one is not finite),
+    refused with DegreeOverflow above ``max_degree``, then certified by
+    `_certify` against ``target``."""
+    if not np.all(np.isfinite(coeffs)):
+        raise NumericalFailure(f"{label}: non-finite coefficients")
     series = ChebSeries(coeffs, parity)
     if series.degree > max_degree:
         raise DegreeOverflow(
             f"{label}: degree {series.degree} > cap {max_degree}")
     return _certify(ApproxResult(series, claimed_sup_bound, claimed_error,
-                                 tuple(valid_domain), label, wide),
-                    target, sup_domain)
+                                 tuple(valid_domain), label), target)
 
 
 # ----------------------------------------------------------------------
@@ -223,31 +210,6 @@ def below_one(coeffs):
 
 # ----------------------------------------------------------------------
 # minimax fits: sign, rectangle and bounded 1/x
-
-
-class _WidePoly:
-    """Polynomial stored as a Chebyshev series in x/scale, stable on
-    [-scale, scale]."""
-
-    def __init__(self, scaled_coeffs, scale=2.0):
-        self.scaled_coeffs = np.array(scaled_coeffs)
-        self.scaled_coeffs.setflags(write=False)
-        self.scale = float(scale)
-
-    def __call__(self, x):
-        return npcheb.chebval(np.asarray(x, float) / self.scale,
-                              self.scaled_coeffs)
-
-    @property
-    def degree(self):
-        return len(self.scaled_coeffs) - 1
-
-    def on_unit(self):
-        """T_j(x) coefficients of this polynomial on [-1, 1], by exact
-        interpolation at its degree."""
-        nodes = cheb.cheb_nodes(self.degree + 1)
-        vals = cheb.values(self.scaled_coeffs, nodes / self.scale)
-        return cheb.trim(cheb.fit(vals, self.degree), 1e-15)
 
 
 _EXCHANGE_STEPS = 30  # exchanges a degree gets before it counts as failed
@@ -541,36 +503,25 @@ def _minimax(pieces, target, parity, aim, max_degree, weight=None):
 @_memo
 def approx_sign(delta: float, eps: float,
                 max_degree: int = LIB_MAX_DEGREE) -> ApproxResult:
-    """Odd real polynomial within ``eps`` of sign(x) on [-2,2] outside
-    (-delta, delta), bounded by 1 on [-2, 2]; delta >= 2 is refused.
+    """Odd real polynomial within ``eps`` of sign(x) on [-1, 1] outside
+    (-delta, delta), bounded by 1 on [-1, 1]; delta > 1 is refused.
 
-    `_minimax` fits 1 on [delta/2, 1] in u = x/2 within eps/3, and the fit
-    is scaled so that its `_chebops.peak` over u in [-1, 1] reads
-    1 - eps/4.  A best fit's extrema lie on [delta/2, 1], so its peak is
-    within eps/3 of 1 and the scale moves it by at most 7 eps/12: the
-    error is at most eps/3 + 7 eps/12 = 11 eps/12.  The wide evaluator
-    keeps the series in u; ``cheb`` is the same polynomial in x on
-    [-1, 1], whose trailing coefficients below 1e-15 are cut (about a
-    fifth to two fifths of them), and the cap applies to its degree.  So
-    the fit in u may run to degree 2 max_degree - 1.
+    `_minimax` fits 1 on [delta, 1] (on [1/2, 1] at delta = 1, where the
+    valid domain is the points +-1) within eps/3, scaled so that its
+    `_chebops.peak` reads 1 - eps/4.  A best fit's extrema lie on the fit
+    interval, so its peak is within eps/3 of 1 and the scale moves it by
+    at most 7 eps/12: the error is at most eps/3 + 7 eps/12 = 11 eps/12.
     """
     if not (delta > 0 and 0 < eps < 0.5):
         raise ValueError("need delta > 0 and eps in (0, 1/2)")
-    if delta >= 2:
-        raise ValueError(f"delta {delta:g} >= 2 leaves the valid domain "
-                         "[-2, -delta] U [delta, 2] empty")
-    label = f"sign(delta={delta:g}, eps={eps:g})"
-    try:
-        fit = _minimax([(delta / 2.0, 1.0)], np.ones_like, "odd",
-                       eps / 3.0, 2 * max_degree - 1)
-    except DegreeOverflow:
-        raise DegreeOverflow(f"{label}: the fit in x/2 needs degree more "
-                             f"than {2 * max_degree - 1} > cap "
-                             f"{max_degree}") from None
-    wide = _WidePoly(_to_peak(fit, 1.0 - eps / 4.0), 2.0)
-    return _certified(wide.on_unit(), "odd", np.sign, 1.0, eps,
-                      ((-2.0, -delta), (delta, 2.0)), label, max_degree,
-                      wide=wide, sup_domain=(-2.0, 2.0))
+    if delta > 1:
+        raise ValueError(f"delta {delta:g} > 1 leaves the valid domain "
+                         "[-1, -delta] U [delta, 1] empty")
+    fit = _minimax([(delta if delta < 1 else 0.5, 1.0)], np.ones_like,
+                   "odd", eps / 3.0, max_degree)
+    return _certified(_to_peak(fit, 1.0 - eps / 4.0), "odd", np.sign, 1.0,
+                      eps, ((-1.0, -delta), (delta, 1.0)),
+                      f"sign(delta={delta:g}, eps={eps:g})", max_degree)
 
 
 def _to_peak(coeffs, top):

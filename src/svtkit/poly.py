@@ -19,6 +19,15 @@ from .errors import DegreeTooLarge, NumericalFailure
 _PARITIES = ("even", "odd", "none")
 
 
+def _json_coeffs(obj):
+    """A JSON polynomial's complex coefficients; ValueError if one is not
+    finite (a NaN compares false with the parity and degree thresholds)."""
+    c = np.array([complex(re, im) for re, im in obj["coeffs"]])
+    if not np.all(np.isfinite(c)):
+        raise ValueError("polynomial coefficients must be finite")
+    return c
+
+
 class ParityPoly:
     """Dense polynomial in the monomial basis with a declared parity.
 
@@ -84,7 +93,7 @@ class ParityPoly:
 
     @staticmethod
     def from_json(obj) -> "ParityPoly":
-        c = np.array([complex(re, im) for re, im in obj["coeffs"]])
+        c = _json_coeffs(obj)
         if obj.get("basis", "monomial") == "chebyshev":
             return ChebSeries(c, obj.get("parity")).to_parity_poly()
         return ParityPoly(c, obj.get("parity"))
@@ -137,7 +146,7 @@ class ChebSeries:
 
     @staticmethod
     def from_json(obj) -> "ChebSeries":
-        c = np.array([complex(re, im) for re, im in obj["coeffs"]])
+        c = _json_coeffs(obj)
         if obj.get("basis", "monomial") == "monomial":
             return convert(ParityPoly(c, obj.get("parity")))
         return ChebSeries(c, obj.get("parity"))

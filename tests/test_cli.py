@@ -187,6 +187,7 @@ def test_shared_parser_keeps_no_state_between_calls(capsys):
     (["phases", "--family", "exp", "--beta", "0"], 0),
     (["apps", "pinv", "--delta", "1.5"], 2),
     (["poly", "--family", "sign", "--delta", "2.5"], 2),
+    (["poly", "--family", "sign", "--delta", "1.5"], 2),
 ])
 def test_invalid_value_exit_code(argv, want):
     # a subprocess, so that a hang ends in a timeout and not a stuck run
@@ -374,3 +375,46 @@ def test_poly_verdict_independent_of_blas_threads(argv, target):
                               text=True, timeout=120)
         verdicts.append(_poly_verdict(proc, target))
     assert verdicts[0] == verdicts[1] == (0, verdicts[0][1], True)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--family", "sign", "--delta", "0.25", "--eps", "1e-12"],
+    ["--family", "sign", "--delta", "0.1", "--eps", "1e-6"],
+    ["--family", "rect", "--t", "0.5", "--delta", "0.08", "--eps", "1e-4"],
+    ["--family", "inverse", "--kappa", "2.5", "--eps", "1e-3", "--bounded"],
+], ids=["sign-1e-12", "sign-1e-6", "rect", "inverse"])
+def test_phases_verdict_independent_of_blas_threads(argv):
+    # the phases may move in their last digits between thread counts; the
+    # exit code and the reconstruction certificate's verdict may not
+    import os
+    import pathlib
+    import svtkit
+    src = str(pathlib.Path(svtkit.__file__).parents[1])
+    tol = max(float(argv[argv.index("--eps") + 1]) / 10.0, 1e-10)
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       [src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-m", "svtkit.cli", "phases"]
+                              + argv, env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, (threads, proc.stderr)
+        assert json.loads(proc.stdout)["reconstruction_residual"] <= tol
+
+
+@pytest.mark.parametrize("index, value", [
+    (0, float("inf")), (2, float("nan")), (1, float("nan"))],
+    ids=["inf-dropped-T0", "nan-dropped", "nan-kept"])
+def test_phases_refuses_non_finite_poly_file(index, value, tmp_path, capsys):
+    # a NaN or inf on the parity the series drops used to vanish, and one
+    # on the kept parity reached the Newton solve
+    pfile = tmp_path / "p.json"
+    code, _ = run_cli(["--out", str(pfile), "poly", "--family", "sign",
+                       "--delta", "0.3", "--eps", "1e-3"], capsys)
+    assert code == 0
+    obj = json.loads(pfile.read_text())
+    obj["poly"]["coeffs"][index] = [value, 0.0]
+    pfile.write_text(json.dumps(obj))
+    code, _ = run_cli(["phases", "--poly", str(pfile)], capsys)
+    assert code == 2
