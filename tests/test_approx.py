@@ -119,11 +119,9 @@ class TestTrig:
 
     def test_miller_matches_scipy(self):
         from scipy.special import jv
-        for orders, t in [(30, 7.3), (60, 0.01), (60, 0.7), (60, 7.3),
-                          (60, 40.0)]:
-            np.testing.assert_allclose(bessel_j(orders, t),
-                                       jv(np.arange(orders + 1), t),
-                                       atol=1e-13)
+        got = bessel_j(30, 7.3)
+        want = jv(np.arange(31), 7.3)
+        np.testing.assert_allclose(got, want, atol=1e-13)
 
 
 class TestSolveR:
@@ -572,6 +570,13 @@ def test_fit_matches_direct_cosine_sum(n, is_complex):
     direct[0] /= 2
     np.testing.assert_allclose(_chebops.fit(v, n - 1), direct, rtol=0,
                                atol=1e-13)
+
+
+def test_bessel_j_is_a_column_of_the_table():
+    from scipy.special import jv
+    for t in [0.01, 0.7, 7.3, 40.0]:
+        np.testing.assert_allclose(bessel_j(60, t), jv(np.arange(61), t),
+                                   atol=1e-13)
 
 
 # ----------------------------------------------------------------------
