@@ -2,15 +2,14 @@
 
 Every constructor returns an `ApproxResult` whose certificate (sup-norm
 bound on [-1, 1] and max error over a valid domain inside it) is
-re-measured on a dense grid at construction time; a constructor that
-cannot meet its own claim raises NumericalFailure instead of returning
-silently degraded output.  The constructors that take parameters only are
-memoized: a repeated request returns the same read-only result.  Sign,
-rectangle, bounded 1/x and the negative powers are near-best fits of
-least degree by one Remez exchange (`_minimax`).  exp and trig are
-truncated Chebyshev series with Bessel coefficients (`_miller`).  Arcsin
-is a plain truncation of a power series whose terms have one sign
-(`_one_sign_series`), as is the polynomial pair of fractional queries.
+re-measured on a dense grid, or raises NumericalFailure; those that take
+parameters only are memoized and return shared read-only results.  Sign,
+rectangle, bounded 1/x and the negative powers are near-best fits by one
+Remez exchange (`_minimax`), exp and trig cut Chebyshev series with Bessel
+coefficients (`_miller`), arcsin and the fractional-query pair cut power
+series whose terms have one sign (`_one_sign_series`).  All but exp leave
+through `_to_peak` at peak at most 1 - b/4 for their error budget b, the
+room below 1 phase synthesis needs; their claimed errors cover that.
 """
 from __future__ import annotations
 
@@ -114,12 +113,6 @@ def _on_grid(coeffs, intervals):
     return out
 
 
-def _grid_sup(coeffs, lo=-1.0, hi=1.0) -> float:
-    """max |sum_k c_k T_k| over the points of [lo, hi] a certificate
-    checks."""
-    return float(np.abs(_on_grid(coeffs, [(lo, hi)])[0][1]).max())
-
-
 def _certify(result: ApproxResult, target: Callable):
     """Measure the sup over [-1, 1] and the error on each valid piece from
     one angle-grid evaluation; each must meet its claim within 1e-9."""
@@ -198,14 +191,19 @@ def _memo(fn):
     return memoized
 
 
-_SAFETY = 1.0 - 1e-12  # final rescale protecting strict |P| <= 1 preconditions
+def _to_peak(coeffs, top):
+    """``coeffs`` scaled down to `_chebops.peak` ``top`` if above it: top is
+    1 - b/4 for a target of error budget b, so a series within b/3 of a
+    function bounded by 1 moves by at most 7 b/12, to within 11 b/12."""
+    peak = cheb.peak(coeffs)
+    return coeffs * (top / peak) if peak > top else coeffs
 
 
-def below_one(coeffs):
-    """``coeffs`` divided by their max |p| over [-1, 1] (`_chebops.peak`,
-    not the certificate grid) when that exceeds 1, then by the `_SAFETY`
-    margin, so the series stays strictly below 1."""
-    return coeffs / max(cheb.peak(coeffs), 1.0) * _SAFETY
+def _cut(coeffs, budget):
+    """The shortest head of ``coeffs`` dropping a tail of 1-norm <= budget."""
+    tail = np.cumsum(np.abs(coeffs[::-1]))[::-1]
+    keep = np.flatnonzero(tail > budget)
+    return coeffs[: int(keep[-1]) + 1 if len(keep) else 1]
 
 
 # ----------------------------------------------------------------------
@@ -419,10 +417,8 @@ def _minimax(pieces, target, parity, aim, max_degree, weight=None):
     fails on its first solve.  The search never tries a degree above
     ``max_degree``, and raises DegreeOverflow when that degree fails.
 
-    Sign, rectangle and bounded 1/x call it with aim eps/3 and then scale
-    the fit toward a peak of 1 - eps/4 (the rectangle's p - 1/2 toward
-    1/2 - eps/4), which moves it by at most 7 eps/12: their errors stay
-    within 11 eps/12 of the eps they claim.
+    Sign, rectangle and the negative powers call it with aim eps/3 and
+    scale the fit by `_to_peak` (the rectangle's p - 1/2 to 1/2 - eps/4).
     """
     odd = int(parity == "odd")
     pieces = sorted((float(lo), float(hi)) for lo, hi in pieces if lo < hi)
@@ -506,29 +502,23 @@ def approx_sign(delta: float, eps: float,
     """Odd real polynomial within ``eps`` of sign(x) on [-1, 1] outside
     (-delta, delta), bounded by 1 on [-1, 1]; delta > 1 is refused.
 
-    `_minimax` fits 1 on [delta, 1] (on [1/2, 1] at delta = 1, where the
-    valid domain is the points +-1) within eps/3, scaled so that its
-    `_chebops.peak` reads 1 - eps/4.  A best fit's extrema lie on the fit
-    interval, so its peak is within eps/3 of 1 and the scale moves it by
-    at most 7 eps/12: the error is at most eps/3 + 7 eps/12 = 11 eps/12.
+    `_minimax` fits 1 on [delta, 1] (x at delta = 1, exact on the valid
+    domain +-1) within eps/3, and `_to_peak` scales the fit to 1 - eps/4.
+    A best fit's extrema lie on the fit interval, so its peak is within
+    eps/3 of 1 and the scale moves it by at most 7 eps/12: the error is at
+    most eps/3 + 7 eps/12 = 11 eps/12.
     """
     if not (delta > 0 and 0 < eps < 0.5):
         raise ValueError("need delta > 0 and eps in (0, 1/2)")
     if delta > 1:
         raise ValueError(f"delta {delta:g} > 1 leaves the valid domain "
                          "[-1, -delta] U [delta, 1] empty")
-    fit = _minimax([(delta if delta < 1 else 0.5, 1.0)], np.ones_like,
-                   "odd", eps / 3.0, max_degree)
+    fit = (np.array([0.0, 1.0]) if delta == 1 else
+           _minimax([(delta, 1.0)], np.ones_like, "odd", eps / 3.0,
+                    max_degree))
     return _certified(_to_peak(fit, 1.0 - eps / 4.0), "odd", np.sign, 1.0,
                       eps, ((-1.0, -delta), (delta, 1.0)),
                       f"sign(delta={delta:g}, eps={eps:g})", max_degree)
-
-
-def _to_peak(coeffs, top):
-    """``coeffs`` scaled so that their `_chebops.peak` reads ``top``
-    (zero stays zero)."""
-    peak = cheb.peak(coeffs)
-    return coeffs * (top / peak) if peak else coeffs
 
 
 @_memo
@@ -597,9 +587,9 @@ def _power_fit(c: float, delta: float, eps: float, parity: str,
     within 0.1, a bridge on [0, delta]: with y = x/delta and k = min(c, 3),
     (k + 3)/4 y - (k + 1)/4 y^3 (odd) or a + b y^2 + e y^4 with
     a = min(1/2 + k/8, 3/4) (even), of value 1/2 and slope -k/2 in y at
-    y = 1 (the target's for c <= 3) and peak below 0.8.  A fit peaking
-    above 1 - eps/4 is scaled down to it; at these weights the peak
-    stays below about 0.9.
+    y = 1 (the target's for c <= 3) and peak below 0.8.  `_to_peak`
+    scales a fit peaking above 1 - eps/4 down to it; at these weights the
+    peak stays below about 0.9.
     """
     if delta ** 3 == 0:
         raise ValueError("the bridge's delta^3 underflows to 0")
@@ -622,7 +612,7 @@ def _power_fit(c: float, delta: float, eps: float, parity: str,
 
     fit = _minimax([(0.0, delta), (delta, 1.0)], target, parity, eps / 3.0,
                    max_degree, lambda x: np.where(x < delta, eps / 0.3, 1.0))
-    return fit * min(1.0, (1.0 - eps / 4.0) / cheb.peak(fit))
+    return _to_peak(fit, 1.0 - eps / 4.0)
 
 
 @_memo
@@ -631,10 +621,11 @@ def approx_inverse(kappa: float, eps: float, bounded: bool = False,
     """Odd approximation of 1/x away from the origin.
 
     Plain mode returns the truncated-series polynomial close to 1/x on
-    [-1,1] \\ (-1/kappa, 1/kappa).  With ``bounded`` it is `_power_fit`
-    at c = 1: within ``eps`` of delta/(2x) (delta = 1/kappa) on the same
-    set and bounded by 1 - eps/4 on [-1, 1], its bridge
-    x/delta - x^3/(2 delta^3) of peak 0.544.
+    [-1,1] \\ (-1/kappa, 1/kappa), claiming its `_chebops.peak` as sup
+    bound.  With ``bounded`` it is `_power_fit` at c = 1: within ``eps``
+    of delta/(2x) (delta = 1/kappa) on the same set and bounded by
+    1 - eps/4 on [-1, 1], its bridge x/delta - x^3/(2 delta^3) of peak
+    0.544.
     """
     if not (kappa > 1 and 0 < eps < 0.5):
         raise ValueError("need kappa > 1 and eps in (0, 1/2)")
@@ -642,7 +633,7 @@ def approx_inverse(kappa: float, eps: float, bounded: bool = False,
     if not bounded:
         coeffs, b, J = _inverse_cheb_coeffs(kappa, eps)
         return _certified(coeffs, "odd", lambda x: 1.0 / x,
-                          _grid_sup(coeffs), eps,
+                          cheb.peak(coeffs), eps,
                           ((-1.0, -delta), (delta, 1.0)),
                           f"inverse(kappa={kappa:g}, eps={eps:g})",
                           max_degree)
@@ -724,29 +715,30 @@ def bessel_j(orders: int, t: float) -> np.ndarray:
 @_memo
 def approx_trig(t: float, eps: float,
                 max_degree: int = LIB_MAX_DEGREE):
-    """(cos, sin) pair of truncated Jacobi-Anger Chebyshev series for
-    cos(t x) and sin(t x), grid error <= eps on [-1, 1].  Both go through
-    `below_one`, so each stays below 1 in magnitude, as phase synthesis
-    needs."""
+    """(cos, sin) pair within eps of cos(t x) and sin(t x) on [-1, 1]: their
+    Jacobi-Anger series, each `_cut` at eps/3 and scaled by `_to_peak` to
+    peak at most 1 - eps/4, so within 11 eps/12 as sign is.  Either has a
+    root between neighbouring x where its target is +-1, so degree at least
+    2 floor(|t|/pi) - 1: a t needing more than the cap is refused before
+    the Bessel pass, which ends at k >= |t| with (|t|/2)^k / k! < e^-44."""
     if t == 0 or not (0 < eps < 1 / math.e):
         raise ValueError("need t != 0 and eps in (0, 1/e)")
-    # cos(t x) keeps T_0..T_2R, sin(t x) T_1..T_2R+1
-    R = max(int(math.floor(solve_r(math.e * abs(t) / 2.0, 1.25 * eps) / 2.0)),
-            1)
-    if 2 * R + 1 > max_degree:
-        raise DegreeOverflow(f"degree {2*R+1} > cap {max_degree}")
-    js = bessel_j(2 * R + 1, abs(t))
-    alt = 2.0 * (-1.0) ** np.arange(R + 1)
-    cos_c = np.zeros(2 * R + 1)
-    cos_c[0::2] = alt * js[0: 2 * R + 1: 2]
-    cos_c[0] = js[0]
-    sin_c = np.zeros(2 * R + 2)
-    sin_c[1::2] = (1.0 if t > 0 else -1.0) * alt * js[1: 2 * R + 2: 2]
-    args = f"(t={t:g}, eps={eps:g})"
-    return (_certified(below_one(cos_c), "even", lambda x: np.cos(t * x),
-                       1.0, eps, ((-1.0, 1.0),), "cos" + args, max_degree),
-            _certified(below_one(sin_c), "odd", lambda x: np.sin(t * x),
-                       1.0, eps, ((-1.0, 1.0),), "sin" + args, max_degree))
+    low = 2 * math.floor(abs(t) / math.pi) - 1
+    if low > max_degree:
+        raise DegreeOverflow(f"degree at least {low} > cap {max_degree}")
+    orders = math.ceil(abs(t))
+    while orders * math.log(abs(t) / 2.0) - math.lgamma(orders + 1) >= -44:
+        orders += 1
+    # e^{itx} = sum_k i^k J_k(t) T_k(x), the k > 0 terms twice: cos(t x)
+    # takes the even k, sin(t x) the odd, and J_k(-t) = (-1)^k J_k(t)
+    k = np.arange(orders + 1)
+    ja = np.where(k, 2.0, 1.0) * bessel_j(orders, abs(t)) * (-1.0) ** (k // 2)
+    ja[1::2] *= math.copysign(1.0, t)
+    return tuple(_certified(
+        _to_peak(_cut(np.where(k % 2 == odd, ja, 0.0), eps / 3.0),
+                 1.0 - eps / 4.0), parity, lambda x, f=f: f(t * x), 1.0, eps,
+        ((-1.0, 1.0),), f"{f.__name__}(t={t:g}, eps={eps:g})", max_degree)
+        for odd, parity, f in ((0, "even", np.cos), (1, "odd", np.sin)))
 
 
 # ----------------------------------------------------------------------
@@ -822,9 +814,7 @@ def approx_exp(beta: float, eps: float,
         start -= 1
     coeffs = _miller(start - 1, beta, start, 1.0, 1)
     coeffs[1:] *= 2.0
-    dropped = np.append(np.cumsum(coeffs[::-1])[::-1][1:], 0.0)
-    degree = int(np.argmax(dropped <= eps / 2.0))
-    return _certified(coeffs[: degree + 1], None, target, 1.0, eps,
+    return _certified(_cut(coeffs, eps / 2.0), None, target, 1.0, eps,
                       ((-1.0, 1.0),), label, max_degree)
 
 
@@ -865,23 +855,22 @@ def _one_sign_series(a0: float, ratio: Callable, y: Callable, odd: int,
         acc = acc * ys + a
     coeffs = cheb.fit(nodes ** odd * acc, deg)
     coeffs[1 - odd::2] = 0.0
-    tail = np.cumsum(np.abs(coeffs[::-1]))[::-1]
-    keep = np.nonzero(tail > budget / 2)[0]
-    return coeffs[: int(keep[-1]) + 1 if len(keep) else 1]
+    return _cut(coeffs, budget / 2)
 
 
 @_memo
 def approx_arcsin(delta: float, eps: float,
                   max_degree: int = LIB_MAX_DEGREE) -> ApproxResult:
     """Odd polynomial within eps of (2/pi) arcsin(x) on [-1+delta, 1-delta],
-    bounded by 1 on [-1, 1].
+    bounded by 1 - eps/4 on [-1, 1].
 
     `_one_sign_series` truncates (2/pi) x sum_k binom(2k, k) x^{2k} /
     (4^k (2k + 1)) within eps/2 for x^2 <= (1 - delta)^2.  Its ratios
     (2k + 1)^2 / ((2k + 2)(2k + 3)) are below 1, as the tail bound
     needs; its terms are positive and sum to 1 at x = 1, so only the
-    coefficient cut (at most eps/4) can lift it above 1, which
-    `below_one` takes back.
+    coefficient cut (at most eps/4) can lift it above 1.  `_to_peak` then
+    scales it to peak at most 1 - eps/4, which moves it by at most eps/2:
+    the error is at most eps.
     """
     if not (0 < delta <= 0.5 and 0 < eps <= 0.5):
         raise ValueError("need delta, eps in (0, 1/2]")
@@ -893,8 +882,8 @@ def approx_arcsin(delta: float, eps: float,
         2.0 / math.pi,
         lambda k: (2 * k + 1) ** 2 / ((2 * k + 2) * (2 * k + 3)),
         np.square, 1, (1.0 - delta) ** 2, eps / 2.0, max_degree)
-    return _certified(below_one(coeffs), "odd", target, 1.0, eps,
-                      ((-1.0 + delta, 1.0 - delta),),
+    return _certified(_to_peak(coeffs, 1.0 - eps / 4.0), "odd", target,
+                      1.0, eps, ((-1.0 + delta, 1.0 - delta),),
                       f"arcsin(delta={delta:g}, eps={eps:g})", max_degree)
 
 

@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from .. import _chebops as cheb
-from ..approx import approx_rect, approx_sign, below_one
+from ..approx import _to_peak, approx_rect, approx_sign
 from ..blockenc import Projector, ProjectedUnitary, operator_norm
 from ..errors import (NotAnIsometryWithinTolerance, OverlapBelowThreshold,
                       SpectrumOutOfRange)
@@ -82,7 +82,9 @@ def oblivious_amplify(pu: ProjectedUnitary, n: int, isometry_eps: float = 0.0):
 def amplify_singular_values(pu: ProjectedUnitary, gamma: float, delta: float,
                             eps: float):
     """Multiply every singular value by gamma with relative error eps,
-    assuming they all sit below (1 - delta) / gamma."""
+    assuming they all sit below (1 - delta) / gamma.  The target gamma x
+    rect(x) goes through `_to_peak` at 1 - eps'/4, eps' rect's error; for
+    eps <= 0.9 it is below that already, as rect <= eps' past 1/gamma."""
     if gamma <= 1:
         raise ValueError("need gamma > 1")
     bundle = svd_bundle(pu)
@@ -93,7 +95,8 @@ def amplify_singular_values(pu: ProjectedUnitary, gamma: float, delta: float,
             f"= {limit:.4g}")
     t = (1.0 - delta / 2.0) / gamma
     rect = approx_rect(t, delta / (2.0 * gamma), min(eps / gamma, 0.4))
-    p_re = below_one(gamma * cheb.mulx(rect.cheb.cheb_coeffs.real))
+    p_re = _to_peak(gamma * cheb.mulx(rect.cheb.cheb_coeffs.real),
+                    1.0 - rect.claimed_error / 4.0)
     outcome = svt_apply(pu, ChebSeries(p_re, "odd"), kind="real_poly",
                         delta=max(eps, 1e-8))
     block_out = pu.pi_tilde.basis().conj().T @ outcome.result @ pu.pi.basis()

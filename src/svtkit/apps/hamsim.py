@@ -6,8 +6,8 @@ import math
 
 import numpy as np
 
-from ..approx import (LIB_MAX_DEGREE, _memo, _one_sign_series, approx_arcsin,
-                      approx_exp, approx_trig, below_one, solve_r)
+from ..approx import (LIB_MAX_DEGREE, _memo, _one_sign_series, _to_peak,
+                      approx_arcsin, approx_exp, approx_trig, solve_r)
 from ..blockenc import (BlockEncoding, Projector, ProjectedUnitary,
                         operator_norm)
 from ..errors import NotHermitian, NumericalFailure, SpectrumTooWide
@@ -60,11 +60,11 @@ def hamiltonian_simulate(be: BlockEncoding, t: float, eps: float,
                          max_degree: int = LIB_MAX_DEGREE):
     """(1, a+2, eps)-encoding of e^{itH} from a block-encoding of H.
 
-    Jacobi-Anger polynomials at precision eps/6 (eps/12 in robust mode)
-    produce e^{itH}/2 through the two-qubit parity wrapper; a length-3
-    Chebyshev amplification removes the factor 2.  Robust mode tolerates
-    input encoding error up to eps/|2t| and budgets for it via the
-    |t|-Lipschitz bound on the exponential.  A polynomial above
+    `approx_trig`'s polynomials at precision eps/6 (eps/12 in robust
+    mode), as they are, produce e^{itH}/2 through the two-qubit parity
+    wrapper; a length-3 Chebyshev amplification removes the factor 2.
+    Robust mode tolerates input encoding error up to eps/|2t| and budgets
+    for it via the |t|-Lipschitz bound on the exponential.  A polynomial above
     ``max_degree`` raises DegreeOverflow.
     """
     h_block = be.extract() / be.alpha
@@ -89,13 +89,8 @@ def hamiltonian_simulate(be: BlockEncoding, t: float, eps: float,
                      "claimed": eps, "degree_cos": 0, "degree_sin": 0}
     eps_poly = eps / 12.0 if robust else eps / 6.0
     cos_r, sin_r = approx_trig(tau, eps_poly, max_degree)
-    # cos(t x) touches +-1 inside the interval; a saturating polynomial
-    # leaves the phase factorization with interior tangencies, so the
-    # sequences run on slightly shrunk coefficients
-    margin = 1.0 - eps_poly / 2.0
     half_circ, layer_uses = _four_branch_circuit(
-        be.pu, cos_r.cheb.cheb_coeffs.real * margin,
-        sin_r.cheb.cheb_coeffs.real * margin)
+        be.pu, cos_r.cheb.cheb_coeffs.real, sin_r.cheb.cheb_coeffs.real)
     amplified = _amplify_half(half_circ, be.system_dim)
     want = _fn_of_hermitian(h_true, lambda w: np.exp(1j * tau * w))
     got = amplified[: be.system_dim, : be.system_dim]
@@ -195,15 +190,16 @@ def fractional_query(u, t: float, eps: float):
 @_memo
 def _fracq_poly(t: float, eps: float):
     """(cos, sin) coefficient pair of e^{i t arcsin(x)} for
-    `fractional_query`, each within eps/8 on |x| <= 1/2, shrunk off the
-    tangency and clipped below 1.
+    `fractional_query`, each within its budget 3 eps/8 on |x| <= 1/2 and
+    scaled by `_to_peak` to peak at most 1 - 3 eps/32.
 
     `_one_sign_series` truncates cos(t arcsin x) =
     2F1(-t/2, t/2; 1/2; x^2) and sin(t arcsin x) =
-    t x 2F1((1+t)/2, (1-t)/2; 3/2; x^2) at y_max = 1/4.  For |t| <= 1
-    every ratio of either series is at most 1 in magnitude, as the tail
-    bound needs, and after the first cosine term all terms of a series
-    have one sign.
+    t x 2F1((1+t)/2, (1-t)/2; 3/2; x^2) within eps/8 at y_max = 1/4.  For
+    |t| <= 1 every ratio is at most 1 in magnitude, as the tail bound
+    needs, and after the first cosine term a series' terms have one sign,
+    so its partial sums stay in [-1, 1]: the scale moves each by at most
+    the cut's eps/16 plus 3 eps/32, to within 9 eps/32 in all.
     """
     h = t / 2.0
     cos_c = _one_sign_series(
@@ -212,9 +208,8 @@ def _fracq_poly(t: float, eps: float):
     sin_c = _one_sign_series(
         t, lambda k: (k + 0.5 + h) * (k + 0.5 - h) / ((k + 1.5) * (k + 1)),
         np.square, 1, 0.25, eps / 8.0, LIB_MAX_DEGREE)
-    # cos(t arcsin(x)) saturates at x = 0: shrink to dodge tangency
-    margin = 1.0 - eps / 4.0
-    return below_one(cos_c * margin), below_one(sin_c * margin)
+    top = 1.0 - 3.0 * eps / 32.0
+    return _to_peak(cos_c, top), _to_peak(sin_c, top)
 
 
 def gibbs_prep(be: BlockEncoding, beta: float, eps: float,

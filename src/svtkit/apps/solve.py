@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 
 from .. import _chebops as cheb
-from ..approx import LIB_MAX_DEGREE, approx_inverse, approx_rect, below_one
+from ..approx import LIB_MAX_DEGREE, approx_inverse, approx_rect
 from ..blockenc import ProjectedUnitary, operator_norm
 from ..errors import SpectrumBelowDelta
 from ..poly import ChebSeries
@@ -38,11 +38,11 @@ def pseudoinverse(pu: ProjectedUnitary, delta: float, eps: float,
         inv = approx_inverse(1.0 / sigma, min(eps / 2.0, 0.4), bounded=True,
                              max_degree=max_degree)
         # multiply by a high-pass complement whose plateau sits inside the
-        # transition band
+        # transition band; both factors, and so the product, peak at most
+        # 1 - b/4 for their budget b
         rect = approx_rect(sigma, delta, min(eps / 2.0, 0.4), max_degree)
         high = cheb.add(np.array([1.0]), -rect.cheb.cheb_coeffs.real)
-        coeffs = below_one(
-            cheb.trim(cheb.mul(inv.cheb.cheb_coeffs.real, high), 1e-15))
+        coeffs = cheb.trim(cheb.mul(inv.cheb.cheb_coeffs.real, high), 1e-15)
         scale = sigma / 2.0
     p_re = ChebSeries(cheb.enforce_parity(coeffs, "odd"), "odd")
     outcome = svt_apply(pu.dagger(), p_re, kind="real_poly",

@@ -50,6 +50,7 @@ class TestSign:
         # the valid domain is the two points +-1, where discriminate's
         # one-sided run at b = 1 asks for sign
         res = approx_sign(1.0, eps)
+        assert res.degree == 1
         assert res.valid_domain == ((-1.0, -1.0), (1.0, 1.0))
         assert abs(res.evaluate(1.0) - 1.0) <= eps
         assert np.abs(res.evaluate(DENSE)).max() <= 1.0
@@ -100,9 +101,18 @@ class TestInverse:
 
 class TestTrig:
     def test_t0_coefficient_is_j0(self):
+        # the cos series is s (J_0 + 2 sum_k (-1)^k J_2k T_2k), s the scale
+        # to its margin, which moves it by at most 7 eps/12
         from scipy.special import jv
-        cos_r, _ = approx_trig(2.7, 1e-8)
-        assert cos_r.cheb.cheb_coeffs[0].real == pytest.approx(jv(0, 2.7), abs=1e-12)
+        eps = 1e-8
+        cos_r, _ = approx_trig(2.7, eps)
+        got = cos_r.cheb.cheb_coeffs.real
+        k = np.arange(len(got))
+        want = np.where(k % 2, 0.0, np.where(k, 2.0, 1.0)
+                        * (-1.0) ** (k // 2) * jv(k, 2.7))
+        s = got[0] / jv(0, 2.7)
+        assert 1 - 7 * eps / 12 <= s <= 1
+        np.testing.assert_allclose(got, s * want, rtol=0, atol=1e-12)
 
     def test_negate_t(self):
         cos_p, sin_p = approx_trig(1.3, 1e-9)
@@ -318,6 +328,20 @@ def test_sign_cap_applies_to_returned_degree():
     with pytest.raises(DegreeOverflow):
         approx_sign(0.13, 1e-4, max_degree=deg - 1)
 
+
+
+def test_over_cap_trig_refused_without_a_long_bessel_pass(monkeypatch):
+    # a series within eps < 1 of cos(30000 x) has a root between each two
+    # of its +-1 points, far more than the cap allows: refused before a
+    # Bessel pass, which at this t would run for seconds
+    passes = []
+    real = approx_mod._miller
+    monkeypatch.setattr(approx_mod, "_miller",
+                        lambda orders, t, start, *a: passes.append(start)
+                        or real(orders, t, start, *a))
+    with pytest.raises(DegreeOverflow, match="> cap 512"):
+        approx_mod.approx_trig(30000.0, 1e-6, 512)
+    assert max(passes, default=0) <= 2 * 512
 
 
 def test_over_cap_sign_fit_refused_without_larger_fits(monkeypatch):
@@ -670,10 +694,64 @@ def test_grid_cut_is_the_masked_grid(scale):
         assert np.array_equal(got[:m], vals[inside])
 
 
-def test_claimed_sup_is_the_grid_sup():
-    res = approx_inverse(3.0, 1e-3)
-    assert res.claimed_sup_bound == approx_mod._grid_sup(
-        res.cheb.cheb_coeffs.real)
+@pytest.mark.parametrize("kappa, eps", [(3.0, 1e-3), (8.0, 1e-5),
+                                        (12.0, 1e-6)])
+def test_claimed_sup_is_the_peak(kappa, eps):
+    # the certificate grid's own max missed the sup by 1.3e-7 to 3.8e-5
+    res = approx_inverse(kappa, eps)
+    coeffs = res.cheb.cheb_coeffs.real
+    assert res.claimed_sup_bound == _chebops.peak(coeffs)
+    xs = np.linspace(-1.0, 1.0, 200_001)
+    assert res.claimed_sup_bound >= np.abs(npcheb.chebval(xs, coeffs)).max()
+
+
+def _svt_targets(monkeypatch, module, run):
+    """The series ``run`` hands to ``module.svt_apply``."""
+    seen = []
+    real = module.svt_apply
+    monkeypatch.setattr(module, "svt_apply",
+                        lambda pu, p, **kw: seen.append(p) or real(pu, p, **kw))
+    run()
+    return [p.cheb_coeffs.real for p in seen]
+
+
+def _pinv_threshold_targets(monkeypatch):
+    from svtkit.apps import solve
+    from svtkit.blockenc import embed
+    pu = embed(np.diag([0.7, 0.08]), 1.0).pu
+    return [(c, 1e-3 / 2) for c in _svt_targets(
+        monkeypatch, solve,
+        lambda: solve.pseudoinverse(pu, 0.1, 1e-3, threshold_mode=0.4))]
+
+
+def _amplify_targets(monkeypatch):
+    from svtkit.apps import amplify
+    from svtkit.blockenc import embed
+    pu = embed(np.diag([0.1, 0.3]), 1.0).pu
+    return [(c, 1e-4 / 2) for c in _svt_targets(
+        monkeypatch, amplify,
+        lambda: amplify.amplify_singular_values(pu, 2.0, 0.2, 1e-4))]
+
+
+@pytest.mark.parametrize("build_", [
+    *[lambda _, t=t: [(r.cheb.cheb_coeffs.real, 1e-8)
+                      for r in approx_trig(t, 1e-8)]
+      for t in (0.2, 1.4, 5.0, 20.0)],
+    lambda _: [(approx_arcsin(d, e).cheb.cheb_coeffs.real, e)
+               for d, e in ((0.5, 1e-3), (0.1, 1e-6))],
+    lambda _: [(c, 3 * 1e-5 / 8) for t in (0.6, 1.0, -1.0)
+               for c in hamsim._fracq_poly(t, 1e-5)],
+    _pinv_threshold_targets,
+    _amplify_targets,
+], ids=["trig-0.2", "trig-1.4", "trig-5", "trig-20", "arcsin", "fracq",
+        "pinv-threshold", "amplify"])
+def test_phase_targets_keep_their_margin(build_, monkeypatch):
+    # each target of error budget b peaks at most 1 - b/4, up to the
+    # rounding of re-measuring the peak of a scaled series
+    targets = build_(monkeypatch)
+    assert targets
+    for coeffs, b in targets:
+        assert _chebops.peak(coeffs) <= 1 - b / 4 + 1e-14
 
 
 # ----------------------------------------------------------------------

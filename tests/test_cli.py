@@ -382,7 +382,10 @@ def test_poly_verdict_independent_of_blas_threads(argv, target):
     ["--family", "sign", "--delta", "0.1", "--eps", "1e-6"],
     ["--family", "rect", "--t", "0.5", "--delta", "0.08", "--eps", "1e-4"],
     ["--family", "inverse", "--kappa", "2.5", "--eps", "1e-3", "--bounded"],
-], ids=["sign-1e-12", "sign-1e-6", "rect", "inverse"])
+    ["--family", "sin", "--t", "5", "--eps", "1e-8"],
+    ["--family", "cos", "--t", "9", "--eps", "1e-10"],
+    ["--family", "arcsin", "--delta", "0.1", "--eps", "1e-6"],
+], ids=["sign-1e-12", "sign-1e-6", "rect", "inverse", "sin", "cos", "arcsin"])
 def test_phases_verdict_independent_of_blas_threads(argv):
     # the phases may move in their last digits between thread counts; the
     # exit code and the reconstruction certificate's verdict may not
