@@ -3,10 +3,12 @@
 Two routes turn a target into phases, both in double precision:
 
 - real targets of definite parity (`phases_for_target`, `complete`) go
-  through the symmetric-phase solver: Newton iteration on symmetric
-  sandwich phases so that Re<0|U_Phi(x)|0> matches the target at
-  Chebyshev nodes.  `complete` returns the unitary-valued pair
-  (P, Q), |P|^2 + (1-x^2)|Q|^2 = 1, that those phases realize;
+  through one pipeline, `_real_phases`: the gate, a degree cut, the
+  symmetric-phase solver (Newton iteration on symmetric sandwich phases
+  so that Re<0|U_Phi(x)|0> matches the target at Chebyshev nodes) and a
+  certificate of the realized circuit.  `phases_for_target` returns the
+  phases and `complete` the unitary-valued pair (P, Q),
+  |P|^2 + (1-x^2)|Q|^2 = 1, that they realize;
 - complex targets go through `complete_complex`, which finds Q by root
   pairing, and `phases_from_pq`, which peels the phases off one layer
   at a time in the Chebyshev basis, keeping the recursion conditioned
@@ -106,20 +108,19 @@ class SignalPair:
         return npcheb.chebval(x, self.q_cheb)
 
     def unitarity_defect(self) -> float:
-        """max | |P|^2 + (1-x^2)|Q|^2 - 1 | at x = cos(pi j / n), j = 0..n.
-
-        n is 1000, or 1000 * 2^k once a series has more than 1001
-        coefficients; that grid holds the 1001 points of n = 1000.  P and
-        Q are taken there by `_chebops.dct1_values`.
+        """max | |P|^2 + (1-x^2)|Q|^2 - 1 | over [-1, 1], bounded by the
+        1-norm of that polynomial's Chebyshev coefficients (|T_k| <= 1),
+        formed as P P* + (1-x^2) Q Q* - 1 with P* the conjugated series.
+        Left out is the rounding of the products, up to about
+        n u (||P||_1^2 + 2 ||Q||_1^2) for n coefficients and u = 2^-53, as
+        a grid leaves out its own; near rounding level the two differ
+        either way.
         """
-        n = 1000
-        while n + 1 < max(len(self.p_cheb), len(self.q_cheb)):
-            n *= 2
-        xs = np.cos(np.linspace(0, math.pi, n + 1))
-        pv = cheb.dct1_values(self.p_cheb, n)
-        qv = cheb.dct1_values(self.q_cheb, n)
-        return float(np.abs(np.abs(pv) ** 2
-                            + (1 - xs ** 2) * np.abs(qv) ** 2 - 1).max())
+        p, q = self.p_cheb, self.q_cheb
+        defect = cheb.add(cheb.mul(p, np.conj(p)),
+                          cheb.mul_one_minus_x2(cheb.mul(q, np.conj(q))))
+        defect[0] -= 1.0
+        return float(np.abs(defect).sum())
 
     def validate(self, tol=1e-10):
         k = self.k
@@ -283,31 +284,12 @@ def _completion_gap(c) -> float:
 def complete(p_re, tol: float = 1e-10) -> SignalPair:
     """Complete a real target p to a unitary-valued SignalPair with Re P = p.
 
-    Trailing coefficients below 1e-11 max(1, max|c|), the threshold at
-    which SignalPair declares its degree, are cut first.  `_completion_gap`
-    refuses a target with an imaginary part or without definite parity
-    (Inadmissible), and one that exceeds 1 in magnitude (NotSubunit).  A
-    constant p completes in closed form to
-    P = p + i sqrt(1 - p^2), Q = 0; any other p takes the pair the
-    symmetric-phase Newton solver realizes.  The pair's P is certified by
-    its coefficients, with no evaluation: `_coefficient_bound` of Re P
-    against the uncut target bounds max |Re P - p| over [-1, 1].  A bound
-    above ``tol``, or a unitarity defect above ``tol``, raises
-    NumericalFailure.
+    The pair `phases_for_target`'s phases realize, from its pipeline
+    `_real_phases` and with its errors, run to the Newton goal NEWTON_GOAL
+    whatever ``tol`` and then validated at ``tol`` too.  The zero target
+    completes to the one-layer pair P = ix, Q = 1.
     """
-    c = _as_cheb_array(p_re)
-    p = _degree_cut(c, math.inf)
-    _completion_gap(p)
-    c, p = c.real, p.real
-    if len(p) == 1:
-        root = math.sqrt(max(0.0, 1.0 - p[0] * p[0]))
-        return SignalPair(np.array([complex(p[0], root)]), np.zeros(1),
-                          tol=tol)
-    _, pair, _ = _symmetric_phases(p, NEWTON_GOAL)
-    err = _coefficient_bound(pair.p_cheb.real, c)
-    if err > tol:
-        raise NumericalFailure(
-            f"completion misses the target by {err:.2e} (tol {tol:.0e})")
+    pair, _, _ = _real_phases(_as_cheb_array(p_re), tol, NEWTON_GOAL)
     return pair.validate(tol)
 
 
@@ -693,9 +675,9 @@ def _coefficient_bound(f: np.ndarray, c: np.ndarray) -> float:
 def _degree_cut(c: np.ndarray, tol: float) -> np.ndarray:
     """Drop the trailing coefficients below 1e-11 max(1, max|c|) while
     their summed magnitude, a bound on what they move, stays within
-    tol / 10.  SignalPair declares degree by the same threshold, and
-    `complete` cuts by it alone (tol = inf), so the phase count is the
-    one completion gives unless that tail is too heavy to drop."""
+    tol / 10.  SignalPair declares degree by the same threshold, so a
+    pair's degree is the phase count unless that tail is too heavy to
+    drop."""
     a = np.abs(c)
     thr = 1e-11 * max(1.0, float(a.max()))
     small = np.maximum.accumulate(a[::-1]) <= thr
@@ -704,36 +686,27 @@ def _degree_cut(c: np.ndarray, tol: float) -> np.ndarray:
     return c[: max(1, len(c) - drop)]
 
 
-def phases_for_target(p_re, tol: float = 1e-8):
-    """Real target -> reflection phases, certifying the reconstruction.
+def _real_phases(c: np.ndarray, tol: float, goal: float):
+    """The one pipeline of a real target c (Chebyshev coefficients) to a
+    pair and reflection phases, shared by `phases_for_target` and
+    `complete`, which differ only in the Newton ``goal``.
 
-    On a cache miss `_completion_gap`, the one admissibility gate, refuses
-    a target with an imaginary part above `_chebops.drop_threshold` or
-    without definite parity (Inadmissible), and one that exceeds 1 in
-    magnitude anywhere on [-1, 1] (NotSubunit, a subclass of
-    Inadmissible).  The gate sees the target as given; `_degree_cut` then
-    drops a tail, and when the target's peak plus that tail's 1-norm
-    exceeds 1 the cut is divided by that sum, so it stays within 1 too.
-    A nonzero constant a takes the reflection phases (arccos a, 0) in
-    closed form; any other cut goes to the symmetric-phase Newton solver,
-    which stops at a node residual of max(NEWTON_GOAL, tol / 10), and its
-    pair is validated once (unitarity defect at most 1e-10).  The realized
-    Re<0|U_Phi|0>, a polynomial of degree d, is then taken at the d + 1 Chebyshev nodes by the top-row
-    kernel `_reflection_row` (`qsp_eval`'s values, bit for bit) and
-    fitted; `_coefficient_bound` of those coefficients against the uncut
-    target (their 1-norm distance plus the rounding of evaluation and
-    fit) bounds max |Re P - p| over [-1, 1] and must meet ``tol``, else
-    NumericalFailure.
-
-    Returns (SignalPair, reflection PhaseSequence, report); the report
-    holds that bound as ``reconstruction_error`` and ``node_residual``.
-    Results are memoized on (coefficients, tol).
+    `_completion_gap`, the one admissibility gate, sees the target as
+    given; `_degree_cut` then drops a tail, and when the target's peak
+    plus that tail's 1-norm exceeds 1 the cut is divided by that sum, so
+    it stays within 1 too.  A nonzero constant a takes the reflection
+    phases (arccos a, 0) in closed form; any other cut goes to the
+    symmetric-phase Newton solver, which stops at a node residual of
+    ``goal``, and its pair is validated once (unitarity defect at most
+    1e-10).  The realized Re<0|U_Phi|0>, a polynomial of degree d, is then
+    taken at the d + 1 Chebyshev nodes by the top-row kernel
+    `_reflection_row` (`qsp_eval`'s values, bit for bit) and fitted;
+    `_coefficient_bound` of those coefficients against the uncut target
+    (their 1-norm distance plus the rounding of evaluation and fit)
+    bounds max |Re P - p| over [-1, 1] and must meet ``tol``, else
+    NumericalFailure.  Returns (SignalPair, reflection PhaseSequence,
+    report).
     """
-    c = _as_cheb_array(p_re)
-    key = (c.tobytes(), float(tol))
-    cached = _PHASE_CACHE.get(key)
-    if cached is not None:
-        return cached
     top = _completion_gap(c)
     c = c.real
     coeffs = _degree_cut(c, tol)
@@ -743,8 +716,8 @@ def phases_for_target(p_re, tol: float = 1e-8):
     if lifted > 1.0:
         coeffs = coeffs / lifted
     if len(coeffs) == 1 and coeffs[0]:
-        # a constant a is `complete`'s pair P = a + i sqrt(1 - a^2), Q = 0,
-        # which e^{i arccos(a) Z} R(x) R(x) realizes, as R(x)^2 = I: the
+        # a constant a completes to P = a + i sqrt(1 - a^2), Q = 0, which
+        # e^{i arccos(a) Z} R(x) R(x) realizes, as R(x)^2 = I: the
         # reflection form of the sandwich (-asin(a)/2, pi/2, -asin(a)/2)
         a = float(coeffs[0])
         pair = SignalPair(np.array([complex(a, math.sqrt(1.0 - a * a))]),
@@ -754,8 +727,7 @@ def phases_for_target(p_re, tol: float = 1e-8):
     else:
         if not coeffs.any():
             coeffs = np.zeros(2)  # zero is realized by one layer, as odd
-        sandwich, pair, resid = _symmetric_phases(
-            coeffs, max(NEWTON_GOAL, tol / 10))
+        sandwich, pair, resid = _symmetric_phases(coeffs, goal)
         pair.validate()
         refl = to_reflection(sandwich)
     d = refl.degree
@@ -765,7 +737,26 @@ def phases_for_target(p_re, tol: float = 1e-8):
         raise NumericalFailure(
             f"reconstruction error {err:.2e} above requested {tol:.0e} "
             f"(Newton node residual {resid:.1e}, degree {d})")
-    out = (pair, refl, {"reconstruction_error": err, "node_residual": resid})
+    return pair, refl, {"reconstruction_error": err, "node_residual": resid}
+
+
+def phases_for_target(p_re, tol: float = 1e-8):
+    """Real target -> reflection phases, certifying the reconstruction.
+
+    `_real_phases` at the Newton goal max(NEWTON_GOAL, tol / 10), with its
+    errors: Inadmissible for an imaginary part or no definite parity,
+    NotSubunit (a subclass) above 1 on [-1, 1], and NumericalFailure when
+    the reconstruction bound misses ``tol``.  Returns (SignalPair,
+    reflection PhaseSequence, report); the report holds that bound as
+    ``reconstruction_error`` and ``node_residual``.  Results are memoized
+    on (coefficients, tol).
+    """
+    c = _as_cheb_array(p_re)
+    key = (c.tobytes(), float(tol))
+    cached = _PHASE_CACHE.get(key)
+    if cached is not None:
+        return cached
+    out = _real_phases(c, tol, max(NEWTON_GOAL, tol / 10))
     if len(_PHASE_CACHE) >= _PHASE_CACHE_MAX:
         _PHASE_CACHE.pop(next(iter(_PHASE_CACHE)))
     _PHASE_CACHE[key] = out

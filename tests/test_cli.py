@@ -385,7 +385,10 @@ def test_poly_verdict_independent_of_blas_threads(argv, target):
     ["--family", "sin", "--t", "5", "--eps", "1e-8"],
     ["--family", "cos", "--t", "9", "--eps", "1e-10"],
     ["--family", "arcsin", "--delta", "0.1", "--eps", "1e-6"],
-], ids=["sign-1e-12", "sign-1e-6", "rect", "inverse", "sin", "cos", "arcsin"])
+    ["--family", "neg_power", "--eps", "1e-4"],
+    ["--family", "rect", "--t", "0.4", "--delta", "0.05", "--eps", "1e-6"],
+], ids=["sign-1e-12", "sign-1e-6", "rect", "inverse", "sin", "cos", "arcsin",
+        "neg_power", "rect-1e-6"])
 def test_phases_verdict_independent_of_blas_threads(argv):
     # the phases may move in their last digits between thread counts; the
     # exit code and the reconstruction certificate's verdict may not

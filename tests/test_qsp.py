@@ -126,6 +126,19 @@ class TestComplete:
         # factorization methods were held to
         assert complete(random_target(14, 0.9, rng)).unitarity_defect() < 1e-11
 
+    @pytest.mark.parametrize("delta", [0.25, 0.3, 0.4])
+    def test_tight_sign_targets_complete(self, delta):
+        # peak 1 - 2.5e-13: the gate must see the target as given and the
+        # cut be rescaled, as for phases_for_target, or delta 0.25 is
+        # refused as NotSubunit
+        c = approx_sign(delta, 1e-12).cheb.cheb_coeffs.real
+        pair = complete(c)
+        assert pair.unitarity_defect() <= 1e-10
+        xs = np.linspace(-1.0, 1.0, 20001)
+        got = pair.p_value(xs).real
+        assert np.abs(got - np.polynomial.chebyshev.chebval(xs, c)).max() \
+            <= 1e-10
+
 
 class TestPhasesFromPq:
     def test_constant_pair(self):
@@ -541,23 +554,28 @@ def test_reconstruction_error_bounds_a_fine_grid():
     assert tiny >= 10
 
 
-def test_unitarity_defect_matches_pointwise_evaluation():
-    def pointwise(pair, n):
-        xs = np.cos(np.linspace(0, np.pi, n + 1))
+def test_unitarity_defect_bounds_a_fine_grid():
+    """The coefficient bound is at least the defect on 20,001 points once
+    the defect is above rounding; at rounding level the bound and a grid
+    round differently, so there it is only held below 1e-12."""
+    def fine(pair):
+        xs = np.linspace(-1.0, 1.0, 20001)
         pv = np.polynomial.chebyshev.chebval(xs, pair.p_cheb)
         qv = np.polynomial.chebyshev.chebval(xs, pair.q_cheb)
         return np.abs(np.abs(pv) ** 2 + (1 - xs ** 2) * np.abs(qv) ** 2
                       - 1).max()
 
     pair = complete(random_target(41, 0.9, np.random.default_rng(4)))
-    assert abs(pair.unitarity_defect() - pointwise(pair, 1000)) <= 1e-13
-    # above degree 1000 the grid doubles and still holds the 1001 points
+    assert pair.unitarity_defect() < 1e-12
+    assert qsp.complete_complex(cheb_unit(7)).unitarity_defect() < 1e-12
+    q = pair.q_cheb.copy()
+    q[3] += 1e-6
+    off = SignalPair(pair.p_cheb, q, validate=False)
+    assert off.unitarity_defect() >= fine(off) > 1e-7
     gen = np.random.default_rng(5)
     long_pair = SignalPair(1e-3 * gen.standard_normal(1501),
                            1e-3 * gen.standard_normal(1500), validate=False)
-    defect = long_pair.unitarity_defect()
-    assert defect == pytest.approx(pointwise(long_pair, 2000), rel=1e-12)
-    assert defect >= pointwise(long_pair, 1000)
+    assert long_pair.unitarity_defect() >= fine(long_pair) > 0.5
 
 
 def critical_sup(c):
