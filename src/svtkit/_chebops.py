@@ -166,40 +166,51 @@ def values(c, x):
     return np.moveaxis(t @ c, 0, -1).reshape(c.shape[1:] + x.shape)
 
 
-def peak(c) -> float:
-    """max |p| over [-1, 1] for p = sum_k c_k T_k, c real or complex.
+def _grid_stage(c):
+    """The first stage of `peak`: (n, p at x_j = cos(pi j / n), j = 0..n,
+    by one DCT-I, and an upper bound on max |p| over [-1, 1]), n the
+    smallest power of two >= max(2048, 8d), d = deg p.
 
-    p, p' and p'' are taken by DCT-I at x_j = cos(pi j / n), j = 0..n, n
-    the smallest power of two >= max(2048, 8d), d = deg p.  A peak of |p|
-    can fall between those points.  Let M = |p| at the peak theta* and
-    h(theta) = Re(conj(u) p(cos theta)), u the unit phase of p there: a
-    real trigonometric polynomial of degree d with |h| <= M, maximal at
-    theta*, so |h''| <= d^2 M (Bernstein).  The grid point nearest the
-    peak, at most pi/(2n) away, then has |p| >= h >= M (1 - (pi d/n)^2/8),
-    and climbing the grid from it ends at a grid-local maximum above
-    (1 - 2 (pi d/n)^2) max_j |p(x_j)|.  Every such maximum is refined by
-    at most six Newton steps on |p|^2, step Re(conj p p') / (|p'|^2 +
-    Re(conj p p'')), and |p| is taken after each; the largest value seen
-    is returned.
+    Let M = |p| at its peak theta* and h(theta) = Re(conj(u) p(cos theta)),
+    u the unit phase of p there: a real trigonometric polynomial of degree
+    d with |h| <= M, maximal at theta*, so |h''| <= d^2 M (Bernstein).  The
+    grid point nearest the peak, at most pi/(2n) away, then has |p| >= h
+    >= M (1 - (pi d/n)^2/8), so M is at most max_j |p(x_j)| divided by
+    that factor, which is the bound returned.
     """
     c = np.atleast_1d(np.asarray(c))
     d = len(c) - 1
     n = 1 << (max(2048, 8 * d) - 1).bit_length()
+    vals = dct1_values(c, n)
+    return n, vals, float(np.abs(vals).max()) / (1.0 - (np.pi * d / n) ** 2
+                                                 / 8.0)
+
+
+def _newton_stage(c, n, vals) -> float:
+    """The second stage of `peak`, from the first's n and grid values:
+    p' and p'' by DCT-I on the same grid.  By `_grid_stage`'s argument,
+    climbing the grid from the point nearest a peak ends at a grid-local
+    maximum above (1 - 2 (pi d/n)^2) max_j |p(x_j)|.  Every such maximum
+    is refined by at most six Newton steps on |p|^2, step Re(conj p p') /
+    (|p'|^2 + Re(conj p p'')), and |p| is taken after each; the largest
+    value seen is returned."""
+    c = np.atleast_1d(np.asarray(c))
+    d = len(c) - 1
     # p, p' and p'' as columns: one DCT each gives them on the grid, and
     # one `values` call evaluates all three anywhere else
     stack = np.zeros((d + 1, 3), np.result_type(c, float))
     for j in range(3):
         col = npcheb.chebder(c, j)
         stack[: len(col), j] = col
-    on_grid = [dct1_values(stack[:, j], n) for j in range(3)]
-    a = np.abs(on_grid[0])
+    on_grid = [vals] + [dct1_values(stack[:, j], n) for j in (1, 2)]
+    a = np.abs(vals)
     # the grid is symmetric about theta = 0 and pi, so an end point is a
     # local maximum when its one neighbour is not higher
     ext = np.concatenate([a[1:2], a, a[-2:-1]])
     high = (1.0 - 2.0 * (np.pi * d / n) ** 2) * a.max()
     at = np.flatnonzero((a >= ext[:-2]) & (a >= ext[2:]) & (a >= high))
     x = np.cos(np.pi * at / n)
-    v, dv, d2v = (vals[at] for vals in on_grid)
+    v, dv, d2v = (col[at] for col in on_grid)
     best = float(a.max())
     with np.errstate(all="ignore"):
         for _ in range(6):
@@ -215,3 +226,12 @@ def peak(c) -> float:
             v, dv, d2v = values(stack, x)
             best = max(best, float(np.abs(v).max()))
     return best
+
+
+def peak(c) -> float:
+    """max |p| over [-1, 1] for p = sum_k c_k T_k, c real or complex: the
+    grid values of `_grid_stage`, refined by `_newton_stage`.  A peak of
+    |p| can fall between the grid points; by Bernstein's inequality it
+    leaves a grid-local maximum next to it, which Newton climbs."""
+    n, vals, _ = _grid_stage(c)
+    return _newton_stage(c, n, vals)

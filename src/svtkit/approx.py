@@ -1,9 +1,10 @@
 """Bounded polynomial approximations with certified error and degree.
 
 Every constructor returns an `ApproxResult` whose certificate (sup-norm
-bound on [-1, 1] and max error over a valid domain inside it) is
-re-measured on a dense grid, or raises NumericalFailure; those that take
-parameters only are memoized and return shared read-only results.  Sign,
+bound on [-1, 1] and max error over a valid domain inside it) is checked
+by a bound on each valid piece (`_piece_error`), or raises
+NumericalFailure; those that take parameters only are memoized and
+return shared read-only results.  Sign,
 rectangle, bounded 1/x and the negative powers are near-best fits by one
 Remez exchange (`_minimax`), exp and trig cut Chebyshev series with Bessel
 coefficients (`_miller`), arcsin and the fractional-query pair cut power
@@ -26,9 +27,6 @@ from . import _chebops as cheb
 LIB_MAX_DEGREE = 4096  # library-internal cap; the CLI enforces the 512 contract
 from .errors import DegreeOverflow, NumericalFailure
 from .poly import ChebSeries
-
-GRID_PER_UNIT = 10_000  # certification grid density per unit length
-
 
 # ----------------------------------------------------------------------
 # result container
@@ -74,81 +72,156 @@ class ApproxResult:
 
 
 # ----------------------------------------------------------------------
-# certificate grid
+# certificate
 
 
-@functools.lru_cache(maxsize=8)
-def _ascending_grid(n):
-    """The angle grid's abscissae, ascending and read-only."""
-    return _read_only(np.cos(np.pi * np.arange(n, -1, -1) / n))
+_U = 2.0 ** -53  # unit roundoff of a double
+_RHOS = 1.0 + 2.0 ** (np.arange(-40, 25) / 4.0)  # Bernstein ellipses tried
+_MAX_POINTS = 8 * LIB_MAX_DEGREE  # most interpolation points on one piece
 
 
-def _angle_grid(coeffs):
-    """(x, p(x)) for p = sum_k c_k T_k on the angle grid x_j = cos(pi j/N),
-    j = 0..N, by one DCT-I.  N is the smallest power of two >= deg p with
-    pi/N <= 1/GRID_PER_UNIT, so no gap is wider than that.  The x_j are a
-    shared read-only array."""
-    need = max(math.ceil(math.pi * GRID_PER_UNIT), len(coeffs) - 1)
-    n = 1 << (need - 1).bit_length()
-    return _ascending_grid(n)[::-1], cheb.dct1_values(coeffs, n)
+@dataclasses.dataclass(frozen=True)
+class _Target:
+    """What a certificate checks a series against on each valid piece.
+
+    With ``ellipse`` None, ``f`` is a polynomial of degree at most
+    ``degree`` on each piece.  Else ``ellipse(m, a, b)`` bounds |f| inside
+    the ellipse of centre m and semi-axes a >= b (arrays of them), in
+    which f is analytic, and is inf where f is not.  On the valid domain
+    ``f`` at a double is within ``ulps`` u of its exact value there, u =
+    2^-53, given that libm's cos, sin, exp, arcsin and pow are within one
+    ulp of theirs.
+    """
+
+    f: Callable
+    degree: int = 0
+    ellipse: Callable | None = None
+    ulps: float = 0.0
 
 
-def _on_grid(coeffs, intervals):
-    """For each [lo, hi] in ``intervals``, the points a certificate checks
-    there and p's values at them (p as in `_angle_grid`): the grid points
-    inside, plus both endpoints evaluated directly, plus, when the grid
-    puts fewer points inside than GRID_PER_UNIT asks for (at least 33),
-    that many evenly spaced points."""
-    xs, vals = _angle_grid(coeffs)
-    up = xs[::-1]  # ascending: the grid points in [lo, hi] are one slice
-    out = []
-    for lo, hi in intervals:
-        i = len(xs) - np.searchsorted(up, hi, "right")
-        j = len(xs) - np.searchsorted(up, lo, "left")
-        n_even = max(math.ceil((hi - lo) * GRID_PER_UNIT), 32) + 1
-        extra = (np.linspace(lo, hi, n_even) if j - i < n_even
-                 else np.array([lo, hi], float))
-        out.append((np.concatenate([xs[i:j], extra]),
-                    np.concatenate([vals[i:j], cheb.values(coeffs, extra)])))
-    return out
+def _power_ellipse(scale: float, c: float) -> Callable:
+    """`_Target.ellipse` of scale x^-c, analytic off 0: on an ellipse that
+    stays on one side of 0, |z| is at least |m| - a, at its near vertex."""
+    return lambda m, a, b: scale / np.maximum(abs(m) - a, 0.0) ** c
 
 
-def _certify(result: ApproxResult, target: Callable):
-    """Measure the sup over [-1, 1] and the error on each valid piece from
-    one angle-grid evaluation; each must meet its claim within 1e-9."""
-    slack = 1e-9
-    (_, on_sup), *pieces = _on_grid(result.cheb.cheb_coeffs,
-                                    [(-1.0, 1.0), *result.valid_domain])
-    sup = np.abs(on_sup).max()
-    if not sup <= result.claimed_sup_bound + slack:
+def _piece_error(c, own: float, target: _Target, lo: float, hi: float,
+                 claim: float):
+    """(bound on max |p - f| over [lo, hi], rounding term r) for p = sum_k
+    c_k T_k, ``own`` the rounding of p's values, and ``claim`` the error
+    that the bound is to meet within r.
+
+    A point piece is evaluated directly.  Else, with x = m + h s, m and h
+    the piece's centre and half-width, the error e(s) = p(x) - f(x) is
+    interpolated at the N + 1 Chebyshev points s_j of the first kind by
+    `_chebops.fit`, N = max(d, the target's degree or N_tail).  When f is a
+    polynomial of degree <= N, e equals its interpolant I_N e.  When f is
+    analytic in the Bernstein ellipse E_rho of the piece, |f| <= M there,
+    each T_k, k > N, aliases to one T_j, j <= N, at those points, so
+    |e - I_N e| = |I_N f - f| <= 2 sum_{k>N} |a_k(f)| <= 4 M rho^-N /
+    (rho - 1) (Trefethen, Approximation Theory and Approximation Practice,
+    Thm 8.2); N_tail is the least N putting that below claim/1000 for one
+    of ``_RHOS``, and a piece that needs more than _MAX_POINTS points gets
+    the bound inf.  The max of |I_N e| is bounded by
+    `_chebops._grid_stage` and, only when that bound plus the tail is above
+    claim + r, taken again by `_chebops._newton_stage`, as `_chebops.peak`
+    takes a peak.
+
+    r bounds the rounding of the values of e: `_chebops.values` (at most
+    _DENSE_POINTS points a call) is within ``own`` of p, f within ``ulps``
+    u of f, and the subtraction within u |e|, which interpolation
+    multiplies by the Lebesgue constant of the points, at most (2/pi)
+    log(N + 1) + 1 (Rivlin); the fit's and the DCT-I's FFTs, backward
+    stable with eta <= 7u (Higham, Accuracy and Stability of Numerical
+    Algorithms, Thm 24.2), add at most 34 u log2(2n) sqrt(n (N + 1))
+    max|e(s_j)| on the grid of n + 1 points.  Rounding the points to
+    doubles moves each by at most u: relative to e, below u N^2 / h by
+    Markov's inequality, which is left out.
+    """
+    if lo == hi:
+        x = np.array([lo])
+        err = float(np.abs(cheb.values(c, x) - target.f(x))[0])
+        return err, own + target.ulps * _U + _U * err
+    m, h = (lo + hi) / 2.0, (hi - lo) / 2.0
+    n_pts, tail = max(len(c) - 1, target.degree) + 1, 0.0
+    if target.ellipse is not None:
+        with np.errstate(all="ignore"):
+            big = target.ellipse(m, h * (_RHOS + 1 / _RHOS) / 2,
+                                 h * (_RHOS - 1 / _RHOS) / 2) \
+                * np.ones_like(_RHOS)
+            finite = big < np.inf  # not NaN either
+            need = np.log(4000.0 * big / ((_RHOS - 1) * claim)) \
+                / np.log(_RHOS)
+            n_pts = max(n_pts, math.ceil(np.clip(
+                need[finite].min(initial=np.inf), 0, _MAX_POINTS)) + 1)
+            tail = float(np.min(np.where(
+                finite, 4 * big * _RHOS ** (1 - n_pts) / (_RHOS - 1),
+                np.inf)))
+    if n_pts > _MAX_POINTS:
+        return math.inf, 0.0
+    x = np.clip(m + h * cheb.cheb_nodes(n_pts), lo, hi)
+    step = cheb._DENSE_POINTS
+    v = np.concatenate([cheb.values(c, x[i:i + step])
+                        for i in range(0, n_pts, step)]) - target.f(x)
+    e = cheb.fit(v, n_pts - 1)
+    n, grid, bound = cheb._grid_stage(e)
+    top = float(np.abs(v).max())
+    r = ((2 / math.pi * math.log(n_pts) + 1)
+         * (own + target.ulps * _U + _U * top)
+         + 34 * _U * math.log2(2 * n) * math.sqrt(n * n_pts) * top)
+    if bound + tail > claim + r:
+        bound = cheb._newton_stage(e, n, grid)
+    return bound + tail, r
+
+
+def _certify(result: ApproxResult, target: _Target, sup=None):
+    """Check the sup claim and, by `_piece_error`, the error claim on each
+    valid piece as given; return ((bound, r) for each piece, the sup).
+
+    ``sup`` is max |p| over [-1, 1] as the constructor measured it, else
+    `_chebops.peak` takes it; it must meet the sup claim within
+    `_chebops.values`' rounding ((2 pi + 1) d + d + 1) u ||c||_1 at one
+    point.  Each error bound must meet the claim within its rounding term
+    r, which leaves the error within claim + 2 r.
+    """
+    c = result.cheb.cheb_coeffs
+    c = c if np.any(c.imag) else c.real  # NaN counts as nonzero
+    d = len(c) - 1
+    own = ((2 * math.pi + 1) * d + d + 1) * _U * float(np.abs(c).sum())
+    sup = cheb.peak(c) if sup is None else sup
+    if not sup <= result.claimed_sup_bound + own:  # NaN fails too
         raise NumericalFailure(
             f"{result.label}: sup {sup:.3e} exceeds claimed "
             f"{result.claimed_sup_bound:.3e}")
-    # NaN fails both checks
-    worst = float(np.max([np.abs(vals - target(pts)).max()
-                          for pts, vals in pieces] or [0.0]))
-    if not worst <= result.claimed_error + slack:
-        raise NumericalFailure(
-            f"{result.label}: measured error {worst:.3e} exceeds claimed "
-            f"{result.claimed_error:.3e}")
-    return result
+    pieces = [_piece_error(c, own, target, float(lo), float(hi),
+                           result.claimed_error)
+              for lo, hi in result.valid_domain]
+    for (lo, hi), (bound, r) in zip(result.valid_domain, pieces):
+        if not bound <= result.claimed_error + r:
+            raise NumericalFailure(
+                f"{result.label}: error bound {bound:.3e} on "
+                f"[{lo:g}, {hi:g}] exceeds claimed "
+                f"{result.claimed_error:.3e}")
+    return pieces, sup
 
 
-def _certified(coeffs, parity, target: Callable, claimed_sup_bound: float,
+def _certified(coeffs, parity, target: _Target, claimed_sup_bound: float,
                claimed_error: float, valid_domain, label: str,
-               max_degree: int) -> ApproxResult:
+               max_degree: int, sup=None) -> ApproxResult:
     """The one return path of every constructor: the series of ``coeffs``
     (``parity`` None infers it; NumericalFailure if one is not finite),
     refused with DegreeOverflow above ``max_degree``, then certified by
-    `_certify` against ``target``."""
+    `_certify` against ``target``, with ``sup`` its max |p| if measured."""
     if not np.all(np.isfinite(coeffs)):
         raise NumericalFailure(f"{label}: non-finite coefficients")
     series = ChebSeries(coeffs, parity)
     if series.degree > max_degree:
         raise DegreeOverflow(
             f"{label}: degree {series.degree} > cap {max_degree}")
-    return _certify(ApproxResult(series, claimed_sup_bound, claimed_error,
-                                 tuple(valid_domain), label), target)
+    result = ApproxResult(series, claimed_sup_bound, claimed_error,
+                          tuple(valid_domain), label)
+    _certify(result, target, sup)
+    return result
 
 
 # ----------------------------------------------------------------------
@@ -195,8 +268,10 @@ def _to_peak(coeffs, top):
     """``coeffs`` scaled down to `_chebops.peak` ``top`` if above it: top is
     1 - b/4 for a target of error budget b, so a series within b/3 of a
     function bounded by 1 moves by at most 7 b/12, to within 11 b/12.  Its
-    peak read again may exceed top by rounding (2.0e-15 on 116 of 400
-    random trig builds); the phase gate's comparison with 1 absorbs it."""
+    peak is then at most top, the sup its constructor hands the
+    certificate; read again it may exceed top by rounding (2.0e-15 on 116
+    of 400 random trig builds), which the certificate's rounding term and
+    the phase gate's comparison with 1 absorb."""
     peak = cheb.peak(coeffs)
     return coeffs * (top / peak) if peak > top else coeffs
 
@@ -518,9 +593,10 @@ def approx_sign(delta: float, eps: float,
     fit = (np.array([0.0, 1.0]) if delta == 1 else
            _minimax([(delta, 1.0)], np.ones_like, "odd", eps / 3.0,
                     max_degree))
-    return _certified(_to_peak(fit, 1.0 - eps / 4.0), "odd", np.sign, 1.0,
-                      eps, ((-1.0, -delta), (delta, 1.0)),
-                      f"sign(delta={delta:g}, eps={eps:g})", max_degree)
+    top = 1.0 - eps / 4.0
+    return _certified(_to_peak(fit, top), "odd", _Target(np.sign), 1.0, eps,
+                      ((-1.0, -delta), (delta, 1.0)),
+                      f"sign(delta={delta:g}, eps={eps:g})", max_degree, top)
 
 
 @_memo
@@ -553,9 +629,9 @@ def approx_rect(t: float, delta_p: float, eps_p: float,
     domain = [(-inner, inner)] if t - delta_p > 0 else []
     if t + delta_p < 1.0:
         domain += [(-1.0, -(t + delta_p)), (t + delta_p, 1.0)]
-    return _certified(coeffs, "even", target, 1.0, eps_p, domain,
+    return _certified(coeffs, "even", _Target(target), 1.0, eps_p, domain,
                       f"rect(t={t:g}, delta'={delta_p:g}, eps'={eps_p:g})",
-                      max_degree)
+                      max_degree, 1.0 - eps_p / 4.0)
 
 
 # ----------------------------------------------------------------------
@@ -634,16 +710,18 @@ def approx_inverse(kappa: float, eps: float, bounded: bool = False,
     delta = 1.0 / kappa
     if not bounded:
         coeffs, b, J = _inverse_cheb_coeffs(kappa, eps)
-        return _certified(coeffs, "odd", lambda x: 1.0 / x,
-                          cheb.peak(coeffs), eps,
-                          ((-1.0, -delta), (delta, 1.0)),
-                          f"inverse(kappa={kappa:g}, eps={eps:g})",
-                          max_degree)
+        peak = cheb.peak(coeffs)
+        return _certified(coeffs, "odd", _Target(
+            lambda x: 1.0 / x, ellipse=_power_ellipse(1.0, 1.0), ulps=kappa),
+            peak, eps, ((-1.0, -delta), (delta, 1.0)),
+            f"inverse(kappa={kappa:g}, eps={eps:g})", max_degree, peak)
     return _certified(_power_fit(1.0, delta, eps, "odd", max_degree), "odd",
-                      lambda x: delta / (2.0 * x), 1.0, eps,
+                      _Target(lambda x: delta / (2.0 * x),
+                              ellipse=_power_ellipse(delta / 2.0, 1.0),
+                              ulps=1.0), 1.0, eps,
                       ((-1.0, -delta), (delta, 1.0)),
                       f"inverse_bounded(kappa={kappa:g}, eps={eps:g})",
-                      max_degree)
+                      max_degree, 1.0 - eps / 4.0)
 
 
 # ----------------------------------------------------------------------
@@ -736,10 +814,14 @@ def approx_trig(t: float, eps: float,
     k = np.arange(orders + 1)
     ja = np.where(k, 2.0, 1.0) * bessel_j(orders, abs(t)) * (-1.0) ** (k // 2)
     ja[1::2] *= math.copysign(1.0, t)
+    # |cos z|, |sin z| <= cosh(Im z); t x rounds by up to |t| u
+    top = 1.0 - eps / 4.0
     return tuple(_certified(
-        _to_peak(_cut(np.where(k % 2 == odd, ja, 0.0), eps / 3.0),
-                 1.0 - eps / 4.0), parity, lambda x, f=f: f(t * x), 1.0, eps,
-        ((-1.0, 1.0),), f"{f.__name__}(t={t:g}, eps={eps:g})", max_degree)
+        _to_peak(_cut(np.where(k % 2 == odd, ja, 0.0), eps / 3.0), top),
+        parity, _Target(lambda x, f=f: f(t * x),
+                        ellipse=lambda m, a, b: np.cosh(abs(t) * b),
+                        ulps=2.0 + abs(t)), 1.0, eps, ((-1.0, 1.0),),
+        f"{f.__name__}(t={t:g}, eps={eps:g})", max_degree, top)
         for odd, parity, f in ((0, "even", np.cos), (1, "odd", np.sin)))
 
 
@@ -774,7 +856,8 @@ def approx_monomial(s: int, d: int,
     if not (s >= 1 and d >= 0):
         raise ValueError("need s >= 1 and d >= 0")
     return _certified(_monomial_cheb(s, d), "even" if s % 2 == 0 else "odd",
-                      lambda x: np.asarray(x, float) ** s, 1.0,
+                      _Target(lambda x: np.asarray(x, float) ** s, s, ulps=2.0),
+                      1.0,
                       2.0 * math.exp(-d * d / (2.0 * s)), ((-1.0, 1.0),),
                       f"monomial(s={s}, d={d})", max_degree)
 
@@ -799,9 +882,11 @@ def approx_exp(beta: float, eps: float,
         raise ValueError("need beta 0 or in [1e-300, inf), and eps in "
                          "(0, 1/2]")
 
-    def target(x):
-        return np.exp(-beta * (1.0 - np.asarray(x, float)))
-
+    # |exp(-beta (1 - z))| = exp(beta (Re z - 1)); 1 - x and beta (1 - x)
+    # round, moving the exponent by up to 4 beta u
+    target = _Target(lambda x: np.exp(-beta * (1.0 - np.asarray(x, float))),
+                     ellipse=lambda m, a, b: np.exp(beta * (m + a - 1.0)),
+                     ulps=2.0 + 5.0 * beta)
     label = f"exp(beta={beta:g}, eps={eps:g})"
     if beta == 0:
         return _certified(np.array([1.0]), "even", target, 1.0, eps,
@@ -877,16 +962,22 @@ def approx_arcsin(delta: float, eps: float,
     if not (0 < delta <= 0.5 and 0 < eps <= 0.5):
         raise ValueError("need delta, eps in (0, 1/2]")
 
-    def target(x):
-        return 2.0 / math.pi * np.arcsin(np.clip(x, -1, 1))
+    # arcsin's Taylor coefficients are positive, so |arcsin z| <= arcsin r
+    # on |z| <= r < 1, and |z| <= |m| + a on the ellipse
+    def ellipse(m, a, b):
+        r = np.minimum(abs(m) + a, 1.0)
+        return np.where(r < 1.0, 2.0 / math.pi * np.arcsin(r), np.inf)
 
+    target = _Target(lambda x: 2.0 / math.pi * np.arcsin(np.clip(x, -1, 1)),
+                     ellipse=ellipse, ulps=3.0)
     coeffs = _one_sign_series(
         2.0 / math.pi,
         lambda k: (2 * k + 1) ** 2 / ((2 * k + 2) * (2 * k + 3)),
         np.square, 1, (1.0 - delta) ** 2, eps / 2.0, max_degree)
-    return _certified(_to_peak(coeffs, 1.0 - eps / 4.0), "odd", target,
-                      1.0, eps, ((-1.0 + delta, 1.0 - delta),),
-                      f"arcsin(delta={delta:g}, eps={eps:g})", max_degree)
+    top = 1.0 - eps / 4.0
+    return _certified(_to_peak(coeffs, top), "odd", target, 1.0, eps,
+                      ((-1.0 + delta, 1.0 - delta),),
+                      f"arcsin(delta={delta:g}, eps={eps:g})", max_degree, top)
 
 
 @_memo
@@ -903,10 +994,11 @@ def approx_neg_power(c: float, delta: float, eps: float, parity: str = "odd",
     if scale == 0:
         raise ValueError("delta^c underflows to 0")
     return _certified(_power_fit(c, delta, eps, parity, max_degree), parity,
-                      lambda x: scale * np.asarray(x, float) ** (-c), 1.0,
-                      eps, ((delta, 1.0),),
+                      _Target(lambda x: scale * np.asarray(x, float) ** (-c),
+                              ellipse=_power_ellipse(scale, c), ulps=2.0),
+                      1.0, eps, ((delta, 1.0),),
                       f"neg_power(c={c:g}, delta={delta:g}, eps={eps:g})"
-                      f"[{parity}]", max_degree)
+                      f"[{parity}]", max_degree, 1.0 - eps / 4.0)
 
 
 @_memo
@@ -934,7 +1026,8 @@ def approx_window(n: int, eps: float,
     coeffs = cheb.enforce_parity(coeffs, "even" if n % 2 == 0 else "odd")
     lam = 1.0 / beta
     return _certified(coeffs, None,
-                      lambda x: np.zeros_like(np.asarray(x, float)), 1.0,
+                      _Target(lambda x: np.zeros_like(np.asarray(x, float))),
+                      1.0,
                       eps, ((-lam, lam),), f"window(n={n}, eps={eps:g})",
                       max_degree)
 

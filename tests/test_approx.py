@@ -12,8 +12,8 @@ from scipy.special import gammaln, ive
 from svtkit import _chebops
 from svtkit import approx as approx_mod
 from svtkit.apps import hamsim
-from svtkit.approx import (GRID_PER_UNIT, ApproxResult, ApproxSpec,
-                           _certify, approx_arcsin, approx_exp,
+from svtkit.approx import (ApproxResult, ApproxSpec, _certify, _Target,
+                           approx_arcsin, approx_exp,
                            approx_inverse, approx_monomial, approx_neg_power,
                            approx_rect, approx_sign, approx_trig,
                            approx_window, bessel_j, build, solve_r)
@@ -491,30 +491,7 @@ def test_minimax_degree_is_least():
 
 
 # ----------------------------------------------------------------------
-# kernels: FFT fit, DCT-I grid, Miller recurrence
-
-
-@settings(max_examples=40, deadline=None)
-@given(degree=st.integers(0, 600), is_complex=st.booleans(),
-       seed=st.integers(0, 2 ** 32 - 1))
-def test_angle_grid_matches_chebval(degree, is_complex, seed):
-    gen = np.random.default_rng(seed)
-    c = gen.uniform(-1, 1, degree + 1)
-    if is_complex:
-        c = c + 1j * gen.uniform(-1, 1, degree + 1)
-    xs, vals = approx_mod._angle_grid(c)
-    assert xs[0] == 1.0 and xs[-1] == -1.0
-    assert np.diff(xs).min() >= -1.0 / approx_mod.GRID_PER_UNIT
-    n = len(xs)
-    idx = np.concatenate([gen.integers(0, n, 1024), np.arange(16),
-                          n - 1 - np.arange(16)])
-    y = xs[idx]
-    want = npcheb.chebval(y, c)
-    # the grid values are taken at the exact angles; the rounding of each
-    # x_j to a double moves chebval's value by up to |p'(x_j)| ulp(x_j)
-    moved = np.abs(npcheb.chebval(y, npcheb.chebder(c))) * np.spacing(np.abs(y))
-    assert np.all(np.abs(vals[idx] - want)
-                  <= 1e-13 * np.abs(c).sum() + moved)
+# kernels: point values, FFT fit, Miller recurrence
 
 
 @settings(max_examples=60, deadline=None)
@@ -604,38 +581,42 @@ def test_bessel_j_is_a_column_of_the_table():
 
 
 # ----------------------------------------------------------------------
-# the angle-grid certificate
+# the certificate
 
 
-def _line(domain):
-    """p(x) = x/2 claiming error 1e-3 on ``domain``."""
-    series = ChebSeries(np.array([0.0, 0.5]), "odd")
-    return ApproxResult(cheb=series, claimed_sup_bound=1.0,
-                        claimed_error=1e-3, valid_domain=domain,
-                        label="line")
+LINE = _Target(lambda x: x / 2, 1)
 
 
-def _spike(center, width):
-    """x/2 plus a spike of height 2e-3 and half-width ``width``."""
-    def target(x):
-        x = np.asarray(x, float)
-        return 0.5 * x + 2e-3 * np.maximum(0.0, 1 - np.abs(x - center) / width)
-    return target
+def _line(domain, extra=np.zeros(1)):
+    """p(x) = x/2 plus the series ``extra``, claiming error 1e-3 on
+    ``domain`` against LINE."""
+    return ApproxResult(cheb=ChebSeries(_chebops.add(np.array([0.0, 0.5]),
+                                                     extra)),
+                        claimed_sup_bound=1.0, claimed_error=1e-3,
+                        valid_domain=domain, label="line")
 
 
-def _grid_gap(points):
-    """Distance from each point to the nearest angle-grid point on [-1, 1]."""
-    xs = np.sort(approx_mod._angle_grid(np.zeros(1))[0])
-    pos = np.clip(np.searchsorted(xs, points), 1, len(xs) - 1)
-    return np.minimum(np.abs(points - xs[pos - 1]), np.abs(points - xs[pos]))
+def _fejer_bump(theta0, degree, height):
+    """F(theta - theta0) + F(theta + theta0), F the Fejer kernel of
+    ``degree``, as a Chebyshev series scaled to peak ``height``: a
+    nonnegative bump of width about pi/degree around x = cos(theta0)."""
+    k = np.arange(1, degree + 1)
+    c = np.concatenate([[2.0], 4.0 * (1 - k / (degree + 1))
+                        * np.cos(k * theta0)])
+    return c * (height / _chebops.peak(c))
 
 
-def test_certificate_checks_piece_endpoints():
-    lo, width = 0.123456789, 1e-9
-    assert _grid_gap(np.array([lo]))[0] > width
-    _certify(_line(((lo, 0.9),)), _spike(0.0, width))  # control: accepted
-    with pytest.raises(NumericalFailure, match="measured error"):
-        _certify(_line(((lo, 0.9),)), _spike(lo, width))
+def test_certificate_refuses_a_bump_between_grid_points():
+    # the retired certificate sampled x_j = cos(pi j / 2^15) and accepted
+    # within 1e-9; a bump 1e-9 over the claim, centred between two of
+    # those points, reads below the claim on every one of them
+    n = 2 ** 15
+    bump = _fejer_bump(np.pi * (10_923 + 0.5) / n, 300, 1e-3 * (1 + 1e-6))
+    grid = np.cos(np.pi * np.arange(n + 1) / n)
+    assert npcheb.chebval(grid, bump).max() < 1e-3
+    _certify(_line(((0.1, 0.9),)), LINE)  # control: accepted
+    with pytest.raises(NumericalFailure, match="error bound"):
+        _certify(_line(((0.1, 0.9),), bump), LINE)
 
 
 @pytest.mark.parametrize("bad", ["series", "target"])
@@ -645,8 +626,8 @@ def test_certificate_refuses_nan(bad):
     if bad == "series":
         res = dataclasses.replace(
             res, cheb=ChebSeries(np.array([0.0, np.nan]), "odd"))
-    target = (lambda x: np.full_like(x, np.nan)) if bad == "target" \
-        else _spike(0.0, 1e-9)
+    target = (_Target(lambda x: np.full_like(x, np.nan)) if bad == "target"
+              else LINE)
     with pytest.raises(NumericalFailure):
         _certify(res, target)
 
@@ -655,43 +636,57 @@ def test_certificate_refuses_nan(bad):
 def test_certified_refuses_non_finite_coefficients(bad):
     # before the series drops the parity the non-finite value sits on
     with pytest.raises(NumericalFailure, match="non-finite"):
-        approx_mod._certified(np.array([bad, 0.5]), None, lambda x: x / 2,
+        approx_mod._certified(np.array([bad, 0.5]), None, LINE,
                               1.0, 1e-3, ((0.1, 0.9),), "line", 10)
 
 
-def test_certificate_checks_narrow_pieces_evenly():
-    lo = 0.3
-    hi = lo + 16.0 / GRID_PER_UNIT
-    # the grid puts fewer points inside than the 33 evenly spaced ones
-    even = np.linspace(lo, hi, 33)[1:-1]
-    gaps = _grid_gap(even)
-    center, width = even[np.argmax(gaps)], 1e-6
-    assert gaps.max() > 2 * width
-    _certify(_line(((lo, hi),)), _spike(-0.5, width))  # control: accepted
-    with pytest.raises(NumericalFailure, match="measured error"):
-        _certify(_line(((lo, hi),)), _spike(center, width))
+CERTIFIED = [
+    ("sign", dict(delta=0.25, eps=1e-12)), ("sign", dict(delta=1.0, eps=0.1)),
+    ("rect", dict(t=0.4, delta=0.05, eps=1e-6)),
+    ("inverse", dict(kappa=8.0, eps=1e-3)),
+    ("inverse", dict(kappa=2.6, eps=2e-4, bounded=True)),
+    ("neg_power", dict(c=1.5, delta=0.2, eps=1e-3)),
+    ("neg_power", dict(c=0.5, delta=0.1, eps=1e-3, parity="even")),
+    ("arcsin", dict(delta=0.02, eps=1e-6)),
+    ("exp", dict(beta=0.0, eps=1e-3)), ("exp", dict(beta=40.0, eps=1e-6)),
+    ("cos", dict(t=20.0, eps=1e-8)), ("sin", dict(t=20.0, eps=1e-8)),
+    ("monomial", dict(s=100, d=30)), ("window", dict(n=31, eps=1e-5))]
 
 
-@pytest.mark.parametrize("scale", [1.0])
-def test_grid_cut_is_the_masked_grid(scale):
-    """`_on_grid` cuts each interval out of the monotone grid by binary
-    search: the same points, in the same order, as masking it."""
-    xs, vals = approx_mod._angle_grid(np.ones(3))
-    assert not xs.flags.writeable
-    assert approx_mod._angle_grid(np.ones(5))[0].base is xs.base
-    assert np.all(np.diff(xs) < 0)
-    gen = np.random.default_rng(int(scale * 100))
-    ends = np.sort(gen.uniform(-scale, scale, (40, 2)), axis=1)
-    pieces = [(-scale, scale), (xs[7], xs[3]), (xs[9], xs[9]),
-              *map(tuple, ends)]
-    for (lo, hi), (pts, got) in zip(
-            pieces, approx_mod._on_grid(np.ones(3), pieces)):
-        inside = (xs >= lo) & (xs <= hi)
-        m = np.count_nonzero(inside)
-        n_even = max(math.ceil((hi - lo) * GRID_PER_UNIT), 32) + 1
-        assert len(pts) == m + (n_even if m < n_even else 2)
-        assert np.array_equal(pts[:m], xs[inside])
-        assert np.array_equal(got[:m], vals[inside])
+def test_reference_rows_cover_every_family():
+    assert {family for family, _ in CERTIFIED} == set(approx_mod.FAMILIES)
+
+
+@pytest.mark.parametrize("family, kw", CERTIFIED,
+                         ids=[f"{f}-{i}" for i, (f, _) in enumerate(CERTIFIED)])
+def test_certificate_bounds_a_reference(family, kw, monkeypatch):
+    # on each piece the error bound is at least the error on 200,001
+    # points and at most the claim, and the sup at least max |p|, each
+    # within the certificate's rounding term; p in long double
+    monkeypatch.setattr(approx_mod, "_MEMO", {})
+    seen = {}
+    real = approx_mod._certify
+
+    def spy(res, target, sup=None):
+        seen[id(res)] = target, real(res, target, sup)
+        return seen[id(res)][1]
+
+    monkeypatch.setattr(approx_mod, "_certify", spy)
+    res = build(ApproxSpec(target=family, **kw))
+    target, (pieces, sup) = seen[id(res)]
+    c = res.cheb.cheb_coeffs.real
+    assert len(pieces) == len(res.valid_domain) > 0
+    for (lo, hi), (bound, r) in zip(res.valid_domain, pieces):
+        xs = np.linspace(lo, hi, REFERENCE)
+        got = npcheb.chebval(xs.astype(np.longdouble),
+                             c.astype(np.longdouble))
+        assert np.abs(got - target.f(xs)).max() <= bound + r
+        assert bound <= res.claimed_error + r
+    d = len(c) - 1
+    own = ((2 * math.pi + 1) * d + d + 1) * 2.0 ** -53 * np.abs(c).sum()
+    xs = np.linspace(-1.0, 1.0, REFERENCE)
+    assert np.abs(npcheb.chebval(xs.astype(np.longdouble),
+                                 c.astype(np.longdouble))).max() <= sup + own
 
 
 @pytest.mark.parametrize("kappa, eps", [(3.0, 1e-3), (8.0, 1e-5),
