@@ -210,7 +210,7 @@ def _newton_stage(c, n, vals) -> float:
     high = (1.0 - 2.0 * (np.pi * d / n) ** 2) * a.max()
     at = np.flatnonzero((a >= ext[:-2]) & (a >= ext[2:]) & (a >= high))
     x = np.cos(np.pi * at / n)
-    v, dv, d2v = (col[at] for col in on_grid)
+    v, dv, d2v = (w[at] for w in on_grid)
     best = float(a.max())
     with np.errstate(all="ignore"):
         for _ in range(6):

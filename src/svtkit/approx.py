@@ -963,13 +963,10 @@ def approx_arcsin(delta: float, eps: float,
         raise ValueError("need delta, eps in (0, 1/2]")
 
     # arcsin's Taylor coefficients are positive, so |arcsin z| <= arcsin r
-    # on |z| <= r < 1, and |z| <= |m| + a on the ellipse
-    def ellipse(m, a, b):
-        r = np.minimum(abs(m) + a, 1.0)
-        return np.where(r < 1.0, 2.0 / math.pi * np.arcsin(r), np.inf)
-
+    # on |z| <= r <= 1, and |z| <= |m| + a on the ellipse (NaN past 1)
     target = _Target(lambda x: 2.0 / math.pi * np.arcsin(np.clip(x, -1, 1)),
-                     ellipse=ellipse, ulps=3.0)
+                     ellipse=lambda m, a, b: 2.0 / math.pi
+                     * np.arcsin(abs(m) + a), ulps=3.0)
     coeffs = _one_sign_series(
         2.0 / math.pi,
         lambda k: (2 * k + 1) ** 2 / ((2 * k + 2) * (2 * k + 3)),
