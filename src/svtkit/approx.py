@@ -147,8 +147,7 @@ def _piece_error(c, own: float, target: _Target, lo: float, hi: float,
     if target.ellipse is not None:
         with np.errstate(all="ignore"):
             big = target.ellipse(m, h * (_RHOS + 1 / _RHOS) / 2,
-                                 h * (_RHOS - 1 / _RHOS) / 2) \
-                * np.ones_like(_RHOS)
+                                 h * (_RHOS - 1 / _RHOS) / 2)
             finite = big < np.inf  # not NaN either
             need = np.log(4000.0 * big / ((_RHOS - 1) * claim)) \
                 / np.log(_RHOS)

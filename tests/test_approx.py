@@ -661,8 +661,10 @@ def test_reference_rows_cover_every_family():
                          ids=[f"{f}-{i}" for i, (f, _) in enumerate(CERTIFIED)])
 def test_certificate_bounds_a_reference(family, kw, monkeypatch):
     # on each piece the error bound is at least the error on 200,001
-    # points and at most the claim, and the sup at least max |p|, each
-    # within the certificate's rounding term; p in long double
+    # points (p in long double) and at most the claim, and the sup at
+    # least max |p|; the last two within the certificate's rounding term,
+    # since the window's error equals its claim and `_to_peak`'s top may
+    # be exceeded by rounding
     monkeypatch.setattr(approx_mod, "_MEMO", {})
     seen = {}
     real = approx_mod._certify
@@ -680,7 +682,7 @@ def test_certificate_bounds_a_reference(family, kw, monkeypatch):
         xs = np.linspace(lo, hi, REFERENCE)
         got = npcheb.chebval(xs.astype(np.longdouble),
                              c.astype(np.longdouble))
-        assert np.abs(got - target.f(xs)).max() <= bound + r
+        assert np.abs(got - target.f(xs)).max() <= bound
         assert bound <= res.claimed_error + r
     d = len(c) - 1
     own = ((2 * math.pi + 1) * d + d + 1) * 2.0 ** -53 * np.abs(c).sum()
