@@ -444,6 +444,47 @@ class TestLedgerSoundnessDense:
             assert be.measured_error() <= be.eps + 1e-9
 
 
+class TestClaimedEpsCheck:
+    """The claimed eps is checked on ||target - block||_F first; the
+    exact 2-norm (an SVD) only when that is over eps + 1e-9."""
+
+    @staticmethod
+    def encode(target, eps=0.1):
+        # U = I, so the block is I_16 and the difference target - I_16
+        return BlockEncoding(np.eye(32), alpha=1.0, ancillas=1, eps=eps,
+                             target=target)
+
+    @pytest.fixture
+    def norms(self, monkeypatch):
+        seen = []
+        norm = blockenc.operator_norm
+
+        def counting(m):
+            seen.append(m)
+            return norm(m)
+
+        monkeypatch.setattr(blockenc, "operator_norm", counting)
+        return seen
+
+    def test_spread_difference_accepted(self, norms):
+        # ||D||_F = 0.36 > 0.1 >= ||D||_2 = 0.09: the 2-norm accepts
+        be = self.encode(1.09 * np.eye(16))
+        assert len(norms) == 1
+        assert be.measured_error() == pytest.approx(0.09, abs=1e-15)
+
+    def test_two_norm_above_claim_refused(self):
+        target = np.eye(16)
+        target[3, 3] += 0.2
+        with pytest.raises(NormExceeded,
+                           match="claimed eps 1.00e-01 but measured 2.00e-01"):
+            self.encode(target)
+
+    def test_small_difference_takes_no_svd(self, norms, rng):
+        be = embed(random_contraction(64, 0.95, rng))
+        assert norms == []
+        assert be.measured_error() < 1e-14
+
+
 class TestCertificateReuse:
     """An encoding on an already certified U, with other projectors or as
     its adjoint, forms no new Gram of U."""

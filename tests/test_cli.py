@@ -409,6 +409,36 @@ def test_phases_verdict_independent_of_blas_threads(argv):
         assert json.loads(proc.stdout)["reconstruction_residual"] <= tol
 
 
+@pytest.mark.parametrize("n", [64, 128])
+def test_svt_verdict_independent_of_blas_threads(n, tmp_path, capsys):
+    # encodings of dim 128 and 256 build their circuits by the overlap
+    # recurrence; at one and two BLAS threads the run must meet --tol
+    import os
+    import pathlib
+    import svtkit
+    src = str(pathlib.Path(svtkit.__file__).parents[1])
+    a = np.random.default_rng(n).standard_normal((n, n))
+    a *= 0.9 / np.linalg.norm(a, 2)
+    mfile = tmp_path / "m.json"
+    mfile.write_text(json.dumps(matrix_to_json(a)))
+    _, poly_out = run_cli(["poly", "--family", "sign", "--delta", "0.2",
+                           "--eps", "1e-4"], capsys)
+    pfile = tmp_path / "p.json"
+    pfile.write_text(poly_out)
+    tol = 1e-6
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       [src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "svtkit.cli", "svt", "--matrix",
+             str(mfile), "--poly", str(pfile), "--tol", str(tol)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, (threads, proc.stderr)
+        assert json.loads(proc.stdout)["measured_error_vs_oracle"] <= tol
+
+
 @pytest.mark.parametrize("index, value", [
     (0, float("inf")), (2, float("nan")), (1, float("nan"))],
     ids=["inf-dropped-T0", "nan-dropped", "nan-kept"])

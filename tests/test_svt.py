@@ -773,6 +773,112 @@ def test_real_sequence_matches_dense_product(dim, n, data, kinds, seed):
         assert not off.real.any()
 
 
+def _overlap_taken(monkeypatch):
+    """Record, for each `_overlap_layers` call, whether it built U_Phi
+    (True) or left it to the loop (False)."""
+    import svtkit.svt as svt_module
+    taken = []
+    run = svt_module._overlap_layers
+
+    def spy(*args):
+        out = run(*args)
+        taken.append(out is not None)
+        return out
+
+    monkeypatch.setattr(svt_module, "_overlap_layers", spy)
+    return taken
+
+
+def _loop_u_phi(monkeypatch, pu, seq):
+    """U_Phi from the layer loop alone, at any dimension."""
+    import svtkit.svt as svt_module
+    with monkeypatch.context() as patch:
+        patch.setattr(svt_module, "OVERLAP_MIN_DIM", 10 ** 9)
+        return alternating_sequence(pu, seq)[0]
+
+
+def _defect(m):
+    return operator_norm(m.conj().T @ m - np.eye(m.shape[0]))
+
+
+@pytest.mark.parametrize("dim, n", [(64, 51), (64, 200), (128, 100),
+                                    (128, 201)])
+@pytest.mark.parametrize("real", [True, False])
+def test_overlap_recurrence_matches_dense_product(monkeypatch, dim, n, real):
+    # `embed` of a Gaussian block at sigma_max 0.95: above the crossover
+    # the index projector's layers run as the overlap recurrence
+    gen = np.random.default_rng(dim + n + real)
+    a = gen.standard_normal((dim // 2, dim // 2))
+    if not real:
+        a = a + 1j * gen.standard_normal(a.shape)
+    pu = embed(a * (0.95 / operator_norm(a))).pu
+    assert pu.real == real
+    seq = PhaseSequence(gen.uniform(-math.pi, math.pi, n), "reflection")
+    taken = _overlap_taken(monkeypatch)
+    up, ledger = alternating_sequence(pu, seq)
+    assert taken == [True]
+    assert ledger["u_uses"] == n
+    np.testing.assert_allclose(up, _dense_u_phi(pu, seq.phis),
+                               rtol=0, atol=1e-12)
+    assert _defect(up) <= _defect(_loop_u_phi(monkeypatch, pu, seq))
+    if real:
+        um, _ = alternating_sequence(pu, seq.negated())
+        np.testing.assert_array_equal(um, up.conj())
+
+
+@pytest.mark.parametrize("n", [51, 52])
+def test_overlap_recurrence_scattered_rows(monkeypatch, n):
+    # index sets that are not one block of rows, on a Haar unitary
+    gen = np.random.default_rng(n)
+    dim = 64
+    pu = ProjectedUnitary(
+        random_unitary(dim, gen),
+        Projector(dim, indices=gen.choice(dim, 16, replace=False)),
+        Projector(dim, indices=gen.choice(dim, 12, replace=False)))
+    seq = PhaseSequence(gen.uniform(-math.pi, math.pi, n), "reflection")
+    taken = _overlap_taken(monkeypatch)
+    got, _ = alternating_sequence(pu, seq)
+    assert taken == [True]
+    np.testing.assert_allclose(got, _dense_u_phi(pu, seq.phis),
+                               rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [51, 52])
+@pytest.mark.parametrize("fixed_rows, moved_rows, overlap", [
+    (range(32), [], True),            # a rank-0 moved projector
+    (range(64), range(20), False),    # a full-rank fixed one: no rest rows
+    ([5], range(20, 40), True),       # a one-row fixed one
+], ids=["moved-rank-0", "fixed-full-rank", "fixed-one-row"])
+def test_overlap_edge_projectors(monkeypatch, n, fixed_rows, moved_rows,
+                                 overlap):
+    gen = np.random.default_rng(n + len(fixed_rows))
+    dim = 64
+    fixed = Projector(dim, indices=fixed_rows)
+    moved = Projector(dim, indices=moved_rows)
+    # odd n: Pi~ is the fixed projector; even n: Pi
+    pi, pit = (moved, fixed) if n % 2 else (fixed, moved)
+    pu = ProjectedUnitary(random_unitary(dim, gen), pi, pit)
+    seq = PhaseSequence(gen.uniform(-math.pi, math.pi, n), "reflection")
+    taken = _overlap_taken(monkeypatch)
+    got, _ = alternating_sequence(pu, seq)
+    assert taken == [overlap]
+    np.testing.assert_allclose(got, _dense_u_phi(pu, seq.phis),
+                               rtol=0, atol=1e-12)
+
+
+def test_unit_singular_value_takes_the_loop(monkeypatch):
+    # an orthogonal block, every singular value 1, fails the tau test: its
+    # degree-301 circuit is the loop's, bit for bit
+    gen = np.random.default_rng(301)
+    pu = embed(scipy.stats.ortho_group.rvs(32, random_state=gen)).pu
+    seq = PhaseSequence(gen.uniform(-math.pi, math.pi, 301), "reflection")
+    taken = _overlap_taken(monkeypatch)
+    got, _ = alternating_sequence(pu, seq)
+    assert taken == [False]
+    np.testing.assert_array_equal(got, _loop_u_phi(monkeypatch, pu, seq))
+    assert taken == [False]
+
+
 def test_real_wrap_certificate_matches_full_check():
     # the single-term wrap of a real encoding has U_Phi's defect, so the
     # certificate (U_Phi at UNITARY_TOL) decides as the full check would
