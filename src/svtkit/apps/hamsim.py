@@ -30,12 +30,12 @@ def _four_branch_circuit(pu: ProjectedUnitary, cos_coeffs, sin_coeffs):
     return circuit, ledger["u_uses"]
 
 
-def _amplify_half(unitary_matrix, sys_dim):
+def _amplify_half(wrap, sys_dim):
     """Triple-length Chebyshev amplification turning an exact encoding of
-    W/2 into an encoding of W (T_3(1/2) = -1)."""
-    dim = unitary_matrix.shape[0]
-    proj = Projector(dim, indices=range(sys_dim))
-    pu = ProjectedUnitary(unitary_matrix, proj, proj)
+    W/2, a `branch_lcu` wrap and so unitary by its certificate, into an
+    encoding of W (T_3(1/2) = -1)."""
+    proj = Projector(len(wrap), indices=range(sys_dim))
+    pu = ProjectedUnitary._certified(wrap, proj, proj)
     seq = chebyshev_phases(3)
     u_phi, _ = alternating_sequence(pu, seq)
     return -u_phi

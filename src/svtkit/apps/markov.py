@@ -164,7 +164,7 @@ def markov_find(chain: MarkovChain, delta: float, eps: float):
     zero_pi[:dim] = _embedded_state(chain.sqrt_pi(), dim)
     right = Projector(2 * dim, matrix=np.outer(zero_pi, zero_pi.conj()))
     left = Projector(2 * dim, indices=sorted(chain.marked))
-    pu2 = ProjectedUnitary(v1, right, left)
+    pu2 = ProjectedUnitary._certified(v1, right, left)
     amp = operator_norm(pu2.encoded())
     sign = approx_sign(max(0.5 * math.sqrt(eps), 0.5 * amp), 0.02)
     pair2, refl2, _ = phases_for_target(sign.cheb, tol=0.01)

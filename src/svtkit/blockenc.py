@@ -244,11 +244,10 @@ class BlockEncoding:
         d = self.system_dim
         return self.alpha * self.pu.u[:d, :d]
 
-    def measured_error(self, target=None) -> float:
-        tgt = self.target if target is None else np.asarray(target, complex)
-        if tgt is None:
+    def measured_error(self) -> float:
+        if self.target is None:
             raise ValueError("no target attached")
-        return operator_norm(tgt - self.extract())
+        return operator_norm(self.target - self.extract())
 
     def to_json(self) -> dict:
         out = matrix_to_json(self.pu.u)

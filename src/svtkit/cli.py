@@ -29,13 +29,14 @@ EXIT_NUMERICAL = 3
 
 
 def _emit(obj, args) -> None:
+    """Write ``obj``, text or JSON, to --out or to stdout."""
+    text = obj if isinstance(obj, str) else json.dumps(
+        obj, sort_keys=True, indent=2) + "\n"
     if getattr(args, "out", None):
         with open(args.out, "w") as fh:
-            json.dump(obj, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+            fh.write(text)
     else:
-        json.dump(obj, sys.stdout, sort_keys=True, indent=2)
-        sys.stdout.write("\n")
+        sys.stdout.write(text)
 
 
 def finite_float(text: str) -> float:
@@ -104,7 +105,7 @@ def cmd_encode(args):
     else:
         be = encode_sparse(a, args.row_sparsity, args.col_sparsity)
     out = be.to_json()
-    out["measured_error"] = be.measured_error(a / 1.0) if be.target is not None else None
+    out["measured_error"] = be.measured_error()
     _emit(out, args)
     return EXIT_OK
 
@@ -150,9 +151,7 @@ def cmd_apps(args):
         out = {"result": "ok", "claimed_bound": rep["claimed_uses"],
                "measured": rep["measured"],
                "ledger": {"uses": rep["uses"]}}
-        _emit(out, args)
-        return EXIT_OK
-    if args.app == "pinv":
+    elif args.app == "pinv":
         # before the matrix is clipped up to delta and embedded, where a
         # delta above 1 would fail as NormExceeded
         if not 0 < args.delta <= 1:
@@ -172,9 +171,7 @@ def cmd_apps(args):
         out = {"result": "ok", "claimed_bound": rep["claimed"],
                "measured": rep["measured"],
                "ledger": {"degree": rep["degree"]}}
-        _emit(out, args)
-        return EXIT_OK
-    if args.app == "markov":
+    else:  # markov, the last of the parser's choices
         n = args.dim
         w = rng.random((n, n)) + 0.1
         w = (w + w.T) / 2
@@ -186,9 +183,8 @@ def cmd_apps(args):
                "claimed_bound": 2.0 / 3.0,
                "measured": det["marked_probability"],
                "ledger": {"degree": det["degree"]}}
-        _emit(out, args)
-        return EXIT_OK
-    raise ValueError(f"unknown app {args.app!r}")
+    _emit(out, args)
+    return EXIT_OK
 
 
 # sweepable family -> the ApproxSpec field the range runs over
@@ -207,12 +203,7 @@ def cmd_sweep(args):
                                  **{field: float(v)})
         res = approx.build(spec, args.max_degree)
         rows.append(f"{v:.6g},{res.degree},{res.claimed_error:.6g}")
-    text = "\n".join(rows) + "\n"
-    if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit("\n".join(rows) + "\n", args)
     return EXIT_OK
 
 

@@ -124,8 +124,6 @@ class SignalPair:
 
     def validate(self, tol=1e-10):
         k = self.k
-        if cheb.degree(self.p_cheb, 1e-11) > k:
-            raise NumericalFailure("deg(P) exceeds declared arity")
         p_par = cheb.parity_of(self.p_cheb, 1e-11)
         q_par = cheb.parity_of(self.q_cheb, 1e-11)
         want_p = "even" if k % 2 == 0 else "odd"
@@ -582,8 +580,6 @@ def _symmetric_phases(c: np.ndarray, goal: float):
     extended by parity to all 2n nodes of T_2n and interpolated.
     """
     d = len(c) - 1
-    if d < 1:
-        raise ValueError("degree-0 targets have no reflection form")
     n = d // 2 + 1
     xs = np.cos(np.pi * (np.arange(n) + 0.5) / (2 * n))
     ws = 1j * np.sqrt(1.0 - xs ** 2)  # W(x) = (x, i sqrt(1-x^2))

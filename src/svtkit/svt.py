@@ -20,8 +20,9 @@ import numpy as np
 from numpy.polynomial import chebyshev as npcheb
 
 from . import _chebops as cheb
-from .blockenc import (BlockEncoding, Projector, ProjectedUnitary,
-                       compress, is_unitary, operator_norm, sandwich)
+from .blockenc import (UNITARY_TOL, BlockEncoding, Projector,
+                       ProjectedUnitary, compress, is_unitary, operator_norm,
+                       sandwich)
 from .errors import (ConventionMismatch, Inadmissible, NormExceeded,
                      NumericalFailure, ParityMismatch)
 from .poly import ChebSeries, ParityPoly
@@ -369,12 +370,10 @@ def _hadamard_wrap(branches) -> np.ndarray:
     return out
 
 
-def _assert_unitary(m) -> None:
-    """Raise NormExceeded unless ||m^dag m - I||_2 <= UNITARY_TOL, the
-    contract of `ProjectedUnitary`."""
-    if not is_unitary(m):
-        defect = operator_norm(m.conj().T @ m - np.eye(m.shape[0]))
-        raise NormExceeded(f"circuit not unitary to 1e-12: defect {defect:.2e}")
+def _wrap_rounding(k: int, dim: int) -> float:
+    """`branch_lcu`'s e = gamma_{k-1} k sqrt((1 + UNITARY_TOL) dim)."""
+    ku = (k - 1) * np.finfo(float).eps / 2
+    return ku / (1 - ku) * k * math.sqrt((1.0 + UNITARY_TOL) * dim)
 
 
 def branch_lcu(pu: ProjectedUnitary, terms):
@@ -388,43 +387,65 @@ def branch_lcu(pu: ProjectedUnitary, terms):
     power of two.  refl is a reflection PhaseSequence; None, standing for
     the pair (I, -I), whose average vanishes; or a real constant c with
     |c| <= 1, standing for the exact pair (e^{i theta} I, e^{-i theta} I)
-    with cos theta = c, which uses U zero times.  Every phased branch is
-    checked once against the UNITARY_TOL of `ProjectedUnitary`, and one
-    above it raises NormExceeded, since the wrapped circuit is unitary
-    iff its branches are.  When `pu.real`, U_{-Phi} is conj(U_Phi)
-    exactly, so one sequence runs per term and only it is checked.
-    Returns the wrapped circuit and the ledger of the longest phase
-    sequence (None if there is none).
+    with cos theta = c, which uses U zero times.  Returns the wrapped
+    circuit and the ledger of the longest phase sequence (None if there
+    is none).
+
+    The wrap meets UNITARY_TOL by proof, so callers build on it with
+    `ProjectedUnitary._certified`.  In exact arithmetic the wrap of the
+    k = 2 len(terms) weighted branches b_c is W = H diag(b_c) H with H
+    orthogonal, so its defect is the largest branch defect delta.
+    `_hadamard_wrap` forms k block sums of the k terms +-b_c, each filling
+    k blocks, and divides them by k exactly; by the recursive-summation
+    bound (Higham, Accuracy and Stability of Numerical Algorithms, sec.
+    4.2), on real and imaginary parts joined by Minkowski's inequality,
+    its rounding E has ||E||_2 <= ||E||_F <= gamma_{k-1} sum_c ||b_c||_F
+    <= e (`_wrap_rounding`), as ||b_c||_F^2 <= (1 + delta) dim.  With
+    ||W||_2 <= sqrt(1 + delta), the computed wrap's defect is at most
+    delta + 2 sqrt(1 + delta) e + e^2.  So each branch is held to
+    UNITARY_TOL - 2 sqrt(1 + UNITARY_TOL) e - e^2 (2e-14 below UNITARY_TOL
+    for k = 4, 1e-13 for k = 8, at dim 64), and one above it raises
+    NormExceeded: a phased branch by its Gram, a scalar one s I by
+    ||s|^2 - 1|.  When `pu.real`, U_{-Phi} = conj(U_Phi) exactly, so one
+    sequence runs per term; for a real or imaginary w, w conj(U_Phi) is
+    +-conj(w U_Phi) bit for bit, so only w U_Phi is checked.
     """
     k = len(terms)
     if k == 0 or k & (k - 1):
         raise ValueError(f"need a power-of-two number of terms, got {k}")
+    e = _wrap_rounding(2 * k, pu.dim)
+    tol = UNITARY_TOL - 2.0 * math.sqrt(1.0 + UNITARY_TOL) * e - e * e
     eye = np.eye(pu.dim, dtype=complex)
     branches = []
     ledger, longest = None, -1
     for weight, refl in terms:
         if abs(abs(weight) - 1.0) > 1e-12:
             raise ValueError(f"branch weight {weight} is not unimodular")
-        if refl is None:
-            pair = (eye, -eye)
-        elif isinstance(refl, PhaseSequence):
+        if isinstance(refl, PhaseSequence):
             up, led = alternating_sequence(pu, refl)
-            _assert_unitary(up)
             if pu.real:
-                um = up.conj()
+                pair = (weight * up, weight * up.conj())
+                checked = pair[:1] if (weight * weight).imag == 0 else pair
             else:
                 um, _ = alternating_sequence(pu, refl.negated())
-                _assert_unitary(um)
-            pair = (up, um)
+                pair = checked = (weight * up, weight * um)
+            if not all(is_unitary(branch, tol) for branch in checked):
+                raise NormExceeded(f"phased branch not unitary to {tol:.2e}")
             if len(refl.phis) > longest:
                 ledger, longest = led, len(refl.phis)
         else:
-            c = float(refl)
-            if abs(c) > 1.0:
-                raise ValueError(f"constant term {c} exceeds 1 in magnitude")
-            z = complex(c, math.sqrt(1.0 - c * c))
-            pair = (z * eye, z.conjugate() * eye)
-        branches += [weight * branch for branch in pair]
+            if refl is None:
+                scalars = (weight, -weight)
+            elif abs(refl) <= 1.0:
+                z = complex(refl, math.sqrt(1.0 - refl * refl))
+                scalars = (weight * z, weight * z.conjugate())
+            else:
+                raise ValueError(
+                    f"constant term {refl} exceeds 1 in magnitude")
+            if max(abs(abs(s) ** 2 - 1.0) for s in scalars) > tol:
+                raise NormExceeded(f"scalar branch not unitary to {tol:.2e}")
+            pair = [s * eye for s in scalars]
+        branches += pair
     return _hadamard_wrap(branches), ledger
 
 
@@ -464,10 +485,8 @@ def svt_apply(pu: ProjectedUnitary, target, kind: str = "real_poly",
         refl = to_reflection(phases_from_pq(pair))
         n = len(refl.phis)
         u_phi, ledger = alternating_sequence(pu, refl)
-        # the check of u_phi is the wrapper's own check
-        _assert_unitary(u_phi)
-        enc = ProjectedUnitary._certified(
-            u_phi, pu.pi, pu.pi_tilde if n % 2 == 1 else pu.pi)
+        enc = ProjectedUnitary(u_phi, pu.pi,
+                               pu.pi_tilde if n % 2 == 1 else pu.pi)
         oracle = reference_svt(pu.block(), ChebSeries(pair.p_cheb),
                                "odd" if n % 2 else "even")
         err = operator_norm(enc.block() - oracle)
@@ -490,14 +509,8 @@ def svt_apply(pu: ProjectedUnitary, target, kind: str = "real_poly",
     dim = pu.dim
     # (<+| x Pi') diag(U_Phi, U_-Phi) (|+> x Pi) = Pi' (U_Phi + U_-Phi) / 2 Pi
     result = sandwich(proj_out, wrapped[:dim, :dim], proj_in)
-    # For a real encoding U_-Phi = conj(U_Phi), so the wrapped blocks are
-    # (z + conj z)/2 = Re U_Phi and (z - conj z)/2 = i Im U_Phi, both
-    # exact in floating point: the wrap is exactly the Hadamard conjugate
-    # of diag(U_Phi, conj U_Phi), and its defect is U_Phi's, which
-    # `branch_lcu` has checked.  A complex encoding's wrap is checked.
-    make = ProjectedUnitary._certified if pu.real else ProjectedUnitary
-    enc = make(wrapped, _lift_projector(proj_in, dim),
-               _lift_projector(proj_out, dim))
+    enc = ProjectedUnitary._certified(wrapped, _lift_projector(proj_in, dim),
+                                      _lift_projector(proj_out, dim))
     oracle = reference_svt(pu.block(), ChebSeries(c.real),
                            "odd" if n % 2 else "even")
     err = operator_norm(compress(proj_out, wrapped[:dim, :dim], proj_in)
@@ -534,7 +547,9 @@ def eigenvalue_transform(be: BlockEncoding, target, delta: float = 1e-8,
     1/4 is accepted: the same call adds the terms (i, even) and (i, odd)
     of 2 Im P, four parity terms on three ancilla qubits, and the result
     is a (2, a+3, 4 d sqrt(eps/alpha) + delta)-encoding whose d adds the
-    longest real-part and the longest imaginary-part sequence.
+    longest real-part and the longest imaginary-part sequence.  The
+    outcome's encoding selects the wrap's |0..0> block on `branch_lcu`'s
+    certificate; its ledger holds the claimed eps.
     """
     a_mat = be.extract() / be.alpha
     if operator_norm(a_mat - a_mat.conj().T) > 1e-9:
@@ -569,12 +584,10 @@ def eigenvalue_transform(be: BlockEncoding, target, delta: float = 1e-8,
     oracle = _fn_of_hermitian(a_mat, lambda w: npcheb.chebval(w, c))
     err = operator_norm(result - oracle)
     claimed = 4 * u_uses * math.sqrt(be.eps / be.alpha) + delta
-    out = BlockEncoding(wrapped, alpha=len(parts),
-                        ancillas=be.ancillas + 1 + len(parts),
-                        eps=max(claimed, err + 1e-12), target=oracle,
-                        system_dim=d_sys)
+    proj = Projector(len(wrapped), indices=range(d_sys))
+    enc = ProjectedUnitary._certified(wrapped, proj, proj)
     ledger = {"u_uses": u_uses, "claimed_eps": claimed}
-    return SvtOutcome(result, wrapped, out.pu, ledger, None, err)
+    return SvtOutcome(result, wrapped, enc, ledger, None, err)
 
 
 def _fn_of_hermitian(a: np.ndarray, fn) -> np.ndarray:

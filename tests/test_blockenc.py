@@ -231,6 +231,23 @@ class TestProduct:
         measured = operator_norm(chained.extract() - want)
         assert measured <= 4 * k * k * (2 * eps)
 
+    def test_shared_mode_bound(self, rng):
+        # (1, a, delta)- and (1, a, eps)-encodings of unitaries A and B on
+        # shared ancillas give a (1, a, delta + eps + 2 sqrt(delta eps))-
+        # encoding of A B
+        a, b = random_unitary(3, rng), random_unitary(3, rng)
+        delta, eps = 0.01, 0.04
+        be1 = BlockEncoding(embed((1 - delta) * a).u, alpha=1.0, ancillas=1,
+                            eps=delta, target=a, system_dim=3)
+        be2 = BlockEncoding(embed((1 - eps) * b).u, alpha=1.0, ancillas=1,
+                            eps=eps, target=b, system_dim=3)
+        out = product(be1, be2, mode="shared_ancilla")
+        bound = delta + eps + 2 * math.sqrt(delta * eps)
+        assert (out.alpha, out.ancillas) == (1.0, 1)
+        assert out.eps == pytest.approx(bound, abs=2e-12)
+        np.testing.assert_array_equal(out.target, a @ b)
+        assert 0.5 * bound < out.measured_error() <= bound
+
     def test_shared_mode_precondition(self, rng):
         a = random_contraction(4, 0.5, rng)
         with pytest.raises(ModePreconditionViolated):

@@ -51,6 +51,16 @@ class TestPhasesCommand:
         assert code == 0
         assert json.loads(out)["reconstruction_residual"] <= 1e-6
 
+    def test_tol_below_the_certificate_exits_3(self, tmp_path, capsys):
+        # the reconstruction bound carries a rounding term near 1e-14
+        pfile = tmp_path / "p.json"
+        code, _ = run_cli(["--out", str(pfile), "poly", "--family", "sign",
+                           "--delta", "0.3", "--eps", "1e-3"], capsys)
+        assert code == 0
+        code, out = run_cli(["phases", "--poly", str(pfile), "--tol",
+                             "1e-15"], capsys)
+        assert (code, out) == (3, "")
+
     def test_extended_flag_accepted(self, capsys):
         code, out = run_cli(["--precision", "extended", "phases", "--family",
                              "sign", "--delta", "0.3", "--eps", "1e-3"],
@@ -96,6 +106,18 @@ class TestEncodeAndSvt:
         obj = json.loads(out)
         assert obj["alpha"] == 1.0
         assert obj["ancillas"] == 1
+
+    def test_encode_rectangular(self, tmp_path, capsys):
+        # a 2x3 matrix is padded to 3x3 and dilated to dim 6; its error is
+        # measured against that padded target
+        a = np.array([[0.5, 0.1, 0.0], [0.0, -0.25, 0.2]])
+        mfile = tmp_path / "m.json"
+        mfile.write_text(json.dumps(matrix_to_json(a)))
+        code, out = run_cli(["encode", "--matrix", str(mfile)], capsys)
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["dim"] == [6, 6]
+        assert obj["measured_error"] <= 1e-14
 
     def test_svt_run(self, tmp_path, capsys):
         a = np.diag([0.5, 0.25])

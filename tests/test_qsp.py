@@ -554,6 +554,16 @@ def test_reconstruction_error_bounds_a_fine_grid():
     assert tiny >= 10
 
 
+def test_tol_below_the_certificate_refused():
+    """`phases_for_target` raises NumericalFailure when the reconstruction
+    bound misses the requested tol: here its rounding term alone does."""
+    c = 0.9 * cheb_unit(5).cheb_coeffs
+    bound = phases_for_target(c, tol=1e-12)[2]["reconstruction_error"]
+    assert 1e-15 < bound <= 1e-12
+    with pytest.raises(NumericalFailure, match="reconstruction error"):
+        phases_for_target(c, tol=1e-15)
+
+
 def test_unitarity_defect_bounds_a_fine_grid():
     """The coefficient bound is at least the defect on 20,001 points once
     the defect is above rounding; at rounding level the bound and a grid

@@ -122,6 +122,24 @@ class TestInvariantDecomposition:
         for psi, psit in dec.saturated:
             np.testing.assert_allclose(u @ psi, psit, atol=1e-10)
 
+    def test_rank_deficient_kernels(self, rng):
+        # a rank-1 3x3 block: U maps the right kernel of A = Pi~ U Pi into
+        # img(I - Pi~), and U^dag the left kernel into img(I - Pi)
+        a = np.outer(rng.standard_normal(3), rng.standard_normal(3))
+        pu = embed(a * (0.7 / operator_norm(a))).pu
+        dec = invariant_decomposition(pu)
+        assert len(dec.blocks) == 1
+        assert len(dec.right_kernel) == len(dec.left_kernel) == 2
+        pi, pit = pu.pi.matrix(), pu.pi_tilde.matrix()
+        for psi, u_psi in dec.right_kernel:
+            np.testing.assert_allclose(pi @ psi, psi, atol=1e-12)
+            np.testing.assert_allclose(pit @ u_psi, 0, atol=1e-12)
+        for ud_psit, psit in dec.left_kernel:
+            np.testing.assert_allclose(pit @ psit, psit, atol=1e-12)
+            np.testing.assert_allclose(pi @ ud_psit, 0, atol=1e-12)
+        assert dec.gram_defect() < 1e-12
+        assert dec.gram_defect_tilde() < 1e-12
+
 
 class TestAlternatingSequence:
     def test_single_phase_identity_poly(self, rng):
@@ -971,6 +989,184 @@ class TestWrapCertificate:
                 rho = np.outer(v, v.conj())
                 fast_or([rho], rho, 0.01, 0.01, 0.01)
 
+
+def _defect(m):
+    return operator_norm(m.conj().T @ m - np.eye(len(m)))
+
+
+@pytest.fixture
+def wraps(monkeypatch):
+    """Every branch list that `branch_lcu` hands to `_hadamard_wrap`,
+    with the wrap it got back."""
+    import svtkit.svt as svt_module
+    seen = []
+    wrap = svt_module._hadamard_wrap
+
+    def recorded(branches):
+        out = wrap(branches)
+        seen.append((list(branches), out))
+        return out
+
+    monkeypatch.setattr(svt_module, "_hadamard_wrap", recorded)
+    return seen
+
+
+class TestWrapBound:
+    """`branch_lcu` checks each weighted branch within UNITARY_TOL less
+    the margin 2 sqrt(1 + UNITARY_TOL) e + e^2, so the wrap's defect is at
+    most the largest branch defect plus that margin."""
+
+    def test_bound_covers_the_wrap_defect(self, wraps):
+        from svtkit.svt import _wrap_rounding
+        gen = np.random.default_rng(5)
+        for cell in range(60):
+            n_terms = (1, 2, 4)[cell % 3]
+            n = int(gen.integers(2, 33 if n_terms < 4 else 17))
+            a = gen.standard_normal((n, n))
+            if cell % 2:
+                a = a + 1j * gen.standard_normal((n, n))
+            a *= gen.uniform(0.5, 0.99) / operator_norm(a)
+            pu = embed(a).pu
+            terms = []
+            for _ in range(n_terms):
+                r = gen.uniform()
+                refl = (None if r < 0.15 else float(gen.uniform(-1, 1))
+                        if r < 0.3 else PhaseSequence(
+                            gen.uniform(-math.pi, math.pi,
+                                        int(gen.integers(21, 102))),
+                            "reflection"))
+                terms.append(((1, 1j, -1)[int(gen.integers(3))], refl))
+            wraps.clear()
+            got, _ = branch_lcu(pu, terms)
+            branches, out = wraps[0]
+            assert out is got and len(branches) == 2 * n_terms
+            worst = max(_defect(b) for b in branches)
+            e = _wrap_rounding(len(branches), pu.dim)
+            bound = worst + 2 * math.sqrt(1 + worst) * e + e * e
+            assert _defect(got) <= bound <= 1e-12
+
+    @pytest.mark.parametrize("refl", ["phased", None, 0.3])
+    def test_weight_off_the_unit_circle_refused(self, refl):
+        # |w| = 1 + 9e-13 passes the weight's own 1e-12 test, but the
+        # weighted branch has defect 1.8e-12, above UNITARY_TOL
+        pu = embed(np.diag([0.5, 0.3])).pu
+        if refl == "phased":
+            _, refl, _ = phases_for_target(cheb_unit(5).cheb_coeffs * 0.9)
+        with pytest.raises(NormExceeded):
+            branch_lcu(pu, [(1 + 9e-13, refl)])
+
+    @pytest.mark.parametrize("weight", [1, -1, 1j, -1j, (1 + 1j) / 2 ** 0.5],
+                             ids=["1", "-1", "i", "-i", "diagonal"])
+    def test_real_encoding_conjugate_branch(self, wraps, monkeypatch,
+                                            weight):
+        # for a real or imaginary w, w conj(U_Phi) = +-conj(w U_Phi) bit
+        # for bit, so one Gram serves both branches; any other w takes two
+        import svtkit.svt as svt_module
+        grams = []
+        check = svt_module.is_unitary
+
+        def counted(u, tol):
+            grams.append(u)
+            return check(u, tol)
+
+        monkeypatch.setattr(svt_module, "is_unitary", counted)
+        pu = embed(np.diag([0.5, 0.3, -0.2])).pu
+        _, refl, _ = phases_for_target(cheb_unit(7).cheb_coeffs * 0.9)
+        branch_lcu(pu, [(weight, refl)])
+        (plus, minus), _ = wraps[0]
+        if weight in (1, -1, 1j, -1j):
+            sign = (weight * weight).real
+            np.testing.assert_array_equal(minus, sign * plus.conj())
+            assert len(grams) == 1 and grams[0] is plus
+        else:
+            assert len(grams) == 2 and grams[1] is minus
+
+
+class TestWrapGrams:
+    """No caller of `branch_lcu` forms a Gram of its wrap; a transform
+    request forms `embed`'s and one per phased term, two for a complex
+    encoding."""
+
+    @pytest.fixture
+    def grams(self, monkeypatch):
+        import svtkit.blockenc as blockenc_module
+        import svtkit.svt as svt_module
+        seen = []
+        for module in (blockenc_module, svt_module):
+            def counting(u, *args, check=module.is_unitary, **kwargs):
+                seen.append(np.asarray(u))
+                return check(u, *args, **kwargs)
+
+            monkeypatch.setattr(module, "is_unitary", counting)
+        return seen
+
+    @staticmethod
+    def assert_no_wrap_gram(grams, wraps):
+        assert wraps
+        for _, out in wraps:
+            assert not any(g.shape == out.shape and np.array_equal(g, out)
+                           for g in grams)
+
+    @staticmethod
+    def _hermitian(n, gen):
+        h = gen.standard_normal((n, n))
+        h = (h + h.T) / 2
+        return h * (0.9 / operator_norm(h))
+
+    @pytest.mark.parametrize("complex_target", [False, True])
+    def test_eigenvalue_transform(self, grams, wraps, complex_target):
+        gen = np.random.default_rng(81)
+        c = np.array([0.05, 0.1, -0.06, 0.04])
+        if complex_target:
+            c = c + 1j * np.array([0.03, -0.05, 0.04, 0.02])
+        out = eigenvalue_transform(embed(self._hermitian(4, gen)),
+                                   ChebSeries(c),
+                                   complex_target=complex_target)
+        self.assert_no_wrap_gram(grams, wraps)
+        # embed's U and the four or eight branches of two or four phased
+        # terms, one Gram each on a real encoding
+        assert [g.shape for g in grams] == [(8, 8)] * (5 if complex_target
+                                                        else 3)
+        assert out.measured_error <= 1e-8
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_svt_apply(self, grams, wraps, kind):
+        gen = np.random.default_rng(82)
+        a = gen.standard_normal((4, 4))
+        if kind == "complex":
+            a = a + 1j * gen.standard_normal((4, 4))
+        a *= 0.9 / operator_norm(a)
+        out = svt_apply(embed(a).pu, random_target(9, gen=gen),
+                        kind="real_poly", delta=1e-8)
+        self.assert_no_wrap_gram(grams, wraps)
+        assert len(grams) == (2 if kind == "real" else 3)
+        assert out.encoding.u is out.u_phi
+        assert out.measured_error <= 1e-8
+
+    def test_hamiltonian_simulate(self, grams, wraps):
+        from svtkit.apps import hamiltonian_simulate
+        out, rep = hamiltonian_simulate(
+            embed(self._hermitian(3, np.random.default_rng(83))), 2.0, 1e-6)
+        self.assert_no_wrap_gram(grams, wraps)
+        assert rep["measured"] <= 1e-6
+
+    def test_fractional_query(self, grams, wraps):
+        from svtkit.apps import fractional_query
+        h = self._hermitian(3, np.random.default_rng(84)) * 0.5
+        _, rep = fractional_query(scipy.linalg.expm(1j * h), 0.5, 1e-5)
+        self.assert_no_wrap_gram(grams, wraps)
+        assert rep["measured"] <= 1e-5
+
+    def test_markov_find(self, grams, wraps):
+        from svtkit.apps import MarkovChain, markov_find
+        p = np.zeros((6, 6))
+        for i in range(6):
+            p[i, i], p[i, (i + 1) % 6], p[i, (i - 1) % 6] = 0.5, 0.25, 0.25
+        chain = MarkovChain(p, marked=[2])
+        gap = chain.singular_gap()
+        _, rep = markov_find(chain, delta=0.9 * gap, eps=0.9 * chain.p_m)
+        self.assert_no_wrap_gram(grams, wraps)
+        assert rep["marked_mass"] >= 2.0 / 3.0
 
 _THREADS_CELL = """
 import sys
