@@ -8,12 +8,12 @@ import numpy as np
 
 from .. import _chebops as cheb
 from ..approx import _to_peak, approx_rect, approx_sign
-from ..blockenc import Projector, ProjectedUnitary, operator_norm
+from ..blockenc import Projector, ProjectedUnitary, compress, operator_norm
 from ..errors import (NotAnIsometryWithinTolerance, OverlapBelowThreshold,
                       SpectrumOutOfRange)
 from ..poly import ChebSeries
 from ..qsp import chebyshev_phases, phases_for_target
-from ..svt import alternating_sequence, svd_bundle, svt_apply
+from ..svt import alternating_sequence, svt_apply
 
 
 def fixed_point_amplify(u, pi: Projector, psi0, delta: float, eps: float):
@@ -32,8 +32,11 @@ def fixed_point_amplify(u, pi: Projector, psi0, delta: float, eps: float):
         raise OverlapBelowThreshold(f"overlap {a:.4g} <= delta {delta:.4g}")
     psi_g = target_vec / a
     if a >= 1 - 1e-12:
+        # U itself, one use and no phases
+        ledger = {"u_uses": 1, "cpi_not": 0, "cpi_tilde_not": 0,
+                  "single_qubit_phases": 0}
         report = {"overlap": a, "deviation": 0.0, "success_probability": 1.0,
-                  "degree": 1}
+                  "degree": 1, "claimed_deviation": eps, "ledger": ledger}
         return u, report
     proj0 = Projector(u.shape[0], matrix=np.outer(psi0, psi0.conj()))
     pu = ProjectedUnitary(u, proj0, pi)
@@ -87,11 +90,11 @@ def amplify_singular_values(pu: ProjectedUnitary, gamma: float, delta: float,
     eps <= 0.9 it is below that already, as rect <= eps' past 1/gamma."""
     if gamma <= 1:
         raise ValueError("need gamma > 1")
-    bundle = svd_bundle(pu)
+    _, sigma, vh = np.linalg.svd(pu.block())
     limit = (1.0 - delta) / gamma
-    if np.any(bundle.sigma > limit + 1e-12):
+    if np.any(sigma > limit + 1e-12):
         raise SpectrumOutOfRange(
-            f"singular value {bundle.sigma.max():.4g} above (1-delta)/gamma "
+            f"singular value {sigma.max():.4g} above (1-delta)/gamma "
             f"= {limit:.4g}")
     t = (1.0 - delta / 2.0) / gamma
     rect = approx_rect(t, delta / (2.0 * gamma), min(eps / gamma, 0.4))
@@ -99,10 +102,10 @@ def amplify_singular_values(pu: ProjectedUnitary, gamma: float, delta: float,
                     1.0 - rect.claimed_error / 4.0)
     outcome = svt_apply(pu, ChebSeries(p_re, "odd"), kind="real_poly",
                         delta=max(eps, 1e-8))
-    block_out = pu.pi_tilde.basis().conj().T @ outcome.result @ pu.pi.basis()
-    wo, so, vho = np.linalg.svd(block_out)
+    block_out = compress(pu.pi_tilde, outcome.result, pu.pi)
+    _, so, vho = np.linalg.svd(block_out)
     rel = []
-    for sig in bundle.sigma:
+    for sig in sigma:
         if sig > 1e-9:
             target = gamma * sig
             j = int(np.argmin(np.abs(so - target)))
@@ -112,23 +115,22 @@ def amplify_singular_values(pu: ProjectedUnitary, gamma: float, delta: float,
         "max_relative_error": max(rel) if rel else 0.0,
         "claimed": eps,
         "degree": len(outcome.phases.phis),
-        "subspace_angle": _subspace_angle(bundle, block_out),
-        "full_magnification_error": operator_norm(
-            gamma * pu.pi_tilde.basis().conj().T @ pu.encoded() @ pu.pi.basis()
-            - block_out),
+        "subspace_angle": _subspace_angle(sigma, vh, so, vho),
+        "full_magnification_error": operator_norm(gamma * pu.block()
+                                                  - block_out),
     }
     return outcome, report
 
 
-def _subspace_angle(bundle, block_out) -> float:
+def _subspace_angle(sigma, vh, so, vho) -> float:
     """Largest principal angle between old and new right singular spaces
-    of the significantly-transformed directions."""
-    wo, so, vho = np.linalg.svd(block_out)
-    keep_old = bundle.sigma > 1e-6
+    of the significantly-transformed directions, from the SVDs of the
+    old block (sigma, V^dag) and the new one (so, Vo^dag)."""
+    keep_old = sigma > 1e-6
     keep_new = so > 1e-6
     if not keep_old.any() or not keep_new.any():
         return 0.0
-    vo = bundle.v[:, : len(bundle.sigma)][:, keep_old]
+    vo = vh.conj().T[:, : len(sigma)][:, keep_old]
     vn = vho.conj().T[:, : len(so)][:, keep_new]
     if vo.shape[1] != vn.shape[1]:
         return float("nan")

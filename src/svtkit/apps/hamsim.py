@@ -9,8 +9,8 @@ import numpy as np
 from ..approx import (LIB_MAX_DEGREE, _memo, _one_sign_series, _to_peak,
                       approx_arcsin, approx_exp, approx_trig, solve_r)
 from ..blockenc import (BlockEncoding, Projector, ProjectedUnitary,
-                        operator_norm)
-from ..errors import NotHermitian, NumericalFailure, SpectrumTooWide
+                        _norm_at_most, check_hermitian, operator_norm)
+from ..errors import NumericalFailure, SpectrumTooWide
 from ..poly import ChebSeries
 from ..qsp import chebyshev_phases, phases_for_target
 from ..svt import (_fn_of_hermitian, alternating_sequence, branch_lcu,
@@ -50,11 +50,6 @@ def _meets(measured: float, eps: float, what: str) -> float:
     return measured
 
 
-def _check_hermitian(h: np.ndarray, what: str):
-    if operator_norm(h - h.conj().T) > 1e-9:
-        raise NotHermitian(f"{what} is not Hermitian")
-
-
 def hamiltonian_simulate(be: BlockEncoding, t: float, eps: float,
                          robust: bool = False,
                          max_degree: int = LIB_MAX_DEGREE):
@@ -68,12 +63,12 @@ def hamiltonian_simulate(be: BlockEncoding, t: float, eps: float,
     ``max_degree`` raises DegreeOverflow.
     """
     h_block = be.extract() / be.alpha
-    _check_hermitian(h_block, "encoded operator")
+    check_hermitian(h_block, "encoded operator")
     if robust:
         if be.target is None:
             raise ValueError("robust mode verifies against be.target")
         h_true = np.asarray(be.target, complex) / be.alpha
-        _check_hermitian(h_true, "be.target")
+        check_hermitian(h_true, "be.target")
         if be.eps > eps / abs(2 * t) + 1e-12:
             raise ValueError("input encoding error above eps/|2t|")
     else:
@@ -108,10 +103,15 @@ def hamiltonian_simulate(be: BlockEncoding, t: float, eps: float,
 
 
 def _principal_log_over_i(u: np.ndarray) -> np.ndarray:
-    """H with u = e^{iH}, eigenphases on the principal branch."""
+    """H with u = e^{iH}, eigenphases on the principal branch, made
+    Hermitian; SpectrumTooWide unless ||H|| <= 1/2."""
     w, v = np.linalg.eig(u)
     angles = np.angle(w)
-    return v @ np.diag(angles) @ np.linalg.inv(v)
+    h = v @ np.diag(angles) @ np.linalg.inv(v)
+    h = (h + h.conj().T) / 2
+    if not _norm_at_most(h, 0.5 + 1e-9):
+        raise SpectrumTooWide("need ||H|| <= 1/2 on the principal branch")
+    return h
 
 
 def _sine_encoding(u: np.ndarray):
@@ -135,9 +135,6 @@ def unitary_log(u, eps: float):
     ||H|| <= 1/2, via the sine extraction and the arcsin polynomial."""
     u = np.asarray(u, complex)
     h_true = _principal_log_over_i(u)
-    h_true = (h_true + h_true.conj().T) / 2
-    if operator_norm(h_true) > 0.5 + 1e-9:
-        raise SpectrumTooWide("need ||H|| <= 1/2 on the principal branch")
     pu = _sine_encoding(u)
     n = u.shape[0]
     sin_block = pu.u[:n, :n]
@@ -153,7 +150,8 @@ def unitary_log(u, eps: float):
         "sine_block_error": operator_norm(
             sin_block - _fn_of_hermitian(h_true, np.sin)),
     }
-    enc = BlockEncoding(outcome.u_phi, alpha=1.0, ancillas=2, eps=eps,
+    # on the certificate of svt_apply's wrap: no Gram of it is formed
+    enc = BlockEncoding(outcome.encoding, alpha=1.0, ancillas=2, eps=eps,
                         target=2.0 / math.pi * h_true, system_dim=n)
     return enc, report
 
@@ -170,9 +168,6 @@ def fractional_query(u, t: float, eps: float):
     if not -1.0 <= t <= 1.0:
         raise ValueError("need t in [-1, 1]")
     h_true = _principal_log_over_i(u)
-    h_true = (h_true + h_true.conj().T) / 2
-    if operator_norm(h_true) > 0.5 + 1e-9:
-        raise SpectrumTooWide("need ||H|| <= 1/2 on the principal branch")
     pu = _sine_encoding(u)
     cos_c, sin_c = _fracq_poly(t, eps)
     half_circ, layer_uses = _four_branch_circuit(pu, cos_c, sin_c)
@@ -221,13 +216,15 @@ def gibbs_prep(be: BlockEncoding, beta: float, eps: float,
     `approx_exp`'s series E with x -> -x, or in sqrt mode E at beta/4 with
     T_k -> (-1)^k T_2k, which is E(-T_2(x)) = exp(-(beta/2) x^2)."""
     h = be.extract() / be.alpha
-    _check_hermitian(h, "encoded operator")
+    check_hermitian(h, "encoded operator")
     n = be.system_dim
     if beta == 0:
         rho = np.eye(n) / n
         state = np.eye(n).reshape(-1) / math.sqrt(n)
+        # exp(0) = I: Z = tr I = n, and the maximally mixed state is exact
         return state, {"reduced_state": rho, "trace_distance": 0.0,
-                       "degree": 0, "rounds": 1, "subnormalization": 1.0}
+                       "claimed": eps, "degree": 0, "subnormalization": 1.0,
+                       "rounds": 1, "partition_function": float(n)}
     # be encodes sqrt(H) in sqrt mode; T_k(-u) = (-1)^k T_k(u), T_k(T_2) = T_2k
     step = 2 if sqrt_mode else 1
     q = approx_exp(beta / (2.0 * step), min(eps / 4.0, 0.4))

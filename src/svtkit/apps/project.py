@@ -11,27 +11,26 @@ from ..approx import approx_rect, approx_sign
 from ..blockenc import ProjectedUnitary, embed, operator_norm
 from ..errors import PromiseViolated
 from ..qsp import phases_for_target
-from ..svt import (alternating_sequence, branch_lcu, reference_svt,
-                   svd_bundle)
+from ..svt import alternating_sequence, branch_lcu, reference_svt
 
 
 def threshold_projectors_exact(pu: ProjectedUnitary, interval):
     """Exact right/left singular value threshold projectors Pi_S, Pi~_S
-    for S = [lo, hi], computed from the SVD bundle."""
+    for S = [lo, hi], computed from one SVD of the block."""
     lo, hi = interval
-    bundle = svd_bundle(pu)
+    w, sigma, vh = np.linalg.svd(pu.block())
     bv = pu.pi.basis()
     bw = pu.pi_tilde.basis()
     d = bv.shape[1]
     dt = bw.shape[1]
     sig_right = np.zeros(d)
-    sig_right[: len(bundle.sigma)] = bundle.sigma
+    sig_right[: len(sigma)] = sigma
     sig_left = np.zeros(dt)
-    sig_left[: len(bundle.sigma)] = bundle.sigma
+    sig_left[: len(sigma)] = sigma
     keep_r = (sig_right >= lo) & (sig_right <= hi)
     keep_l = (sig_left >= lo) & (sig_left <= hi)
-    vr = bv @ bundle.v[:, keep_r]
-    wl = bw @ bundle.w[:, keep_l]
+    vr = bv @ vh.conj().T[:, keep_r]
+    wl = bw @ w[:, keep_l]
     right = vr @ vr.conj().T
     left = wl @ wl.conj().T
     return right, left

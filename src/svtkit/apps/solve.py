@@ -8,7 +8,7 @@ from ..approx import LIB_MAX_DEGREE, approx_inverse, approx_rect
 from ..blockenc import ProjectedUnitary, operator_norm
 from ..errors import SpectrumBelowDelta
 from ..poly import ChebSeries
-from ..svt import svd_bundle, svt_apply
+from ..svt import svt_apply
 from .project import threshold_projectors_exact
 
 
@@ -23,9 +23,9 @@ def pseudoinverse(pu: ProjectedUnitary, delta: float, eps: float,
     """
     if not 0 < delta <= 1:
         raise ValueError("need delta in (0, 1]")
-    bundle = svd_bundle(pu)
     if threshold_mode is None:
-        nonzero = bundle.sigma[bundle.sigma > 1e-11]
+        sigma = np.linalg.svd(pu.block())[1]
+        nonzero = sigma[sigma > 1e-11]
         if len(nonzero) and nonzero.min() < delta - 1e-12:
             raise SpectrumBelowDelta(
                 f"nonzero singular value {nonzero.min():.4g} below delta")

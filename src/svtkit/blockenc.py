@@ -11,8 +11,8 @@ import math
 import numpy as np
 
 from .errors import (DimensionMismatch, ModePreconditionViolated,
-                     NormExceeded, NotAProjector, ShapeMismatch,
-                     SparsityViolated)
+                     NormExceeded, NotAProjector, NotHermitian,
+                     ShapeMismatch, SparsityViolated)
 
 UNITARY_TOL = 1e-12
 PROJECTOR_TOL = 1e-12
@@ -23,20 +23,33 @@ def operator_norm(m) -> float:
     return float(np.linalg.norm(m, 2))
 
 
-def is_unitary(u, tol=UNITARY_TOL) -> bool:
-    """||U^dag U - I||_2 <= tol.
+def _norm_at_most(m, tol) -> bool:
+    """||m||_2 <= tol, the one test of every 2-norm that is only compared.
 
-    G = U^dag U - I is formed once.  Since ||G||_2 <= ||G||_F, a Frobenius
-    norm within tol accepts at once; only otherwise is the exact 2-norm
-    (an SVD) taken, so every decision is that of the 2-norm test.  A
-    complex U with an all-zero imaginary part, such as `embed`'s, has
-    its Gram formed in float64.
+    Since ||m||_2 <= ||m||_F, a Frobenius norm within tol accepts at once;
+    only otherwise is the exact 2-norm (an SVD) taken, so every decision
+    is that of the 2-norm test, up to rounding when tol ties ||m||_2.  A
+    NaN norm is refused.  A 2-norm that is reported is measured by
+    `operator_norm`.
+    """
+    return float(np.linalg.norm(m)) <= tol or operator_norm(m) <= tol
+
+
+def check_hermitian(m, what: str) -> None:
+    """Raise NotHermitian unless ||m - m^dag||_2 <= 1e-9."""
+    if not _norm_at_most(m - m.conj().T, 1e-9):
+        raise NotHermitian(f"{what} is not Hermitian")
+
+
+def is_unitary(u, tol=UNITARY_TOL) -> bool:
+    """||U^dag U - I||_2 <= tol, decided by `_norm_at_most` on
+    G = U^dag U - I, formed once.  A complex U with an all-zero imaginary
+    part, such as `embed`'s, has its Gram formed in float64.
     """
     u = np.asarray(u)
     if np.iscomplexobj(u) and not u.imag.any():
         u = np.ascontiguousarray(u.real)
-    g = u.conj().T @ u - np.eye(u.shape[1])
-    return float(np.linalg.norm(g)) <= tol or operator_norm(g) <= tol
+    return _norm_at_most(u.conj().T @ u - np.eye(u.shape[1]), tol)
 
 
 def matrix_to_json(m) -> dict:
@@ -73,9 +86,9 @@ class Projector:
             m = np.asarray(matrix, complex)
             if m.shape != (self.dim, self.dim):
                 raise DimensionMismatch("projector shape mismatch")
-            if operator_norm(m - m.conj().T) > PROJECTOR_TOL * 10:
+            if not _norm_at_most(m - m.conj().T, PROJECTOR_TOL * 10):
                 raise NotAProjector("not Hermitian")
-            if operator_norm(m @ m - m) > 1e-8:
+            if not _norm_at_most(m @ m - m, 1e-8):
                 raise NotAProjector("not idempotent")
             # canonicalize: snap eigenvalues to {0, 1}; a real matrix is
             # diagonalized in float64, so its basis is real on any LAPACK
@@ -201,11 +214,18 @@ class ProjectedUnitary:
 
 
 class BlockEncoding:
-    """(alpha, a, eps)-block-encoding: Pi = Pi~ = |0><0|^a (x) I."""
+    """(alpha, a, eps)-block-encoding: Pi = Pi~ = |0><0|^a (x) I.
+
+    ``u`` is a matrix, whose unitarity `is_unitary` checks, or a
+    ProjectedUnitary, whose certificate is kept (`with_projectors`), so
+    no Gram of its U is formed.  A target is held to the claimed eps
+    (plus 1e-9) by `_norm_at_most`.
+    """
 
     def __init__(self, u, alpha: float, ancillas: int, eps: float = 0.0,
                  target=None, system_dim=None):
-        u = np.asarray(u, complex)
+        certified = u if isinstance(u, ProjectedUnitary) else None
+        u = certified.u if certified else np.asarray(u, complex)
         dim = u.shape[0]
         if system_dim is None:
             system_dim = dim // (2 ** ancillas)
@@ -217,19 +237,14 @@ class BlockEncoding:
         self.ancillas = int(ancillas)
         self.eps = float(eps)
         proj = Projector(dim, indices=range(self.system_dim))
-        self.pu = ProjectedUnitary(u, proj, proj)
+        self.pu = (certified.with_projectors(proj, proj) if certified
+                   else ProjectedUnitary(u, proj, proj))
         self.target = None if target is None else np.asarray(target, complex)
         if self.target is not None:
-            # ||D||_2 <= ||D||_F, so as in `is_unitary` a Frobenius norm
-            # within the bound accepts at once and only otherwise is the
-            # exact 2-norm (an SVD) taken
             diff = self.target - self.extract()
-            bound = self.eps + 1e-9
-            if not np.linalg.norm(diff) <= bound:
-                measured = operator_norm(diff)
-                if not (measured <= bound):
-                    raise NormExceeded(f"claimed eps {self.eps:.2e} but "
-                                       f"measured {measured:.2e}")
+            if not _norm_at_most(diff, self.eps + 1e-9):
+                raise NormExceeded(f"claimed eps {self.eps:.2e} but "
+                                   f"measured {operator_norm(diff):.2e}")
 
     @property
     def u(self):
@@ -334,8 +349,6 @@ class ControlledNotByProjector:
 
     def __init__(self, pi: Projector):
         p = pi.matrix()
-        if operator_norm(p @ p - p) > 1e-8:
-            raise NotAProjector("input is not idempotent")
         x = np.array([[0, 1], [1, 0]], complex)
         comp = np.eye(pi.dim) - p
         self.pi = pi

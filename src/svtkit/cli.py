@@ -15,8 +15,8 @@ import sys
 import numpy as np
 
 from . import approx
-from .blockenc import (BlockEncoding, embed, encode_sparse, matrix_from_json,
-                       matrix_to_json, operator_norm)
+from .blockenc import (embed, encode_sparse, matrix_from_json, matrix_to_json,
+                       operator_norm)
 from .config import MAX_DEGREE_DEFAULT, MAX_MATRIX_DIM
 from .errors import SvtError
 from .poly import ChebSeries
@@ -140,10 +140,8 @@ def cmd_apps(args):
         h = rng.standard_normal((dim, dim))
         h = (h + h.T) / 2
         h /= operator_norm(h)
+        # embed's encoding carries target h at eps 0, as robust mode needs
         be = embed(h, 1.0)
-        if args.robust:
-            be = BlockEncoding(be.pu.u, alpha=1.0, ancillas=1, eps=0.0,
-                               target=h)
         eps = 1e-6 if args.eps is None else args.eps
         enc, rep = hamiltonian_simulate(be, args.t, eps,
                                         robust=args.robust,

@@ -21,8 +21,8 @@ from numpy.polynomial import chebyshev as npcheb
 
 from . import _chebops as cheb
 from .blockenc import (UNITARY_TOL, BlockEncoding, Projector,
-                       ProjectedUnitary, compress, is_unitary, operator_norm,
-                       sandwich)
+                       ProjectedUnitary, check_hermitian, compress,
+                       is_unitary, operator_norm, sandwich)
 from .errors import (ConventionMismatch, Inadmissible, NormExceeded,
                      NumericalFailure, ParityMismatch)
 from .poly import ChebSeries, ParityPoly
@@ -36,25 +36,6 @@ RANK_TOL = 1e-11
 # on, when V_rest^dag V_rest > tau^2 I; its docstring has the measurements
 OVERLAP_MIN_DIM = 64
 OVERLAP_TAU = 0.2
-
-
-@dataclasses.dataclass
-class SvdBundle:
-    """SVD of the compressed block A of a projected unitary: one
-    `np.linalg.svd`, so A V = W Sigma.  Inside a cluster of equal singular
-    values the vectors are LAPACK's choice; every consumer sums over the
-    cluster or pairs w_i with v_i, and neither depends on that choice."""
-
-    w: np.ndarray          # left singular vectors (columns), full basis of img(Pi~)
-    sigma: np.ndarray      # singular values, non-increasing, length min(d~, d)
-    v: np.ndarray          # right singular vectors (columns), full basis of img(Pi)
-    rank: int
-
-
-def svd_bundle(pu: ProjectedUnitary) -> SvdBundle:
-    w, s, vh = np.linalg.svd(pu.block())
-    return SvdBundle(w=w, sigma=s, v=vh.conj().T,
-                     rank=int(np.sum(s > RANK_TOL)))
 
 
 def reference_svt(a, f, parity: str, pi: Projector = None,
@@ -139,7 +120,9 @@ def invariant_decomposition(pu: ProjectedUnitary) -> InvariantDecomposition:
     """The one- and two-dimensional invariant subspaces of a projected
     unitary: saturated directions, rotation blocks spanned by
     (psi_i, psi_i^perp), and the two kernel families."""
-    bundle = svd_bundle(pu)
+    w, sigma, vh = np.linalg.svd(pu.block())
+    v = vh.conj().T
+    rank = int(np.sum(sigma > RANK_TOL))
     bw = pu.pi_tilde.basis()
     bv = pu.pi.basis()
     u = pu.u
@@ -147,12 +130,10 @@ def invariant_decomposition(pu: ProjectedUnitary) -> InvariantDecomposition:
     pit_m = pu.pi_tilde.matrix()
     d = bv.shape[1]
     dt = bw.shape[1]
-    dmin = len(bundle.sigma)
     saturated, blocks, right_kernel, left_kernel = [], [], [], []
-    for i in range(dmin):
-        sig = bundle.sigma[i]
-        psi = bv @ bundle.v[:, i]
-        psit = bw @ bundle.w[:, i]
+    for i, sig in enumerate(sigma):
+        psi = bv @ v[:, i]
+        psit = bw @ w[:, i]
         if sig >= 1.0 - SATURATION_TOL:
             saturated.append((psi, psit))
         elif sig > RANK_TOL:
@@ -160,11 +141,11 @@ def invariant_decomposition(pu: ProjectedUnitary) -> InvariantDecomposition:
             psi_perp = (np.eye(pu.dim) - pi_m) @ (u.conj().T @ psit) / root
             psit_perp = (np.eye(pu.dim) - pit_m) @ (u @ psi) / root
             blocks.append((sig, psi, psi_perp, psit, psit_perp))
-    for i in range(bundle.rank, d):
-        psi = bv @ bundle.v[:, i]
+    for i in range(rank, d):
+        psi = bv @ v[:, i]
         right_kernel.append((psi, u @ psi))
-    for i in range(bundle.rank, dt):
-        psit = bw @ bundle.w[:, i]
+    for i in range(rank, dt):
+        psit = bw @ w[:, i]
         left_kernel.append((u.conj().T @ psit, psit))
     return InvariantDecomposition(saturated, blocks, right_kernel, left_kernel)
 
@@ -534,7 +515,8 @@ def eigenvalue_transform(be: BlockEncoding, target, delta: float = 1e-8,
                          complex_target: bool = False) -> SvtOutcome:
     """Polynomial eigenvalue transformation of arbitrary parity.
 
-    Input: block-encoding of a Hermitian A and a real polynomial P bounded
+    Input: block-encoding of a Hermitian A (`check_hermitian`: a block
+    that is not raises NotHermitian) and a real polynomial P bounded
     by 1/2 on [-1, 1], its max |P| taken by `_chebops.peak`; a larger P is
     refused (Inadmissible).  One `branch_lcu` call combines the +-Phi pairs of
     the even and odd parts of 2P, (1, even) and (1, odd), and wraps two
@@ -552,8 +534,7 @@ def eigenvalue_transform(be: BlockEncoding, target, delta: float = 1e-8,
     certificate; its ledger holds the claimed eps.
     """
     a_mat = be.extract() / be.alpha
-    if operator_norm(a_mat - a_mat.conj().T) > 1e-9:
-        raise Inadmissible("encoded operator is not Hermitian")
+    check_hermitian(a_mat, "encoded operator")
     c = _as_cheb_array(target)
     if not complex_target:
         c = c.real

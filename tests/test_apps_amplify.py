@@ -58,6 +58,19 @@ class TestFixedPoint:
         out, rep = fixed_point_amplify(u, pi, psi0, 0.5, 1e-3)
         assert rep["success_probability"] == pytest.approx(1.0)
 
+    def test_full_overlap_report_has_the_normal_keys(self, rng):
+        dim = 4
+        pi = Projector(dim, indices=range(dim))
+        _, full = fixed_point_amplify(haar(dim, rng), pi, np.eye(dim)[0],
+                                      0.5, 1e-3)
+        _, normal = fixed_point_amplify(*amplification_instance(8, a=0.3),
+                                        0.25, 1e-3)
+        assert full.keys() == normal.keys()
+        assert full["ledger"].keys() == normal["ledger"].keys()
+        # U itself: one use, no phases
+        assert full["ledger"]["u_uses"] == full["degree"] == 1
+        assert full["claimed_deviation"] == normal["claimed_deviation"]
+
     def test_amplifies_to_target(self):
         u, pi, psi0 = amplification_instance(8, a=0.3)
         out, rep = fixed_point_amplify(u, pi, psi0, 0.25, 1e-3)

@@ -158,6 +158,16 @@ class TestGibbs:
         np.testing.assert_allclose(rep["reduced_state"], np.eye(2) / 2,
                                    atol=1e-12)
 
+    def test_beta_zero_report_has_the_normal_keys(self, rng):
+        be = embed(random_hermitian(2, 0.8, rng), 1.0)
+        _, zero = gibbs_prep(be, 0.0, 1e-4)
+        _, near = gibbs_prep(be, 1e-3, 1e-4)
+        assert zero.keys() == near.keys()
+        # Z = tr exp(0) = n, which the beta > 0 path approaches
+        assert zero["partition_function"] == 2.0
+        assert near["partition_function"] == pytest.approx(2.0, rel=1e-2)
+        assert zero["claimed"] == near["claimed"] == 1e-4
+
     def test_two_level_weights(self):
         h = np.diag([-1.0, 1.0])
         be = embed(h, 1.0)

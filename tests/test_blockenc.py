@@ -13,9 +13,10 @@ from svtkit.blockenc import (UNITARY_TOL, BlockEncoding,
                              StatePrepPair, embed, encode_density,
                              encode_gram, encode_povm, encode_sparse,
                              is_unitary, lcu, operator_norm, product,
-                             _complete_to_unitary)
+                             _complete_to_unitary, _norm_at_most,
+                             check_hermitian)
 from svtkit.errors import (ModePreconditionViolated, NormExceeded,
-                           NotAProjector, SparsityViolated)
+                           NotAProjector, NotHermitian, SparsityViolated)
 
 @pytest.fixture
 def rng():
@@ -316,6 +317,62 @@ def _with_defect(defects, gen):
 
 def _two_norm_verdict(u, tol):
     return operator_norm(u.conj().T @ u - np.eye(u.shape[1])) <= tol
+
+
+def _verdict(test, m, tol):
+    """``test(m, tol)``, or the LinAlgError it raised."""
+    try:
+        return test(m, tol)
+    except np.linalg.LinAlgError:
+        return np.linalg.LinAlgError
+
+
+class TestNormAtMost:
+    """`_norm_at_most` decides ||M||_2 <= tol as the exact 2-norm does."""
+
+    def test_same_verdict_as_two_norm(self):
+        gen = np.random.default_rng(13)
+        exact = lambda m, tol: operator_norm(m) <= tol  # noqa: E731
+        seen = set()
+        for trial in range(400):
+            shape = tuple(int(k) for k in gen.integers(1, 24, 2))
+            m = gen.standard_normal(shape)
+            if trial % 2:
+                m = m + 1j * gen.standard_normal(shape)
+            m *= 10.0 ** gen.uniform(-14, 0)
+            two, fro = operator_norm(m), float(np.linalg.norm(m))
+            # below the 2-norm, between the two norms, or above both, and
+            # not within rounding of either (a vector has fro = two)
+            low = two * (1 + 1e-9)
+            tol = float(gen.choice([two * gen.uniform(0.5, 0.999),
+                                    low + (fro - low) * gen.uniform(),
+                                    fro * gen.uniform(1.001, 1.5)]))
+            want = exact(m, tol)
+            assert _norm_at_most(m, tol) is want
+            seen.add((want, fro <= tol))
+        # refused, accepted by the 2-norm alone, accepted by Frobenius
+        assert seen == {(False, False), (True, False), (True, True)}
+
+    @pytest.mark.parametrize("kind", [float, complex])
+    def test_nan_entry_decided_as_the_two_norm(self, rng, kind):
+        m = rng.standard_normal((5, 5)).astype(kind)
+        m[2, 3] = np.nan
+        exact = lambda m, tol: operator_norm(m) <= tol  # noqa: E731
+        want = _verdict(exact, m, 1.0)
+        assert want is not True
+        assert _verdict(_norm_at_most, m, 1.0) is want
+
+    def test_hermitian_check_decides_by_the_two_norm(self):
+        # ||M - M^dag||_F = 2.4e-9 > 1e-9 >= ||M - M^dag||_2 = 0.6e-9
+        m = np.eye(16)
+        m[np.arange(0, 16, 2), np.arange(1, 16, 2)] = 0.3e-9
+        m[np.arange(1, 16, 2), np.arange(0, 16, 2)] = -0.3e-9
+        d = m - m.T
+        assert np.linalg.norm(d) > 1e-9 >= operator_norm(d)
+        check_hermitian(m, "m")
+        m[0, 1] += 1e-9
+        with pytest.raises(NotHermitian, match="^m is not Hermitian$"):
+            check_hermitian(m, "m")
 
 
 class TestIsUnitary:

@@ -2,7 +2,8 @@
 through ``__all__``), every import sits at module level, and every public
 function, class and method of the library is referenced in the library,
 its tests or the benchmark harness.  Importing the library loads numpy
-and no scipy."""
+and no scipy.  Only `blockenc._norm_at_most` compares a 2-norm with a
+value."""
 import ast
 import functools
 import os
@@ -160,6 +161,46 @@ def test_every_public_definition_is_referenced(path):
     elsewhere = set().union(*(references_in(p) for p in REFERRING
                               if p != path))
     assert unreferenced(path.read_text(), elsewhere) == []
+
+
+def compared_norms(source: str) -> list:
+    """(line, function) of each comparison that has an `operator_norm`
+    call in an operand, outside `_norm_at_most`."""
+    found = []
+
+    def is_norm_call(node):
+        return isinstance(node, ast.Call) and "operator_norm" in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None))
+
+    def visit(node, fn):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            fn = node.name
+        if (isinstance(node, ast.Compare) and fn != "_norm_at_most"
+                and any(is_norm_call(sub)
+                        for side in [node.left, *node.comparators]
+                        for sub in ast.walk(side))):
+            found.append((node.lineno, fn))
+        for child in ast.iter_child_nodes(node):
+            visit(child, fn)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_detects_a_compared_norm():
+    src = ("def f(m):\n    return operator_norm(m) > 1\n"
+           "def _norm_at_most(m, tol):\n    return operator_norm(m) <= tol\n"
+           "def g(m):\n"
+           "    return 2 * blockenc.operator_norm(m) <= 1, operator_norm(m)\n"
+           "x = operator_norm(y) < 1\n")
+    assert compared_norms(src) == [(2, "f"), (6, "g"), (7, None)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=IDS)
+def test_only_norm_at_most_compares_a_two_norm(path):
+    # a 2-norm that is only compared goes through `_norm_at_most`, which
+    # takes the Frobenius norm first; one that is reported is measured
+    assert compared_norms(path.read_text()) == []
 
 
 def test_import_loads_no_scipy():

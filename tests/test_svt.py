@@ -10,13 +10,13 @@ from svtkit import ChebSeries, ParityPoly
 from svtkit.apps import fast_or, threshold_projector
 from svtkit.blockenc import (BlockEncoding, Projector, ProjectedUnitary,
                              embed, is_unitary, operator_norm)
-from svtkit.errors import (Inadmissible, NormExceeded, NotSubunit,
-                           ParityMismatch)
+from svtkit.errors import (Inadmissible, NormExceeded, NotHermitian,
+                           NotSubunit, ParityMismatch)
 from svtkit.qsp import (PhaseSequence, chebyshev_phases, complete,
                         complete_complex, phases_for_target)
 from svtkit.svt import (alternating_sequence, branch_lcu,
                         eigenvalue_transform, invariant_decomposition, reference_svt,
-                        robustness_bound, svd_bundle, svt_apply)
+                        robustness_bound, svt_apply)
 
 
 @pytest.fixture
@@ -1167,6 +1167,93 @@ class TestWrapGrams:
         _, rep = markov_find(chain, delta=0.9 * gap, eps=0.9 * chain.p_m)
         self.assert_no_wrap_gram(grams, wraps)
         assert rep["marked_mass"] >= 2.0 / 3.0
+
+    def test_unitary_log(self, grams, wraps):
+        from svtkit.apps import unitary_log
+        h = self._hermitian(3, np.random.default_rng(85)) * 0.5
+        enc, rep = unitary_log(scipy.linalg.expm(1j * h), 1e-5)
+        self.assert_no_wrap_gram(grams, wraps)
+        # the encoding holds svt_apply's wrap on its certificate
+        assert enc.u is wraps[-1][1]
+        assert rep["measured"] <= 1e-5
+
+    def test_cli_hamsim_robust(self, grams, wraps, monkeypatch, capsys):
+        from svtkit import cli
+        made = []
+
+        def recording(*args, **kwargs):
+            made.append(embed(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(cli, "embed", recording)
+        assert cli.main(["apps", "hamsim", "--robust", "--dim", "8"]) == 0
+        self.assert_no_wrap_gram(grams, wraps)
+        u = made[0].u
+        assert sum(g.shape == u.shape and np.array_equal(g, u)
+                   for g in grams) == 1
+
+
+class TestHermitianCheck:
+    """Every non-Hermitian operator is refused with NotHermitian by
+    `blockenc.check_hermitian`, which takes an SVD only when
+    ||m - m^dag||_F is above its 1e-9."""
+
+    @pytest.fixture
+    def checks(self, monkeypatch):
+        """The operators checked, and the matrices whose 2-norm a check
+        took."""
+        import svtkit.apps.hamsim as hamsim_module
+        import svtkit.blockenc as blockenc_module
+        import svtkit.svt as svt_module
+        checked, svds, inside = [], [], []
+        norm = blockenc_module.operator_norm
+
+        def counting(m):
+            if inside:
+                svds.append(m)
+            return norm(m)
+
+        monkeypatch.setattr(blockenc_module, "operator_norm", counting)
+        for module in (svt_module, hamsim_module):
+            def checking(m, what, check=module.check_hermitian):
+                checked.append(what)
+                inside.append(what)
+                try:
+                    return check(m, what)
+                finally:
+                    inside.pop()
+
+            monkeypatch.setattr(module, "check_hermitian", checking)
+        return checked, svds
+
+    @staticmethod
+    def _hermitian(n, gen):
+        # as the benchmark's transform and apps requests draw them
+        x = gen.standard_normal((n, n))
+        h = (x + x.T) / 2.0
+        return h / operator_norm(h)
+
+    def test_eigenvalue_transform(self, checks):
+        h = self._hermitian(16, np.random.default_rng(86))
+        out = eigenvalue_transform(embed(h), ChebSeries(
+            np.array([0.05, 0.1, -0.06, 0.04])))
+        assert checks == (["encoded operator"], [])
+        assert out.measured_error <= 1e-8
+
+    @pytest.mark.parametrize("robust", [False, True])
+    def test_hamiltonian_simulate(self, checks, robust):
+        from svtkit.apps import hamiltonian_simulate
+        h = self._hermitian(4, np.random.default_rng(87))
+        _, rep = hamiltonian_simulate(embed(h), 2.0, 1e-6, robust=robust)
+        assert checks == (["encoded operator"]
+                          + (["be.target"] if robust else []), [])
+        assert rep["measured"] <= 1e-6
+
+    def test_eigenvalue_transform_refuses_a_non_hermitian_block(self):
+        be = embed(np.array([[0.2, 0.3], [-0.1, 0.4]]))
+        with pytest.raises(NotHermitian,
+                           match="^encoded operator is not Hermitian$"):
+            eigenvalue_transform(be, ChebSeries(np.array([0.1, 0.2])))
 
 _THREADS_CELL = """
 import sys
