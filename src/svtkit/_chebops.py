@@ -40,38 +40,13 @@ def mul(a, b):
 
 
 # multiply by x: x*T_0 = T_1, x*T_n = (T_{n+1} + T_{n-1})/2; keeps the
-# dtype (clongdouble included) and drops trailing exact zeros
+# dtype and drops trailing exact zeros
 mulx = npcheb.chebmulx
 
 
 def mul_one_minus_x2(c):
     """Multiply by (1 - x^2)."""
     return add(c, -mulx(mulx(c)))
-
-
-def aberth(c, roots):
-    """Simultaneous (Aberth) refinement of all roots of sum_j c_j T_j.
-
-    At most 40 steps; stops early once every step is below 1e-15.  Multiple
-    roots converge only linearly and stay scattered by about sqrt(eps)
-    around their centre.
-    """
-    dc = npcheb.chebder(c)
-    roots = np.asarray(roots, complex)
-    for _ in range(40):
-        f = npcheb.chebval(roots, c)
-        fp = npcheb.chebval(roots, dc)
-        with np.errstate(all="ignore"):
-            newton = np.where(fp != 0, f / fp, 0.0)
-            diff = roots[:, None] - roots[None, :]
-            np.fill_diagonal(diff, np.inf)
-            repel = np.sum(1.0 / diff, axis=1)
-            step = newton / (1.0 - newton * repel)
-        step = np.where(np.isfinite(step), step, 0.0)
-        roots = roots - step
-        if np.abs(step).max(initial=0.0) < 1e-15:
-            break
-    return roots
 
 
 def parity_of(c, rel=1e-14) -> str:
@@ -155,8 +130,8 @@ def values(c, x):
     (d + 1)^2 u ||c||_1 near +-1.  A point outside [-1, 1] (or NaN) raises
     ValueError.  Evaluations that may be asked for other points keep
     `chebval`: `ApproxResult.evaluate`, `check_admissible`'s rays,
-    `aberth`'s complex roots, `SignalPair.p_value` and `q_value`,
-    `poly.evaluate` and svt's oracles."""
+    `complete_complex`'s root polish, `SignalPair.p_value` and
+    `q_value`, `poly.evaluate` and svt's oracles."""
     c, x = np.asarray(c), np.asarray(x, float)
     if not np.all(np.abs(x) <= 1.0):
         raise ValueError("values needs every point in [-1, 1]")

@@ -69,7 +69,8 @@ def oblivious_amplify(pu: ProjectedUnitary, n: int, isometry_eps: float = 0.0):
     w_full = pu.pi_tilde.basis() @ w_iso @ pu.pi.basis().conj().T
     if n == 1:
         u_tilde = pu.u
-        ledger = {"u_uses": 1}
+        ledger = {"u_uses": 1, "cpi_not": 0, "cpi_tilde_not": 0,
+                  "single_qubit_phases": 0}
     else:
         seq = chebyshev_phases(n)
         u_phi, ledger = alternating_sequence(pu, seq)

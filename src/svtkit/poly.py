@@ -3,8 +3,7 @@
 Two coefficient views are maintained: the monomial basis (`ParityPoly`)
 and the Chebyshev basis (`ChebSeries`), with exact linear conversion
 between them.  The Chebyshev view is canonical for approximation output
-because truncation bounds are naturally stated there; the monomial view
-is what root finding and parity bookkeeping use.
+because truncation bounds are naturally stated there.
 """
 from __future__ import annotations
 
@@ -14,7 +13,7 @@ from numpy.polynomial import polynomial as nppoly
 
 from . import _chebops as cheb
 from .config import MAX_DEGREE_DEFAULT
-from .errors import DegreeTooLarge, NumericalFailure
+from .errors import DegreeTooLarge
 
 _PARITIES = ("even", "odd", "none")
 
@@ -176,44 +175,6 @@ def convert(p, max_degree=MAX_DEGREE_DEFAULT):
             raise DegreeTooLarge(f"degree {p.degree} > max {max_degree}")
         return ParityPoly(npcheb.cheb2poly(p.cheb_coeffs), p.parity)
     raise TypeError(f"cannot convert {type(p).__name__}")
-
-
-def find_roots(p: ParityPoly):
-    """All complex roots (with multiplicity) of p, in double precision.
-
-    Companion-matrix eigenvalues seed `_chebops.aberth`, the
-    simultaneous-Newton (Aberth) refinement, run on p's Chebyshev
-    coefficients.  Off [-1, 1] that basis can lose accuracy, so each root
-    keeps whichever of its seed and its refinement has the smaller
-    componentwise backward error |p(r)| / sum_k |c_k| |r|^k.  At degree
-    <= 60 every root's must be at most 1e-12, else (or when it is not
-    finite) NumericalFailure.
-    """
-    if p.degree < 1:
-        raise ValueError("need degree >= 1")
-    coeffs = p.coeffs
-
-    def backward(r):
-        resid = np.abs(nppoly.polyval(r, coeffs))
-        scale = nppoly.polyval(np.abs(r), np.abs(coeffs))
-        # an exact zero of p has no error, even at r = 0 with c_0 = 0
-        return np.divide(resid, scale, out=np.zeros_like(resid),
-                         where=resid != 0)
-
-    seeds = nppoly.polyroots(coeffs)
-    roots = cheb.aberth(npcheb.poly2cheb(coeffs), seeds)
-    errs = backward(roots)
-    seed_errs = backward(seeds)
-    better = seed_errs < errs  # False where either is NaN
-    roots = np.where(better, seeds, roots)
-    errs = np.where(better, seed_errs, errs)
-    if p.degree <= 60:
-        err = float(errs.max())
-        if not err <= 1e-12:
-            raise NumericalFailure(
-                f"root backward error {err:.2e} above 1e-12 "
-                f"at degree {p.degree}")
-    return roots
 
 
 def supnorm(p, interval=(-1.0, 1.0)) -> float:

@@ -298,18 +298,18 @@ def complete_complex(p, tol: float = 1e-9) -> SignalPair:
     is even, so it is a Chebyshev series in z = T_2(x) = 2x^2 - 1 (its even
     coefficients); each z-root stands for a mirror pair +-s with
     s^2 = (z + 1)/2, and a factor (x^2 - s^2) = (T_2 - z)/2 of Q.  The
-    z-roots are seeded in the Chebyshev basis and refined by Aberth steps.
-    Their structure:
+    z-roots are the eigenvalues of the colleague matrix (`chebroots`), which
+    already come to working accuracy.  Their structure:
 
     - z = 1 (x = +-1) is the simple zero of the prefactor (1 - x^2);
     - z = -1 (x = 0) is a simple zero when Q is odd, giving Q its factor x;
     - every other real z-root is a double root.  Real z in (-1, 1) and
       z > 1 are real x (A >= 0 inside [-1, 1], A <= 0 outside) and z < -1
-      is imaginary x (Q Q*(iy) = +-|Q(iy)|^2 by parity).  Aberth leaves the
-      two copies scattered by about sqrt(eps), so the sorted copies are
-      paired, each pair is replaced by its mean refined with Newton steps
-      on dA/dz (where the root is simple), and Q and Q* each take the one
-      real factor (T_2 - z)/2;
+      is imaginary x (Q Q*(iy) = +-|Q(iy)|^2 by parity).  The eigenvalues
+      leave the two copies scattered by about sqrt(eps), so the sorted
+      copies are paired, each pair is replaced by its mean refined with
+      Newton steps on dA/dz (where the root is simple), and Q and Q* each
+      take the one real factor (T_2 - z)/2;
     - the remaining z-roots are genuinely complex: a conjugate pair z, z*
       is the quadruple +-s, +-s* in x.  Q takes the member with Im z > 0
       and Q* the other.
@@ -337,7 +337,7 @@ def complete_complex(p, tol: float = 1e-9) -> SignalPair:
     Az = A[::2][: k + 1]
     dAz = npcheb.chebder(Az)
     d2Az = npcheb.chebder(dAz)
-    zs = cheb.aberth(Az, npcheb.chebroots(Az))
+    zs = npcheb.chebroots(Az)
 
     def drop_simple(zs, at, where):
         i = int(np.argmin(np.abs(zs - at)))
@@ -403,16 +403,14 @@ def complete_complex(p, tol: float = 1e-9) -> SignalPair:
 def phases_from_pq(pair: SignalPair) -> PhaseSequence:
     """Extract sandwich phases by peeling one layer per step.
 
-    Works on Chebyshev coefficients; per step the monomial leading
-    coefficients of p_l and q_{l-1} must agree in magnitude to a relative
-    2e-3 on every layer with |p_l| above 1e-4 of the largest coefficient,
-    otherwise the completion was inconsistent and the operation aborts.
+    Works on Chebyshev coefficients in double precision; per step the
+    monomial leading coefficients of p_l and q_{l-1} must agree in
+    magnitude to a relative 2e-3 on every layer with |p_l| above 1e-4 of
+    the largest coefficient, otherwise the completion was inconsistent and
+    the operation aborts.
     """
-    # 80-bit arithmetic keeps the accumulated recursion noise a few
-    # digits below double rounding, which matters for eps^2-level targets
-    ld = np.clongdouble
-    p = pair.p_cheb.astype(ld).copy()
-    q = pair.q_cheb.astype(ld).copy()
+    p = pair.p_cheb.astype(complex)
+    q = pair.q_cheb.astype(complex)
     k = pair.k
     phis = np.zeros(k + 1)
     scale0 = float(max(np.abs(p).max(), 1e-300))
@@ -444,19 +442,9 @@ def phases_from_pq(pair: SignalPair) -> PhaseSequence:
                     f"{abs(mag-1):.2e} at layer {m}; completion inconsistent")
             phi = 0.5 * cmath.phase(ratio)
         phis[m] = phi
-        em = np.exp(ld(-1j * phi))
-        ep = np.exp(ld(1j * phi))
-        xp = cheb.mulx(p)
-        q2 = cheb.mul_one_minus_x2(q)
-        n_ = max(len(xp), len(q2))
-        newp = np.zeros(n_, ld)
-        newp[: len(xp)] += em * xp
-        newp[: len(q2)] += ep * q2
-        xq = cheb.mulx(q)
-        n2 = max(len(xq), len(p))
-        newq = np.zeros(n2, ld)
-        newq[: len(xq)] += ep * xq
-        newq[: len(p)] -= em * p
+        em, ep = cmath.exp(-1j * phi), cmath.exp(1j * phi)
+        newp = cheb.add(em * cheb.mulx(p), ep * cheb.mul_one_minus_x2(q))
+        newq = cheb.add(ep * cheb.mulx(q), -em * p)
         dropped = float(np.abs(newp[m:]).max(initial=0.0))
         if dropped > 1e-5 * scale0:
             raise NumericalFailure(

@@ -448,7 +448,8 @@ def svt_apply(pu: ProjectedUnitary, target, kind: str = "real_poly",
 
     kind = "complex_poly": target is a SignalPair (or an admissible
         complex polynomial); the block Pi~ U_Phi Pi (odd) or Pi U_Phi Pi
-        (even) realizes P^(SV).
+        (even) realizes P^(SV), and an oracle error above ``delta`` raises
+        NumericalFailure.
     kind = "real_poly": target is a real bounded polynomial with definite
         parity (an imaginary part is refused); the doubled +-Phi circuit
         with a |+> ancilla realizes P_Re^(SV).  `phases_for_target` gates
@@ -471,6 +472,9 @@ def svt_apply(pu: ProjectedUnitary, target, kind: str = "real_poly",
         oracle = reference_svt(pu.block(), ChebSeries(pair.p_cheb),
                                "odd" if n % 2 else "even")
         err = operator_norm(enc.block() - oracle)
+        if err > delta:
+            raise NumericalFailure(f"svt result misses oracle by {err:.2e} "
+                                   f"(requested {delta:.0e})")
         return SvtOutcome(enc.encoded(), u_phi, enc, ledger, refl, err)
     if kind != "real_poly":
         raise ValueError(f"unknown kind {kind!r}")

@@ -116,6 +116,14 @@ class TestOblivious:
         u_tilde, _ = oblivious_amplify(pu, 1)
         np.testing.assert_allclose(u_tilde, pu.u, atol=1e-14)
 
+    def test_ledger_keys_match_across_n(self, rng):
+        # n = 1 runs no sequence, yet reports the same gate counts
+        _, one = oblivious_amplify(self.make_scaled_isometry_pu(rng, 1)[0], 1)
+        _, three = oblivious_amplify(self.make_scaled_isometry_pu(rng, 3)[0], 3)
+        assert one["ledger"].keys() == three["ledger"].keys()
+        assert one["ledger"] == {"u_uses": 1, "cpi_not": 0,
+                                 "cpi_tilde_not": 0, "single_qubit_phases": 0}
+
     def test_robust_bound(self, rng):
         eps = 0.01
         pu, w = self.make_scaled_isometry_pu(rng, 3, eps=eps)

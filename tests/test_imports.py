@@ -3,7 +3,7 @@ through ``__all__``), every import sits at module level, and every public
 function, class and method of the library is referenced in the library,
 its tests or the benchmark harness.  Importing the library loads numpy
 and no scipy.  Only `blockenc._norm_at_most` compares a 2-norm with a
-value."""
+value.  No module names an extended-precision dtype."""
 import ast
 import functools
 import os
@@ -201,6 +201,44 @@ def test_only_norm_at_most_compares_a_two_norm(path):
     # a 2-norm that is only compared goes through `_norm_at_most`, which
     # takes the Frobenius norm first; one that is reported is measured
     assert compared_norms(path.read_text()) == []
+
+
+EXTENDED_DTYPES = {"longdouble", "clongdouble", "float128", "complex256"}
+
+
+def extended_dtypes(source: str) -> list:
+    """(line, name) of each name, attribute or imported name in the code
+    that is an extended-precision dtype; comments and strings do not count."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        names = []
+        if isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name.split(".")[-1] for alias in node.names]
+        found += [(node.lineno, name) for name in names
+                  if name in EXTENDED_DTYPES]
+    return sorted(found)
+
+
+def test_detects_an_extended_dtype():
+    src = ("import numpy as np\n"
+           "# np.longdouble in a comment\n"
+           "x = np.clongdouble(1)\n"
+           "def f():\n    \"\"\"float128 in a docstring\"\"\"\n"
+           "    return longdouble\n"
+           "from numpy import complex256\n")
+    assert extended_dtypes(src) == [(3, "clongdouble"), (6, "longdouble"),
+                                    (7, "complex256")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=IDS)
+def test_no_extended_precision(path):
+    # a result must not depend on the platform's long double (80-bit,
+    # IEEE quad or plain double), so every module computes in double
+    assert extended_dtypes(path.read_text()) == []
 
 
 def test_import_loads_no_scipy():

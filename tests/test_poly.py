@@ -6,8 +6,8 @@ from numpy.polynomial import chebyshev as npcheb
 
 from svtkit import ParityPoly, ChebSeries
 from svtkit import _chebops as cheb_ops
-from svtkit.errors import DegreeTooLarge, NumericalFailure
-from svtkit.poly import convert, evaluate, find_roots, supnorm
+from svtkit.errors import DegreeTooLarge
+from svtkit.poly import convert, evaluate, supnorm
 
 @pytest.fixture
 def rng():
@@ -68,74 +68,6 @@ class TestConvert:
     def test_degree_cap(self):
         with pytest.raises(DegreeTooLarge):
             convert(ParityPoly(np.ones(600)), max_degree=512)
-
-
-class TestRoots:
-    def test_quadratic(self):
-        roots = sorted(find_roots(ParityPoly([-1.0, 0, 1.0])), key=lambda z: z.real)
-        np.testing.assert_allclose([r.real for r in roots], [-1, 1], atol=1e-12)
-
-    def test_t4_roots(self):
-        p = convert(cheb_unit(4))
-        got = np.sort_complex(find_roots(p))
-        want = np.sort_complex(np.cos((2 * np.arange(1, 5) - 1) * np.pi / 8).astype(complex))
-        np.testing.assert_allclose(got, want, atol=1e-10)
-
-    def test_residual_contract_degree_40(self, rng):
-        # roots at unit scale, the regime completion polynomials live in
-        true_roots = 1.2 * np.exp(2j * np.pi * rng.random(40)) * rng.random(40) ** 0.25
-        c = np.polynomial.polynomial.polyfromroots(true_roots)
-        p = ParityPoly(c)
-        roots = find_roots(p)
-        resid = np.abs(evaluate(p, roots)).max() / np.abs(p.coeffs).sum()
-        assert resid <= 1e-10
-
-    def test_monic_reconstruction(self, rng):
-        c = rng.standard_normal(31)
-        p = ParityPoly(c)
-        roots = find_roots(p)
-        rebuilt = p.coeffs[p.degree] * np.polynomial.polynomial.polyfromroots(
-            roots)
-        n = p.degree + 1
-        err = np.abs(rebuilt[:n] - p.coeffs[:n]).max()
-        assert err <= 1e-8 * max(1, np.abs(p.coeffs).max())
-
-    def test_gaussian_draw_not_refused(self):
-        # the gate measures each root's componentwise backward error, so
-        # roots with |r| > 1 are not refused for the rounding of r^k
-        gen = np.random.default_rng(1)
-        refused = 0
-        for deg in (4, 8, 12, 20, 30):
-            for _ in range(200):
-                try:
-                    find_roots(ParityPoly(gen.standard_normal(deg + 1)))
-                except NumericalFailure:
-                    refused += 1
-        assert refused == 0
-
-    def test_exact_zero_root_accepted(self):
-        # r = 0 with c_0 = 0 makes the backward error 0 / 0
-        roots = find_roots(ParityPoly([0.0, -0.5, 0.0, 2.0, 0.0, -1.5]))
-        assert np.abs(roots).min() == 0.0
-
-    def test_misplaced_root_refused(self, monkeypatch):
-        # a root keeps the better of its seed and its refinement, so both
-        # are moved
-        import svtkit.poly as poly_module
-
-        def moved(find):
-            def call(*args):
-                out = find(*args)
-                out[0] += 1e-6
-                return out
-            return call
-
-        monkeypatch.setattr(poly_module.cheb, "aberth",
-                            moved(poly_module.cheb.aberth))
-        monkeypatch.setattr(poly_module.nppoly, "polyroots",
-                            moved(poly_module.nppoly.polyroots))
-        with pytest.raises(NumericalFailure):
-            find_roots(ParityPoly(np.random.default_rng(5).standard_normal(13)))
 
 
 class TestSupnorm:

@@ -11,9 +11,10 @@ from svtkit.apps import fast_or, threshold_projector
 from svtkit.blockenc import (BlockEncoding, Projector, ProjectedUnitary,
                              embed, is_unitary, operator_norm)
 from svtkit.errors import (Inadmissible, NormExceeded, NotHermitian,
-                           NotSubunit, ParityMismatch)
+                           NotSubunit, NumericalFailure, ParityMismatch)
 from svtkit.qsp import (PhaseSequence, chebyshev_phases, complete,
-                        complete_complex, phases_for_target)
+                        complete_complex, phases_for_target, phases_from_pq,
+                        qsp_eval)
 from svtkit.svt import (alternating_sequence, branch_lcu,
                         eigenvalue_transform, invariant_decomposition, reference_svt,
                         robustness_bound, svt_apply)
@@ -419,6 +420,22 @@ class TestCompleteComplex:
         pair = complete_complex(cheb_unit(d))
         assert pair.unitarity_defect() < 1e-8
 
+    def test_rounding_level_above_degree_24(self):
+        # the colleague-matrix roots alone complete T_25..T_100 and complex
+        # pairs of degree 20-80 to rounding level, and the double-precision
+        # strip of each completion rebuilds P
+        xs = np.cos(np.linspace(0, np.pi, 2001))
+        gen = np.random.default_rng(3)
+        targets = [cheb_unit(d) for d in range(25, 101)] + [
+            ChebSeries(complete(random_target(int(gen.integers(20, 81)),
+                                              gen=gen)).p_cheb)
+            for _ in range(20)]
+        for tgt in targets:
+            pair = complete_complex(tgt)
+            assert pair.unitarity_defect() <= 1.5e-12
+            rec = qsp_eval(phases_from_pq(pair), xs)[:, 0, 0]
+            assert np.abs(rec - pair.p_value(xs)).max() <= 2e-12
+
     def test_real_completion_degree_25(self):
         # the admissibility check must not lose 1e-8 near |x| = 1 here
         tgt = random_target(25, supnorm=0.8, gen=np.random.default_rng(1))
@@ -438,6 +455,11 @@ class TestCompleteComplex:
         pu = random_pu(8, 3, 3, gen=np.random.default_rng(7))
         outcome = svt_apply(pu, cheb_unit(7), kind="complex_poly")
         assert outcome.measured_error < 1e-8
+
+    def test_svt_apply_refuses_a_miss_above_delta(self):
+        pu = random_pu(8, 3, 3, gen=np.random.default_rng(7))
+        with pytest.raises(NumericalFailure, match="misses oracle"):
+            svt_apply(pu, cheb_unit(7), kind="complex_poly", delta=1e-16)
 
 
 class TestEigenvalueTransform:
