@@ -21,7 +21,6 @@ import math
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial import chebyshev as npcheb
 
 from . import _chebops as cheb
 LIB_MAX_DEGREE = 4096  # library-internal cap; the CLI enforces the 512 contract
@@ -56,7 +55,7 @@ class ApproxResult:
         return self.cheb.parity
 
     def evaluate(self, x):
-        return npcheb.chebval(np.asarray(x, float), self.cheb.cheb_coeffs)
+        return self.cheb(np.asarray(x, float))
 
     def to_json(self) -> dict:
         return {

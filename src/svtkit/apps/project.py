@@ -49,8 +49,7 @@ def threshold_projector(pu: ProjectedUnitary, t: float, delta: float,
     # above the threshold, suppression below.  Phase noise enters the
     # operator conditions first-order, so eps/10 suffices there.
     high = cheb_ops.add(np.array([1.0]), -rect.cheb.cheb_coeffs.real)
-    pair, refl, _ = phases_for_target(
-        cheb_ops.enforce_parity(high, "even"), tol=eps / 10.0)
+    pair, refl, _ = phases_for_target(high, tol=eps / 10.0)
     wrapped, ledger = branch_lcu(pu, [(1, refl)])
     dim = pu.dim
     # the wrapped circuit's top blocks are (U_Phi +- U_-Phi) / 2
@@ -180,8 +179,7 @@ def fast_or(projectors, rho, eta: float, nu: float, eps: float):
     dl = (b_c - a_c) / 2.0
     eps_poly = min(eps / 2.0, 0.4)
     rect = approx_rect(t, dl, eps_poly)
-    high = cheb_ops.enforce_parity(
-        cheb_ops.add(np.array([1.0]), -rect.cheb.cheb_coeffs.real), "even")
+    high = cheb_ops.add(np.array([1.0]), -rect.cheb.cheb_coeffs.real)
     pair, refl, _ = phases_for_target(high, tol=eps / 10.0)
     wrapped, ledger = branch_lcu(pu_c, [(1, refl)])
     # accept = the |+>-averaged high-pass block keeps the state: for an

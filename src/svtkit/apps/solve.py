@@ -44,7 +44,7 @@ def pseudoinverse(pu: ProjectedUnitary, delta: float, eps: float,
         high = cheb.add(np.array([1.0]), -rect.cheb.cheb_coeffs.real)
         coeffs = cheb.trim(cheb.mul(inv.cheb.cheb_coeffs.real, high), 1e-15)
         scale = sigma / 2.0
-    p_re = ChebSeries(cheb.enforce_parity(coeffs, "odd"), "odd")
+    p_re = ChebSeries(coeffs, "odd")
     outcome = svt_apply(pu.dagger(), p_re, kind="real_poly",
                         delta=max(eps, 1e-7))
     pinv_exact = np.linalg.pinv(pu.encoded(), rcond=1e-10)

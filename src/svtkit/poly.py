@@ -1,9 +1,9 @@
-"""Univariate polynomials with parity tracking.
-
-Two coefficient views are maintained: the monomial basis (`ParityPoly`)
-and the Chebyshev basis (`ChebSeries`), with exact linear conversion
-between them.  The Chebyshev view is canonical for approximation output
-because truncation bounds are naturally stated there.
+"""Univariate polynomials with parity tracking, computed in the Chebyshev
+basis (`ChebSeries`).  `ParityPoly` is a monomial input format only, which
+`convert` takes to that basis (well conditioned: x^k's coefficients there
+are nonnegative and sum to 1); a series is never re-expanded in powers,
+whose coefficients reach 6.5e16 for a degree-59 sign series.  Both classes
+build through one normal form, so a declared parity means the same in each.
 """
 from __future__ import annotations
 
@@ -27,52 +27,58 @@ def _json_coeffs(obj):
     return c
 
 
-class ParityPoly:
-    """Dense polynomial in the monomial basis with a declared parity.
+def _normal_form(coeffs, parity):
+    """(coefficients, parity, degree): a read-only 1-D complex copy trimmed
+    to its degree.  A coefficient contradicting a declared parity raises
+    ValueError above `_chebops.drop_threshold` and is zeroed below it."""
+    c = np.atleast_1d(np.asarray(coeffs, complex)).copy()
+    if c.ndim != 1:
+        raise ValueError("coefficients must be one-dimensional")
+    if parity is None:
+        parity = cheb.parity_of(c)
+    if parity not in _PARITIES:
+        raise ValueError(f"unknown parity {parity!r}")
+    thr = cheb.drop_threshold(c)
+    if parity != "none":
+        bad = _PARITIES.index(parity) ^ 1  # first slot excluded: 1 if even
+        if np.abs(c[bad::2]).max(initial=0.0) > thr:
+            raise ValueError(
+                f"declared {parity} but has {_PARITIES[bad]} coefficients")
+        c[bad::2] = 0
+    nz = np.nonzero(np.abs(c) > thr)[0]
+    degree = int(nz[-1]) if len(nz) else 0
+    c = c[: degree + 1]
+    c.setflags(write=False)
+    return c, parity, degree
 
-    Coefficients below ``1e-14 * max|coeff|`` count as zero for parity and
-    degree purposes.  Instances are immutable.
-    """
 
-    __slots__ = ("coeffs", "parity", "degree")
+class _Series:
+    """Immutable coefficients with a parity and a degree; those below
+    ``1e-14 * max|coeff|`` count as zero for parity and degree purposes."""
 
-    def __init__(self, coeffs, parity=None):
-        c = np.atleast_1d(np.asarray(coeffs, complex)).copy()
-        if c.ndim != 1:
-            raise ValueError("coefficients must be one-dimensional")
-        if parity is None:
-            parity = cheb.parity_of(c)
-        if parity not in _PARITIES:
-            raise ValueError(f"unknown parity {parity!r}")
-        thr = cheb.drop_threshold(c)
-        if parity == "even":
-            bad = np.abs(c[1::2]).max(initial=0.0)
-            if bad > thr:
-                raise ValueError("declared even but has odd coefficients")
-            c[1::2] = 0
-        elif parity == "odd":
-            bad = np.abs(c[0::2]).max(initial=0.0)
-            if bad > thr:
-                raise ValueError("declared odd but has even coefficients")
-            c[0::2] = 0
-        nz = np.nonzero(np.abs(c) > thr)[0]
-        degree = int(nz[-1]) if len(nz) else 0
-        c = c[: degree + 1]
-        c.setflags(write=False)
-        self.coeffs = c
-        self.parity = parity
-        self.degree = degree
+    __slots__ = ()
 
     def __setattr__(self, name, value):
-        if name in self.__slots__ and hasattr(self, "degree"):
-            raise AttributeError("ParityPoly is immutable")
+        if hasattr(self, "degree"):
+            raise AttributeError(f"{type(self).__name__} is immutable")
         super().__setattr__(name, value)
 
     def __call__(self, x):
         return evaluate(self, x)
 
     def __repr__(self):
-        return f"ParityPoly(degree={self.degree}, parity={self.parity!r})"
+        return (f"{type(self).__name__}(degree={self.degree}, "
+                f"parity={self.parity!r})")
+
+
+class ParityPoly(_Series):
+    """Dense polynomial in the monomial basis with a declared parity: an
+    input format, taken to the Chebyshev basis by `convert`."""
+
+    __slots__ = ("coeffs", "parity", "degree")
+
+    def __init__(self, coeffs, parity=None):
+        self.coeffs, self.parity, self.degree = _normal_form(coeffs, parity)
 
     def __eq__(self, other):
         if not isinstance(other, ParityPoly):
@@ -92,49 +98,20 @@ class ParityPoly:
 
     @staticmethod
     def from_json(obj) -> "ParityPoly":
-        c = _json_coeffs(obj)
-        if obj.get("basis", "monomial") == "chebyshev":
-            return ChebSeries(c, obj.get("parity")).to_parity_poly()
-        return ParityPoly(c, obj.get("parity"))
+        # T_k coefficients read as powers would be silently wrong
+        if obj.get("basis", "monomial") != "monomial":
+            raise ValueError("ParityPoly reads monomial coefficients only")
+        return ParityPoly(_json_coeffs(obj), obj.get("parity"))
 
 
-class ChebSeries:
+class ChebSeries(_Series):
     """Polynomial in the basis {T_0, T_1, ...} with a declared parity."""
 
     __slots__ = ("cheb_coeffs", "parity", "degree")
 
     def __init__(self, cheb_coeffs, parity=None):
-        c = np.atleast_1d(np.asarray(cheb_coeffs, complex)).copy()
-        if parity is None:
-            parity = cheb.parity_of(c)
-        if parity not in _PARITIES:
-            raise ValueError(f"unknown parity {parity!r}")
-        thr = cheb.drop_threshold(c)
-        if parity == "even":
-            c[1::2] = 0
-        elif parity == "odd":
-            c[0::2] = 0
-        nz = np.nonzero(np.abs(c) > thr)[0]
-        degree = int(nz[-1]) if len(nz) else 0
-        c = c[: degree + 1]
-        c.setflags(write=False)
-        self.cheb_coeffs = c
-        self.parity = parity
-        self.degree = degree
-
-    def __setattr__(self, name, value):
-        if name in self.__slots__ and hasattr(self, "degree"):
-            raise AttributeError("ChebSeries is immutable")
-        super().__setattr__(name, value)
-
-    def to_parity_poly(self, max_degree=MAX_DEGREE_DEFAULT) -> ParityPoly:
-        return convert(self, max_degree=max_degree)
-
-    def __call__(self, x):
-        return evaluate(self, x)
-
-    def __repr__(self):
-        return f"ChebSeries(degree={self.degree}, parity={self.parity!r})"
+        self.cheb_coeffs, self.parity, self.degree = _normal_form(
+            cheb_coeffs, parity)
 
     def to_json(self) -> dict:
         return {
@@ -145,9 +122,11 @@ class ChebSeries:
 
     @staticmethod
     def from_json(obj) -> "ChebSeries":
-        c = _json_coeffs(obj)
-        if obj.get("basis", "monomial") == "monomial":
+        c, basis = _json_coeffs(obj), obj.get("basis", "monomial")
+        if basis == "monomial":
             return convert(ParityPoly(c, obj.get("parity")))
+        if basis != "chebyshev":
+            raise ValueError(f"unknown basis {basis!r}")
         return ChebSeries(c, obj.get("parity"))
 
 
@@ -164,17 +143,23 @@ def evaluate(p, x):
     raise TypeError(f"cannot evaluate {type(p).__name__}")
 
 
-def convert(p, max_degree=MAX_DEGREE_DEFAULT):
-    """Exact linear basis change ParityPoly <-> ChebSeries."""
+def convert(p, max_degree=MAX_DEGREE_DEFAULT) -> ChebSeries:
+    """Exact linear basis change ParityPoly -> ChebSeries, the one way."""
+    if not isinstance(p, ParityPoly):
+        raise TypeError(f"cannot convert {type(p).__name__}")
+    if p.degree > max_degree:
+        raise DegreeTooLarge(f"degree {p.degree} > max {max_degree}")
+    return ChebSeries(npcheb.poly2cheb(p.coeffs), p.parity)
+
+
+def _as_cheb_array(p) -> np.ndarray:
+    """The Chebyshev coefficients of a ParityPoly (by `convert`) or a
+    ChebSeries, copied, or of an array taken as complex."""
     if isinstance(p, ParityPoly):
-        if p.degree > max_degree:
-            raise DegreeTooLarge(f"degree {p.degree} > max {max_degree}")
-        return ChebSeries(npcheb.poly2cheb(p.coeffs), p.parity)
+        p = convert(p)
     if isinstance(p, ChebSeries):
-        if p.degree > max_degree:
-            raise DegreeTooLarge(f"degree {p.degree} > max {max_degree}")
-        return ParityPoly(npcheb.cheb2poly(p.cheb_coeffs), p.parity)
-    raise TypeError(f"cannot convert {type(p).__name__}")
+        return p.cheb_coeffs.copy()
+    return np.atleast_1d(np.asarray(p, complex))
 
 
 def supnorm(p, interval=(-1.0, 1.0)) -> float:

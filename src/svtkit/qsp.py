@@ -29,15 +29,7 @@ from numpy.polynomial import chebyshev as npcheb
 from . import _chebops as cheb
 from .errors import (ConventionMismatch, Inadmissible, NotSubunit,
                      NumericalFailure)
-from .poly import ChebSeries, ParityPoly, convert
-
-
-def _as_cheb_array(p) -> np.ndarray:
-    if isinstance(p, ParityPoly):
-        return convert(p).cheb_coeffs.copy()
-    if isinstance(p, ChebSeries):
-        return p.cheb_coeffs.copy()
-    return np.atleast_1d(np.asarray(p, complex))
+from .poly import _as_cheb_array
 
 
 def _normalize_angle(phi):

@@ -25,10 +25,9 @@ from .blockenc import (UNITARY_TOL, BlockEncoding, Projector,
                        is_unitary, operator_norm, sandwich)
 from .errors import (ConventionMismatch, Inadmissible, NormExceeded,
                      NumericalFailure, ParityMismatch)
-from .poly import ChebSeries, ParityPoly
-from .qsp import (PhaseSequence, SignalPair, _as_cheb_array, _degree_cut,
-                  complete_complex, phases_for_target, phases_from_pq,
-                  to_reflection)
+from .poly import ChebSeries, ParityPoly, _as_cheb_array
+from .qsp import (PhaseSequence, SignalPair, _degree_cut, complete_complex,
+                  phases_for_target, phases_from_pq, to_reflection)
 
 SATURATION_TOL = 1e-10  # sigma >= 1 - tol counts as the saturated block
 RANK_TOL = 1e-11
@@ -479,9 +478,7 @@ def svt_apply(pu: ProjectedUnitary, target, kind: str = "real_poly",
     if kind != "real_poly":
         raise ValueError(f"unknown kind {kind!r}")
 
-    c = target.cheb_coeffs if isinstance(target, ChebSeries) else None
-    if c is None:
-        c = _as_cheb_array(target)
+    c = _as_cheb_array(target)
     pair, refl, phase_rep = phases_for_target(c, tol=delta / 2.0)
     n = len(refl.phis)
     # |0><0| (x) U_Phi + |1><1| (x) U_{-Phi}: the physical circuit when the

@@ -219,6 +219,24 @@ def test_invalid_value_exit_code(argv, want):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("command", ["phases", "svt"])
+def test_contradicted_parity_file_exit_code(command, tmp_path):
+    # declared odd with T_0 = 0.4: refused, not run as the phases of 0.5x
+    pfile = tmp_path / "p.json"
+    pfile.write_text(json.dumps({"poly": {
+        "basis": "chebyshev", "parity": "odd",
+        "coeffs": [[0.4, 0.0], [0.5, 0.0]]}}))
+    mfile = tmp_path / "m.json"
+    mfile.write_text(json.dumps(matrix_to_json(np.diag([0.5, 0.25]))))
+    argv = {"phases": ["phases", "--poly", str(pfile)],
+            "svt": ["svt", "--matrix", str(mfile), "--poly", str(pfile)]}
+    proc = subprocess.run([sys.executable, "-m", "svtkit.cli"]
+                          + argv[command], capture_output=True, text=True,
+                          timeout=30)
+    assert proc.returncode == 2, proc.stderr
+    assert "declared odd but has even coefficients" in proc.stderr
+
+
 def test_installed_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "svtkit.cli", "poly", "--family", "window",

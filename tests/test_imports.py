@@ -3,7 +3,7 @@ through ``__all__``), every import sits at module level, and every public
 function, class and method of the library is referenced in the library,
 its tests or the benchmark harness.  Importing the library loads numpy
 and no scipy.  Only `blockenc._norm_at_most` compares a 2-norm with a
-value.  No module names an extended-precision dtype."""
+value.  No module names an extended-precision dtype or `cheb2poly`."""
 import ast
 import functools
 import os
@@ -206,9 +206,9 @@ def test_only_norm_at_most_compares_a_two_norm(path):
 EXTENDED_DTYPES = {"longdouble", "clongdouble", "float128", "complex256"}
 
 
-def extended_dtypes(source: str) -> list:
+def named_in_code(source: str, wanted) -> list:
     """(line, name) of each name, attribute or imported name in the code
-    that is an extended-precision dtype; comments and strings do not count."""
+    that is in ``wanted``; comments and strings do not count."""
     found = []
     for node in ast.walk(ast.parse(source)):
         names = []
@@ -218,9 +218,12 @@ def extended_dtypes(source: str) -> list:
             names = [node.attr]
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             names = [alias.name.split(".")[-1] for alias in node.names]
-        found += [(node.lineno, name) for name in names
-                  if name in EXTENDED_DTYPES]
+        found += [(node.lineno, name) for name in names if name in wanted]
     return sorted(found)
+
+
+def extended_dtypes(source: str) -> list:
+    return named_in_code(source, EXTENDED_DTYPES)
 
 
 def test_detects_an_extended_dtype():
@@ -239,6 +242,23 @@ def test_no_extended_precision(path):
     # a result must not depend on the platform's long double (80-bit,
     # IEEE quad or plain double), so every module computes in double
     assert extended_dtypes(path.read_text()) == []
+
+
+def test_detects_cheb2poly():
+    src = ("from numpy.polynomial import chebyshev as npcheb\n"
+           "# npcheb.cheb2poly in a comment\n"
+           "def f(c):\n    \"\"\"cheb2poly in a docstring\"\"\"\n"
+           "    return npcheb.cheb2poly(c)\n"
+           "from numpy.polynomial.chebyshev import cheb2poly\n")
+    assert named_in_code(src, {"cheb2poly"}) == [(5, "cheb2poly"),
+                                                 (6, "cheb2poly")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=IDS)
+def test_no_chebyshev_to_monomial(path):
+    # a series re-expanded in powers is unsound by degree 59 (monomial
+    # coefficients of 6.5e16), so the monomial basis stays an input format
+    assert named_in_code(path.read_text(), {"cheb2poly"}) == []
 
 
 def test_import_loads_no_scipy():

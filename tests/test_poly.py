@@ -52,18 +52,22 @@ class TestConvert:
         np.testing.assert_allclose(c.cheb_coeffs.real, [0.5, 0, 0.5], atol=1e-15)
 
     def test_t3_closed_form(self):
-        p = convert(cheb_unit(3))
-        np.testing.assert_allclose(p.coeffs.real, [0, -3, 0, 4], atol=1e-14)
+        # 4x^3 - 3x = T_3
+        c = convert(ParityPoly([0, -3, 0, 4]))
+        np.testing.assert_allclose(c.cheb_coeffs, [0, 0, 0, 1], atol=1e-14)
+        assert c.parity == "odd"
 
     def test_roundtrip_degree20_even(self, rng):
+        # the monomial -> Chebyshev direction only: the converted series
+        # agrees with Horner on the monomial coefficients
         c = rng.standard_normal(21)
         c[1::2] = 0
         p = ParityPoly(c)
-        back = convert(convert(p))
-        n = max(len(back.coeffs), len(p.coeffs))
-        a = np.zeros(n, complex); a[: len(p.coeffs)] = p.coeffs
-        b = np.zeros(n, complex); b[: len(back.coeffs)] = back.coeffs
-        assert np.abs(a - b).max() <= 1e-12 * max(1, np.abs(a).max())
+        series = convert(p)
+        assert series.parity == "even"
+        xs = np.linspace(-1, 1, 2001)
+        err = np.abs(evaluate(series, xs) - horner_reversed(p.coeffs, xs))
+        assert err.max() <= 1e-12 * max(1, np.abs(c).max())
 
     def test_degree_cap(self):
         with pytest.raises(DegreeTooLarge):
@@ -72,8 +76,7 @@ class TestConvert:
 
 class TestSupnorm:
     def test_t9(self):
-        p = convert(cheb_unit(9))
-        assert supnorm(p, (-1, 1)) == pytest.approx(1.0, abs=1e-9)
+        assert supnorm(cheb_unit(9), (-1, 1)) == pytest.approx(1.0, abs=1e-9)
 
     def test_linear(self):
         assert supnorm(ParityPoly([0, 2.0]), (-1, 1)) == pytest.approx(2.0, abs=1e-12)
@@ -86,6 +89,62 @@ class TestSupnorm:
         xs = np.linspace(-1, 1, 100_001)
         dense = np.abs(evaluate(p, xs)).max()
         assert dense <= a + 1e-8
+
+
+class TestNormalForm:
+    """Both classes build through one normal form: a declared parity that
+    a coefficient contradicts above the drop threshold is refused."""
+
+    @pytest.mark.parametrize("cls", [ParityPoly, ChebSeries])
+    @pytest.mark.parametrize("coeffs, parity", [([0.4, 0.5], "odd"),
+                                                ([1, 1e-3], "even")])
+    def test_contradicted_parity_raises(self, cls, coeffs, parity):
+        with pytest.raises(ValueError, match=f"declared {parity}"):
+            cls(coeffs, parity)
+
+    @pytest.mark.parametrize("cls", [ParityPoly, ChebSeries])
+    def test_rounding_noise_is_zeroed(self, cls):
+        p = cls([1e-16, 0.5, 0, 0.25], "odd")
+        coeffs = p.coeffs if cls is ParityPoly else p.cheb_coeffs
+        assert coeffs[0] == 0 and p.degree == 3 and p.parity == "odd"
+
+    @pytest.mark.parametrize("cls", [ParityPoly, ChebSeries])
+    def test_immutable(self, cls):
+        p = cls([0, 0.5])
+        with pytest.raises(AttributeError):
+            p.parity = "even"
+        with pytest.raises(ValueError):
+            (p.coeffs if cls is ParityPoly else p.cheb_coeffs)[1] = 1.0
+
+    def test_two_dimensional_raises(self):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            ChebSeries(np.eye(2))
+
+
+class TestOneDirection:
+    """A series is never re-expanded in powers: at degree 59 the sign
+    series' monomial coefficients reach 6.5e16."""
+
+    def test_convert_refuses_a_series(self):
+        from svtkit.approx import approx_sign
+        with pytest.raises(TypeError):
+            convert(approx_sign(0.185, 1.5e-5).cheb)
+        assert not hasattr(ChebSeries, "to_parity_poly")
+
+    def test_parity_poly_refuses_chebyshev_json(self):
+        obj = ChebSeries([0.5, 0, 0.25]).to_json()
+        with pytest.raises(ValueError, match="monomial"):
+            ParityPoly.from_json(obj)
+
+    def test_series_refuses_an_unknown_basis(self):
+        obj = dict(ChebSeries([0, 0.5]).to_json(), basis="legendre")
+        with pytest.raises(ValueError, match="unknown basis"):
+            ChebSeries.from_json(obj)
+
+    def test_series_reads_monomial_json(self):
+        obj = ParityPoly([0, -3, 0, 4]).to_json()
+        np.testing.assert_allclose(ChebSeries.from_json(obj).cheb_coeffs,
+                                   [0, 0, 0, 1], atol=1e-14)
 
 
 def test_json_roundtrip():
