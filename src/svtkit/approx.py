@@ -89,13 +89,15 @@ class _Target:
     which f is analytic, and is inf where f is not.  On the valid domain
     ``f`` at a double is within ``ulps`` u of its exact value there, u =
     2^-53, given that libm's cos, sin, exp, arcsin and pow are within one
-    ulp of theirs.
+    ulp of theirs.  ``symmetry`` is "odd" or "even" when f(-x) = -f(x) or
+    f(x) exactly, else "none".
     """
 
     f: Callable
     degree: int = 0
     ellipse: Callable | None = None
     ulps: float = 0.0
+    symmetry: str = "none"
 
 
 def _power_ellipse(scale: float, c: float) -> Callable:
@@ -175,6 +177,8 @@ def _piece_error(c, own: float, target: _Target, lo: float, hi: float,
 def _certify(result: ApproxResult, target: _Target, sup=None):
     """Check the sup claim and, by `_piece_error`, the error claim on each
     valid piece as given; return ((bound, r) for each piece, the sup).
+    When the series' parity is the target's ``symmetry``, the mirror image
+    of a piece already bounded takes that piece's (bound, r).
 
     ``sup`` is max |p| over [-1, 1] as the constructor measured it, else
     `_chebops.peak` takes it; it must meet the sup claim within
@@ -191,9 +195,16 @@ def _certify(result: ApproxResult, target: _Target, sup=None):
         raise NumericalFailure(
             f"{result.label}: sup {sup:.3e} exceeds claimed "
             f"{result.claimed_sup_bound:.3e}")
-    pieces = [_piece_error(c, own, target, float(lo), float(hi),
-                           result.claimed_error)
-              for lo, hi in result.valid_domain]
+    # when p has the target's symmetry, p(-x) - f(-x) = +-(p(x) - f(x))
+    # exactly, so a piece's mirror [-hi, -lo] takes its (bound, r)
+    mirrored = target.symmetry != "none" and target.symmetry == result.parity
+    seen, pieces = {}, []
+    for lo, hi in result.valid_domain:
+        lo, hi = float(lo), float(hi)
+        mirror = seen.get((-hi, -lo)) if mirrored else None
+        seen[lo, hi] = mirror or _piece_error(c, own, target, lo, hi,
+                                              result.claimed_error)
+        pieces.append(seen[lo, hi])
     for (lo, hi), (bound, r) in zip(result.valid_domain, pieces):
         if not bound <= result.claimed_error + r:
             raise NumericalFailure(
@@ -592,7 +603,8 @@ def approx_sign(delta: float, eps: float,
            _minimax([(delta, 1.0)], np.ones_like, "odd", eps / 3.0,
                     max_degree))
     top = 1.0 - eps / 4.0
-    return _certified(_to_peak(fit, top), "odd", _Target(np.sign), 1.0, eps,
+    return _certified(_to_peak(fit, top), "odd",
+                      _Target(np.sign, symmetry="odd"), 1.0, eps,
                       ((-1.0, -delta), (delta, 1.0)),
                       f"sign(delta={delta:g}, eps={eps:g})", max_degree, top)
 
@@ -627,7 +639,8 @@ def approx_rect(t: float, delta_p: float, eps_p: float,
     domain = [(-inner, inner)] if t - delta_p > 0 else []
     if t + delta_p < 1.0:
         domain += [(-1.0, -(t + delta_p)), (t + delta_p, 1.0)]
-    return _certified(coeffs, "even", _Target(target), 1.0, eps_p, domain,
+    return _certified(coeffs, "even", _Target(target, symmetry="even"), 1.0,
+                      eps_p, domain,
                       f"rect(t={t:g}, delta'={delta_p:g}, eps'={eps_p:g})",
                       max_degree, 1.0 - eps_p / 4.0)
 
@@ -710,13 +723,14 @@ def approx_inverse(kappa: float, eps: float, bounded: bool = False,
         coeffs, b, J = _inverse_cheb_coeffs(kappa, eps)
         peak = cheb.peak(coeffs)
         return _certified(coeffs, "odd", _Target(
-            lambda x: 1.0 / x, ellipse=_power_ellipse(1.0, 1.0), ulps=kappa),
+            lambda x: 1.0 / x, ellipse=_power_ellipse(1.0, 1.0), ulps=kappa,
+            symmetry="odd"),
             peak, eps, ((-1.0, -delta), (delta, 1.0)),
             f"inverse(kappa={kappa:g}, eps={eps:g})", max_degree, peak)
     return _certified(_power_fit(1.0, delta, eps, "odd", max_degree), "odd",
                       _Target(lambda x: delta / (2.0 * x),
                               ellipse=_power_ellipse(delta / 2.0, 1.0),
-                              ulps=1.0), 1.0, eps,
+                              ulps=1.0, symmetry="odd"), 1.0, eps,
                       ((-1.0, -delta), (delta, 1.0)),
                       f"inverse_bounded(kappa={kappa:g}, eps={eps:g})",
                       max_degree, 1.0 - eps / 4.0)
@@ -818,7 +832,8 @@ def approx_trig(t: float, eps: float,
         _to_peak(_cut(np.where(k % 2 == odd, ja, 0.0), eps / 3.0), top),
         parity, _Target(lambda x, f=f: f(t * x),
                         ellipse=lambda m, a, b: np.cosh(abs(t) * b),
-                        ulps=2.0 + abs(t)), 1.0, eps, ((-1.0, 1.0),),
+                        ulps=2.0 + abs(t), symmetry=parity), 1.0, eps,
+        ((-1.0, 1.0),),
         f"{f.__name__}(t={t:g}, eps={eps:g})", max_degree, top)
         for odd, parity, f in ((0, "even", np.cos), (1, "odd", np.sin)))
 

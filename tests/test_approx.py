@@ -691,6 +691,63 @@ def test_certificate_bounds_a_reference(family, kw, monkeypatch):
                                  c.astype(np.longdouble))).max() <= sup + own
 
 
+MIRRORED = [("sign", dict(delta=0.25, eps=1e-6), 1),
+            ("rect", dict(t=0.4, delta=0.05, eps=1e-6), 2),
+            ("inverse", dict(kappa=2.6, eps=2e-4, bounded=True), 1),
+            ("exp", dict(beta=40.0, eps=1e-6), 1),
+            ("window", dict(n=31, eps=1e-5), 1)]
+
+
+@pytest.mark.parametrize("family, kw, calls", MIRRORED,
+                         ids=[f for f, _, _ in MIRRORED])
+def test_mirrored_pieces_are_certified_once(family, kw, calls, monkeypatch):
+    # a piece whose mirror image was bounded takes its (bound, r): sign
+    # bounds one of its two pieces, rect two of three; exp and window,
+    # with no symmetry, bound all.  Bounding every piece anew gives the
+    # same verdict, and each mirror's own bound within its rounding term
+    monkeypatch.setattr(approx_mod, "_MEMO", {})
+    seen, bounded = {}, []
+    real_certify, real_piece = approx_mod._certify, approx_mod._piece_error
+
+    def spy(res, target, sup=None):
+        seen["res"], seen["target"] = res, target
+        seen["out"] = real_certify(res, target, sup)
+        return seen["out"]
+
+    def count(c, own, target, lo, hi, claim):
+        bounded.append((lo, hi))
+        return real_piece(c, own, target, lo, hi, claim)
+
+    monkeypatch.setattr(approx_mod, "_certify", spy)
+    monkeypatch.setattr(approx_mod, "_piece_error", count)
+    build(ApproxSpec(target=family, **kw))
+    res, target, (pieces, _) = seen["res"], seen["target"], seen["out"]
+    assert len(bounded) == calls
+    assert len(pieces) == len(res.valid_domain)
+    every, _ = real_certify(res, dataclasses.replace(target, symmetry="none"))
+    by_piece = dict(zip(res.valid_domain, pieces))
+    for (lo, hi), (bound, r), (alone, _) in zip(res.valid_domain, pieces,
+                                                every):
+        if (-hi, -lo) in by_piece and (lo, hi) not in bounded:
+            assert (bound, r) == by_piece[-hi, -lo]
+        assert abs(alone - bound) <= r
+
+
+@pytest.mark.parametrize("symmetry, calls", [("odd", 1), ("even", 2),
+                                             ("none", 2)])
+def test_a_mirror_is_reused_only_for_a_matching_parity(symmetry, calls,
+                                                       monkeypatch):
+    # p(x) = x/2 is odd: an odd line reuses the mirror piece, an even one
+    # (wrongly declared) and one without symmetry bound both
+    bounded = []
+    real = approx_mod._piece_error
+    monkeypatch.setattr(approx_mod, "_piece_error",
+                        lambda *a: bounded.append(a) or real(*a))
+    _certify(_line(((-0.9, -0.1), (0.1, 0.9))),
+             dataclasses.replace(LINE, symmetry=symmetry))
+    assert len(bounded) == calls
+
+
 @pytest.mark.parametrize("kappa, eps", [(3.0, 1e-3), (8.0, 1e-5),
                                         (12.0, 1e-6)])
 def test_claimed_sup_is_the_peak(kappa, eps):

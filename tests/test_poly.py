@@ -225,6 +225,61 @@ def test_peak_matches_critical_point_reference():
     assert grid < critical_peak(fejer_bump()) * (1 - 1e-4)
 
 
+def near_end_peak(m, end):
+    """0.9 - 0.2 (T_m(x) - T_m(x*))^2, tilted by 1 + 0.05 x toward the
+    end x = +-1: its peak is at x* = +-cos(0.6 pi / 2048), less than one
+    step of `peak`'s 2048-point grid from that end, whose grid value is
+    the highest and is 1.5e-8 (m = 30) to 5.0e-7 (m = 60) below the
+    peak."""
+    u = np.zeros(m + 1)
+    u[m] = 1.0
+    u[0] = -math.cos(m * 0.6 * math.pi / 2048)
+    c = npcheb.chebmul(npcheb.chebsub([0.9], 0.2 * npcheb.chebmul(u, u)),
+                       [1.0, 0.05])
+    return c * float(end) ** np.arange(len(c))
+
+
+def angle_kernel_series():
+    # peaks exactly at x = +-1: T_d and 1 - eps + eps T_2 (a flat top at
+    # both ends), real and negated
+    for d in (1, 2, 7, 40, 41):
+        yield np.eye(d + 1)[d]
+    for eps in (1e-3, 1e-9):
+        yield np.array([1 - eps, 0.0, eps])
+        yield -np.array([1 - eps, 0.0, eps])
+    # peaks just inside either end
+    for m, end in ((30, 1), (30, -1), (60, 1)):
+        yield near_end_peak(m, end)
+    # complex series, the first peaking at both ends and inside
+    yield np.exp(0.4j) * np.eye(12)[11]
+    gen = np.random.default_rng(38)
+    for d in (9, 33):
+        yield (gen.standard_normal(d + 1) + 1j * gen.standard_normal(d + 1)) \
+            / np.arange(1, d + 2)
+    # flat double-hump tops: 1 - ((x - x0)^2 - h^2)^2 / 10, whose two
+    # equal peaks x0 +- h have a dip of h^4 / 10 between them
+    for x0, h in ((0.3, 0.01), (-0.71, 0.004), (0.99, 0.005)):
+        q = npcheb.chebfromroots([x0 - h, x0 + h])
+        yield npcheb.chebsub([1.0], 0.1 * npcheb.chebmul(q, q))
+    # degree <= 40 bumps centred midway between two 2048-point grid points
+    for d in (3, 12, 40):
+        yield fejer_bump(d, 2048)
+
+
+@pytest.mark.parametrize("c", list(angle_kernel_series()))
+def test_peak_in_the_angle_matches_the_reference(c):
+    ref = critical_peak(c)
+    got = cheb_ops.peak(c)
+    assert abs(got - ref) <= 1e-13 * ref, (len(c) - 1, ref)
+    # never below the 20,001-point maximum by more than the rounding of
+    # either side: the angle sums' ((pi + 1) d + 7) u ||c||_1 and chebval's
+    # (d + 1)^2 u ||c||_1
+    d, u = len(c) - 1, np.finfo(float).eps / 2
+    fine = np.abs(npcheb.chebval(np.linspace(-1.0, 1.0, 20001), c)).max()
+    rounding = ((math.pi + 1) * d + 7 + (d + 1) ** 2) * u * np.abs(c).sum()
+    assert got >= fine - rounding
+
+
 def test_supnorm_of_sign_poly_bounded():
     from svtkit.approx import approx_sign
     res = approx_sign(0.25, 0.01)

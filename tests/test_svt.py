@@ -6,7 +6,7 @@ import scipy.linalg
 import scipy.stats
 from hypothesis import given, settings, strategies as st
 
-from svtkit import ChebSeries, ParityPoly
+from svtkit import ChebSeries, ParityPoly, _chebops
 from svtkit.apps import fast_or, threshold_projector
 from svtkit.blockenc import (BlockEncoding, Projector, ProjectedUnitary,
                              embed, is_unitary, operator_norm)
@@ -47,8 +47,7 @@ def cheb_unit(d):
 def random_target(deg, supnorm=0.9, *, gen):
     c = gen.standard_normal(deg + 1)
     c[(deg % 2) ^ 1::2] = 0.0
-    xs = np.cos(np.linspace(0, np.pi, 2001))
-    c *= supnorm / np.abs(np.polynomial.chebyshev.chebval(xs, c)).max()
+    c *= supnorm / _chebops.peak(c)
     return ChebSeries(c)
 
 
