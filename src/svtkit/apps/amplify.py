@@ -42,7 +42,7 @@ def fixed_point_amplify(u, pi: Projector, psi0, delta: float, eps: float):
     pu = ProjectedUnitary(u, proj0, pi)
     eps_sign = eps * eps / 4.0
     sign = approx_sign(delta, eps_sign)
-    pair, refl, _ = phases_for_target(sign.cheb, tol=eps * eps / 2.0)
+    refl, _ = phases_for_target(sign.cheb, tol=eps * eps / 2.0)
     u_tilde, ledger = alternating_sequence(pu, refl)
     out_vec = u_tilde @ psi0
     deviation = float(np.linalg.norm(psi_g - out_vec))

@@ -58,7 +58,7 @@ def singular_value_estimate(pu: ProjectedUnitary, state, n_bits: int,
     # normalization constants are bounded below by ~ sqrt(1/2)
     eps_poly = min(eps / 4.0, 0.1)
     sign = approx_sign(0.35, eps_poly)
-    pair, refl, _ = phases_for_target(sign.cheb, tol=eps / 10.0)
+    refl, _ = phases_for_target(sign.cheb, tol=eps / 10.0)
     u_tilde, ledger = alternating_sequence(pu_sve, refl)
     init = np.kron(zero_time, state)
     vec = u_tilde @ init

@@ -24,7 +24,7 @@ def _four_branch_circuit(pu: ProjectedUnitary, cos_coeffs, sin_coeffs):
     for coeffs in (cos_coeffs, sin_coeffs):
         arr = np.asarray(coeffs, float)
         scale = float(np.abs(arr).max())
-        _, refl, _ = phases_for_target(arr, tol=max(1e-9, 1e-7 * scale))
+        refl, _ = phases_for_target(arr, tol=max(1e-9, 1e-7 * scale))
         refls.append(refl)
     circuit, ledger = branch_lcu(pu, [(1, refls[0]), (1j, refls[1])])
     return circuit, ledger["u_uses"]

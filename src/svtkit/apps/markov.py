@@ -112,7 +112,7 @@ def markov_detect(chain: MarkovChain, k_bound: float,
     lam_thr = 1.0 - 1.0 / (12.0 * (k_bound + 1.0))
     b_comp = math.sqrt(max(1.0 - lam_thr ** 2, 1e-300))
     sign = approx_sign(0.9 * b_comp, 0.02, max_degree)
-    pair, refl, _ = phases_for_target(sign.cheb, tol=0.01)
+    refl, _ = phases_for_target(sign.cheb, tol=0.01)
     u_phi, ledger = alternating_sequence(pu, refl)
     state = _embedded_state(chain.sqrt_pi(), dim)
     out = pu.pi_tilde.matrix() @ (u_phi @ state)
@@ -154,7 +154,7 @@ def markov_find(chain: MarkovChain, delta: float, eps: float):
     n_win = max(2, int(math.ceil(math.acosh(1.0 / eps_w)
                                  / math.acosh(1.0 / (1.0 - 0.9 * delta)))))
     win = approx_window(n_win, eps_w)
-    pair_w, refl_w, _ = phases_for_target(win.cheb, tol=eps_w / 2.0)
+    refl_w, _ = phases_for_target(win.cheb, tol=eps_w / 2.0)
     # the Hadamard-wrapped +-Phi pair: its |0>-ancilla block is the
     # windowed discriminant
     v1, _ = branch_lcu(be.pu, [(1, refl_w)])
@@ -167,7 +167,7 @@ def markov_find(chain: MarkovChain, delta: float, eps: float):
     pu2 = ProjectedUnitary._certified(v1, right, left)
     amp = operator_norm(pu2.encoded())
     sign = approx_sign(max(0.5 * math.sqrt(eps), 0.5 * amp), 0.02)
-    pair2, refl2, _ = phases_for_target(sign.cheb, tol=0.01)
+    refl2, _ = phases_for_target(sign.cheb, tol=0.01)
     u2, _ = alternating_sequence(pu2, refl2)
     final = u2 @ zero_pi
     # marginal distribution over chain states (H on the ancilla leaves it

@@ -49,7 +49,7 @@ def threshold_projector(pu: ProjectedUnitary, t: float, delta: float,
     # above the threshold, suppression below.  Phase noise enters the
     # operator conditions first-order, so eps/10 suffices there.
     high = cheb_ops.add(np.array([1.0]), -rect.cheb.cheb_coeffs.real)
-    pair, refl, _ = phases_for_target(high, tol=eps / 10.0)
+    refl, _ = phases_for_target(high, tol=eps / 10.0)
     wrapped, ledger = branch_lcu(pu, [(1, refl)])
     dim = pu.dim
     # the wrapped circuit's top blocks are (U_Phi +- U_-Phi) / 2
@@ -70,7 +70,7 @@ def singular_vector_transform(pu: ProjectedUnitary, delta: float, eps: float):
     corresponding left singular vectors: the odd sign transformation."""
     eps_poly = min(eps * eps / 2.0, 0.4)
     sign = approx_sign(delta, eps_poly)
-    pair, refl, _ = phases_for_target(sign.cheb, tol=eps / 10.0)
+    refl, _ = phases_for_target(sign.cheb, tol=eps / 10.0)
     u_phi, ledger = alternating_sequence(pu, refl)
     wv = reference_svt(pu.u, np.ones_like, "odd", pu.pi, pu.pi_tilde)
     right, left = threshold_projectors_exact(pu, (delta, 2.0))
@@ -114,7 +114,7 @@ def discriminate(pu: ProjectedUnitary, a: float, b: float, eps: float,
         # odd sign transformation preserves zero singular values exactly
         eps_poly = min(eps / 2.0, 0.4)
         sign = approx_sign(b_run, eps_poly)
-        pair, refl, _ = phases_for_target(sign.cheb, tol=eps / 10.0)
+        refl, _ = phases_for_target(sign.cheb, tol=eps / 10.0)
         u_phi, ledger = alternating_sequence(pu_run, refl)
         out = pu_run.pi_tilde.matrix() @ (u_phi @ state)
         p_accept = float(np.linalg.norm(out) ** 2)
@@ -124,7 +124,7 @@ def discriminate(pu: ProjectedUnitary, a: float, b: float, eps: float,
         dl = (b_run - a_run) / 2.0
         eps_poly = min(eps / 2.0, 0.4)
         rect = approx_rect(t, dl, eps_poly)
-        pair, refl, _ = phases_for_target(rect.cheb, tol=eps / 10.0)
+        refl, _ = phases_for_target(rect.cheb, tol=eps / 10.0)
         wrapped, _ = branch_lcu(pu_run, [(1, refl)])
         avg = wrapped[:pu_run.dim, :pu_run.dim]
         proj = pu_run.pi.matrix()
@@ -180,7 +180,7 @@ def fast_or(projectors, rho, eta: float, nu: float, eps: float):
     eps_poly = min(eps / 2.0, 0.4)
     rect = approx_rect(t, dl, eps_poly)
     high = cheb_ops.add(np.array([1.0]), -rect.cheb.cheb_coeffs.real)
-    pair, refl, _ = phases_for_target(high, tol=eps / 10.0)
+    refl, _ = phases_for_target(high, tol=eps / 10.0)
     wrapped, ledger = branch_lcu(pu_c, [(1, refl)])
     # accept = the |+>-averaged high-pass block keeps the state: for an
     # eigenvector with A-eigenvalue s the probability is P(sqrt(1-s^2))^2,

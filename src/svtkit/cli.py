@@ -88,7 +88,7 @@ def cmd_phases(args):
     else:
         target = _build_poly(args).cheb
     tol = args.tol if args.tol is not None else max(args.eps / 10.0, 1e-10)
-    pair, refl, rep = phases_for_target(target, tol=tol)
+    refl, rep = phases_for_target(target, tol=tol)
     out = refl.to_json()
     out["reconstruction_residual"] = rep["reconstruction_error"]
     _emit(out, args)

@@ -6,9 +6,10 @@ Two routes turn a target into phases, both in double precision:
   through one pipeline, `_real_phases`: the gate, a degree cut, the
   symmetric-phase solver (Newton iteration on symmetric sandwich phases
   so that Re<0|U_Phi(x)|0> matches the target at Chebyshev nodes) and a
-  certificate of the realized circuit.  `phases_for_target` returns the
-  phases and `complete` the unitary-valued pair (P, Q),
-  |P|^2 + (1-x^2)|Q|^2 = 1, that they realize;
+  certificate of the realized circuit.  It yields phases and that
+  certificate, and no (P, Q) pair: `phases_for_target` returns them, and
+  `complete` reads the unitary-valued pair (P, Q),
+  |P|^2 + (1-x^2)|Q|^2 = 1, off the top row of the certified circuit;
 - complex targets go through `complete_complex`, which finds Q by root
   pairing, and `phases_from_pq`, which peels the phases off one layer
   at a time in the Chebyshev basis, keeping the recursion conditioned
@@ -274,13 +275,22 @@ def _completion_gap(c) -> float:
 def complete(p_re, tol: float = 1e-10) -> SignalPair:
     """Complete a real target p to a unitary-valued SignalPair with Re P = p.
 
-    The pair `phases_for_target`'s phases realize, from its pipeline
-    `_real_phases` and with its errors, run to the Newton goal NEWTON_GOAL
-    whatever ``tol`` and then validated at ``tol`` too.  The zero target
-    completes to the one-layer pair P = ix, Q = 1.
+    `phases_for_target`'s pipeline `_real_phases`, with its errors, run to
+    the Newton goal NEWTON_GOAL whatever ``tol``.  The pair is read off the
+    top row (a, b) of the certified circuit at the d + 1 Chebyshev nodes:
+    P interpolates a and Q interpolates b / (i sqrt(1 - x^2)), which is
+    the sandwich circuit's Q up to the gauge e^{i beta Z} U e^{-i beta Z}
+    that keeps P.  It is validated once, at min(tol, 1e-10).  The zero
+    target completes to the one-layer pair P = ix, Q = 1.
     """
-    pair, _, _ = _real_phases(_as_cheb_array(p_re), tol, NEWTON_GOAL)
-    return pair.validate(tol)
+    refl, _ = _real_phases(_as_cheb_array(p_re), tol, NEWTON_GOAL)
+    d = refl.degree
+    xs = cheb.cheb_nodes(d + 1)
+    a, b = _reflection_row(refl.phis, xs)
+    p = cheb.fit(a, d)
+    q = cheb.fit(b / (1j * np.sqrt(1.0 - xs ** 2)), d)
+    p[1 - d % 2::2] = q[d % 2::2] = 0.0  # by parity, rounding alone
+    return SignalPair(p, q, tol=min(tol, 1e-10))
 
 
 def complete_complex(p, tol: float = 1e-9) -> SignalPair:
@@ -574,12 +584,9 @@ def _symmetric_phases(c: np.ndarray, goal: float):
 
     Stops when the node residual reaches ``goal``, at the third step that
     does not lower a least residual below NEWTON_FLOOR, or after
-    NEWTON_MAX_ITER steps, and returns the
-    iterate of least residual as (wx_sandwich PhaseSequence, SignalPair,
-    node residual).  The pair is not validated and the phases are not
-    certified: the caller does both.  The SignalPair is read off that
-    iterate's products: P = U_00 and Q = U_01 / (i s) at the n nodes,
-    extended by parity to all 2n nodes of T_2n and interpolated.
+    NEWTON_MAX_ITER steps, and returns the iterate of least residual as
+    (wx_sandwich PhaseSequence, node residual).  The phases are not
+    certified: the caller does that.
     """
     d = len(c) - 1
     n = d // 2 + 1
@@ -588,10 +595,10 @@ def _symmetric_phases(c: np.ndarray, goal: float):
     want = cheb.values(c, xs)
     psi = np.zeros(n)
     psi[0] = math.pi / 4
-    best = None  # (node residual, phases, U_00 and U_01 at the nodes)
+    best = None  # (node residual, phases)
     stalls = 0
     for _ in range(NEWTON_MAX_ITER):
-        u00, u01, jac = _half_product(psi, d, xs, ws)
+        u00, _, jac = _half_product(psi, d, xs, ws)
         r = u00.real - want
         resid = float(np.abs(r).max())
         if not math.isfinite(resid):
@@ -601,7 +608,7 @@ def _symmetric_phases(c: np.ndarray, goal: float):
             if stalls == 3:
                 break
         if best is None or resid < best[0]:
-            best = (resid, psi, u00, u01)
+            best = (resid, psi)
         if resid <= goal:
             break
         try:
@@ -611,16 +618,9 @@ def _symmetric_phases(c: np.ndarray, goal: float):
     if best is None:
         raise NumericalFailure(
             f"symmetric phase Newton diverged at the start (degree {d})")
-    resid, psi, u00, u01 = best
-    # P(-x) = (-1)^d P(x) and Q(-x) = -(-1)^d Q(x); the nodes of T_2n run
-    # from the n positive ones to their mirror images in reverse order
-    sign = (-1) ** d
-    p = cheb.fit(np.concatenate([u00, sign * u00[::-1]]), 2 * n - 1)
-    qv = u01 / ws
-    q = cheb.fit(np.concatenate([qv, -sign * qv[::-1]]), 2 * n - 1)
+    resid, psi = best
     phis = np.concatenate([psi, psi[: d + 1 - n][::-1]])
-    return (PhaseSequence(phis, "wx_sandwich"),
-            SignalPair(p[: d + 1], q[:d], validate=False), resid)
+    return PhaseSequence(phis, "wx_sandwich"), resid
 
 
 # ----------------------------------------------------------------------
@@ -685,9 +685,9 @@ def _degree_cut(c: np.ndarray, tol: float) -> np.ndarray:
 
 
 def _real_phases(c: np.ndarray, tol: float, goal: float):
-    """The one pipeline of a real target c (Chebyshev coefficients) to a
-    pair and reflection phases, shared by `phases_for_target` and
-    `complete`, which differ only in the Newton ``goal``.
+    """The one pipeline of a real target c (Chebyshev coefficients) to
+    reflection phases, shared by `phases_for_target` and `complete`, which
+    differ only in the Newton ``goal``.
 
     `_completion_gap`, the one admissibility gate, sees the target as
     given; `_degree_cut` then drops a tail, and when the target's peak
@@ -695,15 +695,14 @@ def _real_phases(c: np.ndarray, tol: float, goal: float):
     it stays within 1 too.  A nonzero constant a takes the reflection
     phases (arccos a, 0) in closed form; any other cut goes to the
     symmetric-phase Newton solver, which stops at a node residual of
-    ``goal``, and its pair is validated once (unitarity defect at most
-    1e-10).  The realized Re<0|U_Phi|0>, a polynomial of degree d, is then
+    ``goal``.  The realized Re<0|U_Phi|0>, a polynomial of degree d, is then
     taken at the d + 1 Chebyshev nodes by the top-row kernel
     `_reflection_row` (`qsp_eval`'s values, bit for bit) and fitted;
     `_coefficient_bound` of those coefficients against the uncut target
     (their 1-norm distance plus the rounding of evaluation and fit)
     bounds max |Re P - p| over [-1, 1] and must meet ``tol``, else
-    NumericalFailure.  Returns (SignalPair, reflection PhaseSequence,
-    report).
+    NumericalFailure, the one acceptance check of the phases.  Returns
+    (reflection PhaseSequence, report).
     """
     top = _completion_gap(c)
     c = c.real
@@ -714,19 +713,16 @@ def _real_phases(c: np.ndarray, tol: float, goal: float):
     if lifted > 1.0:
         coeffs = coeffs / lifted
     if len(coeffs) == 1 and coeffs[0]:
-        # a constant a completes to P = a + i sqrt(1 - a^2), Q = 0, which
-        # e^{i arccos(a) Z} R(x) R(x) realizes, as R(x)^2 = I: the
-        # reflection form of the sandwich (-asin(a)/2, pi/2, -asin(a)/2)
-        a = float(coeffs[0])
-        pair = SignalPair(np.array([complex(a, math.sqrt(1.0 - a * a))]),
-                          np.zeros(1))
-        refl = PhaseSequence(np.array([math.acos(a), 0.0]), "reflection")
+        # e^{i arccos(a) Z} R(x) R(x) = e^{i arccos(a) Z}, as R(x)^2 = I,
+        # realizes a constant a: the reflection form of the sandwich
+        # (-asin(a)/2, pi/2, -asin(a)/2)
+        refl = PhaseSequence(np.array([math.acos(float(coeffs[0])), 0.0]),
+                             "reflection")
         resid = 0.0
     else:
         if not coeffs.any():
             coeffs = np.zeros(2)  # zero is realized by one layer, as odd
-        sandwich, pair, resid = _symmetric_phases(coeffs, goal)
-        pair.validate()
+        sandwich, resid = _symmetric_phases(coeffs, goal)
         refl = to_reflection(sandwich)
     d = refl.degree
     vals = _reflection_row(refl.phis, cheb.cheb_nodes(d + 1))[0].real
@@ -735,7 +731,7 @@ def _real_phases(c: np.ndarray, tol: float, goal: float):
         raise NumericalFailure(
             f"reconstruction error {err:.2e} above requested {tol:.0e} "
             f"(Newton node residual {resid:.1e}, degree {d})")
-    return pair, refl, {"reconstruction_error": err, "node_residual": resid}
+    return refl, {"reconstruction_error": err, "node_residual": resid}
 
 
 def phases_for_target(p_re, tol: float = 1e-8):
@@ -744,10 +740,11 @@ def phases_for_target(p_re, tol: float = 1e-8):
     `_real_phases` at the Newton goal max(NEWTON_GOAL, tol / 10), with its
     errors: Inadmissible for an imaginary part or no definite parity,
     NotSubunit (a subclass) above 1 on [-1, 1], and NumericalFailure when
-    the reconstruction bound misses ``tol``.  Returns (SignalPair,
-    reflection PhaseSequence, report); the report holds that bound as
-    ``reconstruction_error`` and ``node_residual``.  Results are memoized
-    on (coefficients, tol).
+    the reconstruction bound misses ``tol``.  Returns (reflection
+    PhaseSequence, report); the report holds that bound as
+    ``reconstruction_error`` and ``node_residual``.  No (P, Q) pair is
+    formed: `complete` reads one off the phases when it is wanted.
+    Results are memoized on (coefficients, tol).
     """
     c = _as_cheb_array(p_re)
     key = (c.tobytes(), float(tol))

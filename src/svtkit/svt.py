@@ -479,7 +479,7 @@ def svt_apply(pu: ProjectedUnitary, target, kind: str = "real_poly",
         raise ValueError(f"unknown kind {kind!r}")
 
     c = _as_cheb_array(target)
-    pair, refl, phase_rep = phases_for_target(c, tol=delta / 2.0)
+    refl, phase_rep = phases_for_target(c, tol=delta / 2.0)
     n = len(refl.phis)
     # |0><0| (x) U_Phi + |1><1| (x) U_{-Phi}: the physical circuit when the
     # projector phases run through the shared ancilla of the C-Pi-NOT
@@ -555,7 +555,7 @@ def eigenvalue_transform(be: BlockEncoding, target, delta: float = 1e-8,
                 if len(cut) == 1 and cut[0]:
                     refl = float(cut[0])  # a constant: no phases, no U
                 else:
-                    _, refl, _ = phases_for_target(cc, tol=delta / 2.0)
+                    refl, _ = phases_for_target(cc, tol=delta / 2.0)
                     longest = max(longest, len(refl.phis))
             terms.append((weight, refl))
         u_uses += longest

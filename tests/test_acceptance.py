@@ -45,14 +45,14 @@ def test_criterion_1_qsp_roundtrip():
     for _ in range(500):
         deg = int(rng.integers(1, 21))
         c = random_parity_target(rng, deg)
-        pair, refl, _ = phases_for_target(c, tol=1e-8)
+        refl, _ = phases_for_target(c, tol=1e-8)
         rec = qsp_eval(refl, xs)[:, 0, 0].real
         want = np.polynomial.chebyshev.chebval(xs, c)
         worst = max(worst, float(np.abs(rec - want).max()))
     worst_ext = 0.0
     for deg in (60, 85, 100):
         c = random_parity_target(rng, deg)
-        pair, refl, _ = phases_for_target(c, tol=1e-10)
+        refl, _ = phases_for_target(c, tol=1e-10)
         rec = qsp_eval(refl, xs)[:, 0, 0].real
         want = np.polynomial.chebyshev.chebval(xs, c)
         worst_ext = max(worst_ext, float(np.abs(rec - want).max()))
@@ -295,7 +295,7 @@ def test_criterion_11_lower_bound_consistency():
     # sign transformation at (delta, eps)
     delta, eps_s = 0.2, 0.01
     sign = approx_sign(delta, eps_s)
-    _, refl, _ = phases_for_target(sign.cheb, tol=1e-5)
+    refl, _ = phases_for_target(sign.cheb, tol=1e-5)
     uses_sign = len(refl.phis)
     lb_sign = query_lower_bound(lambda x: math.copysign(1.0, x),
                                 delta, -delta, eps_s)
@@ -304,7 +304,7 @@ def test_criterion_11_lower_bound_consistency():
     # pseudoinverse at delta = 0.2, eps = 1e-4
     delta_p, eps_p = 0.2, 1e-4
     inv = approx_inverse(1.0 / delta_p, eps_p, bounded=True)
-    _, refl_p, _ = phases_for_target(inv.cheb, tol=1e-5)
+    refl_p, _ = phases_for_target(inv.cheb, tol=1e-5)
     uses_pinv = len(refl_p.phis)
     grid = np.linspace(delta_p, 1.0, 41)
     lb_pinv = 0.0

@@ -196,19 +196,19 @@ class TestToReflection:
 
 class TestRealQsp:
     def test_t5_gauge_equivalence(self):
-        pair, refl, _ = phases_for_target(cheb_unit(5), tol=1e-9)
+        refl, _ = phases_for_target(cheb_unit(5), tol=1e-9)
         got = qsp_eval(refl, GRID)[:, 0, 0].real
         want = np.cos(5 * np.arccos(GRID))
         assert np.abs(got - want).max() < 1e-9
 
     def test_linear_target(self):
-        pair, refl, _ = phases_for_target(ParityPoly([0, 0.9]), tol=1e-8)
+        refl, _ = phases_for_target(ParityPoly([0, 0.9]), tol=1e-8)
         got = qsp_eval(refl, GRID)[:, 0, 0].real
         assert np.abs(got - 0.9 * GRID).max() < 1e-8
 
     def test_rect_target(self):
         res = approx_rect(0.5, 0.1, 0.05)
-        pair, refl, _ = phases_for_target(res.cheb, tol=1e-8)
+        refl, _ = phases_for_target(res.cheb, tol=1e-8)
         assert len(refl.phis) % 2 == 0  # even-degree sequence
         got = qsp_eval(refl, GRID)[:, 0, 0].real
         want = res.evaluate(GRID)
@@ -216,7 +216,7 @@ class TestRealQsp:
 
     def test_degree_60_at_1e10(self, rng):
         tgt = random_target(60, 0.95, rng)
-        pair, refl, _ = phases_for_target(tgt, tol=1e-10)
+        refl, _ = phases_for_target(tgt, tol=1e-10)
         got = qsp_eval(refl, GRID)[:, 0, 0].real
         want = np.polynomial.chebyshev.chebval(GRID, tgt.cheb_coeffs).real
         assert np.abs(got - want).max() < 1e-10
@@ -241,7 +241,7 @@ def lobatto_error(refl, c):
 @given(deg=st.integers(1, 100), seed=st.integers(0, 2 ** 32 - 1))
 def test_roundtrip_by_degree_and_parity(deg, seed):
     c = random_target(deg, 0.99, np.random.default_rng(seed)).cheb_coeffs
-    _, refl, _ = phases_for_target(c, tol=1e-12)
+    refl, _ = phases_for_target(c, tol=1e-12)
     assert len(refl.phis) == deg
     assert lobatto_error(refl, c) <= 1e-12
 
@@ -256,7 +256,7 @@ def test_completion_by_degree_and_parity(deg, seed):
     assert np.abs(real - np.polynomial.chebyshev.chebval(LOBATTO, c)).max() \
         <= 1e-12
     assert (len(phases_from_pq(pair).phis)
-            == len(phases_for_target(c)[1].phis) + 1)
+            == len(phases_for_target(c)[0].phis) + 1)
 
 
 def peaked_target(peak, deg=30, seed=1):
@@ -295,33 +295,33 @@ class TestPhasesForTarget:
     def test_tight_tolerance(self, target):
         # completion + stripping misses 1e-10 on both
         tgt = target()
-        pair, refl, rep = phases_for_target(tgt, tol=1e-10)
+        refl, rep = phases_for_target(tgt, tol=1e-10)
         assert rep["reconstruction_error"] <= 1e-10
         assert lobatto_error(refl, tgt.cheb_coeffs.real) <= 1e-10
-        assert pair.unitarity_defect() <= 1e-10
+        assert complete(tgt, 1e-10).unitarity_defect() <= 1e-10
 
     @pytest.mark.parametrize("c", [1.0, 0.5, -0.3, 0.0, -1.0])
     def test_constant_target(self, c):
         # a nonzero constant takes (arccos c, 0); zero keeps its one layer
-        pair, refl, rep = phases_for_target([c], tol=1e-12)
+        refl, rep = phases_for_target([c], tol=1e-12)
         assert len(refl.phis) == (1 if c == 0 else 2)
         if c:
             np.testing.assert_allclose(refl.phis, [math.acos(c), 0.0])
         assert rep["reconstruction_error"] <= 1e-13
         assert lobatto_error(refl, np.array([c])) <= 1e-15
-        assert pair.unitarity_defect() <= 1e-14
+        assert complete([c], 1e-12).unitarity_defect() <= 1e-14
 
     def test_high_degree_sign(self):
         # degree 523 before the cut; completion reaches only 3.6e-7 here
         tgt = approx_sign(0.185, 1e-6).cheb
-        _, refl, rep = phases_for_target(tgt, tol=1e-7)
+        refl, rep = phases_for_target(tgt, tol=1e-7)
         assert rep["reconstruction_error"] <= 1e-7
         assert lobatto_error(refl, tgt.cheb_coeffs.real) <= 1e-7
 
     def test_phase_count_matches_completion(self):
         # the circuit is no longer than the one completion + stripping gives
         tgt = approx_inverse(2.0, 1e-2, bounded=True).cheb
-        _, refl, _ = phases_for_target(tgt, tol=1e-3)
+        refl, _ = phases_for_target(tgt, tol=1e-3)
         assert len(refl.phis) == len(phases_from_pq(complete(tgt)).phis) - 1
 
     def test_stops_at_the_rounding_floor(self, monkeypatch):
@@ -336,13 +336,13 @@ class TestPhasesForTarget:
 
         monkeypatch.setattr(np.linalg, "solve", counted)
         c = random_target(40, 0.9, np.random.default_rng(3)).cheb_coeffs.real
-        _, _, resid = qsp._symmetric_phases(c, goal=0.0)
+        _, resid = qsp._symmetric_phases(c, goal=0.0)
         assert resid <= qsp.NEWTON_GOAL
         assert len(steps) < qsp.NEWTON_MAX_ITER
 
     def test_interior_peak_near_one(self):
         c = peaked_target(1 - 1e-9)
-        _, refl, _ = phases_for_target(c, tol=1e-10)
+        refl, _ = phases_for_target(c, tol=1e-10)
         assert lobatto_error(refl, c) <= 1e-10
 
     def test_interior_peak_above_one_refused(self):
@@ -517,7 +517,7 @@ def full_prefix_phases(c, goal):
 ])
 def test_solver_matches_full_prefix_reference(target):
     c = qsp._degree_cut(target().cheb.cheb_coeffs.real, 1e-8)
-    seq, _, resid = qsp._symmetric_phases(c, 1e-9)
+    seq, resid = qsp._symmetric_phases(c, 1e-9)
     want_resid, want_phis = full_prefix_phases(c, 1e-9)
     assert resid <= 1e-9 and want_resid <= 1e-9
     assert np.abs(seq.phis - PhaseSequence(want_phis, "wx_sandwich").phis
@@ -545,7 +545,7 @@ def test_reconstruction_error_bounds_a_fine_grid():
     tiny = 0
     for c, tol in certificate_targets(np.random.default_rng(14)):
         qsp._PHASE_CACHE.clear()
-        _, refl, rep = phases_for_target(c, tol=tol)
+        refl, rep = phases_for_target(c, tol=tol)
         got = qsp_eval(refl, grid)[:, 0, 0].real
         measured = np.abs(got - np.polynomial.chebyshev.chebval(grid, c)).max()
         assert rep["reconstruction_error"] >= measured
@@ -557,10 +557,54 @@ def test_tol_below_the_certificate_refused():
     """`phases_for_target` raises NumericalFailure when the reconstruction
     bound misses the requested tol: here its rounding term alone does."""
     c = 0.9 * cheb_unit(5).cheb_coeffs
-    bound = phases_for_target(c, tol=1e-12)[2]["reconstruction_error"]
+    bound = phases_for_target(c, tol=1e-12)[1]["reconstruction_error"]
     assert 1e-15 < bound <= 1e-12
     with pytest.raises(NumericalFailure, match="reconstruction error"):
         phases_for_target(c, tol=1e-15)
+
+
+def test_phase_synthesis_forms_no_pair(monkeypatch):
+    """A `phases_for_target` cache miss constructs no SignalPair and takes
+    no unitarity defect; `complete` constructs and validates one pair."""
+    counts = {"pairs": 0, "defects": 0}
+    init, defect = SignalPair.__init__, SignalPair.unitarity_defect
+
+    def counted_init(self, *args, **kwargs):
+        counts["pairs"] += 1
+        init(self, *args, **kwargs)
+
+    def counted_defect(self):
+        counts["defects"] += 1
+        return defect(self)
+
+    monkeypatch.setattr(SignalPair, "__init__", counted_init)
+    monkeypatch.setattr(SignalPair, "unitarity_defect", counted_defect)
+    monkeypatch.setattr(qsp, "_PHASE_CACHE", {})
+    for c in (approx_sign(0.3, 1e-4).cheb, [0.5], [0.0]):
+        phases_for_target(c, tol=1e-8)
+        assert counts == {"pairs": 0, "defects": 0}
+        complete(c, 1e-8)
+        assert counts == {"pairs": 1, "defects": 1}
+        counts.update(pairs=0, defects=0)
+
+
+@pytest.mark.parametrize("target", [
+    pytest.param(lambda: random_target(7, 0.9, np.random.default_rng(21)),
+                 id="random7"),
+    pytest.param(lambda: approx_trig(2.0, 1e-12)[0].cheb, id="cos"),
+    pytest.param(lambda: approx_sign(0.6, 1e-9).cheb, id="sign"),
+])
+def test_complete_pair_is_the_certified_circuit(target):
+    """At tol 1e-12 `complete` and `phases_for_target` run `_real_phases`
+    alike, and the pair is the top row of the certified circuit:
+    P = U_00 and (1 - x^2)|Q|^2 = |U_01|^2 off the fit's nodes."""
+    c = target().cheb_coeffs.real
+    refl, _ = phases_for_target(c, tol=1e-12)
+    pair = complete(c, 1e-12)
+    u = qsp_eval(refl, LOBATTO)
+    assert np.abs(pair.p_value(LOBATTO) - u[:, 0, 0]).max() <= 1e-13
+    q2 = (1 - LOBATTO ** 2) * np.abs(pair.q_value(LOBATTO)) ** 2
+    assert np.abs(q2 - np.abs(u[:, 0, 1]) ** 2).max() <= 1e-13
 
 
 def test_unitarity_defect_bounds_a_fine_grid():
@@ -634,7 +678,7 @@ class TestOneGate:
 
         monkeypatch.setattr(qsp, "check_admissible", refuse)
         c = random_target(9, 0.8, np.random.default_rng(8)).cheb_coeffs.real
-        _, refl, _ = phases_for_target(c, tol=1e-9)
+        refl, _ = phases_for_target(c, tol=1e-9)
         assert lobatto_error(refl, c) <= 1e-9
 
 

@@ -995,7 +995,7 @@ class TestWrapCertificate:
                                       "threshold_projector", "fast_or"])
     def test_branch_above_unitary_tol_refused(self, monkeypatch, path):
         pu, _ = self._cell()
-        _, refl, _ = phases_for_target(cheb_unit(5).cheb_coeffs * 0.9)
+        refl, _ = phases_for_target(cheb_unit(5).cheb_coeffs * 0.9)
         self._inflate_branches(monkeypatch)
         with pytest.raises(NormExceeded):
             if path == "complex_poly":
@@ -1072,7 +1072,7 @@ class TestWrapBound:
         # weighted branch has defect 1.8e-12, above UNITARY_TOL
         pu = embed(np.diag([0.5, 0.3])).pu
         if refl == "phased":
-            _, refl, _ = phases_for_target(cheb_unit(5).cheb_coeffs * 0.9)
+            refl, _ = phases_for_target(cheb_unit(5).cheb_coeffs * 0.9)
         with pytest.raises(NormExceeded):
             branch_lcu(pu, [(1 + 9e-13, refl)])
 
@@ -1092,7 +1092,7 @@ class TestWrapBound:
 
         monkeypatch.setattr(svt_module, "is_unitary", counted)
         pu = embed(np.diag([0.5, 0.3, -0.2])).pu
-        _, refl, _ = phases_for_target(cheb_unit(7).cheb_coeffs * 0.9)
+        refl, _ = phases_for_target(cheb_unit(7).cheb_coeffs * 0.9)
         branch_lcu(pu, [(weight, refl)])
         (plus, minus), _ = wraps[0]
         if weight in (1, -1, 1j, -1j):
