@@ -3,7 +3,8 @@
 Every constructor returns an `ApproxResult` whose certificate (sup-norm
 bound on [-1, 1] and max error over a valid domain inside it) is checked
 by a bound on each valid piece (`_piece_error`), or raises
-NumericalFailure; those that take parameters only are memoized and
+NumericalFailure; those that take parameters only are memoized by
+`_memo`, whose one bounded dict also holds `qsp`'s phase synthesis, and
 return shared read-only results.  Sign,
 rectangle, bounded 1/x and the negative powers are near-best fits by one
 Remez exchange (`_minimax`), exp and trig cut Chebyshev series with Bessel
@@ -250,17 +251,24 @@ def _read_only(value):
 
 
 def _memo(fn):
-    """Memoize a constructor on its bound arguments, defaults applied, in
-    the one bounded dict ``_MEMO`` (oldest entry out first).  Results are
-    read-only and shared; an exception is never stored."""
+    """Memoize a pure function of hashable positional-or-keyword arguments
+    on its bound arguments, defaults applied, in the one bounded dict
+    ``_MEMO`` (oldest entry out first).  A call passing every parameter
+    positionally is keyed straight from ``args``, the same key binding
+    gives.  Results are read-only and shared; an exception is never
+    stored."""
     signature = inspect.signature(fn)
+    arity = len(signature.parameters)
+    name = (fn.__module__, fn.__qualname__)
 
     @functools.wraps(fn)
     def memoized(*args, **kwargs):
-        bound = signature.bind(*args, **kwargs)
-        bound.apply_defaults()
-        key = (fn.__module__, fn.__qualname__) + tuple(
-            (type(v), v) for v in bound.arguments.values())
+        values = args
+        if kwargs or len(args) != arity:
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            values = bound.arguments.values()
+        key = name + tuple((type(v), v) for v in values)
         hit = _MEMO.get(key)
         if hit is not None:
             return hit

@@ -11,29 +11,22 @@ from ..approx import approx_rect, approx_sign
 from ..blockenc import ProjectedUnitary, embed, operator_norm
 from ..errors import PromiseViolated
 from ..qsp import phases_for_target
-from ..svt import alternating_sequence, branch_lcu, reference_svt
+from ..svt import (_fn_of_hermitian, alternating_sequence, branch_lcu,
+                   reference_svt)
 
 
 def threshold_projectors_exact(pu: ProjectedUnitary, interval):
     """Exact right/left singular value threshold projectors Pi_S, Pi~_S
-    for S = [lo, hi], computed from one SVD of the block."""
+    for S = [lo, hi]: `reference_svt` of S's indicator on the block, and
+    on its adjoint for the left one.  A singular vector of img(Pi) or
+    img(Pi~) past the block's shorter side counts at singular value 0."""
     lo, hi = interval
-    w, sigma, vh = np.linalg.svd(pu.block())
-    bv = pu.pi.basis()
-    bw = pu.pi_tilde.basis()
-    d = bv.shape[1]
-    dt = bw.shape[1]
-    sig_right = np.zeros(d)
-    sig_right[: len(sigma)] = sigma
-    sig_left = np.zeros(dt)
-    sig_left[: len(sigma)] = sigma
-    keep_r = (sig_right >= lo) & (sig_right <= hi)
-    keep_l = (sig_left >= lo) & (sig_left <= hi)
-    vr = bv @ vh.conj().T[:, keep_r]
-    wl = bw @ w[:, keep_l]
-    right = vr @ vr.conj().T
-    left = wl @ wl.conj().T
-    return right, left
+
+    def inside(s):
+        return (s >= lo) & (s <= hi)
+
+    return (reference_svt(pu.u, inside, "even", pu.pi, pu.pi_tilde),
+            reference_svt(pu.u.conj().T, inside, "even", pu.pi_tilde, pu.pi))
 
 
 def threshold_projector(pu: ProjectedUnitary, t: float, delta: float,
@@ -55,8 +48,10 @@ def threshold_projector(pu: ProjectedUnitary, t: float, delta: float,
     # the wrapped circuit's top blocks are (U_Phi +- U_-Phi) / 2
     avg = wrapped[:dim, :dim]
     u_phi = avg + wrapped[:dim, dim:]
-    above, _ = threshold_projectors_exact(pu, (t + delta, 2.0))
-    below, _ = threshold_projectors_exact(pu, (-1.0, t - delta))
+    above = reference_svt(pu.u, lambda s: s >= t + delta, "even", pu.pi,
+                          pu.pi_tilde)
+    below = reference_svt(pu.u, lambda s: s <= t - delta, "even", pu.pi,
+                          pu.pi_tilde)
     cond1 = operator_norm(above @ u_phi @ above - above)
     # the |+> averaged version for the complementary condition
     cond2 = operator_norm(below @ avg @ below)
@@ -189,9 +184,8 @@ def fast_or(projectors, rho, eta: float, nu: float, eps: float):
     rho = np.asarray(rho, complex)
     p_accept = float(np.real(np.trace(block @ rho @ block.conj().T)))
     # numerical check of the threshold-projector mass inequality
-    w, v = np.linalg.eigh(a_op)
     mass_low = float(np.real(np.trace(
-        (v[:, w <= a_thr] @ v[:, w <= a_thr].conj().T) @ rho)))
+        _fn_of_hermitian(a_op, lambda w: w <= a_thr) @ rho)))
     report = {
         "acceptance": p_accept,
         "case_i_bound": (1 - eta) ** 2 / 4.0 - eps,

@@ -28,6 +28,7 @@ import numpy as np
 from numpy.polynomial import chebyshev as npcheb
 
 from . import _chebops as cheb
+from .approx import _memo
 from .errors import (ConventionMismatch, Inadmissible, NotSubunit,
                      NumericalFailure)
 from .poly import _as_cheb_array
@@ -318,9 +319,9 @@ def complete_complex(p, tol: float = 1e-9) -> SignalPair:
 
     Q is sampled as the product of its factors at Chebyshev nodes,
     interpolated, and scaled so that (1 - x^2) Q Q* matches A in least
-    squares; there is no polish.  A unitarity defect above
-    ``max(tol, 1e-8)`` raises NumericalFailure.  The completion runs in
-    double precision.
+    squares; there is no polish.  The pair is `SignalPair`'s, validated at
+    ``max(tol, 1e-8)``: a unitarity defect above that raises
+    NumericalFailure.  The completion runs in double precision.
     """
     c = _as_cheb_array(p)
     c = cheb.trim(c, 1e-13)
@@ -390,12 +391,7 @@ def complete_complex(p, tol: float = 1e-9) -> SignalPair:
     if K2 < 0:
         raise NumericalFailure("negative scale in complex completion")
     q = math.sqrt(K2) * q
-    pair = SignalPair(c, q, validate=False)
-    defect = pair.unitarity_defect()
-    if defect > max(tol, 1e-8):
-        raise NumericalFailure(
-            f"complex completion defect {defect:.2e}")
-    return pair
+    return SignalPair(c, q, tol=max(tol, 1e-8))
 
 
 # ----------------------------------------------------------------------
@@ -627,10 +623,6 @@ def _symmetric_phases(c: np.ndarray, goal: float):
 # end-to-end pipeline
 
 
-_PHASE_CACHE: dict = {}
-_PHASE_CACHE_MAX = 128
-
-
 def _coefficient_bound(f: np.ndarray, c: np.ndarray) -> float:
     """A bound on max |sum_k (f_k - c_k) T_k(x)| over [-1, 1], where f
     holds the d + 1 coefficients of a realized polynomial R taken by
@@ -744,15 +736,15 @@ def phases_for_target(p_re, tol: float = 1e-8):
     PhaseSequence, report); the report holds that bound as
     ``reconstruction_error`` and ``node_residual``.  No (P, Q) pair is
     formed: `complete` reads one off the phases when it is wanted.
-    Results are memoized on (coefficients, tol).
+    Results are memoized by `approx._memo` on the coefficients' bytes and
+    ``float(tol)``.
     """
-    c = _as_cheb_array(p_re)
-    key = (c.tobytes(), float(tol))
-    cached = _PHASE_CACHE.get(key)
-    if cached is not None:
-        return cached
-    out = _real_phases(c, tol, max(NEWTON_GOAL, tol / 10))
-    if len(_PHASE_CACHE) >= _PHASE_CACHE_MAX:
-        _PHASE_CACHE.pop(next(iter(_PHASE_CACHE)))
-    _PHASE_CACHE[key] = out
-    return out
+    return _phases(_as_cheb_array(p_re).tobytes(), float(tol))
+
+
+@_memo
+def _phases(coeffs: bytes, tol: float):
+    """`phases_for_target`'s memoized body, on the bytes of a complex
+    coefficient array."""
+    c = np.frombuffer(coeffs, complex)
+    return _real_phases(c, tol, max(NEWTON_GOAL, tol / 10))

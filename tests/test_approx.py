@@ -822,6 +822,7 @@ class TestMemo:
         a = approx_rect(0.5, 0.1, 0.05)
         assert approx_rect(eps_p=0.05, t=0.5, delta_p=0.1,
                            max_degree=approx_mod.LIB_MAX_DEGREE) is a
+        assert approx_rect(0.5, 0.1, 0.05, approx_mod.LIB_MAX_DEGREE) is a
         assert approx_inverse(4.0, 0.01, True) is approx_inverse(
             4.0, 0.01, bounded=True)
         assert approx_rect(0.5, 0.1, 0.05, max_degree=600) is not a

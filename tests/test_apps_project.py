@@ -31,6 +31,13 @@ def pu_with_singular_values(sigmas, rng, left_dim=None):
     return embed(a, 1.0).pu, a
 
 
+def random_projector(n, k, rng):
+    """A rank-k projector given by its matrix, on a random complex basis."""
+    basis, _ = np.linalg.qr(rng.standard_normal((n, k))
+                            + 1j * rng.standard_normal((n, k)))
+    return Projector(n, matrix=basis @ basis.conj().T)
+
+
 class TestThresholdProjector:
     def test_two_cluster_spectrum(self, rng):
         pu, a = pu_with_singular_values([0.9, 0.2], rng)
@@ -45,13 +52,31 @@ class TestThresholdProjector:
         assert rep["below_suppression"] <= 0.05
 
     def test_exact_projectors_match_svd(self, rng):
-        pu, a = pu_with_singular_values([0.9, 0.5, 0.1], rng)
-        right, left = threshold_projectors_exact(pu, (0.4, 1.0))
-        w, s, vh = np.linalg.svd(a)
-        keep = s >= 0.4
-        want_r = np.zeros((pu.dim, pu.dim), complex)
-        want_r[:3, :3] = vh.conj().T[:, keep] @ vh.conj().T[:, keep].conj().T
-        assert operator_norm(right - want_r) < 1e-10
+        """Both projectors match the block's SVD, on full-rank and
+        rank-deficient blocks and on matrix projectors of unequal rank,
+        zero singular values counted on the wider side."""
+        full, _ = pu_with_singular_values([0.9, 0.5, 0.1], rng)
+        deficient, _ = pu_with_singular_values([0.9, 0.6, 0.0, 0.0], rng)
+        n = 6
+        unequal = ProjectedUnitary(haar(n, rng), random_projector(n, 3, rng),
+                                   random_projector(n, 2, rng))
+        cases = [(full, (0.4, 1.0)), (deficient, (-0.5, 0.3)),
+                 (deficient, (0.5, 2.0)), (unequal, (-0.5, 0.3)),
+                 (unequal, (0.3, 2.0))]
+        for pu, (lo, hi) in cases:
+            bv, bw = pu.pi.basis(), pu.pi_tilde.basis()
+            w, s, vh = np.linalg.svd(pu.block())
+            s_right = np.zeros(vh.shape[0])
+            s_right[: len(s)] = s
+            s_left = np.zeros(w.shape[0])
+            s_left[: len(s)] = s
+            every = np.concatenate([s_right, s_left])
+            assert np.abs(every[:, None] - np.array([lo, hi])).min() >= 1e-6
+            vr = bv @ vh.conj().T[:, (s_right >= lo) & (s_right <= hi)]
+            wl = bw @ w[:, (s_left >= lo) & (s_left <= hi)]
+            right, left = threshold_projectors_exact(pu, (lo, hi))
+            assert operator_norm(right - vr @ vr.conj().T) < 1e-10
+            assert operator_norm(left - wl @ wl.conj().T) < 1e-10
 
 
 class TestSingularVectorTransform:

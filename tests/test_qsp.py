@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from svtkit import ParityPoly, ChebSeries
 from svtkit import _chebops, qsp
+from svtkit import approx as approx_mod
 from svtkit.approx import (approx_inverse, approx_rect, approx_sign,
                            approx_trig)
 from svtkit.errors import Inadmissible, NotSubunit, NumericalFailure
@@ -544,7 +545,7 @@ def test_reconstruction_error_bounds_a_fine_grid():
     grid = np.linspace(-1.0, 1.0, 20001)
     tiny = 0
     for c, tol in certificate_targets(np.random.default_rng(14)):
-        qsp._PHASE_CACHE.clear()
+        approx_mod._MEMO.clear()
         refl, rep = phases_for_target(c, tol=tol)
         got = qsp_eval(refl, grid)[:, 0, 0].real
         measured = np.abs(got - np.polynomial.chebyshev.chebval(grid, c)).max()
@@ -563,6 +564,23 @@ def test_tol_below_the_certificate_refused():
         phases_for_target(c, tol=1e-15)
 
 
+def test_phase_synthesis_shares_the_constructor_memo(monkeypatch):
+    """`phases_for_target` results are entries of `approx._MEMO`, held to
+    `_MEMO_MAX` oldest out first; a refused request is never stored."""
+    monkeypatch.setattr(approx_mod, "_MEMO", {})
+    monkeypatch.setattr(approx_mod, "_MEMO_MAX", 4)
+    c = 0.9 * cheb_unit(5).cheb_coeffs
+    outs = [phases_for_target(s * c, tol=1e-8)
+            for s in (0.2, 0.4, 0.5, 0.6, 0.8, 1.0)]
+    assert len(approx_mod._MEMO) == 4
+    assert phases_for_target(c, tol=1e-8) is outs[-1]
+    keys = list(approx_mod._MEMO)
+    for _ in range(2):
+        with pytest.raises(NumericalFailure, match="reconstruction error"):
+            phases_for_target(c, tol=1e-15)
+    assert list(approx_mod._MEMO) == keys
+
+
 def test_phase_synthesis_forms_no_pair(monkeypatch):
     """A `phases_for_target` cache miss constructs no SignalPair and takes
     no unitarity defect; `complete` constructs and validates one pair."""
@@ -579,7 +597,7 @@ def test_phase_synthesis_forms_no_pair(monkeypatch):
 
     monkeypatch.setattr(SignalPair, "__init__", counted_init)
     monkeypatch.setattr(SignalPair, "unitarity_defect", counted_defect)
-    monkeypatch.setattr(qsp, "_PHASE_CACHE", {})
+    monkeypatch.setattr(approx_mod, "_MEMO", {})
     for c in (approx_sign(0.3, 1e-4).cheb, [0.5], [0.0]):
         phases_for_target(c, tol=1e-8)
         assert counts == {"pairs": 0, "defects": 0}
