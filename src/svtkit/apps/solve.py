@@ -8,7 +8,7 @@ from ..approx import LIB_MAX_DEGREE, approx_inverse, approx_rect
 from ..blockenc import ProjectedUnitary, operator_norm
 from ..errors import SpectrumBelowDelta
 from ..poly import ChebSeries
-from ..svt import svt_apply
+from ..svt import reference_svt, svt_apply
 from .project import threshold_projectors_exact
 
 
@@ -19,7 +19,8 @@ def pseudoinverse(pu: ProjectedUnitary, delta: float, eps: float,
     Pi_{>=sigma} (sigma/2) A^+ Pi~_{>=sigma} when ``threshold_mode`` is a
     cutoff sigma; the transition band [sigma-delta, sigma+delta] carries
     no accuracy claim.  A polynomial above ``max_degree`` raises
-    DegreeOverflow; a delta outside (0, 1] raises ValueError.
+    DegreeOverflow; a delta outside (0, 1] raises ValueError.  The target
+    is `reference_svt` of 1/s on s > 1e-10 max s (plain) or s > sigma + delta.
     """
     if not 0 < delta <= 1:
         raise ValueError("need delta in (0, 1]")
@@ -33,6 +34,7 @@ def pseudoinverse(pu: ProjectedUnitary, delta: float, eps: float,
                              max_degree=max_degree)
         coeffs = inv.cheb.cheb_coeffs.real
         scale = delta / 2.0
+        cut = 1e-10 * sigma.max(initial=0.0)
     else:
         sigma = float(threshold_mode)
         inv = approx_inverse(1.0 / sigma, min(eps / 2.0, 0.4), bounded=True,
@@ -44,23 +46,22 @@ def pseudoinverse(pu: ProjectedUnitary, delta: float, eps: float,
         high = cheb.add(np.array([1.0]), -rect.cheb.cheb_coeffs.real)
         coeffs = cheb.trim(cheb.mul(inv.cheb.cheb_coeffs.real, high), 1e-15)
         scale = sigma / 2.0
+        cut = sigma + delta
     p_re = ChebSeries(coeffs, "odd")
     outcome = svt_apply(pu.dagger(), p_re, kind="real_poly",
                         delta=max(eps, 1e-7))
-    pinv_exact = np.linalg.pinv(pu.encoded(), rcond=1e-10)
+    target = scale * reference_svt(pu.u.conj().T, lambda s: np.divide(
+        1.0, s, out=np.zeros_like(s), where=s > cut), "odd", pu.pi_tilde,
+        pu.pi)
     if threshold_mode is None:
-        target = scale * pinv_exact
         measured = operator_norm(outcome.result - target)
     else:
-        # no accuracy claim inside the transition band: compare both sides
-        # with the band projected out
-        sigma = float(threshold_mode)
-        right, left = threshold_projectors_exact(pu, (sigma, 2.0))
+        # no accuracy claim inside the transition band: compare with the
+        # band projected out (the target is 0 there)
         r_band, l_band = threshold_projectors_exact(
             pu, (sigma - delta, sigma + delta))
         keep_r = pu.pi.matrix() - r_band
         keep_l = pu.pi_tilde.matrix() - l_band
-        target = keep_r @ right @ (scale * pinv_exact) @ left @ keep_l
         measured = operator_norm(keep_r @ outcome.result @ keep_l - target)
     report = {"measured": measured, "claimed": eps, "scale": scale,
               "degree": len(outcome.phases.phis)}
@@ -71,14 +72,13 @@ def pcr_solve(pu: ProjectedUnitary, b_vec, sigma: float, delta: float,
               eps: float):
     """Principal component regression: x = A^+ Pi~_{>=sigma} b via the
     threshold pseudoinverse, with the residual checked against the
-    normal-equations least squares on the projected operator."""
+    least squares solution on the projected operator, `reference_svt` of
+    s [s >= sigma] on A."""
     outcome, rep = pseudoinverse(pu, delta, eps, threshold_mode=sigma)
     b_vec = np.asarray(b_vec, complex)
-    scale = rep["scale"]
-    x_hat = (outcome.result @ b_vec) / scale
-    right, left = threshold_projectors_exact(pu, (sigma, 2.0))
-    a_full = pu.encoded()
-    a_proj = left @ a_full @ right
+    x_hat = (outcome.result @ b_vec) / rep["scale"]
+    a_proj = reference_svt(pu.u, lambda s: s * (s >= sigma), "odd", pu.pi,
+                           pu.pi_tilde)
     # direct least squares oracle
     x_star, *_ = np.linalg.lstsq(a_proj, b_vec, rcond=1e-10)
     resid_hat = np.linalg.norm(a_proj @ x_hat - b_vec)

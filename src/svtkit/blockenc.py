@@ -366,15 +366,21 @@ class ControlledNotByProjector:
 # constructors
 
 
+def _polish(m: np.ndarray) -> np.ndarray:
+    """One Newton-Schulz step (Higham, Functions of Matrices, sec. 8.3): for
+    m^dag m = I + E, ||E||_2 <= UNITARY_TOL, leaves (3/4)||E||^2 + rounding."""
+    return m @ (3.0 * np.eye(m.shape[1]) - m.conj().T @ m) / 2.0
+
+
 def embed(a_matrix, alpha: float = 1.0) -> BlockEncoding:
     """Exact (alpha, 1, 0)-encoding by unitary dilation.
 
     Rectangular input first goes into the top-left corner of a square
     matrix; the dilation doubles the dimension once.  A matrix without
-    an imaginary part is dilated in float64, so U is exactly real.  One
-    Newton-Schulz step, U <- U (3I - U^dag U) / 2, then polishes U to
-    unitary at rounding level (||U^dag U - I||_F about 1e-14 at n = 128),
-    which keeps long phased circuits built on it unitary to 1e-12.
+    an imaginary part is dilated in float64, so U is exactly real.  The
+    dilation meets UNITARY_TOL, so one `_polish` step makes it unitary at
+    rounding level (||U^dag U - I||_F about 1e-14 at n = 128), which
+    keeps long phased circuits built on it unitary to 1e-12.
     """
     a = np.atleast_2d(np.asarray(a_matrix, complex))
     if not a.imag.any():
@@ -389,8 +395,7 @@ def embed(a_matrix, alpha: float = 1.0) -> BlockEncoding:
     root = np.sqrt(1.0 - np.clip(sv / alpha, 0.0, 1.0) ** 2)
     top_right = (u * root) @ u.conj().T
     bottom_left = (vh.conj().T * root) @ vh
-    dil = np.block([[s, top_right], [bottom_left, -s.conj().T]])
-    dil = dil @ (3.0 * np.eye(2 * d) - dil.conj().T @ dil) / 2.0
+    dil = _polish(np.block([[s, top_right], [bottom_left, -s.conj().T]]))
     return BlockEncoding(dil, alpha=alpha, ancillas=1, eps=0.0,
                          target=square, system_dim=d)
 

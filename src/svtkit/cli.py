@@ -7,6 +7,7 @@ seed); matrices above dimension 256 are rejected up front.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -26,6 +27,7 @@ from .svt import svt_apply
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
+_FAMILY_FIELDS = dataclasses.fields(approx.ApproxSpec)[1:]  # after target
 
 
 def _emit(obj, args) -> None:
@@ -65,10 +67,8 @@ def degree_cap(text: str) -> int:
 
 
 def _build_poly(args):
-    spec = approx.ApproxSpec(
-        target=args.family, eps=args.eps, delta=args.delta, t=args.t,
-        kappa=args.kappa, beta=args.beta, c=args.c, s=args.s, d=args.d,
-        n=args.n, parity=args.parity, bounded=args.bounded)
+    spec = approx.ApproxSpec(args.family, **{
+        f.name: getattr(args, f.name) for f in _FAMILY_FIELDS})
     return approx.build(spec, args.max_degree)
 
 
@@ -227,17 +227,12 @@ def build_parser() -> argparse.ArgumentParser:
     def add_family_args(p, required=True):
         p.add_argument("--family", required=required,
                        choices=list(approx.FAMILIES))
-        p.add_argument("--delta", type=finite_float, default=0.1)
-        p.add_argument("--eps", type=finite_float, default=1e-4)
-        p.add_argument("--t", type=finite_float, default=1.0)
-        p.add_argument("--kappa", type=finite_float, default=2.0)
-        p.add_argument("--beta", type=finite_float, default=1.0)
-        p.add_argument("--c", type=finite_float, default=1.0)
-        p.add_argument("--s", type=int, default=10)
-        p.add_argument("--d", type=int, default=5)
-        p.add_argument("--n", type=int, default=8)
-        p.add_argument("--parity", default="odd", choices=["even", "odd"])
-        p.add_argument("--bounded", action="store_true")
+        kinds = {float: {"type": finite_float}, int: {"type": int},
+                 str: {"choices": ["even", "odd"]},
+                 bool: {"action": "store_true"}}
+        for f in _FAMILY_FIELDS:
+            p.add_argument("--" + f.name, default=f.default,
+                           **kinds[type(f.default)])
 
     p_poly = sub.add_parser("poly", help="construct a certified polynomial")
     add_family_args(p_poly)

@@ -651,9 +651,7 @@ def _coefficient_bound(f: np.ndarray, c: np.ndarray) -> float:
     neighbouring doubles, which it leaves out, as a grid evaluated in
     double precision does.
     """
-    diff = np.zeros(max(len(f), len(c)))
-    diff[: len(f)] += f
-    diff[: len(c)] -= c
+    diff = cheb.add(f, -c)
     d = len(f) - 1
     u = np.finfo(float).eps / 2
     lebesgue = 1.0 + 2.0 / math.pi * math.log(d + 1)

@@ -230,6 +230,51 @@ class TestPseudoinverse:
         outcome, rep = pseudoinverse(pu, 0.1, 1e-3, threshold_mode=0.4)
         assert rep["measured"] <= 1e-3
 
+    @pytest.mark.parametrize("n, zeros", [(2, 1), (3, 1), (5, 2), (8, 3)])
+    def test_targets_match_numpy_pinv(self, monkeypatch, rng, n, zeros):
+        # the targets come from `reference_svt`, not from np.linalg.pinv,
+        # and match it on rank-deficient blocks: every singular value is 0,
+        # far below the 1e-10 cut, or at least 0.05 from sigma + delta
+        import svtkit.apps.solve as solve_module
+        sigma, delta, eps = 0.4, 0.1, 1e-3
+        plain = np.r_[rng.uniform(0.55, 0.95, n - zeros), np.zeros(zeros)]
+        banded = np.r_[0.9, 0.45, 0.2, 0.7, 0.3, 0.6, 0.8][:n - zeros]
+        pu_cut = pu_with_singular_values(np.r_[banded, np.zeros(zeros)],
+                                         rng)[0]
+        pu_plain = pu_with_singular_values(plain, rng)[0]
+
+        def reference(pu, keep):
+            w, s, vh = np.linalg.svd(pu.encoded())
+            return (w * np.where(keep(s), s, 0.0)) @ vh
+
+        want_plain = np.linalg.pinv(pu_plain.encoded(), rcond=1e-10)
+        want_cut = np.linalg.pinv(
+            reference(pu_cut, lambda s: s > sigma + delta), rcond=1e-10)
+        want_pcr = reference(pu_cut, lambda s: s >= sigma)
+        b = np.zeros(pu_cut.dim, complex)
+        b[:n] = rng.standard_normal(n)
+        calls = []
+        run = solve_module.reference_svt
+
+        def spy(*args):
+            calls.append(run(*args))
+            return calls[-1]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg.pinv called")
+
+        monkeypatch.setattr(solve_module, "reference_svt", spy)
+        monkeypatch.setattr(np.linalg, "pinv", refuse)
+        _, rep = pseudoinverse(pu_plain, 0.5, eps)
+        assert rep["measured"] <= eps
+        np.testing.assert_allclose(calls[-1], want_plain, rtol=0, atol=1e-12)
+        _, rep = pseudoinverse(pu_cut, delta, eps, threshold_mode=sigma)
+        assert rep["measured"] <= eps
+        np.testing.assert_allclose(calls[-1], want_cut, rtol=0, atol=1e-12)
+        pcr_solve(pu_cut, b, sigma, delta, eps)
+        np.testing.assert_allclose(calls[-2], want_cut, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(calls[-1], want_pcr, rtol=0, atol=1e-12)
+
     def test_pcr_residual(self, rng):
         a = rng.standard_normal((4, 4))
         a = a / operator_norm(a) * 0.8

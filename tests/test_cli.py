@@ -182,6 +182,20 @@ def test_parser_built_once():
     assert build_parser() is build_parser()
 
 
+@pytest.mark.parametrize("command", ["poly", "phases"])
+def test_family_flags_default_to_the_spec(command):
+    import dataclasses
+    from svtkit.approx import ApproxSpec
+    args = build_parser().parse_args([command, "--family", "sign"])
+    fields = dataclasses.fields(ApproxSpec)[1:]
+    assert [f.name for f in fields] == ["eps", "delta", "t", "kappa", "beta",
+                                        "c", "s", "d", "n", "parity",
+                                        "bounded"]
+    for f in fields:
+        assert getattr(args, f.name) == f.default, f.name
+        assert type(getattr(args, f.name)) is type(f.default), f.name
+
+
 def test_shared_parser_keeps_no_state_between_calls(capsys):
     argv = ["phases", "--family", "sign", "--delta", "0.3", "--eps", "1e-3"]
     first = run_cli(argv, capsys)
@@ -210,6 +224,10 @@ def test_shared_parser_keeps_no_state_between_calls(capsys):
     (["apps", "pinv", "--delta", "1.5"], 2),
     (["poly", "--family", "sign", "--delta", "2.5"], 2),
     (["poly", "--family", "sign", "--delta", "1.5"], 2),
+    (["poly", "--family", "monomial", "--s", "2.5"], 2),
+    (["poly", "--family", "window", "--n", "x"], 2),
+    (["poly", "--family", "neg_power", "--parity", "middle"], 2),
+    (["phases", "--family", "rect", "--t", "nan"], 2),
 ])
 def test_invalid_value_exit_code(argv, want):
     # a subprocess, so that a hang ends in a timeout and not a stuck run

@@ -812,6 +812,61 @@ def test_real_sequence_matches_dense_product(dim, n, data, kinds, seed):
         assert not off.real.any()
 
 
+@pytest.mark.parametrize("dim", [7, 64])
+@pytest.mark.parametrize("kind", ["indices", "matrix"])
+@pytest.mark.parametrize("real", [True, False])
+def test_moved_basis_needs_no_qr(monkeypatch, dim, kind, real):
+    # the moved basis is `_polish`ed, not factored: with QR refused, the
+    # sequence still runs (dim 64 with indices takes the overlap
+    # recurrence), and its moved projector is a QR basis's
+    gen = np.random.default_rng(5)
+    make = _real_projector if real else _random_projector
+    pi, pit = make(gen, dim, 3, kind), make(gen, dim, 4, kind)
+    u = (scipy.stats.ortho_group if real else scipy.stats.unitary_group).rvs(
+        dim, random_state=gen)
+    pu = ProjectedUnitary(u, pi, pit)
+    q = np.linalg.qr(u.conj().T @ pit.basis())[0]
+    long_seq = PhaseSequence(gen.uniform(-math.pi, math.pi, 9), "reflection")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.qr called")
+
+    monkeypatch.setattr(np.linalg, "qr", refuse)
+    got, _ = alternating_sequence(pu, long_seq)
+    np.testing.assert_allclose(got, _dense_u_phi(pu, long_seq.phis),
+                               rtol=0, atol=1e-12)
+    # (0, phi) leaves e^{-i phi} (I + c P), P = U^dag Pi~ U the moved one
+    seq = PhaseSequence(np.array([0.0, math.pi / 2]), "reflection")
+    phi = seq.phis[1]
+    u_phi, _ = alternating_sequence(pu, seq)
+    moved = (np.exp(1j * phi) * u_phi - np.eye(dim)) / (np.exp(2j * phi) - 1)
+    assert operator_norm(moved - q @ q.conj().T) <= 1e-13
+
+
+@pytest.mark.parametrize("dim", [4, 16, 64, 256])
+@pytest.mark.parametrize("real", [True, False])
+def test_polish_orthonormalizes_a_near_isometry(dim, real):
+    from svtkit.blockenc import _polish
+    gen = np.random.default_rng(dim)
+    r = dim // 2
+    z = gen.standard_normal((dim, r))
+    if not real:
+        z = z + 1j * gen.standard_normal((dim, r))
+    q = np.linalg.qr(z)[0]
+    e = gen.standard_normal((r, r))
+    e = (e + e.T) / 2
+    m = q @ (np.eye(r) + 5e-13 * e / operator_norm(e))
+
+    def defect(x):
+        return operator_norm(x.conj().T @ x - np.eye(r))
+
+    assert 5e-13 < defect(m) <= 1.1e-12
+    out = _polish(m)
+    assert out.dtype == m.dtype
+    assert defect(out) <= 1e-14
+    assert operator_norm(out @ out.conj().T - q @ q.conj().T) <= 1e-14
+
+
 def _overlap_taken(monkeypatch):
     """Record, for each `_overlap_layers` call, whether it built U_Phi
     (True) or left it to the loop (False)."""
